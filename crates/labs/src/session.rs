@@ -195,21 +195,24 @@ impl LabSession {
             .min(self.quota.max_rows_per_run);
         let run_id = self.history.iter().map(|r| r.run_id).max().unwrap_or(0) + 1;
         let record = execute_attempt(&self.bdaas, &c, choices, run_id, Some(rows), self.seed)?;
-        self.total_cost += record.indicator(Indicator::Cost).unwrap_or(0.0);
-        // WAL-commit the run, its score and the updated meter before the
-        // attempt is reported — a crash after this point loses nothing.
+        let total_cost = self.total_cost + record.indicator(Indicator::Cost).unwrap_or(0.0);
+        // WAL-commit the run, its score and the updated meter as one
+        // record before the attempt is reported — a crash after this point
+        // loses nothing, and a crash during it loses all three together.
         if let Some(store) = self.store.as_mut() {
-            store.put_run(&self.trainee, record.run_id, &record)?;
-            store.put_score(&self.trainee, record.run_id, assess(&c, &record).total)?;
-            store.put_meta(
+            store.put_attempt(
                 &self.trainee,
+                record.run_id,
+                &record,
+                assess(&c, &record).total,
                 &SessionMeta {
                     quota: self.quota,
-                    total_cost: self.total_cost,
+                    total_cost,
                     seed: self.seed,
                 },
             )?;
         }
+        self.total_cost = total_cost;
         self.history.push(record);
         Ok(self.history.last().expect("just pushed"))
     }

@@ -139,17 +139,13 @@ impl Gate {
         self.turnstile.notify_all();
     }
 
-    /// Block until no permit is held (the drain barrier), checking every
-    /// few milliseconds.
+    /// Block until no permit is held (the drain barrier). Every released
+    /// permit notifies the turnstile, so this wakes exactly when the count
+    /// moves.
     pub fn wait_idle(&self) {
-        loop {
-            {
-                let state = self.state.lock().expect("gate poisoned");
-                if state.inflight == 0 {
-                    return;
-                }
-            }
-            std::thread::sleep(Duration::from_millis(2));
+        let mut state = self.state.lock().expect("gate poisoned");
+        while state.inflight > 0 {
+            state = self.turnstile.wait(state).expect("gate poisoned");
         }
     }
 

@@ -142,15 +142,18 @@ impl Client {
             .map_err(|e| ClientError::transport(format!("connect {}: {e}", self.addr)))?;
         stream.set_read_timeout(Some(self.timeout)).ok();
         stream.set_write_timeout(Some(self.timeout)).ok();
+        // The request is one write; do not let Nagle hold it back.
+        stream.set_nodelay(true).ok();
         let body = body.unwrap_or(b"");
-        let head = format!(
+        let mut message = format!(
             "{method} {target} HTTP/1.1\r\nhost: {}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
             self.addr,
             body.len()
-        );
+        )
+        .into_bytes();
+        message.extend_from_slice(body);
         stream
-            .write_all(head.as_bytes())
-            .and_then(|()| stream.write_all(body))
+            .write_all(&message)
             .map_err(|e| ClientError::transport(format!("send: {e}")))?;
 
         let mut raw = Vec::new();

@@ -85,7 +85,9 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
 }
 
 /// Write one response and flush. The connection is one-shot
-/// (`Connection: close`), so the body length is always exact.
+/// (`Connection: close`), so the body length is always exact. Head and
+/// body leave in a single write, so the reply is one segment whenever it
+/// fits one.
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
@@ -93,12 +95,13 @@ pub fn write_response(
     body: &[u8],
 ) -> std::io::Result<()> {
     let reason = reason_phrase(status);
-    let head = format!(
+    let mut message = format!(
         "HTTP/1.1 {status} {reason}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
         body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    )
+    .into_bytes();
+    message.extend_from_slice(body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 

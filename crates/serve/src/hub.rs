@@ -14,17 +14,26 @@
 //!    a per-attempt [`RunControl`] attached (drain cancels through it)
 //!    and a thread budget capped so concurrent attempts don't
 //!    oversubscribe the host. No hub lock is held during execution.
-//! 4. **Commit** — run, score and updated meta WAL-committed under the
-//!    store lock before the reply leaves; a crash after commit loses
-//!    nothing.
+//! 4. **Commit** — run, score and updated meta WAL-committed as one
+//!    record ([`SessionStore::put_attempt`]: one frame, one fsync) under
+//!    the store lock *alone* before the reply leaves; a crash after commit
+//!    loses nothing, a crash during it loses all three together. The
+//!    meter is read-modify-written from the store's own view inside that
+//!    critical section, so two attempts of one tenant committing back to
+//!    back cannot overwrite each other's cost.
 //!
 //! Failures release the reservation; the claimed run id is simply never
 //! used (gaps in run ids are harmless — ids only need to be monotone).
+//!
+//! **Lock order.** `tenants → store`, and only [`SessionHub::open_session`]
+//! nests them. An attempt takes `tenants` (reserve), then `store`
+//! (commit), then `tenants` again (release) — one at a time, never one
+//! inside the other — so the reserve step of every other attempt never
+//! queues behind a commit's fsync.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Duration;
+use std::sync::{Condvar, Mutex};
 
 use toreador_core::compile::Bdaas;
 use toreador_core::declarative::Indicator;
@@ -128,6 +137,8 @@ pub struct SessionHub {
     plans: PlanCache,
     /// (trainee, run_id) -> cancel handle, for every executing attempt.
     running: Mutex<BTreeMap<(String, u64), RunningAttempt>>,
+    /// Notified whenever `running` empties (the drain waits on it).
+    running_idle: Condvar,
     completed: AtomicU64,
     rejected_quota: AtomicU64,
     rejected_busy: AtomicU64,
@@ -157,6 +168,7 @@ impl SessionHub {
             tenants: Mutex::new(BTreeMap::new()),
             plans: PlanCache::new(),
             running: Mutex::new(BTreeMap::new()),
+            running_idle: Condvar::new(),
             completed: AtomicU64::new(0),
             rejected_quota: AtomicU64::new(0),
             rejected_busy: AtomicU64::new(0),
@@ -300,10 +312,13 @@ impl SessionHub {
 
         // 2–4 with the reservation held; always release it.
         let outcome = self.attempt_reserved(req, &challenge, run_id, rows, seed, &control);
-        self.running
-            .lock()
-            .expect("running poisoned")
-            .remove(&(req.trainee.clone(), run_id));
+        {
+            let mut running = self.running.lock().expect("running poisoned");
+            running.remove(&(req.trainee.clone(), run_id));
+            if running.is_empty() {
+                self.running_idle.notify_all();
+            }
+        }
         {
             let mut tenants = self.tenants.lock().expect("tenants poisoned");
             if let Some(t) = tenants.get_mut(&req.trainee) {
@@ -370,27 +385,25 @@ impl SessionHub {
         let runtime_ms = record.indicator(Indicator::RuntimeMs).unwrap_or(0.0);
         let score = assess(challenge, &record).total;
 
-        // 4. WAL-commit run + score + updated meta before replying.
-        // Lock order is tenants -> store everywhere (open_session holds
-        // tenants while touching the store); taking them in the reverse
-        // order here deadlocks an open against a commit.
+        // 4. WAL-commit run + score + updated meta as one record before
+        // replying. Only the store lock is held across the fsync; quota,
+        // seed and the cost so far come from the store's own view, which
+        // this critical section is the only writer of.
         let (runs_used, quota) = {
-            let tenants = self.tenants.lock().expect("tenants poisoned");
-            let tenant = tenants.get(&req.trainee).expect("reserved tenant exists");
             let mut store = self.store.lock().expect("store poisoned");
+            let state = store.trainee(&req.trainee).ok_or_else(|| {
+                ServeError::new(
+                    ErrorClass::Internal,
+                    format!("open session {:?} is missing from the store", req.trainee),
+                )
+            })?;
+            let mut meta = state.meta.clone();
+            meta.total_cost += cost;
+            let runs_used = state.runs.len() as u64 + 1;
             store
-                .put_run(&req.trainee, run_id, &record)
-                .and_then(|()| store.put_score(&req.trainee, run_id, score))
+                .put_attempt(&req.trainee, run_id, &record, score, &meta)
                 .map_err(|e| ServeError::new(ErrorClass::Internal, e.to_string()))?;
-            let meta = SessionMeta {
-                quota: tenant.quota,
-                total_cost: tenant.committed_cost + cost,
-                seed: tenant.seed,
-            };
-            store
-                .put_meta(&req.trainee, &meta)
-                .map_err(|e| ServeError::new(ErrorClass::Internal, e.to_string()))?;
-            (tenant.committed_runs + 1, tenant.quota)
+            (runs_used, meta.quota)
         };
 
         Ok((
@@ -499,11 +512,9 @@ impl SessionHub {
 
     /// Block until no attempt is executing.
     pub fn wait_attempts_done(&self) {
-        loop {
-            if self.running.lock().expect("running poisoned").is_empty() {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(2));
+        let mut running = self.running.lock().expect("running poisoned");
+        while !running.is_empty() {
+            running = self.running_idle.wait(running).expect("running poisoned");
         }
     }
 
@@ -684,6 +695,59 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Two attempts of one tenant committing side by side must both land
+    /// in the persisted meter: `open_session` resumes from
+    /// `meta.total_cost`, so a lost update under-charges the tenant after
+    /// a restart.
+    #[test]
+    fn concurrent_attempts_of_one_tenant_both_reach_the_persisted_meter() {
+        use std::sync::{Arc, Barrier};
+        const ROUNDS: usize = 12;
+        let dir = tmp_dir("meter");
+        let hub = Arc::new(SessionHub::open(&dir, HubConfig::default()).unwrap());
+        hub.open_session(&open_req("ada", 2 * ROUNDS as u64))
+            .unwrap();
+        let barrier = Arc::new(Barrier::new(2));
+        let threads: Vec<_> = (0..2)
+            .map(|_| {
+                let hub = Arc::clone(&hub);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let mut paid = 0.0;
+                    for _ in 0..ROUNDS {
+                        barrier.wait();
+                        paid += hub.attempt(&attempt_req("ada", 150)).unwrap().cost;
+                    }
+                    paid
+                })
+            })
+            .collect();
+        let paid: f64 = threads.into_iter().map(|t| t.join().unwrap()).sum();
+        drop(hub);
+
+        let store = SessionStore::open(&dir).unwrap();
+        let state = store.trainee("ada").unwrap();
+        assert_eq!(state.runs.len(), 2 * ROUNDS);
+        assert_eq!(state.scores.len(), 2 * ROUNDS);
+        let recorded: f64 = state
+            .runs
+            .values()
+            .map(|r| r.indicator(Indicator::Cost).unwrap_or(0.0))
+            .sum();
+        assert!(recorded > 0.0);
+        assert!(
+            (state.meta.total_cost - recorded).abs() < 1e-6 * recorded,
+            "persisted meter {} != sum of persisted run costs {recorded}",
+            state.meta.total_cost
+        );
+        assert!((paid - recorded).abs() < 1e-6 * recorded);
+        // A restarted daemon resumes the tenant at the full charge.
+        let hub = SessionHub::with_store(store, HubConfig::default());
+        let info = hub.open_session(&open_req("ada", 1)).unwrap();
+        assert!((info.cost_used - recorded).abs() < 1e-6 * recorded);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,20 +1,26 @@
 //! The `toreador serve` daemon: accept loop, routing, graceful shutdown.
 //!
-//! Connections are one request each (`Connection: close`), handled on a
-//! plain thread apiece — attempts spend their time inside the engine, so
-//! thread-per-request is bounded by the admission gate, not the socket
-//! count. The accept loop polls nonblockingly so a SIGINT/SIGTERM (or
-//! `POST /v1/shutdown`) can break it; shutdown then closes the gate,
-//! cancels in-flight attempts through their [`RunControl`]s, waits for
-//! the drain, checkpoints the store, and returns cleanly.
+//! Thread-per-request, blocking accept. Connections are one request each
+//! (`Connection: close`), handled on a plain thread apiece — attempts
+//! spend their time inside the engine, so thread-per-request is bounded by
+//! the admission gate, not the socket count. The accept loop *blocks* in
+//! `accept()`: nothing in the request path waits on a timer. A
+//! SIGINT/SIGTERM or `POST /v1/shutdown` flips the shutdown flag and wakes
+//! the loop through the [`signal::Waker`] (one throw-away loopback
+//! connection — see [`crate::signal`] for why the handler itself cannot do
+//! that); the loop re-checks the flag after every accept. Shutdown then
+//! closes the gate, cancels in-flight attempts through their
+//! [`RunControl`]s, waits — on condvars, each on the state it guards — for
+//! attempts, permits and connection threads to finish, checkpoints the
+//! store, and returns cleanly. A failed `accept()` is logged and survived;
+//! the only way out of the loop is the flag, so the drain always runs.
 //!
 //! [`RunControl`]: toreador_dataflow::resilience::RunControl
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use crate::admission::{Gate, Rejection};
@@ -59,14 +65,94 @@ pub struct ServeSummary {
     pub cancelled_on_drain: usize,
 }
 
+/// Live connection threads. The drain waits here until the count is zero.
+#[derive(Debug, Default)]
+struct Connections {
+    live: Mutex<usize>,
+    /// Notified every time a connection thread finishes.
+    finished: Condvar,
+}
+
+impl Connections {
+    /// Count one connection in; the guard counts it out when dropped, even
+    /// if the handler panics.
+    fn enter(self: &Arc<Self>) -> ConnectionGuard {
+        *self.live.lock().expect("connections poisoned") += 1;
+        ConnectionGuard(Arc::clone(self))
+    }
+
+    /// Block until no connection thread is live.
+    fn wait_idle(&self) {
+        let mut live = self.live.lock().expect("connections poisoned");
+        while *live > 0 {
+            live = self.finished.wait(live).expect("connections poisoned");
+        }
+    }
+
+    /// Block until a connection thread finishes or `limit` passes,
+    /// whichever is first.
+    fn wait_for_one(&self, limit: Duration) {
+        let live = self.live.lock().expect("connections poisoned");
+        let _woken = self
+            .finished
+            .wait_timeout(live, limit)
+            .expect("connections poisoned");
+    }
+}
+
+struct ConnectionGuard(Arc<Connections>);
+
+impl Drop for ConnectionGuard {
+    fn drop(&mut self) {
+        let mut live = self.0.live.lock().unwrap_or_else(|e| e.into_inner());
+        *live = live.saturating_sub(1);
+        drop(live);
+        self.0.finished.notify_all();
+    }
+}
+
+/// How the accept loop treats a failed `accept()`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AcceptFailure {
+    /// The peer went away between SYN and accept, or a signal interrupted
+    /// the call: the next accept is as likely to work as any.
+    Transient,
+    /// The process or host is out of descriptors or buffers: accepting
+    /// again only helps once a connection has been released.
+    Exhausted,
+    /// Anything else. Still survived — an owned, bound listener has no
+    /// state a later accept could not recover from.
+    Unexpected,
+}
+
+impl AcceptFailure {
+    fn of(e: &std::io::Error) -> AcceptFailure {
+        use std::io::ErrorKind::{ConnectionAborted, ConnectionReset, Interrupted, OutOfMemory};
+        match e.kind() {
+            ConnectionAborted | ConnectionReset | Interrupted => AcceptFailure::Transient,
+            OutOfMemory => AcceptFailure::Exhausted,
+            // ENFILE and EMFILE, which std maps to no stable kind.
+            _ if matches!(e.raw_os_error(), Some(23 | 24)) => AcceptFailure::Exhausted,
+            _ => AcceptFailure::Unexpected,
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            AcceptFailure::Transient => "transient",
+            AcceptFailure::Exhausted => "resources-exhausted",
+            AcceptFailure::Unexpected => "unexpected",
+        }
+    }
+}
+
 /// The daemon. `bind` + `run` is the whole lifecycle.
 pub struct Server {
     listener: TcpListener,
     hub: Arc<SessionHub>,
     gate: Arc<Gate>,
     cfg: ServerConfig,
-    active_connections: Arc<AtomicUsize>,
-    requests: Arc<std::sync::atomic::AtomicU64>,
+    connections: Arc<Connections>,
 }
 
 impl Server {
@@ -81,8 +167,7 @@ impl Server {
             hub: Arc::new(hub),
             gate: Arc::new(Gate::new(cfg.max_inflight, cfg.max_queue)),
             cfg,
-            active_connections: Arc::new(AtomicUsize::new(0)),
-            requests: Arc::new(std::sync::atomic::AtomicU64::new(0)),
+            connections: Arc::new(Connections::default()),
         })
     }
 
@@ -104,35 +189,44 @@ impl Server {
     /// block on that line).
     pub fn run(self) -> Result<ServeSummary, String> {
         signal::install_handlers();
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("set_nonblocking: {e}"))?;
-        println!("listening on {}", self.local_addr());
+        let bound = self
+            .listener
+            .local_addr()
+            .map_err(|e| format!("local_addr: {e}"))?;
+        let waker =
+            signal::Waker::spawn(bound).map_err(|e| format!("cannot start the waker: {e}"))?;
+        println!("listening on {bound}");
         std::io::stdout().flush().ok();
 
-        loop {
-            if signal::shutdown_requested() {
-                break;
-            }
+        let mut requests = 0u64;
+        while !signal::shutdown_requested() {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    self.requests.fetch_add(1, Ordering::Relaxed);
+                    // The waker's throw-away connection, or a client that
+                    // raced the shutdown: either way the drain has begun.
+                    if signal::shutdown_requested() {
+                        break;
+                    }
+                    requests += 1;
                     let hub = Arc::clone(&self.hub);
                     let gate = Arc::clone(&self.gate);
-                    let active = Arc::clone(&self.active_connections);
                     let queue_wait = self.cfg.queue_wait;
-                    active.fetch_add(1, Ordering::SeqCst);
-                    std::thread::spawn(move || {
+                    let live = self.connections.enter();
+                    let spawned = std::thread::Builder::new().spawn(move || {
+                        let _live = live;
                         handle_connection(stream, &hub, &gate, queue_wait);
-                        active.fetch_sub(1, Ordering::SeqCst);
                     });
+                    if let Err(e) = spawned {
+                        eprintln!(
+                            "toreador serve: cannot start a connection thread: {e}; \
+                             connection dropped, still serving"
+                        );
+                    }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => return Err(format!("accept failed: {e}")),
+                Err(e) => self.survive_accept_error(&e),
             }
         }
+        waker.join();
 
         // Drain: refuse new admissions, cancel executing attempts, wait
         // for both the attempts and the connection threads, then fold the
@@ -141,22 +235,36 @@ impl Server {
         let cancelled = self.hub.cancel_all("daemon draining for shutdown");
         self.hub.wait_attempts_done();
         self.gate.wait_idle();
-        while self.active_connections.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        self.connections.wait_idle();
         self.hub.checkpoint_store().map_err(|e| e.message)?;
         let counters = self.hub.counters();
         Ok(ServeSummary {
-            requests: self.requests.load(Ordering::Relaxed),
+            requests,
             completed: counters.completed,
             cancelled_on_drain: cancelled,
         })
+    }
+
+    /// Log one classified line for a failed `accept()` and let the loop go
+    /// on. Out of descriptors, the loop first waits for a connection to
+    /// finish (that is what frees one) instead of spinning on the error.
+    fn survive_accept_error(&self, e: &std::io::Error) {
+        let class = AcceptFailure::of(e);
+        eprintln!(
+            "toreador serve: accept failed [{}]: {e}; still serving",
+            class.name()
+        );
+        if class == AcceptFailure::Exhausted {
+            self.connections.wait_for_one(Duration::from_millis(100));
+        }
     }
 }
 
 /// Read one request, route it, write one response.
 fn handle_connection(mut stream: TcpStream, hub: &SessionHub, gate: &Gate, queue_wait: Duration) {
     stream.set_read_timeout(Some(Duration::from_secs(10))).ok();
+    // Each response is one write; do not let Nagle hold it back.
+    stream.set_nodelay(true).ok();
     let request = match read_request(&mut stream) {
         Ok(r) => r,
         Err(m) => {
@@ -329,13 +437,7 @@ mod tests {
         let _serial = signal::test_serial_lock();
         signal::reset_for_tests();
         let dir = tmp_dir("e2e");
-        let (addr, server) = spawn_server(
-            &dir,
-            ServerConfig {
-                addr: "127.0.0.1:0".to_owned(),
-                ..ServerConfig::default()
-            },
-        );
+        let (addr, server) = spawn_server(&dir, any_port());
         let client = Client::new(&addr);
         assert!(client.healthz().unwrap());
 
@@ -409,21 +511,116 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    fn any_port() -> ServerConfig {
+        ServerConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            ..ServerConfig::default()
+        }
+    }
+
+    /// Join a server thread, failing the test if it is still running after
+    /// `limit` (a daemon that missed its wake would block forever).
+    fn join_within(
+        server: std::thread::JoinHandle<Result<ServeSummary, String>>,
+        limit: Duration,
+    ) -> ServeSummary {
+        let started = std::time::Instant::now();
+        while !server.is_finished() {
+            assert!(
+                started.elapsed() < limit,
+                "daemon still running {limit:?} after the shutdown request"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        server.join().unwrap().unwrap()
+    }
+
+    /// An idle daemon — parked in `accept()`, no connection ever made —
+    /// has nothing but the wake to tell it about a shutdown. Two
+    /// lifecycles in one process, the first stopped from inside and the
+    /// second by a real SIGTERM, both return within the bound.
+    #[test]
+    fn idle_daemons_wake_for_a_request_and_for_a_signal() {
+        let _serial = signal::test_serial_lock();
+        signal::install_handlers();
+        let stops: [(&str, fn()); 2] = [
+            ("idle-request", signal::request_shutdown),
+            ("idle-sigterm", || {
+                if cfg!(unix) {
+                    assert!(signal::send_signal(std::process::id(), signal::SIGTERM));
+                } else {
+                    signal::request_shutdown();
+                }
+            }),
+        ];
+        for (tag, stop) in stops {
+            signal::reset_for_tests();
+            let dir = tmp_dir(tag);
+            let (_addr, server) = spawn_server(&dir, any_port());
+            // Give the loop time to park in accept().
+            std::thread::sleep(Duration::from_millis(50));
+            stop();
+            let summary = join_within(server, Duration::from_secs(1));
+            assert_eq!(summary.requests, 0, "the wake is not a request");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        signal::reset_for_tests();
+    }
+
+    /// A request that is mid-flight when the shutdown lands is still
+    /// answered: the drain waits for its connection thread.
+    #[test]
+    fn a_request_in_flight_at_shutdown_still_gets_its_reply() {
+        use std::io::Read;
+        let _serial = signal::test_serial_lock();
+        signal::reset_for_tests();
+        let dir = tmp_dir("inflight");
+        let (addr, server) = spawn_server(&dir, any_port());
+        let mut slow = TcpStream::connect(&addr).unwrap();
+        slow.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
+        // The daemon has accepted the connection once it counts it.
+        let client = Client::new(&addr);
+        assert!(client.healthz().unwrap());
+        signal::request_shutdown();
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(
+            !server.is_finished(),
+            "the drain waits for the open request"
+        );
+        slow.write_all(b"\r\n").unwrap();
+        let mut reply = String::new();
+        slow.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
+        let summary = join_within(server, Duration::from_secs(1));
+        assert_eq!(summary.requests, 2);
+        signal::reset_for_tests();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn accept_failures_are_classified() {
+        use std::io::{Error, ErrorKind};
+        let of = |e: Error| AcceptFailure::of(&e);
+        assert_eq!(
+            of(ErrorKind::ConnectionAborted.into()),
+            AcceptFailure::Transient
+        );
+        assert_eq!(of(ErrorKind::Interrupted.into()), AcceptFailure::Transient);
+        assert_eq!(of(Error::from_raw_os_error(24)), AcceptFailure::Exhausted);
+        assert_eq!(of(Error::from_raw_os_error(23)), AcceptFailure::Exhausted);
+        assert_eq!(
+            of(ErrorKind::InvalidInput.into()),
+            AcceptFailure::Unexpected
+        );
+    }
+
     #[test]
     fn serve_refuses_a_locked_store() {
         let _serial = signal::test_serial_lock();
         signal::reset_for_tests();
         let dir = tmp_dir("locked");
         let _holder = toreador_labs::prelude::SessionStore::open(&dir).unwrap();
-        let err = Server::bind(
-            &dir,
-            ServerConfig {
-                addr: "127.0.0.1:0".to_owned(),
-                ..ServerConfig::default()
-            },
-        )
-        .map(|_| ())
-        .unwrap_err();
+        let err = Server::bind(&dir, any_port()).map(|_| ()).unwrap_err();
         assert!(err.contains("already open by pid"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -9,6 +9,13 @@
 //! code path live writes use, so recovery and normal operation cannot
 //! drift apart.
 //!
+//! An attempt — a run, its score and the meter it moved — is **one**
+//! record ([`LabStore::put_attempt`], envelope tag `attempt`): the frame
+//! CRC covers all three parts, so a torn tail drops them together and a
+//! recovered store never holds a run without its score and meter. Logs
+//! written before that tag existed carry the same facts as separate
+//! `run` / `score` / `meta` records and replay unchanged.
+//!
 //! The store is deliberately generic over the meta (`M`) and run (`R`)
 //! payloads: it sits *below* the Labs crate in the dependency DAG, so the
 //! Labs instantiate it with their own `SessionMeta` / `RunRecord` types
@@ -120,11 +127,7 @@ where
     /// Record one run. The trainee's meta must have been written first —
     /// the WAL guarantees every run replays against a known session.
     pub fn put_run(&mut self, trainee: &str, run_id: u64, run: &R) -> Result<()> {
-        if !self.trainees.contains_key(trainee) {
-            return Err(StoreError::Invalid(format!(
-                "run {run_id} for trainee {trainee:?} recorded before session meta"
-            )));
-        }
+        self.require_session(trainee, format_args!("run {run_id}"))?;
         self.commit(Envelope::Run {
             trainee: trainee.to_owned(),
             run_id,
@@ -134,15 +137,32 @@ where
 
     /// Record the score of one attempt.
     pub fn put_score(&mut self, trainee: &str, run_id: u64, score: f64) -> Result<()> {
-        if !self.trainees.contains_key(trainee) {
-            return Err(StoreError::Invalid(format!(
-                "score for trainee {trainee:?} recorded before session meta"
-            )));
-        }
+        self.require_session(trainee, "score")?;
         self.commit(Envelope::Score {
             trainee: trainee.to_owned(),
             run_id,
             score,
+        })
+    }
+
+    /// Record one attempt — the run, its score and the trainee's updated
+    /// meta — as a single WAL record and a single fsync. All three become
+    /// visible (and durable) together or not at all.
+    pub fn put_attempt(
+        &mut self,
+        trainee: &str,
+        run_id: u64,
+        run: &R,
+        score: f64,
+        meta: &M,
+    ) -> Result<()> {
+        self.require_session(trainee, format_args!("attempt {run_id}"))?;
+        self.commit(Envelope::Attempt {
+            trainee: trainee.to_owned(),
+            run_id,
+            run: to_value(run)?,
+            score,
+            meta: to_value(meta)?,
         })
     }
 
@@ -193,6 +213,18 @@ where
     /// Bytes truncated from a torn WAL tail while opening (0 = clean).
     pub fn recovered_torn_bytes(&self) -> u64 {
         self.recovered_torn_bytes
+    }
+
+    /// Runs, scores and attempts may only follow their trainee's session
+    /// meta, so every record replays against a known session.
+    fn require_session(&self, trainee: &str, what: impl std::fmt::Display) -> Result<()> {
+        if self.trainees.contains_key(trainee) {
+            Ok(())
+        } else {
+            Err(StoreError::Invalid(format!(
+                "{what} for trainee {trainee:?} recorded before session meta"
+            )))
+        }
     }
 
     /// WAL-then-apply: encode, append + fsync, then mutate the view, then
@@ -249,6 +281,24 @@ where
                 })?;
                 state.scores.insert(run_id, score);
             }
+            Envelope::Attempt {
+                trainee,
+                run_id,
+                run,
+                score,
+                meta,
+            } => {
+                // Decode every part before touching the view, so a bad
+                // payload leaves it as it was.
+                let run: R = from_value(run)?;
+                let meta: M = from_value(meta)?;
+                let state = self.trainees.get_mut(&trainee).ok_or_else(|| {
+                    StoreError::Invalid(format!("attempt {run_id} for unknown trainee {trainee:?}"))
+                })?;
+                state.runs.insert(run_id, run);
+                state.scores.insert(run_id, score);
+                state.meta = meta;
+            }
         }
         Ok(())
     }
@@ -269,6 +319,14 @@ enum Envelope {
         trainee: String,
         run_id: u64,
         score: f64,
+    },
+    /// A whole attempt: the run, its score and the meta it updated.
+    Attempt {
+        trainee: String,
+        run_id: u64,
+        run: Value,
+        score: f64,
+        meta: Value,
     },
 }
 
@@ -299,6 +357,20 @@ fn encode_envelope(envelope: &Envelope) -> Result<Vec<u8>> {
             obj.insert("trainee".to_owned(), Value::String(trainee.clone()));
             obj.insert("id".to_owned(), to_value(run_id)?);
             obj.insert("v".to_owned(), to_value(score)?);
+        }
+        Envelope::Attempt {
+            trainee,
+            run_id,
+            run,
+            score,
+            meta,
+        } => {
+            obj.insert("t".to_owned(), Value::String("attempt".to_owned()));
+            obj.insert("trainee".to_owned(), Value::String(trainee.clone()));
+            obj.insert("id".to_owned(), to_value(run_id)?);
+            obj.insert("run".to_owned(), run.clone());
+            obj.insert("score".to_owned(), to_value(score)?);
+            obj.insert("meta".to_owned(), meta.clone());
         }
     }
     serde_json::to_string(&Value::Object(obj))
@@ -335,6 +407,20 @@ fn parse_envelope(bytes: &[u8]) -> Result<Envelope> {
             score: payload
                 .and_then(|v| v.as_f64())
                 .ok_or_else(|| StoreError::Codec("score envelope without value".to_owned()))?,
+        }),
+        "attempt" => Ok(Envelope::Attempt {
+            trainee,
+            run_id: take_u64(&mut obj, "id")?,
+            run: obj
+                .remove("run")
+                .ok_or_else(|| StoreError::Codec("attempt envelope without run".to_owned()))?,
+            score: obj
+                .remove("score")
+                .and_then(|v| v.as_f64())
+                .ok_or_else(|| StoreError::Codec("attempt envelope without score".to_owned()))?,
+            meta: obj
+                .remove("meta")
+                .ok_or_else(|| StoreError::Codec("attempt envelope without meta".to_owned()))?,
         }),
         other => Err(StoreError::Codec(format!(
             "unknown envelope tag {other:?} (written by a newer store?)"
@@ -502,6 +588,10 @@ mod tests {
                 )
                 .unwrap();
             store.put_meta("bob", &Meta { seed: 3, cost: 0.0 }).unwrap();
+            // A whole attempt in one record.
+            let meter = Meta { seed: 3, cost: 4.0 };
+            store.put_attempt("bob", 1, &run(9), 55.0, &meter).unwrap();
+            assert_eq!(store.stats().last_lsn, 6, "one record per attempt");
         }
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.trainees().count(), 2);
@@ -517,6 +607,9 @@ mod tests {
         assert_eq!(ada.runs.len(), 1);
         assert_eq!(store.run("ada", 1), Some(&run(1)));
         assert_eq!(store.score("ada", 1), Some(97.5));
+        assert_eq!(store.run("bob", 1), Some(&run(9)));
+        assert_eq!(store.score("bob", 1), Some(55.0));
+        assert_eq!(store.trainee("bob").unwrap().meta.cost, 4.0);
         assert_eq!(store.next_run_id("ada"), 2);
         assert_eq!(store.next_run_id("carol"), 1);
         assert_eq!(store.recovered_torn_bytes(), 0);
@@ -530,6 +623,11 @@ mod tests {
         let err = store.put_run("ghost", 1, &run(1)).unwrap_err();
         assert!(matches!(err, StoreError::Invalid(_)), "{err}");
         let err = store.put_score("ghost", 1, 1.0).unwrap_err();
+        assert!(matches!(err, StoreError::Invalid(_)), "{err}");
+        let meta = Meta { seed: 1, cost: 0.0 };
+        let err = store
+            .put_attempt("ghost", 1, &run(1), 1.0, &meta)
+            .unwrap_err();
         assert!(matches!(err, StoreError::Invalid(_)), "{err}");
         fs::remove_dir_all(dir).unwrap();
     }

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use toreador_store::chaos::{DiskChaos, DiskChaosPlan, DiskTarget, INJECTED_MARKER};
 use toreador_store::fsck::{repair, scan_store_dir};
 use toreador_store::log::{DurableLog, LogConfig};
-use toreador_store::StoreError;
+use toreador_store::{LabStore, StoreError};
 
 fn cases() -> u64 {
     std::env::var("PROPTEST_CASES")
@@ -173,6 +173,67 @@ fn fault_matrix_every_layer_times_fault_times_injection_point() {
             }
         }
     }
+}
+
+/// EIO on the one fsync an attempt record costs: the caller gets a
+/// classified `Storage` error, the in-memory view is exactly what it was
+/// before the call (no run without its score, no meter bump), and the
+/// store reopens clean with the attempt either wholly there or wholly
+/// absent. The sweep walks the fault across every WAL fsync of the
+/// script, so it lands on each of the three attempts in turn.
+#[test]
+fn eio_on_the_attempt_fsync_is_classified_and_leaves_the_view_untouched() {
+    type Store = LabStore<f64, String>;
+    let script = |store: &mut Store, failed_at: &mut Option<u64>| -> Result<(), StoreError> {
+        store.put_meta("ada", &0.0)?;
+        for i in 1..=3u64 {
+            *failed_at = Some(i);
+            store.put_attempt("ada", i, &format!("run-{i}"), 10.0 * i as f64, &(i as f64))?;
+        }
+        *failed_at = None;
+        Ok(())
+    };
+    let mut attempts_hit = Vec::new();
+    for ordinal in 0..8u64 {
+        let dir = tmp_dir(&format!("attempt-fsync-{ordinal}"));
+        let target = DiskTarget::parse(&format!("wal:sync:{ordinal}:eio")).unwrap();
+        let (chaos, _guard) = DiskChaos::register(&dir, DiskChaosPlan::targeted(vec![target]));
+        let Ok(mut store) = Store::open(&dir) else {
+            continue; // the fault landed in open's own fsync
+        };
+        let mut failed_at = None;
+        let result = script(&mut store, &mut failed_at);
+        chaos.disarm();
+        if let (Err(e), Some(i)) = (&result, failed_at) {
+            attempts_hit.push(i);
+            assert_classified(e);
+            assert!(matches!(e, StoreError::Storage { .. }), "{e:?}");
+            let ada = store.trainee("ada").unwrap();
+            assert_eq!(
+                ada.runs.len() as u64,
+                i - 1,
+                "no run from the failed commit"
+            );
+            assert_eq!(ada.scores.len() as u64, i - 1, "no score either");
+            assert_eq!(ada.meta, (i - 1) as f64, "and the meter did not move");
+        }
+        drop(store);
+        let store = Store::open(&dir).expect("reopen after the fault is clean");
+        if let Some(ada) = store.trainee("ada") {
+            assert_eq!(
+                ada.scores.keys().collect::<Vec<_>>(),
+                ada.runs.keys().collect::<Vec<_>>(),
+                "every recovered run has its score"
+            );
+            assert_eq!(ada.meta, ada.runs.len() as f64, "and its meter update");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert_eq!(
+        attempts_hit,
+        vec![1, 2, 3],
+        "one fsync per attempt: consecutive ordinals hit consecutive attempts"
+    );
 }
 
 #[test]

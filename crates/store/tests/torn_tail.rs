@@ -3,14 +3,17 @@
 //! The claim (DESIGN.md §7): a crash can tear at most the record that was
 //! being appended, and recovery must return exactly the durable prefix —
 //! for *every* byte offset the tear can land on — without error, and the
-//! log must accept appends afterwards.
+//! log must accept appends afterwards. An attempt record (run + score +
+//! meter in one frame) gets the same sweep through the typed store: every
+//! tear shows all three parts or none.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 
-use toreador_store::{DurableLog, LogConfig};
+use serde::{Deserialize, Serialize};
+use toreador_store::{DurableLog, LabStore, LogConfig};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir =
@@ -100,6 +103,152 @@ fn every_truncation_offset_of_the_final_record_recovers_the_prefix() {
     }
     fs::remove_dir_all(base).unwrap();
     fs::remove_dir_all(work).unwrap();
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Meter {
+    seed: u64,
+    total_cost: f64,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Run {
+    challenge: String,
+    rows: u64,
+    trace: Vec<String>,
+}
+
+fn attempt_run(i: u64) -> Run {
+    Run {
+        challenge: "ecomm-revenue".to_owned(),
+        rows: 100 * i,
+        trace: (0..8).map(|s| format!("stage-{s}-of-run-{i}")).collect(),
+    }
+}
+
+/// The atomicity claim of the attempt record: wherever a crash tears the
+/// frame, recovery shows the previous attempt complete and the torn one
+/// not at all — never its run without its score or its meter update.
+#[test]
+fn every_truncation_offset_of_an_attempt_record_is_all_or_nothing() {
+    type Store = LabStore<Meter, Run>;
+    let base = tmp_dir("attempt-base");
+    let meter = |total_cost| Meter {
+        seed: 7,
+        total_cost,
+    };
+    let before_last = {
+        let mut store = Store::open(&base).unwrap();
+        store.put_meta("ada", &meter(0.0)).unwrap();
+        store
+            .put_attempt("ada", 1, &attempt_run(1), 80.0, &meter(2.5))
+            .unwrap();
+        let len = fs::metadata(last_segment(&base)).unwrap().len();
+        store
+            .put_attempt("ada", 2, &attempt_run(2), 90.0, &meter(6.0))
+            .unwrap();
+        len
+    };
+    let full_len = fs::metadata(last_segment(&base)).unwrap().len();
+    assert!(
+        full_len > before_last + 8,
+        "the second attempt is one frame"
+    );
+
+    let work = tmp_dir("attempt-work");
+    for cut in before_last..=full_len {
+        copy_dir(&base, &work);
+        fs::OpenOptions::new()
+            .write(true)
+            .open(last_segment(&work))
+            .unwrap()
+            .set_len(cut)
+            .unwrap();
+        let mut store =
+            Store::open(&work).unwrap_or_else(|e| panic!("recovery failed at cut {cut}: {e}"));
+        let whole = cut == full_len;
+        let ada = store.trainee("ada").unwrap();
+        assert_eq!(ada.runs.len(), 1 + usize::from(whole), "cut at {cut}");
+        assert_eq!(
+            ada.scores.keys().collect::<Vec<_>>(),
+            ada.runs.keys().collect::<Vec<_>>(),
+            "cut at {cut}: a score for every run and no other"
+        );
+        let paid = if whole { 6.0 } else { 2.5 };
+        assert_eq!(
+            ada.meta,
+            meter(paid),
+            "cut at {cut}: the meter matches the runs"
+        );
+        assert_eq!(store.run("ada", 1), Some(&attempt_run(1)), "cut at {cut}");
+        assert_eq!(
+            store.recovered_torn_bytes(),
+            if whole { 0 } else { cut - before_last },
+            "cut at {cut}"
+        );
+        // The store stays writable and the retried attempt lands whole.
+        if !whole {
+            store
+                .put_attempt("ada", 2, &attempt_run(2), 90.0, &meter(6.0))
+                .unwrap();
+            drop(store);
+            let store = Store::open(&work).unwrap();
+            assert_eq!(store.score("ada", 2), Some(90.0), "cut at {cut}");
+            assert_eq!(store.trainee("ada").unwrap().meta, meter(6.0));
+        }
+    }
+    fs::remove_dir_all(base).unwrap();
+    fs::remove_dir_all(work).unwrap();
+}
+
+/// Logs written before the attempt record existed carry the same facts
+/// as separate run / score / meta records. A log that interleaves both
+/// styles must open to exactly the state an all-new-style log does.
+#[test]
+fn old_style_triples_and_attempt_records_replay_to_the_same_state() {
+    type Store = LabStore<Meter, Run>;
+    let meter = |total_cost| Meter {
+        seed: 3,
+        total_cost,
+    };
+    let mixed = tmp_dir("compat-mixed");
+    let modern = tmp_dir("compat-modern");
+    {
+        let mut old = Store::open(&mixed).unwrap();
+        let mut new = Store::open(&modern).unwrap();
+        for store in [&mut old, &mut new] {
+            store.put_meta("ada", &meter(0.0)).unwrap();
+            store.put_meta("bob", &meter(0.0)).unwrap();
+        }
+        let mut paid = 0.0;
+        for i in 1..=6u64 {
+            paid += i as f64;
+            let trainee = if i % 3 == 0 { "bob" } else { "ada" };
+            let (run, score) = (attempt_run(i), 50.0 + i as f64);
+            new.put_attempt(trainee, i, &run, score, &meter(paid))
+                .unwrap();
+            if i % 2 == 0 {
+                old.put_attempt(trainee, i, &run, score, &meter(paid))
+                    .unwrap();
+            } else {
+                old.put_run(trainee, i, &run).unwrap();
+                old.put_score(trainee, i, score).unwrap();
+                old.put_meta(trainee, &meter(paid)).unwrap();
+            }
+        }
+        assert_eq!(new.stats().last_lsn, 8);
+        assert_eq!(old.stats().last_lsn, 14, "three records per old attempt");
+    }
+    let old = Store::open(&mixed).unwrap();
+    let new = Store::open(&modern).unwrap();
+    assert_eq!(
+        old.trainees().collect::<Vec<_>>(),
+        new.trainees().collect::<Vec<_>>()
+    );
+    assert_eq!(old.trainee("ada").unwrap().runs.len(), 4);
+    assert_eq!(old.trainee("bob").unwrap().scores.len(), 2);
+    fs::remove_dir_all(mixed).unwrap();
+    fs::remove_dir_all(modern).unwrap();
 }
 
 #[test]

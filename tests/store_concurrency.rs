@@ -2,12 +2,14 @@
 //! hub: many threads, one store, every acknowledged attempt durable.
 //!
 //! The serving contract under test (DESIGN.md §12): an attempt is only
-//! acknowledged after its run, score and updated meta are WAL-committed,
-//! so a crash at any later instant loses nothing that was acknowledged —
-//! even when a dozen threads were hammering the store at the time.
+//! acknowledged after its run, score and updated meta are WAL-committed
+//! (as one record), so a crash at any later instant loses nothing that
+//! was acknowledged — even when a dozen threads were hammering the store
+//! at the time.
 
 use std::collections::BTreeMap;
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -161,7 +163,8 @@ fn many_threads_one_store_loses_no_acknowledged_attempt() {
 /// is torn mid-record, as a power cut during a write would. Recovery is
 /// deterministic — two independent reopens agree — and keeps every
 /// acknowledged run and score (the tear can only clip the trailing,
-/// unacknowledged bytes).
+/// unacknowledged record), with each tenant's persisted meter equal to
+/// the cost of its recovered runs.
 #[test]
 fn torn_tail_under_concurrent_load_recovers_deterministically() {
     let dir = tmp_dir("crash");
@@ -181,16 +184,21 @@ fn torn_tail_under_concurrent_load_recovers_deterministically() {
     assert!(acked.len() >= 4, "enough committed records to tear behind");
     drop(hub); // simulated crash: no checkpoint, no compaction
 
-    // Tear into the last WAL record. Each acknowledged attempt commits
-    // run -> score -> meta in order, so a 3-byte tear clips at most the
-    // final meta update — never an acknowledged run or score.
+    // Tear the WAL the way a power cut during the *next* attempt's append
+    // would: its frame header reached the disk, most of its payload did
+    // not. An attempt is one frame, fsynced before its ack, so everything
+    // acknowledged sits whole in front of the tear and the torn attempt
+    // vanishes whole — run, score and meter together.
     let seg = last_segment(&dir);
-    let len = fs::metadata(&seg).unwrap().len();
+    let mut torn = Vec::new();
+    torn.extend_from_slice(&4096u32.to_le_bytes());
+    torn.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+    torn.extend_from_slice(br#"{"t":"attempt","trainee":"eve","id":99,"run":{"#);
     fs::OpenOptions::new()
-        .write(true)
+        .append(true)
         .open(&seg)
         .unwrap()
-        .set_len(len - 3)
+        .write_all(&torn)
         .unwrap();
 
     let snapshot = |store: &SessionStore| -> BTreeMap<String, Vec<(u64, f64)>> {
@@ -213,6 +221,18 @@ fn torn_tail_under_concurrent_load_recovers_deterministically() {
         let store = SessionStore::open(&dir).unwrap();
         assert!(store.recovered_torn_bytes() > 0, "the tear was noticed");
         assert_store_matches(&store, &acked);
+        for (name, state) in store.trainees() {
+            let spent: f64 = state
+                .runs
+                .values()
+                .filter_map(|r| r.indicator(toreador_core::declarative::Indicator::Cost))
+                .sum();
+            assert!(
+                (state.meta.total_cost - spent).abs() <= 1e-9 * spent.max(1.0),
+                "{name}: meter {} but recovered runs cost {spent}",
+                state.meta.total_cost
+            );
+        }
         snapshot(&store)
     }; // dropped: releases the lock for the second opener
     let store = SessionStore::open(&dir).unwrap();

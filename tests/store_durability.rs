@@ -63,16 +63,20 @@ fn labs_loop_survives_process_exit_with_traces_and_scores() {
 }
 
 /// Tear bytes off the final WAL record, as a crash mid-write would, and
-/// check the store comes back with exactly the durable prefix.
+/// check the store comes back with exactly the durable prefix. An attempt
+/// is one record, so the torn attempt is lost whole — run, score and meter
+/// update together — and everything before it is untouched.
 #[test]
 fn torn_tail_after_crash_loses_at_most_the_in_flight_record() {
     let dir = tmp_dir("crash");
-    {
+    let first_cost = {
         let store = SessionStore::open(&dir).unwrap();
         let mut s = LabSession::open(store, "bob", Quota::free_tier(), 5).unwrap();
         attempt(&mut s, &["full", "batch"], 500);
+        let first_cost = s.cost_used();
         attempt(&mut s, &["sample", "batch"], 500);
-    }
+        first_cost
+    };
     // Tear into the last record of the last segment.
     let seg = last_segment(&dir);
     let len = fs::metadata(&seg).unwrap().len();
@@ -84,14 +88,16 @@ fn torn_tail_after_crash_loses_at_most_the_in_flight_record() {
         .unwrap();
     let store = SessionStore::open(&dir).unwrap();
     assert!(store.recovered_torn_bytes() > 0, "the tear was noticed");
-    // The torn record was the trailing meta update; both runs, both scores
-    // and the session itself are intact.
+    // The torn record was the second attempt: no part of it survives, and
+    // the first attempt and the session itself are intact.
     assert!(store.run("bob", 1).is_some());
-    assert!(store.run("bob", 2).is_some());
-    assert!(store.score("bob", 2).is_some());
+    assert!(store.score("bob", 1).is_some());
+    assert!(store.run("bob", 2).is_none());
+    assert!(store.score("bob", 2).is_none());
+    assert_eq!(store.trainee("bob").unwrap().meta.total_cost, first_cost);
     let mut s = LabSession::open(store, "bob", Quota::free_tier(), 5).unwrap();
-    assert_eq!(s.runs_used(), 2);
-    assert_eq!(attempt(&mut s, &["full", "batch"], 300), 3);
+    assert_eq!(s.runs_used(), 1);
+    assert_eq!(attempt(&mut s, &["full", "batch"], 300), 2);
     fs::remove_dir_all(&dir).unwrap();
 }
 
