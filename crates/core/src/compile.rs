@@ -209,11 +209,10 @@ impl Bdaas {
             .with_buffer(compiled.spec.stream.buffer)
             .with_pipeline_id(&compiled.spec.name);
         let mut merged: Option<PipelineState> = None;
-        let mut outputs: Vec<Table> = Vec::new();
         let mut batch_latencies = Vec::new();
         let run = run_continuous_with(&mut source, &config, None, &mut |_, batch| {
             let batch_started = Instant::now();
-            let mut state = PipelineState::new(batch.clone());
+            let mut state = PipelineState::new(batch);
             let ctx = ServiceContext {
                 pipeline: &compiled.spec.name,
                 engine_config: compiled.deployment.engine_config.clone(),
@@ -224,8 +223,10 @@ impl Bdaas {
             execute_composition(&compiled.procedural.composition, &ctx, &mut state)
                 .map_err(|e| FlowError::Stream(e.to_string()))?;
             batch_latencies.push(batch_started.elapsed().as_secs_f64() * 1e3);
-            outputs.push(state.table.clone());
-            let table = state.table.clone();
+            // The loop keeps every batch's output (`run.batch_outputs`),
+            // so it gets the table itself; the merged state's table is
+            // rebuilt from those outputs once the stream ends.
+            let table = state.take_table();
             merged = Some(match merged.take() {
                 None => state,
                 Some(mut acc) => {
@@ -259,7 +260,8 @@ impl Bdaas {
         // data, acks) joins the campaign's trace set, so stream totals
         // surface in run records and comparisons.
         state.engine_traces.push(run.stream_trace);
-        state.table = Table::concat(&outputs).map_err(|e| CoreError::Data(e.to_string()))?;
+        state.table =
+            Table::concat(&run.batch_outputs).map_err(|e| CoreError::Data(e.to_string()))?;
         state.audit.record(AuditEvent::DatasetAccess {
             dataset: compiled.spec.dataset.clone(),
             pipeline: compiled.spec.name.clone(),

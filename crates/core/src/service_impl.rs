@@ -77,6 +77,13 @@ impl PipelineState {
         }
     }
 
+    /// Move the current table out, leaving an empty one of the same schema:
+    /// for a caller that hands the rows on and then replaces the table.
+    pub(crate) fn take_table(&mut self) -> Table {
+        let placeholder = Table::empty(self.table.schema().clone());
+        std::mem::replace(&mut self.table, placeholder)
+    }
+
     fn report(&mut self, service: &str, text: impl Into<String>) {
         self.reports.push((service.to_owned(), text.into()));
     }
@@ -156,7 +163,9 @@ fn run_flow(
         }
     }
     let mut engine = Engine::new(config);
-    engine.register("__current", state.table.clone())?;
+    // The engine takes the table itself: the result replaces it below, and
+    // a failed run ends the campaign, so nothing reads what is left behind.
+    engine.register("__current", state.take_table())?;
     for (name, t) in ctx.auxiliary {
         engine.register(name.clone(), t.clone())?;
     }

@@ -30,33 +30,34 @@
 //!
 //! Resilience mirrors the barrier path attempt-for-attempt: retries run
 //! inline on the claiming worker under the same
-//! [`RetryPolicy`](crate::resilience::RetryPolicy), chaos faults draw from
-//! the same deterministic [`ChaosPlan`] coordinates, panics are isolated
-//! with `catch_unwind`, and exhausted budgets produce byte-identical final
-//! errors — the two paths are differential twins, which is exactly what
+//! [`RetryPolicy`](crate::resilience::RetryPolicy), and every attempt goes
+//! through the barrier scheduler's own
+//! [`execute_attempt`](crate::scheduler::execute_attempt) — the same
+//! deterministic [`ChaosPlan`] coordinates, the same `catch_unwind`
+//! isolation, the same failure classification and final errors — so the
+//! two paths are differential twins, which is exactly what
 //! `tests/morsel_pipeline.rs` exercises. Task deadlines and speculation
 //! need a coordinator watching wall clocks from outside the worker, so the
 //! physical layer falls back to the barrier scheduler when either is
 //! configured.
+//!
+//! A wave that needs one worker — its whole input
+//! [fits one morsel](SchedulerConfig::runs_on_caller), or it has one unit —
+//! spawns none: the caller runs the worker loop itself.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use toreador_data::table::Table;
 
 use crate::error::{FlowError, Result};
-use crate::fault::{ChaosPlan, FaultKind};
+use crate::fault::ChaosPlan;
 use crate::metrics::MetricsCollector;
-use crate::resilience::{classify, ErrorClass, RetryPolicy, RunControl};
-use crate::scheduler::{panic_message, SchedulerConfig};
-
-/// Sleep granularity for interruptible chaos delays and retry backoffs,
-/// mirroring the barrier scheduler's tick.
-const TICK_US: u64 = 200;
+use crate::resilience::{RetryPolicy, RunControl};
+use crate::scheduler::{cancellable_sleep, execute_attempt, Failure, SchedulerConfig};
 
 /// How a wave's morsels may be interleaved across workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,16 +101,6 @@ struct Unit {
     morsel: usize,
     lo: usize,
     hi: usize,
-}
-
-/// Why a unit attempt did not produce a result. Mirrors the barrier
-/// scheduler's `AttemptOutcome` so final errors come out identical.
-enum UnitOutcome {
-    Success(Table),
-    Crashed,
-    Panicked(String),
-    Failed(FlowError),
-    Aborted,
 }
 
 /// Everything the workers of one pipeline wave share.
@@ -172,21 +163,6 @@ impl<B: PipelineBody> WaveShared<'_, B> {
         self.halt.store(true, Ordering::SeqCst);
     }
 
-    /// Interruptible chunked sleep; false when the wave halted or the run
-    /// was cancelled mid-delay.
-    fn sleep(&self, micros: u64) -> bool {
-        let mut remaining = micros;
-        while remaining > 0 {
-            if self.interrupted() {
-                return false;
-            }
-            let chunk = remaining.min(TICK_US);
-            std::thread::sleep(Duration::from_micros(chunk));
-            remaining -= chunk;
-        }
-        !self.interrupted()
-    }
-
     /// Reserve one retry against the stage and run budgets, mirroring the
     /// barrier coordinator's resolve_failure bookkeeping.
     fn reserve_retry(&self) -> bool {
@@ -208,29 +184,6 @@ impl<B: PipelineBody> WaveShared<'_, B> {
         } else {
             self.stage_retries.fetch_sub(1, Ordering::SeqCst);
             false
-        }
-    }
-}
-
-/// Map an exhausted failure to the same error the barrier scheduler's
-/// `final_error` produces, value-for-value.
-fn final_error(stage: usize, task: usize, attempts: u32, failure: UnitOutcome) -> FlowError {
-    match failure {
-        UnitOutcome::Crashed => FlowError::TaskFailed {
-            stage,
-            partition: task,
-            attempts,
-            message: "injected fault".to_owned(),
-        },
-        UnitOutcome::Panicked(message) => FlowError::TaskPanicked {
-            stage,
-            partition: task,
-            attempts,
-            message,
-        },
-        UnitOutcome::Failed(e) => e,
-        UnitOutcome::Success(_) | UnitOutcome::Aborted => {
-            FlowError::Cancelled("task attempt aborted".to_owned())
         }
     }
 }
@@ -285,92 +238,48 @@ fn run_worker<B: PipelineBody>(shared: &WaveShared<'_, B>, w: usize, busy: &Atom
 /// Run one unit to completion: attempt, and on transient failure retry
 /// inline under the same policy/budget rules as the barrier coordinator.
 fn run_unit<B: PipelineBody>(shared: &WaveShared<'_, B>, unit_idx: usize, w: usize) {
+    let stage = shared.stage;
     let task = shared.task_coord(unit_idx);
     let mut attempt: u32 = 0;
     loop {
-        shared.metrics.task_started(shared.stage, task, attempt);
-        let outcome = execute_unit_attempt(shared, unit_idx, task, attempt, w);
-        let ok = matches!(outcome, UnitOutcome::Success(_));
+        shared.metrics.task_started(stage, task, attempt);
+        let outcome = execute_attempt(
+            shared.chaos,
+            shared.metrics,
+            (stage, task, attempt),
+            || shared.interrupted(),
+            || run_unit_body(shared, unit_idx, w),
+        );
         shared
             .metrics
-            .task_finished(shared.stage, task, attempt, ok);
+            .task_finished(stage, task, attempt, outcome.is_ok());
         let failure = match outcome {
-            UnitOutcome::Success(table) => {
+            Ok(table) => {
                 *shared.slots[unit_idx].lock() = Some(table);
                 return;
             }
-            UnitOutcome::Aborted => return,
-            other => other,
-        };
-        let transient = match &failure {
-            UnitOutcome::Failed(e) => classify(e) == ErrorClass::Transient,
-            _ => true,
+            Err(Failure::Aborted) => return,
+            Err(failure) => failure,
         };
         let attempts_used = attempt + 1;
-        if transient && attempts_used < shared.policy.max_attempts && shared.reserve_retry() {
+        if failure.is_transient()
+            && attempts_used < shared.policy.max_attempts
+            && shared.reserve_retry()
+        {
             let next = attempts_used;
-            let delay = shared.policy.delay_us(shared.stage, task, next);
+            let delay = shared.policy.delay_us(stage, task, next);
             if delay > 0 {
-                shared
-                    .metrics
-                    .backoff_scheduled(shared.stage, task, next, delay);
-                if !shared.sleep(delay) {
+                shared.metrics.backoff_scheduled(stage, task, next, delay);
+                if !cancellable_sleep(delay, &|| shared.interrupted()) {
                     return;
                 }
             }
-            shared.metrics.task_retried(shared.stage, task, next);
+            shared.metrics.task_retried(stage, task, next);
             attempt = next;
             continue;
         }
-        shared.fail(final_error(shared.stage, task, attempts_used, failure));
+        shared.fail(failure.into_error(stage, task, attempts_used, None));
         return;
-    }
-}
-
-/// One attempt: apply chaos, then the body under panic isolation. Mirrors
-/// the barrier scheduler's `execute_attempt` step for step.
-fn execute_unit_attempt<B: PipelineBody>(
-    shared: &WaveShared<'_, B>,
-    unit_idx: usize,
-    task: usize,
-    attempt: u32,
-    w: usize,
-) -> UnitOutcome {
-    let stage = shared.stage;
-    let mut inject_panic = false;
-    match shared.chaos.fault_for(stage, task, attempt) {
-        Some(FaultKind::Crash) => {
-            shared.metrics.fault_injected(stage, task, attempt);
-            return UnitOutcome::Crashed;
-        }
-        Some(FaultKind::Panic) => {
-            shared.metrics.fault_injected(stage, task, attempt);
-            inject_panic = true;
-        }
-        Some(FaultKind::Delay { micros }) => {
-            shared.metrics.fault_injected(stage, task, attempt);
-            if !shared.sleep(micros) {
-                return UnitOutcome::Aborted;
-            }
-        }
-        None => {}
-    }
-    if shared.interrupted() {
-        return UnitOutcome::Aborted;
-    }
-    match catch_unwind(AssertUnwindSafe(|| {
-        if inject_panic {
-            panic!("injected panic (chaos plan)");
-        }
-        run_unit_body(shared, unit_idx, w)
-    })) {
-        Ok(Ok(table)) => UnitOutcome::Success(table),
-        Ok(Err(e)) => UnitOutcome::Failed(e),
-        Err(payload) => {
-            let message = panic_message(payload);
-            shared.metrics.task_panicked(stage, task, attempt, &message);
-            UnitOutcome::Panicked(message)
-        }
     }
 }
 
@@ -507,7 +416,12 @@ pub(crate) fn run_wave<B: PipelineBody>(
         }
         part_units.push((start, units.len()));
     }
-    let workers = config.threads.max(1).min(units.len());
+    let input_rows = parts.iter().map(Table::num_rows).sum();
+    let workers = if config.runs_on_caller(input_rows, morsel_rows) {
+        1
+    } else {
+        config.threads.max(1).min(units.len())
+    };
     let shared = WaveShared {
         stage,
         order,
@@ -531,14 +445,21 @@ pub(crate) fn run_wave<B: PipelineBody>(
         shared.deques[u.partition % workers].lock().push_back(i);
     }
     let busy: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    crossbeam::thread::scope(|scope| {
-        for w in 0..workers {
-            let shared = &shared;
-            let busy = &busy[w];
-            scope.spawn(move |_| run_worker(shared, w, busy));
-        }
-    })
-    .map_err(|_| FlowError::Cancelled("worker thread panicked".to_owned()))?;
+    if workers == 1 {
+        // One worker suffices: be it. No spawn, no join, and retries,
+        // cancellation checks between units and journal pairing are the
+        // worker loop's own, so they cannot differ from the pool's.
+        run_worker(&shared, 0, &busy[0]);
+    } else {
+        crossbeam::thread::scope(|scope| {
+            for w in 0..workers {
+                let shared = &shared;
+                let busy = &busy[w];
+                scope.spawn(move |_| run_worker(shared, w, busy));
+            }
+        })
+        .map_err(|_| FlowError::Cancelled("worker thread panicked".to_owned()))?;
+    }
     if let Some(err) = shared.error.lock().take() {
         return Err(err);
     }
@@ -578,9 +499,12 @@ pub(crate) fn run_wave<B: PipelineBody>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::thread::ThreadId;
+    use std::time::Duration;
     use toreador_data::generate::random_table;
 
-    use crate::fault::TargetedFault;
+    use crate::fault::{FaultKind, TargetedFault};
     use crate::resilience::ResilienceConfig;
     use crate::trace::TraceEventKind;
 
@@ -611,6 +535,73 @@ mod tests {
                 return Ok(Table::empty(part.schema().clone()));
             }
             Table::concat(&state).map_err(FlowError::Data)
+        }
+    }
+
+    /// [`PassThrough`] that also notes which thread pushed each morsel.
+    struct ThreadNoting(Mutex<HashSet<ThreadId>>);
+
+    impl PipelineBody for ThreadNoting {
+        type State = Vec<Table>;
+
+        fn init(&self, partition: usize, part: &Table) -> Result<Self::State> {
+            PassThrough.init(partition, part)
+        }
+
+        fn process(
+            &self,
+            state: &mut Self::State,
+            part: &Table,
+            partition: usize,
+            lo: usize,
+            hi: usize,
+        ) -> Result<()> {
+            self.0.lock().insert(std::thread::current().id());
+            PassThrough.process(state, part, partition, lo, hi)
+        }
+
+        fn finish(&self, state: Self::State, part: &Table, partition: usize) -> Result<Table> {
+            PassThrough.finish(state, part, partition)
+        }
+    }
+
+    #[test]
+    fn a_wave_of_at_most_one_morsel_runs_on_the_calling_thread() {
+        let config = SchedulerConfig::new(4);
+        let input = parts(3, 20); // 20 + 27 + 34 = 81 rows
+        for order in [WaveOrder::Independent, WaveOrder::Serial] {
+            // Exactly one morsel: every unit on this thread, same output.
+            let metrics = MetricsCollector::new();
+            let body = ThreadNoting(Mutex::new(HashSet::new()));
+            let out = run_wave(
+                &config,
+                &metrics,
+                &RunControl::new(),
+                0,
+                &input,
+                order,
+                81,
+                &body,
+            )
+            .unwrap();
+            assert_eq!(out, input);
+            let here: HashSet<ThreadId> = [std::thread::current().id()].into();
+            assert_eq!(*body.0.lock(), here, "{order:?}");
+            // One row more than a morsel: the same wave takes the pool.
+            let body = ThreadNoting(Mutex::new(HashSet::new()));
+            let out = run_wave(
+                &config,
+                &metrics,
+                &RunControl::new(),
+                0,
+                &input,
+                order,
+                80,
+                &body,
+            )
+            .unwrap();
+            assert_eq!(out, input);
+            assert!(!body.0.lock().contains(&std::thread::current().id()));
         }
     }
 

@@ -298,7 +298,9 @@ impl<'a> ExecContext<'a> {
         self.stage.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    fn run_stage<F>(&self, stage: usize, tasks: Vec<F>) -> Result<Vec<Table>>
+    /// Run one barrier wave. `input_rows` is the total the tasks read: the
+    /// scheduler keeps a wave of at most one morsel on this thread.
+    fn run_stage<F>(&self, stage: usize, input_rows: usize, tasks: Vec<F>) -> Result<Vec<Table>>
     where
         F: Fn() -> Result<Table> + Send + Sync,
     {
@@ -325,6 +327,8 @@ impl<'a> ExecContext<'a> {
             &self.control,
             stage,
             tasks,
+            input_rows,
+            self.config.morsel_rows,
         )?;
         if let Some(ck) = &self.checkpoint {
             let bytes = ck.persist_wave(stage, wave, &out)?;
@@ -406,6 +410,11 @@ impl<'a> ExecContext<'a> {
             && self.config.scheduler.resilience.deadline.is_none()
             && self.config.scheduler.resilience.speculation.is_none()
     }
+}
+
+/// A wave's input size as the scheduler's size rule reads it.
+fn total_rows(parts: &[Table]) -> usize {
+    parts.iter().map(Table::num_rows).sum()
 }
 
 /// Execute a logical plan to a partitioned result.
@@ -652,7 +661,7 @@ fn exec_narrow_indexed(
         .enumerate()
         .map(|(i, t)| move || f(t, i))
         .collect();
-    let outputs = ctx.run_stage(stage, tasks)?;
+    let outputs = ctx.run_stage(stage, total_rows(&parts), tasks)?;
     let rows: u64 = outputs.iter().map(|t| t.num_rows() as u64).sum();
     ctx.metrics
         .record_node(desc, stage, rows, started.elapsed(), 0);
@@ -803,7 +812,7 @@ fn exec_fused_chain(
             .enumerate()
             .map(|(idx, t)| move || run_fused_partition(t, idx, steps_ref, stats_ref))
             .collect();
-        ctx.run_stage(stage, tasks)?
+        ctx.run_stage(stage, total_rows(&parts), tasks)?
     };
     let batches = outputs.len() as u64;
     // Record per-node metrics in execution (innermost-first) order, exactly
@@ -1528,7 +1537,7 @@ fn exec_aggregate(
                     }
                 })
                 .collect();
-            ctx.run_stage(map_stage, tasks)?
+            ctx.run_stage(map_stage, total_rows(&parts), tasks)?
         };
         let out = ctx.shuffle_partials(partials, &p_schema, group_by, targets)?;
         (out.partitions, out.bytes_moved)
@@ -1550,7 +1559,7 @@ fn exec_aggregate(
             }
         })
         .collect();
-    let mut outputs = ctx.run_stage(reduce_stage, tasks)?;
+    let mut outputs = ctx.run_stage(reduce_stage, total_rows(&shuffled), tasks)?;
     // Empty-group global aggregate: shuffle produced `targets` partitions,
     // each merge of an empty partition yields the one-row identity — keep
     // only partition 0's row in that case.
@@ -1651,7 +1660,8 @@ fn exec_join(
             }
         })
         .collect();
-    let outputs = ctx.run_stage(stage, tasks)?;
+    let input_rows = pairs.iter().map(|(l, r)| l.num_rows() + r.num_rows()).sum();
+    let outputs = ctx.run_stage(stage, input_rows, tasks)?;
     let rows: u64 = outputs.iter().map(|t| t.num_rows() as u64).sum();
     ctx.metrics
         .record_node(desc, stage, rows, started.elapsed(), bytes);
@@ -1678,12 +1688,13 @@ fn exec_sort(
         .into_iter()
         .next()
         .expect("one partition requested");
+    let input_rows = table.num_rows();
     let tasks = vec![move || {
         table
             .sort_by(&key_refs, descending)
             .map_err(FlowError::Data)
     }];
-    let outputs = ctx.run_stage(stage, tasks)?;
+    let outputs = ctx.run_stage(stage, input_rows, tasks)?;
     let rows: u64 = outputs.iter().map(|t| t.num_rows() as u64).sum();
     ctx.metrics
         .record_node(desc, stage, rows, started.elapsed(), gathered.bytes_moved);
@@ -1715,7 +1726,7 @@ fn exec_top_k(
             }
         })
         .collect();
-    let locals = ctx.run_stage(stage, tasks)?;
+    let locals = ctx.run_stage(stage, total_rows(&parts), tasks)?;
     let merged = Table::concat(&locals)?.sort_by(&key_refs, descending)?;
     let take = merged.num_rows().min(n);
     let out = merged.slice(0, take)?;
@@ -1781,7 +1792,7 @@ fn exec_distinct(
             }
         })
         .collect();
-    let outputs = ctx.run_stage(stage, tasks)?;
+    let outputs = ctx.run_stage(stage, total_rows(&out.partitions), tasks)?;
     let rows: u64 = outputs.iter().map(|t| t.num_rows() as u64).sum();
     ctx.metrics
         .record_node(desc, stage, rows, started.elapsed(), out.bytes_moved);

@@ -24,6 +24,10 @@
 //! closures, so workers must join before the stage returns). A timed-out
 //! body therefore stops counting — its retry races ahead — but still
 //! occupies a worker until it returns.
+//!
+//! A wave whose whole input is at most one morsel gets no pool at all
+//! ([`SchedulerConfig::runs_on_caller`]): the same coordinator and the same
+//! attempt function run on the calling thread, one attempt at a time.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -67,6 +71,17 @@ impl SchedulerConfig {
     pub fn with_faults(self, faults: FaultPlan) -> Self {
         self.with_resilience(ResilienceConfig::from_fault_plan(&faults))
     }
+
+    /// The size rule, read from the wave's input: a wave of at most one
+    /// morsel — the unit the engine already calls "worth a worker" — runs
+    /// on the calling thread, with no spawn and no hand-off. Spawning and
+    /// joining a two-thread scope costs about 30 µs before any work moves,
+    /// as much as a sub-morsel wave's rows cost to process. A deadline or
+    /// speculation policy needs the coordinator free to watch the clock
+    /// while a body runs, so either one keeps the wave on the pool.
+    pub fn runs_on_caller(&self, input_rows: usize, morsel_rows: usize) -> bool {
+        input_rows <= morsel_rows && self.resilience.spare_worker_hint() == 0
+    }
 }
 
 impl Default for SchedulerConfig {
@@ -98,19 +113,6 @@ struct AttemptSpec {
     cancel: Arc<AtomicBool>,
 }
 
-/// What a worker reports back for one attempt.
-enum AttemptOutcome {
-    Success(Table),
-    /// Chaos crashed the attempt before the body ran.
-    Crashed,
-    /// The body (or an injected panic) panicked; isolated via catch_unwind.
-    Panicked(String),
-    /// The body returned an error.
-    Failed(FlowError),
-    /// The attempt was cancelled (or never started) and did no work.
-    Aborted,
-}
-
 enum WorkerMsg {
     Started {
         task: usize,
@@ -119,7 +121,7 @@ enum WorkerMsg {
     Finished {
         task: usize,
         attempt: u32,
-        outcome: AttemptOutcome,
+        outcome: std::result::Result<Table, Failure>,
     },
 }
 
@@ -168,6 +170,13 @@ impl WorkQueue {
         }
     }
 
+    /// The next queued item, if any, without waiting: the caller-thread
+    /// driver is its own only producer, so an empty queue stays empty.
+    fn try_pop(&self) -> Option<AttemptSpec> {
+        let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        q.items.pop_front()
+    }
+
     /// Close the queue, waking all workers; returns the items that were
     /// never claimed.
     fn close(&self) -> Vec<AttemptSpec> {
@@ -198,104 +207,175 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "opaque panic payload".to_owned())
 }
 
-/// Sleep `micros` in [`TICK_US`] chunks; false if cancelled or halted.
-fn cancellable_sleep(micros: u64, cancel: &AtomicBool, halt: &AtomicBool) -> bool {
+/// Sleep `micros` in [`TICK_US`] chunks; false if `interrupted` turned true
+/// before or during the sleep.
+pub(crate) fn cancellable_sleep(micros: u64, interrupted: &impl Fn() -> bool) -> bool {
     let mut remaining = micros;
     while remaining > 0 {
-        if cancel.load(Ordering::SeqCst) || halt.load(Ordering::SeqCst) {
+        if interrupted() {
             return false;
         }
         let chunk = remaining.min(TICK_US);
         std::thread::sleep(Duration::from_micros(chunk));
         remaining -= chunk;
     }
-    !(cancel.load(Ordering::SeqCst) || halt.load(Ordering::SeqCst))
+    !interrupted()
 }
 
-/// Worker loop: claim attempts until the queue closes. Once the halt flag
-/// is up (the stage is doomed), claimed attempts are aborted unexecuted —
-/// this is the cooperative-cancellation fast path.
+/// Worker loop: claim attempts until the queue closes.
 fn run_worker<F>(shared: &Shared<'_, F>, tx: mpsc::Sender<WorkerMsg>)
 where
     F: Fn() -> Result<Table> + Send + Sync,
 {
     while let Some(spec) = shared.queue.pop() {
-        let (task, attempt) = (spec.task, spec.attempt);
-        if shared.halt.load(Ordering::SeqCst) {
-            let _ = tx.send(WorkerMsg::Finished {
-                task,
-                attempt,
-                outcome: AttemptOutcome::Aborted,
-            });
-            continue;
-        }
-        let _ = tx.send(WorkerMsg::Started { task, attempt });
-        shared.metrics.task_started(shared.stage, task, attempt);
-        let outcome = execute_attempt(shared, &spec);
-        let ok = matches!(outcome, AttemptOutcome::Success(_));
-        // Every started attempt finishes exactly once — timed-out,
-        // panicked, and losing speculative attempts included.
-        shared
-            .metrics
-            .task_finished(shared.stage, task, attempt, ok);
-        let _ = tx.send(WorkerMsg::Finished {
-            task,
-            attempt,
-            outcome,
+        run_claimed(shared, &spec, |msg| {
+            let _ = tx.send(msg);
         });
     }
 }
 
-/// Run one attempt: apply chaos, then the body under panic isolation.
-fn execute_attempt<F>(shared: &Shared<'_, F>, spec: &AttemptSpec) -> AttemptOutcome
+/// Run one claimed attempt and `report` it to the coordinator — over the
+/// channel from a pool worker, by a direct call on the caller-thread path.
+/// Once the halt flag is up (the stage is doomed), the attempt is aborted
+/// unexecuted — this is the cooperative-cancellation fast path.
+fn run_claimed<F>(shared: &Shared<'_, F>, spec: &AttemptSpec, mut report: impl FnMut(WorkerMsg))
 where
     F: Fn() -> Result<Table> + Send + Sync,
 {
-    let (stage, task, attempt) = (shared.stage, spec.task, spec.attempt);
+    let (task, attempt) = (spec.task, spec.attempt);
+    if shared.halt.load(Ordering::SeqCst) {
+        report(WorkerMsg::Finished {
+            task,
+            attempt,
+            outcome: Err(Failure::Aborted),
+        });
+        return;
+    }
+    report(WorkerMsg::Started { task, attempt });
+    shared.metrics.task_started(shared.stage, task, attempt);
+    let outcome = execute_attempt(
+        shared.chaos,
+        shared.metrics,
+        (shared.stage, task, attempt),
+        || spec.cancel.load(Ordering::SeqCst) || shared.halt.load(Ordering::SeqCst),
+        &shared.tasks[task],
+    );
+    // Every started attempt finishes exactly once — timed-out,
+    // panicked, and losing speculative attempts included.
+    shared
+        .metrics
+        .task_finished(shared.stage, task, attempt, outcome.is_ok());
+    report(WorkerMsg::Finished {
+        task,
+        attempt,
+        outcome,
+    });
+}
+
+/// Run one attempt: apply chaos, then the body under panic isolation. The
+/// only copy of the attempt logic — pool workers, the caller-thread path and
+/// the morsel workers ([`crate::morsel`]) all come through here, so a chaos
+/// decision is a pure function of `(seed, stage, task, attempt)` whichever
+/// thread runs the attempt, and a panicking body never unwinds into it.
+pub(crate) fn execute_attempt(
+    chaos: &ChaosPlan,
+    metrics: &MetricsCollector,
+    (stage, task, attempt): (usize, usize, u32),
+    interrupted: impl Fn() -> bool,
+    body: impl FnOnce() -> Result<Table>,
+) -> std::result::Result<Table, Failure> {
     let mut inject_panic = false;
-    match shared.chaos.fault_for(stage, task, attempt) {
+    match chaos.fault_for(stage, task, attempt) {
         Some(FaultKind::Crash) => {
-            shared.metrics.fault_injected(stage, task, attempt);
-            return AttemptOutcome::Crashed;
+            metrics.fault_injected(stage, task, attempt);
+            return Err(Failure::Crashed);
         }
         Some(FaultKind::Panic) => {
-            shared.metrics.fault_injected(stage, task, attempt);
+            metrics.fault_injected(stage, task, attempt);
             inject_panic = true;
         }
         Some(FaultKind::Delay { micros }) => {
-            shared.metrics.fault_injected(stage, task, attempt);
-            if !cancellable_sleep(micros, &spec.cancel, shared.halt) {
-                return AttemptOutcome::Aborted;
+            metrics.fault_injected(stage, task, attempt);
+            if !cancellable_sleep(micros, &interrupted) {
+                return Err(Failure::Aborted);
             }
         }
         None => {}
     }
-    if spec.cancel.load(Ordering::SeqCst) || shared.halt.load(Ordering::SeqCst) {
-        return AttemptOutcome::Aborted;
+    if interrupted() {
+        return Err(Failure::Aborted);
     }
     match catch_unwind(AssertUnwindSafe(|| {
         if inject_panic {
             panic!("injected panic (chaos plan)");
         }
-        (shared.tasks[task])()
+        body()
     })) {
-        Ok(Ok(table)) => AttemptOutcome::Success(table),
-        Ok(Err(e)) => AttemptOutcome::Failed(e),
+        Ok(Ok(table)) => Ok(table),
+        Ok(Err(e)) => Err(Failure::Body(e)),
         Err(payload) => {
             let message = panic_message(payload);
-            shared.metrics.task_panicked(stage, task, attempt, &message);
-            AttemptOutcome::Panicked(message)
+            metrics.task_panicked(stage, task, attempt, &message);
+            Err(Failure::Panicked(message))
         }
     }
 }
 
 /// Why an attempt did not produce a result.
-enum Failure {
+pub(crate) enum Failure {
+    /// Chaos crashed the attempt before the body ran.
     Crashed,
+    /// The body (or an injected panic) panicked; isolated via catch_unwind.
     Panicked(String),
+    /// The watchdog wrote the attempt off (never an attempt's own report).
     TimedOut,
+    /// The body returned an error.
     Body(FlowError),
+    /// The attempt was cancelled (or never started) and did no work.
     Aborted,
+}
+
+impl Failure {
+    /// Worth another attempt: everything but a body error that
+    /// [`classify`] calls permanent (a plan bug fails the same way twice).
+    pub(crate) fn is_transient(&self) -> bool {
+        match self {
+            Failure::Body(e) => classify(e) == ErrorClass::Transient,
+            _ => true,
+        }
+    }
+
+    /// The error the run reports once `task` is out of attempts.
+    pub(crate) fn into_error(
+        self,
+        stage: usize,
+        task: usize,
+        attempts: u32,
+        deadline_us: Option<u64>,
+    ) -> FlowError {
+        match self {
+            Failure::Crashed => FlowError::TaskFailed {
+                stage,
+                partition: task,
+                attempts,
+                message: "injected fault".to_owned(),
+            },
+            Failure::Panicked(message) => FlowError::TaskPanicked {
+                stage,
+                partition: task,
+                attempts,
+                message,
+            },
+            Failure::TimedOut => FlowError::TaskTimedOut {
+                stage,
+                partition: task,
+                attempts,
+                deadline_us: deadline_us.unwrap_or(0),
+            },
+            Failure::Body(e) => e,
+            Failure::Aborted => FlowError::Cancelled("task attempt aborted".to_owned()),
+        }
+    }
 }
 
 struct RunningAttempt {
@@ -372,8 +452,31 @@ impl<'a> Coordinator<'a> {
         }
     }
 
-    fn done_issuing(&self) -> bool {
-        self.completed == self.slots.len() || self.error.is_some()
+    /// Every task has its table or the stage has failed, and no dispatched
+    /// attempt is still to report.
+    fn finished(&self) -> bool {
+        (self.completed == self.slots.len() || self.error.is_some()) && self.in_flight == 0
+    }
+
+    /// Dispatch the retries whose backoff has elapsed by `now`.
+    fn release_due_retries(&mut self, queue: &WorkQueue, now: Instant) {
+        while let Some(&Reverse((when, task, attempt))) = self.backoff.peek() {
+            if when > now {
+                break;
+            }
+            self.backoff.pop();
+            self.release_retry(queue, task, attempt);
+        }
+    }
+
+    /// Nothing running, nothing scheduled, not done: a logic bug must fail
+    /// loudly rather than hang the run.
+    fn fail_stalled(&mut self, queue: &WorkQueue, halt: &AtomicBool) {
+        self.fail_stage(
+            FlowError::Cancelled("scheduler stalled with no work in flight".to_owned()),
+            queue,
+            halt,
+        );
     }
 
     fn dispatch(&mut self, queue: &WorkQueue, task: usize, attempt: u32, speculative: bool) {
@@ -468,19 +571,8 @@ impl<'a> Coordinator<'a> {
                     None => return,
                 };
                 match outcome {
-                    AttemptOutcome::Success(table) => self.on_success(task, entry, table),
-                    AttemptOutcome::Crashed => {
-                        self.on_failure(task, entry, Failure::Crashed, queue, halt)
-                    }
-                    AttemptOutcome::Panicked(msg) => {
-                        self.on_failure(task, entry, Failure::Panicked(msg), queue, halt)
-                    }
-                    AttemptOutcome::Failed(e) => {
-                        self.on_failure(task, entry, Failure::Body(e), queue, halt)
-                    }
-                    AttemptOutcome::Aborted => {
-                        self.on_failure(task, entry, Failure::Aborted, queue, halt)
-                    }
+                    Ok(table) => self.on_success(task, entry, table),
+                    Err(failure) => self.on_failure(task, entry, failure, queue, halt),
                 }
             }
         }
@@ -537,11 +629,7 @@ impl<'a> Coordinator<'a> {
         queue: &WorkQueue,
         halt: &AtomicBool,
     ) {
-        let transient = match &failure {
-            Failure::Body(e) => classify(e) == ErrorClass::Transient,
-            _ => true,
-        };
-        if transient {
+        if failure.is_transient() {
             let st = &self.states[task];
             if st.retry_pending || st.running.iter().any(|r| !r.dead) {
                 // A recovery path (retry or surviving attempt) is already
@@ -575,34 +663,9 @@ impl<'a> Coordinator<'a> {
                 return;
             }
         }
-        let err = self.final_error(task, failure);
-        self.fail_stage(err, queue, halt);
-    }
-
-    fn final_error(&self, task: usize, failure: Failure) -> FlowError {
         let attempts = self.states[task].attempts_used;
-        match failure {
-            Failure::Crashed => FlowError::TaskFailed {
-                stage: self.stage,
-                partition: task,
-                attempts,
-                message: "injected fault".to_owned(),
-            },
-            Failure::Panicked(message) => FlowError::TaskPanicked {
-                stage: self.stage,
-                partition: task,
-                attempts,
-                message,
-            },
-            Failure::TimedOut => FlowError::TaskTimedOut {
-                stage: self.stage,
-                partition: task,
-                attempts,
-                deadline_us: self.deadline_us.unwrap_or(0),
-            },
-            Failure::Body(e) => e,
-            Failure::Aborted => FlowError::Cancelled("task attempt aborted".to_owned()),
-        }
+        let err = failure.into_error(self.stage, task, attempts, self.deadline_us);
+        self.fail_stage(err, queue, halt);
     }
 
     /// The stage is doomed: record it, trip run-wide cancellation, raise the
@@ -709,8 +772,9 @@ impl<'a> Coordinator<'a> {
 
 /// Run `tasks` (one per partition of `stage`) across the pool, returning
 /// outputs in task order. Standalone form: uses a run control local to this
-/// stage. The engine threads one [`RunControl`] through all stages of a run
-/// via [`run_stage_controlled`].
+/// stage and, knowing nothing of the tasks' input, always takes the pool.
+/// The engine threads one [`RunControl`] and each wave's input size through
+/// all stages of a run via [`run_stage_controlled`].
 pub fn run_stage<F>(
     config: &SchedulerConfig,
     metrics: &MetricsCollector,
@@ -721,18 +785,23 @@ where
     F: Fn() -> Result<Table> + Send + Sync,
 {
     let control = RunControl::new();
-    run_stage_controlled(config, metrics, &control, stage, tasks)
+    run_stage_controlled(config, metrics, &control, stage, tasks, usize::MAX, 0)
 }
 
 /// [`run_stage`] with a shared, run-wide [`RunControl`]: a stage refuses to
 /// start once the run is cancelled, and run-level retry budgets accumulate
-/// across stages.
+/// across stages. `input_rows` is the total the tasks read and `morsel_rows`
+/// the engine's morsel size: a wave that
+/// [fits one morsel](SchedulerConfig::runs_on_caller) runs on the calling
+/// thread, through the same coordinator and the same attempt function.
 pub fn run_stage_controlled<F>(
     config: &SchedulerConfig,
     metrics: &MetricsCollector,
     control: &RunControl,
     stage: usize,
     tasks: Vec<F>,
+    input_rows: usize,
+    morsel_rows: usize,
 ) -> Result<Vec<Table>>
 where
     F: Fn() -> Result<Table> + Send + Sync,
@@ -748,23 +817,8 @@ where
                 .unwrap_or_else(|| "run cancelled".to_owned()),
         ));
     }
-    // Deadlines and speculation need spare workers: a hung body cannot be
-    // interrupted, so its replacement attempt must run on another thread.
-    // Skipping the task-count cap is not enough — with every configured
-    // worker pinned under a hung attempt (n >= threads), a wave that has
-    // both features enabled used to drop the sizing hint entirely and the
-    // replacement attempt queued behind the very straggler it was meant to
-    // rescue. Add the hint on top of the pool instead.
-    let spare = config.resilience.spare_worker_hint();
-    let mut threads = config.threads.max(1);
-    if spare == 0 {
-        threads = threads.min(n);
-    } else {
-        threads += spare;
-    }
     let queue = WorkQueue::new();
     let halt = AtomicBool::new(false);
-    let (done_tx, done_rx) = mpsc::channel::<WorkerMsg>();
     let shared = Shared {
         stage,
         tasks: &tasks,
@@ -773,80 +827,15 @@ where
         metrics,
         chaos: &config.resilience.chaos,
     };
-    let scope_result = crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = done_tx.clone();
-            let shared = &shared;
-            scope.spawn(move |_| run_worker(shared, tx));
-        }
-        drop(done_tx);
-        let mut co = Coordinator::new(stage, &config.resilience, n, metrics, control);
-        for task in 0..n {
-            co.dispatch(&queue, task, 0, false);
-        }
-        loop {
-            // Release retries whose backoff has elapsed.
-            let now = Instant::now();
-            while let Some(&Reverse((when, task, attempt))) = co.backoff.peek() {
-                if when > now {
-                    break;
-                }
-                co.backoff.pop();
-                co.release_retry(&queue, task, attempt);
-            }
-            if co.done_issuing() && co.in_flight == 0 {
-                break;
-            }
-            if co.in_flight == 0 && co.backoff.is_empty() {
-                // Nothing running, nothing scheduled, not done: a logic bug
-                // must fail loudly rather than hang the run.
-                co.fail_stage(
-                    FlowError::Cancelled("scheduler stalled with no work in flight".to_owned()),
-                    &queue,
-                    &halt,
-                );
-                continue;
-            }
-            let msg = match co.next_timeout(now) {
-                None => match done_rx.recv() {
-                    Ok(m) => m,
-                    Err(_) => {
-                        co.fail_stage(
-                            FlowError::Cancelled("worker pool disconnected".to_owned()),
-                            &queue,
-                            &halt,
-                        );
-                        continue;
-                    }
-                },
-                Some(wait) => match done_rx.recv_timeout(wait) {
-                    Ok(m) => m,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        co.on_tick(&queue, &halt);
-                        continue;
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        co.fail_stage(
-                            FlowError::Cancelled("worker pool disconnected".to_owned()),
-                            &queue,
-                            &halt,
-                        );
-                        continue;
-                    }
-                },
-            };
-            co.handle(msg, &queue, &halt);
-            co.on_tick(&queue, &halt);
-        }
-        queue.close();
-        co
-    });
-    let co = match scope_result {
-        Ok(co) => co,
-        Err(_) => {
-            return Err(FlowError::Cancelled("worker thread panicked".to_owned()));
-        }
-    };
+    let mut co = Coordinator::new(stage, &config.resilience, n, metrics, control);
+    for task in 0..n {
+        co.dispatch(&queue, task, 0, false);
+    }
+    if config.runs_on_caller(input_rows, morsel_rows) {
+        drive_on_caller(&shared, &mut co);
+    } else {
+        drive_pool(config, &shared, &mut co)?;
+    }
     if let Some(err) = co.error {
         return Err(err);
     }
@@ -860,6 +849,112 @@ where
     Ok(out)
 }
 
+/// Drive the wave on the calling thread: claim the next queued attempt, run
+/// it here, hand its reports straight to the coordinator. Between attempts
+/// the coordinator's tick honours external cancellation exactly as it does
+/// between worker messages; a pending retry backoff is waited out in
+/// cancellable ticks. No watchdog can fire — the size rule admits no
+/// deadline or speculation policy — so nothing here needs a second thread.
+fn drive_on_caller<F>(shared: &Shared<'_, F>, co: &mut Coordinator<'_>)
+where
+    F: Fn() -> Result<Table> + Send + Sync,
+{
+    let (queue, halt) = (shared.queue, shared.halt);
+    loop {
+        let now = Instant::now();
+        co.release_due_retries(queue, now);
+        if co.finished() {
+            break;
+        }
+        if let Some(spec) = queue.try_pop() {
+            run_claimed(shared, &spec, |msg| co.handle(msg, queue, halt));
+        } else if let Some(wait) = co.next_timeout(now) {
+            std::thread::sleep(wait.min(Duration::from_micros(TICK_US)));
+        } else {
+            co.fail_stalled(queue, halt);
+        }
+        co.on_tick(queue, halt);
+    }
+}
+
+/// Drive the wave across a scoped worker pool: workers claim attempts from
+/// the queue and report over a channel; this thread is the coordinator.
+fn drive_pool<F>(
+    config: &SchedulerConfig,
+    shared: &Shared<'_, F>,
+    co: &mut Coordinator<'_>,
+) -> Result<()>
+where
+    F: Fn() -> Result<Table> + Send + Sync,
+{
+    let (queue, halt) = (shared.queue, shared.halt);
+    // Deadlines and speculation need spare workers: a hung body cannot be
+    // interrupted, so its replacement attempt must run on another thread.
+    // Skipping the task-count cap is not enough — with every configured
+    // worker pinned under a hung attempt (n >= threads), a wave that has
+    // both features enabled used to drop the sizing hint entirely and the
+    // replacement attempt queued behind the very straggler it was meant to
+    // rescue. Add the hint on top of the pool instead.
+    let spare = config.resilience.spare_worker_hint();
+    let mut threads = config.threads.max(1);
+    if spare == 0 {
+        threads = threads.min(shared.tasks.len());
+    } else {
+        threads += spare;
+    }
+    let (done_tx, done_rx) = mpsc::channel::<WorkerMsg>();
+    crossbeam::thread::scope(|scope| {
+        for _ in 0..threads {
+            let tx = done_tx.clone();
+            scope.spawn(move |_| run_worker(shared, tx));
+        }
+        drop(done_tx);
+        loop {
+            let now = Instant::now();
+            co.release_due_retries(queue, now);
+            if co.finished() {
+                break;
+            }
+            if co.in_flight == 0 && co.backoff.is_empty() {
+                co.fail_stalled(queue, halt);
+                continue;
+            }
+            let msg = match co.next_timeout(now) {
+                None => match done_rx.recv() {
+                    Ok(m) => m,
+                    Err(_) => {
+                        co.fail_stage(
+                            FlowError::Cancelled("worker pool disconnected".to_owned()),
+                            queue,
+                            halt,
+                        );
+                        continue;
+                    }
+                },
+                Some(wait) => match done_rx.recv_timeout(wait) {
+                    Ok(m) => m,
+                    Err(mpsc::RecvTimeoutError::Timeout) => {
+                        co.on_tick(queue, halt);
+                        continue;
+                    }
+                    Err(mpsc::RecvTimeoutError::Disconnected) => {
+                        co.fail_stage(
+                            FlowError::Cancelled("worker pool disconnected".to_owned()),
+                            queue,
+                            halt,
+                        );
+                        continue;
+                    }
+                },
+            };
+            co.handle(msg, queue, halt);
+            co.on_tick(queue, halt);
+        }
+        queue.close();
+    })
+    .map_err(|_| FlowError::Cancelled("worker thread panicked".to_owned()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -869,6 +964,25 @@ mod tests {
     use crate::fault::TargetedFault;
     use crate::resilience::TaskDeadline;
     use crate::trace::TraceEventKind;
+
+    /// `(input_rows, morsel_rows)` no wave fits: always the pool.
+    const POOL: (usize, usize) = (usize::MAX, 0);
+    /// `(input_rows, morsel_rows)` of a wave that fits one morsel.
+    const ONE_MORSEL: (usize, usize) = (64, 64);
+
+    type BoxedTask<'a> = Box<dyn Fn() -> Result<Table> + Send + Sync + 'a>;
+
+    /// Four tasks that note the thread they ran on.
+    fn thread_noting_tasks(seen: &Mutex<Vec<std::thread::ThreadId>>) -> Vec<BoxedTask<'_>> {
+        (0..4)
+            .map(|i| -> BoxedTask<'_> {
+                Box::new(move || {
+                    seen.lock().unwrap().push(std::thread::current().id());
+                    Ok(random_table(4, 1, i))
+                })
+            })
+            .collect()
+    }
 
     fn make_tasks(n: usize) -> Vec<impl Fn() -> Result<Table> + Send + Sync> {
         (0..n)
@@ -1107,12 +1221,30 @@ mod tests {
         );
         let metrics = MetricsCollector::new();
         let control = RunControl::new();
-        let err = run_stage_controlled(&config, &metrics, &control, 0, make_tasks(1)).unwrap_err();
+        let err = run_stage_controlled(
+            &config,
+            &metrics,
+            &control,
+            0,
+            make_tasks(1),
+            POOL.0,
+            POOL.1,
+        )
+        .unwrap_err();
         assert!(matches!(err, FlowError::TaskFailed { attempts: 3, .. }));
         assert_eq!(control.run_retries_used(), 2);
         assert!(control.is_cancelled());
         // A later stage on the same run refuses to start.
-        let err = run_stage_controlled(&config, &metrics, &control, 1, make_tasks(4)).unwrap_err();
+        let err = run_stage_controlled(
+            &config,
+            &metrics,
+            &control,
+            1,
+            make_tasks(4),
+            POOL.0,
+            POOL.1,
+        )
+        .unwrap_err();
         assert!(matches!(err, FlowError::Cancelled(_)));
     }
 
@@ -1257,5 +1389,40 @@ mod tests {
                 "partition {p} retry started at {retry_start}us — it queued behind the hung workers"
             );
         }
+    }
+
+    #[test]
+    fn a_wave_of_at_most_one_morsel_runs_on_the_calling_thread() {
+        let here = std::thread::current().id();
+        let run = |config: &SchedulerConfig, (rows, morsel): (usize, usize)| {
+            let seen = Mutex::new(Vec::new());
+            let metrics = MetricsCollector::new();
+            let out = run_stage_controlled(
+                config,
+                &metrics,
+                &RunControl::new(),
+                0,
+                thread_noting_tasks(&seen),
+                rows,
+                morsel,
+            )
+            .unwrap();
+            assert_eq!(out.len(), 4);
+            seen.into_inner().unwrap()
+        };
+        let plain = SchedulerConfig::new(4);
+        assert_eq!(run(&plain, ONE_MORSEL), vec![here; 4]);
+        // One row over: the same tasks take the pool.
+        assert!(!run(&plain, (65, 64)).contains(&here));
+        // A watchdog needs this thread free to watch the clock, so either
+        // policy keeps even a one-morsel wave on the pool.
+        let deadline = SchedulerConfig::new(4).with_resilience(
+            ResilienceConfig::none().with_deadline(TaskDeadline::from_millis(5_000)),
+        );
+        assert!(!run(&deadline, ONE_MORSEL).contains(&here));
+        let speculation = SchedulerConfig::new(4).with_resilience(
+            ResilienceConfig::none().with_speculation(SpeculationPolicy::new(3.0)),
+        );
+        assert!(!run(&speculation, ONE_MORSEL).contains(&here));
     }
 }

@@ -44,7 +44,7 @@ use crate::trace::{RunTrace, StreamTotals, TraceEventKind, TraceJournal};
 
 pub use durable::{AckLog, AckRecord, DurableSpec, RunningTotals, StateDelta, StreamRecovery};
 pub use source::{ArrivalSource, Source, SourceBatch, WindowSource};
-pub use watermark::{event_bounds, split_on_time, LatePolicy, WatermarkClock};
+pub use watermark::{count_late, event_bounds, split_on_time, LatePolicy, WatermarkClock};
 
 use source::BoundedBuffer;
 
@@ -297,7 +297,7 @@ pub fn run_continuous(
     engine_cfg.resilience.chaos.boundary_kills.clear();
     run_continuous_with(source, config, Some(&cols), &mut |_, table| {
         let mut engine = Engine::new(engine_cfg.clone());
-        engine.register("__batch", table.clone())?;
+        engine.register("__batch", table)?;
         let flow = make_flow(&engine, "__batch")?;
         let result = engine.run(&flow)?;
         Ok(BatchOutput {
@@ -311,13 +311,14 @@ pub fn run_continuous(
 /// The generic continuous loop: backpressure, watermarks, late policy,
 /// chaos/cancellation, and durable acks around an arbitrary per-batch
 /// processor. `process` is invoked only for batches with on-time rows to
-/// execute; every batch — silent ones included — is still acked, so resume
-/// offsets stay dense.
+/// execute, and is handed those rows to keep (under [`LatePolicy::Absorb`]
+/// they are the source's own batch, moved, never copied); every batch —
+/// silent ones included — is still acked, so resume offsets stay dense.
 pub fn run_continuous_with(
     source: &mut dyn Source,
     config: &StreamConfig,
     state_cols: Option<&StateColumns>,
-    process: &mut dyn FnMut(u64, &Table) -> Result<BatchOutput>,
+    process: &mut dyn FnMut(u64, Table) -> Result<BatchOutput>,
 ) -> Result<ContinuousRun> {
     let journal = TraceJournal::new();
     let fingerprint = config.fingerprint(state_cols);
@@ -469,20 +470,26 @@ pub fn run_continuous_with(
                 // Classify against the watermark as it stood before this
                 // batch, then let the batch advance it.
                 let watermark_before = clock.watermark();
-                let (on_time, late) =
-                    split_on_time(&batch.rows, &config.ts_column, watermark_before)?;
-                let late_rows = late.num_rows() as u64;
+                let rows_in = batch.rows.num_rows() as u64;
+                let bounds = event_bounds(&batch.rows, &config.ts_column)?;
                 let (to_process, late_counts) = match config.late_policy {
                     LatePolicy::Absorb => {
+                        // Only the late count is used: build no halves and
+                        // move the source's batch on as it is.
+                        let late_rows =
+                            count_late(&batch.rows, &config.ts_column, watermark_before)?;
                         if late_rows > 0 {
                             journal.record(TraceEventKind::LateDataAbsorbed {
                                 offset,
                                 rows: late_rows,
                             });
                         }
-                        (batch.rows.clone(), (late_rows, 0, 0))
+                        (batch.rows, (late_rows, 0, 0))
                     }
                     LatePolicy::SideChannel => {
+                        let (on_time, late) =
+                            split_on_time(&batch.rows, &config.ts_column, watermark_before)?;
+                        let late_rows = late.num_rows() as u64;
                         if late_rows > 0 {
                             journal.record(TraceEventKind::LateDataSideChannelled {
                                 offset,
@@ -493,6 +500,9 @@ pub fn run_continuous_with(
                         (on_time, (0, late_rows, 0))
                     }
                     LatePolicy::Drop => {
+                        let (on_time, late) =
+                            split_on_time(&batch.rows, &config.ts_column, watermark_before)?;
+                        let late_rows = late.num_rows() as u64;
                         if late_rows > 0 {
                             journal.record(TraceEventKind::LateDataDropped {
                                 offset,
@@ -502,7 +512,8 @@ pub fn run_continuous_with(
                         (on_time, (0, 0, late_rows))
                     }
                 };
-                if let Some((_, max_ts)) = event_bounds(&batch.rows, &config.ts_column)? {
+                let late_rows = late_counts.0 + late_counts.1 + late_counts.2;
+                if let Some((_, max_ts)) = bounds {
                     if let Some(watermark_ms) = clock.observe(max_ts) {
                         journal.record(TraceEventKind::WatermarkAdvanced {
                             offset,
@@ -512,7 +523,7 @@ pub fn run_continuous_with(
                 }
 
                 let output = if to_process.num_rows() > 0 {
-                    Some(process(offset, &to_process)?)
+                    Some(process(offset, to_process)?)
                 } else {
                     None
                 };
@@ -533,7 +544,7 @@ pub fn run_continuous_with(
 
                 let rec = AckRecord {
                     offset,
-                    rows: batch.rows.num_rows() as u64,
+                    rows: rows_in,
                     watermark_ms: clock.watermark(),
                     late_absorbed: late_counts.0,
                     late_side_channelled: late_counts.1,

@@ -123,6 +123,20 @@ pub fn event_bounds(batch: &Table, ts_column: &str) -> Result<Option<(i64, i64)>
     Ok(bounds)
 }
 
+/// How many rows of `batch` are late against `watermark`: the size of
+/// [`split_on_time`]'s late half, counted from the timestamp lane without
+/// building either half — all [`LatePolicy::Absorb`] needs.
+pub fn count_late(batch: &Table, ts_column: &str, watermark: Option<i64>) -> Result<u64> {
+    let Some(w) = watermark else {
+        return Ok(0);
+    };
+    let mut late = 0;
+    for v in batch.column(ts_column)?.iter_values() {
+        late += u64::from(event_ts(v)? < w);
+    }
+    Ok(late)
+}
+
 /// Split a batch into `(on_time, late)` against `watermark` in one pass
 /// (rows with `ts < watermark` are late; with no watermark yet, everything
 /// is on time). Row order is preserved within each half.
@@ -187,10 +201,12 @@ mod tests {
         let (on_time, late) = split_on_time(&t, "ts", Some(1_000)).unwrap();
         assert_eq!(on_time.num_rows(), 2, "1000 itself is on time");
         assert_eq!(late.num_rows(), 2);
+        assert_eq!(count_late(&t, "ts", Some(1_000)).unwrap(), 2);
         // No watermark yet: nothing is late.
         let (on_time, late) = split_on_time(&t, "ts", None).unwrap();
         assert_eq!(on_time.num_rows(), 4);
         assert_eq!(late.num_rows(), 0);
+        assert_eq!(count_late(&t, "ts", None).unwrap(), 0);
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! 32 runs of one plan on a 16-thread pool under randomized chaos delays
 //! (which scramble steal timing) stay byte-identical with a fully paired
 //! morsel journal every time, while the journal shows real steals happened.
+//! A third proves the scheduler's size rule is invisible: a wave of at most
+//! one morsel runs on the calling thread, and the same plan with `morsel_rows`
+//! just below and just above its input — or anywhere — gives the same bytes
+//! and the same task journal as the pooled run.
 
 use std::collections::HashMap;
 
@@ -134,6 +138,51 @@ fn assert_morsels_paired(trace: &RunTrace) {
     }
 }
 
+/// The task side of a journal — every attempt started, finished (and how),
+/// retried, and every fault injected — as a sorted multiset, so two runs
+/// compare regardless of which thread got where first.
+fn task_journal(trace: &RunTrace) -> Vec<(u8, usize, usize, u32, bool)> {
+    let mut out: Vec<_> = trace
+        .events
+        .iter()
+        .filter_map(|e| match e.kind {
+            TraceEventKind::TaskStarted {
+                stage,
+                partition,
+                attempt,
+            } => Some((0, stage, partition, attempt, true)),
+            TraceEventKind::TaskFinished {
+                stage,
+                partition,
+                attempt,
+                ok,
+            } => Some((1, stage, partition, attempt, ok)),
+            TraceEventKind::TaskRetried {
+                stage,
+                partition,
+                attempt,
+            } => Some((2, stage, partition, attempt, true)),
+            TraceEventKind::FaultInjected {
+                stage,
+                partition,
+                attempt,
+            } => Some((3, stage, partition, attempt, true)),
+            _ => None,
+        })
+        .collect();
+    out.sort_unstable();
+    out
+}
+
+/// Crashes and panics at rates sixteen immediate attempts always outlast, so
+/// a chaotic run's answer — and, where task coordinates do not depend on
+/// `morsel_rows`, its whole task journal — is a function of the seed alone.
+fn survivable_chaos(seed: u64) -> ResilienceConfig {
+    ResilienceConfig::none()
+        .with_retry(RetryPolicy::immediate(16))
+        .with_chaos(ChaosPlan::crashes(0.35, seed).with_panic_rate(0.05))
+}
+
 /// How many property cases to run. The vendored proptest does not read
 /// `PROPTEST_CASES`, so this suite honours it by hand — CI pins it.
 fn proptest_cases() -> u32 {
@@ -184,6 +233,84 @@ proptest! {
         // The other two engines never dispatched a morsel.
         prop_assert_eq!(b.trace.pipeline_totals().morsels, 0);
         prop_assert_eq!(c.trace.pipeline_totals().morsels, 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(proptest_cases()))]
+
+    /// The size rule is invisible: whatever `morsel_rows` is — so whichever
+    /// waves of the plan fit one morsel and run on the calling thread — the
+    /// output is the bytes of the run where every wave takes the pool
+    /// (`morsel_rows` 1 fits nothing above one row), chaos and retries
+    /// included. On the barrier path a task is a partition whatever the
+    /// morsel size, so there the task journals must match too.
+    #[test]
+    fn the_size_rule_is_invisible(
+        rows in 0usize..200,
+        seed in 0u64..30,
+        steps in arb_steps(),
+        agg in any::<bool>(),
+        morsel_rows in 1usize..260,
+        threads in prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
+        pipelined in any::<bool>(),
+    ) {
+        let table = random_table(rows, 3, seed);
+        let sized = engine_mode(
+            table.clone(), threads, pipelined, true, morsel_rows, survivable_chaos(seed),
+        );
+        let pooled = engine_mode(table, threads, pipelined, true, 1, survivable_chaos(seed));
+        let a = sized.run(&build_flow(&sized, &steps, agg)).unwrap();
+        let b = pooled.run(&build_flow(&pooled, &steps, agg)).unwrap();
+        prop_assert_eq!(bytes_of(&a.table), bytes_of(&b.table));
+        assert_morsels_paired(&a.trace);
+        if !pipelined {
+            prop_assert_eq!(task_journal(&a.trace), task_journal(&b.trace));
+        }
+    }
+}
+
+/// Both sides of the rule, one row apart: the same chaotic plan over the
+/// same 96 rows with `morsel_rows` 95 (the scan-side waves take the pool)
+/// and 96 (they run on the calling thread). A partition is 32 rows, under
+/// either morsel size, so units — and with them task coordinates and chaos
+/// draws — are the same: output bytes and the task journal must be too.
+#[test]
+fn one_row_either_side_of_a_morsel_gives_the_same_bytes_and_journal() {
+    let table = random_table(96, 3, 17);
+    let steps = [Step::FilterStrNotNull, Step::ProjectArith];
+    for pipelined in [true, false] {
+        for agg in [true, false] {
+            let run = |morsel_rows: usize| {
+                let e = engine_mode(
+                    table.clone(),
+                    4,
+                    pipelined,
+                    true,
+                    morsel_rows,
+                    survivable_chaos(5),
+                );
+                e.run(&build_flow(&e, &steps, agg)).unwrap()
+            };
+            let (pool, caller) = (run(95), run(96));
+            let case = format!("pipelined {pipelined}, agg {agg}");
+            assert_eq!(bytes_of(&pool.table), bytes_of(&caller.table), "{case}");
+            assert_eq!(
+                task_journal(&pool.trace),
+                task_journal(&caller.trace),
+                "{case}"
+            );
+            assert!(
+                pool.trace.resilience_totals().retries > 0,
+                "{case}: the chaos plan must have bitten"
+            );
+            assert_morsels_paired(&caller.trace);
+            assert_eq!(
+                pool.trace.pipeline_totals().morsels,
+                caller.trace.pipeline_totals().morsels,
+                "{case}"
+            );
+        }
     }
 }
 
@@ -248,7 +375,9 @@ fn injected_failure_messages_match_across_all_three_paths() {
 /// with tiny morsels and per-run chaos delay seeds (which randomize which
 /// worker is busy when, and therefore who steals what from whom). Output
 /// must be byte-identical every time, every run's morsel journal must pair,
-/// and the journal must show stealing actually happened.
+/// and the journal must show stealing actually happened. 3 000 rows at 7
+/// rows a morsel keeps the chain and map waves on the pooled side of the
+/// size rule — a wave on the calling thread has nobody to steal from.
 #[test]
 fn stealing_is_invisible_across_32_chaotic_runs() {
     let table = random_table(3_000, 3, 7);

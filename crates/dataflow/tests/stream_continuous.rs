@@ -153,7 +153,7 @@ fn backpressure_depth_never_exceeds_the_cap() {
     let run = run_continuous_with(&mut source, &config, None, &mut |_, batch| {
         std::thread::sleep(std::time::Duration::from_millis(2));
         Ok(BatchOutput {
-            table: batch.clone(),
+            table: batch,
             metrics: None,
             trace: None,
         })

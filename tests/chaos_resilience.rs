@@ -1,6 +1,7 @@
 //! The chaos invariant, proven end to end: for every chaos schedule this
 //! suite exercises — crash/delay/panic mixes, rate-based and targeted, on
-//! a 16-thread pool — a run either completes with results identical to the
+//! a 16-thread pool and, for a wave no bigger than one morsel, on the
+//! calling thread — a run either completes with results identical to the
 //! fault-free run, or fails cleanly with a classified error. It never
 //! hangs past its deadline and never lets a panic escape `run_stage`. And
 //! whatever happens, the flight-recorder journal stays well-formed: every
@@ -45,6 +46,43 @@ fn fault_free_outputs() -> Vec<Table> {
     run_stage(&SchedulerConfig::new(THREADS), &metrics, STAGE, tasks()).unwrap()
 }
 
+/// Which side of the scheduler's size rule a wave is run on: the
+/// `(input_rows, morsel_rows)` it reports to `run_stage_controlled`.
+#[derive(Debug, Clone, Copy)]
+enum Side {
+    /// Bigger than one morsel: the worker pool.
+    Pool,
+    /// At most one morsel: every attempt on the calling thread.
+    Caller,
+}
+
+const SIDES: [Side; 2] = [Side::Pool, Side::Caller];
+
+/// `run_stage` with a fresh control, on the given side of the size rule.
+fn run_on<F>(
+    side: Side,
+    config: &SchedulerConfig,
+    metrics: &MetricsCollector,
+    tasks: Vec<F>,
+) -> FlowResult<Vec<Table>>
+where
+    F: Fn() -> FlowResult<Table> + Send + Sync,
+{
+    let (input_rows, morsel_rows) = match side {
+        Side::Pool => (usize::MAX, 0),
+        Side::Caller => (1, 1),
+    };
+    run_stage_controlled(
+        config,
+        metrics,
+        &RunControl::new(),
+        STAGE,
+        tasks,
+        input_rows,
+        morsel_rows,
+    )
+}
+
 /// Every started span must finish exactly once — timed-out, panicked, and
 /// losing speculative attempts included.
 fn assert_journal_well_formed(trace: &RunTrace) {
@@ -80,10 +118,10 @@ fn assert_journal_well_formed(trace: &RunTrace) {
 /// Run the workload under `resilience` and check the invariant: identical
 /// to fault-free, or a clean classified error — and a well-formed journal
 /// either way. Returns whether the run succeeded.
-fn assert_chaos_invariant(resilience: ResilienceConfig, baseline: &[Table]) -> bool {
+fn assert_chaos_invariant(side: Side, resilience: ResilienceConfig, baseline: &[Table]) -> bool {
     let config = SchedulerConfig::new(THREADS).with_resilience(resilience);
     let metrics = MetricsCollector::new();
-    let result = run_stage(&config, &metrics, STAGE, tasks());
+    let result = run_on(side, &config, &metrics, tasks());
     let trace = metrics.trace().snapshot();
     assert_journal_well_formed(&trace);
     match result {
@@ -136,14 +174,16 @@ fn rate_based_chaos_matrix_holds_the_invariant() {
     let mut runs = 0usize;
     for (name, mix) in &mixes {
         for seed in 0..6u64 {
-            let resilience = ResilienceConfig::none()
-                .with_retry(RetryPolicy::exponential(8, 100, 2_000).with_jitter(0.5, seed))
-                .with_chaos(mix(seed));
-            runs += 1;
-            if assert_chaos_invariant(resilience, &baseline) {
-                completions += 1;
-            } else {
-                println!("mix {name} seed {seed} failed cleanly");
+            for side in SIDES {
+                let resilience = ResilienceConfig::none()
+                    .with_retry(RetryPolicy::exponential(8, 100, 2_000).with_jitter(0.5, seed))
+                    .with_chaos(mix(seed));
+                runs += 1;
+                if assert_chaos_invariant(side, resilience, &baseline) {
+                    completions += 1;
+                } else {
+                    println!("mix {name} seed {seed} on {side:?} failed cleanly");
+                }
             }
         }
     }
@@ -181,23 +221,25 @@ fn targeted_faults_recover_exactly_once_each() {
                 .with_retry(RetryPolicy::immediate(3))
                 .with_chaos(chaos),
         );
-        let metrics = MetricsCollector::new();
-        let out = run_stage(&config, &metrics, STAGE, tasks()).unwrap();
-        assert_eq!(out, baseline, "targeted {kind:?} must be absorbed");
-        let trace = metrics.trace().snapshot();
-        assert_journal_well_formed(&trace);
-        let injected = trace
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, TraceEventKind::FaultInjected { .. }))
-            .count();
-        assert_eq!(injected, 2, "exactly the two scheduled faults fire");
-        // Delay faults stall but do not fail; crash/panic force retries.
-        let expected_retries = match kind {
-            FaultKind::Delay { .. } => 1,
-            _ => 2,
-        };
-        assert_eq!(trace.resilience_totals().retries, expected_retries);
+        for side in SIDES {
+            let metrics = MetricsCollector::new();
+            let out = run_on(side, &config, &metrics, tasks()).unwrap();
+            assert_eq!(out, baseline, "targeted {kind:?} must be absorbed");
+            let trace = metrics.trace().snapshot();
+            assert_journal_well_formed(&trace);
+            let injected = trace
+                .events
+                .iter()
+                .filter(|e| matches!(e.kind, TraceEventKind::FaultInjected { .. }))
+                .count();
+            assert_eq!(injected, 2, "exactly the two scheduled faults fire");
+            // Delay faults stall but do not fail; crash/panic force retries.
+            let expected_retries = match kind {
+                FaultKind::Delay { .. } => 1,
+                _ => 2,
+            };
+            assert_eq!(trace.resilience_totals().retries, expected_retries);
+        }
     }
 }
 
@@ -207,17 +249,90 @@ fn certain_panic_fails_cleanly_and_never_escapes_run_stage() {
     // with a classified TaskPanicked — the panic itself stays inside.
     let config = SchedulerConfig::new(THREADS)
         .with_resilience(ResilienceConfig::none().with_chaos(ChaosPlan::panics(1.0, 9)));
+    for side in SIDES {
+        let metrics = MetricsCollector::new();
+        let err = run_on(side, &config, &metrics, tasks()).unwrap_err();
+        assert!(
+            matches!(err, FlowError::TaskPanicked { .. }),
+            "expected a classified panic, got: {err}"
+        );
+        assert_eq!(classify(&err), ErrorClass::Transient);
+        let trace = metrics.trace().snapshot();
+        assert_journal_well_formed(&trace);
+        assert!(trace.resilience_totals().panics > 0);
+        // The doomed stage cancelled the run.
+        assert!(trace
+            .events
+            .iter()
+            .any(|e| matches!(e.kind, TraceEventKind::RunCancelled { .. })));
+    }
+}
+
+#[test]
+fn a_body_panic_on_the_calling_thread_is_caught_and_retried() {
+    // The caller-thread path has no worker thread between a panicking body
+    // and the caller's stack: the attempt's own catch_unwind must be what
+    // stops it, and the retry (after its backoff) must then succeed.
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let config = SchedulerConfig::new(THREADS)
+        .with_resilience(ResilienceConfig::none().with_retry(RetryPolicy::fixed(3, 400)));
+    let calls = AtomicUsize::new(0);
+    let flaky = vec![|| -> FlowResult<Table> {
+        if calls.fetch_add(1, Ordering::SeqCst) == 0 {
+            panic!("flaky once");
+        }
+        Ok(random_table(7, 1, 1))
+    }];
     let metrics = MetricsCollector::new();
-    let err = run_stage(&config, &metrics, STAGE, tasks()).unwrap_err();
-    assert!(
-        matches!(err, FlowError::TaskPanicked { .. }),
-        "expected a classified panic, got: {err}"
-    );
-    assert_eq!(classify(&err), ErrorClass::Transient);
+    let out = run_on(Side::Caller, &config, &metrics, flaky).unwrap();
+    assert_eq!(out, vec![random_table(7, 1, 1)]);
+    assert_eq!(calls.load(Ordering::SeqCst), 2);
     let trace = metrics.trace().snapshot();
     assert_journal_well_formed(&trace);
-    assert!(trace.resilience_totals().panics > 0);
-    // The doomed stage cancelled the run.
+    let totals = trace.resilience_totals();
+    assert_eq!(
+        (totals.panics, totals.retries, totals.backoff_us),
+        (1, 1, 400)
+    );
+}
+
+#[test]
+fn cancellation_between_two_inlined_tasks_stops_the_wave() {
+    // Task 0 trips the run's control — from outside the scheduler, as an
+    // operator interrupt would. With both tasks on the calling thread there
+    // is no race to arrange: the coordinator's check after task 0's report
+    // must stop task 1 from ever starting.
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let control = RunControl::new();
+    let ran_second = AtomicBool::new(false);
+    type Task<'a> = Box<dyn Fn() -> FlowResult<Table> + Send + Sync + 'a>;
+    let two: Vec<Task<'_>> = vec![
+        Box::new(|| {
+            control.cancel("operator interrupt");
+            Ok(random_table(3, 1, 0))
+        }),
+        Box::new(|| {
+            ran_second.store(true, Ordering::SeqCst);
+            Ok(random_table(3, 1, 1))
+        }),
+    ];
+    let metrics = MetricsCollector::new();
+    let err = run_stage_controlled(
+        &SchedulerConfig::new(THREADS),
+        &metrics,
+        &control,
+        STAGE,
+        two,
+        1,
+        1,
+    )
+    .unwrap_err();
+    assert_eq!(err, FlowError::Cancelled("operator interrupt".to_owned()));
+    assert_eq!(classify(&err), ErrorClass::Permanent);
+    assert!(!ran_second.load(Ordering::SeqCst));
+    let trace = metrics.trace().snapshot();
+    assert_journal_well_formed(&trace);
+    assert_eq!(trace.task_spans().len(), 1, "only task 0 ever started");
     assert!(trace
         .events
         .iter()
@@ -354,6 +469,8 @@ fn external_cancellation_mid_wave_pairs_journal_and_leaks_no_threads() {
         &control,
         STAGE,
         slow,
+        usize::MAX,
+        0,
     )
     .unwrap_err();
     canceller.join().unwrap();
@@ -391,6 +508,8 @@ fn external_cancellation_mid_wave_pairs_journal_and_leaks_no_threads() {
         &control,
         STAGE + 1,
         tasks(),
+        usize::MAX,
+        0,
     )
     .unwrap_err();
     assert!(matches!(refused, FlowError::Cancelled(_)), "{refused}");
@@ -674,7 +793,7 @@ fn stream_state_under(table: &Table, resilience: ResilienceConfig) -> FlowResult
     let mut source = ArrivalSource::windows(table, "ts", 2_000)?;
     let run = run_continuous_with(&mut source, &config, Some(&cols), &mut |_, batch| {
         Ok(BatchOutput {
-            table: batch.clone(),
+            table: batch,
             metrics: None,
             trace: None,
         })
@@ -714,7 +833,9 @@ proptest! {
             .with_chaos(chaos);
         // assert_chaos_invariant panics on any violation; either outcome
         // (recovered or clean failure) satisfies the property.
-        let _ = assert_chaos_invariant(resilience, &baseline);
+        for side in SIDES {
+            let _ = assert_chaos_invariant(side, resilience.clone(), &baseline);
+        }
     }
 
     /// The same invariant for the continuous streaming loop: under an
