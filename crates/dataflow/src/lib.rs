@@ -14,7 +14,9 @@
 //! 4. [`physical`] — stage-cut execution with per-partition tasks; fused
 //!    chains of narrow operators run through [`morsel`], the morsel-driven
 //!    pipelined path with work-stealing deques (the stage-barrier path
-//!    stays selectable as the differential oracle);
+//!    stays selectable as the differential oracle); every hash operator
+//!    (aggregate, distinct, join) runs on one columnar group table over
+//!    key lanes;
 //! 5. [`shuffle`] — hash shuffles through a binary row codec ([`codec`],
 //!    shared with checkpointing and the pager), so shuffle byte counts are
 //!    real; [`pager`] — paged on-disk columnar files and a pinning buffer
@@ -59,6 +61,7 @@ pub mod error;
 pub mod expr;
 pub mod fault;
 pub mod fsck;
+pub(crate) mod group;
 pub mod logical;
 pub mod metrics;
 pub mod morsel;

@@ -25,13 +25,14 @@ use rand::{Rng, SeedableRng};
 use toreador_data::column::Column;
 use toreador_data::partition::{PartitionedTable, Partitioning};
 use toreador_data::schema::{Field, Schema};
-use toreador_data::table::{Table, TableBuilder};
-use toreador_data::value::{DataType, Row, Value};
+use toreador_data::table::Table;
+use toreador_data::value::DataType;
 
 use crate::checkpoint::RunCheckpoint;
 use crate::error::{FlowError, Result};
 use crate::expr::Expr;
 use crate::fault::KillMode;
+use crate::group::{self, partial_schema, PartialAgg};
 use crate::logical::{AggExpr, AggFunc, JoinType, LogicalPlan};
 use crate::metrics::MetricsCollector;
 use crate::morsel::{self, PipelineBody, WaveOrder};
@@ -984,316 +985,10 @@ impl PipelineBody for FusedChainBody<'_> {
 
 // ------------------------------------------------------------- aggregation
 
-/// Hashable wrapper for group keys (Value has no Eq/Hash of its own).
-#[derive(Debug, Clone)]
-struct GroupKey(Row);
-
-impl PartialEq for GroupKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.len() == other.0.len() && self.0.iter().zip(&other.0).all(|(a, b)| a.group_eq(b))
-    }
-}
-impl Eq for GroupKey {}
-impl std::hash::Hash for GroupKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        for v in &self.0 {
-            state.write_u64(v.hash_code());
-        }
-    }
-}
-
-/// Per-group accumulator for one aggregate expression.
-#[derive(Debug, Clone)]
-enum Acc {
-    Count(i64),
-    SumInt(i64, bool),
-    SumFloat(f64, bool),
-    Min(Value),
-    Max(Value),
-    Mean { sum: f64, n: i64 },
-    Distinct(std::collections::HashSet<u64>),
-}
-
-impl Acc {
-    fn new(func: AggFunc, input_ty: DataType) -> Acc {
-        match func {
-            AggFunc::Count => Acc::Count(0),
-            AggFunc::Sum => {
-                if input_ty == DataType::Int {
-                    Acc::SumInt(0, false)
-                } else {
-                    Acc::SumFloat(0.0, false)
-                }
-            }
-            AggFunc::Min => Acc::Min(Value::Null),
-            AggFunc::Max => Acc::Max(Value::Null),
-            AggFunc::Mean => Acc::Mean { sum: 0.0, n: 0 },
-            AggFunc::CountDistinct => Acc::Distinct(std::collections::HashSet::new()),
-        }
-    }
-
-    fn update(&mut self, v: &Value) -> Result<()> {
-        if v.is_null() {
-            return Ok(()); // SQL semantics: aggregates skip nulls
-        }
-        match self {
-            Acc::Count(n) => *n += 1,
-            Acc::SumInt(s, seen) => {
-                *s = s.wrapping_add(v.as_int().map_err(FlowError::Data)?);
-                *seen = true;
-            }
-            Acc::SumFloat(s, seen) => {
-                *s += v.as_float().map_err(FlowError::Data)?;
-                *seen = true;
-            }
-            Acc::Min(m) => {
-                if m.is_null() || v.total_cmp(m) == std::cmp::Ordering::Less {
-                    *m = v.clone();
-                }
-            }
-            Acc::Max(m) => {
-                if m.is_null() || v.total_cmp(m) == std::cmp::Ordering::Greater {
-                    *m = v.clone();
-                }
-            }
-            Acc::Mean { sum, n } => {
-                *sum += v.as_float().map_err(FlowError::Data)?;
-                *n += 1;
-            }
-            Acc::Distinct(set) => {
-                set.insert(v.hash_code());
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(&self) -> Value {
-        match self {
-            Acc::Count(n) => Value::Int(*n),
-            Acc::SumInt(s, seen) => {
-                if *seen {
-                    Value::Int(*s)
-                } else {
-                    Value::Null
-                }
-            }
-            Acc::SumFloat(s, seen) => {
-                if *seen {
-                    Value::Float(*s)
-                } else {
-                    Value::Null
-                }
-            }
-            Acc::Min(m) | Acc::Max(m) => m.clone(),
-            Acc::Mean { sum, n } => {
-                if *n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(sum / *n as f64)
-                }
-            }
-            Acc::Distinct(set) => Value::Int(set.len() as i64),
-        }
-    }
-}
-
-/// Fully aggregate one table (used post-shuffle and by the raw path).
-fn aggregate_table(
-    t: &Table,
-    group_by: &[String],
-    aggs: &[AggExpr],
-    out_schema: &Schema,
-) -> Result<Table> {
-    let key_idx: Vec<usize> = group_by
-        .iter()
-        .map(|g| t.schema().index_of(g).map_err(FlowError::Data))
-        .collect::<Result<Vec<_>>>()?;
-    let agg_idx: Vec<usize> = aggs
-        .iter()
-        .map(|a| t.schema().index_of(&a.column).map_err(FlowError::Data))
-        .collect::<Result<Vec<_>>>()?;
-    let agg_tys: Vec<DataType> = agg_idx
-        .iter()
-        .map(|&i| t.schema().fields()[i].data_type)
-        .collect();
-
-    let mut groups: HashMap<GroupKey, Vec<Acc>> = HashMap::new();
-    for row in t.iter_rows() {
-        let key = GroupKey(key_idx.iter().map(|&i| row[i].clone()).collect());
-        let accs = groups.entry(key).or_insert_with(|| {
-            aggs.iter()
-                .zip(&agg_tys)
-                .map(|(a, &ty)| Acc::new(a.func, ty))
-                .collect()
-        });
-        for ((acc, &i), _) in accs.iter_mut().zip(&agg_idx).zip(aggs) {
-            acc.update(&row[i])?;
-        }
-    }
-    // Global aggregation over an empty input still yields one row.
-    if groups.is_empty() && group_by.is_empty() {
-        groups.insert(
-            GroupKey(Vec::new()),
-            aggs.iter()
-                .zip(&agg_tys)
-                .map(|(a, &ty)| Acc::new(a.func, ty))
-                .collect(),
-        );
-    }
-    // Deterministic output order: sort groups by key.
-    let mut entries: Vec<(GroupKey, Vec<Acc>)> = groups.into_iter().collect();
-    entries.sort_by(|(a, _), (b, _)| {
-        a.0.iter()
-            .zip(&b.0)
-            .map(|(x, y)| x.total_cmp(y))
-            .find(|o| *o != std::cmp::Ordering::Equal)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut builder = TableBuilder::with_capacity(out_schema.clone(), entries.len());
-    for (key, accs) in entries {
-        let mut row = key.0;
-        for acc in &accs {
-            row.push(acc.finish());
-        }
-        builder.push_row(row)?;
-    }
-    builder.finish().map_err(FlowError::Data)
-}
-
-/// The intermediate schema for map-side partial aggregation.
-fn partial_schema(
-    group_fields: Vec<Field>,
-    aggs: &[AggExpr],
-    in_schema: &Schema,
-) -> Result<Schema> {
-    let mut fields = group_fields;
-    for (i, a) in aggs.iter().enumerate() {
-        let in_ty = in_schema
-            .field(&a.column)
-            .map_err(FlowError::Data)?
-            .data_type;
-        match a.func {
-            AggFunc::Count => fields.push(Field::new(format!("__p{i}_count"), DataType::Int)),
-            AggFunc::Sum => {
-                let ty = if in_ty == DataType::Int {
-                    DataType::Int
-                } else {
-                    DataType::Float
-                };
-                fields.push(Field::new(format!("__p{i}_sum"), ty));
-            }
-            AggFunc::Min => fields.push(Field::new(format!("__p{i}_min"), in_ty)),
-            AggFunc::Max => fields.push(Field::new(format!("__p{i}_max"), in_ty)),
-            AggFunc::Mean => {
-                fields.push(Field::new(format!("__p{i}_sum"), DataType::Float));
-                fields.push(Field::new(format!("__p{i}_n"), DataType::Int));
-            }
-            AggFunc::CountDistinct => {
-                return Err(FlowError::Plan(
-                    "partial aggregation does not support count_distinct".to_owned(),
-                ))
-            }
-        }
-    }
-    Schema::new(fields).map_err(FlowError::Data)
-}
-
-/// Map-side combine state for one partition: bound column indices plus the
-/// per-group accumulators. Shared by the stage-barrier path (one
-/// whole-partition pass) and the morsel path (the same pass, fed one
-/// in-order row-range chunk at a time) — identical fold order, so the two
-/// produce value-identical partial rows.
-struct PartialAggState {
-    key_idx: Vec<usize>,
-    agg_idx: Vec<usize>,
-    funcs: Vec<AggFunc>,
-    agg_tys: Vec<DataType>,
-    groups: HashMap<GroupKey, Vec<Acc>>,
-}
-
-impl PartialAggState {
-    fn new(t: &Table, group_by: &[String], aggs: &[AggExpr]) -> Result<Self> {
-        let key_idx: Vec<usize> = group_by
-            .iter()
-            .map(|g| t.schema().index_of(g).map_err(FlowError::Data))
-            .collect::<Result<Vec<_>>>()?;
-        let agg_idx: Vec<usize> = aggs
-            .iter()
-            .map(|a| t.schema().index_of(&a.column).map_err(FlowError::Data))
-            .collect::<Result<Vec<_>>>()?;
-        let agg_tys: Vec<DataType> = agg_idx
-            .iter()
-            .map(|&i| t.schema().fields()[i].data_type)
-            .collect();
-        Ok(PartialAggState {
-            key_idx,
-            agg_idx,
-            funcs: aggs.iter().map(|a| a.func).collect(),
-            agg_tys,
-            groups: HashMap::new(),
-        })
-    }
-
-    /// Fold every row of `t` — the whole partition, or one sliced morsel of
-    /// it — into the accumulators, in row order.
-    fn update_all(&mut self, t: &Table) -> Result<()> {
-        let PartialAggState {
-            key_idx,
-            agg_idx,
-            funcs,
-            agg_tys,
-            groups,
-        } = self;
-        for row in t.iter_rows() {
-            let key = GroupKey(key_idx.iter().map(|&i| row[i].clone()).collect());
-            let accs = groups.entry(key).or_insert_with(|| {
-                funcs
-                    .iter()
-                    .zip(agg_tys.iter())
-                    .map(|(&f, &ty)| Acc::new(f, ty))
-                    .collect()
-            });
-            for (acc, &i) in accs.iter_mut().zip(agg_idx.iter()) {
-                acc.update(&row[i])?;
-            }
-        }
-        Ok(())
-    }
-
-    fn into_table(self, p_schema: &Schema) -> Result<Table> {
-        let mut builder = TableBuilder::with_capacity(p_schema.clone(), self.groups.len());
-        for (key, accs) in self.groups {
-            let mut row = key.0;
-            for acc in &accs {
-                match acc {
-                    Acc::Mean { sum, n } => {
-                        row.push(Value::Float(*sum));
-                        row.push(Value::Int(*n));
-                    }
-                    other => row.push(other.finish()),
-                }
-            }
-            builder.push_row(row)?;
-        }
-        builder.finish().map_err(FlowError::Data)
-    }
-}
-
-/// Map-side combine: aggregate a partition into partial-state rows.
-fn partial_aggregate(
-    t: &Table,
-    group_by: &[String],
-    aggs: &[AggExpr],
-    p_schema: &Schema,
-) -> Result<Table> {
-    let mut state = PartialAggState::new(t, group_by, aggs)?;
-    state.update_all(t)?;
-    state.into_table(p_schema)
-}
-
 /// [`PipelineBody`] of the partial-aggregation map side: one accumulator
-/// state per partition, fed morsels in ascending row order (serial waves),
-/// which preserves the float accumulation order of whole-partition combine.
+/// state per partition, folded in place one morsel's row range at a time
+/// in ascending row order (serial waves), which preserves the float
+/// accumulation order of whole-partition combine.
 struct PartialAggBody<'a> {
     group_by: &'a [String],
     aggs: &'a [AggExpr],
@@ -1301,10 +996,10 @@ struct PartialAggBody<'a> {
 }
 
 impl PipelineBody for PartialAggBody<'_> {
-    type State = PartialAggState;
+    type State = PartialAgg;
 
     fn init(&self, _partition: usize, part: &Table) -> Result<Self::State> {
-        PartialAggState::new(part, self.group_by, self.aggs)
+        PartialAgg::new(part.schema(), self.group_by, self.aggs)
     }
 
     fn process(
@@ -1315,167 +1010,12 @@ impl PipelineBody for PartialAggBody<'_> {
         lo: usize,
         hi: usize,
     ) -> Result<()> {
-        if lo == 0 && hi == part.num_rows() {
-            state.update_all(part)
-        } else {
-            let chunk = part.slice(lo, hi).map_err(FlowError::Data)?;
-            state.update_all(&chunk)
-        }
+        state.fold(part, lo, hi)
     }
 
-    fn finish(&self, state: Self::State, _part: &Table, _partition: usize) -> Result<Table> {
-        state.into_table(self.p_schema)
+    fn finish(&self, state: Self::State, part: &Table, _partition: usize) -> Result<Table> {
+        state.finish(part, self.p_schema)
     }
-}
-
-/// Reduce-side merge of partial states into final aggregate rows.
-fn merge_partials(
-    t: &Table,
-    group_by: &[String],
-    aggs: &[AggExpr],
-    out_schema: &Schema,
-) -> Result<Table> {
-    let key_idx: Vec<usize> = (0..group_by.len()).collect();
-    // State column positions follow the group keys in partial_schema order.
-    let mut state_pos = group_by.len();
-    let mut state_cols: Vec<Vec<usize>> = Vec::with_capacity(aggs.len());
-    for a in aggs {
-        match a.func {
-            AggFunc::Mean => {
-                state_cols.push(vec![state_pos, state_pos + 1]);
-                state_pos += 2;
-            }
-            _ => {
-                state_cols.push(vec![state_pos]);
-                state_pos += 1;
-            }
-        }
-    }
-    #[derive(Clone)]
-    enum MergeAcc {
-        Count(i64),
-        SumInt(i64, bool),
-        SumFloat(f64, bool),
-        Min(Value),
-        Max(Value),
-        Mean { sum: f64, n: i64 },
-    }
-    let mut groups: HashMap<GroupKey, Vec<MergeAcc>> = HashMap::new();
-    for row in t.iter_rows() {
-        let key = GroupKey(key_idx.iter().map(|&i| row[i].clone()).collect());
-        let accs = groups.entry(key).or_insert_with(|| {
-            aggs.iter()
-                .zip(&state_cols)
-                .map(|(a, cols)| match a.func {
-                    AggFunc::Count => MergeAcc::Count(0),
-                    AggFunc::Sum => {
-                        // Type decided by the partial column's actual type.
-                        match t.schema().fields()[cols[0]].data_type {
-                            DataType::Int => MergeAcc::SumInt(0, false),
-                            _ => MergeAcc::SumFloat(0.0, false),
-                        }
-                    }
-                    AggFunc::Min => MergeAcc::Min(Value::Null),
-                    AggFunc::Max => MergeAcc::Max(Value::Null),
-                    AggFunc::Mean => MergeAcc::Mean { sum: 0.0, n: 0 },
-                    AggFunc::CountDistinct => unreachable!("rejected by partial_schema"),
-                })
-                .collect()
-        });
-        for (acc, cols) in accs.iter_mut().zip(&state_cols) {
-            match acc {
-                MergeAcc::Count(n) => {
-                    *n += row[cols[0]].as_int().map_err(FlowError::Data)?;
-                }
-                MergeAcc::SumInt(s, seen) => {
-                    if !row[cols[0]].is_null() {
-                        *s = s.wrapping_add(row[cols[0]].as_int().map_err(FlowError::Data)?);
-                        *seen = true;
-                    }
-                }
-                MergeAcc::SumFloat(s, seen) => {
-                    if !row[cols[0]].is_null() {
-                        *s += row[cols[0]].as_float().map_err(FlowError::Data)?;
-                        *seen = true;
-                    }
-                }
-                MergeAcc::Min(m) => {
-                    let v = &row[cols[0]];
-                    if !v.is_null() && (m.is_null() || v.total_cmp(m) == std::cmp::Ordering::Less) {
-                        *m = v.clone();
-                    }
-                }
-                MergeAcc::Max(m) => {
-                    let v = &row[cols[0]];
-                    if !v.is_null()
-                        && (m.is_null() || v.total_cmp(m) == std::cmp::Ordering::Greater)
-                    {
-                        *m = v.clone();
-                    }
-                }
-                MergeAcc::Mean { sum, n } => {
-                    *sum += row[cols[0]].as_float().map_err(FlowError::Data)?;
-                    *n += row[cols[1]].as_int().map_err(FlowError::Data)?;
-                }
-            }
-        }
-    }
-    if groups.is_empty() && group_by.is_empty() {
-        groups.insert(
-            GroupKey(Vec::new()),
-            aggs.iter()
-                .map(|a| match a.func {
-                    AggFunc::Count => MergeAcc::Count(0),
-                    AggFunc::Sum => MergeAcc::SumFloat(0.0, false),
-                    AggFunc::Min => MergeAcc::Min(Value::Null),
-                    AggFunc::Max => MergeAcc::Max(Value::Null),
-                    AggFunc::Mean => MergeAcc::Mean { sum: 0.0, n: 0 },
-                    AggFunc::CountDistinct => unreachable!(),
-                })
-                .collect(),
-        );
-    }
-    let mut entries: Vec<(GroupKey, Vec<MergeAcc>)> = groups.into_iter().collect();
-    entries.sort_by(|(a, _), (b, _)| {
-        a.0.iter()
-            .zip(&b.0)
-            .map(|(x, y)| x.total_cmp(y))
-            .find(|o| *o != std::cmp::Ordering::Equal)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut builder = TableBuilder::with_capacity(out_schema.clone(), entries.len());
-    for (key, accs) in entries {
-        let mut row = key.0;
-        for acc in accs {
-            row.push(match acc {
-                MergeAcc::Count(n) => Value::Int(n),
-                MergeAcc::SumInt(s, seen) => {
-                    if seen {
-                        Value::Int(s)
-                    } else {
-                        Value::Null
-                    }
-                }
-                MergeAcc::SumFloat(s, seen) => {
-                    if seen {
-                        Value::Float(s)
-                    } else {
-                        Value::Null
-                    }
-                }
-                MergeAcc::Min(m) | MergeAcc::Max(m) => m,
-                MergeAcc::Mean { sum, n } => {
-                    if n == 0 {
-                        Value::Null
-                    } else {
-                        Value::Float(sum / n as f64)
-                    }
-                }
-            });
-        }
-        builder.push_row(row)?;
-    }
-    builder.finish().map_err(FlowError::Data)
 }
 
 fn exec_aggregate(
@@ -1502,7 +1042,6 @@ fn exec_aggregate(
             .collect::<Result<Vec<_>>>()?;
         let p_schema = partial_schema(group_fields, aggs, input.schema())?;
         let map_stage = ctx.current_stage();
-        let in_schema_owned = input.schema().clone();
         let parts = input.into_parts();
         let partials = if ctx.use_morsel_pipeline() {
             // The map side is non-breaking per-partition work: run it as a
@@ -1530,11 +1069,7 @@ fn exec_aggregate(
                 .iter()
                 .map(|t| {
                     let p_schema = &p_schema;
-                    let in_schema = &in_schema_owned;
-                    move || {
-                        let _ = in_schema;
-                        partial_aggregate(t, group_by, aggs, p_schema)
-                    }
+                    move || group::partial_aggregate(t, group_by, aggs, p_schema)
                 })
                 .collect();
             ctx.run_stage(map_stage, total_rows(&parts), tasks)?
@@ -1552,9 +1087,9 @@ fn exec_aggregate(
         .map(|t| {
             move || {
                 if use_partial {
-                    merge_partials(t, group_by, aggs, out_schema)
+                    group::merge_partials(t, group_by, aggs, out_schema)
                 } else {
-                    aggregate_table(t, group_by, aggs, out_schema)
+                    group::aggregate(t, group_by, aggs, out_schema)
                 }
             }
         })
@@ -1601,64 +1136,12 @@ fn exec_join(
     let bytes = l_out.bytes_moved + r_out.bytes_moved;
     let stage = ctx.next_stage();
 
-    let l_key_idx: Vec<usize> = left_keys
-        .iter()
-        .map(|k| l_schema.index_of(k).map_err(FlowError::Data))
-        .collect::<Result<Vec<_>>>()?;
-    let r_key_idx: Vec<usize> = right_keys
-        .iter()
-        .map(|k| r_schema.index_of(k).map_err(FlowError::Data))
-        .collect::<Result<Vec<_>>>()?;
-
     // Keys must route identically on both sides: Int vs Float keys that
     // compare equal hash equally (Value::hash_code guarantees this).
     let pairs: Vec<(Table, Table)> = l_out.partitions.into_iter().zip(r_out.partitions).collect();
-    let r_width = r_schema.len();
     let tasks: Vec<_> = pairs
         .iter()
-        .map(|(l, r)| {
-            let l_key_idx = &l_key_idx;
-            let r_key_idx = &r_key_idx;
-            move || {
-                // Build on the right side.
-                let mut built: HashMap<GroupKey, Vec<Row>> = HashMap::new();
-                for row in r.iter_rows() {
-                    // Null keys never match (SQL equi-join semantics).
-                    if r_key_idx.iter().any(|&i| row[i].is_null()) {
-                        continue;
-                    }
-                    let key = GroupKey(r_key_idx.iter().map(|&i| row[i].clone()).collect());
-                    built.entry(key).or_default().push(row);
-                }
-                let mut builder = TableBuilder::new(out_schema.clone());
-                for l_row in l.iter_rows() {
-                    let null_key = l_key_idx.iter().any(|&i| l_row[i].is_null());
-                    let matches = if null_key {
-                        None
-                    } else {
-                        let key = GroupKey(l_key_idx.iter().map(|&i| l_row[i].clone()).collect());
-                        built.get(&key)
-                    };
-                    match matches {
-                        Some(rights) => {
-                            for r_row in rights {
-                                let mut row = l_row.clone();
-                                row.extend(r_row.iter().cloned());
-                                builder.push_row(row)?;
-                            }
-                        }
-                        None => {
-                            if join_type == JoinType::Left {
-                                let mut row = l_row.clone();
-                                row.extend(std::iter::repeat(Value::Null).take(r_width));
-                                builder.push_row(row)?;
-                            }
-                        }
-                    }
-                }
-                builder.finish().map_err(FlowError::Data)
-            }
-        })
+        .map(|(l, r)| move || group::hash_join(l, r, left_keys, right_keys, join_type, out_schema))
         .collect();
     let input_rows = pairs.iter().map(|(l, r)| l.num_rows() + r.num_rows()).sum();
     let outputs = ctx.run_stage(stage, input_rows, tasks)?;
@@ -1780,17 +1263,7 @@ fn exec_distinct(
     let tasks: Vec<_> = out
         .partitions
         .iter()
-        .map(|t| {
-            move || {
-                let mut seen: std::collections::HashSet<GroupKey> =
-                    std::collections::HashSet::new();
-                let mut keep = Vec::with_capacity(t.num_rows());
-                for row in t.iter_rows() {
-                    keep.push(seen.insert(GroupKey(row)));
-                }
-                t.filter(&keep).map_err(FlowError::Data)
-            }
-        })
+        .map(|t| move || group::distinct(t))
         .collect();
     let outputs = ctx.run_stage(stage, total_rows(&out.partitions), tasks)?;
     let rows: u64 = outputs.iter().map(|t| t.num_rows() as u64).sum();
@@ -1805,6 +1278,7 @@ mod tests {
     use crate::expr::{col, lit};
     use crate::logical::Dataflow;
     use toreador_data::schema::Field;
+    use toreador_data::value::Value;
 
     fn ctx_fixture() -> (HashMap<String, PartitionedTable>, MetricsCollector) {
         let schema = Schema::new(vec![

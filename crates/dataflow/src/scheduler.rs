@@ -195,6 +195,7 @@ struct Shared<'a, F> {
     tasks: &'a [F],
     queue: &'a WorkQueue,
     halt: &'a AtomicBool,
+    control: &'a RunControl,
     metrics: &'a MetricsCollector,
     chaos: &'a ChaosPlan,
 }
@@ -236,14 +237,16 @@ where
 
 /// Run one claimed attempt and `report` it to the coordinator — over the
 /// channel from a pool worker, by a direct call on the caller-thread path.
-/// Once the halt flag is up (the stage is doomed), the attempt is aborted
-/// unexecuted — this is the cooperative-cancellation fast path.
+/// Once the halt flag is up (the stage is doomed) or the run is cancelled,
+/// the attempt is aborted unexecuted — this is the cooperative-cancellation
+/// fast path, and it does not wait for the coordinator to notice an
+/// external cancel.
 fn run_claimed<F>(shared: &Shared<'_, F>, spec: &AttemptSpec, mut report: impl FnMut(WorkerMsg))
 where
     F: Fn() -> Result<Table> + Send + Sync,
 {
     let (task, attempt) = (spec.task, spec.attempt);
-    if shared.halt.load(Ordering::SeqCst) {
+    if shared.halt.load(Ordering::SeqCst) || shared.control.is_cancelled() {
         report(WorkerMsg::Finished {
             task,
             attempt,
@@ -618,6 +621,12 @@ impl<'a> Coordinator<'a> {
         if self.error.is_some() || self.states[task].completed || entry.dead {
             return;
         }
+        if self.control.is_cancelled() {
+            // No retries in a cancelled run: fail with the canceller's
+            // reason, not this attempt's.
+            self.on_tick(queue, halt);
+            return;
+        }
         self.resolve_failure(task, failure, queue, halt);
     }
 
@@ -824,6 +833,7 @@ where
         tasks: &tasks,
         queue: &queue,
         halt: &halt,
+        control,
         metrics,
         chaos: &config.resilience.chaos,
     };

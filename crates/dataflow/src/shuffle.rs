@@ -20,7 +20,7 @@
 
 use bytes::BytesMut;
 
-use toreador_data::column::Column;
+use toreador_data::column::{Column, Validity};
 use toreador_data::schema::Schema;
 use toreador_data::table::{Table, TableBuilder};
 use toreador_data::value::Row;
@@ -48,9 +48,11 @@ const ROUTE_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
+/// FNV-1a over a type tag followed by the value's bytes.
 #[inline]
-fn fnv(bytes: impl IntoIterator<Item = u8>, mut h: u64) -> u64 {
-    for b in bytes {
+fn fnv_tagged(tag: u8, bytes: &[u8]) -> u64 {
+    let mut h = (FNV_OFFSET ^ tag as u64).wrapping_mul(FNV_PRIME);
+    for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
     }
@@ -61,70 +63,56 @@ fn fnv(bytes: impl IntoIterator<Item = u8>, mut h: u64) -> u64 {
 /// `out[i] == col.value(i).hash_code()` for all `i`, without materialising
 /// a single [`toreador_data::value::Value`].
 pub fn column_hash_codes(col: &Column) -> Vec<u64> {
-    let null = fnv([0u8], FNV_OFFSET);
-    let hash = |valid: bool, bytes: &mut dyn Iterator<Item = u8>| {
-        if valid {
-            fnv(bytes, FNV_OFFSET)
+    column_hash_codes_range(col, 0, col.len())
+}
+
+/// [`column_hash_codes`] for rows `lo..hi` only: `out[k]` is the hash of
+/// row `lo + k`. Panics when the range is out of bounds.
+pub fn column_hash_codes_range(col: &Column, lo: usize, hi: usize) -> Vec<u64> {
+    fn lane<T>(
+        data: &[T],
+        validity: &Validity,
+        lo: usize,
+        hi: usize,
+        hash: impl Fn(&T) -> u64,
+    ) -> Vec<u64> {
+        if validity.null_count() == 0 {
+            data[lo..hi].iter().map(hash).collect()
         } else {
-            null
+            let null = fnv_tagged(0, &[]);
+            (lo..hi)
+                .map(|i| {
+                    if validity.get(i) {
+                        hash(&data[i])
+                    } else {
+                        null
+                    }
+                })
+                .collect()
         }
-    };
+    }
     match col {
-        Column::Bool { data, validity } => data
-            .iter()
-            .enumerate()
-            .map(|(i, b)| hash(validity.get(i), &mut [1u8, *b as u8].into_iter()))
-            .collect(),
-        Column::Int { data, validity } => data
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                hash(
-                    validity.get(i),
-                    &mut [2u8].into_iter().chain(v.to_le_bytes()),
-                )
-            })
-            .collect(),
-        Column::Float { data, validity } => data
-            .iter()
-            .enumerate()
-            .map(|(i, x)| {
-                if !validity.get(i) {
-                    null
-                } else if x.fract() == 0.0
-                    && x.is_finite()
-                    && *x >= i64::MIN as f64
-                    && *x <= i64::MAX as f64
-                {
-                    // Integral floats hash as their integer value so that
-                    // group-equal values land in the same partition.
-                    fnv(
-                        [2u8].into_iter().chain((*x as i64).to_le_bytes()),
-                        FNV_OFFSET,
-                    )
-                } else {
-                    fnv(
-                        [3u8].into_iter().chain(x.to_bits().to_le_bytes()),
-                        FNV_OFFSET,
-                    )
-                }
-            })
-            .collect(),
-        Column::Str { data, validity } => data
-            .iter()
-            .enumerate()
-            .map(|(i, s)| hash(validity.get(i), &mut [4u8].into_iter().chain(s.bytes())))
-            .collect(),
-        Column::Timestamp { data, validity } => data
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                hash(
-                    validity.get(i),
-                    &mut [5u8].into_iter().chain(t.to_le_bytes()),
-                )
-            })
-            .collect(),
+        Column::Bool { data, validity } => {
+            lane(data, validity, lo, hi, |b| fnv_tagged(1, &[*b as u8]))
+        }
+        Column::Int { data, validity } => {
+            lane(data, validity, lo, hi, |v| fnv_tagged(2, &v.to_le_bytes()))
+        }
+        Column::Float { data, validity } => lane(data, validity, lo, hi, |x| {
+            if x.fract() == 0.0 && x.is_finite() && *x >= i64::MIN as f64 && *x <= i64::MAX as f64 {
+                // Integral floats hash as their integer value so that
+                // group-equal values land in the same partition.
+                fnv_tagged(2, &(*x as i64).to_le_bytes())
+            } else {
+                fnv_tagged(3, &x.to_bits().to_le_bytes())
+            }
+        }),
+        Column::Str { data, validity } => {
+            lane(data, validity, lo, hi, |s| fnv_tagged(4, s.as_bytes()))
+        }
+        Column::Timestamp { data, validity } => {
+            lane(data, validity, lo, hi, |t| fnv_tagged(5, &t.to_le_bytes()))
+        }
     }
 }
 
@@ -589,6 +577,9 @@ mod tests {
             let codes = column_hash_codes(col);
             for (i, &code) in codes.iter().enumerate() {
                 assert_eq!(code, col.value(i).unwrap().hash_code(), "row {i}");
+            }
+            for (lo, hi) in [(0, 0), (7, 130), (299, 300)] {
+                assert_eq!(column_hash_codes_range(col, lo, hi), codes[lo..hi]);
             }
         }
         // The integral-float rule survives the lane path.

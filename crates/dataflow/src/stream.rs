@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 
+use toreador_data::column::Column;
 use toreador_data::table::Table;
 use toreador_data::value::Value;
 
@@ -97,33 +98,33 @@ impl StreamState {
         Self::default()
     }
 
-    /// Merge a batch result into the state: `key_col` identifies the group,
-    /// `count_col`/`sum_col` are merged additively when present.
+    /// Merge the result of the batch at stream `offset` into the state:
+    /// `key_col` identifies the group, `count_col`/`sum_col` are merged
+    /// additively when present. A NULL key is refused (see
+    /// [`for_each_state_row`]).
     pub fn absorb(
         &mut self,
         batch_result: &Table,
+        offset: u64,
         key_col: &str,
         count_col: Option<&str>,
         sum_col: Option<&str>,
     ) -> Result<()> {
-        for row_idx in 0..batch_result.num_rows() {
-            let key = batch_result.value(row_idx, key_col)?.to_string();
-            if let Some(cc) = count_col {
-                let v = batch_result.value(row_idx, cc)?;
-                if !v.is_null() {
-                    *self.counts.entry(key.clone()).or_insert(0) +=
-                        v.as_int().map_err(FlowError::Data)?;
+        for_each_state_row(
+            batch_result,
+            offset,
+            key_col,
+            count_col,
+            sum_col,
+            |key, count, sum| {
+                if let Some(n) = count {
+                    *self.counts.entry(key.clone()).or_insert(0) += n;
                 }
-            }
-            if let Some(sc) = sum_col {
-                let v = batch_result.value(row_idx, sc)?;
-                if !v.is_null() {
-                    *self.sums.entry(key.clone()).or_insert(0.0) +=
-                        v.as_float().map_err(FlowError::Data)?;
+                if let Some(s) = sum {
+                    *self.sums.entry(key).or_insert(0.0) += s;
                 }
-            }
-        }
-        Ok(())
+            },
+        )
     }
 
     pub fn count(&self, key: &str) -> i64 {
@@ -168,6 +169,61 @@ impl StreamState {
     pub fn sums_sorted(&self) -> std::collections::BTreeMap<String, f64> {
         self.sums.iter().map(|(k, v)| (k.clone(), *v)).collect()
     }
+}
+
+/// Visit each row of a batch result's state columns, in row order, as
+/// `(key, count, sum)`: the key's text, and the count/sum cells that are
+/// present and non-null. Each column is looked up once per batch.
+///
+/// State is keyed by text, and a NULL renders as `""`, so a NULL key would
+/// silently merge with an empty-string key: it is refused as a
+/// [`FlowError::Stream`] naming the column and the batch's stream offset.
+pub(crate) fn for_each_state_row(
+    batch_result: &Table,
+    offset: u64,
+    key_col: &str,
+    count_col: Option<&str>,
+    sum_col: Option<&str>,
+    mut visit: impl FnMut(String, Option<i64>, Option<f64>),
+) -> Result<()> {
+    if batch_result.num_rows() == 0 {
+        return Ok(());
+    }
+    let keys = batch_result.column(key_col)?;
+    let counts = count_col.map(|c| batch_result.column(c)).transpose()?;
+    let sums = sum_col.map(|c| batch_result.column(c)).transpose()?;
+    for row in 0..batch_result.num_rows() {
+        let key = match keys {
+            Column::Str { data, validity } if validity.get(row) => data[row].clone(),
+            _ => match keys.value(row)? {
+                Value::Null => {
+                    return Err(FlowError::Stream(format!(
+                        "batch at offset {offset}: state key column {key_col:?} is NULL in \
+                         row {row}; a NULL key would merge with the empty-string key"
+                    )))
+                }
+                v => v.to_string(),
+            },
+        };
+        let count = match counts {
+            Some(Column::Int { data, validity }) => validity.get(row).then(|| data[row]),
+            Some(col) => match col.value(row)? {
+                Value::Null => None,
+                v => Some(v.as_int()?),
+            },
+            None => None,
+        };
+        let sum = match sums {
+            Some(Column::Float { data, validity }) => validity.get(row).then(|| data[row]),
+            Some(col) => match col.value(row)? {
+                Value::Null => None,
+                v => Some(v.as_float()?),
+            },
+            None => None,
+        };
+        visit(key, count, sum);
+    }
+    Ok(())
 }
 
 /// Outcome of a streaming run.
@@ -223,7 +279,7 @@ pub fn run_stream(
     let mut batch_metrics = Vec::with_capacity(batcher.num_batches());
     let mut batch_traces = Vec::with_capacity(batcher.num_batches());
     let mut batch_rows = Vec::with_capacity(batcher.num_batches());
-    for batch in batcher.batches() {
+    for (offset, batch) in batcher.batches().iter().enumerate() {
         if batch.num_rows() == 0 {
             // Silent window: nothing to run, but the tick is still recorded.
             batch_metrics.push(RunMetrics::default());
@@ -235,7 +291,7 @@ pub fn run_stream(
         engine.register("__batch", batch.clone())?;
         let flow = make_flow(&engine, "__batch")?;
         let result = engine.run(&flow)?;
-        state.absorb(&result.table, key_col, count_col, sum_col)?;
+        state.absorb(&result.table, offset as u64, key_col, count_col, sum_col)?;
         batch_rows.push(result.table.num_rows());
         batch_metrics.push(result.metrics);
         batch_traces.push(result.trace);
@@ -417,8 +473,8 @@ mod tests {
         )
         .unwrap();
         let mut st = StreamState::new();
-        st.absorb(&t1, "k", Some("n"), Some("s")).unwrap();
-        st.absorb(&t2, "k", Some("n"), Some("s")).unwrap();
+        st.absorb(&t1, 0, "k", Some("n"), Some("s")).unwrap();
+        st.absorb(&t2, 1, "k", Some("n"), Some("s")).unwrap();
         assert_eq!(st.count("a"), 5);
         assert_eq!(st.sum("a"), 2.0);
         assert_eq!(st.count("b"), 1);

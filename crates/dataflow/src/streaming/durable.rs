@@ -19,7 +19,7 @@ use toreador_data::table::Table;
 use toreador_store::log::{DurableLog, LogConfig};
 
 use crate::error::{FlowError, Result};
-use crate::stream::StreamState;
+use crate::stream::{for_each_state_row, StreamState};
 
 /// Where and how the ack log persists.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,33 +62,33 @@ pub struct StateDelta {
 }
 
 impl StateDelta {
-    /// Aggregate a batch result into a delta: `key_col` identifies the
-    /// group, `count_col`/`sum_col` accumulate additively when present —
-    /// the delta-shaped mirror of [`StreamState::absorb`].
+    /// Aggregate the result of the batch at stream `offset` into a delta:
+    /// `key_col` identifies the group, `count_col`/`sum_col` accumulate
+    /// additively when present — the delta-shaped mirror of
+    /// [`StreamState::absorb`], refusing a NULL key the same way.
     pub fn from_batch(
         batch_result: &Table,
+        offset: u64,
         key_col: &str,
         count_col: Option<&str>,
         sum_col: Option<&str>,
     ) -> Result<Self> {
         let mut delta = StateDelta::default();
-        for row_idx in 0..batch_result.num_rows() {
-            let key = batch_result.value(row_idx, key_col)?.to_string();
-            if let Some(cc) = count_col {
-                let v = batch_result.value(row_idx, cc)?;
-                if !v.is_null() {
-                    *delta.counts.entry(key.clone()).or_insert(0) +=
-                        v.as_int().map_err(FlowError::Data)?;
+        for_each_state_row(
+            batch_result,
+            offset,
+            key_col,
+            count_col,
+            sum_col,
+            |key, count, sum| {
+                if let Some(n) = count {
+                    *delta.counts.entry(key.clone()).or_insert(0) += n;
                 }
-            }
-            if let Some(sc) = sum_col {
-                let v = batch_result.value(row_idx, sc)?;
-                if !v.is_null() {
-                    *delta.sums.entry(key.clone()).or_insert(0.0) +=
-                        v.as_float().map_err(FlowError::Data)?;
+                if let Some(s) = sum {
+                    *delta.sums.entry(key).or_insert(0.0) += s;
                 }
-            }
-        }
+            },
+        )?;
         Ok(delta)
     }
 
@@ -454,11 +454,11 @@ mod tests {
             ],
         )
         .unwrap();
-        let d = StateDelta::from_batch(&t, "k", Some("n"), Some("s")).unwrap();
+        let d = StateDelta::from_batch(&t, 0, "k", Some("n"), Some("s")).unwrap();
         let mut via_delta = StreamState::new();
         d.apply_to(&mut via_delta);
         let mut via_absorb = StreamState::new();
-        via_absorb.absorb(&t, "k", Some("n"), Some("s")).unwrap();
+        via_absorb.absorb(&t, 0, "k", Some("n"), Some("s")).unwrap();
         assert_eq!(via_delta.count("a"), via_absorb.count("a"));
         assert_eq!(via_delta.sum("b"), via_absorb.sum("b"));
         assert!(!d.is_empty());

@@ -532,6 +532,7 @@ pub fn run_continuous_with(
                 let delta = match (state_cols, &output) {
                     (Some(cols), Some(out)) => StateDelta::from_batch(
                         &out.table,
+                        offset,
                         &cols.key,
                         cols.count.as_deref(),
                         cols.sum.as_deref(),

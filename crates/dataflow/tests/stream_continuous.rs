@@ -298,3 +298,101 @@ fn continuous_state_matches_the_event_time_oracle_on_ordered_input() {
     assert_eq!(t.late_absorbed + t.late_side_channelled + t.late_dropped, 0);
     assert_eq!(t.rows_acked, table.num_rows() as u64);
 }
+
+#[test]
+fn a_null_key_is_refused_not_merged_with_the_empty_string_key() {
+    use toreador_data::schema::{Field, Schema};
+    use toreador_data::value::{DataType, Value};
+    use toreador_dataflow::streaming::AckLog;
+    // State is keyed by text and a NULL renders as "": batch 1 carries both
+    // a NULL group and an "" group, which must not fold into one key.
+    let schema = Schema::new(vec![
+        Field::new("ts", DataType::Timestamp),
+        Field::new("k", DataType::Str),
+        Field::new("v", DataType::Float),
+    ])
+    .unwrap();
+    let row = |ts: i64, k: Value| vec![Value::Timestamp(ts), k, Value::Float(1.5)];
+    let table = Table::from_rows(
+        schema,
+        vec![
+            row(0, "a".into()),
+            row(1, "a".into()),
+            row(1_000, Value::Null),
+            row(1_001, "".into()),
+            row(2_000, "b".into()),
+            row(2_001, "b".into()),
+        ],
+    )
+    .unwrap();
+    let make_flow = |e: &Engine, ds: &str| {
+        e.flow(ds)?.aggregate(
+            &["k"],
+            vec![
+                AggExpr::new(AggFunc::Count, "v", "n"),
+                AggExpr::new(AggFunc::Sum, "v", "total"),
+            ],
+        )
+    };
+    let refused = |err: FlowError| {
+        let msg = err.to_string();
+        assert!(matches!(err, FlowError::Stream(_)), "{err:?}");
+        assert!(msg.contains("\"k\"") && msg.contains("offset 1"), "{msg}");
+        assert_eq!(
+            toreador_dataflow::resilience::classify(&err),
+            toreador_dataflow::resilience::ErrorClass::Permanent
+        );
+    };
+
+    // The event-time oracle refuses it too.
+    let batcher = MicroBatcher::tumbling(&table, "ts", 1_000).unwrap();
+    refused(
+        run_stream(
+            EngineConfig::default().with_threads(1),
+            &batcher,
+            make_flow,
+            "k",
+            Some("n"),
+            Some("total"),
+        )
+        .unwrap_err(),
+    );
+
+    // Live: the durable run stops at offset 1 before acking it.
+    let dir = temp_root("null-key");
+    let config = StreamConfig::default()
+        .with_engine(EngineConfig::default().with_threads(1))
+        .with_ts_column("ts")
+        .with_pipeline_id("null-key");
+    let run = |resume: bool| {
+        let mut source = ArrivalSource::windows(&table, "ts", 1_000).unwrap();
+        run_continuous(
+            &mut source,
+            &config
+                .clone()
+                .with_durable(DurableSpec::new(&dir).with_resume(resume)),
+            &make_flow,
+            "k",
+            Some("n"),
+            Some("total"),
+        )
+    };
+    refused(run(false).unwrap_err());
+
+    // Replay: the WAL holds offset 0 alone — no merged "" key — and a
+    // resumed run re-executes offset 1 and refuses it again.
+    let cols = StateColumns {
+        key: "k".to_owned(),
+        count: Some("n".to_owned()),
+        sum: Some("total".to_owned()),
+    };
+    {
+        let spec = DurableSpec::new(&dir).with_resume(true);
+        let (_log, recovery) = AckLog::open(&spec, &config.fingerprint(Some(&cols))).unwrap();
+        assert_eq!(recovery.next_offset, 1);
+        assert_eq!(recovery.state.keys(), vec!["a"]);
+        assert_eq!(recovery.state.count("a"), 2);
+    }
+    refused(run(true).unwrap_err());
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -24,7 +24,7 @@
 //! recovery and error-classification paths, not the kernel's. See
 //! DESIGN.md §15 for the honest limits.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -342,6 +342,10 @@ struct ChaosState {
     faults: u64,
     /// Per-path unsynced-write shadows, for `power_cut`.
     shadows: HashMap<PathBuf, Shadow>,
+    /// Files created through the injector whose directory entry no real
+    /// directory fsync has covered yet: `power_cut` removes them even when
+    /// their contents were synced.
+    unpublished: HashSet<PathBuf>,
     /// When false, the injector passes everything through (post-mortem
     /// verification mode).
     armed: bool,
@@ -399,20 +403,35 @@ impl DiskChaos {
         self.state.lock().unwrap().faults
     }
 
+    /// `op` operations on `class` intercepted so far, armed or not — the
+    /// ordinal the next one will get.
+    pub fn ops(&self, class: PathClass, op: IoOp) -> u64 {
+        let state = self.state.lock().unwrap();
+        state.counters.get(&(class, op)).copied().unwrap_or(0)
+    }
+
     /// Simulate power loss: every write acknowledged since the last
     /// *real* sync is rolled back (contents and length restored), and
-    /// files created but never synced are removed. Call after running a
-    /// workload under `fsync_lies` and before reopening the layer to
-    /// check that recovery still finds a consistent prefix.
+    /// files created but never synced, or whose directory entry no real
+    /// directory fsync covered, are removed. Call after running a
+    /// workload and before reopening the layer to check that recovery
+    /// still finds a consistent prefix.
     ///
-    /// Limit: rename/dir-entry ordering is not rolled back — the model
-    /// covers data-page loss, the common volatile-cache failure, not
-    /// journal reordering (see DESIGN.md §15).
+    /// Limit: renames and removals are not rolled back — the model covers
+    /// data-page loss and lost file creations, not journal reordering
+    /// (see DESIGN.md §15).
     pub fn power_cut(&self) -> io::Result<()> {
         let mut state = self.state.lock().unwrap();
         let shadows = std::mem::take(&mut state.shadows);
+        let unpublished = std::mem::take(&mut state.unpublished);
         drop(state);
+        for path in &unpublished {
+            let _ = self.inner.remove_file(path);
+        }
         for (path, shadow) in shadows {
+            if unpublished.contains(&path) {
+                continue;
+            }
             if shadow.created_unsynced {
                 let _ = self.inner.remove_file(&path);
                 continue;
@@ -492,6 +511,7 @@ impl DiskChaos {
 
     fn note_created(&self, path: &Path) {
         let mut state = self.state.lock().unwrap();
+        state.unpublished.insert(path.to_owned());
         state.shadows.insert(
             path.to_owned(),
             Shadow {
@@ -539,10 +559,22 @@ impl DiskChaos {
         if let Some(shadow) = state.shadows.remove(from) {
             state.shadows.insert(to.to_owned(), shadow);
         }
+        if state.unpublished.remove(from) {
+            state.unpublished.insert(to.to_owned());
+        }
     }
 
     fn note_removed(&self, path: &Path) {
-        self.state.lock().unwrap().shadows.remove(path);
+        let mut state = self.state.lock().unwrap();
+        state.shadows.remove(path);
+        state.unpublished.remove(path);
+    }
+
+    /// A real directory fsync happened on `dir`: the entries of files
+    /// created in it are durable.
+    fn note_dir_synced(&self, dir: &Path) {
+        let mut state = self.state.lock().unwrap();
+        state.unpublished.retain(|p| p.parent() != Some(dir));
     }
 }
 
@@ -678,7 +710,11 @@ impl StorageIo for DiskChaos {
         match self.decide(PathClass::Dir, IoOp::SyncDir) {
             Some(DiskFault::FsyncLie) => Ok(()), // the lie
             Some(f) => Err(self.injected_err(f, IoOp::SyncDir, dir)),
-            None => self.inner.sync_dir(dir),
+            None => {
+                self.inner.sync_dir(dir)?;
+                self.note_dir_synced(dir);
+                Ok(())
+            }
         }
     }
 }

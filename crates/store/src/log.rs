@@ -101,6 +101,9 @@ pub struct DurableLog {
     current_bytes: u64,
     /// Sealed (no longer written) segments, kept until the next snapshot.
     sealed: Vec<PathBuf>,
+    /// Nothing has been appended since the last successful sync, so a
+    /// snapshot has no WAL bytes to force out first.
+    synced: bool,
     next_lsn: u64,
     snapshot_lsn: u64,
     snapshot_path: Option<PathBuf>,
@@ -259,7 +262,7 @@ impl DurableLog {
                 (file, path, record_count, good_bytes)
             }
             None => {
-                let (file, path) = create_segment(io.as_ref(), &dir, next_lsn)?;
+                let (file, path) = create_durable_segment(io.as_ref(), &dir, next_lsn)?;
                 (file, path, 0, HEADER_LEN as u64)
             }
         };
@@ -273,6 +276,7 @@ impl DurableLog {
             current_records,
             current_bytes,
             sealed,
+            synced: true,
             next_lsn,
             snapshot_lsn,
             snapshot_path,
@@ -298,6 +302,7 @@ impl DurableLog {
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(payload).to_le_bytes());
         frame.extend_from_slice(payload);
+        self.synced = false;
         self.file
             .write_all_at(self.current_bytes, &frame)
             .map_err(|e| storage("append wal record", &self.current_path, e))?;
@@ -312,15 +317,17 @@ impl DurableLog {
     pub fn sync(&mut self) -> Result<()> {
         self.file
             .sync_data()
-            .map_err(|e| storage("fsync wal", &self.current_path, e))
+            .map_err(|e| storage("fsync wal", &self.current_path, e))?;
+        self.synced = true;
+        Ok(())
     }
 
     /// Write a snapshot covering every record appended so far, then drop
     /// the segments (and older snapshots) it supersedes.
     pub fn snapshot(&mut self, state: &[u8]) -> Result<()> {
-        self.file
-            .sync_data()
-            .map_err(|e| storage("fsync wal", &self.current_path, e))?;
+        if !self.synced {
+            self.sync()?;
+        }
         let covered = self.next_lsn - 1;
 
         // Write-then-rename so a crash leaves either the old snapshot or
@@ -349,14 +356,26 @@ impl DurableLog {
             let _ = self.io.remove_file(&tmp_path);
             return Err(storage("publish snapshot", &final_path, e));
         }
-        self.io
-            .sync_dir(&self.dir)
-            .map_err(|e| storage("fsync store dir", &self.dir, e))?;
+        // Compaction swaps the covered current segment for a fresh one.
+        // Create it now, so the one directory fsync below publishes it
+        // together with the snapshot, before the log switches to it. If
+        // that fsync fails the fresh file goes and nothing is switched.
+        let fresh = if self.current_records > 0 {
+            Some(create_segment(self.io.as_ref(), &self.dir, self.next_lsn)?)
+        } else {
+            None
+        };
+        if let Err(e) = self.io.sync_dir(&self.dir) {
+            if let Some((_, path)) = &fresh {
+                let _ = self.io.remove_file(path);
+            }
+            return Err(storage("fsync store dir", &self.dir, e));
+        }
 
-        // Compaction: every sealed segment is now covered; the current
-        // segment is too, so swap in a fresh one before deleting it.
-        if self.current_records > 0 {
-            let (file, path) = create_segment(self.io.as_ref(), &self.dir, self.next_lsn)?;
+        // Compaction: every sealed segment is now covered, and so is the
+        // current one once the fresh segment replaces it. The closing
+        // directory fsync makes the removals durable.
+        if let Some((file, path)) = fresh {
             let old_path = std::mem::replace(&mut self.current_path, path);
             self.file = file;
             self.current_records = 0;
@@ -422,25 +441,22 @@ impl DurableLog {
         self.file
             .sync_all()
             .map_err(|e| storage("seal segment", &self.current_path, e))?;
-        let (file, path) = create_segment(self.io.as_ref(), &self.dir, self.next_lsn)?;
+        let (file, path) = create_durable_segment(self.io.as_ref(), &self.dir, self.next_lsn)?;
         let old_path = std::mem::replace(&mut self.current_path, path);
         self.sealed.push(old_path);
         self.file = file;
         self.current_records = 0;
         self.current_bytes = HEADER_LEN as u64;
-        // Make the rotation itself durable: a crash right here must come
-        // back with both the sealed segment and the new one visible, the
-        // same guarantee the snapshot rename path gives.
-        self.io
-            .sync_dir(&self.dir)
-            .map_err(|e| storage("fsync store dir", &self.dir, e))?;
         Ok(())
     }
 }
 
 /// A freshly created, header-only segment open for appending. A failure
 /// writing or syncing the header removes the partial file — a half-born
-/// segment must not survive to confuse the next recovery.
+/// segment must not survive to confuse the next recovery. The directory
+/// entry is the caller's to make durable, with one directory fsync that
+/// must succeed before the log switches to the segment: a record synced
+/// into a file whose entry a power loss can drop is not durable.
 fn create_segment(
     io: &dyn StorageIo,
     dir: &Path,
@@ -454,13 +470,26 @@ fn create_segment(
     header.extend_from_slice(SEGMENT_MAGIC);
     header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     header.extend_from_slice(&first_lsn.to_le_bytes());
-    let written = file
-        .write_all_at(0, &header)
-        .and_then(|_| file.sync_all())
-        .and_then(|_| io.sync_dir(dir));
+    let written = file.write_all_at(0, &header).and_then(|_| file.sync_all());
     if let Err(e) = written {
         let _ = io.remove_file(&path);
         return Err(storage("initialise segment", &path, e));
+    }
+    Ok((file, path))
+}
+
+/// [`create_segment`] plus the directory fsync that publishes it. If that
+/// fsync fails the new file is removed, so the caller keeps appending to
+/// the segment it already had.
+fn create_durable_segment(
+    io: &dyn StorageIo,
+    dir: &Path,
+    first_lsn: u64,
+) -> Result<(Box<dyn StorageFile>, PathBuf)> {
+    let (file, path) = create_segment(io, dir, first_lsn)?;
+    if let Err(e) = io.sync_dir(dir) {
+        let _ = io.remove_file(&path);
+        return Err(storage("fsync store dir", dir, e));
     }
     Ok((file, path))
 }

@@ -10,7 +10,9 @@
 
 use std::path::{Path, PathBuf};
 
-use toreador_store::chaos::{DiskChaos, DiskChaosPlan, DiskTarget, INJECTED_MARKER};
+use toreador_store::chaos::{
+    DiskChaos, DiskChaosPlan, DiskTarget, IoOp, PathClass, INJECTED_MARKER,
+};
 use toreador_store::fsck::{repair, scan_store_dir};
 use toreador_store::log::{DurableLog, LogConfig};
 use toreador_store::{LabStore, StoreError};
@@ -145,7 +147,10 @@ fn run_row(spec: &str) {
     }
     chaos.disarm();
     // Torn writes may have left un-acked bytes; syncs all really ran
-    // (no fsync lies in this matrix), so everything synced must survive.
+    // (no fsync lies in this matrix), so everything synced must survive,
+    // even a power cut that drops every file whose directory entry was
+    // never fsynced.
+    chaos.power_cut().unwrap();
     verify_recovery(&dir, &appended, synced);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -156,11 +161,27 @@ fn fault_matrix_every_layer_times_fault_times_injection_point() {
         ("wal", &["create", "write", "sync"]),
         ("snapshot", &["create", "write", "sync", "rename"]),
         ("lock", &["create", "write"]),
-        ("dir", &["syncdir"]),
         ("any", &["write", "sync"]),
     ];
     let faults = ["eio", "enospc", "torn@0", "torn@7"];
     let ordinals = [0u64, 1, 3, 9];
+    // Every directory fsync of the workload — open's, the rotations' and
+    // the snapshot's two, counted on a clean run — fails once. Any fault
+    // on a directory fsync is one error path, so EIO stands for them all.
+    let dir_syncs = {
+        let dir = tmp_dir("count-dir-syncs");
+        let (chaos, _guard) = DiskChaos::register(&dir, DiskChaosPlan::default());
+        wal_workload(&dir).2.unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        chaos.ops(PathClass::Dir, IoOp::SyncDir)
+    };
+    assert!(
+        dir_syncs >= 4,
+        "open, a rotation and a snapshot: {dir_syncs}"
+    );
+    for ordinal in 0..dir_syncs {
+        run_row(&format!("dir:syncdir:{ordinal}:eio"));
+    }
     for (class, ops) in ops_per_class {
         for op in *ops {
             for fault in &faults {
@@ -234,6 +255,134 @@ fn eio_on_the_attempt_fsync_is_classified_and_leaves_the_view_untouched() {
         vec![1, 2, 3],
         "one fsync per attempt: consecutive ordinals hit consecutive attempts"
     );
+}
+
+/// Each durability step fsyncs once: a snapshot taken right after a synced
+/// append does not re-sync the WAL, and a snapshot or a rotation fsyncs the
+/// directory once per change it publishes — not again inside the segment
+/// it creates.
+#[test]
+fn snapshots_and_rotations_pay_each_fsync_once() {
+    let dir = tmp_dir("fsync-count");
+    let (chaos, _guard) = DiskChaos::register(&dir, DiskChaosPlan::default());
+    // (WAL-segment syncs, temp-file syncs, directory syncs) so far.
+    let syncs = || {
+        (
+            chaos.ops(PathClass::WalSegment, IoOp::Sync),
+            chaos.ops(PathClass::Temp, IoOp::Sync),
+            chaos.ops(PathClass::Dir, IoOp::SyncDir),
+        )
+    };
+    let delta = |before: (u64, u64, u64)| {
+        let now = syncs();
+        (now.0 - before.0, now.1 - before.1, now.2 - before.2)
+    };
+    let (mut log, _) = DurableLog::open(&dir, LogConfig { segment_bytes: 64 }).unwrap();
+    assert_eq!(
+        syncs(),
+        (1, 0, 1),
+        "open: the new segment's header and its entry"
+    );
+
+    log.append(b"acked").unwrap();
+    log.sync().unwrap();
+    let before = syncs();
+    log.snapshot(b"state-1").unwrap();
+    assert_eq!(
+        delta(before),
+        (1, 1, 2),
+        "synced snapshot: the temp file and the fresh segment's header, \
+         the directory after the rename and after compaction"
+    );
+
+    log.append(b"not yet synced").unwrap();
+    let before = syncs();
+    log.snapshot(b"state-2").unwrap();
+    assert_eq!(delta(before), (2, 1, 2), "an unsynced tail is synced first");
+
+    log.append(&[7u8; 50]).unwrap();
+    let before = syncs();
+    log.append(b"rotates").unwrap();
+    assert_eq!(
+        delta(before),
+        (2, 0, 1),
+        "rotation: seal the old segment, the new header, one directory sync"
+    );
+    drop(log);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// EIO on the directory fsync that publishes a rotated-to segment: the
+/// append fails and the log keeps its old segment, so the next synced
+/// append is acked only after a directory fsync made its segment's entry
+/// durable — and survives a power cut that drops every unpublished file.
+#[test]
+fn eio_on_the_rotation_dir_fsync_never_acks_into_an_unpublished_segment() {
+    let dir = tmp_dir("rotate-syncdir");
+    let cfg = LogConfig { segment_bytes: 64 };
+    // Directory fsync 0 is open's; 1 is the first rotation's.
+    let target = DiskTarget::parse("dir:syncdir:1:eio").unwrap();
+    let (chaos, _guard) = DiskChaos::register(&dir, DiskChaosPlan::targeted(vec![target]));
+    let (mut log, _) = DurableLog::open(&dir, cfg).unwrap();
+    log.append(&[7u8; 50]).unwrap();
+    log.sync().unwrap();
+
+    let err = log.append(b"rotates").unwrap_err();
+    assert_classified(&err);
+    assert_eq!(chaos.faults_injected(), 1);
+    assert_eq!(
+        log.stats().segments,
+        1,
+        "the failed rotation switched nothing"
+    );
+
+    assert_eq!(
+        log.append(b"acked").unwrap(),
+        2,
+        "the failed append took no lsn"
+    );
+    log.sync().unwrap();
+    assert_eq!(log.stats().segments, 2, "the retried rotation went through");
+    drop(log);
+    chaos.power_cut().unwrap();
+    chaos.disarm();
+
+    let (_, rec) = DurableLog::open(&dir, cfg).unwrap();
+    let recovered: Vec<&[u8]> = rec.records.iter().map(|(_, p)| p.as_slice()).collect();
+    assert_eq!(
+        recovered,
+        vec![&[7u8; 50][..], b"acked"],
+        "every ack survives"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// EIO on the directory fsync that closes a snapshot's compaction: the
+/// fresh segment the log switched to was published by the snapshot's
+/// earlier directory fsync, so an append synced after the failure
+/// survives a power cut.
+#[test]
+fn eio_on_the_snapshot_closing_dir_fsync_loses_no_later_ack() {
+    let dir = tmp_dir("snapshot-syncdir");
+    // Directory fsync 0 is open's; 1 publishes the snapshot, 2 closes it.
+    let target = DiskTarget::parse("dir:syncdir:2:eio").unwrap();
+    let (chaos, _guard) = DiskChaos::register(&dir, DiskChaosPlan::targeted(vec![target]));
+    let (mut log, _) = DurableLog::open(&dir, LogConfig::default()).unwrap();
+    log.append(b"covered").unwrap();
+    log.sync().unwrap();
+    assert_classified(&log.snapshot(b"state").unwrap_err());
+    assert_eq!(chaos.faults_injected(), 1);
+    log.append(b"acked").unwrap();
+    log.sync().unwrap();
+    drop(log);
+    chaos.power_cut().unwrap();
+    chaos.disarm();
+
+    let (_, rec) = DurableLog::open(&dir, LogConfig::default()).unwrap();
+    assert_eq!(rec.snapshot.as_deref(), Some(&b"state"[..]));
+    let recovered: Vec<&[u8]> = rec.records.iter().map(|(_, p)| p.as_slice()).collect();
+    assert_eq!(recovered, vec![&b"acked"[..]], "the later ack survives");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
