@@ -2,8 +2,10 @@
 //!
 //! Expressions appear in `Filter`, `Project` and derived-column plan nodes.
 //! They are type-checked against the input schema at plan time (so the
-//! engine rejects bad pipelines before running them — the BDAaaS premise)
-//! and evaluated row-at-a-time during execution.
+//! engine rejects bad pipelines before running them — the BDAaaS premise).
+//! The engine executes them through [`crate::vexpr`]'s bound batch
+//! kernels; the row-at-a-time evaluation here ([`Expr::eval_table`],
+//! [`Expr::eval_mask`]) is the reference those kernels are tested against.
 
 use std::fmt;
 
@@ -502,18 +504,6 @@ impl Expr {
     /// Evaluate over a whole table, producing a column of the inferred type.
     pub fn eval_table(&self, table: &Table) -> Result<Column> {
         let ty = self.infer_type(table.schema())?;
-        self.eval_table_typed(table, ty)
-    }
-
-    /// Like [`Self::eval_table`], but with the output type already resolved
-    /// at plan time — execution only debug-asserts it, so per-partition
-    /// tasks skip the full inference walk.
-    pub fn eval_table_typed(&self, table: &Table, ty: DataType) -> Result<Column> {
-        debug_assert_eq!(
-            self.infer_type(table.schema()).ok(),
-            Some(ty),
-            "plan-time type must match inference for {self}"
-        );
         let mut out = Column::with_capacity(ty, table.num_rows());
         for row in table.iter_rows() {
             let v = self.eval(table.schema(), &row)?;
@@ -532,17 +522,6 @@ impl Expr {
                 "predicate must be Bool, got {ty}"
             )));
         }
-        self.eval_mask_checked(table)
-    }
-
-    /// Like [`Self::eval_mask`], for predicates already type-checked as
-    /// Bool at plan time (only a debug assert re-runs inference).
-    pub fn eval_mask_checked(&self, table: &Table) -> Result<Vec<bool>> {
-        debug_assert_eq!(
-            self.infer_type(table.schema()).ok(),
-            Some(DataType::Bool),
-            "predicate must be plan-checked as Bool: {self}"
-        );
         let mut mask = Vec::with_capacity(table.num_rows());
         for row in table.iter_rows() {
             mask.push(matches!(

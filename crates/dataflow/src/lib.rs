@@ -4,17 +4,19 @@
 //! the Spark/Hadoop backend the TOREADOR platform deployed onto (DESIGN.md
 //! §2). The layering mirrors DataFusion/Spark:
 //!
-//! 1. [`expr`] — typed scalar expressions; [`vexpr`] — the same
-//!    expressions bound against a schema at plan time and evaluated in
-//!    batches over columns with selection vectors;
+//! 1. [`expr`] — typed scalar expressions and their row-at-a-time
+//!    reference evaluation; [`vexpr`] — the same expressions bound against
+//!    a schema at plan time and evaluated in batches over columns with
+//!    selection vectors, which is how the engine runs them;
 //! 2. [`logical`] — the `Dataflow` builder and `LogicalPlan` tree;
 //! 3. [`optimizer`] — rule-based rewrites (constant folding, filter merging,
 //!    predicate pushdown, projection pruning), individually toggleable for
 //!    the ablation benchmarks;
-//! 4. [`physical`] — stage-cut execution with per-partition tasks; fused
-//!    chains of narrow operators run through [`morsel`], the morsel-driven
-//!    pipelined path with work-stealing deques (the stage-barrier path
-//!    stays selectable as the differential oracle); every hash operator
+//! 4. [`physical`] — stage-cut execution with per-partition tasks; a chain
+//!    of narrow operators compiles once into bound steps, and chains of two
+//!    or more run through [`morsel`], the morsel-driven path with
+//!    work-stealing deques, unless a deadline or speculation policy keeps
+//!    them on the stage-barrier coordinator; every hash operator
 //!    (aggregate, distinct, join) runs on one columnar group table over
 //!    key lanes;
 //! 5. [`shuffle`] — hash shuffles through a binary row codec ([`codec`],

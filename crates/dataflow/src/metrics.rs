@@ -6,7 +6,6 @@
 
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::trace::{TraceEventKind, TraceJournal};
@@ -69,22 +68,11 @@ impl RunMetrics {
 
 /// Thread-safe collector the executor threads write into.
 ///
-/// Since the flight-recorder refactor this keeps *two* books: the legacy
-/// tallies (`CollectorInner`) and the structured [`TraceJournal`]. The
-/// metrics a run reports are derived from the journal ([`Self::finish`]);
-/// the legacy path survives as [`Self::finish_legacy`] so tests can prove
-/// the derivation is lossless, field for field.
+/// Every record goes to one book, the structured [`TraceJournal`]; the
+/// metrics a run reports are derived from it ([`Self::finish`]).
 #[derive(Debug, Default)]
 pub struct MetricsCollector {
-    inner: Mutex<CollectorInner>,
     journal: TraceJournal,
-}
-
-#[derive(Debug, Default)]
-struct CollectorInner {
-    nodes: Vec<NodeMetrics>,
-    tasks_run: u64,
-    task_retries: u64,
 }
 
 impl MetricsCollector {
@@ -106,27 +94,19 @@ impl MetricsCollector {
         elapsed: Duration,
         shuffle_bytes: u64,
     ) {
-        let operator = operator.into();
-        let elapsed_us = elapsed.as_micros() as u64;
         self.journal.record(TraceEventKind::OperatorFinished {
-            operator: operator.clone(),
+            operator: operator.into(),
             stage,
             rows_out,
-            elapsed_us,
-            shuffle_bytes,
-        });
-        self.inner.lock().nodes.push(NodeMetrics {
-            operator,
-            stage,
-            rows_out,
-            elapsed_us,
+            elapsed_us: elapsed.as_micros() as u64,
             shuffle_bytes,
         });
     }
 
     /// Record batches evaluated by a narrow operator. Journal-only: the
-    /// derived [`RunMetrics`] ignore it, so runs under different engine
-    /// modes stay metrics-compatible while their traces diff the counts.
+    /// derived [`RunMetrics`] ignore it, so runs that fuse a chain
+    /// differently stay metrics-compatible while their traces diff the
+    /// counts.
     pub fn record_operator_batches(
         &self,
         operator: impl Into<String>,
@@ -156,7 +136,6 @@ impl MetricsCollector {
             partition,
             attempt,
         });
-        self.inner.lock().tasks_run += 1;
     }
 
     /// The matching end of a started attempt.
@@ -185,7 +164,6 @@ impl MetricsCollector {
             partition,
             attempt,
         });
-        self.inner.lock().task_retries += 1;
     }
 
     /// A retry was scheduled behind a backoff delay (journal-only: the
@@ -348,17 +326,6 @@ impl MetricsCollector {
         });
     }
 
-    /// Legacy span-less shim: counts a task with no placement info.
-    pub fn record_task(&self) {
-        self.task_started(0, 0, 0);
-        self.task_finished(0, 0, 0, true);
-    }
-
-    /// Legacy span-less shim: counts a retry with no placement info.
-    pub fn record_retry(&self) {
-        self.task_retried(0, 0, 0);
-    }
-
     /// Finalise into a [`RunMetrics`], derived entirely from the journal.
     pub fn finish(
         &self,
@@ -377,26 +344,6 @@ impl MetricsCollector {
             result_partitions,
         )
     }
-
-    /// Finalise from the legacy tallies, bypassing the journal. Kept so the
-    /// observability suite can assert journal-derived metrics match the old
-    /// bookkeeping byte for byte.
-    pub fn finish_legacy(
-        &self,
-        total_elapsed: Duration,
-        result_rows: u64,
-        result_partitions: u64,
-    ) -> RunMetrics {
-        let inner = self.inner.lock();
-        RunMetrics {
-            nodes: inner.nodes.clone(),
-            total_elapsed_us: total_elapsed.as_micros() as u64,
-            tasks_run: inner.tasks_run,
-            task_retries: inner.task_retries,
-            result_rows,
-            result_partitions,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -408,9 +355,12 @@ mod tests {
         let c = MetricsCollector::new();
         c.record_node("Scan", 0, 100, Duration::from_micros(50), 0);
         c.record_node("Shuffle", 1, 100, Duration::from_micros(70), 4096);
-        c.record_task();
-        c.record_task();
-        c.record_retry();
+        c.task_started(1, 0, 0);
+        c.fault_injected(1, 0, 0);
+        c.task_finished(1, 0, 0, false);
+        c.task_retried(1, 0, 1);
+        c.task_started(1, 0, 1);
+        c.task_finished(1, 0, 1, true);
         let m = c.finish(Duration::from_millis(1), 100, 4);
         assert_eq!(m.nodes.len(), 2);
         assert_eq!(m.tasks_run, 2);
@@ -420,23 +370,13 @@ mod tests {
         assert_eq!(m.result_rows, 100);
     }
 
-    #[test]
-    fn journal_derivation_matches_legacy_tallies() {
-        let c = MetricsCollector::new();
-        c.record_node("Scan", 0, 100, Duration::from_micros(50), 0);
-        c.task_started(1, 0, 0);
-        c.fault_injected(1, 0, 0);
-        c.task_finished(1, 0, 0, false);
-        c.task_retried(1, 0, 1);
-        c.task_started(1, 0, 1);
-        c.task_finished(1, 0, 1, true);
-        c.record_node("Aggregate", 1, 5, Duration::from_micros(90), 512);
-        let derived = c.finish(Duration::from_millis(2), 5, 4);
-        let legacy = c.finish_legacy(Duration::from_millis(2), 5, 4);
-        assert_eq!(derived, legacy);
+    /// Journal-only events carry no metric weight: the derived metrics hold
+    /// exactly the task attempts and retries recorded, and no operators.
+    fn assert_only_tasks(m: &RunMetrics, tasks_run: u64, task_retries: u64) {
         assert_eq!(
-            serde_json::to_string(&derived).unwrap(),
-            serde_json::to_string(&legacy).unwrap()
+            (m.tasks_run, m.task_retries, m.nodes.len()),
+            (tasks_run, task_retries, 0),
+            "journal-only events must not skew the metrics"
         );
     }
 
@@ -455,9 +395,7 @@ mod tests {
         c.speculative_won(0, 1, 1);
         c.speculative_lost(0, 1, 0);
         c.run_cancelled(0, "doomed");
-        let derived = c.finish(Duration::from_millis(1), 0, 0);
-        let legacy = c.finish_legacy(Duration::from_millis(1), 0, 0);
-        assert_eq!(derived, legacy, "new events must not skew the metrics");
+        assert_only_tasks(&c.finish(Duration::from_millis(1), 0, 0), 2, 1);
         let totals = c.trace().snapshot().resilience_totals();
         assert_eq!(totals.timeouts, 1);
         assert_eq!(totals.panics, 1);
@@ -473,9 +411,7 @@ mod tests {
         c.task_finished(0, 0, 0, true);
         c.stage_checkpointed(0, 0, 4, 2_048);
         c.stage_restored(1, 1, 4, 100);
-        let derived = c.finish(Duration::from_millis(1), 100, 4);
-        let legacy = c.finish_legacy(Duration::from_millis(1), 100, 4);
-        assert_eq!(derived, legacy, "checkpoint events must not skew metrics");
+        assert_only_tasks(&c.finish(Duration::from_millis(1), 100, 4), 1, 0);
         let trace = c.trace().snapshot();
         assert!(trace.events.iter().any(|e| matches!(
             e.kind,
@@ -491,8 +427,7 @@ mod tests {
     fn spill_events_are_journal_only_and_keep_parity() {
         // The pager writes spill events straight to the journal (pinning a
         // resident page is memory-speed work; it must not take the metrics
-        // lock). They carry no metric weight: derived metrics stay equal to
-        // the legacy tallies event-for-event.
+        // lock). They carry no metric weight.
         let c = MetricsCollector::new();
         c.task_started(0, 0, 0);
         c.task_finished(0, 0, 0, true);
@@ -522,9 +457,7 @@ mod tests {
             rows: 1_024,
             bytes: 80_000,
         });
-        let derived = c.finish(Duration::from_millis(1), 64, 1);
-        let legacy = c.finish_legacy(Duration::from_millis(1), 64, 1);
-        assert_eq!(derived, legacy, "spill events must not skew the metrics");
+        assert_only_tasks(&c.finish(Duration::from_millis(1), 64, 1), 1, 0);
         let totals = c.trace().snapshot().spill_totals();
         assert_eq!((totals.spills, totals.merges), (1, 1));
         assert_eq!(totals.page_faults, 1);
@@ -543,9 +476,7 @@ mod tests {
         c.morsel_completed(0, 0, 1);
         c.task_finished(0, 0, 0, true);
         c.pipeline_completed(0, 1, 2, 1, 2, 120, 100.0);
-        let derived = c.finish(Duration::from_millis(1), 128, 1);
-        let legacy = c.finish_legacy(Duration::from_millis(1), 128, 1);
-        assert_eq!(derived, legacy, "morsel events must not skew the metrics");
+        assert_only_tasks(&c.finish(Duration::from_millis(1), 128, 1), 1, 0);
         let totals = c.trace().snapshot().pipeline_totals();
         assert_eq!(totals.pipelines, 1);
         assert_eq!(totals.morsels, 2);

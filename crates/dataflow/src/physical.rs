@@ -1,11 +1,18 @@
 //! Physical execution of logical plans.
 //!
 //! The execution model mirrors Spark's: a plan is cut into **stages** at
-//! shuffle boundaries; within a stage, narrow operators (filter, project,
-//! sample) run as one task per partition on the scheduler's thread pool;
-//! wide operators (aggregate, join, sort, distinct) first move rows through
-//! [`crate::shuffle`] and then run per-partition tasks on the redistributed
-//! data.
+//! shuffle boundaries; within a stage, a chain of narrow operators (filter,
+//! project, sample) compiles once into a list of bound steps and runs as one
+//! per-partition pass; wide operators (aggregate, join, sort, distinct)
+//! first move rows through [`crate::shuffle`] and then run per-partition
+//! tasks on the redistributed data.
+//!
+//! A narrow chain has two drivers, derived from the plan and the resilience
+//! policy rather than configured: a chain of two or more operators runs on
+//! row-range morsels ([`crate::morsel`]) unless the run has a task deadline
+//! or speculation policy; a lone operator, or any chain under such a
+//! policy, runs partition-at-a-time on the stage-barrier coordinator
+//! ([`crate::scheduler`]), whose watchdogs those policies need.
 //!
 //! Aggregations run in one of two modes, chosen by
 //! [`ExecConfig::partial_aggregation`]: *partial* (combine per partition,
@@ -26,11 +33,9 @@ use toreador_data::column::Column;
 use toreador_data::partition::{PartitionedTable, Partitioning};
 use toreador_data::schema::{Field, Schema};
 use toreador_data::table::Table;
-use toreador_data::value::DataType;
 
 use crate::checkpoint::RunCheckpoint;
 use crate::error::{FlowError, Result};
-use crate::expr::Expr;
 use crate::fault::KillMode;
 use crate::group::{self, partial_schema, PartialAgg};
 use crate::logical::{AggExpr, AggFunc, JoinType, LogicalPlan};
@@ -51,27 +56,8 @@ pub struct ExecConfig {
     pub partitions: usize,
     /// Map-side combine for aggregations (ablation knob).
     pub partial_aggregation: bool,
-    /// Evaluate narrow-operator expressions with the vectorized engine
-    /// ([`crate::vexpr`]): bind once at plan time, run batch kernels over
-    /// columns, produce selection vectors. When off, the row-at-a-time
-    /// interpreter runs instead — kept as the differential-testing oracle
-    /// and the baseline for benchmark E10 (ablation knob).
-    pub vectorized: bool,
-    /// Fuse chains of narrow operators (Filter/Project/Sample) into a
-    /// single per-partition pass with no intermediate tables. Requires
-    /// `vectorized`; fusion is declined for chains shorter than two
-    /// operators (ablation knob).
-    pub fuse_narrow: bool,
-    /// Drive fused chains and partial-aggregation map sides through the
-    /// morsel-driven pipelined executor ([`crate::morsel`]): row-range
-    /// morsels on per-core work-stealing deques, so stragglers on skewed
-    /// partitions get helped instead of stalling the wave. When off, those
-    /// waves run on the stage-barrier scheduler — kept selectable as the
-    /// differential oracle (ablation knob). Waves with a task deadline or
-    /// speculation configured always use the barrier scheduler, whose
-    /// coordinator owns those watchdogs.
-    pub pipelined: bool,
-    /// Target morsel size in rows for the pipelined path.
+    /// Target morsel size in rows: the unit of the morsel driver
+    /// ([`crate::morsel`]) and of the scheduler's size rule.
     pub morsel_rows: usize,
     /// External run control adopted by the execution context (None = the
     /// context mints a private one). See
@@ -96,9 +82,6 @@ impl Default for ExecConfig {
             scheduler: SchedulerConfig::default(),
             partitions: 4,
             partial_aggregation: true,
-            vectorized: true,
-            fuse_narrow: true,
-            pipelined: true,
             morsel_rows: 4096,
             control: None,
             memory_budget_bytes: None,
@@ -299,22 +282,24 @@ impl<'a> ExecContext<'a> {
         self.stage.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Run one barrier wave. `input_rows` is the total the tasks read: the
-    /// scheduler keeps a wave of at most one morsel on this thread.
-    fn run_stage<F>(&self, stage: usize, input_rows: usize, tasks: Vec<F>) -> Result<Vec<Table>>
+    /// Number one wave and run it under the run's checkpoint, whichever
+    /// driver executes it: a restored wave is served instead of running
+    /// `run`; a computed one is persisted, then any boundary kill point
+    /// fires. `partitions` is the wave's output count — one table per task
+    /// or input partition — which a restored wave is validated against.
+    fn checkpointed_wave<R>(&self, stage: usize, partitions: usize, run: R) -> Result<Vec<Table>>
     where
-        F: Fn() -> Result<Table> + Send + Sync,
+        R: FnOnce() -> Result<Vec<Table>>,
     {
         let wave = self.wave.fetch_add(1, Ordering::Relaxed);
         if let Some(ck) = &self.checkpoint {
             if let Some(restored) = ck.take_restored(wave) {
-                if restored.stage != stage || restored.tables.len() != tasks.len() {
+                if restored.stage != stage || restored.tables.len() != partitions {
                     return Err(FlowError::Checkpoint(format!(
                         "restored wave {wave} does not match the plan: checkpointed \
-                         stage {} with {} partitions, expected stage {stage} with {}",
+                         stage {} with {} partitions, expected stage {stage} with {partitions}",
                         restored.stage,
                         restored.tables.len(),
-                        tasks.len()
                     )));
                 }
                 self.metrics
@@ -322,15 +307,7 @@ impl<'a> ExecContext<'a> {
                 return Ok(restored.tables);
             }
         }
-        let out = run_stage_controlled(
-            &self.config.scheduler,
-            self.metrics,
-            &self.control,
-            stage,
-            tasks,
-            input_rows,
-            self.config.morsel_rows,
-        )?;
+        let out = run()?;
         if let Some(ck) = &self.checkpoint {
             let bytes = ck.persist_wave(stage, wave, &out)?;
             self.metrics
@@ -354,62 +331,52 @@ impl<'a> ExecContext<'a> {
         Ok(out)
     }
 
-    /// [`Self::run_stage`] for morsel-pipelined waves: same wave numbering,
-    /// same checkpoint persistence/restore and boundary-kill handling, but
-    /// execution is delegated to `run` (a [`crate::morsel::run_wave`] call)
-    /// instead of the stage-barrier scheduler. `parts` is the wave's input
-    /// partitioning — one output table per input partition, which is what a
-    /// restored wave is validated against.
-    fn run_pipeline<R>(&self, stage: usize, parts: &[Table], run: R) -> Result<Vec<Table>>
+    /// Run one barrier wave. `input_rows` is the total the tasks read: the
+    /// scheduler keeps a wave of at most one morsel on this thread.
+    fn run_stage<F>(&self, stage: usize, input_rows: usize, tasks: Vec<F>) -> Result<Vec<Table>>
     where
-        R: FnOnce(&[Table]) -> Result<Vec<Table>>,
+        F: Fn() -> Result<Table> + Send + Sync,
     {
-        let wave = self.wave.fetch_add(1, Ordering::Relaxed);
-        if let Some(ck) = &self.checkpoint {
-            if let Some(restored) = ck.take_restored(wave) {
-                if restored.stage != stage || restored.tables.len() != parts.len() {
-                    return Err(FlowError::Checkpoint(format!(
-                        "restored wave {wave} does not match the plan: checkpointed \
-                         stage {} with {} partitions, expected stage {stage} with {}",
-                        restored.stage,
-                        restored.tables.len(),
-                        parts.len()
-                    )));
-                }
-                self.metrics
-                    .stage_restored(stage, wave, restored.tables.len(), restored.rows);
-                return Ok(restored.tables);
-            }
-        }
-        let out = run(parts)?;
-        if let Some(ck) = &self.checkpoint {
-            let bytes = ck.persist_wave(stage, wave, &out)?;
-            self.metrics
-                .stage_checkpointed(stage, wave, out.len(), bytes);
-            if let Some(mode) = self
-                .config
-                .scheduler
-                .resilience
-                .chaos
-                .kill_at_boundary(wave)
-            {
-                match mode {
-                    KillMode::Exit { code } => std::process::exit(code),
-                    KillMode::Halt => return Err(FlowError::KilledAtBoundary { stage, wave }),
-                }
-            }
-        }
-        Ok(out)
+        self.checkpointed_wave(stage, tasks.len(), || {
+            run_stage_controlled(
+                &self.config.scheduler,
+                self.metrics,
+                &self.control,
+                stage,
+                tasks,
+                input_rows,
+                self.config.morsel_rows,
+            )
+        })
     }
 
-    /// Whether this run's non-breaking waves go through the morsel-driven
-    /// pipelined executor. Deadlines and speculation need the barrier
-    /// coordinator's watchdog clocks, so either feature forces the oracle
-    /// path.
-    fn use_morsel_pipeline(&self) -> bool {
-        self.config.pipelined
-            && self.config.scheduler.resilience.deadline.is_none()
-            && self.config.scheduler.resilience.speculation.is_none()
+    /// Run one morsel wave over `parts`: one output table per partition.
+    fn run_morsels<B: PipelineBody>(
+        &self,
+        stage: usize,
+        parts: &[Table],
+        order: WaveOrder,
+        body: &B,
+    ) -> Result<Vec<Table>> {
+        self.checkpointed_wave(stage, parts.len(), || {
+            morsel::run_wave(
+                &self.config.scheduler,
+                self.metrics,
+                &self.control,
+                stage,
+                parts,
+                order,
+                self.config.morsel_rows,
+                body,
+            )
+        })
+    }
+
+    /// Whether this run may drive waves on morsels. Deadlines and
+    /// speculation need the barrier coordinator's watchdog clocks, so
+    /// either policy keeps every wave on the barrier driver.
+    fn morsels_allowed(&self) -> bool {
+        self.config.scheduler.resilience.spare_worker_hint() == 0
     }
 }
 
@@ -420,117 +387,13 @@ fn total_rows(parts: &[Table]) -> usize {
 
 /// Execute a logical plan to a partitioned result.
 pub fn execute(ctx: &ExecContext<'_>, plan: &LogicalPlan) -> Result<PartitionedTable> {
-    // Fuse chains of two or more narrow operators into one per-partition
-    // pass. Recursion enters every plan node through here, so the topmost
-    // node of each chain triggers the fusion and consumes the whole chain.
-    if ctx.config.vectorized && ctx.config.fuse_narrow {
-        let (chain, below) = narrow_chain(plan);
-        if chain.len() >= 2 {
-            return exec_fused_chain(ctx, &chain, below);
-        }
-    }
     let started = Instant::now();
     let out = match plan {
         LogicalPlan::Scan { dataset, schema } => exec_scan(ctx, dataset, schema),
-        LogicalPlan::Filter { input, predicate } => {
-            let child = execute(ctx, input)?;
-            let batches = child.num_partitions() as u64;
-            if ctx.config.vectorized {
-                // Bind once at plan time: names resolved, types inferred,
-                // batch kernels selected — nothing re-derived per task.
-                let bound = BoundExpr::bind(predicate, input.schema())?;
-                ctx.metrics.record_operator_batches(
-                    plan.describe(),
-                    ctx.current_stage(),
-                    batches,
-                    false,
-                );
-                exec_narrow(ctx, child, plan.describe(), move |t| {
-                    let sel = bound.eval_selection(t)?;
-                    t.take_sel(&sel).map_err(FlowError::Data)
-                })
-            } else {
-                // Row oracle: type-check hoisted out of the per-partition
-                // tasks (it used to re-run inside every eval_mask call).
-                let ty = predicate.infer_type(input.schema())?;
-                if ty != DataType::Bool {
-                    return Err(FlowError::TypeCheck(format!(
-                        "predicate must be Bool, got {ty}"
-                    )));
-                }
-                ctx.metrics
-                    .record_operator_batches(plan.describe(), ctx.current_stage(), 0, false);
-                exec_narrow(ctx, child, plan.describe(), |t| {
-                    let mask = predicate.eval_mask_checked(t)?;
-                    t.filter(&mask).map_err(FlowError::Data)
-                })
-            }
-        }
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => {
-            let child = execute(ctx, input)?;
-            let batches = child.num_partitions() as u64;
-            if ctx.config.vectorized {
-                let bound = exprs
-                    .iter()
-                    .map(|(_, e)| BoundExpr::bind(e, input.schema()))
-                    .collect::<Result<Vec<_>>>()?;
-                ctx.metrics.record_operator_batches(
-                    plan.describe(),
-                    ctx.current_stage(),
-                    batches,
-                    false,
-                );
-                exec_narrow(ctx, child, plan.describe(), move |t| {
-                    project_vectorized(t, &bound, schema)
-                })
-            } else {
-                let tys = exprs
-                    .iter()
-                    .map(|(_, e)| e.infer_type(input.schema()))
-                    .collect::<Result<Vec<_>>>()?;
-                ctx.metrics
-                    .record_operator_batches(plan.describe(), ctx.current_stage(), 0, false);
-                exec_narrow(ctx, child, plan.describe(), move |t| {
-                    project_table_typed(t, exprs, &tys, schema)
-                })
-            }
-        }
-        LogicalPlan::Sample {
-            input,
-            fraction,
-            seed,
-        } => {
-            let child = execute(ctx, input)?;
-            let batches = child.num_partitions() as u64;
-            let fraction = *fraction;
-            let seed = *seed;
-            let vectorized = ctx.config.vectorized;
-            ctx.metrics.record_operator_batches(
-                plan.describe(),
-                ctx.current_stage(),
-                if vectorized { batches } else { 0 },
-                false,
-            );
-            // Partition index participates in the seed so each partition
-            // draws an independent, reproducible stream. Both modes draw
-            // once per input row in order, so they keep identical rows.
-            exec_narrow_indexed(ctx, child, plan.describe(), move |t, idx| {
-                let mut rng = StdRng::seed_from_u64(seed ^ (idx as u64).wrapping_mul(0x9e37));
-                if vectorized {
-                    let sel: Vec<u32> = (0..t.num_rows() as u32)
-                        .filter(|_| rng.gen_bool(fraction))
-                        .collect();
-                    t.take_sel(&sel).map_err(FlowError::Data)
-                } else {
-                    let mask: Vec<bool> =
-                        (0..t.num_rows()).map(|_| rng.gen_bool(fraction)).collect();
-                    t.filter(&mask).map_err(FlowError::Data)
-                }
-            })
+        // Recursion enters every plan node through here, so the topmost
+        // node of each narrow chain compiles and consumes the whole chain.
+        LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } | LogicalPlan::Sample { .. } => {
+            exec_narrow_chain(ctx, plan)
         }
         LogicalPlan::Aggregate {
             input,
@@ -637,66 +500,7 @@ fn exec_scan(ctx: &ExecContext<'_>, dataset: &str, schema: &Schema) -> Result<Pa
     Ok(out)
 }
 
-/// Run a per-partition transformation on the thread pool.
-fn exec_narrow(
-    ctx: &ExecContext<'_>,
-    input: PartitionedTable,
-    desc: String,
-    f: impl Fn(&Table) -> Result<Table> + Send + Sync,
-) -> Result<PartitionedTable> {
-    exec_narrow_indexed(ctx, input, desc, move |t, _| f(t))
-}
-
-fn exec_narrow_indexed(
-    ctx: &ExecContext<'_>,
-    input: PartitionedTable,
-    desc: String,
-    f: impl Fn(&Table, usize) -> Result<Table> + Send + Sync,
-) -> Result<PartitionedTable> {
-    let started = Instant::now();
-    let stage = ctx.current_stage();
-    let parts = input.into_parts();
-    let f = &f;
-    let tasks: Vec<_> = parts
-        .iter()
-        .enumerate()
-        .map(|(i, t)| move || f(t, i))
-        .collect();
-    let outputs = ctx.run_stage(stage, total_rows(&parts), tasks)?;
-    let rows: u64 = outputs.iter().map(|t| t.num_rows() as u64).sum();
-    ctx.metrics
-        .record_node(desc, stage, rows, started.elapsed(), 0);
-    PartitionedTable::new(outputs, Partitioning::Arbitrary).map_err(FlowError::Data)
-}
-
-/// Row-oracle projection with types resolved at plan time.
-fn project_table_typed(
-    t: &Table,
-    exprs: &[(String, Expr)],
-    tys: &[DataType],
-    schema: &Schema,
-) -> Result<Table> {
-    let mut columns = Vec::with_capacity(exprs.len());
-    for (((_, e), &ty), field) in exprs.iter().zip(tys).zip(schema.fields()) {
-        let col = e.eval_table_typed(t, ty)?;
-        debug_assert_eq!(col.data_type(), field.data_type);
-        columns.push(col);
-    }
-    Table::new(schema.clone(), columns).map_err(FlowError::Data)
-}
-
-/// Vectorized projection over pre-bound expressions.
-fn project_vectorized(t: &Table, bound: &[BoundExpr], schema: &Schema) -> Result<Table> {
-    let mut columns = Vec::with_capacity(bound.len());
-    for (b, field) in bound.iter().zip(schema.fields()) {
-        let col = b.eval_column(t)?;
-        debug_assert_eq!(col.data_type(), field.data_type);
-        columns.push(col);
-    }
-    Table::new(schema.clone(), columns).map_err(FlowError::Data)
-}
-
-// ----------------------------------------------------- narrow-chain fusion
+// ------------------------------------------------------------ narrow chains
 
 /// Walk consecutive narrow operators (Filter/Project/Sample) down from
 /// `plan`. Returns the chain outermost-first plus the first non-narrow node
@@ -714,28 +518,30 @@ fn narrow_chain(plan: &LogicalPlan) -> (Vec<&LogicalPlan>, &LogicalPlan) {
     (chain, cur)
 }
 
-/// One compiled step of a fused narrow chain.
+/// One compiled step of a narrow chain.
 enum FusedStep {
     Filter(BoundExpr),
     Project(Vec<BoundExpr>, Schema),
     Sample { fraction: f64, seed: u64 },
 }
 
-/// Execute a chain of ≥2 narrow operators as one per-partition pass:
-/// filters and samples compose an absolute selection vector, projections
-/// materialize new columns under the selection — no intermediate `Table`
-/// exists between the operators. Narrow operators share the current stage
-/// (no shuffle boundary), so fusion does not change stage numbering, and
-/// each logical node still records its own `OperatorFinished` with the
-/// same describe-string as unfused execution — only the elapsed attribution
-/// differs (summed per-partition busy time instead of wall time).
-fn exec_fused_chain(
-    ctx: &ExecContext<'_>,
-    chain: &[&LogicalPlan],
-    below: &LogicalPlan,
-) -> Result<PartitionedTable> {
+/// Execute the chain of narrow operators topped by `plan` as one
+/// per-partition pass: expressions bind once here (names resolved, types
+/// inferred, kernels selected), filters and samples compose an absolute
+/// selection vector, projections materialize new columns under the
+/// selection — no intermediate `Table` exists between the operators.
+/// Narrow operators share the current stage (no shuffle boundary), and
+/// each logical node records its own `OperatorFinished`, with its elapsed
+/// time the summed per-partition busy time of its step.
+///
+/// A chain of two or more steps runs on morsels when the run allows it; a
+/// lone operator stays partition-at-a-time on the barrier driver, where
+/// its output is one table per partition instead of per-morsel chunks
+/// plus their concatenation — the same result with about half the filtered
+/// output in flight.
+fn exec_narrow_chain(ctx: &ExecContext<'_>, plan: &LogicalPlan) -> Result<PartitionedTable> {
+    let (chain, below) = narrow_chain(plan);
     let child = execute(ctx, below)?;
-    let started = Instant::now();
     let stage = ctx.current_stage();
     // Bind bottom-up, tracking the evolving schema across projections.
     let mut schema = child.schema().clone();
@@ -776,12 +582,13 @@ fn exec_fused_chain(
     let parts = child.into_parts();
     let steps_ref = &steps;
     let stats_ref = &stats;
-    let outputs = if ctx.use_morsel_pipeline() {
-        // Pipelined path: push row-range morsels through per-core workers
-        // with work-stealing. Pure filter/project chains are elementwise,
-        // so any worker may run any morsel; a sampling step carries RNG
-        // draw order, so those chains run partition-serial (stealing moves
-        // whole partitions instead).
+    let fused = steps.len() >= 2;
+    let outputs = if fused && ctx.morsels_allowed() {
+        // Push row-range morsels through per-core workers with
+        // work-stealing. Pure filter/project chains are elementwise, so any
+        // worker may run any morsel; a sampling step carries RNG draw
+        // order, so those chains run partition-serial (stealing moves whole
+        // partitions instead).
         let order = if steps
             .iter()
             .any(|(s, _)| matches!(s, FusedStep::Sample { .. }))
@@ -793,20 +600,9 @@ fn exec_fused_chain(
         let body = FusedChainBody {
             steps: steps_ref,
             stats: stats_ref,
-            out_schema: schema.clone(),
+            out_schema: schema,
         };
-        ctx.run_pipeline(stage, &parts, |ps| {
-            morsel::run_wave(
-                &ctx.config.scheduler,
-                ctx.metrics,
-                ctx.control(),
-                stage,
-                ps,
-                order,
-                ctx.config.morsel_rows,
-                &body,
-            )
-        })?
+        ctx.run_morsels(stage, &parts, order, &body)?
     } else {
         let tasks: Vec<_> = parts
             .iter()
@@ -816,24 +612,29 @@ fn exec_fused_chain(
         ctx.run_stage(stage, total_rows(&parts), tasks)?
     };
     let batches = outputs.len() as u64;
-    // Record per-node metrics in execution (innermost-first) order, exactly
-    // as the unfused path would have.
-    for ((_, desc), stat) in steps.iter().zip(&stats) {
+    let out_rows: u64 = outputs.iter().map(|t| t.num_rows() as u64).sum();
+    // Record per-node metrics in execution (innermost-first) order. A wave
+    // restored from a checkpoint ran no step, but its output still counts
+    // the last step's rows.
+    for (i, ((_, desc), stat)) in steps.iter().zip(&stats).enumerate() {
         let (rows, busy) = *stat.lock();
+        let rows = if i + 1 == steps.len() { out_rows } else { rows };
         ctx.metrics.record_node(desc.clone(), stage, rows, busy, 0);
         ctx.metrics
-            .record_operator_batches(desc.clone(), stage, batches, true);
+            .record_operator_batches(desc.clone(), stage, batches, fused);
     }
-    ctx.metrics
-        .record_fused_chain(stage, steps.iter().map(|(_, d)| d.clone()).collect());
-    let _ = started;
+    if fused {
+        ctx.metrics
+            .record_fused_chain(stage, steps.iter().map(|(_, d)| d.clone()).collect());
+    }
     PartitionedTable::new(outputs, Partitioning::Arbitrary).map_err(FlowError::Data)
 }
 
 /// One freshly-seeded RNG per sampling step of the chain, in step order.
-/// The seed mixes the partition index exactly as unfused sampling does, and
-/// each step's RNG is independent — so chunked execution draws each step's
-/// sequence in ascending row order no matter how morsels interleave steps.
+/// The seed mixes the partition index, so each partition draws an
+/// independent, reproducible stream, and each step's RNG is independent —
+/// so chunked execution draws each step's sequence in ascending row order
+/// no matter how morsels interleave steps.
 fn sample_rngs(steps: &[(FusedStep, String)], idx: usize) -> Vec<StdRng> {
     steps
         .iter()
@@ -905,8 +706,8 @@ fn run_fused_range(
                 sel = None;
             }
             FusedStep::Sample { fraction, .. } => {
-                // Same seeding and one draw per surviving row in order, so
-                // fused sampling keeps exactly the rows unfused would.
+                // One draw per surviving row in order, whatever the
+                // chunking, so every driver keeps exactly the same rows.
                 let rng = &mut rngs[rng_i];
                 rng_i += 1;
                 let kept: Vec<u32> = match &sel {
@@ -938,13 +739,13 @@ fn run_fused_range(
             .take_sel(&s)
             .map_err(FlowError::Data),
         (None, Some(s)) => t.take_sel(&s).map_err(FlowError::Data),
-        // A ≥2-step chain always sets a selection or owns columns, but
-        // fall through safely for completeness.
+        // Every step sets a selection or owns columns, but fall through
+        // safely for completeness.
         (None, None) => Ok(t.clone()),
     }
 }
 
-/// [`PipelineBody`] of a fused narrow chain: each morsel runs the whole
+/// [`PipelineBody`] of a narrow chain: each morsel runs the whole
 /// chain over its row range, chunk outputs concatenate per partition.
 struct FusedChainBody<'a> {
     steps: &'a [(FusedStep, String)],
@@ -1043,7 +844,7 @@ fn exec_aggregate(
         let p_schema = partial_schema(group_fields, aggs, input.schema())?;
         let map_stage = ctx.current_stage();
         let parts = input.into_parts();
-        let partials = if ctx.use_morsel_pipeline() {
+        let partials = if ctx.morsels_allowed() {
             // The map side is non-breaking per-partition work: run it as a
             // serial morsel wave so a skewed partition's combine can be
             // helped by the pool without perturbing accumulation order.
@@ -1052,18 +853,7 @@ fn exec_aggregate(
                 aggs,
                 p_schema: &p_schema,
             };
-            ctx.run_pipeline(map_stage, &parts, |ps| {
-                morsel::run_wave(
-                    &ctx.config.scheduler,
-                    ctx.metrics,
-                    ctx.control(),
-                    map_stage,
-                    ps,
-                    WaveOrder::Serial,
-                    ctx.config.morsel_rows,
-                    &body,
-                )
-            })?
+            ctx.run_morsels(map_stage, &parts, WaveOrder::Serial, &body)?
         } else {
             let tasks: Vec<_> = parts
                 .iter()
@@ -1278,7 +1068,7 @@ mod tests {
     use crate::expr::{col, lit};
     use crate::logical::Dataflow;
     use toreador_data::schema::Field;
-    use toreador_data::value::Value;
+    use toreador_data::value::{DataType, Value};
 
     fn ctx_fixture() -> (HashMap<String, PartitionedTable>, MetricsCollector) {
         let schema = Schema::new(vec![

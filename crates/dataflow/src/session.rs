@@ -34,21 +34,12 @@ pub struct EngineConfig {
     pub partitions: usize,
     pub optimizer: OptimizerConfig,
     pub partial_aggregation: bool,
-    /// Evaluate expressions with the vectorized batch engine (ablation knob:
-    /// `false` falls back to the row-at-a-time oracle interpreter).
-    pub vectorized: bool,
-    /// Fuse Filter→Project→Sample chains into one per-partition pass
-    /// (only effective when `vectorized` is on).
-    pub fuse_narrow: bool,
     /// Retry/deadline/speculation policy and the chaos plan for this engine.
+    /// A deadline or speculation policy also keeps every wave on the
+    /// stage-barrier driver, whose coordinator owns those watchdogs.
     pub resilience: ResilienceConfig,
-    /// Run fused narrow chains and partial-aggregation map waves through
-    /// the morsel-driven pipelined scheduler ([`crate::morsel`]); `false`
-    /// keeps every wave on the stage-barrier path (the differential
-    /// oracle). Waves with a deadline or speculation policy always use the
-    /// barrier path regardless of this knob.
-    pub pipelined: bool,
-    /// Target rows per morsel for the pipelined path (clamped to >= 1).
+    /// Target rows per morsel (clamped to >= 1): the unit of the morsel
+    /// driver and of the scheduler's size rule.
     pub morsel_rows: usize,
     /// When set, every run checkpoints completed shuffle waves here, and
     /// resuming specs restore them (see [`crate::checkpoint`]).
@@ -80,10 +71,7 @@ impl Default for EngineConfig {
             partitions: 4,
             optimizer: OptimizerConfig::default(),
             partial_aggregation: true,
-            vectorized: true,
-            fuse_narrow: true,
             resilience: ResilienceConfig::none(),
-            pipelined: true,
             morsel_rows: 4096,
             checkpoint: None,
             control: None,
@@ -126,21 +114,6 @@ impl EngineConfig {
         self
     }
 
-    pub fn with_vectorized(mut self, on: bool) -> Self {
-        self.vectorized = on;
-        self
-    }
-
-    pub fn with_fuse_narrow(mut self, on: bool) -> Self {
-        self.fuse_narrow = on;
-        self
-    }
-
-    pub fn with_pipelined(mut self, on: bool) -> Self {
-        self.pipelined = on;
-        self
-    }
-
     pub fn with_morsel_rows(mut self, rows: usize) -> Self {
         self.morsel_rows = rows.max(1);
         self
@@ -179,9 +152,6 @@ impl EngineConfig {
             },
             partitions: self.partitions,
             partial_aggregation: self.partial_aggregation,
-            vectorized: self.vectorized,
-            fuse_narrow: self.fuse_narrow,
-            pipelined: self.pipelined,
             morsel_rows: self.morsel_rows,
             control: self.control.clone(),
             memory_budget_bytes: self.memory_budget_bytes,
@@ -333,9 +303,6 @@ impl Engine {
             config_fingerprint: config_fingerprint(
                 self.config.partitions,
                 self.config.partial_aggregation,
-                self.config.vectorized,
-                self.config.fuse_narrow,
-                self.config.pipelined,
             ),
             input_fingerprint: input_fingerprint(&self.datasets, &scanned)?,
             chaos_seed: self.config.resilience.chaos.seed,

@@ -123,11 +123,11 @@ pub enum TraceEventKind {
         sources: usize,
         targets: usize,
     },
-    /// Batches evaluated by a narrow operator: one batch per partition
-    /// under the vectorized engine, zero under the row-oracle engine
-    /// (which interprets row-at-a-time). Journal-only — derived
-    /// [`RunMetrics`] ignore it, so engine modes stay metrics-compatible
-    /// while `labs::compare` can still diff the counts.
+    /// Batches evaluated by a narrow operator: one batch per partition.
+    /// `fused` is true when the operator ran in a chain of two or more
+    /// (which also journals [`Self::NarrowChainFused`]), false for a lone
+    /// operator. Journal-only — derived [`RunMetrics`] ignore it, while
+    /// `labs::compare` can still diff the counts.
     OperatorBatches {
         operator: String,
         stage: usize,
@@ -664,9 +664,9 @@ impl RunTrace {
     }
 
     /// Rebuild a [`RunMetrics`] from the journal alone. This is what
-    /// [`crate::metrics::MetricsCollector::finish`] returns; the legacy
-    /// tally path is kept as `finish_legacy` so tests can prove the two
-    /// agree byte-for-byte.
+    /// [`crate::metrics::MetricsCollector::finish`] returns: operators from
+    /// `OperatorFinished`, attempts from `TaskStarted`, retries from
+    /// `TaskRetried` — every other event kind carries no metric weight.
     pub fn derive_metrics(
         &self,
         total_elapsed_us: u64,
@@ -723,9 +723,8 @@ impl RunTrace {
     }
 
     /// Batches evaluated per operator, with whether the operator ran
-    /// inside a fused narrow chain. Zero entries mean the run used the
-    /// row-oracle engine (no batches at all) — comparing this map across
-    /// two runs is how engine modes diff cleanly.
+    /// inside a fused narrow chain — comparing this map across two runs is
+    /// how a plan change that splits or joins a chain diffs cleanly.
     pub fn operator_batches(&self) -> BTreeMap<String, (u64, bool)> {
         let mut totals: BTreeMap<String, (u64, bool)> = BTreeMap::new();
         for e in &self.events {
@@ -1400,7 +1399,7 @@ mod tests {
     #[test]
     fn resilience_events_do_not_disturb_derived_metrics() {
         // derive_metrics must keep counting only starts/retries/operators,
-        // so the legacy-parity invariant holds with the new kinds present.
+        // whatever resilience events sit between them.
         let trace = journal_with_resilience_events().snapshot();
         let m = trace.derive_metrics(1_000, 5, 4);
         let starts = trace
@@ -1489,8 +1488,8 @@ mod tests {
     #[test]
     fn pipeline_events_do_not_disturb_derived_metrics() {
         // Morsel events are journal-only: derive_metrics must keep counting
-        // only starts/retries/operators so the finish()/finish_legacy()
-        // parity invariant holds for pipelined runs.
+        // only starts/retries/operators, so morsel-driven and barrier runs
+        // derive the same metrics.
         let trace = journal_with_pipeline_events().snapshot();
         let m = trace.derive_metrics(1_000, 5, 4);
         assert_eq!(m.tasks_run, 4);
@@ -1574,8 +1573,8 @@ mod tests {
     #[test]
     fn spill_events_do_not_disturb_derived_metrics() {
         // Spill and page events are journal-only: derive_metrics must keep
-        // counting only starts/retries/operators so the finish() /
-        // finish_legacy() parity invariant holds for budgeted runs.
+        // counting only starts/retries/operators, so budgeted and in-memory
+        // runs derive the same metrics.
         let trace = journal_with_spill_events().snapshot();
         let m = trace.derive_metrics(1_000, 5, 4);
         assert_eq!(m.tasks_run, 4);

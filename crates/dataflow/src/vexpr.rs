@@ -1412,7 +1412,9 @@ fn func_kernel(func: Func, c: &Column) -> Result<Column> {
             }
         }
         Func::Ln => {
-            // Ln of a non-positive value is null (data-dependent validity).
+            // Ln of a non-positive value is null (data-dependent validity);
+            // NaN is not non-positive, so it stays a NaN, as in the row
+            // interpreter.
             let get: Box<dyn Fn(usize) -> f64> = match c {
                 Column::Float { data, .. } => Box::new(move |i| data[i]),
                 Column::Int { data, .. } => Box::new(move |i| data[i] as f64),
@@ -1423,7 +1425,7 @@ fn func_kernel(func: Func, c: &Column) -> Result<Column> {
             let mut validity = Validity::new();
             for i in 0..m {
                 let x = get(i);
-                if src_valid.get(i) && x > 0.0 {
+                if src_valid.get(i) && (x > 0.0 || x.is_nan()) {
                     data.push(x.ln());
                     validity.push(true);
                 } else {
@@ -1693,6 +1695,7 @@ mod tests {
         check(Expr::call(Func::Abs, vec![col("i")]));
         check(Expr::call(Func::Sqrt, vec![col("x")]));
         check(Expr::call(Func::Ln, vec![col("x")]));
+        check(Expr::call(Func::Ln, vec![col("x").add(lit(f64::NAN))]));
         check(Expr::call(Func::Upper, vec![col("s")]));
         check(Expr::call(Func::Length, vec![col("s")]));
         check(Expr::call(Func::HourOfDay, vec![col("t")]));

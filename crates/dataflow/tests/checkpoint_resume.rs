@@ -9,7 +9,8 @@
 //!
 //! Stale-checkpoint safety rides along: resuming after the plan, the input
 //! data, or the wave-shaping engine config changes must refuse with
-//! `FlowError::StaleCheckpoint` naming what changed.
+//! `FlowError::StaleCheckpoint` naming what changed — while a change of
+//! narrow-chain driver, which shapes no wave, resumes byte-identically.
 
 use std::path::{Path, PathBuf};
 
@@ -66,6 +67,14 @@ fn flow_of(e: &Engine) -> Dataflow {
 
 fn count_kind(trace: &RunTrace, pred: impl Fn(&TraceEventKind) -> bool) -> usize {
     trace.events.iter().filter(|e| pred(&e.kind)).count()
+}
+
+fn rows_out(metrics: &RunMetrics) -> Vec<(&str, u64)> {
+    metrics
+        .nodes
+        .iter()
+        .map(|n| (n.operator.as_str(), n.rows_out))
+        .collect()
 }
 
 fn started(trace: &RunTrace) -> usize {
@@ -161,6 +170,12 @@ fn kill_at_every_boundary_then_resume_is_byte_identical() {
             waves.len() - (kill_wave + 1),
             "boundary {kill_wave}"
         );
+        // Every operator reports the rows it produced, restored or not.
+        assert_eq!(
+            rows_out(&resumed.metrics),
+            rows_out(&baseline.metrics),
+            "boundary {kill_wave}"
+        );
     }
 
     // Killing at the LAST boundary means the resume recomputes nothing at
@@ -176,6 +191,46 @@ fn kill_at_every_boundary_then_resume_is_byte_identical() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// An engine with sixteen-row morsels, so a narrow chain's wave has ~125
+/// units on the 16-thread pool.
+fn morsel_engine(root: &Path, resilience: ResilienceConfig) -> Engine {
+    let mut e = Engine::new(
+        EngineConfig::default()
+            .with_threads(THREADS)
+            .with_morsel_rows(16)
+            .with_checkpoint(CheckpointSpec::new(root.to_path_buf(), "unused"))
+            .with_resilience(resilience),
+    );
+    e.register("clicks", clickstream(ROWS, SEED)).unwrap();
+    e
+}
+
+/// A filter->project chain ahead of an aggregation and a sort.
+fn chain_flow(e: &Engine) -> Dataflow {
+    e.flow("clicks")
+        .unwrap()
+        .filter(col("action").eq(lit("purchase")))
+        .unwrap()
+        .project(vec![
+            ("country", col("country")),
+            ("price", col("price").mul(lit(2.0))),
+        ])
+        .unwrap()
+        .aggregate(
+            &["country"],
+            vec![AggExpr::new(AggFunc::Sum, "price", "revenue")],
+        )
+        .unwrap()
+        .sort(&["revenue"], true)
+        .unwrap()
+}
+
+fn bytes_of(t: &toreador_data::table::Table) -> BytesMut {
+    let mut buf = BytesMut::new();
+    encode_table(t, &mut buf);
+    buf
+}
+
 #[test]
 fn pipelined_fused_chain_kill_resume_is_byte_identical() {
     // The morsel-pipelined variant of the exhaustive boundary kill: the
@@ -186,35 +241,7 @@ fn pipelined_fused_chain_kill_resume_is_byte_identical() {
     // resuming with a fresh engine must stay byte-identical, restoring
     // every completed wave.
     let root = temp_root("morsel");
-    let engine_m = |resilience: ResilienceConfig| {
-        let mut e = Engine::new(
-            EngineConfig::default()
-                .with_threads(THREADS)
-                .with_morsel_rows(16)
-                .with_checkpoint(CheckpointSpec::new(root.clone(), "unused"))
-                .with_resilience(resilience),
-        );
-        e.register("clicks", clickstream(ROWS, SEED)).unwrap();
-        e
-    };
-    let chain_flow = |e: &Engine| {
-        e.flow("clicks")
-            .unwrap()
-            .filter(col("action").eq(lit("purchase")))
-            .unwrap()
-            .project(vec![
-                ("country", col("country")),
-                ("price", col("price").mul(lit(2.0))),
-            ])
-            .unwrap()
-            .aggregate(
-                &["country"],
-                vec![AggExpr::new(AggFunc::Sum, "price", "revenue")],
-            )
-            .unwrap()
-            .sort(&["revenue"], true)
-            .unwrap()
-    };
+    let engine_m = |resilience: ResilienceConfig| morsel_engine(&root, resilience);
 
     let calm = engine_m(ResilienceConfig::none());
     let baseline = calm
@@ -257,20 +284,59 @@ fn pipelined_fused_chain_kill_resume_is_byte_identical() {
         assert_eq!(restored, kill_wave + 1, "boundary {kill_wave}");
     }
 
-    // The scheduler mode shapes what the journal (and any mid-wave state)
-    // means, so a pipelined checkpoint refuses to resume on a barrier-mode
-    // engine: the config fingerprint names the mismatch.
-    let mut barrier = Engine::new(
-        EngineConfig::default()
-            .with_threads(THREADS)
-            .with_pipelined(false)
-            .with_morsel_rows(16)
-            .with_checkpoint(CheckpointSpec::new(root.clone(), "unused")),
-    );
-    barrier.register("clicks", clickstream(ROWS, SEED)).unwrap();
-    match barrier.resume(&chain_flow(&barrier), "baseline") {
-        Err(FlowError::StaleCheckpoint { mismatch, .. }) => assert_eq!(mismatch, "engine config"),
-        other => panic!("expected StaleCheckpoint(engine config), got {other:?}"),
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn morsel_checkpoints_resume_byte_identically_on_the_barrier_driver() {
+    // Both drivers emit one wave per chain with identical per-partition
+    // output, so the driver is not part of a checkpoint's identity: waves
+    // the morsel driver wrote restore on an engine whose task deadline puts
+    // every wave on the barrier driver, and the waves it recomputes there
+    // finish the run byte-identically.
+    let root = temp_root("driver");
+    let calm = morsel_engine(&root, ResilienceConfig::none());
+    let baseline = calm
+        .run_checkpointed(&chain_flow(&calm), "baseline")
+        .unwrap();
+    assert!(baseline.trace.pipeline_totals().pipelines >= 2);
+    let waves = wave_partitions(&baseline.trace).len();
+    assert!(waves >= 3, "got {waves} waves");
+
+    for kill_wave in 0..waves {
+        let run_id = format!("killed-at-{kill_wave}");
+        let doomed = morsel_engine(
+            &root,
+            ResilienceConfig::none()
+                .with_chaos(ChaosPlan::none().with_boundary_kill(kill_wave, KillMode::Halt)),
+        );
+        let err = doomed
+            .run_checkpointed(&chain_flow(&doomed), &run_id)
+            .unwrap_err();
+        assert!(
+            matches!(err, FlowError::KilledAtBoundary { wave, .. } if wave == kill_wave),
+            "boundary {kill_wave}: {err}"
+        );
+
+        let barrier = morsel_engine(
+            &root,
+            ResilienceConfig::none().with_deadline(TaskDeadline::from_millis(60_000)),
+        );
+        let resumed = barrier.resume(&chain_flow(&barrier), &run_id).unwrap();
+        assert_eq!(
+            bytes_of(&resumed.table),
+            bytes_of(&baseline.table),
+            "boundary {kill_wave}: output must be byte-identical across drivers"
+        );
+        let restored = count_kind(&resumed.trace, |k| {
+            matches!(k, TraceEventKind::StageRestored { .. })
+        });
+        assert_eq!(restored, kill_wave + 1, "boundary {kill_wave}");
+        assert_eq!(
+            resumed.trace.pipeline_totals().morsels,
+            0,
+            "boundary {kill_wave}: the resume must run on the barrier driver"
+        );
     }
 
     let _ = std::fs::remove_dir_all(&root);

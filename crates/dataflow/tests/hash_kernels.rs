@@ -128,12 +128,17 @@ fn random_aggregation(t: &Table, rng: &mut StdRng, partial: bool) -> (Vec<String
 }
 
 /// The reference strategy (one thread, stage barriers, whole partitions,
-/// in memory) and a random pipelined one, both with `partial` combine.
+/// in memory) and a random pipelined one, both with `partial` combine. A
+/// task deadline no task comes near is what keeps the reference on the
+/// barrier driver.
 fn strategies(rng: &mut StdRng, rows: usize, partial: bool) -> [EngineConfig; 2] {
     let base = EngineConfig::default()
         .with_partitions(PARTS)
         .with_partial_aggregation(partial);
-    let reference = base.clone().with_threads(1).with_pipelined(false);
+    let reference = base
+        .clone()
+        .with_threads(1)
+        .with_resilience(ResilienceConfig::none().with_deadline(TaskDeadline::from_millis(60_000)));
     let mut pipelined = base
         .with_threads(2)
         .with_morsel_rows(rng.gen_range(1..=rows.max(1)));

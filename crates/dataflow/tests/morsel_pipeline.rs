@@ -1,17 +1,20 @@
-//! Differential proof that the morsel-driven pipelined scheduler is
-//! invisible: the same plan run through the pipelined path, the
-//! stage-barrier path, and the row-at-a-time oracle engine must agree
+//! Differential proof that the narrow-chain driver is invisible: the same
+//! plan run on the morsel driver and on the stage-barrier driver must agree
 //! value-for-value — byte-identical output through the shuffle codec, and
-//! identical error messages when chaos makes a wave fail — across generated
-//! plans, morsel sizes from one row to the whole partition, and thread
-//! counts 1, 2 and 16. A second battery proves work-stealing is invisible:
-//! 32 runs of one plan on a 16-thread pool under randomized chaos delays
-//! (which scramble steal timing) stay byte-identical with a fully paired
-//! morsel journal every time, while the journal shows real steals happened.
-//! A third proves the scheduler's size rule is invisible: a wave of at most
-//! one morsel runs on the calling thread, and the same plan with `morsel_rows`
-//! just below and just above its input — or anywhere — gives the same bytes
-//! and the same task journal as the pooled run.
+//! identical error messages when chaos makes a wave fail — and, for chains
+//! without a sample step, agree with the row reference computed here from
+//! `Expr::eval_mask` + `Table::filter` + `Expr::eval_table`, across
+//! generated plans, morsel sizes from one row to the whole partition, and
+//! thread counts 1, 2 and 16. The barrier side is reached the way
+//! production reaches it, with a task deadline. A second battery proves
+//! work-stealing is invisible: 32 runs of one plan on a 16-thread pool
+//! under randomized chaos delays (which scramble steal timing) stay
+//! byte-identical with a fully paired morsel journal every time, while the
+//! journal shows real steals happened. A third proves the scheduler's size
+//! rule is invisible: a wave of at most one morsel runs on the calling
+//! thread, and the same plan with `morsel_rows` just below and just above
+//! its input — or anywhere — gives the same bytes and the same task journal
+//! as the pooled run.
 
 use std::collections::HashMap;
 
@@ -19,6 +22,7 @@ use bytes::BytesMut;
 use proptest::prelude::*;
 
 use toreador_data::generate::random_table;
+use toreador_data::partition::{PartitionedTable, Partitioning};
 use toreador_data::table::Table;
 use toreador_dataflow::prelude::*;
 use toreador_dataflow::shuffle::encode_table;
@@ -78,28 +82,85 @@ fn build_flow(engine: &Engine, steps: &[Step], agg: bool) -> Dataflow {
     flow
 }
 
-/// Engine in one of the three comparison modes. `pipelined == false` is the
-/// stage-barrier path; `vectorized == false` is the row-at-a-time oracle
-/// (which never fuses, so `pipelined` is moot there).
+/// Engine on one of the two drivers. `barrier` adds a task deadline, which
+/// is how production reaches the stage-barrier driver (a `retries N`
+/// campaign carries a 30 s one); no task here comes near it. Without one,
+/// chains of two or more operators and aggregation map sides run on
+/// morsels.
 fn engine_mode(
     table: Table,
     threads: usize,
-    pipelined: bool,
-    vectorized: bool,
+    barrier: bool,
     morsel_rows: usize,
     resilience: ResilienceConfig,
 ) -> Engine {
+    let resilience = if barrier {
+        resilience.with_deadline(TaskDeadline::from_millis(60_000))
+    } else {
+        resilience
+    };
     let mut e = Engine::new(
         EngineConfig::default()
             .with_threads(threads)
             .with_partitions(3)
-            .with_pipelined(pipelined)
-            .with_vectorized(vectorized)
             .with_morsel_rows(morsel_rows)
             .with_resilience(resilience),
     );
     e.register("t", table).unwrap();
     e
+}
+
+/// The row reference of a narrow chain: walk `plan` down to its scan and
+/// apply `Expr::eval_mask` + `Table::filter` per filter and
+/// `Expr::eval_table` per projection to `input`. `None` when the chain
+/// samples — sampling has no row reference, the two drivers check each
+/// other there.
+fn row_reference(plan: &LogicalPlan, input: &Table) -> Option<Table> {
+    match plan {
+        LogicalPlan::Scan { .. } => Some(input.clone()),
+        LogicalPlan::Filter {
+            input: below,
+            predicate,
+        } => {
+            let t = row_reference(below, input)?;
+            Some(t.filter(&predicate.eval_mask(&t).unwrap()).unwrap())
+        }
+        LogicalPlan::Project {
+            input: below,
+            exprs,
+            schema,
+        } => {
+            let t = row_reference(below, input)?;
+            let cols = exprs.iter().map(|(_, e)| e.eval_table(&t).unwrap());
+            Some(Table::new(schema.clone(), cols.collect()).unwrap())
+        }
+        _ => None,
+    }
+}
+
+/// What the row reference says `build_flow(steps, agg)` returns over
+/// `table`. Without an aggregation that is the chain's reference on the
+/// unsplit input; with one, the chain's reference on each partition the
+/// engine scans is fed to an engine that runs only the aggregation, so the
+/// wide operators see exactly the partitions the chain should produce.
+fn row_expected(table: &Table, steps: &[Step], agg: bool) -> Option<Table> {
+    let parts = PartitionedTable::split(table.clone(), 3).unwrap();
+    let mut e = Engine::new(EngineConfig::default().with_threads(1).with_partitions(3));
+    e.register_partitioned("t", parts.clone());
+    let chain = build_flow(&e, steps, false);
+    if !agg {
+        return row_reference(chain.plan(), table);
+    }
+    let chained = parts
+        .parts()
+        .iter()
+        .map(|p| row_reference(chain.plan(), p))
+        .collect::<Option<Vec<_>>>()?;
+    e.register_partitioned(
+        "t",
+        PartitionedTable::new(chained, Partitioning::Arbitrary).unwrap(),
+    );
+    Some(e.run(&build_flow(&e, &[], true)).unwrap().table)
 }
 
 /// Byte-exact serialization through the shuffle codec: the comparison is
@@ -195,8 +256,9 @@ fn proptest_cases() -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(proptest_cases()))]
 
-    /// The tentpole differential: pipelined ≡ stage-barrier ≡ row oracle,
-    /// byte-for-byte, for every generated plan × morsel size × thread count.
+    /// The tentpole differential: morsel driver ≡ barrier driver ≡ row
+    /// reference (for sample-free chains), byte-for-byte, for every
+    /// generated plan × morsel size × thread count.
     #[test]
     fn pipelined_matches_barrier_and_row_oracle(
         rows in 0usize..140,
@@ -208,31 +270,30 @@ proptest! {
     ) {
         let table = random_table(rows, 3, seed);
         let none = ResilienceConfig::none;
-        let pip = engine_mode(table.clone(), threads, true, true, morsel_rows, none());
-        let bar = engine_mode(table.clone(), threads, false, true, morsel_rows, none());
-        let row = engine_mode(table, threads, false, false, morsel_rows, none());
+        let pip = engine_mode(table.clone(), threads, false, morsel_rows, none());
+        let bar = engine_mode(table.clone(), threads, true, morsel_rows, none());
         let a = pip.run(&build_flow(&pip, &steps, agg)).unwrap();
         let b = bar.run(&build_flow(&bar, &steps, agg)).unwrap();
-        let c = row.run(&build_flow(&row, &steps, agg)).unwrap();
         prop_assert_eq!(
             bytes_of(&a.table),
             bytes_of(&b.table),
-            "pipelined vs stage-barrier"
+            "morsel driver vs barrier driver"
         );
-        prop_assert_eq!(
-            bytes_of(&a.table),
-            bytes_of(&c.table),
-            "pipelined vs row oracle"
-        );
-        // The pipelined engine really took the morsel path: an aggregation's
+        if let Some(want) = row_expected(&table, &steps, agg) {
+            prop_assert_eq!(
+                bytes_of(&a.table),
+                bytes_of(&want),
+                "drivers vs row reference"
+            );
+        }
+        // The morsel engine really took the morsel path: an aggregation's
         // map side always pipelines, and its journal stays paired.
         if agg {
             prop_assert!(a.trace.pipeline_totals().pipelines >= 1);
         }
         assert_morsels_paired(&a.trace);
-        // The other two engines never dispatched a morsel.
+        // The barrier engine never dispatched a morsel.
         prop_assert_eq!(b.trace.pipeline_totals().morsels, 0);
-        prop_assert_eq!(c.trace.pipeline_totals().morsels, 0);
     }
 }
 
@@ -243,7 +304,7 @@ proptest! {
     /// waves of the plan fit one morsel and run on the calling thread — the
     /// output is the bytes of the run where every wave takes the pool
     /// (`morsel_rows` 1 fits nothing above one row), chaos and retries
-    /// included. On the barrier path a task is a partition whatever the
+    /// included. On the barrier driver a task is a partition whatever the
     /// morsel size, so there the task journals must match too.
     #[test]
     fn the_size_rule_is_invisible(
@@ -253,18 +314,18 @@ proptest! {
         agg in any::<bool>(),
         morsel_rows in 1usize..260,
         threads in prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
-        pipelined in any::<bool>(),
+        barrier in any::<bool>(),
     ) {
         let table = random_table(rows, 3, seed);
         let sized = engine_mode(
-            table.clone(), threads, pipelined, true, morsel_rows, survivable_chaos(seed),
+            table.clone(), threads, barrier, morsel_rows, survivable_chaos(seed),
         );
-        let pooled = engine_mode(table, threads, pipelined, true, 1, survivable_chaos(seed));
+        let pooled = engine_mode(table, threads, barrier, 1, survivable_chaos(seed));
         let a = sized.run(&build_flow(&sized, &steps, agg)).unwrap();
         let b = pooled.run(&build_flow(&pooled, &steps, agg)).unwrap();
         prop_assert_eq!(bytes_of(&a.table), bytes_of(&b.table));
         assert_morsels_paired(&a.trace);
-        if !pipelined {
+        if barrier {
             prop_assert_eq!(task_journal(&a.trace), task_journal(&b.trace));
         }
     }
@@ -275,25 +336,20 @@ proptest! {
 /// and 96 (they run on the calling thread). A partition is 32 rows, under
 /// either morsel size, so units — and with them task coordinates and chaos
 /// draws — are the same: output bytes and the task journal must be too.
+/// The two-operator chain runs on morsels; the lone filter runs on the
+/// barrier driver, which applies the same rule.
 #[test]
 fn one_row_either_side_of_a_morsel_gives_the_same_bytes_and_journal() {
     let table = random_table(96, 3, 17);
-    let steps = [Step::FilterStrNotNull, Step::ProjectArith];
-    for pipelined in [true, false] {
+    let chain = [Step::FilterStrNotNull, Step::ProjectArith];
+    for steps in [&chain[..], &chain[..1]] {
         for agg in [true, false] {
             let run = |morsel_rows: usize| {
-                let e = engine_mode(
-                    table.clone(),
-                    4,
-                    pipelined,
-                    true,
-                    morsel_rows,
-                    survivable_chaos(5),
-                );
-                e.run(&build_flow(&e, &steps, agg)).unwrap()
+                let e = engine_mode(table.clone(), 4, false, morsel_rows, survivable_chaos(5));
+                e.run(&build_flow(&e, steps, agg)).unwrap()
             };
             let (pool, caller) = (run(95), run(96));
-            let case = format!("pipelined {pipelined}, agg {agg}");
+            let case = format!("{} narrow steps, agg {agg}", steps.len());
             assert_eq!(bytes_of(&pool.table), bytes_of(&caller.table), "{case}");
             assert_eq!(
                 task_journal(&pool.trace),
@@ -315,9 +371,9 @@ fn one_row_either_side_of_a_morsel_gives_the_same_bytes_and_journal() {
 }
 
 /// Error semantics are part of value-for-value: a wave that chaos kills must
-/// surface the *same* error message from all three paths.
+/// surface the *same* error message from both drivers.
 #[test]
-fn injected_failure_messages_match_across_all_three_paths() {
+fn injected_failure_messages_match_across_both_drivers() {
     let table = random_table(90, 3, 11);
     // Map-side aggregation wave (serial morsel units, task = partition):
     // crash partition 1's only two attempts, exhausting the retry budget.
@@ -339,19 +395,16 @@ fn injected_failure_messages_match_across_all_three_paths() {
             .with_retry(RetryPolicy::immediate(2))
             .with_chaos(chaos.clone())
     };
-    let pip = engine_mode(table.clone(), 4, true, true, 8, resilience());
-    let bar = engine_mode(table.clone(), 4, false, true, 8, resilience());
-    let row = engine_mode(table.clone(), 4, false, false, 8, resilience());
+    let pip = engine_mode(table.clone(), 4, false, 8, resilience());
+    let bar = engine_mode(table.clone(), 4, true, 8, resilience());
     let pe = pip.run(&build_flow(&pip, &[], true)).unwrap_err();
     let be = bar.run(&build_flow(&bar, &[], true)).unwrap_err();
-    let re = row.run(&build_flow(&row, &[], true)).unwrap_err();
     assert!(pe.to_string().contains("injected fault"), "{pe}");
-    assert_eq!(pe.to_string(), be.to_string(), "pipelined vs barrier");
-    assert_eq!(pe.to_string(), re.to_string(), "pipelined vs row oracle");
+    assert_eq!(pe.to_string(), be.to_string(), "morsel vs barrier driver");
 
     // Fused narrow chain (independent morsel units): the first unit of the
     // wave is partition 0's first morsel, the same coordinate the barrier
-    // and row engines report for their partition-0 task.
+    // driver reports for its partition-0 task.
     let chain_chaos = ChaosPlan::none().with_targeted(TargetedFault {
         stage: 0,
         partition: 0,
@@ -360,15 +413,12 @@ fn injected_failure_messages_match_across_all_three_paths() {
     });
     let chain_res = || ResilienceConfig::none().with_chaos(chain_chaos.clone());
     let steps = [Step::FilterStrNotNull, Step::ProjectArith];
-    let pip = engine_mode(table.clone(), 4, true, true, 1 << 20, chain_res());
-    let bar = engine_mode(table.clone(), 4, false, true, 1 << 20, chain_res());
-    let row = engine_mode(table, 4, false, false, 1 << 20, chain_res());
+    let pip = engine_mode(table.clone(), 4, false, 1 << 20, chain_res());
+    let bar = engine_mode(table, 4, true, 1 << 20, chain_res());
     let pe = pip.run(&build_flow(&pip, &steps, false)).unwrap_err();
     let be = bar.run(&build_flow(&bar, &steps, false)).unwrap_err();
-    let re = row.run(&build_flow(&row, &steps, false)).unwrap_err();
     assert!(pe.to_string().contains("injected fault"), "{pe}");
-    assert_eq!(pe.to_string(), be.to_string(), "pipelined vs barrier");
-    assert_eq!(pe.to_string(), re.to_string(), "pipelined vs row oracle");
+    assert_eq!(pe.to_string(), be.to_string(), "morsel vs barrier driver");
 }
 
 /// Determinism under stealing: the same plan 32 times on a 16-thread pool
@@ -391,7 +441,7 @@ fn stealing_is_invisible_across_32_chaotic_runs() {
             400,
             run_seed.wrapping_mul(0x9e37_79b9).wrapping_add(1),
         ));
-        let e = engine_mode(table.clone(), 16, true, true, 7, resilience);
+        let e = engine_mode(table.clone(), 16, false, 7, resilience);
         let result = e.run(&build_flow(&e, &steps, true)).unwrap();
         let bytes = bytes_of(&result.table);
         match &reference {
@@ -416,8 +466,8 @@ fn stealing_is_invisible_across_32_chaotic_runs() {
 }
 
 /// One morsel per row and one morsel per partition are the two degenerate
-/// decompositions; both must agree with the barrier path even when the
-/// chain ends in a Sample step (whose RNG draws are order-sensitive).
+/// decompositions; both must agree with the barrier driver even when the
+/// chain has a Sample step (whose RNG draws are order-sensitive).
 #[test]
 fn degenerate_morsel_sizes_agree_on_sampled_chains() {
     let table = random_table(257, 3, 23);
@@ -426,14 +476,13 @@ fn degenerate_morsel_sizes_agree_on_sampled_chains() {
         Step::SampleHalf(5),
         Step::ProjectArith,
     ];
-    let bar = engine_mode(table.clone(), 4, false, true, 64, ResilienceConfig::none());
+    let bar = engine_mode(table.clone(), 4, true, 64, ResilienceConfig::none());
     let expected = bar.run(&build_flow(&bar, &steps, false)).unwrap();
     for morsel_rows in [1usize, 2, 3, 86, 1 << 20] {
         let pip = engine_mode(
             table.clone(),
             4,
-            true,
-            true,
+            false,
             morsel_rows,
             ResilienceConfig::none(),
         );

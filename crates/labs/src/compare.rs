@@ -36,9 +36,9 @@ pub struct RunComparison {
     /// (union of operator names, sorted).
     pub operator_deltas: Vec<OperatorDelta>,
     /// Per-operator vectorized batch counts, derived from the runs' trace
-    /// journals (union of operator names, sorted). A run on the
-    /// row-at-a-time engine reports zero batches, so an engine-mode
-    /// ablation shows up here even when timings are noisy.
+    /// journals (union of operator names, sorted), with whether each
+    /// operator ran in a fused chain — so a plan change that splits or joins
+    /// a narrow chain shows up here even when timings are noisy.
     pub batch_deltas: Vec<BatchDelta>,
     /// Worst task-skew ratio of each run, when both runs recorded task spans.
     pub skew_change: Option<(f64, f64)>,
@@ -46,8 +46,9 @@ pub struct RunComparison {
     /// speculation), when both runs recorded traces.
     pub resilience_change: Option<(ResilienceTotals, ResilienceTotals)>,
     /// Morsel-pipeline activity of each run (waves, morsels, steals, worker
-    /// skew), when both runs recorded traces. An engine-mode ablation
-    /// between the barrier and pipelined schedulers diffs cleanly here.
+    /// skew), when both runs recorded traces. A run on the barrier driver
+    /// (one with a task deadline, say) against one on morsels diffs
+    /// cleanly here.
     pub pipeline_change: Option<(PipelineTotals, PipelineTotals)>,
     /// Continuous-streaming activity of each run (acked batches, stalls,
     /// watermark motion, late-data accounting), when both runs recorded
@@ -714,7 +715,9 @@ mod tests {
                 },
             });
         };
-        // a ran vectorized and fused; b ran the row-at-a-time oracle.
+        // a ran in a fused chain; b is a stored record from an engine that
+        // still had a row-at-a-time mode (zero batches) — old provenance
+        // must keep diffing.
         let mut a = record(1, "c", &["x"], &[]);
         let mut va = trace_with(&[(op, 100)], &[(0, 10)]);
         batches(&mut va, 4, true);

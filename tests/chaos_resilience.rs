@@ -574,9 +574,6 @@ fn cancellation_mid_morsel_wave_stops_cleanly_without_leaking_threads() {
             .with_resilience(ResilienceConfig::none().with_chaos(ChaosPlan::delays(1.0, 3_000, 5))),
         partitions: 4,
         partial_aggregation: true,
-        vectorized: true,
-        fuse_narrow: true,
-        pipelined: true,
         morsel_rows: 8,
         control: None,
         memory_budget_bytes: None,

@@ -2,10 +2,9 @@
 //!
 //! The journal is the single source of truth for run metrics, so these
 //! tests pin down its guarantees end to end: spans pair up, retry events
-//! agree with the metrics, operator row counts agree with results, the
+//! agree with the metrics, operator row counts agree with results, and the
 //! journal survives heavy concurrency without losing or duplicating
-//! events, and the derived metrics are byte-identical to the legacy
-//! collector's.
+//! events.
 
 use std::collections::HashSet;
 use std::time::Duration;
@@ -200,33 +199,9 @@ fn stressed_journal_loses_nothing_and_duplicates_nothing() {
     f.sort_unstable();
     assert_eq!(s, f);
     // At 50% fault rate some attempts must have failed and retried.
-    let m = metrics.finish_legacy(Duration::ZERO, 0, 0);
+    let m = metrics.finish(Duration::ZERO, 0, 0);
     assert!(m.task_retries > 0);
     assert_eq!(started.len() as u64, m.tasks_run);
-}
-
-#[test]
-fn derived_metrics_are_byte_identical_to_legacy() {
-    let config = SchedulerConfig::new(8).with_faults(FaultPlan::with_rate(0.3, 9, 20));
-    let metrics = MetricsCollector::new();
-    metrics.record_node("Scan clicks", 0, 512, Duration::from_micros(81), 0);
-    let tasks: Vec<_> = (0..24)
-        .map(|i| {
-            move || -> FlowResult<Table> { Ok(toreador_data::generate::random_table(5, 1, i)) }
-        })
-        .collect();
-    run_stage(&config, &metrics, 1, tasks).unwrap();
-    metrics.record_node("Aggregate", 1, 16, Duration::from_micros(233), 4_096);
-
-    let elapsed = Duration::from_micros(9_999);
-    let derived = metrics.finish(elapsed, 16, 4);
-    let legacy = metrics.finish_legacy(elapsed, 16, 4);
-    assert_eq!(derived, legacy);
-    assert_eq!(
-        serde_json::to_string(&derived).unwrap(),
-        serde_json::to_string(&legacy).unwrap(),
-        "journal-derived metrics must serialise byte-identically"
-    );
 }
 
 #[test]
