@@ -880,18 +880,6 @@ impl PartialAgg {
     }
 }
 
-/// Map-side combine of a whole partition into its partial table.
-pub(crate) fn partial_aggregate(
-    t: &Table,
-    group_by: &[String],
-    aggs: &[AggExpr],
-    p_schema: &Schema,
-) -> Result<Table> {
-    let mut state = PartialAgg::new(t.schema(), group_by, aggs)?;
-    state.fold(t, 0, t.num_rows())?;
-    state.finish(t, p_schema)
-}
-
 /// Reduce-side merge of partial rows (in arrival order) into final
 /// aggregate rows, sorted by key.
 pub(crate) fn merge_partials(

@@ -692,7 +692,10 @@ proptest! {
             let partial = state.finish(part, &p_schema).unwrap();
             let oracle = oracle_partial(part, &group_by, &aggs, &p_schema);
             prop_assert_eq!(identical(&partial, &oracle, &sums), Ok(()), "morsel {}", step);
-            let whole = group::partial_aggregate(part, &group_by, &aggs, &p_schema).unwrap();
+            // One fold over the whole partition: a whole-partition unit.
+            let mut whole = group::PartialAgg::new(part.schema(), &group_by, &aggs).unwrap();
+            whole.fold(part, 0, part.num_rows()).unwrap();
+            let whole = whole.finish(part, &p_schema).unwrap();
             prop_assert_eq!(identical(&whole, &partial, &sums), Ok(()));
             got.push(partial);
             want.push(oracle);

@@ -14,19 +14,17 @@
 //!    the ablation benchmarks;
 //! 4. [`physical`] — stage-cut execution with per-partition tasks; a chain
 //!    of narrow operators compiles once into bound steps, and chains of two
-//!    or more run through [`morsel`], the morsel-driven path with
-//!    work-stealing deques, unless a deadline or speculation policy keeps
-//!    them on the stage-barrier coordinator; every hash operator
-//!    (aggregate, distinct, join) runs on one columnar group table over
-//!    key lanes;
+//!    or more and aggregation map sides run through [`morsel`] as row-range
+//!    units on the same coordinator; every hash operator (aggregate,
+//!    distinct, join) runs on one columnar group table over key lanes;
 //! 5. [`shuffle`] — hash shuffles through a binary row codec ([`codec`],
 //!    shared with checkpointing and the pager), so shuffle byte counts are
 //!    real; [`pager`] — paged on-disk columnar files and a pinning buffer
 //!    pool that shuffle and aggregation spill to under a memory budget;
-//! 6. [`scheduler`] — a resilient scoped thread pool: deterministic chaos
-//!    injection ([`fault`]), retry backoff, task deadlines, speculative
-//!    attempts, panic isolation, and cooperative cancellation
-//!    ([`resilience`]);
+//! 6. [`scheduler`] — a resilient scoped thread pool, the one place an
+//!    attempt is dispatched: deterministic chaos injection ([`fault`]),
+//!    retry backoff, task deadlines, speculative attempts, panic isolation,
+//!    and cooperative cancellation ([`resilience`]);
 //! 7. [`session`] — the `Engine` facade (register datasets, run flows);
 //! 8. [`stream`] — micro-batch streaming with carried state; [`streaming`]
 //!    — the continuous topology around it: bounded in-flight buffers with

@@ -247,8 +247,8 @@ impl MetricsCollector {
         });
     }
 
-    /// A morsel was claimed by a pipeline worker. Journal-only, like
-    /// [`Self::record_operator_batches`]: pipelined and stage-barrier runs
+    /// A morsel was pushed through a pipeline body. Journal-only, like
+    /// [`Self::record_operator_batches`]: morsel and whole-partition waves
     /// stay metrics-compatible.
     pub fn morsel_dispatched(
         &self,
@@ -267,7 +267,7 @@ impl MetricsCollector {
         });
     }
 
-    /// A morsel was executed by a worker other than its home worker.
+    /// A morsel unit ran on a worker other than its home worker.
     /// Journal-only.
     pub fn morsel_stolen(
         &self,
@@ -295,7 +295,7 @@ impl MetricsCollector {
         });
     }
 
-    /// A fused pipeline wave finished all its morsels. Journal-only.
+    /// A morsel wave finished all its units. Journal-only.
     #[allow(clippy::too_many_arguments)]
     pub fn pipeline_completed(
         &self,

@@ -1,72 +1,58 @@
-//! Morsel-driven pipelined execution with work-stealing.
+//! Morsel-driven pipelining: row-range units on the stage coordinator.
 //!
-//! The stage-barrier scheduler ([`crate::scheduler`]) hands each partition
-//! to one worker as a single task, so a skewed partition pins the whole
-//! wave on one core while the rest of the pool idles. This module is the
-//! alternative execution path for chains of non-breaking operators: each
-//! partition is cut into small row-range **morsels**, every worker owns a
-//! deque of pre-assigned morsels (home worker = `partition % workers`),
-//! and a worker that drains its own deque *steals* from the back of a
-//! sibling's — stragglers on skewed partitions get helped instead of
-//! stalling the wave. Materialisation still happens only at true pipeline
-//! breakers; the columnar shuffle and the checkpoint codec are untouched.
+//! A partition-at-a-time task pins a skewed partition's whole wave on one
+//! core while the rest of the pool idles. This module cuts a wave of
+//! non-breaking work into small row-range **units** instead and hands them
+//! to the stage coordinator ([`crate::scheduler`]) as ordinary tasks, so a
+//! straggling partition's morsels spread across every free worker.
+//! Materialisation still happens only at true pipeline breakers; the
+//! columnar shuffle and the checkpoint codec are untouched.
 //!
-//! Two interleavings are supported. [`WaveOrder::Independent`] waves (pure
-//! filter/project chains) let any worker run any morsel concurrently; the
-//! per-partition outputs are concatenated in morsel order, which is
-//! bit-identical to whole-partition execution because the operators are
-//! elementwise. [`WaveOrder::Serial`] waves (sampling RNG draws,
-//! partial-aggregation accumulators) keep each partition's morsels in
-//! ascending row order on a single worker, and stealing moves whole
-//! partitions between workers instead.
+//! The jobs only this module does: cutting partitions into units, making
+//! the [`PipelineBody`] calls and journalling the morsel events inside a
+//! unit, and reassembling outputs per partition. [`WaveOrder::Independent`]
+//! waves (pure filter/project chains) get one unit per morsel, task
+//! coordinate = unit index; the per-partition outputs concatenate in
+//! morsel order, which is bit-identical to whole-partition execution
+//! because the operators are elementwise. [`WaveOrder::Serial`] waves
+//! (sampling RNG draws, partial-aggregation accumulators) get one unit per
+//! partition, task coordinate = partition, folded morsel by morsel in row
+//! order.
+//!
+//! Everything else is the coordinator's: dispatch, the size rule (a wave of
+//! at most one morsel runs on the calling thread), worker sizing, retries,
+//! backoff, deadlines, speculation, cancellation and the deterministic
+//! [`ChaosPlan`](crate::fault::ChaosPlan) draws — a morsel wave gets every
+//! resilience policy a partition wave gets, unchanged. A unit checks its
+//! [`Attempt`] between morsels, so one that timed out, lost a speculation
+//! race or was cancelled stops at the next morsel boundary.
 //!
 //! Under a memory budget ([`ExecConfig::memory_budget_bytes`]
 //! (crate::physical::ExecConfig)), partial-aggregation map output produced
 //! by a serial wave may be spilled to paged files — but never from inside
 //! this module: spilling happens on the orchestration thread *after* the
-//! wave completes (see [`crate::physical`]), because a morsel task can be
-//! retried or run speculatively, and a spill inside the task would leak
-//! one page file per duplicate attempt.
-//!
-//! Resilience mirrors the barrier path attempt-for-attempt: retries run
-//! inline on the claiming worker under the same
-//! [`RetryPolicy`](crate::resilience::RetryPolicy), and every attempt goes
-//! through the barrier scheduler's own
-//! [`execute_attempt`](crate::scheduler::execute_attempt) — the same
-//! deterministic [`ChaosPlan`] coordinates, the same `catch_unwind`
-//! isolation, the same failure classification and final errors — so the
-//! two paths are differential twins, which is exactly what
-//! `tests/morsel_pipeline.rs` exercises. Task deadlines and speculation
-//! need a coordinator watching wall clocks from outside the worker, so the
-//! physical layer falls back to the barrier scheduler when either is
-//! configured.
-//!
-//! A wave that needs one worker — its whole input
-//! [fits one morsel](SchedulerConfig::runs_on_caller), or it has one unit —
-//! spawns none: the caller runs the worker loop itself.
+//! wave completes (see [`crate::physical`]), because a unit can be retried
+//! or run speculatively, and a spill inside the task would leak one page
+//! file per duplicate attempt.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use toreador_data::table::Table;
 
 use crate::error::{FlowError, Result};
-use crate::fault::ChaosPlan;
 use crate::metrics::MetricsCollector;
-use crate::resilience::{RetryPolicy, RunControl};
-use crate::scheduler::{cancellable_sleep, execute_attempt, Failure, SchedulerConfig};
+use crate::resilience::RunControl;
+use crate::scheduler::{run_tasks, Attempt, SchedulerConfig};
 
-/// How a wave's morsels may be interleaved across workers.
+/// How a wave's partitions are cut into units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WaveOrder {
-    /// Elementwise chains: any worker may run any morsel of any partition
-    /// concurrently; outputs concatenate in morsel order.
+    /// Elementwise chains: one unit per morsel; any worker may run any
+    /// morsel of any partition concurrently.
     Independent,
-    /// Order-carrying state (RNG draws, accumulators): each partition's
-    /// morsels run in ascending row order on one worker.
+    /// Order-carrying state (RNG draws, accumulators): one unit per
+    /// partition, its morsels in ascending row order.
     Serial,
 }
 
@@ -93,8 +79,8 @@ pub(crate) trait PipelineBody: Sync {
     fn finish(&self, state: Self::State, part: &Table, partition: usize) -> Result<Table>;
 }
 
-/// One schedulable work unit: a single morsel for `Independent` waves, a
-/// whole partition (chunked internally, in order) for `Serial` waves.
+/// One task of a wave: a single morsel for `Independent` waves, a whole
+/// partition (chunked internally, in order) for `Serial` waves.
 struct Unit {
     partition: usize,
     /// First morsel index covered (the chunk index; 0 for serial units).
@@ -103,254 +89,75 @@ struct Unit {
     hi: usize,
 }
 
-/// Everything the workers of one pipeline wave share.
-struct WaveShared<'a, B: PipelineBody> {
+/// What every unit of one wave shares.
+struct Wave<'a, B> {
     stage: usize,
-    order: WaveOrder,
     morsel_rows: usize,
     parts: &'a [Table],
-    units: &'a [Unit],
     body: &'a B,
     metrics: &'a MetricsCollector,
-    control: &'a RunControl,
-    policy: &'a RetryPolicy,
-    chaos: &'a ChaosPlan,
-    /// Per-worker steal deques of unit indices; a unit's home deque is
-    /// `partition % workers`, so every recorded steal is a morsel the pool
-    /// genuinely moved off a straggler.
-    deques: Vec<Mutex<VecDeque<usize>>>,
-    /// One output slot per unit, written by whichever worker ran it.
-    slots: Vec<Mutex<Option<Table>>>,
-    halt: AtomicBool,
-    /// First error wins, exactly like the barrier coordinator.
-    error: Mutex<Option<FlowError>>,
-    stage_retries: AtomicU32,
+    /// Busy time per pool worker, µs; its length is the pool's size.
+    busy: Vec<AtomicU64>,
     dispatched: AtomicU64,
     stolen: AtomicU64,
 }
 
-impl<B: PipelineBody> WaveShared<'_, B> {
-    /// The task coordinate used for chaos draws, retry-backoff seeding and
-    /// journal spans: the partition for serial units (identical to the
-    /// barrier path's per-partition tasks), the unit index for independent
-    /// morsels.
-    fn task_coord(&self, unit_idx: usize) -> usize {
-        match self.order {
-            WaveOrder::Serial => self.units[unit_idx].partition,
-            WaveOrder::Independent => unit_idx,
-        }
-    }
-
-    fn interrupted(&self) -> bool {
-        self.halt.load(Ordering::SeqCst) || self.control.is_cancelled()
-    }
-
-    fn cancel_reason(&self) -> String {
-        self.control
-            .reason()
-            .unwrap_or_else(|| "run cancelled".to_owned())
-    }
-
-    /// The wave is doomed: record it, trip run-wide cancellation, raise the
-    /// halt flag. Mirrors the barrier coordinator's `fail_stage`.
-    fn fail(&self, err: FlowError) {
-        let mut slot = self.error.lock();
-        if slot.is_none() {
-            self.metrics.run_cancelled(self.stage, &err.to_string());
-            self.control.cancel(err.to_string());
-            *slot = Some(err);
-        }
-        self.halt.store(true, Ordering::SeqCst);
-    }
-
-    /// Reserve one retry against the stage and run budgets, mirroring the
-    /// barrier coordinator's resolve_failure bookkeeping.
-    fn reserve_retry(&self) -> bool {
-        if let Some(budget) = self.policy.stage_retry_budget {
-            if self
-                .stage_retries
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |used| {
-                    (used < budget).then_some(used + 1)
-                })
-                .is_err()
-            {
-                return false;
-            }
-        } else {
-            self.stage_retries.fetch_add(1, Ordering::SeqCst);
-        }
-        if self.control.try_reserve_retry(self.policy.run_retry_budget) {
-            true
-        } else {
-            self.stage_retries.fetch_sub(1, Ordering::SeqCst);
-            false
-        }
-    }
-}
-
-/// Claim the next unit for worker `w`: own deque front first, then scan
-/// siblings and steal from the *back* of the first non-empty one. Returns
-/// the unit index and the deque it came from (its home worker).
-fn claim(deques: &[Mutex<VecDeque<usize>>], w: usize) -> Option<(usize, usize)> {
-    if let Some(u) = deques[w].lock().pop_front() {
-        return Some((u, w));
-    }
-    let n = deques.len();
-    for off in 1..n {
-        let victim = (w + off) % n;
-        if let Some(u) = deques[victim].lock().pop_back() {
-            return Some((u, victim));
-        }
-    }
-    None
-}
-
-/// Worker loop: claim units (own first, then steal) until every deque is
-/// empty or the wave halts. Units are never re-queued — retries run inline
-/// on the claiming worker — so an empty scan means this worker is done.
-fn run_worker<B: PipelineBody>(shared: &WaveShared<'_, B>, w: usize, busy: &AtomicU64) {
-    loop {
-        if shared.halt.load(Ordering::SeqCst) {
-            return;
-        }
-        if shared.control.is_cancelled() {
-            // External cancel — mirror the barrier coordinator's on_tick:
-            // re-raise with the canceller's reason (first reason wins).
-            shared.fail(FlowError::Cancelled(shared.cancel_reason()));
-            return;
-        }
-        let Some((unit_idx, home)) = claim(&shared.deques, w) else {
-            return;
-        };
-        let unit = &shared.units[unit_idx];
-        if home != w {
-            shared.stolen.fetch_add(1, Ordering::Relaxed);
-            shared
-                .metrics
-                .morsel_stolen(shared.stage, unit.partition, unit.morsel, home, w);
-        }
-        let t0 = Instant::now();
-        run_unit(shared, unit_idx, w);
-        busy.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-    }
-}
-
-/// Run one unit to completion: attempt, and on transient failure retry
-/// inline under the same policy/budget rules as the barrier coordinator.
-fn run_unit<B: PipelineBody>(shared: &WaveShared<'_, B>, unit_idx: usize, w: usize) {
-    let stage = shared.stage;
-    let task = shared.task_coord(unit_idx);
-    let mut attempt: u32 = 0;
-    loop {
-        shared.metrics.task_started(stage, task, attempt);
-        let outcome = execute_attempt(
-            shared.chaos,
-            shared.metrics,
-            (stage, task, attempt),
-            || shared.interrupted(),
-            || run_unit_body(shared, unit_idx, w),
-        );
-        shared
-            .metrics
-            .task_finished(stage, task, attempt, outcome.is_ok());
-        let failure = match outcome {
-            Ok(table) => {
-                *shared.slots[unit_idx].lock() = Some(table);
-                return;
-            }
-            Err(Failure::Aborted) => return,
-            Err(failure) => failure,
-        };
-        let attempts_used = attempt + 1;
-        if failure.is_transient()
-            && attempts_used < shared.policy.max_attempts
-            && shared.reserve_retry()
-        {
-            let next = attempts_used;
-            let delay = shared.policy.delay_us(stage, task, next);
-            if delay > 0 {
-                shared.metrics.backoff_scheduled(stage, task, next, delay);
-                if !cancellable_sleep(delay, &|| shared.interrupted()) {
-                    return;
-                }
-            }
-            shared.metrics.task_retried(stage, task, next);
-            attempt = next;
-            continue;
-        }
-        shared.fail(failure.into_error(stage, task, attempts_used, None));
-        return;
-    }
-}
-
-/// Push the unit's rows through the pipeline body: one morsel for
-/// independent units, an in-order chunk loop for serial (whole-partition)
-/// units. Every dispatched morsel gets a completion event — even a failing
-/// one — so journal pairing is an invariant, not a happy-path property.
-fn run_unit_body<B: PipelineBody>(
-    shared: &WaveShared<'_, B>,
-    unit_idx: usize,
-    w: usize,
-) -> Result<Table> {
-    let unit = &shared.units[unit_idx];
-    let part = &shared.parts[unit.partition];
-    let mut state = shared.body.init(unit.partition, part)?;
-    match shared.order {
-        WaveOrder::Independent => {
-            shared.metrics.morsel_dispatched(
-                shared.stage,
+impl<B: PipelineBody> Wave<'_, B> {
+    /// One attempt at `unit`. A unit's home worker is `partition %
+    /// workers`; running anywhere else is journalled as a steal.
+    fn run_attempt(&self, unit: &Unit, attempt: &Attempt<'_>) -> Result<Table> {
+        let home = unit.partition % self.busy.len();
+        if attempt.worker != home {
+            self.stolen.fetch_add(1, Ordering::Relaxed);
+            self.metrics.morsel_stolen(
+                self.stage,
                 unit.partition,
                 unit.morsel,
-                (unit.hi - unit.lo) as u64,
-                w,
+                home,
+                attempt.worker,
             );
-            shared.dispatched.fetch_add(1, Ordering::Relaxed);
-            let r = shared
-                .body
-                .process(&mut state, part, unit.partition, unit.lo, unit.hi);
-            shared
-                .metrics
-                .morsel_completed(shared.stage, unit.partition, unit.morsel);
-            r?;
         }
-        WaveOrder::Serial => {
-            let mut lo = unit.lo;
-            let mut morsel = unit.morsel;
-            while lo < unit.hi {
-                if shared.interrupted() {
-                    // Cooperative mid-unit cancellation between morsels: the
-                    // in-flight morsel always finishes (and pairs its
-                    // events) before the unit aborts.
-                    return Err(FlowError::Cancelled(shared.cancel_reason()));
-                }
-                let hi = (lo + shared.morsel_rows).min(unit.hi);
-                shared.metrics.morsel_dispatched(
-                    shared.stage,
-                    unit.partition,
-                    morsel,
-                    (hi - lo) as u64,
-                    w,
-                );
-                shared.dispatched.fetch_add(1, Ordering::Relaxed);
-                let r = shared
-                    .body
-                    .process(&mut state, part, unit.partition, lo, hi);
-                shared
-                    .metrics
-                    .morsel_completed(shared.stage, unit.partition, morsel);
-                r?;
-                lo = hi;
-                morsel += 1;
-            }
-        }
+        let t0 = Instant::now();
+        let out = self.push(unit, attempt);
+        self.busy[attempt.worker].fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+        out
     }
-    shared.body.finish(state, part, unit.partition)
+
+    /// Push the unit's rows through the body a morsel at a time, in row
+    /// order, stopping at a morsel boundary once the attempt is cancelled.
+    /// Every dispatched morsel gets a completion event — even a failing
+    /// one — so journal pairing is an invariant, not a happy-path property.
+    fn push(&self, unit: &Unit, attempt: &Attempt<'_>) -> Result<Table> {
+        let part = &self.parts[unit.partition];
+        let mut state = self.body.init(unit.partition, part)?;
+        let (mut lo, mut morsel) = (unit.lo, unit.morsel);
+        while lo < unit.hi {
+            if attempt.cancelled() {
+                return Err(FlowError::Cancelled("task attempt cancelled".to_owned()));
+            }
+            let hi = (lo + self.morsel_rows).min(unit.hi);
+            self.metrics.morsel_dispatched(
+                self.stage,
+                unit.partition,
+                morsel,
+                (hi - lo) as u64,
+                attempt.worker,
+            );
+            self.dispatched.fetch_add(1, Ordering::Relaxed);
+            let r = self.body.process(&mut state, part, unit.partition, lo, hi);
+            self.metrics
+                .morsel_completed(self.stage, unit.partition, morsel);
+            r?;
+            lo = hi;
+            morsel += 1;
+        }
+        self.body.finish(state, part, unit.partition)
+    }
 }
 
-/// Run one pipeline wave over `parts`, returning one output table per
-/// partition (in partition order). The caller owns wave numbering and
-/// checkpointing; this function owns dispatch, stealing, retries and the
-/// wave's journal events.
+/// Run one pipeline wave over `parts` on the stage coordinator, returning
+/// one output table per partition (in partition order). The caller owns
+/// wave numbering and checkpointing.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_wave<B: PipelineBody>(
     config: &SchedulerConfig,
@@ -365,133 +172,75 @@ pub(crate) fn run_wave<B: PipelineBody>(
     if parts.is_empty() {
         return Ok(Vec::new());
     }
-    if control.is_cancelled() {
-        return Err(FlowError::Cancelled(
-            control
-                .reason()
-                .unwrap_or_else(|| "run cancelled".to_owned()),
-        ));
-    }
     let morsel_rows = morsel_rows.max(1);
+    let unit_rows = match order {
+        WaveOrder::Independent => morsel_rows,
+        WaveOrder::Serial => usize::MAX,
+    };
     // Units are built partition-major with morsels ascending, so each
-    // partition's output chunks occupy contiguous slots in morsel order.
+    // partition's output chunks occupy contiguous task slots in morsel
+    // order. An empty partition still gets one (empty) unit, so the output
+    // keeps its schema and partition count.
     let mut units: Vec<Unit> = Vec::new();
-    let mut part_units: Vec<(usize, usize)> = Vec::with_capacity(parts.len());
-    for (p, t) in parts.iter().enumerate() {
-        let start = units.len();
+    let mut per_part: Vec<usize> = Vec::with_capacity(parts.len());
+    for (partition, t) in parts.iter().enumerate() {
         let n = t.num_rows();
-        match order {
-            WaveOrder::Serial => units.push(Unit {
-                partition: p,
-                morsel: 0,
-                lo: 0,
-                hi: n,
-            }),
-            WaveOrder::Independent => {
-                if n == 0 {
-                    // Empty partitions still contribute one zero-row morsel
-                    // so the output keeps its schema and partition count.
-                    units.push(Unit {
-                        partition: p,
-                        morsel: 0,
-                        lo: 0,
-                        hi: 0,
-                    });
-                } else {
-                    let mut lo = 0;
-                    let mut morsel = 0;
-                    while lo < n {
-                        let hi = (lo + morsel_rows).min(n);
-                        units.push(Unit {
-                            partition: p,
-                            morsel,
-                            lo,
-                            hi,
-                        });
-                        lo = hi;
-                        morsel += 1;
-                    }
-                }
-            }
-        }
-        part_units.push((start, units.len()));
+        let cut = (0..n.max(1)).step_by(unit_rows).enumerate();
+        per_part.push(cut.len());
+        units.extend(cut.map(|(morsel, lo)| Unit {
+            partition,
+            morsel,
+            lo,
+            hi: lo.saturating_add(unit_rows).min(n),
+        }));
     }
     let input_rows = parts.iter().map(Table::num_rows).sum();
-    let workers = if config.runs_on_caller(input_rows, morsel_rows) {
-        1
-    } else {
-        config.threads.max(1).min(units.len())
-    };
-    let shared = WaveShared {
+    let workers = config.workers(units.len(), input_rows, morsel_rows);
+    let wave = Wave {
         stage,
-        order,
         morsel_rows,
         parts,
-        units: &units,
         body,
         metrics,
-        control,
-        policy: &config.resilience.retry,
-        chaos: &config.resilience.chaos,
-        deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-        slots: units.iter().map(|_| Mutex::new(None)).collect(),
-        halt: AtomicBool::new(false),
-        error: Mutex::new(None),
-        stage_retries: AtomicU32::new(0),
+        busy: (0..workers).map(|_| AtomicU64::new(0)).collect(),
         dispatched: AtomicU64::new(0),
         stolen: AtomicU64::new(0),
     };
-    for (i, u) in units.iter().enumerate() {
-        shared.deques[u.partition % workers].lock().push_back(i);
-    }
-    let busy: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    if workers == 1 {
-        // One worker suffices: be it. No spawn, no join, and retries,
-        // cancellation checks between units and journal pairing are the
-        // worker loop's own, so they cannot differ from the pool's.
-        run_worker(&shared, 0, &busy[0]);
-    } else {
-        crossbeam::thread::scope(|scope| {
-            for w in 0..workers {
-                let shared = &shared;
-                let busy = &busy[w];
-                scope.spawn(move |_| run_worker(shared, w, busy));
-            }
+    let tasks: Vec<_> = units
+        .iter()
+        .map(|unit| {
+            let wave = &wave;
+            move |attempt: &Attempt<'_>| wave.run_attempt(unit, attempt)
         })
-        .map_err(|_| FlowError::Cancelled("worker thread panicked".to_owned()))?;
-    }
-    if let Some(err) = shared.error.lock().take() {
-        return Err(err);
-    }
+        .collect();
+    let mut chunks = run_tasks(
+        config,
+        metrics,
+        control,
+        stage,
+        &tasks,
+        input_rows,
+        morsel_rows,
+    )?
+    .into_iter();
     let mut out = Vec::with_capacity(parts.len());
-    for (start, end) in &part_units {
-        let mut chunks = Vec::with_capacity(end - start);
-        for slot in &shared.slots[*start..*end] {
-            match slot.lock().take() {
-                Some(t) => chunks.push(t),
-                None => return Err(FlowError::Cancelled("task result missing".to_owned())),
-            }
-        }
-        out.push(if chunks.len() == 1 {
-            chunks.pop().expect("one chunk")
+    for count in per_part {
+        let mut part: Vec<Table> = chunks.by_ref().take(count).collect();
+        out.push(if part.len() == 1 {
+            part.pop().expect("one chunk")
         } else {
-            Table::concat(&chunks).map_err(FlowError::Data)?
+            Table::concat(&part).map_err(FlowError::Data)?
         });
     }
-    let slowest = busy
-        .iter()
-        .map(|b| b.load(Ordering::Relaxed))
-        .max()
-        .unwrap_or(0);
-    let total: u64 = busy.iter().map(|b| b.load(Ordering::Relaxed)).sum();
+    let busy = || wave.busy.iter().map(|b| b.load(Ordering::Relaxed));
     metrics.pipeline_completed(
         stage,
         parts.len(),
-        shared.dispatched.load(Ordering::Relaxed),
-        shared.stolen.load(Ordering::Relaxed),
+        wave.dispatched.load(Ordering::Relaxed),
+        wave.stolen.load(Ordering::Relaxed),
         workers,
-        slowest,
-        total as f64 / workers as f64,
+        busy().max().unwrap_or(0),
+        busy().sum::<u64>() as f64 / workers as f64,
     );
     Ok(out)
 }
@@ -499,13 +248,15 @@ pub(crate) fn run_wave<B: PipelineBody>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use std::collections::HashSet;
+    use std::sync::atomic::AtomicUsize;
     use std::thread::ThreadId;
     use std::time::Duration;
     use toreador_data::generate::random_table;
 
-    use crate::fault::{FaultKind, TargetedFault};
-    use crate::resilience::ResilienceConfig;
+    use crate::fault::{ChaosPlan, FaultKind, TargetedFault};
+    use crate::resilience::{ResilienceConfig, RetryPolicy, TaskDeadline};
     use crate::trace::TraceEventKind;
 
     /// Identity body: slices the claimed row range back out of the input.
@@ -563,6 +314,82 @@ mod tests {
         fn finish(&self, state: Self::State, part: &Table, partition: usize) -> Result<Table> {
             PassThrough.finish(state, part, partition)
         }
+    }
+
+    /// [`PassThrough`] whose first attempt at partition 0 sleeps in every
+    /// `process`; counting `init` calls tells the attempts apart.
+    struct FirstAttemptSleeps(AtomicUsize);
+
+    impl PipelineBody for FirstAttemptSleeps {
+        type State = (bool, Vec<Table>);
+
+        fn init(&self, partition: usize, part: &Table) -> Result<Self::State> {
+            let first = partition == 0 && self.0.fetch_add(1, Ordering::SeqCst) == 0;
+            Ok((first, PassThrough.init(partition, part)?))
+        }
+
+        fn process(
+            &self,
+            state: &mut Self::State,
+            part: &Table,
+            partition: usize,
+            lo: usize,
+            hi: usize,
+        ) -> Result<()> {
+            if state.0 {
+                std::thread::sleep(Duration::from_millis(150));
+            }
+            PassThrough.process(&mut state.1, part, partition, lo, hi)
+        }
+
+        fn finish(&self, state: Self::State, part: &Table, partition: usize) -> Result<Table> {
+            PassThrough.finish(state.1, part, partition)
+        }
+    }
+
+    #[test]
+    fn a_timed_out_serial_unit_stops_at_the_next_morsel() {
+        // Partition 0 is 20 rows, five 4-row morsels. Its first attempt
+        // sleeps in morsel 0 past the deadline; the retry folds all five
+        // while the written-off attempt is still asleep, and the written-off
+        // attempt must stop at the next morsel boundary instead of folding
+        // the rest of the partition on its worker.
+        let config = SchedulerConfig::new(2).with_resilience(
+            ResilienceConfig::none()
+                .with_retry(RetryPolicy::immediate(2))
+                .with_deadline(TaskDeadline::from_millis(30)),
+        );
+        let metrics = MetricsCollector::new();
+        let input = parts(3, 20);
+        let body = FirstAttemptSleeps(AtomicUsize::new(0));
+        let out = run_wave(
+            &config,
+            &metrics,
+            &RunControl::new(),
+            0,
+            &input,
+            WaveOrder::Serial,
+            4,
+            &body,
+        )
+        .unwrap();
+        assert_eq!(out, input);
+        let journal = metrics.trace().snapshot();
+        assert_eq!(journal.resilience_totals().timeouts, 1);
+        let p0 = journal
+            .events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    TraceEventKind::MorselDispatched { partition: 0, .. }
+                )
+            })
+            .count();
+        assert!(
+            p0 < 2 * 5,
+            "partition 0 dispatched {p0} morsels: two full passes"
+        );
     }
 
     #[test]
@@ -705,21 +532,7 @@ mod tests {
     }
 
     #[test]
-    fn stealing_claims_from_victim_backs() {
-        let deques: Vec<Mutex<VecDeque<usize>>> =
-            (0..3).map(|_| Mutex::new(VecDeque::new())).collect();
-        deques[1].lock().extend([10, 11, 12]);
-        // Worker 0's own deque is empty: it must steal from worker 1's
-        // back, not its front.
-        assert_eq!(claim(&deques, 0), Some((12, 1)));
-        // Worker 1 pops its own front.
-        assert_eq!(claim(&deques, 1), Some((10, 1)));
-        assert_eq!(claim(&deques, 2), Some((11, 1)));
-        assert_eq!(claim(&deques, 0), None);
-    }
-
-    #[test]
-    fn targeted_crash_is_retried_inline_and_recorded() {
+    fn targeted_crash_is_retried_and_recorded() {
         let resilience = ResilienceConfig::none()
             .with_retry(RetryPolicy::immediate(3))
             .with_chaos(ChaosPlan::none().with_targeted(TargetedFault {

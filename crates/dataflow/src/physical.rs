@@ -7,12 +7,11 @@
 //! first move rows through [`crate::shuffle`] and then run per-partition
 //! tasks on the redistributed data.
 //!
-//! A narrow chain has two drivers, derived from the plan and the resilience
-//! policy rather than configured: a chain of two or more operators runs on
-//! row-range morsels ([`crate::morsel`]) unless the run has a task deadline
-//! or speculation policy; a lone operator, or any chain under such a
-//! policy, runs partition-at-a-time on the stage-barrier coordinator
-//! ([`crate::scheduler`]), whose watchdogs those policies need.
+//! Every wave runs on the stage coordinator ([`crate::scheduler`]). What
+//! a task is derives from the plan, not from a setting: a narrow chain of
+//! two or more operators and an aggregation's map side run as row-range
+//! morsel units ([`crate::morsel`]); a lone narrow operator and every wide
+//! operator's reduce side run one task per partition.
 //!
 //! Aggregations run in one of two modes, chosen by
 //! [`ExecConfig::partial_aggregation`]: *partial* (combine per partition,
@@ -56,7 +55,7 @@ pub struct ExecConfig {
     pub partitions: usize,
     /// Map-side combine for aggregations (ablation knob).
     pub partial_aggregation: bool,
-    /// Target morsel size in rows: the unit of the morsel driver
+    /// Target morsel size in rows: the unit of morsel waves
     /// ([`crate::morsel`]) and of the scheduler's size rule.
     pub morsel_rows: usize,
     /// External run control adopted by the execution context (None = the
@@ -331,8 +330,9 @@ impl<'a> ExecContext<'a> {
         Ok(out)
     }
 
-    /// Run one barrier wave. `input_rows` is the total the tasks read: the
-    /// scheduler keeps a wave of at most one morsel on this thread.
+    /// Run one wave of whole-partition tasks. `input_rows` is the total the
+    /// tasks read: the scheduler keeps a wave of at most one morsel on this
+    /// thread.
     fn run_stage<F>(&self, stage: usize, input_rows: usize, tasks: Vec<F>) -> Result<Vec<Table>>
     where
         F: Fn() -> Result<Table> + Send + Sync,
@@ -370,13 +370,6 @@ impl<'a> ExecContext<'a> {
                 body,
             )
         })
-    }
-
-    /// Whether this run may drive waves on morsels. Deadlines and
-    /// speculation need the barrier coordinator's watchdog clocks, so
-    /// either policy keeps every wave on the barrier driver.
-    fn morsels_allowed(&self) -> bool {
-        self.config.scheduler.resilience.spare_worker_hint() == 0
     }
 }
 
@@ -534,11 +527,10 @@ enum FusedStep {
 /// each logical node records its own `OperatorFinished`, with its elapsed
 /// time the summed per-partition busy time of its step.
 ///
-/// A chain of two or more steps runs on morsels when the run allows it; a
-/// lone operator stays partition-at-a-time on the barrier driver, where
-/// its output is one table per partition instead of per-morsel chunks
-/// plus their concatenation — the same result with about half the filtered
-/// output in flight.
+/// A chain of two or more steps runs on morsels; a lone operator stays one
+/// task per partition, where its output is one table per partition instead
+/// of per-morsel chunks plus their concatenation — the same result with
+/// about half the filtered output in flight.
 fn exec_narrow_chain(ctx: &ExecContext<'_>, plan: &LogicalPlan) -> Result<PartitionedTable> {
     let (chain, below) = narrow_chain(plan);
     let child = execute(ctx, below)?;
@@ -583,12 +575,10 @@ fn exec_narrow_chain(ctx: &ExecContext<'_>, plan: &LogicalPlan) -> Result<Partit
     let steps_ref = &steps;
     let stats_ref = &stats;
     let fused = steps.len() >= 2;
-    let outputs = if fused && ctx.morsels_allowed() {
-        // Push row-range morsels through per-core workers with
-        // work-stealing. Pure filter/project chains are elementwise, so any
-        // worker may run any morsel; a sampling step carries RNG draw
-        // order, so those chains run partition-serial (stealing moves whole
-        // partitions instead).
+    let outputs = if fused {
+        // Pure filter/project chains are elementwise, so any worker may run
+        // any morsel; a sampling step carries RNG draw order, so those
+        // chains run one unit per partition.
         let order = if steps
             .iter()
             .any(|(s, _)| matches!(s, FusedStep::Sample { .. }))
@@ -844,26 +834,15 @@ fn exec_aggregate(
         let p_schema = partial_schema(group_fields, aggs, input.schema())?;
         let map_stage = ctx.current_stage();
         let parts = input.into_parts();
-        let partials = if ctx.morsels_allowed() {
-            // The map side is non-breaking per-partition work: run it as a
-            // serial morsel wave so a skewed partition's combine can be
-            // helped by the pool without perturbing accumulation order.
-            let body = PartialAggBody {
-                group_by,
-                aggs,
-                p_schema: &p_schema,
-            };
-            ctx.run_morsels(map_stage, &parts, WaveOrder::Serial, &body)?
-        } else {
-            let tasks: Vec<_> = parts
-                .iter()
-                .map(|t| {
-                    let p_schema = &p_schema;
-                    move || group::partial_aggregate(t, group_by, aggs, p_schema)
-                })
-                .collect();
-            ctx.run_stage(map_stage, total_rows(&parts), tasks)?
+        // The map side is non-breaking per-partition work: a serial morsel
+        // wave folds each partition in row order, which preserves the
+        // accumulation order of a whole-partition combine.
+        let body = PartialAggBody {
+            group_by,
+            aggs,
+            p_schema: &p_schema,
         };
+        let partials = ctx.run_morsels(map_stage, &parts, WaveOrder::Serial, &body)?;
         let out = ctx.shuffle_partials(partials, &p_schema, group_by, targets)?;
         (out.partitions, out.bytes_moved)
     } else {

@@ -1,9 +1,11 @@
 //! Task scheduling: a resilient scoped thread pool.
 //!
-//! The executor turns each (stage, partition) pair into a task closure; the
-//! scheduler fans tasks out over `threads` crossbeam scoped workers and a
-//! coordinator thread drives the stage's resilience policy (see
-//! [`crate::resilience`]):
+//! The executor turns each wave into tasks — one per partition, or one per
+//! row-range unit of a morsel wave ([`crate::morsel`]); the scheduler fans
+//! them out over numbered crossbeam scoped workers and a coordinator thread
+//! drives the stage's resilience policy (see [`crate::resilience`]). This
+//! is the only code that dispatches, retries, backs off, times out,
+//! speculates on or cancels an attempt:
 //!
 //! - every attempt runs under `catch_unwind`, so a panicking task becomes a
 //!   classified [`FlowError::TaskPanicked`] instead of collapsing the pool;
@@ -19,11 +21,12 @@
 //! - straggling tasks may get one speculative backup attempt — first
 //!   completion wins, the loser is cancelled and recorded.
 //!
-//! Cancellation is cooperative: injected delays wake promptly, but a task
-//! *body* cannot be interrupted mid-flight (scoped threads borrow the task
-//! closures, so workers must join before the stage returns). A timed-out
-//! body therefore stops counting — its retry races ahead — but still
-//! occupies a worker until it returns.
+//! Cancellation is cooperative: injected delays wake promptly, and a body
+//! that reads its [`Attempt`] (a morsel unit, between morsels) stops at its
+//! next check, but a body cannot be interrupted mid-flight (scoped threads
+//! borrow the task closures, so workers must join before the stage
+//! returns). A timed-out body therefore stops counting — its retry races
+//! ahead — but still occupies a worker until it returns or checks.
 //!
 //! A wave whose whole input is at most one morsel gets no pool at all
 //! ([`SchedulerConfig::runs_on_caller`]): the same coordinator and the same
@@ -81,6 +84,23 @@ impl SchedulerConfig {
     /// while a body runs, so either one keeps the wave on the pool.
     pub fn runs_on_caller(&self, input_rows: usize, morsel_rows: usize) -> bool {
         input_rows <= morsel_rows && self.resilience.spare_worker_hint() == 0
+    }
+
+    /// How many workers run a wave of `tasks`: one — the calling thread —
+    /// if it [fits one morsel](Self::runs_on_caller), else `threads` capped
+    /// at the task count. Deadlines and speculation add their spare workers
+    /// on top of `threads` instead: a hung body cannot be interrupted, so
+    /// its replacement must find a free thread even when every configured
+    /// worker is pinned under a straggler.
+    pub(crate) fn workers(&self, tasks: usize, input_rows: usize, morsel_rows: usize) -> usize {
+        if self.runs_on_caller(input_rows, morsel_rows) {
+            return 1;
+        }
+        let threads = self.threads.max(1);
+        match self.resilience.spare_worker_hint() {
+            0 => threads.min(tasks),
+            spare => threads + spare,
+        }
     }
 }
 
@@ -190,17 +210,34 @@ impl WorkQueue {
 }
 
 /// State shared (by reference) with every worker.
-struct Shared<'a, F> {
+struct Shared<'a, T> {
     stage: usize,
-    tasks: &'a [F],
+    tasks: &'a [T],
     queue: &'a WorkQueue,
-    halt: &'a AtomicBool,
     control: &'a RunControl,
     metrics: &'a MetricsCollector,
     chaos: &'a ChaosPlan,
 }
 
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The attempt a task body runs as.
+pub(crate) struct Attempt<'a> {
+    /// The pool worker running it, `0..workers`; 0 on the calling thread.
+    pub(crate) worker: usize,
+    cancel: &'a AtomicBool,
+    control: &'a RunControl,
+}
+
+impl Attempt<'_> {
+    /// The coordinator wrote this attempt off — the stage failed, its
+    /// deadline expired, or it lost a speculation race — or the run was
+    /// cancelled from outside, which a coordinator blocked in `recv` has not
+    /// seen yet.
+    pub(crate) fn cancelled(&self) -> bool {
+        self.cancel.load(Ordering::SeqCst) || self.control.is_cancelled()
+    }
+}
+
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_owned())
@@ -208,45 +245,49 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "opaque panic payload".to_owned())
 }
 
-/// Sleep `micros` in [`TICK_US`] chunks; false if `interrupted` turned true
+/// Sleep `micros` in [`TICK_US`] chunks; false if `running` was cancelled
 /// before or during the sleep.
-pub(crate) fn cancellable_sleep(micros: u64, interrupted: &impl Fn() -> bool) -> bool {
+fn cancellable_sleep(micros: u64, running: &Attempt<'_>) -> bool {
     let mut remaining = micros;
     while remaining > 0 {
-        if interrupted() {
+        if running.cancelled() {
             return false;
         }
         let chunk = remaining.min(TICK_US);
         std::thread::sleep(Duration::from_micros(chunk));
         remaining -= chunk;
     }
-    !interrupted()
+    !running.cancelled()
 }
 
 /// Worker loop: claim attempts until the queue closes.
-fn run_worker<F>(shared: &Shared<'_, F>, tx: mpsc::Sender<WorkerMsg>)
+fn run_worker<T>(shared: &Shared<'_, T>, worker: usize, tx: mpsc::Sender<WorkerMsg>)
 where
-    F: Fn() -> Result<Table> + Send + Sync,
+    T: Fn(&Attempt<'_>) -> Result<Table> + Sync,
 {
     while let Some(spec) = shared.queue.pop() {
-        run_claimed(shared, &spec, |msg| {
+        run_claimed(shared, &spec, worker, |msg| {
             let _ = tx.send(msg);
         });
     }
 }
 
-/// Run one claimed attempt and `report` it to the coordinator — over the
-/// channel from a pool worker, by a direct call on the caller-thread path.
-/// Once the halt flag is up (the stage is doomed) or the run is cancelled,
+/// Run one claimed attempt on `worker` and `report` it to the coordinator —
+/// over the channel from a pool worker, by a direct call on the
+/// caller-thread path. In a cancelled run (a doomed stage cancels it too)
 /// the attempt is aborted unexecuted — this is the cooperative-cancellation
 /// fast path, and it does not wait for the coordinator to notice an
 /// external cancel.
-fn run_claimed<F>(shared: &Shared<'_, F>, spec: &AttemptSpec, mut report: impl FnMut(WorkerMsg))
-where
-    F: Fn() -> Result<Table> + Send + Sync,
+fn run_claimed<T>(
+    shared: &Shared<'_, T>,
+    spec: &AttemptSpec,
+    worker: usize,
+    mut report: impl FnMut(WorkerMsg),
+) where
+    T: Fn(&Attempt<'_>) -> Result<Table> + Sync,
 {
     let (task, attempt) = (spec.task, spec.attempt);
-    if shared.halt.load(Ordering::SeqCst) || shared.control.is_cancelled() {
+    if shared.control.is_cancelled() {
         report(WorkerMsg::Finished {
             task,
             attempt,
@@ -256,13 +297,12 @@ where
     }
     report(WorkerMsg::Started { task, attempt });
     shared.metrics.task_started(shared.stage, task, attempt);
-    let outcome = execute_attempt(
-        shared.chaos,
-        shared.metrics,
-        (shared.stage, task, attempt),
-        || spec.cancel.load(Ordering::SeqCst) || shared.halt.load(Ordering::SeqCst),
-        &shared.tasks[task],
-    );
+    let running = Attempt {
+        worker,
+        cancel: &spec.cancel,
+        control: shared.control,
+    };
+    let outcome = execute_attempt(shared, task, attempt, &running);
     // Every started attempt finishes exactly once — timed-out,
     // panicked, and losing speculative attempts included.
     shared
@@ -275,20 +315,22 @@ where
     });
 }
 
-/// Run one attempt: apply chaos, then the body under panic isolation. The
-/// only copy of the attempt logic — pool workers, the caller-thread path and
-/// the morsel workers ([`crate::morsel`]) all come through here, so a chaos
+/// Run one attempt: apply chaos, then the body under panic isolation. Pool
+/// workers and the caller-thread path both come through here, so a chaos
 /// decision is a pure function of `(seed, stage, task, attempt)` whichever
 /// thread runs the attempt, and a panicking body never unwinds into it.
-pub(crate) fn execute_attempt(
-    chaos: &ChaosPlan,
-    metrics: &MetricsCollector,
-    (stage, task, attempt): (usize, usize, u32),
-    interrupted: impl Fn() -> bool,
-    body: impl FnOnce() -> Result<Table>,
-) -> std::result::Result<Table, Failure> {
+fn execute_attempt<T>(
+    shared: &Shared<'_, T>,
+    task: usize,
+    attempt: u32,
+    running: &Attempt<'_>,
+) -> std::result::Result<Table, Failure>
+where
+    T: Fn(&Attempt<'_>) -> Result<Table> + Sync,
+{
+    let (stage, metrics) = (shared.stage, shared.metrics);
     let mut inject_panic = false;
-    match chaos.fault_for(stage, task, attempt) {
+    match shared.chaos.fault_for(stage, task, attempt) {
         Some(FaultKind::Crash) => {
             metrics.fault_injected(stage, task, attempt);
             return Err(Failure::Crashed);
@@ -299,20 +341,20 @@ pub(crate) fn execute_attempt(
         }
         Some(FaultKind::Delay { micros }) => {
             metrics.fault_injected(stage, task, attempt);
-            if !cancellable_sleep(micros, &interrupted) {
+            if !cancellable_sleep(micros, running) {
                 return Err(Failure::Aborted);
             }
         }
         None => {}
     }
-    if interrupted() {
+    if running.cancelled() {
         return Err(Failure::Aborted);
     }
     match catch_unwind(AssertUnwindSafe(|| {
         if inject_panic {
             panic!("injected panic (chaos plan)");
         }
-        body()
+        (shared.tasks[task])(running)
     })) {
         Ok(Ok(table)) => Ok(table),
         Ok(Err(e)) => Err(Failure::Body(e)),
@@ -325,7 +367,7 @@ pub(crate) fn execute_attempt(
 }
 
 /// Why an attempt did not produce a result.
-pub(crate) enum Failure {
+enum Failure {
     /// Chaos crashed the attempt before the body ran.
     Crashed,
     /// The body (or an injected panic) panicked; isolated via catch_unwind.
@@ -341,7 +383,7 @@ pub(crate) enum Failure {
 impl Failure {
     /// Worth another attempt: everything but a body error that
     /// [`classify`] calls permanent (a plan bug fails the same way twice).
-    pub(crate) fn is_transient(&self) -> bool {
+    fn is_transient(&self) -> bool {
         match self {
             Failure::Body(e) => classify(e) == ErrorClass::Transient,
             _ => true,
@@ -349,7 +391,7 @@ impl Failure {
     }
 
     /// The error the run reports once `task` is out of attempts.
-    pub(crate) fn into_error(
+    fn into_error(
         self,
         stage: usize,
         task: usize,
@@ -474,11 +516,10 @@ impl<'a> Coordinator<'a> {
 
     /// Nothing running, nothing scheduled, not done: a logic bug must fail
     /// loudly rather than hang the run.
-    fn fail_stalled(&mut self, queue: &WorkQueue, halt: &AtomicBool) {
+    fn fail_stalled(&mut self, queue: &WorkQueue) {
         self.fail_stage(
             FlowError::Cancelled("scheduler stalled with no work in flight".to_owned()),
             queue,
-            halt,
         );
     }
 
@@ -551,7 +592,7 @@ impl<'a> Coordinator<'a> {
         })
     }
 
-    fn handle(&mut self, msg: WorkerMsg, queue: &WorkQueue, halt: &AtomicBool) {
+    fn handle(&mut self, msg: WorkerMsg, queue: &WorkQueue) {
         match msg {
             WorkerMsg::Started { task, attempt } => {
                 if let Some(r) = self.states[task]
@@ -575,7 +616,7 @@ impl<'a> Coordinator<'a> {
                 };
                 match outcome {
                     Ok(table) => self.on_success(task, entry, table),
-                    Err(failure) => self.on_failure(task, entry, failure, queue, halt),
+                    Err(failure) => self.on_failure(task, entry, failure, queue),
                 }
             }
         }
@@ -616,7 +657,6 @@ impl<'a> Coordinator<'a> {
         entry: RunningAttempt,
         failure: Failure,
         queue: &WorkQueue,
-        halt: &AtomicBool,
     ) {
         if self.error.is_some() || self.states[task].completed || entry.dead {
             return;
@@ -624,20 +664,14 @@ impl<'a> Coordinator<'a> {
         if self.control.is_cancelled() {
             // No retries in a cancelled run: fail with the canceller's
             // reason, not this attempt's.
-            self.on_tick(queue, halt);
+            self.on_tick(queue);
             return;
         }
-        self.resolve_failure(task, failure, queue, halt);
+        self.resolve_failure(task, failure, queue);
     }
 
     /// Decide whether a failed task gets another attempt or dooms the stage.
-    fn resolve_failure(
-        &mut self,
-        task: usize,
-        failure: Failure,
-        queue: &WorkQueue,
-        halt: &AtomicBool,
-    ) {
+    fn resolve_failure(&mut self, task: usize, failure: Failure, queue: &WorkQueue) {
         if failure.is_transient() {
             let st = &self.states[task];
             if st.retry_pending || st.running.iter().any(|r| !r.dead) {
@@ -674,19 +708,19 @@ impl<'a> Coordinator<'a> {
         }
         let attempts = self.states[task].attempts_used;
         let err = failure.into_error(self.stage, task, attempts, self.deadline_us);
-        self.fail_stage(err, queue, halt);
+        self.fail_stage(err, queue);
     }
 
-    /// The stage is doomed: record it, trip run-wide cancellation, raise the
-    /// halt flag, cancel running attempts, and drop unclaimed work.
-    fn fail_stage(&mut self, err: FlowError, queue: &WorkQueue, halt: &AtomicBool) {
+    /// The stage is doomed: record it, trip run-wide cancellation (which
+    /// every worker checks before starting an attempt), cancel running
+    /// attempts, and drop unclaimed work.
+    fn fail_stage(&mut self, err: FlowError, queue: &WorkQueue) {
         if self.error.is_some() {
             return;
         }
         self.metrics.run_cancelled(self.stage, &err.to_string());
         self.control.cancel(err.to_string());
         self.error = Some(err);
-        halt.store(true, Ordering::SeqCst);
         self.backoff.clear();
         for st in &self.states {
             for r in &st.running {
@@ -699,7 +733,7 @@ impl<'a> Coordinator<'a> {
     }
 
     /// Periodic duties: expire deadlines, launch speculation.
-    fn on_tick(&mut self, queue: &WorkQueue, halt: &AtomicBool) {
+    fn on_tick(&mut self, queue: &WorkQueue) {
         if self.error.is_some() {
             return;
         }
@@ -713,7 +747,7 @@ impl<'a> Coordinator<'a> {
                 .control
                 .reason()
                 .unwrap_or_else(|| "run cancelled".to_owned());
-            self.fail_stage(FlowError::Cancelled(reason), queue, halt);
+            self.fail_stage(FlowError::Cancelled(reason), queue);
             return;
         }
         if let Some(dl) = self.deadline_us {
@@ -737,7 +771,7 @@ impl<'a> Coordinator<'a> {
             }
             for (task, attempt) in expired {
                 self.metrics.task_timed_out(self.stage, task, attempt, dl);
-                self.resolve_failure(task, Failure::TimedOut, queue, halt);
+                self.resolve_failure(task, Failure::TimedOut, queue);
                 if self.error.is_some() {
                     return;
                 }
@@ -815,6 +849,35 @@ pub fn run_stage_controlled<F>(
 where
     F: Fn() -> Result<Table> + Send + Sync,
 {
+    let tasks: Vec<_> = tasks
+        .iter()
+        .map(|task| move |_: &Attempt<'_>| task())
+        .collect();
+    run_tasks(
+        config,
+        metrics,
+        control,
+        stage,
+        &tasks,
+        input_rows,
+        morsel_rows,
+    )
+}
+
+/// [`run_stage_controlled`] for bodies that read the [`Attempt`] they run
+/// as — which worker runs it, and whether it was cancelled.
+pub(crate) fn run_tasks<T>(
+    config: &SchedulerConfig,
+    metrics: &MetricsCollector,
+    control: &RunControl,
+    stage: usize,
+    tasks: &[T],
+    input_rows: usize,
+    morsel_rows: usize,
+) -> Result<Vec<Table>>
+where
+    T: Fn(&Attempt<'_>) -> Result<Table> + Sync,
+{
     let n = tasks.len();
     if n == 0 {
         return Ok(Vec::new());
@@ -827,12 +890,10 @@ where
         ));
     }
     let queue = WorkQueue::new();
-    let halt = AtomicBool::new(false);
     let shared = Shared {
         stage,
-        tasks: &tasks,
+        tasks,
         queue: &queue,
-        halt: &halt,
         control,
         metrics,
         chaos: &config.resilience.chaos,
@@ -844,7 +905,8 @@ where
     if config.runs_on_caller(input_rows, morsel_rows) {
         drive_on_caller(&shared, &mut co);
     } else {
-        drive_pool(config, &shared, &mut co)?;
+        let workers = config.workers(n, input_rows, morsel_rows);
+        drive_pool(workers, &shared, &mut co)?;
     }
     if let Some(err) = co.error {
         return Err(err);
@@ -859,17 +921,18 @@ where
     Ok(out)
 }
 
-/// Drive the wave on the calling thread: claim the next queued attempt, run
-/// it here, hand its reports straight to the coordinator. Between attempts
-/// the coordinator's tick honours external cancellation exactly as it does
-/// between worker messages; a pending retry backoff is waited out in
-/// cancellable ticks. No watchdog can fire — the size rule admits no
-/// deadline or speculation policy — so nothing here needs a second thread.
-fn drive_on_caller<F>(shared: &Shared<'_, F>, co: &mut Coordinator<'_>)
+/// Drive the wave on the calling thread, worker 0: claim the next queued
+/// attempt, run it here, hand its reports straight to the coordinator.
+/// Between attempts the coordinator's tick honours external cancellation
+/// exactly as it does between worker messages; a pending retry backoff is
+/// waited out in cancellable ticks. No watchdog can fire — the size rule
+/// admits no deadline or speculation policy — so nothing here needs a
+/// second thread.
+fn drive_on_caller<T>(shared: &Shared<'_, T>, co: &mut Coordinator<'_>)
 where
-    F: Fn() -> Result<Table> + Send + Sync,
+    T: Fn(&Attempt<'_>) -> Result<Table> + Sync,
 {
-    let (queue, halt) = (shared.queue, shared.halt);
+    let queue = shared.queue;
     loop {
         let now = Instant::now();
         co.release_due_retries(queue, now);
@@ -877,46 +940,29 @@ where
             break;
         }
         if let Some(spec) = queue.try_pop() {
-            run_claimed(shared, &spec, |msg| co.handle(msg, queue, halt));
+            run_claimed(shared, &spec, 0, |msg| co.handle(msg, queue));
         } else if let Some(wait) = co.next_timeout(now) {
             std::thread::sleep(wait.min(Duration::from_micros(TICK_US)));
         } else {
-            co.fail_stalled(queue, halt);
+            co.fail_stalled(queue);
         }
-        co.on_tick(queue, halt);
+        co.on_tick(queue);
     }
 }
 
-/// Drive the wave across a scoped worker pool: workers claim attempts from
-/// the queue and report over a channel; this thread is the coordinator.
-fn drive_pool<F>(
-    config: &SchedulerConfig,
-    shared: &Shared<'_, F>,
-    co: &mut Coordinator<'_>,
-) -> Result<()>
+/// Drive the wave across `workers` scoped pool threads, numbered from 0:
+/// they claim attempts from the queue and report over a channel; this
+/// thread is the coordinator.
+fn drive_pool<T>(workers: usize, shared: &Shared<'_, T>, co: &mut Coordinator<'_>) -> Result<()>
 where
-    F: Fn() -> Result<Table> + Send + Sync,
+    T: Fn(&Attempt<'_>) -> Result<Table> + Sync,
 {
-    let (queue, halt) = (shared.queue, shared.halt);
-    // Deadlines and speculation need spare workers: a hung body cannot be
-    // interrupted, so its replacement attempt must run on another thread.
-    // Skipping the task-count cap is not enough — with every configured
-    // worker pinned under a hung attempt (n >= threads), a wave that has
-    // both features enabled used to drop the sizing hint entirely and the
-    // replacement attempt queued behind the very straggler it was meant to
-    // rescue. Add the hint on top of the pool instead.
-    let spare = config.resilience.spare_worker_hint();
-    let mut threads = config.threads.max(1);
-    if spare == 0 {
-        threads = threads.min(shared.tasks.len());
-    } else {
-        threads += spare;
-    }
+    let queue = shared.queue;
     let (done_tx, done_rx) = mpsc::channel::<WorkerMsg>();
     crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
+        for worker in 0..workers {
             let tx = done_tx.clone();
-            scope.spawn(move |_| run_worker(shared, tx));
+            scope.spawn(move |_| run_worker(shared, worker, tx));
         }
         drop(done_tx);
         loop {
@@ -926,39 +972,24 @@ where
                 break;
             }
             if co.in_flight == 0 && co.backoff.is_empty() {
-                co.fail_stalled(queue, halt);
+                co.fail_stalled(queue);
                 continue;
             }
-            let msg = match co.next_timeout(now) {
-                None => match done_rx.recv() {
-                    Ok(m) => m,
-                    Err(_) => {
-                        co.fail_stage(
-                            FlowError::Cancelled("worker pool disconnected".to_owned()),
-                            queue,
-                            halt,
-                        );
-                        continue;
-                    }
-                },
-                Some(wait) => match done_rx.recv_timeout(wait) {
-                    Ok(m) => m,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        co.on_tick(queue, halt);
-                        continue;
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        co.fail_stage(
-                            FlowError::Cancelled("worker pool disconnected".to_owned()),
-                            queue,
-                            halt,
-                        );
-                        continue;
-                    }
-                },
+            let received = match co.next_timeout(now) {
+                None => done_rx
+                    .recv()
+                    .map_err(|_| mpsc::RecvTimeoutError::Disconnected),
+                Some(wait) => done_rx.recv_timeout(wait),
             };
-            co.handle(msg, queue, halt);
-            co.on_tick(queue, halt);
+            match received {
+                Ok(msg) => co.handle(msg, queue),
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                Err(mpsc::RecvTimeoutError::Disconnected) => co.fail_stage(
+                    FlowError::Cancelled("worker pool disconnected".to_owned()),
+                    queue,
+                ),
+            }
+            co.on_tick(queue);
         }
         queue.close();
     })

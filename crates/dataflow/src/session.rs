@@ -34,12 +34,12 @@ pub struct EngineConfig {
     pub partitions: usize,
     pub optimizer: OptimizerConfig,
     pub partial_aggregation: bool,
-    /// Retry/deadline/speculation policy and the chaos plan for this engine.
-    /// A deadline or speculation policy also keeps every wave on the
-    /// stage-barrier driver, whose coordinator owns those watchdogs.
+    /// Retry/deadline/speculation policy and the chaos plan for this engine;
+    /// the stage coordinator applies it to every wave, morsel waves
+    /// included.
     pub resilience: ResilienceConfig,
-    /// Target rows per morsel (clamped to >= 1): the unit of the morsel
-    /// driver and of the scheduler's size rule.
+    /// Target rows per morsel (clamped to >= 1): the unit of morsel waves
+    /// and of the scheduler's size rule.
     pub morsel_rows: usize,
     /// When set, every run checkpoints completed shuffle waves here, and
     /// resuming specs restore them (see [`crate::checkpoint`]).

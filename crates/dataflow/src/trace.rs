@@ -159,10 +159,11 @@ pub enum TraceEventKind {
         partitions: usize,
         rows: u64,
     },
-    /// A morsel (a small row range of one partition) was claimed by a
-    /// pipeline worker. `worker` is the executing worker's index.
-    /// Journal-only — derived [`RunMetrics`] ignore it, so pipelined and
-    /// stage-barrier runs stay metrics-compatible.
+    /// A morsel (a small row range of one partition) was pushed through a
+    /// pipeline body. `worker` is the executing pool worker's index (0 on
+    /// the calling thread).
+    /// Journal-only — derived [`RunMetrics`] ignore it, so morsel and
+    /// whole-partition waves stay metrics-compatible.
     MorselDispatched {
         stage: usize,
         partition: usize,
@@ -170,15 +171,17 @@ pub enum TraceEventKind {
         rows: u64,
         worker: usize,
     },
-    /// The morsel was executed by a worker other than the one whose deque
-    /// it was seeded into — a work-steal. Journal-only.
+    /// An attempt at a morsel unit ran on a worker other than its home
+    /// worker (`partition % workers`): the pool moved it off a busy
+    /// worker. Journal-only.
     MorselStolen {
         stage: usize,
         partition: usize,
+        /// The unit's first morsel.
         morsel: usize,
-        /// The worker whose deque originally held the morsel.
+        /// The unit's home worker.
         home: usize,
-        /// The worker that stole and executed it.
+        /// The worker that ran it.
         worker: usize,
     },
     /// The matching end of a [`TraceEventKind::MorselDispatched`].
@@ -188,11 +191,11 @@ pub enum TraceEventKind {
         partition: usize,
         morsel: usize,
     },
-    /// A fused pipeline wave finished pushing all its morsels. Carries the
-    /// per-worker load balance: `slowest_worker_us / mean_worker_us` is the
-    /// *worker* skew, which (unlike the per-partition task skew) shows what
-    /// stealing bought — a skewed partition's task span still covers the
-    /// whole wave even when idle workers helped finish it. Journal-only.
+    /// A morsel wave finished all its units. Carries the per-worker load
+    /// balance, busy time summed per worker index:
+    /// `slowest_worker_us / mean_worker_us` is the *worker* skew, which
+    /// (unlike the per-partition task skew) shows what sharing a skewed
+    /// partition's morsels bought. Journal-only.
     PipelineCompleted {
         stage: usize,
         partitions: usize,
@@ -396,10 +399,10 @@ pub struct StageSummary {
     #[serde(default)]
     pub speculative_won: u64,
     /// Morsels pushed through fused pipelines in this stage (0 when the
-    /// stage ran under the stage-barrier scheduler).
+    /// stage ran only whole-partition tasks).
     #[serde(default)]
     pub morsels: u64,
-    /// Morsels executed by a worker other than their home worker.
+    /// Morsel-unit attempts run on a worker other than their home worker.
     #[serde(default)]
     pub stolen: u64,
 }
@@ -418,7 +421,8 @@ pub struct TraceSummary {
     /// Whole-run resilience cost (backoff, timeouts, panics, speculation).
     #[serde(default)]
     pub resilience: ResilienceTotals,
-    /// Whole-run morsel-pipeline activity (zero under the barrier path).
+    /// Whole-run morsel-pipeline activity (zero when every wave ran
+    /// whole-partition tasks).
     #[serde(default)]
     pub pipelines: PipelineTotals,
     /// Whole-run continuous-streaming activity (zero for batch runs and
@@ -468,14 +472,14 @@ impl ResilienceTotals {
 }
 
 /// Aggregate morsel-pipeline activity of a run, counted from the journal.
-/// What `labs::compare` diffs between a pipelined run and a barrier run.
+/// What `labs::compare` diffs between two runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PipelineTotals {
     /// Pipeline waves completed.
     pub pipelines: u64,
     /// Morsels dispatched across all pipeline waves.
     pub morsels: u64,
-    /// Morsels executed by a worker other than their home worker.
+    /// Morsel-unit attempts run on a worker other than their home worker.
     pub stolen: u64,
     /// Worst per-wave worker-balance skew (slowest worker busy time over
     /// mean worker busy time); 1.0 when no pipeline ran or load was even.

@@ -10,7 +10,8 @@
 //! Stale-checkpoint safety rides along: resuming after the plan, the input
 //! data, or the wave-shaping engine config changes must refuse with
 //! `FlowError::StaleCheckpoint` naming what changed — while a change of
-//! narrow-chain driver, which shapes no wave, resumes byte-identically.
+//! morsel size, thread count or watchdog policy, which shapes no wave,
+//! resumes byte-identically.
 
 use std::path::{Path, PathBuf};
 
@@ -236,7 +237,7 @@ fn pipelined_fused_chain_kill_resume_is_byte_identical() {
     // The morsel-pipelined variant of the exhaustive boundary kill: the
     // leading filter->project chain fuses into one independent morsel wave
     // of ~125 sixteen-row units on a 16-thread pool (so its checkpoint is
-    // assembled from stolen and home-run morsels alike), followed by the
+    // assembled from units run on and off their home workers), followed by the
     // serial map-side aggregation wave. Killing at every boundary and
     // resuming with a fresh engine must stay byte-identical, restoring
     // every completed wave.
@@ -288,13 +289,13 @@ fn pipelined_fused_chain_kill_resume_is_byte_identical() {
 }
 
 #[test]
-fn morsel_checkpoints_resume_byte_identically_on_the_barrier_driver() {
-    // Both drivers emit one wave per chain with identical per-partition
-    // output, so the driver is not part of a checkpoint's identity: waves
-    // the morsel driver wrote restore on an engine whose task deadline puts
-    // every wave on the barrier driver, and the waves it recomputes there
-    // finish the run byte-identically.
-    let root = temp_root("driver");
+fn morsel_checkpoints_resume_byte_identically_on_whole_partition_units() {
+    // How a wave is cut into units is not part of a checkpoint's identity:
+    // both cuts emit one wave per chain with identical per-partition
+    // output. Waves written from sixteen-row morsels restore on an engine
+    // that runs whole-partition units on one thread under a task deadline,
+    // and the waves it recomputes there finish the run byte-identically.
+    let root = temp_root("units");
     let calm = morsel_engine(&root, ResilienceConfig::none());
     let baseline = calm
         .run_checkpointed(&chain_flow(&calm), "baseline")
@@ -318,24 +319,33 @@ fn morsel_checkpoints_resume_byte_identically_on_the_barrier_driver() {
             "boundary {kill_wave}: {err}"
         );
 
-        let barrier = morsel_engine(
-            &root,
-            ResilienceConfig::none().with_deadline(TaskDeadline::from_millis(60_000)),
+        let mut whole = Engine::new(
+            EngineConfig::default()
+                .with_threads(1)
+                .with_morsel_rows(ROWS)
+                .with_checkpoint(CheckpointSpec::new(root.clone(), "unused"))
+                .with_resilience(
+                    ResilienceConfig::none().with_deadline(TaskDeadline::from_millis(60_000)),
+                ),
         );
-        let resumed = barrier.resume(&chain_flow(&barrier), &run_id).unwrap();
+        whole.register("clicks", clickstream(ROWS, SEED)).unwrap();
+        let resumed = whole.resume(&chain_flow(&whole), &run_id).unwrap();
         assert_eq!(
             bytes_of(&resumed.table),
             bytes_of(&baseline.table),
-            "boundary {kill_wave}: output must be byte-identical across drivers"
+            "boundary {kill_wave}: output must be byte-identical across unit cuts"
         );
         let restored = count_kind(&resumed.trace, |k| {
             matches!(k, TraceEventKind::StageRestored { .. })
         });
         assert_eq!(restored, kill_wave + 1, "boundary {kill_wave}");
         assert_eq!(
-            resumed.trace.pipeline_totals().morsels,
+            count_kind(&resumed.trace, |k| matches!(
+                k,
+                TraceEventKind::MorselDispatched { morsel, .. } if *morsel > 0
+            )),
             0,
-            "boundary {kill_wave}: the resume must run on the barrier driver"
+            "boundary {kill_wave}: the resume must run whole-partition units"
         );
     }
 

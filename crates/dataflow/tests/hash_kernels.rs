@@ -2,10 +2,9 @@
 //! schemas with nulls, NaN payloads, ±0.0 and `""` next to NULL, an
 //! aggregation (raw and partial), a distinct and an inner or left join
 //! return bit-identical tables under every execution strategy that keeps
-//! the fold order: one thread on the stage-barrier path with whole
-//! partitions, or two threads on the morsel pipeline with morsels from one
-//! row to the whole partition, in memory or under a memory budget that
-//! spills.
+//! the fold order: one thread with whole-partition units, or two threads
+//! with morsels from one row to the whole partition, with or without a
+//! watchdog policy, in memory or under a memory budget that spills.
 //!
 //! The kernels themselves are proved against the row-at-a-time oracle they
 //! replaced by the `group::oracle` unit tests inside the crate, which also
@@ -127,23 +126,25 @@ fn random_aggregation(t: &Table, rng: &mut StdRng, partial: bool) -> (Vec<String
     (group_by, aggs)
 }
 
-/// The reference strategy (one thread, stage barriers, whole partitions,
-/// in memory) and a random pipelined one, both with `partial` combine. A
-/// task deadline no task comes near is what keeps the reference on the
-/// barrier driver.
+/// The reference strategy (one thread, whole-partition units, in memory)
+/// and a random pipelined one, both with `partial` combine. The pipelined
+/// one may carry a task deadline no task comes near: a watchdog policy
+/// changes nothing a kernel sees.
 fn strategies(rng: &mut StdRng, rows: usize, partial: bool) -> [EngineConfig; 2] {
     let base = EngineConfig::default()
         .with_partitions(PARTS)
         .with_partial_aggregation(partial);
-    let reference = base
-        .clone()
-        .with_threads(1)
-        .with_resilience(ResilienceConfig::none().with_deadline(TaskDeadline::from_millis(60_000)));
+    let reference = base.clone().with_threads(1).with_morsel_rows(1 << 20);
     let mut pipelined = base
         .with_threads(2)
         .with_morsel_rows(rng.gen_range(1..=rows.max(1)));
     if rng.gen_bool(0.5) {
         pipelined = pipelined.with_memory_budget(rng.gen_range(0..4096));
+    }
+    if rng.gen_bool(0.5) {
+        pipelined = pipelined.with_resilience(
+            ResilienceConfig::none().with_deadline(TaskDeadline::from_millis(60_000)),
+        );
     }
     [reference, pipelined]
 }

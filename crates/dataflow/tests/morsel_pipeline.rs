@@ -1,20 +1,26 @@
-//! Differential proof that the narrow-chain driver is invisible: the same
-//! plan run on the morsel driver and on the stage-barrier driver must agree
-//! value-for-value — byte-identical output through the shuffle codec, and
-//! identical error messages when chaos makes a wave fail — and, for chains
-//! without a sample step, agree with the row reference computed here from
-//! `Expr::eval_mask` + `Table::filter` + `Expr::eval_table`, across
-//! generated plans, morsel sizes from one row to the whole partition, and
-//! thread counts 1, 2 and 16. The barrier side is reached the way
-//! production reaches it, with a task deadline. A second battery proves
-//! work-stealing is invisible: 32 runs of one plan on a 16-thread pool
-//! under randomized chaos delays (which scramble steal timing) stay
-//! byte-identical with a fully paired morsel journal every time, while the
-//! journal shows real steals happened. A third proves the scheduler's size
-//! rule is invisible: a wave of at most one morsel runs on the calling
-//! thread, and the same plan with `morsel_rows` just below and just above
-//! its input — or anywhere — gives the same bytes and the same task journal
-//! as the pooled run.
+//! Differential proof that cutting a wave into morsels is invisible: the
+//! same plan run on row-range morsel units and on whole-partition units
+//! (`morsel_rows` above every partition, one thread — exactly what a
+//! stage-barrier task computed) must agree value-for-value — byte-identical
+//! output through the shuffle codec, and identical error messages when
+//! chaos makes a wave fail — and, for chains without a sample step, agree
+//! with the row reference computed here from `Expr::eval_mask` +
+//! `Table::filter` + `Expr::eval_table`, across generated plans, morsel
+//! sizes from one row to the whole partition, and thread counts 1, 2 and
+//! 16.
+//!
+//! Watchdog policies are invisible too: a task deadline leaves the bytes
+//! and, under survivable chaos, the whole task journal of a run unchanged,
+//! and under a deadline or speculation policy the narrow chains and
+//! aggregation map sides still run on morsels — speculation rescues a
+//! chaos-delayed morsel. Work-stealing is invisible: 32 runs of one plan on
+//! a 16-thread pool under randomized chaos delays (which scramble who runs
+//! what) stay byte-identical with a fully paired morsel journal every
+//! time, while the journal shows units ran off their home workers. And the
+//! scheduler's size rule is invisible: a wave of at most one morsel runs on
+//! the calling thread, and the same plan with `morsel_rows` just below and
+//! just above its input — or anywhere — gives the same bytes and the same
+//! task journal as the pooled run.
 
 use std::collections::HashMap;
 
@@ -82,23 +88,17 @@ fn build_flow(engine: &Engine, steps: &[Step], agg: bool) -> Dataflow {
     flow
 }
 
-/// Engine on one of the two drivers. `barrier` adds a task deadline, which
-/// is how production reaches the stage-barrier driver (a `retries N`
-/// campaign carries a 30 s one); no task here comes near it. Without one,
-/// chains of two or more operators and aggregation map sides run on
-/// morsels.
+/// More rows than any partition here holds: one morsel — one unit — per
+/// partition, exactly the whole-partition task a stage barrier ran.
+const WHOLE: usize = 1 << 20;
+
+/// Three-partition engine over `table`.
 fn engine_mode(
     table: Table,
     threads: usize,
-    barrier: bool,
     morsel_rows: usize,
     resilience: ResilienceConfig,
 ) -> Engine {
-    let resilience = if barrier {
-        resilience.with_deadline(TaskDeadline::from_millis(60_000))
-    } else {
-        resilience
-    };
     let mut e = Engine::new(
         EngineConfig::default()
             .with_threads(threads)
@@ -108,6 +108,22 @@ fn engine_mode(
     );
     e.register("t", table).unwrap();
     e
+}
+
+/// `resilience` plus a task deadline no task comes near — the watchdog
+/// policy a `retries N` campaign carries (its deadline is 30 s).
+fn watched(resilience: ResilienceConfig) -> ResilienceConfig {
+    resilience.with_deadline(TaskDeadline::from_millis(60_000))
+}
+
+/// Every morsel event of `trace` is its partition's first: whole-partition
+/// units.
+fn assert_whole_partition_units(trace: &RunTrace) {
+    for e in &trace.events {
+        if let TraceEventKind::MorselDispatched { morsel, .. } = e.kind {
+            assert_eq!(morsel, 0, "a whole-partition unit has one morsel");
+        }
+    }
 }
 
 /// The row reference of a narrow chain: walk `plan` down to its scan and
@@ -256,8 +272,8 @@ fn proptest_cases() -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(proptest_cases()))]
 
-    /// The tentpole differential: morsel driver ≡ barrier driver ≡ row
-    /// reference (for sample-free chains), byte-for-byte, for every
+    /// The tentpole differential: morsel units ≡ whole-partition units ≡
+    /// row reference (for sample-free chains), byte-for-byte, for every
     /// generated plan × morsel size × thread count.
     #[test]
     fn pipelined_matches_barrier_and_row_oracle(
@@ -265,35 +281,34 @@ proptest! {
         seed in 0u64..30,
         steps in arb_steps(),
         agg in any::<bool>(),
-        morsel_rows in prop_oneof![Just(1usize), 2usize..64, Just(1usize << 20)],
+        morsel_rows in prop_oneof![Just(1usize), 2usize..64, Just(WHOLE)],
         threads in prop_oneof![Just(1usize), Just(2usize), Just(16usize)],
     ) {
         let table = random_table(rows, 3, seed);
         let none = ResilienceConfig::none;
-        let pip = engine_mode(table.clone(), threads, false, morsel_rows, none());
-        let bar = engine_mode(table.clone(), threads, true, morsel_rows, none());
+        let pip = engine_mode(table.clone(), threads, morsel_rows, none());
+        let whole = engine_mode(table.clone(), 1, WHOLE, none());
         let a = pip.run(&build_flow(&pip, &steps, agg)).unwrap();
-        let b = bar.run(&build_flow(&bar, &steps, agg)).unwrap();
+        let b = whole.run(&build_flow(&whole, &steps, agg)).unwrap();
         prop_assert_eq!(
             bytes_of(&a.table),
             bytes_of(&b.table),
-            "morsel driver vs barrier driver"
+            "morsel units vs whole-partition units"
         );
         if let Some(want) = row_expected(&table, &steps, agg) {
             prop_assert_eq!(
                 bytes_of(&a.table),
                 bytes_of(&want),
-                "drivers vs row reference"
+                "morsel units vs row reference"
             );
         }
-        // The morsel engine really took the morsel path: an aggregation's
-        // map side always pipelines, and its journal stays paired.
+        // An aggregation's map side always pipelines, and the journal stays
+        // paired.
         if agg {
             prop_assert!(a.trace.pipeline_totals().pipelines >= 1);
         }
         assert_morsels_paired(&a.trace);
-        // The barrier engine never dispatched a morsel.
-        prop_assert_eq!(b.trace.pipeline_totals().morsels, 0);
+        assert_whole_partition_units(&b.trace);
     }
 }
 
@@ -304,8 +319,8 @@ proptest! {
     /// waves of the plan fit one morsel and run on the calling thread — the
     /// output is the bytes of the run where every wave takes the pool
     /// (`morsel_rows` 1 fits nothing above one row), chaos and retries
-    /// included. On the barrier driver a task is a partition whatever the
-    /// morsel size, so there the task journals must match too.
+    /// included. Under a watchdog policy no wave runs on the calling
+    /// thread, and the bytes still agree.
     #[test]
     fn the_size_rule_is_invisible(
         rows in 0usize..200,
@@ -314,20 +329,46 @@ proptest! {
         agg in any::<bool>(),
         morsel_rows in 1usize..260,
         threads in prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
-        barrier in any::<bool>(),
+        policy in any::<bool>(),
     ) {
         let table = random_table(rows, 3, seed);
-        let sized = engine_mode(
-            table.clone(), threads, barrier, morsel_rows, survivable_chaos(seed),
-        );
-        let pooled = engine_mode(table, threads, barrier, 1, survivable_chaos(seed));
+        let resilience = || {
+            let chaos = survivable_chaos(seed);
+            if policy { watched(chaos) } else { chaos }
+        };
+        let sized = engine_mode(table.clone(), threads, morsel_rows, resilience());
+        let pooled = engine_mode(table, threads, 1, resilience());
         let a = sized.run(&build_flow(&sized, &steps, agg)).unwrap();
         let b = pooled.run(&build_flow(&pooled, &steps, agg)).unwrap();
         prop_assert_eq!(bytes_of(&a.table), bytes_of(&b.table));
         assert_morsels_paired(&a.trace);
-        if barrier {
-            prop_assert_eq!(task_journal(&a.trace), task_journal(&b.trace));
-        }
+    }
+
+    /// Policy on ≡ policy off: a task deadline changes who watches the
+    /// clock, not what runs. Under survivable chaos the same units draw the
+    /// same faults, so bytes and the whole task journal must match, and
+    /// the chains and map sides still pipeline.
+    #[test]
+    fn a_watchdog_policy_is_invisible(
+        rows in 0usize..200,
+        seed in 0u64..30,
+        steps in arb_steps(),
+        agg in any::<bool>(),
+        morsel_rows in 1usize..260,
+        threads in prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
+    ) {
+        let table = random_table(rows, 3, seed);
+        let off = engine_mode(table.clone(), threads, morsel_rows, survivable_chaos(seed));
+        let on = engine_mode(table, threads, morsel_rows, watched(survivable_chaos(seed)));
+        let a = off.run(&build_flow(&off, &steps, agg)).unwrap();
+        let b = on.run(&build_flow(&on, &steps, agg)).unwrap();
+        prop_assert_eq!(bytes_of(&a.table), bytes_of(&b.table));
+        prop_assert_eq!(task_journal(&a.trace), task_journal(&b.trace));
+        prop_assert_eq!(
+            a.trace.pipeline_totals().pipelines,
+            b.trace.pipeline_totals().pipelines
+        );
+        assert_morsels_paired(&b.trace);
     }
 }
 
@@ -336,8 +377,8 @@ proptest! {
 /// and 96 (they run on the calling thread). A partition is 32 rows, under
 /// either morsel size, so units — and with them task coordinates and chaos
 /// draws — are the same: output bytes and the task journal must be too.
-/// The two-operator chain runs on morsels; the lone filter runs on the
-/// barrier driver, which applies the same rule.
+/// The two-operator chain runs as morsel units; the lone filter runs one
+/// task per partition, which the same rule applies to.
 #[test]
 fn one_row_either_side_of_a_morsel_gives_the_same_bytes_and_journal() {
     let table = random_table(96, 3, 17);
@@ -345,7 +386,7 @@ fn one_row_either_side_of_a_morsel_gives_the_same_bytes_and_journal() {
     for steps in [&chain[..], &chain[..1]] {
         for agg in [true, false] {
             let run = |morsel_rows: usize| {
-                let e = engine_mode(table.clone(), 4, false, morsel_rows, survivable_chaos(5));
+                let e = engine_mode(table.clone(), 4, morsel_rows, survivable_chaos(5));
                 e.run(&build_flow(&e, steps, agg)).unwrap()
             };
             let (pool, caller) = (run(95), run(96));
@@ -371,12 +412,25 @@ fn one_row_either_side_of_a_morsel_gives_the_same_bytes_and_journal() {
 }
 
 /// Error semantics are part of value-for-value: a wave that chaos kills must
-/// surface the *same* error message from both drivers.
+/// surface the *same* error message on morsel units and on whole-partition
+/// units, with and without a watchdog policy.
 #[test]
 fn injected_failure_messages_match_across_both_drivers() {
     let table = random_table(90, 3, 11);
-    // Map-side aggregation wave (serial morsel units, task = partition):
-    // crash partition 1's only two attempts, exhausting the retry budget.
+    // Every way to run `steps` under `chaos`: morsel units of `morsel_rows`
+    // on four threads or whole-partition units on one, policy off or on.
+    let messages = |steps: &[Step], agg: bool, morsel_rows: usize, chaos: ResilienceConfig| {
+        let mut out = Vec::new();
+        for (threads, rows) in [(4, morsel_rows), (1, WHOLE)] {
+            for resilience in [chaos.clone(), watched(chaos.clone())] {
+                let e = engine_mode(table.clone(), threads, rows, resilience);
+                out.push(e.run(&build_flow(&e, steps, agg)).unwrap_err().to_string());
+            }
+        }
+        out
+    };
+    // Map-side aggregation wave (serial units, task = partition): crash
+    // partition 1's only two attempts, exhausting the retry budget.
     let chaos = ChaosPlan::none()
         .with_targeted(TargetedFault {
             stage: 0,
@@ -390,44 +444,41 @@ fn injected_failure_messages_match_across_both_drivers() {
             attempt: 1,
             kind: FaultKind::Crash,
         });
-    let resilience = || {
-        ResilienceConfig::none()
-            .with_retry(RetryPolicy::immediate(2))
-            .with_chaos(chaos.clone())
-    };
-    let pip = engine_mode(table.clone(), 4, false, 8, resilience());
-    let bar = engine_mode(table.clone(), 4, true, 8, resilience());
-    let pe = pip.run(&build_flow(&pip, &[], true)).unwrap_err();
-    let be = bar.run(&build_flow(&bar, &[], true)).unwrap_err();
-    assert!(pe.to_string().contains("injected fault"), "{pe}");
-    assert_eq!(pe.to_string(), be.to_string(), "morsel vs barrier driver");
+    let resilience = ResilienceConfig::none()
+        .with_retry(RetryPolicy::immediate(2))
+        .with_chaos(chaos);
+    let got = messages(&[], true, 8, resilience);
+    assert!(got[0].contains("injected fault"), "{}", got[0]);
+    assert!(got.iter().all(|m| *m == got[0]), "{got:#?}");
 
-    // Fused narrow chain (independent morsel units): the first unit of the
-    // wave is partition 0's first morsel, the same coordinate the barrier
-    // driver reports for its partition-0 task.
+    // Fused narrow chain (independent units): the first unit of the wave is
+    // partition 0's first morsel under any morsel size, so task 0 names the
+    // same coordinate on morsel units and on whole-partition units.
     let chain_chaos = ChaosPlan::none().with_targeted(TargetedFault {
         stage: 0,
         partition: 0,
         attempt: 0,
         kind: FaultKind::Crash,
     });
-    let chain_res = || ResilienceConfig::none().with_chaos(chain_chaos.clone());
     let steps = [Step::FilterStrNotNull, Step::ProjectArith];
-    let pip = engine_mode(table.clone(), 4, false, 1 << 20, chain_res());
-    let bar = engine_mode(table, 4, true, 1 << 20, chain_res());
-    let pe = pip.run(&build_flow(&pip, &steps, false)).unwrap_err();
-    let be = bar.run(&build_flow(&bar, &steps, false)).unwrap_err();
-    assert!(pe.to_string().contains("injected fault"), "{pe}");
-    assert_eq!(pe.to_string(), be.to_string(), "morsel vs barrier driver");
+    let got = messages(
+        &steps,
+        false,
+        8,
+        ResilienceConfig::none().with_chaos(chain_chaos),
+    );
+    assert!(got[0].contains("injected fault"), "{}", got[0]);
+    assert!(got.iter().all(|m| *m == got[0]), "{got:#?}");
 }
 
 /// Determinism under stealing: the same plan 32 times on a 16-thread pool
 /// with tiny morsels and per-run chaos delay seeds (which randomize which
-/// worker is busy when, and therefore who steals what from whom). Output
-/// must be byte-identical every time, every run's morsel journal must pair,
-/// and the journal must show stealing actually happened. 3 000 rows at 7
-/// rows a morsel keeps the chain and map waves on the pooled side of the
-/// size rule — a wave on the calling thread has nobody to steal from.
+/// worker is busy when, and therefore which worker runs what). Output must
+/// be byte-identical every time, every run's morsel journal must pair, and
+/// the journal must show units ran off their home worker
+/// (`partition % workers`). 3 000 rows at 7 rows a morsel keeps the chain
+/// and map waves on the pooled side of the size rule — a wave on the
+/// calling thread has one worker, so every unit is home.
 #[test]
 fn stealing_is_invisible_across_32_chaotic_runs() {
     let table = random_table(3_000, 3, 7);
@@ -441,7 +492,7 @@ fn stealing_is_invisible_across_32_chaotic_runs() {
             400,
             run_seed.wrapping_mul(0x9e37_79b9).wrapping_add(1),
         ));
-        let e = engine_mode(table.clone(), 16, false, 7, resilience);
+        let e = engine_mode(table.clone(), 16, 7, resilience);
         let result = e.run(&build_flow(&e, &steps, true)).unwrap();
         let bytes = bytes_of(&result.table);
         match &reference {
@@ -460,14 +511,15 @@ fn stealing_is_invisible_across_32_chaotic_runs() {
     assert!(total_morsels > 0);
     assert!(
         total_steals > 0,
-        "32 sixteen-thread runs over 3 home deques never stole — \
-         the work-stealing path is dead"
+        "32 sixteen-thread runs over 3 home workers never ran a unit away \
+         from home — the pool is not sharing the wave"
     );
 }
 
 /// One morsel per row and one morsel per partition are the two degenerate
-/// decompositions; both must agree with the barrier driver even when the
-/// chain has a Sample step (whose RNG draws are order-sensitive).
+/// decompositions; both must agree with whole-partition units, policy off
+/// or on, even when the chain has a Sample step (whose RNG draws are
+/// order-sensitive).
 #[test]
 fn degenerate_morsel_sizes_agree_on_sampled_chains() {
     let table = random_table(257, 3, 23);
@@ -476,21 +528,74 @@ fn degenerate_morsel_sizes_agree_on_sampled_chains() {
         Step::SampleHalf(5),
         Step::ProjectArith,
     ];
-    let bar = engine_mode(table.clone(), 4, true, 64, ResilienceConfig::none());
-    let expected = bar.run(&build_flow(&bar, &steps, false)).unwrap();
-    for morsel_rows in [1usize, 2, 3, 86, 1 << 20] {
-        let pip = engine_mode(
-            table.clone(),
-            4,
-            false,
-            morsel_rows,
-            ResilienceConfig::none(),
-        );
-        let got = pip.run(&build_flow(&pip, &steps, false)).unwrap();
-        assert_eq!(
-            bytes_of(&got.table),
-            bytes_of(&expected.table),
-            "morsel_rows {morsel_rows}"
-        );
+    let whole = engine_mode(table.clone(), 1, WHOLE, ResilienceConfig::none());
+    let expected = whole.run(&build_flow(&whole, &steps, false)).unwrap();
+    for morsel_rows in [1usize, 2, 3, 86, WHOLE] {
+        for resilience in [ResilienceConfig::none(), watched(ResilienceConfig::none())] {
+            let pip = engine_mode(table.clone(), 4, morsel_rows, resilience);
+            let got = pip.run(&build_flow(&pip, &steps, false)).unwrap();
+            assert_eq!(
+                bytes_of(&got.table),
+                bytes_of(&expected.table),
+                "morsel_rows {morsel_rows}"
+            );
+        }
+    }
+}
+
+/// Speculation reaches morsel waves: chaos delays one unit of an
+/// independent chain by 400 ms on its first attempt; once four units have
+/// finished, the straggler gets a backup attempt (which the targeted fault
+/// does not hit) that wins, and the cancelled original wakes promptly.
+#[test]
+fn speculation_rescues_a_delayed_morsel() {
+    let table = random_table(300, 3, 29);
+    let steps = [Step::FilterStrNotNull, Step::ProjectArith];
+    let calm = engine_mode(table.clone(), 4, 10, ResilienceConfig::none());
+    let want = calm.run(&build_flow(&calm, &steps, false)).unwrap();
+    let resilience = ResilienceConfig::none()
+        .with_speculation(SpeculationPolicy::new(3.0).with_min_samples(4))
+        .with_chaos(ChaosPlan::none().with_targeted(TargetedFault {
+            stage: 0,
+            partition: 7,
+            attempt: 0,
+            kind: FaultKind::Delay { micros: 400_000 },
+        }));
+    let e = engine_mode(table, 4, 10, resilience);
+    let flow = build_flow(&e, &steps, false);
+    let start = std::time::Instant::now();
+    let got = e.run(&flow).unwrap();
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(300),
+        "speculation must beat the 400ms straggler (took {elapsed:?})"
+    );
+    assert_eq!(got.trace.resilience_totals().speculative_won, 1);
+    assert!(got.trace.pipeline_totals().pipelines >= 1);
+    assert_morsels_paired(&got.trace);
+    assert_eq!(bytes_of(&got.table), bytes_of(&want.table));
+}
+
+/// Under a deadline or speculation policy a two-step chain and an
+/// aggregation map side still run as morsel waves, with paired morsel
+/// events and the bytes of the run with no policy.
+#[test]
+fn watchdog_policies_keep_chains_and_map_sides_on_morsels() {
+    let table = random_table(600, 3, 31);
+    let steps = [Step::FilterStrNotNull, Step::ProjectArith];
+    let calm = engine_mode(table.clone(), 2, 16, ResilienceConfig::none());
+    let want = calm.run(&build_flow(&calm, &steps, true)).unwrap();
+    assert_eq!(want.trace.pipeline_totals().pipelines, 2);
+    for resilience in [
+        watched(ResilienceConfig::none()),
+        ResilienceConfig::none().with_speculation(SpeculationPolicy::new(1_000.0)),
+    ] {
+        let e = engine_mode(table.clone(), 2, 16, resilience);
+        let got = e.run(&build_flow(&e, &steps, true)).unwrap();
+        let totals = got.trace.pipeline_totals();
+        assert_eq!(totals.pipelines, 2, "the chain and the map side");
+        assert_eq!(totals.morsels, want.trace.pipeline_totals().morsels);
+        assert_morsels_paired(&got.trace);
+        assert_eq!(bytes_of(&got.table), bytes_of(&want.table));
     }
 }

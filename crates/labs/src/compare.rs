@@ -45,10 +45,9 @@ pub struct RunComparison {
     /// Resilience overhead of each run (retries, backoff, timeouts, panics,
     /// speculation), when both runs recorded traces.
     pub resilience_change: Option<(ResilienceTotals, ResilienceTotals)>,
-    /// Morsel-pipeline activity of each run (waves, morsels, steals, worker
-    /// skew), when both runs recorded traces. A run on the barrier driver
-    /// (one with a task deadline, say) against one on morsels diffs
-    /// cleanly here.
+    /// Morsel-pipeline activity of each run (waves, morsels, units run off
+    /// their home worker, worker skew), when both runs recorded traces. A
+    /// morsel-size or thread-count ablation diffs cleanly here.
     pub pipeline_change: Option<(PipelineTotals, PipelineTotals)>,
     /// Continuous-streaming activity of each run (acked batches, stalls,
     /// watermark motion, late-data accounting), when both runs recorded
@@ -671,8 +670,8 @@ mod tests {
     fn scheduler_mode_ablation_diffs_in_pipeline_totals() {
         let mut a = record(1, "c", &["x"], &[]);
         let mut b = record(2, "c", &["x"], &[]);
-        // a ran on the stage-barrier path (no pipeline events); b ran the
-        // morsel path and stole work off a skewed partition.
+        // a ran only whole-partition tasks (no pipeline events); b ran a
+        // morsel wave whose units moved off a skewed partition's worker.
         a.traces = vec![trace_with(&[("Scan", 100)], &[(0, 10)])];
         let mut t = trace_with(&[("Scan", 80)], &[(0, 10)]);
         t.events.push(TraceEvent {

@@ -148,7 +148,7 @@ impl RunRecord {
 
     /// Aggregate morsel-pipeline activity (pipeline waves, morsels, steals,
     /// worker skew) across every engine run the campaign made. All-zero
-    /// when every wave ran on the stage-barrier path.
+    /// when every wave ran whole-partition tasks.
     pub fn pipeline_totals(&self) -> PipelineTotals {
         self.traces
             .iter()

@@ -655,7 +655,7 @@ fn cancellation_mid_morsel_wave_stops_cleanly_without_leaking_threads() {
         }
         assert!(
             after < threads_before + 8,
-            "morsel workers leaked: {threads_before} before, {after} after"
+            "pool workers leaked: {threads_before} before, {after} after"
         );
     }
 }

@@ -290,15 +290,18 @@ proptest! {
         }
     }
 
-    /// The two narrow-chain drivers agree on a filter->project chain with a
-    /// sample step first, last or absent; without one, both also agree with
-    /// the row reference on the unsplit input.
+    /// A filter->project chain with a sample step first, last or absent
+    /// gives the same table on morsel units, on whole-partition units (one
+    /// thread, a morsel bigger than any partition) and under a watchdog
+    /// policy; without a sample step, also the row reference's on the
+    /// unsplit input.
     #[test]
     fn narrow_chain_execution_is_mode_invariant(
         rows in 20usize..250,
         seed in 0u64..200,
         fraction in 0.0f64..1.0,
         sample_at in prop_oneof![Just("first"), Just("last"), Just("nowhere")],
+        morsel_rows in 1usize..64,
     ) {
         use toreador_data::generate::random_table;
         use toreador_data::value::DataType;
@@ -311,11 +314,12 @@ proptest! {
             ("len", Expr::call(Func::Length, vec![col("c2")])),
             ("ratio", col("c1").div(col("c0"))),
         ];
-        let run = |resilience: ResilienceConfig| {
+        let run = |threads: usize, morsel_rows: usize, resilience: ResilienceConfig| {
             let mut engine = Engine::new(
                 EngineConfig::default()
-                    .with_threads(2)
+                    .with_threads(threads)
                     .with_partitions(3)
+                    .with_morsel_rows(morsel_rows)
                     .with_resilience(resilience),
             );
             engine.register("t", table.clone()).unwrap();
@@ -333,18 +337,21 @@ proptest! {
             }
             engine.run(&flow).unwrap().table
         };
-        // A task deadline no task comes near puts every wave on the barrier
-        // driver, the way production gets there.
-        let morsels = run(ResilienceConfig::none());
-        let barrier =
-            run(ResilienceConfig::none().with_deadline(TaskDeadline::from_millis(60_000)));
-        prop_assert!(tables_identical(&morsels, &barrier), "morsel driver != barrier driver");
+        let morsels = run(2, morsel_rows, ResilienceConfig::none());
+        let whole = run(1, 1 << 20, ResilienceConfig::none());
+        prop_assert!(tables_identical(&morsels, &whole), "morsel units != whole-partition units");
+        let watched = run(
+            2,
+            morsel_rows,
+            ResilienceConfig::none().with_deadline(TaskDeadline::from_millis(60_000)),
+        );
+        prop_assert!(tables_identical(&morsels, &watched), "a task deadline changed the output");
         if sample_at == "nowhere" {
             let kept = table.filter(&predicate.eval_mask(&table).unwrap()).unwrap();
             prop_assert_eq!(morsels.num_columns(), projections.len());
             for ((_, e), got) in projections.iter().zip(morsels.columns()) {
                 let want = e.eval_table(&kept).unwrap();
-                prop_assert!(columns_identical(got, &want), "drivers != row reference for {e}");
+                prop_assert!(columns_identical(got, &want), "morsel units != row reference for {e}");
             }
         }
     }
