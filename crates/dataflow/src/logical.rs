@@ -361,27 +361,18 @@ impl Dataflow {
         if self.schema().contains(name) {
             return Err(FlowError::Plan(format!("column {name:?} already exists")));
         }
-        let mut rebuilt: Vec<(String, Expr)> = self
+        let names: Vec<String> = self
             .schema()
             .names()
             .into_iter()
-            .map(|n| (n.to_owned(), crate::expr::col(n)))
+            .map(str::to_owned)
             .collect();
-        rebuilt.push((name.to_owned(), expr));
-        // Validate types against the current schema.
-        let mut fields = Vec::with_capacity(rebuilt.len());
-        for (n, e) in &rebuilt {
-            let ty = e.infer_type(self.schema())?;
-            fields.push(Field::new(n.clone(), ty));
-        }
-        let schema = Schema::new(fields)?;
-        Ok(Dataflow {
-            plan: Arc::new(LogicalPlan::Project {
-                input: self.plan,
-                exprs: rebuilt,
-                schema,
-            }),
-        })
+        let mut exprs: Vec<(&str, Expr)> = names
+            .iter()
+            .map(|n| (n.as_str(), crate::expr::col(n)))
+            .collect();
+        exprs.push((name, expr));
+        self.project(exprs)
     }
 
     /// Group by `group_by` columns and compute `aggs`.

@@ -3,7 +3,9 @@
 //! Four classic rewrites, each implemented as an independent rule so the
 //! ablation benchmarks (DESIGN.md E2/E5) can toggle them:
 //!
-//! 1. **Constant folding** — evaluate literal-only sub-expressions.
+//! 1. **Constant folding** — evaluate literal-only sub-expressions through
+//!    the engine's bound kernels, so a folded literal is what execution
+//!    would have computed, type included.
 //! 2. **Filter merging** — adjacent filters become one conjunction.
 //! 3. **Predicate pushdown** — filters move below projections (when the
 //!    projection is a pure rename/pass-through of the referenced columns)
@@ -20,8 +22,9 @@ use toreador_data::schema::Schema;
 use toreador_data::value::Value;
 
 use crate::error::Result;
-use crate::expr::{col, BinOp, Expr};
+use crate::expr::{col, lit, BinOp, Expr};
 use crate::logical::LogicalPlan;
+use crate::vexpr::BoundExpr;
 
 /// Which rules to apply. `Default` enables everything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,32 +197,44 @@ fn fold_expr(e: &Expr) -> Expr {
         },
         other => other.clone(),
     };
-    // Identity simplifications on boolean connectives.
+    // Identity simplifications on boolean connectives. Only a deciding left
+    // literal drops the other side (the short-circuit): `NULL AND false` and
+    // `NULL OR true` are NULL, so `x AND false` and `x OR true` stay.
     if let Expr::Binary { op, left, right } = &folded {
         match (op, left.as_ref(), right.as_ref()) {
             (BinOp::And, Expr::Literal(Value::Bool(true)), r) => return r.clone(),
             (BinOp::And, l, Expr::Literal(Value::Bool(true))) => return l.clone(),
-            (BinOp::And, Expr::Literal(Value::Bool(false)), _)
-            | (BinOp::And, _, Expr::Literal(Value::Bool(false))) => {
+            (BinOp::And, Expr::Literal(Value::Bool(false)), _) => {
                 return Expr::Literal(Value::Bool(false))
             }
             (BinOp::Or, Expr::Literal(Value::Bool(false)), r) => return r.clone(),
             (BinOp::Or, l, Expr::Literal(Value::Bool(false))) => return l.clone(),
-            (BinOp::Or, Expr::Literal(Value::Bool(true)), _)
-            | (BinOp::Or, _, Expr::Literal(Value::Bool(true))) => {
+            (BinOp::Or, Expr::Literal(Value::Bool(true)), _) => {
                 return Expr::Literal(Value::Bool(true))
             }
             _ => {}
         }
     }
-    // Pure-literal subtree: evaluate against an empty schema/row.
+    // Pure-literal subtree: evaluate it with the engine's own kernels.
     if folded.referenced_columns().is_empty() && !matches!(folded, Expr::Literal(_)) {
-        let empty = Schema::empty();
-        if let Ok(v) = folded.eval(&empty, &Vec::new()) {
-            return Expr::Literal(v);
+        if let Some(v) = eval_constant(&folded) {
+            return v;
         }
     }
     folded
+}
+
+/// A column-free expression as the literal the engine would compute for
+/// it, keeping its bound type: a NULL result folds to `CAST(NULL AS ty)`.
+/// `None` when binding or evaluation fails — the error stays at run time.
+fn eval_constant(e: &Expr) -> Option<Expr> {
+    let bound = BoundExpr::bind(e, &Schema::empty()).ok()?;
+    let ty = bound.output_type();
+    let batch = bound.eval_cols(&[], 1, None).ok()?;
+    match batch.into_column(ty, 1).ok()?.value(0).ok()? {
+        Value::Null => Some(lit(Value::Null).cast(ty)),
+        v => Some(Expr::Literal(v)),
+    }
 }
 
 fn fold_constants(plan: &Arc<LogicalPlan>) -> Result<Arc<LogicalPlan>> {
@@ -433,9 +448,9 @@ fn prune_projections(plan: &Arc<LogicalPlan>) -> Result<Arc<LogicalPlan>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::lit;
     use crate::logical::{AggExpr, AggFunc, Dataflow};
     use toreador_data::generate::clickstream_schema;
+    use toreador_data::value::DataType;
 
     fn scan() -> Dataflow {
         Dataflow::scan("clicks", clickstream_schema())
@@ -450,12 +465,27 @@ mod tests {
 
     #[test]
     fn folds_boolean_identities() {
-        let e = col("price").gt(lit(1.0)).and(lit(true));
-        assert_eq!(fold_expr(&e), col("price").gt(lit(1.0)));
-        let e = col("price").gt(lit(1.0)).and(lit(false));
-        assert_eq!(fold_expr(&e), lit(false));
+        let p = col("price").gt(lit(1.0));
+        assert_eq!(fold_expr(&p.clone().and(lit(true))), p);
+        assert_eq!(fold_expr(&lit(false).and(p.clone())), lit(false));
         let e = lit(false).or(col("price").is_null());
         assert_eq!(fold_expr(&e), col("price").is_null());
+        // A NULL left side makes `x AND false` and `x OR true` NULL: no fold.
+        for e in [p.clone().and(lit(false)), p.or(lit(true))] {
+            assert_eq!(fold_expr(&e), e);
+        }
+    }
+
+    #[test]
+    fn folded_literals_keep_the_bound_type() {
+        // `Value` equality says Int(1) == Float(1.0); the Debug form does not.
+        let mixed = Expr::coalesce(vec![lit(1i64), lit(2.5)]);
+        assert_eq!(
+            format!("{:?}", fold_expr(&mixed)),
+            format!("{:?}", lit(1.0))
+        );
+        let null = lit(1.0).div(lit(0i64));
+        assert_eq!(fold_expr(&null), lit(Value::Null).cast(DataType::Float));
     }
 
     #[test]

@@ -353,9 +353,10 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{col, lit};
+    use crate::expr::{col, lit, Expr};
     use crate::logical::{AggExpr, AggFunc};
-    use toreador_data::generate::{clickstream, clickstream_schema};
+    use toreador_data::column::Column;
+    use toreador_data::generate::{clickstream, clickstream_schema, random_table};
 
     fn engine() -> Engine {
         let mut e = Engine::new(EngineConfig::default().with_threads(2));
@@ -431,6 +432,58 @@ mod tests {
         // The optimised plan actually differs.
         assert_ne!(&a.executed_plan, flow.plan());
         assert_eq!(&b.executed_plan, flow.plan());
+    }
+
+    /// `c0` Int, `c1` Float, `c2` Str, `c3` Bool, about 5 % NULLs each.
+    fn fuzz_engine(optimizer: OptimizerConfig) -> (Engine, Table) {
+        let t = random_table(100, 4, 7);
+        let mut e = Engine::new(EngineConfig::default().with_optimizer(optimizer));
+        e.register("t", t.clone()).unwrap();
+        (e, t)
+    }
+
+    /// Projecting `e` through the optimizer and the kernels gives the row
+    /// reference's column: same type, same values.
+    fn projects_like_row_reference(e: Expr) {
+        let (engine, t) = fuzz_engine(OptimizerConfig::default());
+        let flow = engine.flow("t").unwrap().project(vec![("v", e.clone())]);
+        let got = engine.run(&flow.unwrap()).unwrap().table.columns()[0].clone();
+        let want = e.eval_table(&t).unwrap();
+        assert_eq!(got.data_type(), want.data_type(), "{e}");
+        let values = |c: &Column| format!("{:?}", c.iter_values().collect::<Vec<_>>());
+        assert_eq!(values(&got), values(&want), "{e}");
+    }
+
+    #[test]
+    fn mixed_coalesce_constant_runs() {
+        projects_like_row_reference(Expr::coalesce(vec![lit(1i64), lit(2.5)]));
+    }
+
+    #[test]
+    fn mixed_if_constant_runs() {
+        projects_like_row_reference(Expr::if_then(lit(true), lit(1i64), lit(2.5)));
+    }
+
+    #[test]
+    fn null_float_constant_runs() {
+        projects_like_row_reference(lit(1.0).div(lit(0i64)));
+    }
+
+    #[test]
+    fn null_int_constant_feeds_arithmetic() {
+        projects_like_row_reference(lit(1i64).modulo(lit(0i64)).add(col("c0")));
+    }
+
+    #[test]
+    fn or_true_drops_null_rows_with_and_without_optimizer() {
+        // `NULL OR true` is NULL, and a filter drops NULL rows.
+        for optimizer in [OptimizerConfig::default(), OptimizerConfig::disabled()] {
+            let (engine, t) = fuzz_engine(optimizer);
+            let flow = engine.flow("t").unwrap().filter(col("c3").or(lit(true)));
+            let kept = engine.run(&flow.unwrap()).unwrap().table;
+            let nulls = t.column("c3").unwrap().validity().null_count();
+            assert!(nulls > 0 && kept.num_rows() == t.num_rows() - nulls);
+        }
     }
 
     #[test]

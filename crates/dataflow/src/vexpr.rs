@@ -1,17 +1,22 @@
 //! Vectorized expression evaluation: plan-time binding + batch kernels.
 //!
 //! [`BoundExpr`] is an [`Expr`] compiled against a schema **once**: column
-//! names are resolved to indices, every node's output type is inferred, and
-//! the fallibility of each subtree (can it raise a runtime error, i.e. does
-//! it contain a cast that can fail?) is precomputed. Evaluation then runs
-//! each operator over whole [`Column`] vectors with type-specialized kernels
+//! names are resolved to indices, every node's output type is inferred and
+//! frozen, and the fallibility of each subtree (can it raise a runtime
+//! error, i.e. does it contain a cast that can fail?) is precomputed.
+//! Binding is the engine's only type checker. Evaluation then runs each
+//! operator over whole [`Column`] vectors with type-specialized kernels
 //! (int/float/str lanes), combining null masks word-wise through
 //! [`Validity`], and produces **selection vectors** (`Vec<u32>` of surviving
-//! row indices) for predicates instead of `Vec<bool>` masks.
+//! row indices) for predicates instead of `Vec<bool>` masks. Every tree
+//! vectorizes; the optimizer folds constants through these kernels too.
 //!
 //! Semantics are bit-for-bit those of the row-at-a-time oracle
 //! ([`Expr::eval`] / [`Expr::eval_table`] / [`Expr::eval_mask`]), including:
 //!
+//! * frozen types: an `IF`/`COALESCE` value has its node's unified type, so
+//!   the Int branch of an Int/Float mix widens to Float before any operator
+//!   above it computes,
 //! * null propagation (`AND`/`OR` with a null operand yield null — the
 //!   engine's simplified three-valued logic),
 //! * short-circuit error skipping: rows where the row oracle would never
@@ -37,7 +42,7 @@ use toreador_data::table::Table;
 use toreador_data::value::{DataType, Value};
 
 use crate::error::{FlowError, Result};
-use crate::expr::{cast_value, eval_binary, eval_func, BinOp, Expr, Func, UnOp};
+use crate::expr::{cast_value, eval_binary, eval_func, eval_unary, BinOp, Expr, Func, UnOp};
 
 /// An expression compiled against a schema: indices instead of names, types
 /// resolved at every node, literals kept as scalars until broadcast.
@@ -47,14 +52,6 @@ pub struct BoundExpr {
     /// Whether evaluating this subtree can raise a runtime error (only
     /// casts can, after binding has type-checked everything else).
     fallible: bool,
-    /// Whether this subtree declines vectorization: an `IF`/`COALESCE`
-    /// whose branches mix Int and Float carries *runtime* value types that
-    /// differ from the statically unified type (the row engine coerces only
-    /// at the table boundary), which a single-typed column cannot
-    /// represent. Such trees — and everything above them — evaluate through
-    /// the bound row interpreter instead, preserving row-oracle semantics
-    /// exactly. Mixed-type branches are rare; every other tree vectorizes.
-    dynamic: bool,
     node: BoundNode,
 }
 
@@ -222,20 +219,11 @@ fn cast_fallible(from: DataType, to: DataType) -> bool {
 }
 
 impl BoundExpr {
-    /// Compile `expr` against `schema`: resolve names, infer types, reject
-    /// ill-typed trees — the same checks as [`Expr::infer_type`], done once
-    /// at plan time instead of per partition per stage.
+    /// Compile `expr` against `schema`: resolve names, infer and freeze
+    /// every node's type, reject ill-typed trees. This is the engine's only
+    /// type checker ([`Expr::infer_type`] delegates here), run once at plan
+    /// time instead of per partition per stage.
     pub fn bind(expr: &Expr, schema: &Schema) -> Result<BoundExpr> {
-        let bound = Self::bind_inner(expr, schema)?;
-        debug_assert_eq!(
-            bound.ty,
-            expr.infer_type(schema)?,
-            "binding and row-path inference must agree"
-        );
-        Ok(bound)
-    }
-
-    fn bind_inner(expr: &Expr, schema: &Schema) -> Result<BoundExpr> {
         Ok(match expr {
             Expr::Column(name) => {
                 let idx = schema
@@ -244,20 +232,19 @@ impl BoundExpr {
                 BoundExpr {
                     ty: schema.fields()[idx].data_type,
                     fallible: false,
-                    dynamic: false,
                     node: BoundNode::Col(idx),
                 }
             }
             Expr::Literal(v) => BoundExpr {
-                // A bare null literal types as Str, like the row path.
+                // A bare null literal types as Str; wrap it in a Cast to
+                // pick another type (constant folding does).
                 ty: v.data_type().unwrap_or(DataType::Str),
                 fallible: false,
-                dynamic: false,
                 node: BoundNode::Lit(v.clone()),
             },
             Expr::Binary { op, left, right } => {
-                let l = Self::bind_inner(left, schema)?;
-                let r = Self::bind_inner(right, schema)?;
+                let l = Self::bind(left, schema)?;
+                let r = Self::bind(right, schema)?;
                 let (lt, rt) = (l.ty, r.ty);
                 let ty = if op.is_arithmetic() {
                     match lt.unify(rt) {
@@ -292,7 +279,6 @@ impl BoundExpr {
                 BoundExpr {
                     ty,
                     fallible: l.fallible || r.fallible,
-                    dynamic: l.dynamic || r.dynamic,
                     node: BoundNode::Binary {
                         op: *op,
                         left: Box::new(l),
@@ -301,7 +287,7 @@ impl BoundExpr {
                 }
             }
             Expr::Unary { op, operand } => {
-                let o = Self::bind_inner(operand, schema)?;
+                let o = Self::bind(operand, schema)?;
                 let ty = match op {
                     UnOp::Not => {
                         if o.ty != DataType::Bool {
@@ -320,7 +306,6 @@ impl BoundExpr {
                 BoundExpr {
                     ty,
                     fallible: o.fallible,
-                    dynamic: o.dynamic,
                     node: BoundNode::Unary {
                         op: *op,
                         operand: Box::new(o),
@@ -334,7 +319,7 @@ impl BoundExpr {
                         args.len()
                     )));
                 }
-                let a = Self::bind_inner(&args[0], schema)?;
+                let a = Self::bind(&args[0], schema)?;
                 let t = a.ty;
                 let ty = match func {
                     Func::Abs | Func::Floor | Func::Ceil => {
@@ -371,7 +356,6 @@ impl BoundExpr {
                 BoundExpr {
                     ty,
                     fallible: a.fallible,
-                    dynamic: a.dynamic,
                     node: BoundNode::Call {
                         func: *func,
                         arg: Box::new(a),
@@ -384,7 +368,7 @@ impl BoundExpr {
                 }
                 let bound: Vec<BoundExpr> = args
                     .iter()
-                    .map(|a| Self::bind_inner(a, schema))
+                    .map(|a| Self::bind(a, schema))
                     .collect::<Result<_>>()?;
                 let mut ty = bound[0].ty;
                 for b in &bound[1..] {
@@ -395,7 +379,6 @@ impl BoundExpr {
                 BoundExpr {
                     ty,
                     fallible: bound.iter().any(|b| b.fallible),
-                    dynamic: bound.iter().any(|b| b.dynamic || b.ty != ty),
                     node: BoundNode::Coalesce(bound),
                 }
             }
@@ -404,19 +387,18 @@ impl BoundExpr {
                 then,
                 otherwise,
             } => {
-                let c = Self::bind_inner(cond, schema)?;
+                let c = Self::bind(cond, schema)?;
                 if c.ty != DataType::Bool {
                     return Err(bad(format!("IF condition must be Bool, got {}", c.ty)));
                 }
-                let t = Self::bind_inner(then, schema)?;
-                let o = Self::bind_inner(otherwise, schema)?;
+                let t = Self::bind(then, schema)?;
+                let o = Self::bind(otherwise, schema)?;
                 let ty =
                     t.ty.unify(o.ty)
                         .ok_or_else(|| bad(format!("IF branches mix {} and {}", t.ty, o.ty)))?;
                 BoundExpr {
                     ty,
                     fallible: c.fallible || t.fallible || o.fallible,
-                    dynamic: c.dynamic || t.dynamic || o.dynamic || t.ty != ty || o.ty != ty,
                     node: BoundNode::If {
                         cond: Box::new(c),
                         then: Box::new(t),
@@ -425,12 +407,13 @@ impl BoundExpr {
                 }
             }
             Expr::Cast { expr, to } => {
-                let e = Self::bind_inner(expr, schema)?;
+                // Any source type binds; a combination `cast_value` rejects
+                // fails per row at run time (`fallible`).
+                let e = Self::bind(expr, schema)?;
                 let fallible = e.fallible || cast_fallible(e.ty, *to);
                 BoundExpr {
                     ty: *to,
                     fallible,
-                    dynamic: e.dynamic,
                     node: BoundNode::Cast {
                         expr: Box::new(e),
                         to: *to,
@@ -503,12 +486,6 @@ impl BoundExpr {
         sel: Option<&'a [u32]>,
     ) -> Result<Batch<'a>> {
         let m = sel.map_or(n, |s| s.len());
-        if self.dynamic {
-            // Mixed-type conditional branches: vectorization declined, the
-            // whole subtree runs through the bound row interpreter (still
-            // index-resolved and plan-typed, just not batched).
-            return self.eval_rows(cols, n, sel).map(Batch::Owned);
-        }
         match &self.node {
             BoundNode::Col(idx) => match sel {
                 None => Ok(Batch::Ref(&cols[*idx])),
@@ -525,13 +502,7 @@ impl BoundExpr {
             BoundNode::Call { func, arg } => {
                 let b = arg.eval_cols(cols, n, sel)?;
                 match b.force() {
-                    Batch::Scalar(v) => {
-                        if v.is_null() {
-                            Ok(Batch::Scalar(Value::Null))
-                        } else {
-                            eval_func(*func, &v).map(Batch::Scalar)
-                        }
-                    }
+                    Batch::Scalar(v) => eval_func(*func, &v).map(Batch::Scalar),
                     b => {
                         let c = b.as_col().expect("column batch");
                         func_kernel(*func, c).map(Batch::Owned)
@@ -773,15 +744,11 @@ impl BoundExpr {
             } else {
                 otherwise
             };
-            let b = taken.eval_cols(cols, n, sel)?;
             // Coerce to the unified branch type up front so the batch type
             // invariant holds for consumers.
-            return match b {
-                Batch::Scalar(v) => Ok(Batch::Scalar(v)),
-                b => Ok(Batch::Owned(coerce_column(
-                    b.into_column(taken.ty, m)?,
-                    self.ty,
-                )?)),
+            return match taken.eval_cols(cols, n, sel)? {
+                Batch::Scalar(v) => Ok(Batch::Scalar(v.coerce(self.ty).map_err(FlowError::Data)?)),
+                b => b.into_column(self.ty, m).map(Batch::Owned),
             };
         }
         let c_col = cb.as_col().expect("column batch");
@@ -835,95 +802,6 @@ impl BoundExpr {
     }
 }
 
-impl BoundExpr {
-    /// Row-at-a-time interpreter over the bound tree, used for `dynamic`
-    /// subtrees. Semantics are exactly [`Expr::eval`]'s (short-circuit
-    /// AND/OR, raw branch values from IF/COALESCE), minus the per-row name
-    /// lookups the binding already resolved.
-    fn eval_value(&self, cols: &[Column], row: usize) -> Result<Value> {
-        match &self.node {
-            BoundNode::Col(idx) => cols[*idx].value(row).map_err(FlowError::Data),
-            BoundNode::Lit(v) => Ok(v.clone()),
-            BoundNode::Binary { op, left, right } => {
-                let l = left.eval_value(cols, row)?;
-                if *op == BinOp::And {
-                    if let Value::Bool(false) = l {
-                        return Ok(Value::Bool(false));
-                    }
-                } else if *op == BinOp::Or {
-                    if let Value::Bool(true) = l {
-                        return Ok(Value::Bool(true));
-                    }
-                }
-                let r = right.eval_value(cols, row)?;
-                eval_binary(*op, &l, &r)
-            }
-            BoundNode::Unary { op, operand } => {
-                let v = operand.eval_value(cols, row)?;
-                match op {
-                    UnOp::IsNull => Ok(Value::Bool(v.is_null())),
-                    UnOp::IsNotNull => Ok(Value::Bool(!v.is_null())),
-                    UnOp::Not => match v {
-                        Value::Null => Ok(Value::Null),
-                        Value::Bool(b) => Ok(Value::Bool(!b)),
-                        _ => Err(internal("NOT on a non-Bool value")),
-                    },
-                    UnOp::Neg => match v {
-                        Value::Null => Ok(Value::Null),
-                        Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
-                        Value::Float(x) => Ok(Value::Float(-x)),
-                        _ => Err(internal("negation on a non-numeric value")),
-                    },
-                }
-            }
-            BoundNode::Call { func, arg } => {
-                let v = arg.eval_value(cols, row)?;
-                if v.is_null() {
-                    return Ok(Value::Null);
-                }
-                eval_func(*func, &v)
-            }
-            BoundNode::Coalesce(args) => {
-                for a in args {
-                    let v = a.eval_value(cols, row)?;
-                    if !v.is_null() {
-                        return Ok(v);
-                    }
-                }
-                Ok(Value::Null)
-            }
-            BoundNode::If {
-                cond,
-                then,
-                otherwise,
-            } => match cond.eval_value(cols, row)? {
-                Value::Bool(true) => then.eval_value(cols, row),
-                Value::Bool(false) | Value::Null => otherwise.eval_value(cols, row),
-                _ => Err(internal("IF condition not Bool at runtime")),
-            },
-            BoundNode::Cast { expr, to } => {
-                let v = expr.eval_value(cols, row)?;
-                cast_value(&v, *to)
-            }
-        }
-    }
-
-    /// Evaluate `dynamic` trees row-by-row under the selection, coercing
-    /// each value to the bound type at the boundary — like
-    /// [`Expr::eval_table`] does for the whole table.
-    fn eval_rows(&self, cols: &[Column], n: usize, sel: Option<&[u32]>) -> Result<Column> {
-        let m = sel.map_or(n, |s| s.len());
-        let mut out = Column::with_capacity(self.ty, m);
-        for i in 0..m {
-            let row = sel.map_or(i, |s| s[i] as usize);
-            let v = self.eval_value(cols, row)?;
-            let v = v.coerce(self.ty).map_err(FlowError::Data)?;
-            out.push(&v).map_err(FlowError::Data)?;
-        }
-        Ok(out)
-    }
-}
-
 /// The engine's AND/OR truth table (simplified three-valued logic: a null
 /// operand yields null unless the other operand decides the row).
 fn push_logic(
@@ -954,20 +832,8 @@ fn push_logic(
 
 // ---------------------------------------------------------------- kernels
 
-fn decide(op: BinOp) -> fn(Ordering) -> bool {
-    match op {
-        BinOp::Eq => |o| o == Ordering::Equal,
-        BinOp::NotEq => |o| o != Ordering::Equal,
-        BinOp::Lt => |o| o == Ordering::Less,
-        BinOp::LtEq => |o| o != Ordering::Greater,
-        BinOp::Gt => |o| o == Ordering::Greater,
-        BinOp::GtEq => |o| o != Ordering::Less,
-        _ => unreachable!("decide only handles comparisons"),
-    }
-}
-
 fn cmp_by(op: BinOp, validity: Validity, m: usize, ord: impl Fn(usize) -> Ordering) -> Column {
-    let d = decide(op);
+    let d = op.comparison();
     let data: Vec<bool> = (0..m).map(|i| d(ord(i))).collect();
     Column::Bool { data, validity }
 }
@@ -1310,22 +1176,8 @@ fn eval_unary_batch(op: UnOp, b: Batch<'_>) -> Result<Batch<'_>> {
         }
     }
     let b = b.force();
-    if let Batch::Scalar(v) = &b {
-        return Ok(Batch::Scalar(match op {
-            UnOp::IsNull => Value::Bool(v.is_null()),
-            UnOp::IsNotNull => Value::Bool(!v.is_null()),
-            UnOp::Not => match v {
-                Value::Null => Value::Null,
-                Value::Bool(x) => Value::Bool(!x),
-                _ => return Err(internal("NOT on a non-Bool scalar")),
-            },
-            UnOp::Neg => match v {
-                Value::Null => Value::Null,
-                Value::Int(i) => Value::Int(i.wrapping_neg()),
-                Value::Float(x) => Value::Float(-x),
-                _ => return Err(internal("negation on a non-numeric scalar")),
-            },
-        }));
+    if let Batch::Scalar(v) = b {
+        return eval_unary(op, v).map(Batch::Scalar);
     }
     let c = b.as_col().expect("column batch");
     let m = c.len();
@@ -1766,12 +1618,30 @@ mod tests {
             Expr::coalesce(vec![]),
             Expr::if_then(col("i"), lit(1i64), lit(2i64)),
         ] {
-            assert_eq!(
-                e.infer_type(&s).is_err(),
-                BoundExpr::bind(&e, &s).is_err(),
-                "{e}"
-            );
             assert!(BoundExpr::bind(&e, &s).is_err(), "{e}");
+            assert!(e.eval_table(&table()).is_err(), "{e}");
+        }
+    }
+
+    #[test]
+    fn conditionals_compute_in_their_frozen_type() {
+        let schema = Schema::new(vec![
+            Field::new("b", DataType::Bool),
+            Field::new("i", DataType::Int),
+        ]);
+        let rows = [(1i64 << 53) + 1, i64::MAX].map(|i| vec![Value::Bool(true), Value::Int(i)]);
+        let t = Table::from_rows(schema.unwrap(), rows).unwrap();
+        let mixed = Expr::if_then(col("b"), col("i"), lit(2.5));
+        let values = |c: Column| format!("{:?}", c.iter_values().collect::<Vec<_>>());
+        let sums = "[Float(9007199254740992.0), Float(9.223372036854776e18)]";
+        let strs = r#"[Str("9007199254740992"), Str("9223372036854776000")]"#;
+        for (e, want) in [
+            (mixed.clone().add(lit(1i64)), sums),
+            (mixed.cast(DataType::Str), strs),
+        ] {
+            assert_eq!(values(e.eval_table(&t).unwrap()), want, "{e}");
+            let bound = BoundExpr::bind(&e, t.schema()).unwrap();
+            assert_eq!(values(bound.eval_column(&t).unwrap()), want, "{e}");
         }
     }
 
