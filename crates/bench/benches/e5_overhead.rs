@@ -1,8 +1,9 @@
 //! E5 — the implicit claim of §2: the pipelines the BDAaaS function emits
 //! are *real* pipelines, not toys. We quantify the model-driven layer's
 //! overhead against a hand-written engine program computing the same
-//! answer, sweep threads for both, and run the two engine ablations
-//! DESIGN.md calls out (optimizer on/off, map-side combine on/off).
+//! answer, sweep threads for both, and run the optimizer on/off ablation.
+//! (Map-side combine is always on; `tests/engine_vs_compiled.rs`
+//! `map_side_combine_reduces_shuffle_traffic` keeps its shuffle claim.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -19,12 +20,11 @@ goal filtering predicate="action == 'purchase'"
 goal aggregation group_by=category agg=sum:price:revenue,count:event_id:n
 "#;
 
-fn hand_written(data: &Table, threads: usize, optimizer: bool, partial: bool) -> Table {
+fn hand_written(data: &Table, threads: usize, optimizer: bool) -> Table {
     let mut engine = Engine::new(
         EngineConfig::default()
             .with_threads(threads)
             .with_partitions(8)
-            .with_partial_aggregation(partial)
             .with_optimizer(if optimizer {
                 OptimizerConfig::default()
             } else {
@@ -62,7 +62,7 @@ fn print_series() {
     );
     for threads in [1usize, 2, 4, 8] {
         let started = std::time::Instant::now();
-        let _ = hand_written(&data, threads, true, true);
+        let _ = hand_written(&data, threads, true);
         let hand_us = started.elapsed().as_micros();
         // The compiled path re-derives its engine config; approximate the
         // thread sweep by timing the fixed deployment (2 workers on the
@@ -78,14 +78,9 @@ fn print_series() {
         );
     }
     eprintln!("\nablations (hand-written flow, 4 threads, 40k rows):");
-    for (label, optimizer, partial) in [
-        ("all on", true, true),
-        ("optimizer off", false, true),
-        ("partial-agg off", true, false),
-        ("all off", false, false),
-    ] {
+    for (label, optimizer) in [("optimizer on", true), ("optimizer off", false)] {
         let started = std::time::Instant::now();
-        let _ = hand_written(&data, 4, optimizer, partial);
+        let _ = hand_written(&data, 4, optimizer);
         eprintln!("  {label:<16} {:>12} us", started.elapsed().as_micros());
     }
 }
@@ -109,15 +104,12 @@ fn bench_overhead(c: &mut Criterion) {
             BenchmarkId::new("handwritten", threads),
             &threads,
             |b, &t| {
-                b.iter(|| hand_written(&data, t, true, true));
+                b.iter(|| hand_written(&data, t, true));
             },
         );
     }
     group.bench_function("ablation_no_optimizer", |b| {
-        b.iter(|| hand_written(&data, 2, false, true));
-    });
-    group.bench_function("ablation_no_partial_agg", |b| {
-        b.iter(|| hand_written(&data, 2, true, false));
+        b.iter(|| hand_written(&data, 2, false));
     });
     group.finish();
 }

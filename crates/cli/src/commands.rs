@@ -540,17 +540,11 @@ fn stream_cmd(args: &Args) -> Result<String, String> {
     let ts_column = args.flag("ts-column").unwrap_or("ts").to_owned();
     let window_ms = args.flag_or("window-ms", 1_000i64)?;
     let lateness = args.flag_or("allowed-lateness", 0i64)?;
-    let policy_name = args.flag("late-policy").unwrap_or("absorb");
-    let late_policy = match policy_name {
-        "absorb" => LatePolicy::Absorb,
-        "side-channel" => LatePolicy::SideChannel,
-        "drop" => LatePolicy::Drop,
-        other => {
-            return Err(format!(
-                "--late-policy must be absorb, side-channel, or drop, got {other:?}"
-            ))
-        }
-    };
+    let late_policy: LatePolicy = args
+        .flag("late-policy")
+        .unwrap_or("absorb")
+        .parse()
+        .map_err(|e| format!("--late-policy: {e}"))?;
     let buffer = args.flag_or("buffer", 8usize)?;
     if buffer == 0 {
         return Err("--buffer must be positive".to_owned());
@@ -662,7 +656,7 @@ fn stream_cmd(args: &Args) -> Result<String, String> {
         None => out.push_str("watermark: never advanced (no rows)\n"),
     }
     out.push_str(&format!(
-        "late data [{policy_name}]: {} absorbed, {} side-channelled ({} rows diverted), \
+        "late data [{late_policy}]: {} absorbed, {} side-channelled ({} rows diverted), \
          {} dropped\n",
         cumulative.late_absorbed,
         cumulative.late_side_channelled,
@@ -1919,6 +1913,35 @@ mod tests {
         ] {
             assert!(run_cli(bad).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn stream_late_policy_parses_like_the_library() {
+        let out = run_cli(&[
+            "stream",
+            "--data",
+            "generated:fraud-stream",
+            "--rows",
+            "500",
+            "--key",
+            "channel",
+            "--late-policy",
+            "side_channel",
+        ])
+        .unwrap();
+        assert!(out.contains("late data [side-channel]:"), "{out}");
+        let err = run_cli(&[
+            "stream",
+            "--data",
+            "generated:fraud-stream",
+            "--key",
+            "channel",
+            "--late-policy",
+            "sometimes",
+        ])
+        .unwrap_err();
+        assert!(err.starts_with("--late-policy: "), "{err}");
+        assert!(err.contains("sometimes"), "{err}");
     }
 
     #[test]

@@ -73,19 +73,17 @@ pub fn plan_fingerprint(explain: &str) -> String {
     format!("{:016x}", fnv(explain.bytes(), FNV_OFFSET))
 }
 
-/// Fingerprint of the engine-config knobs that shape the wave layout.
-/// Partition count changes the shape of every wave; partial aggregation
-/// changes how many waves exist.
+/// Fingerprint of the engine-config knob that shapes the wave layout: the
+/// partition count changes the shape of every wave.
 ///
-/// The hashed text keeps the three execution-mode settings earlier
-/// engines made configurable, at the values every production run used.
-/// Both narrow-chain drivers emit one wave per chain with identical
-/// per-partition output, so those settings no longer shape anything — but
-/// dropping them from the text would change every fingerprint and make
-/// checkpoints written by those engines refuse to resume.
-pub fn config_fingerprint(partitions: usize, partial_aggregation: bool) -> String {
+/// The hashed text keeps the four execution-mode settings earlier engines
+/// made configurable, at the values every production run used. None of
+/// them shapes a wave any more, but dropping them from the text would
+/// change every fingerprint and make checkpoints written by those engines
+/// refuse to resume.
+pub fn config_fingerprint(partitions: usize) -> String {
     let s = format!(
-        "partitions={partitions} partial_agg={partial_aggregation} \
+        "partitions={partitions} partial_agg=true \
          vectorized=true fuse_narrow=true pipelined=true"
     );
     format!("{:016x}", fnv(s.bytes(), FNV_OFFSET))
@@ -606,9 +604,8 @@ mod tests {
     fn fingerprints_are_stable_and_sensitive() {
         assert_eq!(plan_fingerprint("Scan"), plan_fingerprint("Scan"));
         assert_ne!(plan_fingerprint("Scan"), plan_fingerprint("Scan\nFilter"));
-        assert_eq!(config_fingerprint(8, true), config_fingerprint(8, true));
-        assert_ne!(config_fingerprint(8, true), config_fingerprint(4, true));
-        assert_ne!(config_fingerprint(8, true), config_fingerprint(8, false));
+        assert_eq!(config_fingerprint(8), config_fingerprint(8));
+        assert_ne!(config_fingerprint(8), config_fingerprint(4));
         let mut datasets = HashMap::new();
         datasets.insert(
             "t".to_owned(),
@@ -633,6 +630,6 @@ mod tests {
         // The default engine config's fingerprint as every earlier manifest
         // recorded it: a change here makes existing checkpoints refuse to
         // resume.
-        assert_eq!(config_fingerprint(4, true), "7a99b88f5b1dbe7a");
+        assert_eq!(config_fingerprint(4), "7a99b88f5b1dbe7a");
     }
 }

@@ -2,12 +2,10 @@
 //!
 //! The TOREADOR methodology treats fault tolerance as one of the design
 //! dimensions trainees explore (a pipeline with retries costs more but
-//! survives flaky infrastructure). [`FaultPlan`] decides — deterministically
-//! from a seed — whether a given task attempt fails, so the executor's retry
-//! loop is exercised reproducibly in tests and benchmarks.
-//!
-//! [`ChaosPlan`] generalises the single Bernoulli "lost executor" into a
-//! deterministic chaos harness: three fault kinds ([`FaultKind::Crash`],
+//! survives flaky infrastructure). [`ChaosPlan`] decides — deterministically
+//! from a seed — whether and how a given task attempt fails, so the
+//! scheduler's retry loop is exercised reproducibly in tests and
+//! benchmarks. It has three fault kinds ([`FaultKind::Crash`],
 //! [`FaultKind::Delay`], [`FaultKind::Panic`]), each with its own rate, plus
 //! *targeted* schedules ("kill stage 2 partition 3 attempt 0") for
 //! reproducing a specific failure ordering. Every decision is a pure
@@ -42,62 +40,11 @@ fn normalise_rate(rate: f64) -> f64 {
     }
 }
 
-/// Configuration for injected task failures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FaultPlan {
-    /// Probability that any given task *attempt* fails.
-    pub failure_rate: f64,
-    /// Seed decorrelating fault decisions from everything else.
-    pub seed: u64,
-    /// Maximum attempts per task (>= 1). A task that fails `max_attempts`
-    /// times aborts the run.
-    pub max_attempts: u32,
-}
-
-impl FaultPlan {
-    /// No injected faults, single attempt per task.
-    pub fn none() -> Self {
-        FaultPlan {
-            failure_rate: 0.0,
-            seed: 0,
-            max_attempts: 1,
-        }
-    }
-
-    /// Inject faults at `rate` with a retry budget. NaN rates normalise to
-    /// 0.0 rather than leaking through the clamp.
-    pub fn with_rate(rate: f64, seed: u64, max_attempts: u32) -> Self {
-        FaultPlan {
-            failure_rate: normalise_rate(rate),
-            seed,
-            max_attempts: max_attempts.max(1),
-        }
-    }
-
-    /// Deterministically decide whether attempt `attempt` of task
-    /// (`stage`, `partition`) fails.
-    pub fn should_fail(&self, stage: usize, partition: usize, attempt: u32) -> bool {
-        if self.failure_rate <= 0.0 {
-            return false;
-        }
-        if self.failure_rate >= 1.0 {
-            return true;
-        }
-        uniform(self.seed, 0, stage, partition, attempt) < self.failure_rate
-    }
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        Self::none()
-    }
-}
-
 /// What an injected fault does to the attempt it hits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultKind {
-    /// The executor is lost before the task body runs (the classic
-    /// [`FaultPlan`] failure): the attempt fails and may be retried.
+    /// The executor is lost before the task body runs: the attempt fails
+    /// and may be retried.
     Crash,
     /// The attempt stalls for `micros` before the body runs — the straggler
     /// / hung-task simulator. The stall is cooperative: a cancelled attempt
@@ -174,7 +121,7 @@ impl ChaosPlan {
         ChaosPlan::default()
     }
 
-    /// Rate-based crashes only — the [`FaultPlan`] failure mode.
+    /// Rate-based crashes only: the classic "lost executor".
     pub fn crashes(rate: f64, seed: u64) -> Self {
         ChaosPlan {
             seed,
@@ -277,42 +224,38 @@ impl ChaosPlan {
     }
 }
 
-impl From<FaultPlan> for ChaosPlan {
-    /// A [`FaultPlan`] is the crash-only special case. (The retry budget
-    /// lives in the retry policy, not the chaos plan.)
-    fn from(plan: FaultPlan) -> Self {
-        ChaosPlan::crashes(plan.failure_rate, plan.seed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn crashed(c: &ChaosPlan, stage: usize, partition: usize, attempt: u32) -> bool {
+        c.fault_for(stage, partition, attempt) == Some(FaultKind::Crash)
+    }
+
     #[test]
     fn none_never_fails() {
-        let f = FaultPlan::none();
+        let c = ChaosPlan::none();
         for s in 0..10 {
             for p in 0..10 {
-                assert!(!f.should_fail(s, p, 0));
+                assert_eq!(c.fault_for(s, p, 0), None);
             }
         }
     }
 
     #[test]
     fn rate_one_always_fails() {
-        let f = FaultPlan::with_rate(1.0, 3, 2);
-        assert!(f.should_fail(0, 0, 0));
-        assert!(f.should_fail(5, 9, 1));
+        let c = ChaosPlan::crashes(1.0, 3);
+        assert!(crashed(&c, 0, 0, 0));
+        assert!(crashed(&c, 5, 9, 1));
     }
 
     #[test]
     fn decisions_are_deterministic() {
-        let f = FaultPlan::with_rate(0.3, 42, 3);
+        let c = ChaosPlan::crashes(0.3, 42);
         for s in 0..5 {
             for p in 0..5 {
                 for a in 0..3 {
-                    assert_eq!(f.should_fail(s, p, a), f.should_fail(s, p, a));
+                    assert_eq!(c.fault_for(s, p, a), c.fault_for(s, p, a));
                 }
             }
         }
@@ -320,41 +263,34 @@ mod tests {
 
     #[test]
     fn empirical_rate_close_to_requested() {
-        let f = FaultPlan::with_rate(0.25, 7, 1);
-        let mut failures = 0;
+        let c = ChaosPlan::crashes(0.25, 7);
         let trials = 10_000;
-        for i in 0..trials {
-            if f.should_fail(i % 13, i / 13, (i % 3) as u32) {
-                failures += 1;
-            }
-        }
+        let failures = (0..trials)
+            .filter(|&i| crashed(&c, i % 13, i / 13, (i % 3) as u32))
+            .count();
         let rate = failures as f64 / trials as f64;
         assert!((rate - 0.25).abs() < 0.03, "empirical rate {rate}");
     }
 
     #[test]
     fn different_attempts_get_fresh_draws() {
-        let f = FaultPlan::with_rate(0.5, 11, 10);
-        let draws: Vec<bool> = (0..32).map(|a| f.should_fail(1, 1, a)).collect();
+        let c = ChaosPlan::crashes(0.5, 11);
+        let draws: Vec<bool> = (0..32).map(|a| crashed(&c, 1, 1, a)).collect();
         assert!(draws.iter().any(|&b| b) && draws.iter().any(|&b| !b));
     }
 
     #[test]
     fn constructor_clamps() {
-        let f = FaultPlan::with_rate(7.0, 0, 0);
-        assert_eq!(f.failure_rate, 1.0);
-        assert_eq!(f.max_attempts, 1);
+        assert_eq!(ChaosPlan::crashes(7.0, 0).crash_rate, 1.0);
+        assert_eq!(ChaosPlan::crashes(-1.0, 0).crash_rate, 0.0);
     }
 
     #[test]
     fn nan_rate_normalises_to_zero() {
-        // f64::clamp propagates NaN, which would skip both fast paths in
-        // should_fail and make every comparison false-but-weird; the
-        // constructor must normalise it away.
-        let f = FaultPlan::with_rate(f64::NAN, 1, 3);
-        assert_eq!(f.failure_rate, 0.0);
-        assert!(!f.should_fail(0, 0, 0));
+        // f64::clamp propagates NaN, which would make every rate comparison
+        // false-but-weird; the constructors must normalise it away.
         let c = ChaosPlan::crashes(f64::NAN, 1).with_panic_rate(f64::NAN);
+        assert_eq!(c.crash_rate, 0.0);
         assert!(c.is_none());
         assert_eq!(c.fault_for(0, 0, 0), None);
     }
@@ -403,20 +339,6 @@ mod tests {
         assert_eq!(c.fault_for(2, 3, 1), None, "only attempt 0 is targeted");
         assert_eq!(c.fault_for(2, 4, 0), None);
         assert!(!c.is_none());
-    }
-
-    #[test]
-    fn fault_plan_converts_to_identical_crash_decisions() {
-        let plan = FaultPlan::with_rate(0.4, 77, 5);
-        let chaos = ChaosPlan::from(plan);
-        for s in 0..4 {
-            for p in 0..8 {
-                for a in 0..4 {
-                    let crashed = matches!(chaos.fault_for(s, p, a), Some(FaultKind::Crash));
-                    assert_eq!(crashed, plan.should_fail(s, p, a));
-                }
-            }
-        }
     }
 
     #[test]

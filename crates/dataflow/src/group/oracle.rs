@@ -761,18 +761,17 @@ proptest! {
     fn engine_aggregation_matches_the_row_oracle_in_memory_and_budgeted(
         seed in 0u64..u64::MAX,
         rows in 0usize..150,
-        partial in any::<bool>(),
+        with_distinct in any::<bool>(),
         budgeted in any::<bool>(),
     ) {
         const PARTS: usize = 3;
         let mut rng = StdRng::seed_from_u64(seed);
         let t = table_of(&random_types(&mut rng, 1, 4), rows, "c", &mut rng);
-        let (group_by, aggs) = random_aggregation(&t, &mut rng, partial);
+        let (group_by, aggs) = random_aggregation(&t, &mut rng, !with_distinct);
         let morsel_rows = rng.gen_range(1..=rows.max(1));
         let mut config = EngineConfig::default()
             .with_threads(2)
             .with_partitions(PARTS)
-            .with_partial_aggregation(partial)
             .with_morsel_rows(morsel_rows);
         if budgeted {
             config = config.with_memory_budget(rng.gen_range(0..4096));
@@ -789,8 +788,12 @@ proptest! {
         // The oracle replays the engine's fold order: the registered split,
         // then per partition its rows in order (map side), then partitions
         // in source order (the shuffle keeps arrival order per target).
+        // Like the engine, it combines map-side unless a `CountDistinct`
+        // forces the raw path.
         let split = PartitionedTable::split(t.clone(), PARTS).unwrap();
-        let want = if partial {
+        let want = if aggs.iter().any(|a| a.func == AggFunc::CountDistinct) {
+            oracle_aggregate(&Table::concat(split.parts()).unwrap(), &group_by, &aggs, &out)
+        } else {
             let p_schema = p_schema_of(&t, &group_by, &aggs);
             let partials: Vec<Table> = split
                 .parts()
@@ -798,8 +801,6 @@ proptest! {
                 .map(|p| oracle_partial(p, &group_by, &aggs, &p_schema))
                 .collect();
             oracle_merge(&Table::concat(&partials).unwrap(), &group_by, &aggs, &out)
-        } else {
-            oracle_aggregate(&Table::concat(split.parts()).unwrap(), &group_by, &aggs, &out)
         };
         prop_assert_eq!(
             identical(&got, &want, &sum_lanes(&aggs)),

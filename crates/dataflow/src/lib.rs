@@ -22,15 +22,15 @@
 //!    real; [`pager`] — paged on-disk columnar files and a pinning buffer
 //!    pool that shuffle and aggregation spill to under a memory budget;
 //! 6. [`scheduler`] — a resilient scoped thread pool, the one place an
-//!    attempt is dispatched: deterministic chaos injection ([`fault`]),
-//!    retry backoff, task deadlines, speculative attempts, panic isolation,
-//!    and cooperative cancellation ([`resilience`]);
+//!    attempt is dispatched and the only retry loop: deterministic chaos
+//!    injection ([`fault`]), retry backoff, task deadlines, speculative
+//!    attempts, panic isolation, and cooperative cancellation
+//!    ([`resilience`]);
 //! 7. [`session`] — the `Engine` facade (register datasets, run flows);
-//! 8. [`stream`] — micro-batch streaming with carried state; [`streaming`]
-//!    — the continuous topology around it: bounded in-flight buffers with
-//!    backpressure, event-time watermarks with a late-data policy, and
-//!    durable end-to-end acks with crash-resume (the pre-materialised
-//!    [`stream`] path stays selectable as the differential oracle);
+//! 8. [`streaming`] — continuous micro-batch streaming with carried state:
+//!    one engine per batch, bounded in-flight buffers with backpressure,
+//!    event-time watermarks with a late-data policy, and durable
+//!    end-to-end acks with crash-resume;
 //! 9. [`metrics`] — per-operator and per-run metrics, the raw material for
 //!    the Labs' run comparison;
 //! 10. [`trace`] — the flight-recorder journal: structured span events for
@@ -72,7 +72,6 @@ pub mod resilience;
 pub mod scheduler;
 pub mod session;
 pub mod shuffle;
-pub mod stream;
 pub mod streaming;
 pub mod trace;
 pub mod vexpr;
@@ -82,9 +81,7 @@ pub mod prelude {
     pub use crate::checkpoint::{CheckpointManifest, CheckpointSpec};
     pub use crate::error::{FlowError, Result as FlowResult};
     pub use crate::expr::{col, lit, Expr, Func};
-    pub use crate::fault::{
-        BoundaryKill, ChaosPlan, FaultKind, FaultPlan, KillMode, TargetedFault,
-    };
+    pub use crate::fault::{BoundaryKill, ChaosPlan, FaultKind, KillMode, TargetedFault};
     pub use crate::logical::{AggExpr, AggFunc, Dataflow, JoinType, LogicalPlan};
     pub use crate::metrics::{NodeMetrics, RunMetrics};
     pub use crate::optimizer::OptimizerConfig;
@@ -92,11 +89,10 @@ pub mod prelude {
         Backoff, ResilienceConfig, RetryPolicy, RunControl, SpeculationPolicy, TaskDeadline,
     };
     pub use crate::session::{Engine, EngineConfig, RunResult};
-    pub use crate::stream::{run_stream, MicroBatcher, StreamRun, StreamState};
     pub use crate::streaming::{
         canonical_state_json, run_continuous, run_continuous_with, AckRecord, AckSummary,
         ArrivalSource, BatchOutput, ContinuousRun, DurableSpec, LatePolicy, Source, SourceBatch,
-        StateColumns, StateDelta, StreamConfig, StreamRecovery, WindowSource,
+        StateColumns, StateDelta, StreamConfig, StreamRecovery, StreamState,
     };
     pub use crate::trace::{
         PipelineTotals, ResilienceTotals, RunTrace, SpillTotals, StreamTotals, TraceEvent,

@@ -13,11 +13,10 @@
 //! morsel units ([`crate::morsel`]); a lone narrow operator and every wide
 //! operator's reduce side run one task per partition.
 //!
-//! Aggregations run in one of two modes, chosen by
-//! [`ExecConfig::partial_aggregation`]: *partial* (combine per partition,
-//! shuffle the small partial states, merge — Spark's map-side combine) or
-//! *raw* (shuffle all rows, aggregate once). The difference is an ablation
-//! measured by benchmark E5.
+//! An aggregation combines per partition, shuffles the small partial
+//! states and merges them (Spark's map-side combine). One with a
+//! `CountDistinct` cannot be combined early, so it shuffles its raw rows
+//! and aggregates once.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -53,8 +52,6 @@ pub struct ExecConfig {
     pub scheduler: SchedulerConfig,
     /// Target partition count for scans and shuffles.
     pub partitions: usize,
-    /// Map-side combine for aggregations (ablation knob).
-    pub partial_aggregation: bool,
     /// Target morsel size in rows: the unit of morsel waves
     /// ([`crate::morsel`]) and of the scheduler's size rule.
     pub morsel_rows: usize,
@@ -80,7 +77,6 @@ impl Default for ExecConfig {
         ExecConfig {
             scheduler: SchedulerConfig::default(),
             partitions: 4,
-            partial_aggregation: true,
             morsel_rows: 4096,
             control: None,
             memory_budget_bytes: None,
@@ -823,8 +819,7 @@ fn exec_aggregate(
     } else {
         ctx.config.partitions.max(1)
     };
-    let use_partial =
-        ctx.config.partial_aggregation && !aggs.iter().any(|a| a.func == AggFunc::CountDistinct);
+    let use_partial = !aggs.iter().any(|a| a.func == AggFunc::CountDistinct);
 
     let (shuffled, bytes) = if use_partial {
         let group_fields: Vec<Field> = group_by
@@ -1115,35 +1110,31 @@ mod tests {
     #[test]
     fn aggregate_partial_and_raw_agree() {
         let (datasets, metrics) = ctx_fixture();
-        let flow = Dataflow::scan("t", schema_t())
-            .aggregate(
-                &["k"],
-                vec![
-                    AggExpr::new(AggFunc::Count, "v", "n"),
-                    AggExpr::new(AggFunc::Sum, "v", "total"),
-                    AggExpr::new(AggFunc::Mean, "v", "avg"),
-                    AggExpr::new(AggFunc::Min, "v", "lo"),
-                    AggExpr::new(AggFunc::Max, "v", "hi"),
-                ],
-            )
-            .unwrap();
-        let cfg_raw = ExecConfig {
-            partial_aggregation: false,
-            ..ExecConfig::default()
+        let aggs = vec![
+            AggExpr::new(AggFunc::Count, "v", "n"),
+            AggExpr::new(AggFunc::Sum, "v", "total"),
+            AggExpr::new(AggFunc::Mean, "v", "avg"),
+            AggExpr::new(AggFunc::Min, "v", "lo"),
+            AggExpr::new(AggFunc::Max, "v", "hi"),
+        ];
+        // A `CountDistinct` beside the same aggregates takes the raw path.
+        let mut raw_aggs = aggs.clone();
+        raw_aggs.push(AggExpr::new(AggFunc::CountDistinct, "v", "distinct"));
+        let ctx = ExecContext::new(&datasets, ExecConfig::default(), &metrics);
+        let run_sorted = |aggs: Vec<AggExpr>| {
+            let flow = Dataflow::scan("t", schema_t())
+                .aggregate(&["k"], aggs)
+                .unwrap();
+            execute(&ctx, flow.plan())
+                .unwrap()
+                .collect()
+                .unwrap()
+                .sort_by(&["k"], false)
+                .unwrap()
         };
-        let ctx_p = ExecContext::new(&datasets, ExecConfig::default(), &metrics);
-        let ctx_r = ExecContext::new(&datasets, cfg_raw, &metrics);
-        let a = execute(&ctx_p, flow.plan())
-            .unwrap()
-            .collect()
-            .unwrap()
-            .sort_by(&["k"], false)
-            .unwrap();
-        let b = execute(&ctx_r, flow.plan())
-            .unwrap()
-            .collect()
-            .unwrap()
-            .sort_by(&["k"], false)
+        let a = run_sorted(aggs);
+        let b = run_sorted(raw_aggs)
+            .project(&["k", "n", "total", "avg", "lo", "hi"])
             .unwrap();
         assert_eq!(a, b);
         assert_eq!(a.num_rows(), 5);

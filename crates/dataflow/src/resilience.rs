@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use serde::{Deserialize, Serialize};
 
 use crate::error::FlowError;
-use crate::fault::{self, ChaosPlan, FaultPlan};
+use crate::fault::{self, ChaosPlan};
 
 /// Salt decorrelating jitter draws from fault decisions sharing a seed.
 const JITTER_SALT: u64 = 0x6a09_e667_f3bc_c909;
@@ -227,17 +227,6 @@ impl ResilienceConfig {
         ResilienceConfig::default()
     }
 
-    /// The resilience equivalent of a legacy [`FaultPlan`]: crash faults at
-    /// the plan's rate, immediate retries up to its attempt budget.
-    pub fn from_fault_plan(plan: &FaultPlan) -> Self {
-        ResilienceConfig {
-            retry: RetryPolicy::immediate(plan.max_attempts),
-            deadline: None,
-            speculation: None,
-            chaos: ChaosPlan::from(*plan),
-        }
-    }
-
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
@@ -435,17 +424,6 @@ mod tests {
         let free = RunControl::new();
         assert!(free.try_reserve_retry(None));
         assert_eq!(free.run_retries_used(), 1);
-    }
-
-    #[test]
-    fn resilience_config_from_fault_plan_keeps_budget_and_rate() {
-        let plan = FaultPlan::with_rate(0.3, 5, 7);
-        let r = ResilienceConfig::from_fault_plan(&plan);
-        assert_eq!(r.retry.max_attempts, 7);
-        assert_eq!(r.chaos.crash_rate, 0.3);
-        assert_eq!(r.chaos.seed, 5);
-        assert!(r.deadline.is_none());
-        assert!(r.speculation.is_none());
     }
 
     #[test]

@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 use toreador_data::table::Table;
 
 use crate::error::{FlowError, Result};
-use crate::fault::{ChaosPlan, FaultKind, FaultPlan};
+use crate::fault::{ChaosPlan, FaultKind};
 use crate::metrics::MetricsCollector;
 use crate::resilience::{
     classify, ErrorClass, ResilienceConfig, RetryPolicy, RunControl, SpeculationPolicy,
@@ -67,12 +67,6 @@ impl SchedulerConfig {
     pub fn with_resilience(mut self, resilience: ResilienceConfig) -> Self {
         self.resilience = resilience;
         self
-    }
-
-    /// Legacy shim: crash faults at the plan's rate with immediate retries
-    /// up to its attempt budget.
-    pub fn with_faults(self, faults: FaultPlan) -> Self {
-        self.with_resilience(ResilienceConfig::from_fault_plan(&faults))
     }
 
     /// The size rule, read from the wave's input: a wave of at most one
@@ -237,7 +231,7 @@ impl Attempt<'_> {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_owned())
@@ -1058,10 +1052,17 @@ mod tests {
         assert_eq!(out.len(), 5);
     }
 
+    /// Crash faults at `rate`, retried immediately up to `max_attempts`.
+    fn crashes(rate: f64, seed: u64, max_attempts: u32) -> ResilienceConfig {
+        ResilienceConfig::none()
+            .with_retry(RetryPolicy::immediate(max_attempts))
+            .with_chaos(ChaosPlan::crashes(rate, seed))
+    }
+
     #[test]
     fn injected_faults_are_retried_and_counted() {
         // 50% failure rate with a generous budget: all tasks eventually pass.
-        let config = SchedulerConfig::new(4).with_faults(FaultPlan::with_rate(0.5, 9, 20));
+        let config = SchedulerConfig::new(4).with_resilience(crashes(0.5, 9, 20));
         let metrics = MetricsCollector::new();
         let out = run_stage(&config, &metrics, 3, make_tasks(16)).unwrap();
         assert_eq!(out.len(), 16);
@@ -1072,7 +1073,7 @@ mod tests {
 
     #[test]
     fn exhausted_retry_budget_fails_the_stage() {
-        let config = SchedulerConfig::new(2).with_faults(FaultPlan::with_rate(1.0, 0, 3));
+        let config = SchedulerConfig::new(2).with_resilience(crashes(1.0, 0, 3));
         let metrics = MetricsCollector::new();
         let err = run_stage(&config, &metrics, 1, make_tasks(4)).unwrap_err();
         match err {
@@ -1088,7 +1089,7 @@ mod tests {
 
     #[test]
     fn task_errors_propagate_without_retry() {
-        let config = SchedulerConfig::new(2).with_faults(FaultPlan::with_rate(0.0, 0, 5));
+        let config = SchedulerConfig::new(2).with_resilience(crashes(0.0, 0, 5));
         let metrics = MetricsCollector::new();
         let tasks: Vec<Box<dyn Fn() -> Result<Table> + Send + Sync>> = vec![
             Box::new(|| Ok(random_table(5, 2, 0))),
@@ -1373,9 +1374,17 @@ mod tests {
             elapsed < Duration::from_millis(300),
             "speculation must beat the 400ms straggler (took {elapsed:?})"
         );
-        let totals = metrics.trace().snapshot().resilience_totals();
-        assert_eq!(totals.speculative_launched, 1);
-        assert_eq!(totals.speculative_won, 1);
+        // Partition 7's backup won. On a loaded host another task may also
+        // cross the 3x-median line and get a backup; that changes no output.
+        let trace = metrics.trace().snapshot();
+        assert!(trace.events.iter().any(|e| matches!(
+            e.kind,
+            TraceEventKind::SpeculativeWon {
+                stage: 0,
+                partition: 7,
+                ..
+            }
+        )));
     }
 
     #[test]

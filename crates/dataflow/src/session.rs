@@ -18,7 +18,6 @@ use crate::checkpoint::{
     RunCheckpoint,
 };
 use crate::error::{FlowError, Result};
-use crate::fault::FaultPlan;
 use crate::logical::{Dataflow, LogicalPlan};
 use crate::metrics::{MetricsCollector, RunMetrics};
 use crate::optimizer::{optimize, OptimizerConfig};
@@ -33,7 +32,6 @@ pub struct EngineConfig {
     pub threads: usize,
     pub partitions: usize,
     pub optimizer: OptimizerConfig,
-    pub partial_aggregation: bool,
     /// Retry/deadline/speculation policy and the chaos plan for this engine;
     /// the stage coordinator applies it to every wave, morsel waves
     /// included.
@@ -70,7 +68,6 @@ impl Default for EngineConfig {
             threads: crate::scheduler::default_threads(),
             partitions: 4,
             optimizer: OptimizerConfig::default(),
-            partial_aggregation: true,
             resilience: ResilienceConfig::none(),
             morsel_rows: 4096,
             checkpoint: None,
@@ -97,20 +94,8 @@ impl EngineConfig {
         self
     }
 
-    /// Legacy shim: crash faults at the plan's rate with immediate retries
-    /// up to its attempt budget. Prefer [`Self::with_resilience`].
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.resilience = ResilienceConfig::from_fault_plan(&faults);
-        self
-    }
-
     pub fn with_resilience(mut self, resilience: ResilienceConfig) -> Self {
         self.resilience = resilience;
-        self
-    }
-
-    pub fn with_partial_aggregation(mut self, on: bool) -> Self {
-        self.partial_aggregation = on;
         self
     }
 
@@ -151,7 +136,6 @@ impl EngineConfig {
                 resilience: self.resilience.clone(),
             },
             partitions: self.partitions,
-            partial_aggregation: self.partial_aggregation,
             morsel_rows: self.morsel_rows,
             control: self.control.clone(),
             memory_budget_bytes: self.memory_budget_bytes,
@@ -300,10 +284,7 @@ impl Engine {
             format_version: 1,
             run_id: spec.run_id.clone(),
             plan_fingerprint: plan_fingerprint(&optimized.explain()),
-            config_fingerprint: config_fingerprint(
-                self.config.partitions,
-                self.config.partial_aggregation,
-            ),
+            config_fingerprint: config_fingerprint(self.config.partitions),
             input_fingerprint: input_fingerprint(&self.datasets, &scanned)?,
             chaos_seed: self.config.resilience.chaos.seed,
             partitions: self.config.partitions,
@@ -504,10 +485,15 @@ mod tests {
 
     #[test]
     fn faulty_engine_still_completes_with_retries() {
+        use crate::fault::ChaosPlan;
+        use crate::resilience::RetryPolicy;
+
         let mut e = Engine::new(
-            EngineConfig::default()
-                .with_threads(4)
-                .with_faults(FaultPlan::with_rate(0.3, 5, 10)),
+            EngineConfig::default().with_threads(4).with_resilience(
+                ResilienceConfig::none()
+                    .with_retry(RetryPolicy::immediate(10))
+                    .with_chaos(ChaosPlan::crashes(0.3, 5)),
+            ),
         );
         e.register("clicks", clickstream(1_000, 1)).unwrap();
         let flow = e
@@ -533,7 +519,7 @@ mod tests {
     #[test]
     fn chaotic_engine_matches_fault_free_results() {
         use crate::fault::ChaosPlan;
-        use crate::resilience::{ResilienceConfig, RetryPolicy};
+        use crate::resilience::RetryPolicy;
 
         let flow_of = |e: &Engine| {
             e.flow("clicks")

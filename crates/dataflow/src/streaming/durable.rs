@@ -1,4 +1,5 @@
-//! The durable ack log: end-to-end acknowledgement over the store's WAL.
+//! The carried stream state and the durable ack log that makes it survive
+//! a kill: end-to-end acknowledgement over the store's WAL.
 //!
 //! A batch is *acked* only once its [`StateDelta`] and offset are appended
 //! to a [`DurableLog`] and fsynced. Recovery replays snapshot-then-records
@@ -11,15 +12,16 @@
 //! identity): resuming under a changed configuration would silently merge
 //! incompatible state, so it is refused as a stale checkpoint instead.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
+use toreador_data::column::Column;
 use toreador_data::table::Table;
+use toreador_data::value::Value;
 use toreador_store::log::{DurableLog, LogConfig};
 
 use crate::error::{FlowError, Result};
-use crate::stream::{for_each_state_row, StreamState};
 
 /// Where and how the ack log persists.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,6 +53,149 @@ impl DurableSpec {
         self.snapshot_every = every.max(1);
         self
     }
+}
+
+/// Carry-over state for streaming aggregation: keyed running counts/sums.
+///
+/// Keys and fields are strings so state survives across batches regardless
+/// of the pipeline's schema details.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct StreamState {
+    counts: HashMap<String, i64>,
+    sums: HashMap<String, f64>,
+}
+
+impl StreamState {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Merge the result of the batch at stream `offset` into the state:
+    /// `key_col` identifies the group, `count_col`/`sum_col` are merged
+    /// additively when present. A NULL key is refused as a
+    /// [`FlowError::Stream`] naming the column and `offset`.
+    pub fn absorb(
+        &mut self,
+        batch_result: &Table,
+        offset: u64,
+        key_col: &str,
+        count_col: Option<&str>,
+        sum_col: Option<&str>,
+    ) -> Result<()> {
+        for_each_state_row(
+            batch_result,
+            offset,
+            key_col,
+            count_col,
+            sum_col,
+            |key, count, sum| {
+                if let Some(n) = count {
+                    *self.counts.entry(key.clone()).or_insert(0) += n;
+                }
+                if let Some(s) = sum {
+                    *self.sums.entry(key).or_insert(0.0) += s;
+                }
+            },
+        )
+    }
+
+    pub fn count(&self, key: &str) -> i64 {
+        self.counts.get(key).copied().unwrap_or(0)
+    }
+
+    pub fn sum(&self, key: &str) -> f64 {
+        self.sums.get(key).copied().unwrap_or(0.0)
+    }
+
+    pub fn keys(&self) -> Vec<&str> {
+        let mut ks: Vec<&str> = self
+            .counts
+            .keys()
+            .chain(self.sums.keys())
+            .map(String::as_str)
+            .collect();
+        ks.sort_unstable();
+        ks.dedup();
+        ks
+    }
+
+    /// Add `delta` to the running count for `key`. The continuous streaming
+    /// loop applies batch deltas through this (live and WAL-replay paths
+    /// share it, which is what makes resume byte-identical).
+    pub fn add_count(&mut self, key: &str, delta: i64) {
+        *self.counts.entry(key.to_owned()).or_insert(0) += delta;
+    }
+
+    /// Add `delta` to the running sum for `key`.
+    pub fn add_sum(&mut self, key: &str, delta: f64) {
+        *self.sums.entry(key.to_owned()).or_insert(0.0) += delta;
+    }
+
+    /// The counts, key-sorted — the canonical (deterministic) view used for
+    /// snapshots and byte-identity comparison.
+    pub fn counts_sorted(&self) -> BTreeMap<String, i64> {
+        self.counts.iter().map(|(k, v)| (k.clone(), *v)).collect()
+    }
+
+    /// The sums, key-sorted — canonical view, see [`StreamState::counts_sorted`].
+    pub fn sums_sorted(&self) -> BTreeMap<String, f64> {
+        self.sums.iter().map(|(k, v)| (k.clone(), *v)).collect()
+    }
+}
+
+/// Visit each row of a batch result's state columns, in row order, as
+/// `(key, count, sum)`: the key's text, and the count/sum cells that are
+/// present and non-null. Each column is looked up once per batch.
+///
+/// State is keyed by text, and a NULL renders as `""`, so a NULL key would
+/// silently merge with an empty-string key: it is refused as a
+/// [`FlowError::Stream`] naming the column and the batch's stream offset.
+fn for_each_state_row(
+    batch_result: &Table,
+    offset: u64,
+    key_col: &str,
+    count_col: Option<&str>,
+    sum_col: Option<&str>,
+    mut visit: impl FnMut(String, Option<i64>, Option<f64>),
+) -> Result<()> {
+    if batch_result.num_rows() == 0 {
+        return Ok(());
+    }
+    let keys = batch_result.column(key_col)?;
+    let counts = count_col.map(|c| batch_result.column(c)).transpose()?;
+    let sums = sum_col.map(|c| batch_result.column(c)).transpose()?;
+    for row in 0..batch_result.num_rows() {
+        let key = match keys {
+            Column::Str { data, validity } if validity.get(row) => data[row].clone(),
+            _ => match keys.value(row)? {
+                Value::Null => {
+                    return Err(FlowError::Stream(format!(
+                        "batch at offset {offset}: state key column {key_col:?} is NULL in \
+                         row {row}; a NULL key would merge with the empty-string key"
+                    )))
+                }
+                v => v.to_string(),
+            },
+        };
+        let count = match counts {
+            Some(Column::Int { data, validity }) => validity.get(row).then(|| data[row]),
+            Some(col) => match col.value(row)? {
+                Value::Null => None,
+                v => Some(v.as_int()?),
+            },
+            None => None,
+        };
+        let sum = match sums {
+            Some(Column::Float { data, validity }) => validity.get(row).then(|| data[row]),
+            Some(col) => match col.value(row)? {
+                Value::Null => None,
+                v => Some(v.as_float()?),
+            },
+            None => None,
+        };
+        visit(key, count, sum);
+    }
+    Ok(())
 }
 
 /// One batch's additive contribution to the carried [`StreamState`],
@@ -435,6 +580,50 @@ mod tests {
             "got {err:?}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn delta_application_matches_absorb() {
+        let mut a = StreamState::new();
+        a.add_count("x", 2);
+        a.add_count("x", 3);
+        a.add_sum("x", 1.5);
+        assert_eq!(a.count("x"), 5);
+        assert_eq!(a.sum("x"), 1.5);
+        let counts = a.counts_sorted();
+        assert_eq!(counts.get("x"), Some(&5));
+        assert!(a.sums_sorted().contains_key("x"));
+    }
+
+    #[test]
+    fn stream_state_accumulates() {
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Str),
+            Field::new("n", DataType::Int),
+            Field::new("s", DataType::Float),
+        ])
+        .unwrap();
+        let t1 = Table::from_rows(
+            schema.clone(),
+            vec![vec!["a".into(), Value::Int(2), Value::Float(1.5)]],
+        )
+        .unwrap();
+        let t2 = Table::from_rows(
+            schema,
+            vec![
+                vec!["a".into(), Value::Int(3), Value::Float(0.5)],
+                vec!["b".into(), Value::Int(1), Value::Float(9.0)],
+            ],
+        )
+        .unwrap();
+        let mut st = StreamState::new();
+        st.absorb(&t1, 0, "k", Some("n"), Some("s")).unwrap();
+        st.absorb(&t2, 1, "k", Some("n"), Some("s")).unwrap();
+        assert_eq!(st.count("a"), 5);
+        assert_eq!(st.sum("a"), 2.0);
+        assert_eq!(st.count("b"), 1);
+        assert_eq!(st.keys(), vec!["a", "b"]);
+        assert_eq!(st.count("missing"), 0);
     }
 
     #[test]

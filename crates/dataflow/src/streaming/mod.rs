@@ -1,8 +1,5 @@
-//! Continuous, crash-survivable streaming execution.
-//!
-//! [`crate::stream`] cuts a pre-materialised table into micro-batches and
-//! runs them to completion — it stays as the differential oracle. This
-//! module is the production topology around the same per-batch engine:
+//! Continuous, crash-survivable streaming execution: the production
+//! topology around a per-batch engine:
 //!
 //! * a [`Source`] produces offset-ordered micro-batches on its own thread,
 //!   through a **bounded in-flight buffer** whose producer blocks when the
@@ -16,9 +13,14 @@
 //!   the store crate's [`toreador_store::log::DurableLog`]), so a killed
 //!   process resumes from the last acked offset with byte-identical state
 //!   and zero re-executed acked batches;
-//! * [`crate::resilience::RunControl`] cancellation and
-//!   [`crate::fault::ChaosPlan`] faults thread through the loop, keeping
-//!   the identical-state-or-classified-failure invariant.
+//! * [`crate::resilience::RunControl`] cancellation is checked before
+//!   every batch. [`crate::fault::ChaosPlan`] faults strike inside the
+//!   per-batch engines, which retry them through the one scheduler, so the
+//!   loop keeps the identical-state-or-classified-failure invariant without
+//!   a retry loop of its own;
+//! * a panicking [`Source`] fails the run with a classified
+//!   [`FlowError::Stream`], and a panicking per-batch processor propagates
+//!   to the caller; neither leaves the other side blocked.
 //!
 //! The loop's own journal (ingestion depths, stalls, watermark motion,
 //! late-data counts, acks) rolls up into [`crate::trace::StreamTotals`],
@@ -28,30 +30,27 @@ pub mod durable;
 pub mod source;
 pub mod watermark;
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use toreador_data::table::Table;
 
 use crate::error::{FlowError, Result};
-use crate::fault::{FaultKind, KillMode};
+use crate::fault::KillMode;
 use crate::logical::Dataflow;
 use crate::metrics::RunMetrics;
-use crate::resilience::classify;
+use crate::scheduler::panic_message;
 use crate::session::{Engine, EngineConfig};
-use crate::stream::StreamState;
 use crate::trace::{RunTrace, StreamTotals, TraceEventKind, TraceJournal};
 
-pub use durable::{AckLog, AckRecord, DurableSpec, RunningTotals, StateDelta, StreamRecovery};
-pub use source::{ArrivalSource, Source, SourceBatch, WindowSource};
+pub use durable::{
+    AckLog, AckRecord, DurableSpec, RunningTotals, StateDelta, StreamRecovery, StreamState,
+};
+pub use source::{ArrivalSource, Source, SourceBatch};
 pub use watermark::{count_late, event_bounds, split_on_time, LatePolicy, WatermarkClock};
 
-use source::BoundedBuffer;
-
-/// Partition coordinate used for stream-loop chaos/retry decisions, so the
-/// loop's fault stream decorrelates from the per-batch engines' (whose
-/// partitions are small integers).
-const STREAM_PARTITION: usize = usize::MAX;
+use source::{AbortOnDrop, BoundedBuffer};
 
 /// A deterministic kill point: die immediately after acking `offset`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,8 +63,9 @@ pub struct KillAtAck {
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// Per-batch engine configuration. Its resilience block (retry policy +
-    /// chaos plan) and RunControl also govern the stream loop itself;
-    /// checkpointing and boundary kills are stripped from per-batch engines
+    /// chaos plan) governs each batch's engine, the stream's fault domain;
+    /// its RunControl is also checked by the loop before every batch.
+    /// Checkpointing and boundary kills are stripped from per-batch engines
     /// (the ack log is the stream's durability).
     pub engine: EngineConfig,
     /// Event-time column consulted for watermarks.
@@ -275,8 +275,7 @@ pub fn canonical_state_json(state: &StreamState) -> String {
 }
 
 /// Run a continuous stream where each batch executes `make_flow` on a fresh
-/// engine and the keyed aggregate columns feed the carried state — the
-/// continuous counterpart of [`crate::stream::run_stream`].
+/// engine and the keyed aggregate columns feed the carried state.
 pub fn run_continuous(
     source: &mut dyn Source,
     config: &StreamConfig,
@@ -309,7 +308,7 @@ pub fn run_continuous(
 }
 
 /// The generic continuous loop: backpressure, watermarks, late policy,
-/// chaos/cancellation, and durable acks around an arbitrary per-batch
+/// cancellation, and durable acks around an arbitrary per-batch
 /// processor. `process` is invoked only for batches with on-time rows to
 /// execute, and is handed those rows to keep (under [`LatePolicy::Absorb`]
 /// they are the source's own batch, moved, never copied); every batch —
@@ -349,8 +348,6 @@ pub fn run_continuous_with(
     }
     source.seek(next_offset)?;
 
-    let retry = config.engine.resilience.retry;
-    let chaos = config.engine.resilience.chaos.clone();
     let control = config.engine.control.clone();
 
     let mut batch_metrics = Vec::new();
@@ -361,29 +358,50 @@ pub fn run_continuous_with(
 
     let buffer = BoundedBuffer::new(config.buffer);
     let outcome: Result<()> = std::thread::scope(|s| {
-        s.spawn(|| loop {
-            match source.next_batch() {
-                Ok(Some(batch)) => {
-                    if !buffer.push(batch, &journal) {
+        s.spawn(|| {
+            let mut last_offset = None;
+            loop {
+                // A panicking source must still release the consumer, or it
+                // would wait in `pop` forever.
+                match catch_unwind(AssertUnwindSafe(|| source.next_batch())) {
+                    Ok(Ok(Some(batch))) => {
+                        let offset = batch.offset;
+                        if !buffer.push(batch, &journal) {
+                            break;
+                        }
+                        last_offset = Some(offset);
+                    }
+                    Ok(Ok(None)) => {
+                        buffer.finish();
                         break;
                     }
-                }
-                Ok(None) => {
-                    buffer.finish();
-                    break;
-                }
-                Err(e) => {
-                    buffer.fail(e);
-                    break;
+                    Ok(Err(e)) => {
+                        buffer.fail(e);
+                        break;
+                    }
+                    Err(payload) => {
+                        let after = last_offset.map_or_else(
+                            || "before any batch".to_owned(),
+                            |o| format!("after offset {o}"),
+                        );
+                        buffer.fail(FlowError::Stream(format!(
+                            "source panicked {after}: {}",
+                            panic_message(payload)
+                        )));
+                        break;
+                    }
                 }
             }
         });
 
-        let run = (|| -> Result<()> {
+        // Wake a producer blocked on a full buffer before leaving the scope,
+        // on an error and on a processor panic alike, or the join would
+        // deadlock.
+        let _abort = AbortOnDrop(&buffer);
+        (|| -> Result<()> {
             while let Some(batch) = buffer.pop()? {
                 let t_start = Instant::now();
                 let offset = batch.offset;
-                let stage = offset as usize;
 
                 if let Some(ctrl) = &control {
                     if ctrl.is_cancelled() {
@@ -391,79 +409,10 @@ pub fn run_continuous_with(
                             .reason()
                             .unwrap_or_else(|| "stream cancelled".to_owned());
                         journal.record(TraceEventKind::RunCancelled {
-                            stage,
+                            stage: offset as usize,
                             reason: reason.clone(),
                         });
                         return Err(FlowError::Cancelled(reason));
-                    }
-                }
-
-                // Stream-level chaos: the loop itself is a fault domain.
-                // Crash/panic faults fail the dequeue attempt and retry
-                // under the policy; delays stall it. Decisions are pure
-                // functions of (seed, offset, attempt), so a chaos run
-                // replays bit-identically.
-                let mut attempt: u32 = 0;
-                loop {
-                    match chaos.fault_for(stage, STREAM_PARTITION, attempt) {
-                        None => break,
-                        Some(FaultKind::Delay { micros }) => {
-                            journal.record(TraceEventKind::FaultInjected {
-                                stage,
-                                partition: STREAM_PARTITION,
-                                attempt,
-                            });
-                            std::thread::sleep(std::time::Duration::from_micros(micros));
-                            break;
-                        }
-                        Some(kind) => {
-                            journal.record(TraceEventKind::FaultInjected {
-                                stage,
-                                partition: STREAM_PARTITION,
-                                attempt,
-                            });
-                            let budget_ok = control
-                                .as_ref()
-                                .map_or(true, |c| c.try_reserve_retry(retry.run_retry_budget));
-                            if attempt + 1 < retry.max_attempts.max(1) && budget_ok {
-                                let delay = retry.delay_us(stage, STREAM_PARTITION, attempt + 1);
-                                if delay > 0 {
-                                    journal.record(TraceEventKind::BackoffScheduled {
-                                        stage,
-                                        partition: STREAM_PARTITION,
-                                        attempt: attempt + 1,
-                                        delay_us: delay,
-                                    });
-                                    std::thread::sleep(std::time::Duration::from_micros(delay));
-                                }
-                                attempt += 1;
-                                journal.record(TraceEventKind::TaskRetried {
-                                    stage,
-                                    partition: STREAM_PARTITION,
-                                    attempt,
-                                });
-                                continue;
-                            }
-                            let err = match kind {
-                                FaultKind::Panic => FlowError::TaskPanicked {
-                                    stage,
-                                    partition: STREAM_PARTITION,
-                                    attempts: attempt + 1,
-                                    message: "injected panic (stream loop)".to_owned(),
-                                },
-                                _ => FlowError::TaskFailed {
-                                    stage,
-                                    partition: STREAM_PARTITION,
-                                    attempts: attempt + 1,
-                                    message: "injected fault (stream loop)".to_owned(),
-                                },
-                            };
-                            debug_assert!(matches!(
-                                classify(&err),
-                                crate::resilience::ErrorClass::Transient
-                            ));
-                            return Err(err);
-                        }
                     }
                 }
 
@@ -589,11 +538,7 @@ pub fn run_continuous_with(
                 }
             }
             Ok(())
-        })();
-        // Wake a producer blocked on a full buffer before leaving the
-        // scope, or the join would deadlock.
-        buffer.abort();
-        run
+        })()
     });
     outcome?;
 

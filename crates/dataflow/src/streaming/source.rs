@@ -14,7 +14,6 @@ use std::time::Instant;
 use toreador_data::table::Table;
 
 use crate::error::{FlowError, Result};
-use crate::stream::MicroBatcher;
 use crate::trace::{TraceEventKind, TraceJournal};
 
 /// One micro-batch with its dense, zero-based stream offset.
@@ -34,57 +33,6 @@ pub trait Source: Send {
     fn seek(&mut self, next: u64) -> Result<()>;
     /// The next micro-batch in offset order, or `None` when exhausted.
     fn next_batch(&mut self) -> Result<Option<SourceBatch>>;
-}
-
-/// A pre-materialised table cut into event-time tumbling windows (the
-/// [`MicroBatcher`] semantics) and replayed as a source — the bridge that
-/// lets existing window-mode campaigns run through the continuous loop.
-#[derive(Debug)]
-pub struct WindowSource {
-    batches: Vec<Table>,
-    cursor: u64,
-}
-
-impl WindowSource {
-    /// Cut `table` into tumbling windows of `window_ms` over `ts_column`;
-    /// window index = stream offset (silent windows are produced too, so
-    /// offsets stay dense).
-    pub fn tumbling(table: &Table, ts_column: &str, window_ms: i64) -> Result<Self> {
-        let batcher = MicroBatcher::tumbling(table, ts_column, window_ms)?;
-        Ok(WindowSource {
-            batches: batcher.batches().to_vec(),
-            cursor: 0,
-        })
-    }
-
-    pub fn num_batches(&self) -> usize {
-        self.batches.len()
-    }
-}
-
-impl Source for WindowSource {
-    fn seek(&mut self, next: u64) -> Result<()> {
-        if next > self.batches.len() as u64 {
-            return Err(FlowError::Stream(format!(
-                "seek past the end: offset {next} of {}",
-                self.batches.len()
-            )));
-        }
-        self.cursor = next;
-        Ok(())
-    }
-
-    fn next_batch(&mut self) -> Result<Option<SourceBatch>> {
-        let i = self.cursor as usize;
-        if i >= self.batches.len() {
-            return Ok(None);
-        }
-        self.cursor += 1;
-        Ok(Some(SourceBatch {
-            offset: i as u64,
-            rows: self.batches[i].clone(),
-        }))
-    }
 }
 
 /// A table replayed in *arrival order*. Event time and arrival order are
@@ -122,10 +70,10 @@ impl ArrivalSource {
     /// moves strictly *forward*; rows whose window index is at or behind
     /// the open batch's stay in it (they arrived now, however old their
     /// timestamps are). For a table whose timestamps are non-decreasing
-    /// this is exactly [`MicroBatcher::tumbling`] minus the empty windows —
-    /// but on disordered input it preserves arrival order instead of
-    /// quietly re-sorting the disorder away, which is what lets the
-    /// watermark machinery see late rows at all.
+    /// this is exactly event-time tumbling minus the empty windows — but on
+    /// disordered input it preserves arrival order instead of quietly
+    /// re-sorting the disorder away, which is what lets the watermark
+    /// machinery see late rows at all.
     pub fn windows(table: &Table, ts_column: &str, window_ms: i64) -> Result<Self> {
         if window_ms <= 0 {
             return Err(FlowError::Stream("window must be positive".to_owned()));
@@ -291,6 +239,16 @@ impl BoundedBuffer {
     }
 }
 
+/// Consumer-side guard: aborts the buffer when dropped, so a consumer that
+/// leaves — by returning or by unwinding — always wakes a blocked producer.
+pub(crate) struct AbortOnDrop<'a>(pub(crate) &'a BoundedBuffer);
+
+impl Drop for AbortOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.abort();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,20 +258,6 @@ mod tests {
     fn ts_table(stamps: &[i64]) -> Table {
         let schema = Schema::new(vec![Field::new("ts", DataType::Timestamp)]).unwrap();
         Table::from_rows(schema, stamps.iter().map(|&t| vec![Value::Timestamp(t)])).unwrap()
-    }
-
-    #[test]
-    fn window_source_replays_and_seeks() {
-        let t = ts_table(&[0, 999, 1000, 3500]);
-        let mut s = WindowSource::tumbling(&t, "ts", 1000).unwrap();
-        assert_eq!(s.num_batches(), 4);
-        let b0 = s.next_batch().unwrap().unwrap();
-        assert_eq!((b0.offset, b0.rows.num_rows()), (0, 2));
-        s.seek(3).unwrap();
-        let b3 = s.next_batch().unwrap().unwrap();
-        assert_eq!((b3.offset, b3.rows.num_rows()), (3, 1));
-        assert!(s.next_batch().unwrap().is_none());
-        assert!(s.seek(5).is_err(), "seek past the end must refuse");
     }
 
     #[test]
@@ -347,23 +291,19 @@ mod tests {
 
     #[test]
     fn arrival_windows_match_tumbling_on_ordered_input() {
-        // Non-decreasing timestamps: same cuts as the event-time tumbling
-        // batcher, minus its empty windows.
+        // Non-decreasing timestamps: the cuts of event-time tumbling
+        // windows 0, 1 and 5, with the empty windows 2-4 left out.
         let t = ts_table(&[0, 10, 1_000, 1_001, 5_000, 5_000]);
         let mut arrival = ArrivalSource::windows(&t, "ts", 1000).unwrap();
-        let tumbling = MicroBatcher::tumbling(&t, "ts", 1000).unwrap();
-        let nonempty: Vec<&Table> = tumbling
-            .batches()
-            .iter()
-            .filter(|b| b.num_rows() > 0)
-            .collect();
         let cut: Vec<Table> = std::iter::from_fn(|| arrival.next_batch().unwrap())
             .map(|b| b.rows)
             .collect();
-        assert_eq!(cut.len(), nonempty.len());
-        for (a, b) in cut.iter().zip(nonempty) {
-            assert_eq!(a, b);
-        }
+        let expected = [
+            ts_table(&[0, 10]),
+            ts_table(&[1_000, 1_001]),
+            ts_table(&[5_000, 5_000]),
+        ];
+        assert_eq!(cut, expected);
     }
 
     #[test]

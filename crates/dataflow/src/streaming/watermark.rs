@@ -68,16 +68,20 @@ impl WatermarkClock {
 
     /// Restore the clock to a recovered watermark (resume path).
     pub fn restore(allowed_lateness_ms: i64, watermark_ms: Option<i64>) -> Self {
+        let allowed_lateness_ms = allowed_lateness_ms.max(0);
         WatermarkClock {
-            allowed_lateness_ms: allowed_lateness_ms.max(0),
-            max_event_ts: watermark_ms.map(|w| w + allowed_lateness_ms.max(0)),
+            allowed_lateness_ms,
+            max_event_ts: watermark_ms.map(|w| w.saturating_add(allowed_lateness_ms)),
         }
     }
 
     /// The current watermark: rows with `ts < watermark` are late. `None`
-    /// until the first row has been observed.
+    /// until the first row has been observed. Event times come from input
+    /// data, so the arithmetic saturates at the ends of the `i64` range
+    /// instead of wrapping.
     pub fn watermark(&self) -> Option<i64> {
-        self.max_event_ts.map(|t| t - self.allowed_lateness_ms)
+        self.max_event_ts
+            .map(|t| t.saturating_sub(self.allowed_lateness_ms))
     }
 
     /// Observe a batch's maximum event time; returns the new watermark when
@@ -193,6 +197,16 @@ mod tests {
         assert_eq!(clock.watermark(), Some(1_500));
         let fresh = WatermarkClock::restore(500, None);
         assert_eq!(fresh.watermark(), None);
+    }
+
+    #[test]
+    fn extreme_timestamps_saturate_instead_of_wrapping() {
+        let mut clock = WatermarkClock::new(500);
+        assert_eq!(clock.observe(i64::MIN + 10), Some(i64::MIN));
+        let t = ts_table(&[i64::MIN + 20]);
+        assert_eq!(count_late(&t, "ts", clock.watermark()).unwrap(), 0);
+        let restored = WatermarkClock::restore(500, clock.watermark());
+        assert_eq!(restored.watermark(), Some(i64::MIN));
     }
 
     #[test]

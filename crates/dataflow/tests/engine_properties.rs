@@ -1,7 +1,8 @@
 //! Property-based tests for the dataflow engine's end-to-end invariants:
 //! the optimiser never changes results, parallelism never changes results,
-//! partial aggregation matches raw aggregation, and the engine matches a
-//! naive single-threaded reference implementation.
+//! a map-side combined aggregation matches the raw one a `CountDistinct`
+//! forces, and the engine matches a naive single-threaded reference
+//! implementation.
 
 use proptest::prelude::*;
 
@@ -64,13 +65,12 @@ fn canonical(t: &Table) -> Vec<String> {
     rows
 }
 
-fn engine_with(table: Table, threads: usize, optimizer: OptimizerConfig, partial: bool) -> Engine {
+fn engine_with(table: Table, threads: usize, optimizer: OptimizerConfig) -> Engine {
     let mut e = Engine::new(
         EngineConfig::default()
             .with_threads(threads)
             .with_partitions(3)
-            .with_optimizer(optimizer)
-            .with_partial_aggregation(partial),
+            .with_optimizer(optimizer),
     );
     e.register("t", table).unwrap();
     e
@@ -84,8 +84,8 @@ proptest! {
         // Limit interacts with row order across partitions, so compare by
         // count for limit steps and by multiset otherwise.
         let table = random_table(rows, 3, seed);
-        let opt = engine_with(table.clone(), 2, OptimizerConfig::default(), true);
-        let raw = engine_with(table, 2, OptimizerConfig::disabled(), true);
+        let opt = engine_with(table.clone(), 2, OptimizerConfig::default());
+        let raw = engine_with(table, 2, OptimizerConfig::disabled());
         let flow_a = build_flow(&opt, &steps);
         let flow_b = build_flow(&raw, &steps);
         let a = opt.run(&flow_a).unwrap().table;
@@ -100,8 +100,8 @@ proptest! {
     #[test]
     fn thread_count_never_changes_results(rows in 0usize..120, seed in 0u64..30, steps in arb_steps()) {
         let table = random_table(rows, 3, seed);
-        let one = engine_with(table.clone(), 1, OptimizerConfig::default(), true);
-        let many = engine_with(table, 6, OptimizerConfig::default(), true);
+        let one = engine_with(table.clone(), 1, OptimizerConfig::default());
+        let many = engine_with(table, 6, OptimizerConfig::default());
         let fa = build_flow(&one, &steps);
         let fb = build_flow(&many, &steps);
         let a = one.run(&fa).unwrap().table;
@@ -116,21 +116,25 @@ proptest! {
     #[test]
     fn partial_and_raw_aggregation_agree(rows in 1usize..150, seed in 0u64..30) {
         let table = random_table(rows, 3, seed);
-        let p = engine_with(table.clone(), 3, OptimizerConfig::default(), true);
-        let r = engine_with(table, 3, OptimizerConfig::default(), false);
-        let make = |e: &Engine| {
-            e.flow("t").unwrap()
-                .aggregate(&["c2"], vec![
-                    AggExpr::new(AggFunc::Count, "c0", "n"),
-                    AggExpr::new(AggFunc::Sum, "c0", "s"),
-                    AggExpr::new(AggFunc::Mean, "c1", "m"),
-                    AggExpr::new(AggFunc::Min, "c1", "lo"),
-                    AggExpr::new(AggFunc::Max, "c0", "hi"),
-                ]).unwrap()
-                .sort(&["c2"], false).unwrap()
+        let e = engine_with(table, 3, OptimizerConfig::default());
+        let aggs = vec![
+            AggExpr::new(AggFunc::Count, "c0", "n"),
+            AggExpr::new(AggFunc::Sum, "c0", "s"),
+            AggExpr::new(AggFunc::Mean, "c1", "m"),
+            AggExpr::new(AggFunc::Min, "c1", "lo"),
+            AggExpr::new(AggFunc::Max, "c0", "hi"),
+        ];
+        // The same aggregates beside a `CountDistinct` take the raw path.
+        let mut raw_aggs = aggs.clone();
+        raw_aggs.push(AggExpr::new(AggFunc::CountDistinct, "c0", "d"));
+        let run = |aggs: Vec<AggExpr>| {
+            let flow = e.flow("t").unwrap()
+                .aggregate(&["c2"], aggs).unwrap()
+                .sort(&["c2"], false).unwrap();
+            e.run(&flow).unwrap().table
         };
-        let a = p.run(&make(&p)).unwrap().table;
-        let b = r.run(&make(&r)).unwrap().table;
+        let a = run(aggs);
+        let b = run(raw_aggs).project(&["c2", "n", "s", "m", "lo", "hi"]).unwrap();
         prop_assert_eq!(a.num_rows(), b.num_rows());
         for (ra, rb) in a.iter_rows().zip(b.iter_rows()) {
             for (va, vb) in ra.iter().zip(&rb) {
@@ -155,7 +159,7 @@ proptest! {
                 expected.entry(format!("{:?}", row[2])).or_insert(0);
             }
         }
-        let e = engine_with(table, 4, OptimizerConfig::default(), true);
+        let e = engine_with(table, 4, OptimizerConfig::default());
         let flow = e.flow("t").unwrap()
             .aggregate(&["c2"], vec![AggExpr::new(AggFunc::Count, "c0", "n")]).unwrap();
         let out = e.run(&flow).unwrap().table;
@@ -218,12 +222,16 @@ proptest! {
     #[test]
     fn fault_injection_never_changes_results(rows in 1usize..80, seed in 0u64..20) {
         let table = random_table(rows, 3, seed);
-        let clean = engine_with(table.clone(), 3, OptimizerConfig::default(), true);
+        let clean = engine_with(table.clone(), 3, OptimizerConfig::default());
         let mut faulty = Engine::new(
             EngineConfig::default()
                 .with_threads(3)
                 .with_partitions(3)
-                .with_faults(FaultPlan::with_rate(0.3, seed, 25)),
+                .with_resilience(
+                    ResilienceConfig::none()
+                        .with_retry(RetryPolicy::immediate(25))
+                        .with_chaos(ChaosPlan::crashes(0.3, seed)),
+                ),
         );
         faulty.register("t", table).unwrap();
         let make = |e: &Engine| {

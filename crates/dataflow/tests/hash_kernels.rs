@@ -99,8 +99,13 @@ fn random_types(rng: &mut StdRng, min: usize, max: usize) -> Vec<DataType> {
 }
 
 /// Up to three key columns and one to three aggregates valid for their
-/// input types (`partial`: no count_distinct).
-fn random_aggregation(t: &Table, rng: &mut StdRng, partial: bool) -> (Vec<String>, Vec<AggExpr>) {
+/// input types (`with_distinct`: count_distinct may be drawn, which sends
+/// the aggregation down the raw path).
+fn random_aggregation(
+    t: &Table,
+    rng: &mut StdRng,
+    with_distinct: bool,
+) -> (Vec<String>, Vec<AggExpr>) {
     let names: Vec<String> = t.schema().names().iter().map(|s| s.to_string()).collect();
     let mut group_by: Vec<String> = Vec::new();
     for _ in 0..rng.gen_range(0..=3) {
@@ -116,7 +121,7 @@ fn random_aggregation(t: &Table, rng: &mut StdRng, partial: bool) -> (Vec<String
             if t.schema().fields()[c].data_type.is_numeric() {
                 funcs.extend([AggFunc::Sum, AggFunc::Mean]);
             }
-            if !partial {
+            if with_distinct {
                 funcs.push(AggFunc::CountDistinct);
             }
             let func = funcs[rng.gen_range(0..funcs.len())];
@@ -127,13 +132,10 @@ fn random_aggregation(t: &Table, rng: &mut StdRng, partial: bool) -> (Vec<String
 }
 
 /// The reference strategy (one thread, whole-partition units, in memory)
-/// and a random pipelined one, both with `partial` combine. The pipelined
-/// one may carry a task deadline no task comes near: a watchdog policy
-/// changes nothing a kernel sees.
-fn strategies(rng: &mut StdRng, rows: usize, partial: bool) -> [EngineConfig; 2] {
-    let base = EngineConfig::default()
-        .with_partitions(PARTS)
-        .with_partial_aggregation(partial);
+/// and a random pipelined one. The pipelined one may carry a task deadline
+/// no task comes near: a watchdog policy changes nothing a kernel sees.
+fn strategies(rng: &mut StdRng, rows: usize) -> [EngineConfig; 2] {
+    let base = EngineConfig::default().with_partitions(PARTS);
     let reference = base.clone().with_threads(1).with_morsel_rows(1 << 20);
     let mut pipelined = base
         .with_threads(2)
@@ -211,13 +213,13 @@ proptest! {
     fn aggregation_is_identical_under_every_strategy(
         seed in 0u64..u64::MAX,
         rows in 0usize..150,
-        partial in any::<bool>(),
+        with_distinct in any::<bool>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let t = table_of(&random_types(&mut rng, 1, 4), rows, "c", &mut rng);
-        let (group_by, aggs) = random_aggregation(&t, &mut rng, partial);
+        let (group_by, aggs) = random_aggregation(&t, &mut rng, with_distinct);
         let keys: Vec<&str> = group_by.iter().map(String::as_str).collect();
-        let [reference, pipelined] = strategies(&mut rng, rows, partial);
+        let [reference, pipelined] = strategies(&mut rng, rows);
         let build = |e: &Engine| e.flow("t").unwrap().aggregate(&keys, aggs.clone()).unwrap();
         let want = run(reference, &[("t", &t)], build);
         let got = run(pipelined.clone(), &[("t", &t)], build);
@@ -228,7 +230,7 @@ proptest! {
     fn distinct_is_identical_under_every_strategy(seed in 0u64..u64::MAX, rows in 0usize..150) {
         let mut rng = StdRng::seed_from_u64(seed);
         let t = table_of(&random_types(&mut rng, 1, 3), rows, "c", &mut rng);
-        let [reference, pipelined] = strategies(&mut rng, rows, false);
+        let [reference, pipelined] = strategies(&mut rng, rows);
         let build = |e: &Engine| e.flow("t").unwrap().distinct();
         let want = run(reference, &[("t", &t)], build);
         let got = run(pipelined.clone(), &[("t", &t)], build);
@@ -265,7 +267,7 @@ proptest! {
         let lk: Vec<&str> = lk.iter().map(String::as_str).collect();
         let rk: Vec<&str> = rk.iter().map(String::as_str).collect();
         let join_type = if left { JoinType::Left } else { JoinType::Inner };
-        let [reference, pipelined] = strategies(&mut rng, l_rows.max(r_rows), false);
+        let [reference, pipelined] = strategies(&mut rng, l_rows.max(r_rows));
         let tables = [("l", &l), ("r", &r)];
         let build = |e: &Engine| {
             let right = e.flow("r").unwrap();

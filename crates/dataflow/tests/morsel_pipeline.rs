@@ -570,7 +570,16 @@ fn speculation_rescues_a_delayed_morsel() {
         elapsed < std::time::Duration::from_millis(300),
         "speculation must beat the 400ms straggler (took {elapsed:?})"
     );
-    assert_eq!(got.trace.resilience_totals().speculative_won, 1);
+    // The delayed unit's backup won. On a loaded host another unit may
+    // also cross the 3x-median line and be rescued; that changes no byte.
+    assert!(got.trace.events.iter().any(|e| matches!(
+        e.kind,
+        TraceEventKind::SpeculativeWon {
+            stage: 0,
+            partition: 7,
+            ..
+        }
+    )));
     assert!(got.trace.pipeline_totals().pipelines >= 1);
     assert_morsels_paired(&got.trace);
     assert_eq!(bytes_of(&got.table), bytes_of(&want.table));

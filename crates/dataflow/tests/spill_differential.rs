@@ -20,11 +20,8 @@ fn arb_budget() -> impl Strategy<Value = u64> {
     prop_oneof![Just(0u64), 1u64..512, 512u64..(64 << 10), Just(1u64 << 30),]
 }
 
-fn engine_with(table: Table, budget: Option<u64>, partial: bool) -> Engine {
-    let mut config = EngineConfig::default()
-        .with_threads(3)
-        .with_partitions(3)
-        .with_partial_aggregation(partial);
+fn engine_with(table: Table, budget: Option<u64>) -> Engine {
+    let mut config = EngineConfig::default().with_threads(3).with_partitions(3);
     if let Some(b) = budget {
         config = config.with_memory_budget(b);
     }
@@ -41,20 +38,25 @@ proptest! {
         rows in 1usize..200,
         seed in 0u64..30,
         budget in arb_budget(),
-        partial in any::<bool>(),
+        raw in any::<bool>(),
     ) {
         let table = random_table(rows, 3, seed);
+        let mut aggs = vec![
+            AggExpr::new(AggFunc::Count, "c0", "n"),
+            AggExpr::new(AggFunc::Sum, "c1", "s"),
+            AggExpr::new(AggFunc::Mean, "c1", "m"),
+        ];
+        if raw {
+            // No map-side combine: every row shuffles.
+            aggs.push(AggExpr::new(AggFunc::CountDistinct, "c0", "d"));
+        }
         let make = |e: &Engine| {
             e.flow("t").unwrap()
-                .aggregate(&["c2"], vec![
-                    AggExpr::new(AggFunc::Count, "c0", "n"),
-                    AggExpr::new(AggFunc::Sum, "c1", "s"),
-                    AggExpr::new(AggFunc::Mean, "c1", "m"),
-                ]).unwrap()
+                .aggregate(&["c2"], aggs.clone()).unwrap()
                 .sort(&["c2"], false).unwrap()
         };
-        let oracle = engine_with(table.clone(), None, partial);
-        let budgeted = engine_with(table, Some(budget), partial);
+        let oracle = engine_with(table.clone(), None);
+        let budgeted = engine_with(table, Some(budget));
         let a = oracle.run(&make(&oracle)).unwrap();
         let b = budgeted.run(&make(&budgeted)).unwrap();
         // Value-identical, float sums included: spilled runs merge back in

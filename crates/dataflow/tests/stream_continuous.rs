@@ -10,13 +10,22 @@
 //!    of late arrivals; every late-data policy accounts for exactly that
 //!    many rows — none lost, none double-counted, across a kill.
 //! 4. **Differential oracle**: on in-order input, the continuous loop's
-//!    carried state matches `run_stream` (the event-time micro-batch
-//!    oracle) bit-for-bit on counts and to float tolerance on sums.
+//!    carried state matches [`run_stream`] (the event-time micro-batch
+//!    oracle defined here) bit-for-bit on counts and to float tolerance on
+//!    sums.
+//! 5. **No hang on a panic**: a panicking source fails the run with a
+//!    classified error, and a panicking per-batch processor propagates to
+//!    the caller; both run under a watchdog so a regression fails instead
+//!    of hanging the suite.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::time::Duration;
 
 use toreador_data::generate::{fraud_stream, telemetry};
+use toreador_data::schema::{Field, Schema};
 use toreador_data::table::Table;
+use toreador_data::value::{DataType, Value};
 use toreador_dataflow::error::FlowError;
 use toreador_dataflow::fault::KillMode;
 use toreador_dataflow::prelude::*;
@@ -29,6 +38,75 @@ fn temp_root(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("toreador-stream-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The oracle's batching: `source` cut into event-time tumbling windows of
+/// `window_ms` over `ts_column`. A row lands in window `floor(ts /
+/// window_ms)`; the empty windows between the first and last event are
+/// kept, as a real stream ticks even when silent.
+fn tumbling(source: &Table, ts_column: &str, window_ms: i64) -> FlowResult<Vec<Table>> {
+    if window_ms <= 0 {
+        return Err(FlowError::Plan("window must be positive".to_owned()));
+    }
+    let stamps = source
+        .column(ts_column)?
+        .iter_values()
+        .map(|v| match v {
+            Value::Timestamp(t) | Value::Int(t) => Ok(t),
+            other => Err(FlowError::TypeCheck(format!(
+                "timestamp column contains {other:?}"
+            ))),
+        })
+        .collect::<FlowResult<Vec<i64>>>()?;
+    let (Some(lo), Some(hi)) = (stamps.iter().min(), stamps.iter().max()) else {
+        return Ok(Vec::new());
+    };
+    let first = lo.div_euclid(window_ms);
+    // Per-window row-index lists, built in one pass: O(windows + rows).
+    let mut windows = vec![Vec::new(); (hi.div_euclid(window_ms) - first + 1) as usize];
+    for (i, t) in stamps.iter().enumerate() {
+        windows[(t.div_euclid(window_ms) - first) as usize].push(i);
+    }
+    windows
+        .iter()
+        .map(|idx| source.take(idx).map_err(FlowError::Data))
+        .collect()
+}
+
+/// The event-time oracle: each non-empty window runs `make_flow` to
+/// completion on a fresh engine, and its result is absorbed into the
+/// carried state at the window's offset.
+fn run_stream(
+    config: EngineConfig,
+    windows: &[Table],
+    make_flow: impl Fn(&Engine, &str) -> FlowResult<Dataflow>,
+    key_col: &str,
+    count_col: Option<&str>,
+    sum_col: Option<&str>,
+) -> FlowResult<StreamState> {
+    let mut state = StreamState::new();
+    for (offset, window) in windows.iter().enumerate() {
+        if window.num_rows() == 0 {
+            continue;
+        }
+        let mut engine = Engine::new(config.clone());
+        engine.register("__batch", window.clone())?;
+        let flow = make_flow(&engine, "__batch")?;
+        let result = engine.run(&flow)?;
+        state.absorb(&result.table, offset as u64, key_col, count_col, sum_col)?;
+    }
+    Ok(state)
+}
+
+/// Run `f` on its own thread and wait at most ten seconds for it: a hang
+/// fails the test instead of stalling the suite.
+fn within_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("the stream loop hung: no result within the watchdog")
 }
 
 /// The shared workload: per-channel transaction count and amount sum over
@@ -255,10 +333,9 @@ fn continuous_state_matches_the_event_time_oracle_on_ordered_input() {
         )
     };
 
-    let batcher = MicroBatcher::tumbling(&table, "ts", window).unwrap();
     let oracle = run_stream(
         EngineConfig::default().with_threads(2),
-        &batcher,
+        &tumbling(&table, "ts", window).unwrap(),
         make_flow,
         "region",
         Some("n"),
@@ -280,14 +357,14 @@ fn continuous_state_matches_the_event_time_oracle_on_ordered_input() {
     )
     .unwrap();
 
-    assert_eq!(run.state.keys(), oracle.state.keys());
-    for key in oracle.state.keys() {
+    assert_eq!(run.state.keys(), oracle.keys());
+    for key in oracle.keys() {
         assert_eq!(
             run.state.count(key),
-            oracle.state.count(key),
+            oracle.count(key),
             "count diverged for {key}"
         );
-        let (a, b) = (run.state.sum(key), oracle.state.sum(key));
+        let (a, b) = (run.state.sum(key), oracle.sum(key));
         assert!(
             (a - b).abs() < 1e-6,
             "sum diverged for {key}: continuous {a} vs oracle {b}"
@@ -301,8 +378,6 @@ fn continuous_state_matches_the_event_time_oracle_on_ordered_input() {
 
 #[test]
 fn a_null_key_is_refused_not_merged_with_the_empty_string_key() {
-    use toreador_data::schema::{Field, Schema};
-    use toreador_data::value::{DataType, Value};
     use toreador_dataflow::streaming::AckLog;
     // State is keyed by text and a NULL renders as "": batch 1 carries both
     // a NULL group and an "" group, which must not fold into one key.
@@ -345,11 +420,10 @@ fn a_null_key_is_refused_not_merged_with_the_empty_string_key() {
     };
 
     // The event-time oracle refuses it too.
-    let batcher = MicroBatcher::tumbling(&table, "ts", 1_000).unwrap();
     refused(
         run_stream(
             EngineConfig::default().with_threads(1),
-            &batcher,
+            &tumbling(&table, "ts", 1_000).unwrap(),
             make_flow,
             "k",
             Some("n"),
@@ -395,4 +469,152 @@ fn a_null_key_is_refused_not_merged_with_the_empty_string_key() {
     }
     refused(run(true).unwrap_err());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Yields the wrapped source's batches up to offset `panic_at`, then panics.
+struct PanicsAt {
+    inner: ArrivalSource,
+    panic_at: u64,
+}
+
+impl Source for PanicsAt {
+    fn seek(&mut self, next: u64) -> FlowResult<()> {
+        self.inner.seek(next)
+    }
+
+    fn next_batch(&mut self) -> FlowResult<Option<SourceBatch>> {
+        let batch = self.inner.next_batch()?;
+        if batch.as_ref().is_some_and(|b| b.offset == self.panic_at) {
+            panic!("source lost its upstream");
+        }
+        Ok(batch)
+    }
+}
+
+fn passthrough(_: u64, batch: Table) -> FlowResult<BatchOutput> {
+    Ok(BatchOutput {
+        table: batch,
+        metrics: None,
+        trace: None,
+    })
+}
+
+#[test]
+fn a_panicking_source_fails_the_run_with_a_classified_error() {
+    let err = within_watchdog(|| {
+        let (table, _) = fraud_stream(50, 1, 0.0, 0);
+        let mut source = PanicsAt {
+            inner: ArrivalSource::new(table, 10).unwrap(),
+            panic_at: 2,
+        };
+        let config = StreamConfig::default().with_buffer(1);
+        run_continuous_with(&mut source, &config, None, &mut passthrough).unwrap_err()
+    });
+    let msg = err.to_string();
+    assert!(matches!(err, FlowError::Stream(_)), "{err:?}");
+    assert!(
+        msg.contains("after offset 1") && msg.contains("source lost its upstream"),
+        "{msg}"
+    );
+}
+
+#[test]
+fn a_panicking_processor_propagates_instead_of_deadlocking() {
+    let panicked = within_watchdog(|| {
+        let (table, _) = fraud_stream(50, 1, 0.0, 0);
+        // Five batches through a one-slot buffer: the producer is blocked
+        // in `push` when the processor panics on the first.
+        let mut source = ArrivalSource::new(table, 10).unwrap();
+        let config = StreamConfig::default().with_buffer(1);
+        catch_unwind(AssertUnwindSafe(|| {
+            run_continuous_with(&mut source, &config, None, &mut |_, _| {
+                panic!("processor bug")
+            })
+        }))
+        .is_err()
+    });
+    assert!(panicked, "the processor's panic must reach the caller");
+}
+
+#[test]
+fn tumbling_windows_partition_by_time() {
+    let t = ts_table(&[0, 999, 1000, 3500]);
+    let b = tumbling(&t, "ts", 1000).unwrap();
+    let sizes: Vec<usize> = b.iter().map(Table::num_rows).collect();
+    assert_eq!(sizes, vec![2, 1, 0, 1], "windows 0, 1, 2 (empty), 3");
+}
+
+#[test]
+fn tumbling_matches_mask_reference_and_stays_cheap_on_sparse_ranges() {
+    // Two rows 100 000 windows apart: a mask per window would allocate
+    // 100 001 × 2 booleans; the index-list pass is O(windows + rows).
+    let b = tumbling(&ts_table(&[0, 100_000_000]), "ts", 1000).unwrap();
+    assert_eq!(b.len(), 100_001);
+    assert_eq!(b[0].num_rows(), 1);
+    assert_eq!(b[100_000].num_rows(), 1);
+    assert!(b[1..100_000].iter().all(|w| w.num_rows() == 0));
+
+    // Dense case: row-for-row identical to the boolean-mask reference.
+    let stamps = [-2500, 10, 999, 15, 2001];
+    let t = ts_table(&stamps);
+    let lo = -3i64; // floor(-2500 / 1000)
+    for (w, batch) in tumbling(&t, "ts", 1000).unwrap().iter().enumerate() {
+        let mask: Vec<bool> = stamps
+            .iter()
+            .map(|ts| ts.div_euclid(1000) - lo == w as i64)
+            .collect();
+        assert_eq!(batch, &t.filter(&mask).unwrap(), "window {w}");
+    }
+}
+
+#[test]
+fn empty_source_gives_no_batches() {
+    assert!(tumbling(&ts_table(&[]), "ts", 1000).unwrap().is_empty());
+}
+
+#[test]
+fn invalid_window_rejected() {
+    assert!(tumbling(&ts_table(&[]), "ts", 0).is_err());
+}
+
+#[test]
+fn streaming_equals_batch_for_additive_aggregates() {
+    let t = telemetry(2_000, 8, 3);
+    let make_flow = |e: &Engine, ds: &str| {
+        e.flow(ds)?.aggregate(
+            &["region"],
+            vec![AggExpr::new(AggFunc::Sum, "kwh", "total")],
+        )
+    };
+    // Batch: total kwh per region.
+    let mut engine = Engine::new(EngineConfig::default().with_threads(2));
+    engine.register("tel", t.clone()).unwrap();
+    let batch = engine.run(&make_flow(&engine, "tel").unwrap()).unwrap();
+
+    // Stream: the same aggregate per hour window; the state carries the sum.
+    let windows = tumbling(&t, "ts", 3_600_000).unwrap();
+    assert!(windows.len() > 1, "need multiple windows");
+    let state = run_stream(
+        EngineConfig::default().with_threads(2),
+        &windows,
+        make_flow,
+        "region",
+        None,
+        Some("total"),
+    )
+    .unwrap();
+    for row in batch.table.iter_rows() {
+        let region = row[0].to_string();
+        let total = row[1].as_float().unwrap();
+        assert!(
+            (state.sum(&region) - total).abs() < 1e-6,
+            "region {region}: stream {} vs batch {total}",
+            state.sum(&region)
+        );
+    }
+}
+
+fn ts_table(stamps: &[i64]) -> Table {
+    let schema = Schema::new(vec![Field::new("ts", DataType::Timestamp)]).unwrap();
+    Table::from_rows(schema, stamps.iter().map(|&t| vec![Value::Timestamp(t)])).unwrap()
 }

@@ -17,6 +17,7 @@ use toreador_data::generate::{fraud_stream, random_table};
 use toreador_data::table::Table;
 use toreador_dataflow::error::{FlowError, Result as FlowResult};
 use toreador_dataflow::fault::{ChaosPlan, FaultKind, TargetedFault};
+use toreador_dataflow::logical::{AggExpr, AggFunc};
 use toreador_dataflow::metrics::MetricsCollector;
 use toreador_dataflow::resilience::{
     classify, ErrorClass, ResilienceConfig, RetryPolicy, RunControl, SpeculationPolicy,
@@ -24,9 +25,7 @@ use toreador_dataflow::resilience::{
 };
 use toreador_dataflow::scheduler::{run_stage, run_stage_controlled, SchedulerConfig};
 use toreador_dataflow::session::EngineConfig;
-use toreador_dataflow::streaming::{
-    run_continuous_with, ArrivalSource, BatchOutput, StateColumns, StreamConfig,
-};
+use toreador_dataflow::streaming::{run_continuous, ArrivalSource, ContinuousRun, StreamConfig};
 use toreador_dataflow::trace::{RunTrace, TraceEventKind};
 
 const THREADS: usize = 16;
@@ -573,7 +572,6 @@ fn cancellation_mid_morsel_wave_stops_cleanly_without_leaking_threads() {
         scheduler: SchedulerConfig::new(8)
             .with_resilience(ResilienceConfig::none().with_chaos(ChaosPlan::delays(1.0, 3_000, 5))),
         partitions: 4,
-        partial_aggregation: true,
         morsel_rows: 8,
         control: None,
         memory_budget_bytes: None,
@@ -774,12 +772,11 @@ fn kill_mid_spill_resumes_clean_with_no_orphaned_page_files() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Run the continuous stream over the fraud event table under `resilience`
-/// and return the canonical final state. The per-batch processor is a
-/// passthrough (the state delta sums `amount` per `channel` straight off
-/// the batch), so every injected fault exercises the stream loop's own
-/// fault domain — dequeue retries, backoff, and the ack path.
-fn stream_state_under(table: &Table, resilience: ResilienceConfig) -> FlowResult<String> {
+/// Run the continuous stream over the fraud event table under `resilience`:
+/// each batch sums `amount` per `channel` on its own engine, which is the
+/// stream's fault domain. Injected faults strike those engines' tasks and
+/// are retried by their scheduler; the loop itself injects nothing.
+fn stream_under(table: &Table, resilience: ResilienceConfig) -> FlowResult<ContinuousRun> {
     let config = StreamConfig::default()
         .with_engine(
             EngineConfig::default()
@@ -790,20 +787,45 @@ fn stream_state_under(table: &Table, resilience: ResilienceConfig) -> FlowResult
         .with_allowed_lateness(500)
         .with_buffer(4)
         .with_pipeline_id("chaos-stream");
-    let cols = StateColumns {
-        key: "channel".to_owned(),
-        count: None,
-        sum: Some("amount".to_owned()),
-    };
     let mut source = ArrivalSource::windows(table, "ts", 2_000)?;
-    let run = run_continuous_with(&mut source, &config, Some(&cols), &mut |_, batch| {
-        Ok(BatchOutput {
-            table: batch,
-            metrics: None,
-            trace: None,
-        })
-    })?;
-    Ok(run.canonical_state())
+    run_continuous(
+        &mut source,
+        &config,
+        &|e, ds| {
+            e.flow(ds)?.aggregate(
+                &["channel"],
+                vec![AggExpr::new(AggFunc::Sum, "amount", "total")],
+            )
+        },
+        "channel",
+        None,
+        Some("total"),
+    )
+}
+
+#[test]
+fn stream_chaos_strikes_inside_the_per_batch_engines() {
+    let (table, _) = fraud_stream(800, 21, 0.05, 200);
+    let baseline = stream_under(&table, ResilienceConfig::none()).unwrap();
+    let chaotic = ResilienceConfig::none()
+        .with_retry(RetryPolicy::immediate(10))
+        .with_chaos(ChaosPlan::crashes(0.2, 7));
+    let run = stream_under(&table, chaotic).expect("ten attempts absorb a 20% crash rate");
+    assert_eq!(run.canonical_state(), baseline.canonical_state());
+    let injected = |trace: &RunTrace| {
+        trace
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, TraceEventKind::FaultInjected { .. }))
+            .count()
+    };
+    let in_engines: usize = run.batch_traces.iter().map(injected).sum();
+    assert!(in_engines >= 1, "the chaos plan never reached an engine");
+    assert_eq!(
+        injected(&run.stream_trace),
+        0,
+        "the loop injects nothing itself"
+    );
 }
 
 /// How many property cases to run. The vendored proptest does not read
@@ -856,15 +878,15 @@ proptest! {
         seed in 0u64..500,
     ) {
         let (table, _) = fraud_stream(800, 21, 0.05, 200);
-        let baseline = stream_state_under(&table, ResilienceConfig::none()).unwrap();
+        let baseline = stream_under(&table, ResilienceConfig::none()).unwrap().canonical_state();
         let chaos = ChaosPlan::crashes(crash, seed)
             .with_panic_rate(panic)
             .with_delays(delay, 100);
         let resilience = ResilienceConfig::none()
             .with_retry(RetryPolicy::exponential(attempts, 50, 500).with_jitter(0.5, seed))
             .with_chaos(chaos);
-        match stream_state_under(&table, resilience) {
-            Ok(state) => prop_assert_eq!(state, baseline, "chaos changed the stream state"),
+        match stream_under(&table, resilience) {
+            Ok(run) => prop_assert_eq!(run.canonical_state(), baseline, "chaos changed the stream state"),
             Err(e) => {
                 prop_assert!(
                     matches!(classify(&e), ErrorClass::Transient),

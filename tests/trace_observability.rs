@@ -12,15 +12,25 @@ use std::time::Duration;
 use toreador_data::generate::clickstream;
 use toreador_data::table::Table;
 use toreador_dataflow::error::Result as FlowResult;
-use toreador_dataflow::fault::FaultPlan;
 use toreador_dataflow::metrics::MetricsCollector;
 use toreador_dataflow::prelude::*;
 use toreador_dataflow::scheduler::{run_stage, SchedulerConfig};
 use toreador_dataflow::trace::TraceEventKind;
 
+/// Crash faults at `rate`, retried immediately up to `max_attempts`.
+fn crashes(rate: f64, seed: u64, max_attempts: u32) -> ResilienceConfig {
+    ResilienceConfig::none()
+        .with_retry(RetryPolicy::immediate(max_attempts))
+        .with_chaos(ChaosPlan::crashes(rate, seed))
+}
+
 /// The e-commerce revenue pipeline the Labs' first challenge runs.
-fn ecommerce_run(faults: FaultPlan) -> RunResult {
-    let mut engine = Engine::new(EngineConfig::default().with_threads(4).with_faults(faults));
+fn ecommerce_run(resilience: ResilienceConfig) -> RunResult {
+    let mut engine = Engine::new(
+        EngineConfig::default()
+            .with_threads(4)
+            .with_resilience(resilience),
+    );
     engine.register("clicks", clickstream(2_000, 11)).unwrap();
     let flow = engine
         .flow("clicks")
@@ -65,7 +75,7 @@ fn span_keys(trace: &RunTrace) -> (Vec<SpanKey>, Vec<SpanKey>) {
 
 #[test]
 fn every_started_task_has_a_matching_end_event() {
-    let r = ecommerce_run(FaultPlan::none());
+    let r = ecommerce_run(ResilienceConfig::none());
     let (mut started, mut finished) = span_keys(&r.trace);
     assert!(!started.is_empty(), "the pipeline must run tasks");
     started.sort_unstable();
@@ -77,7 +87,7 @@ fn every_started_task_has_a_matching_end_event() {
 
 #[test]
 fn retry_events_equal_metrics_task_retries() {
-    let r = ecommerce_run(FaultPlan::with_rate(0.4, 13, 15));
+    let r = ecommerce_run(crashes(0.4, 13, 15));
     let retries = r
         .trace
         .events
@@ -98,7 +108,7 @@ fn retry_events_equal_metrics_task_retries() {
 
 #[test]
 fn final_operator_rows_match_result_rows() {
-    let r = ecommerce_run(FaultPlan::none());
+    let r = ecommerce_run(ResilienceConfig::none());
     // The outermost operator (sort) records last; its output is the result.
     let last = r.metrics.nodes.last().expect("operators recorded");
     assert!(last.operator.starts_with("Sort"), "{:?}", last.operator);
@@ -126,7 +136,7 @@ fn final_operator_rows_match_result_rows() {
 
 #[test]
 fn shuffle_waves_are_recorded_with_real_byte_counts() {
-    let r = ecommerce_run(FaultPlan::none());
+    let r = ecommerce_run(ResilienceConfig::none());
     let wave_bytes: u64 = r
         .trace
         .events
@@ -142,7 +152,7 @@ fn shuffle_waves_are_recorded_with_real_byte_counts() {
 
 #[test]
 fn summary_reports_critical_path_and_skew_for_the_pipeline() {
-    let r = ecommerce_run(FaultPlan::none());
+    let r = ecommerce_run(ResilienceConfig::none());
     let summary = r.trace.summarize();
     assert!(!summary.stages.is_empty());
     assert_eq!(
@@ -165,7 +175,7 @@ fn summary_reports_critical_path_and_skew_for_the_pipeline() {
 fn stressed_journal_loses_nothing_and_duplicates_nothing() {
     // 16 workers, 64 tasks, 50% injected fault rate: heavy concurrent
     // recording from every worker thread.
-    let config = SchedulerConfig::new(16).with_faults(FaultPlan::with_rate(0.5, 21, 30));
+    let config = SchedulerConfig::new(16).with_resilience(crashes(0.5, 21, 30));
     let metrics = MetricsCollector::new();
     let tasks: Vec<_> = (0..64)
         .map(|i| {
