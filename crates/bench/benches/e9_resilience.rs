@@ -82,10 +82,10 @@ fn print_series() {
             };
             let config = SchedulerConfig::new(THREADS).with_resilience(resilience);
             let (elapsed, metrics) = timed_run(&config);
-            let totals = metrics.trace().snapshot().resilience_totals();
+            let counters = metrics.trace().snapshot().counters();
             elapsed_us += elapsed.as_micros();
-            retries += totals.retries;
-            backoff_us += totals.backoff_us;
+            retries += counters.count("dataflow.retries");
+            backoff_us += counters.count("dataflow.backoff_us");
         }
         eprintln!(
             "{label:>22} {:>12} {:>10.1} {:>12.0}",
@@ -123,12 +123,12 @@ fn print_series() {
         let started = Instant::now();
         run_stage(&config, &metrics, 0, skewed_workload(0)).unwrap();
         let elapsed = started.elapsed();
-        let totals = metrics.trace().snapshot().resilience_totals();
+        let counters = metrics.trace().snapshot().counters();
         eprintln!(
             "{label:>22} {:>12} {:>10} {:>8}",
             elapsed.as_micros(),
-            totals.speculative_launched,
-            totals.speculative_won,
+            counters.count("dataflow.speculative_launched"),
+            counters.count("dataflow.speculative_won"),
         );
     }
 

@@ -12,7 +12,7 @@ use toreador_dataflow::fault::{ChaosPlan, FaultKind, KillMode, TargetedFault};
 use toreador_dataflow::resilience::{
     ResilienceConfig, RetryPolicy, SpeculationPolicy, TaskDeadline,
 };
-use toreador_dataflow::trace::ResilienceTotals;
+use toreador_dataflow::trace::Counters;
 use toreador_labs::prelude::*;
 
 use crate::args::Args;
@@ -888,6 +888,19 @@ fn parse_chaos_profile(profile: &str, seed: u64) -> Result<ChaosPlan, String> {
     }
 }
 
+/// The counters `toreador chaos` reports as the cost of resilience, zero
+/// included.
+const RESILIENCE_COUNTERS: [&str; 8] = [
+    "dataflow.retries",
+    "dataflow.faults",
+    "dataflow.backoff_us",
+    "dataflow.timeouts",
+    "dataflow.panics",
+    "dataflow.speculative_launched",
+    "dataflow.speculative_won",
+    "dataflow.cancellations",
+];
+
 /// `toreador chaos`: run a campaign twice — once fault-free, once under a
 /// deterministic chaos plan with a resilience policy — and report what the
 /// faults cost and whether the output survived unchanged. The resilience
@@ -949,22 +962,12 @@ fn chaos_cmd(args: &Args) -> Result<String, String> {
             let totals = outcome
                 .engine_traces
                 .iter()
-                .fold(ResilienceTotals::default(), |acc, t| {
-                    acc.merge(&t.resilience_totals())
-                });
-            out.push_str(&format!(
-                "resilience cost: {} retries, {} injected faults, {} us backoff, \
-                 {} timeouts, {} panics isolated, {} speculative ({} won), \
-                 {} cancellations\n",
-                totals.retries,
-                totals.faults,
-                totals.backoff_us,
-                totals.timeouts,
-                totals.panics,
-                totals.speculative_launched,
-                totals.speculative_won,
-                totals.cancellations,
-            ));
+                .fold(Counters::default(), |acc, t| acc.merge(&t.counters()));
+            let cost: Vec<String> = RESILIENCE_COUNTERS
+                .iter()
+                .map(|name| format!("{name} {}", totals.count(name)))
+                .collect();
+            out.push_str(&format!("resilience cost: {}\n", cost.join(", ")));
             if outcome.output == baseline.output {
                 out.push_str("outputs: IDENTICAL to the fault-free baseline\n");
             } else {
@@ -1526,11 +1529,15 @@ mod tests {
         let dir = std::env::temp_dir().join("toreador-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let file = dir.join("trace.tdl");
+        // Tests run in parallel and share this file: write a private copy
+        // and rename it into place, so no reader sees a half-written one.
+        let tmp = dir.join(format!("trace.tdl.{:?}", std::thread::current().id()));
         std::fs::write(
-            &file,
+            &tmp,
             "campaign traced on clicks\nseed 3\ngoal filtering predicate=\"action == 'purchase'\"\ngoal aggregation group_by=country agg=sum:price:revenue\n",
         )
         .unwrap();
+        std::fs::rename(&tmp, &file).unwrap();
         file
     }
 
@@ -1571,6 +1578,15 @@ mod tests {
         assert!(!reports.is_empty());
         assert!(!reports[0].events.is_empty());
         assert!(reports[0].summary.total_tasks > 0);
+        // The summary's counters are keyed by their ledger names.
+        let raw: serde_json::Value = serde_json::from_str(&out).unwrap();
+        let at =
+            |v: &serde_json::Value, key: &str| v.as_object().unwrap().get(key).unwrap().clone();
+        let skew = ["summary", "counters", "dataflow.task_skew"]
+            .iter()
+            .fold(raw.as_array().unwrap()[0].clone(), |v, key| at(&v, key));
+        assert_eq!(at(&skew, "kind").as_str(), Some("Max"), "{out}");
+        assert!(at(&skew, "value").as_f64().unwrap() >= 1.0);
         // Unknown format is rejected.
         let err = run_cli(&[
             "trace",
@@ -1641,8 +1657,11 @@ mod tests {
         let mut trace: Vec<&str> = tight.clone();
         trace[0] = "trace";
         let out = run_cli(&trace).unwrap();
-        assert!(out.contains("spill:"), "{out}");
-        assert!(out.contains("run(s) spilled"), "{out}");
+        let spill_runs = out
+            .lines()
+            .find_map(|l| l.strip_prefix("dataflow.spill_runs"));
+        let spill_runs: u64 = spill_runs.unwrap().trim().parse().unwrap();
+        assert!(spill_runs > 0, "{out}");
     }
 
     #[test]
@@ -2075,7 +2094,18 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("IDENTICAL"), "{out}");
-        assert!(out.contains("0 retries"), "{out}");
+        // A calm run pays nothing, and says so for every counter.
+        for name in RESILIENCE_COUNTERS {
+            assert_eq!(cost_counter(&out, name), Some(0), "{name}: {out}");
+        }
+    }
+
+    /// The value `toreador chaos` printed for `name` on its cost line.
+    fn cost_counter(out: &str, name: &str) -> Option<u64> {
+        let line = out.lines().find(|l| l.starts_with("resilience cost: "))?;
+        line["resilience cost: ".len()..]
+            .split(", ")
+            .find_map(|item| item.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
     }
 
     #[test]
@@ -2096,7 +2126,7 @@ mod tests {
         .unwrap();
         assert!(out.contains("1 targeted fault(s)"), "{out}");
         assert!(out.contains("IDENTICAL"), "{out}");
-        assert!(!out.contains("0 retries"), "{out}");
+        assert!(cost_counter(&out, "dataflow.retries").unwrap() > 0, "{out}");
     }
 
     #[test]

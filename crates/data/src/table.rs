@@ -309,6 +309,27 @@ impl Table {
     }
 }
 
+/// Render rows of cells as left-aligned columns two spaces apart, one line
+/// per row. Every row must have as many cells as the first.
+pub fn render_grid(grid: &[Vec<String>]) -> String {
+    let columns = grid.first().map_or(0, Vec::len);
+    let widths: Vec<usize> = (0..columns)
+        .map(|c| grid.iter().map(|r| r[c].len()).max().unwrap_or(0))
+        .collect();
+    let mut out = String::new();
+    for row in grid {
+        for (c, cell) in row.iter().enumerate() {
+            if c > 0 {
+                out.push_str("  ");
+            }
+            out.push_str(cell);
+            out.extend(std::iter::repeat(' ').take(widths[c] - cell.len()));
+        }
+        out.push('\n');
+    }
+    out
+}
+
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.show(20))
@@ -572,6 +593,17 @@ mod tests {
         assert!(s.contains("id"));
         assert!(s.contains("(1 more rows)"));
         assert!(s.lines().count() >= 4);
+    }
+
+    #[test]
+    fn grid_renders_left_aligned_columns() {
+        let grid = [["name", "n"], ["dataflow.morsels", "28"], ["x", "1"]]
+            .map(|row| row.map(str::to_owned).to_vec());
+        assert_eq!(
+            render_grid(&grid),
+            "name              n \ndataflow.morsels  28\nx                 1 \n"
+        );
+        assert_eq!(render_grid(&[]), "");
     }
 
     #[test]

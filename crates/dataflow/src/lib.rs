@@ -35,7 +35,9 @@
 //!    the Labs' run comparison;
 //! 10. [`trace`] — the flight-recorder journal: structured span events for
 //!     every task attempt, operator and shuffle wave, from which the run's
-//!     [`metrics`] are derived.
+//!     [`metrics`] are derived, and which folds into one map of named
+//!     counters ([`trace::Counters`]: `dataflow.retries`,
+//!     `dataflow.spill_runs`, `streaming.stalls`, …).
 //!
 //! ## Example
 //!
@@ -95,8 +97,8 @@ pub mod prelude {
         StateColumns, StateDelta, StreamConfig, StreamRecovery, StreamState,
     };
     pub use crate::trace::{
-        PipelineTotals, ResilienceTotals, RunTrace, SpillTotals, StreamTotals, TraceEvent,
-        TraceEventKind, TraceSummary,
+        Counter, CounterKind, Counters, PipelineTotals, RunTrace, SpillTotals, StreamTotals,
+        TraceEvent, TraceEventKind, TraceSummary,
     };
     pub use crate::vexpr::BoundExpr;
 }

@@ -103,229 +103,6 @@ impl MetricsCollector {
         });
     }
 
-    /// Record batches evaluated by a narrow operator. Journal-only: the
-    /// derived [`RunMetrics`] ignore it, so runs that fuse a chain
-    /// differently stay metrics-compatible while their traces diff the
-    /// counts.
-    pub fn record_operator_batches(
-        &self,
-        operator: impl Into<String>,
-        stage: usize,
-        batches: u64,
-        fused: bool,
-    ) {
-        self.journal.record(TraceEventKind::OperatorBatches {
-            operator: operator.into(),
-            stage,
-            batches,
-            fused,
-        });
-    }
-
-    /// Record that a chain of narrow operators fused into one pass.
-    /// Journal-only, like [`Self::record_operator_batches`].
-    pub fn record_fused_chain(&self, stage: usize, operators: Vec<String>) {
-        self.journal
-            .record(TraceEventKind::NarrowChainFused { stage, operators });
-    }
-
-    /// A task attempt began on a worker.
-    pub fn task_started(&self, stage: usize, partition: usize, attempt: u32) {
-        self.journal.record(TraceEventKind::TaskStarted {
-            stage,
-            partition,
-            attempt,
-        });
-    }
-
-    /// The matching end of a started attempt.
-    pub fn task_finished(&self, stage: usize, partition: usize, attempt: u32, ok: bool) {
-        self.journal.record(TraceEventKind::TaskFinished {
-            stage,
-            partition,
-            attempt,
-            ok,
-        });
-    }
-
-    /// The fault plan killed this attempt.
-    pub fn fault_injected(&self, stage: usize, partition: usize, attempt: u32) {
-        self.journal.record(TraceEventKind::FaultInjected {
-            stage,
-            partition,
-            attempt,
-        });
-    }
-
-    /// A failed attempt was rescheduled as `attempt`.
-    pub fn task_retried(&self, stage: usize, partition: usize, attempt: u32) {
-        self.journal.record(TraceEventKind::TaskRetried {
-            stage,
-            partition,
-            attempt,
-        });
-    }
-
-    /// A retry was scheduled behind a backoff delay (journal-only: the
-    /// retry itself is counted when it dispatches).
-    pub fn backoff_scheduled(&self, stage: usize, partition: usize, attempt: u32, delay_us: u64) {
-        self.journal.record(TraceEventKind::BackoffScheduled {
-            stage,
-            partition,
-            attempt,
-            delay_us,
-        });
-    }
-
-    /// The watchdog declared a running attempt dead past its deadline.
-    pub fn task_timed_out(&self, stage: usize, partition: usize, attempt: u32, deadline_us: u64) {
-        self.journal.record(TraceEventKind::TaskTimedOut {
-            stage,
-            partition,
-            attempt,
-            deadline_us,
-        });
-    }
-
-    /// A task body panicked and the panic was isolated.
-    pub fn task_panicked(&self, stage: usize, partition: usize, attempt: u32, message: &str) {
-        self.journal.record(TraceEventKind::TaskPanicked {
-            stage,
-            partition,
-            attempt,
-            message: message.to_owned(),
-        });
-    }
-
-    /// A speculative backup attempt was launched for a straggler.
-    pub fn speculative_launched(&self, stage: usize, partition: usize, attempt: u32) {
-        self.journal.record(TraceEventKind::SpeculativeLaunched {
-            stage,
-            partition,
-            attempt,
-        });
-    }
-
-    /// This attempt won its speculation race.
-    pub fn speculative_won(&self, stage: usize, partition: usize, attempt: u32) {
-        self.journal.record(TraceEventKind::SpeculativeWon {
-            stage,
-            partition,
-            attempt,
-        });
-    }
-
-    /// This attempt lost its speculation race and was cancelled.
-    pub fn speculative_lost(&self, stage: usize, partition: usize, attempt: u32) {
-        self.journal.record(TraceEventKind::SpeculativeLost {
-            stage,
-            partition,
-            attempt,
-        });
-    }
-
-    /// A completed shuffle wave's output was durably checkpointed.
-    /// Journal-only, like [`Self::record_operator_batches`]: checkpointed
-    /// and checkpoint-off runs stay metrics-compatible.
-    pub fn stage_checkpointed(&self, stage: usize, wave: usize, partitions: usize, bytes: u64) {
-        self.journal.record(TraceEventKind::StageCheckpointed {
-            stage,
-            wave,
-            partitions,
-            bytes,
-        });
-    }
-
-    /// A wave's output was restored from its checkpoint instead of being
-    /// recomputed. Journal-only.
-    pub fn stage_restored(&self, stage: usize, wave: usize, partitions: usize, rows: u64) {
-        self.journal.record(TraceEventKind::StageRestored {
-            stage,
-            wave,
-            partitions,
-            rows,
-        });
-    }
-
-    /// A morsel was pushed through a pipeline body. Journal-only, like
-    /// [`Self::record_operator_batches`]: morsel and whole-partition waves
-    /// stay metrics-compatible.
-    pub fn morsel_dispatched(
-        &self,
-        stage: usize,
-        partition: usize,
-        morsel: usize,
-        rows: u64,
-        worker: usize,
-    ) {
-        self.journal.record(TraceEventKind::MorselDispatched {
-            stage,
-            partition,
-            morsel,
-            rows,
-            worker,
-        });
-    }
-
-    /// A morsel unit ran on a worker other than its home worker.
-    /// Journal-only.
-    pub fn morsel_stolen(
-        &self,
-        stage: usize,
-        partition: usize,
-        morsel: usize,
-        home: usize,
-        worker: usize,
-    ) {
-        self.journal.record(TraceEventKind::MorselStolen {
-            stage,
-            partition,
-            morsel,
-            home,
-            worker,
-        });
-    }
-
-    /// The matching end of a dispatched morsel. Journal-only.
-    pub fn morsel_completed(&self, stage: usize, partition: usize, morsel: usize) {
-        self.journal.record(TraceEventKind::MorselCompleted {
-            stage,
-            partition,
-            morsel,
-        });
-    }
-
-    /// A morsel wave finished all its units. Journal-only.
-    #[allow(clippy::too_many_arguments)]
-    pub fn pipeline_completed(
-        &self,
-        stage: usize,
-        partitions: usize,
-        morsels: u64,
-        stolen: u64,
-        workers: usize,
-        slowest_worker_us: u64,
-        mean_worker_us: f64,
-    ) {
-        self.journal.record(TraceEventKind::PipelineCompleted {
-            stage,
-            partitions,
-            morsels,
-            stolen,
-            workers,
-            slowest_worker_us,
-            mean_worker_us,
-        });
-    }
-
-    /// The run tripped cooperative cancellation.
-    pub fn run_cancelled(&self, stage: usize, reason: &str) {
-        self.journal.record(TraceEventKind::RunCancelled {
-            stage,
-            reason: reason.to_owned(),
-        });
-    }
-
     /// Finalise into a [`RunMetrics`], derived entirely from the journal.
     pub fn finish(
         &self,
@@ -349,18 +126,40 @@ impl MetricsCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceEventKind::*;
+
+    /// One task attempt, journalled start to finish.
+    fn attempt(c: &MetricsCollector, stage: usize, partition: usize, attempt: u32, ok: bool) {
+        c.trace().record(TaskStarted {
+            stage,
+            partition,
+            attempt,
+        });
+        c.trace().record(TaskFinished {
+            stage,
+            partition,
+            attempt,
+            ok,
+        });
+    }
 
     #[test]
     fn collector_aggregates_across_calls() {
         let c = MetricsCollector::new();
         c.record_node("Scan", 0, 100, Duration::from_micros(50), 0);
         c.record_node("Shuffle", 1, 100, Duration::from_micros(70), 4096);
-        c.task_started(1, 0, 0);
-        c.fault_injected(1, 0, 0);
-        c.task_finished(1, 0, 0, false);
-        c.task_retried(1, 0, 1);
-        c.task_started(1, 0, 1);
-        c.task_finished(1, 0, 1, true);
+        c.trace().record(FaultInjected {
+            stage: 1,
+            partition: 0,
+            attempt: 0,
+        });
+        attempt(&c, 1, 0, 0, false);
+        c.trace().record(TaskRetried {
+            stage: 1,
+            partition: 0,
+            attempt: 1,
+        });
+        attempt(&c, 1, 0, 1, true);
         let m = c.finish(Duration::from_millis(1), 100, 4);
         assert_eq!(m.nodes.len(), 2);
         assert_eq!(m.tasks_run, 2);
@@ -383,44 +182,86 @@ mod tests {
     #[test]
     fn resilience_events_are_journal_only_and_keep_parity() {
         let c = MetricsCollector::new();
-        c.task_started(0, 0, 0);
-        c.task_timed_out(0, 0, 0, 500);
-        c.task_finished(0, 0, 0, false);
-        c.backoff_scheduled(0, 0, 1, 250);
-        c.task_retried(0, 0, 1);
-        c.task_started(0, 0, 1);
-        c.task_panicked(0, 0, 1, "boom");
-        c.task_finished(0, 0, 1, false);
-        c.speculative_launched(0, 1, 1);
-        c.speculative_won(0, 1, 1);
-        c.speculative_lost(0, 1, 0);
-        c.run_cancelled(0, "doomed");
+        let j = c.trace();
+        j.record(TaskTimedOut {
+            stage: 0,
+            partition: 0,
+            attempt: 0,
+            deadline_us: 500,
+        });
+        attempt(&c, 0, 0, 0, false);
+        j.record(BackoffScheduled {
+            stage: 0,
+            partition: 0,
+            attempt: 1,
+            delay_us: 250,
+        });
+        j.record(TaskRetried {
+            stage: 0,
+            partition: 0,
+            attempt: 1,
+        });
+        j.record(TaskPanicked {
+            stage: 0,
+            partition: 0,
+            attempt: 1,
+            message: "boom".to_owned(),
+        });
+        attempt(&c, 0, 0, 1, false);
+        j.record(SpeculativeLaunched {
+            stage: 0,
+            partition: 1,
+            attempt: 1,
+        });
+        j.record(SpeculativeWon {
+            stage: 0,
+            partition: 1,
+            attempt: 1,
+        });
+        j.record(SpeculativeLost {
+            stage: 0,
+            partition: 1,
+            attempt: 0,
+        });
+        j.record(RunCancelled {
+            stage: 0,
+            reason: "doomed".to_owned(),
+        });
         assert_only_tasks(&c.finish(Duration::from_millis(1), 0, 0), 2, 1);
-        let totals = c.trace().snapshot().resilience_totals();
-        assert_eq!(totals.timeouts, 1);
-        assert_eq!(totals.panics, 1);
-        assert_eq!(totals.backoff_us, 250);
-        assert_eq!(totals.speculative_launched, 1);
-        assert_eq!(totals.cancellations, 1);
+        let counters = c.trace().snapshot().counters();
+        assert_eq!(counters.count("dataflow.timeouts"), 1);
+        assert_eq!(counters.count("dataflow.panics"), 1);
+        assert_eq!(counters.count("dataflow.backoff_us"), 250);
+        assert_eq!(counters.count("dataflow.speculative_launched"), 1);
+        assert_eq!(counters.count("dataflow.cancellations"), 1);
     }
 
     #[test]
     fn checkpoint_events_are_journal_only_and_keep_parity() {
         let c = MetricsCollector::new();
-        c.task_started(0, 0, 0);
-        c.task_finished(0, 0, 0, true);
-        c.stage_checkpointed(0, 0, 4, 2_048);
-        c.stage_restored(1, 1, 4, 100);
+        attempt(&c, 0, 0, 0, true);
+        c.trace().record(StageCheckpointed {
+            stage: 0,
+            wave: 0,
+            partitions: 4,
+            bytes: 2_048,
+        });
+        c.trace().record(StageRestored {
+            stage: 1,
+            wave: 1,
+            partitions: 4,
+            rows: 100,
+        });
         assert_only_tasks(&c.finish(Duration::from_millis(1), 100, 4), 1, 0);
         let trace = c.trace().snapshot();
-        assert!(trace.events.iter().any(|e| matches!(
-            e.kind,
-            TraceEventKind::StageCheckpointed { bytes: 2_048, .. }
-        )));
         assert!(trace
             .events
             .iter()
-            .any(|e| matches!(e.kind, TraceEventKind::StageRestored { rows: 100, .. })));
+            .any(|e| matches!(e.kind, StageCheckpointed { bytes: 2_048, .. })));
+        assert!(trace
+            .events
+            .iter()
+            .any(|e| matches!(e.kind, StageRestored { rows: 100, .. })));
     }
 
     #[test]
@@ -429,28 +270,27 @@ mod tests {
         // resident page is memory-speed work; it must not take the metrics
         // lock). They carry no metric weight.
         let c = MetricsCollector::new();
-        c.task_started(0, 0, 0);
-        c.task_finished(0, 0, 0, true);
-        c.trace().record(TraceEventKind::SpillStarted {
+        attempt(&c, 0, 0, 0, true);
+        c.trace().record(SpillStarted {
             op: "shuffle".to_owned(),
             target: 3,
             rows: 1_024,
             bytes: 80_000,
         });
-        c.trace().record(TraceEventKind::PageFaulted {
+        c.trace().record(PageFaulted {
             file: 0,
             page: 2,
             bytes: 32 << 10,
             pool_bytes: 32 << 10,
         });
-        c.trace().record(TraceEventKind::PageEvicted {
+        c.trace().record(PageEvicted {
             file: 0,
             page: 2,
             bytes: 32 << 10,
             dirty: false,
             pool_bytes: 0,
         });
-        c.trace().record(TraceEventKind::SpillMerged {
+        c.trace().record(SpillMerged {
             op: "shuffle".to_owned(),
             target: 3,
             runs: 1,
@@ -468,14 +308,40 @@ mod tests {
     #[test]
     fn morsel_events_are_journal_only_and_keep_parity() {
         let c = MetricsCollector::new();
-        c.task_started(0, 0, 0);
-        c.morsel_dispatched(0, 0, 0, 64, 0);
-        c.morsel_completed(0, 0, 0);
-        c.morsel_dispatched(0, 0, 1, 64, 1);
-        c.morsel_stolen(0, 0, 1, 0, 1);
-        c.morsel_completed(0, 0, 1);
-        c.task_finished(0, 0, 0, true);
-        c.pipeline_completed(0, 1, 2, 1, 2, 120, 100.0);
+        let j = c.trace();
+        for (morsel, worker) in [(0, 0), (1, 1)] {
+            j.record(MorselDispatched {
+                stage: 0,
+                partition: 0,
+                morsel,
+                rows: 64,
+                worker,
+            });
+            if worker == 1 {
+                j.record(MorselStolen {
+                    stage: 0,
+                    partition: 0,
+                    morsel,
+                    home: 0,
+                    worker,
+                });
+            }
+            j.record(MorselCompleted {
+                stage: 0,
+                partition: 0,
+                morsel,
+            });
+        }
+        attempt(&c, 0, 0, 0, true);
+        j.record(PipelineCompleted {
+            stage: 0,
+            partitions: 1,
+            morsels: 2,
+            stolen: 1,
+            workers: 2,
+            slowest_worker_us: 120,
+            mean_worker_us: 100.0,
+        });
         assert_only_tasks(&c.finish(Duration::from_millis(1), 128, 1), 1, 0);
         let totals = c.trace().snapshot().pipeline_totals();
         assert_eq!(totals.pipelines, 1);

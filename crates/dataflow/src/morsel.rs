@@ -44,6 +44,7 @@ use crate::error::{FlowError, Result};
 use crate::metrics::MetricsCollector;
 use crate::resilience::RunControl;
 use crate::scheduler::{run_tasks, Attempt, SchedulerConfig};
+use crate::trace::TraceEventKind;
 
 /// How a wave's partitions are cut into units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,13 +110,13 @@ impl<B: PipelineBody> Wave<'_, B> {
         let home = unit.partition % self.busy.len();
         if attempt.worker != home {
             self.stolen.fetch_add(1, Ordering::Relaxed);
-            self.metrics.morsel_stolen(
-                self.stage,
-                unit.partition,
-                unit.morsel,
+            self.metrics.trace().record(TraceEventKind::MorselStolen {
+                stage: self.stage,
+                partition: unit.partition,
+                morsel: unit.morsel,
                 home,
-                attempt.worker,
-            );
+                worker: attempt.worker,
+            });
         }
         let t0 = Instant::now();
         let out = self.push(unit, attempt);
@@ -136,17 +137,24 @@ impl<B: PipelineBody> Wave<'_, B> {
                 return Err(FlowError::Cancelled("task attempt cancelled".to_owned()));
             }
             let hi = (lo + self.morsel_rows).min(unit.hi);
-            self.metrics.morsel_dispatched(
-                self.stage,
-                unit.partition,
-                morsel,
-                (hi - lo) as u64,
-                attempt.worker,
-            );
+            self.metrics
+                .trace()
+                .record(TraceEventKind::MorselDispatched {
+                    stage: self.stage,
+                    partition: unit.partition,
+                    morsel,
+                    rows: (hi - lo) as u64,
+                    worker: attempt.worker,
+                });
             self.dispatched.fetch_add(1, Ordering::Relaxed);
             let r = self.body.process(&mut state, part, unit.partition, lo, hi);
             self.metrics
-                .morsel_completed(self.stage, unit.partition, morsel);
+                .trace()
+                .record(TraceEventKind::MorselCompleted {
+                    stage: self.stage,
+                    partition: unit.partition,
+                    morsel,
+                });
             r?;
             lo = hi;
             morsel += 1;
@@ -233,15 +241,15 @@ pub(crate) fn run_wave<B: PipelineBody>(
         });
     }
     let busy = || wave.busy.iter().map(|b| b.load(Ordering::Relaxed));
-    metrics.pipeline_completed(
+    metrics.trace().record(TraceEventKind::PipelineCompleted {
         stage,
-        parts.len(),
-        wave.dispatched.load(Ordering::Relaxed),
-        wave.stolen.load(Ordering::Relaxed),
+        partitions: parts.len(),
+        morsels: wave.dispatched.load(Ordering::Relaxed),
+        stolen: wave.stolen.load(Ordering::Relaxed),
         workers,
-        busy().max().unwrap_or(0),
-        busy().sum::<u64>() as f64 / workers as f64,
-    );
+        slowest_worker_us: busy().max().unwrap_or(0),
+        mean_worker_us: busy().sum::<u64>() as f64 / workers as f64,
+    });
     Ok(out)
 }
 
@@ -257,7 +265,6 @@ mod tests {
 
     use crate::fault::{ChaosPlan, FaultKind, TargetedFault};
     use crate::resilience::{ResilienceConfig, RetryPolicy, TaskDeadline};
-    use crate::trace::TraceEventKind;
 
     /// Identity body: slices the claimed row range back out of the input.
     struct PassThrough;
@@ -375,7 +382,7 @@ mod tests {
         .unwrap();
         assert_eq!(out, input);
         let journal = metrics.trace().snapshot();
-        assert_eq!(journal.resilience_totals().timeouts, 1);
+        assert_eq!(journal.counters().count("dataflow.timeouts"), 1);
         let p0 = journal
             .events
             .iter()

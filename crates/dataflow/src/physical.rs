@@ -297,8 +297,12 @@ impl<'a> ExecContext<'a> {
                         restored.tables.len(),
                     )));
                 }
-                self.metrics
-                    .stage_restored(stage, wave, restored.tables.len(), restored.rows);
+                self.metrics.trace().record(TraceEventKind::StageRestored {
+                    stage,
+                    wave,
+                    partitions: restored.tables.len(),
+                    rows: restored.rows,
+                });
                 return Ok(restored.tables);
             }
         }
@@ -306,7 +310,13 @@ impl<'a> ExecContext<'a> {
         if let Some(ck) = &self.checkpoint {
             let bytes = ck.persist_wave(stage, wave, &out)?;
             self.metrics
-                .stage_checkpointed(stage, wave, out.len(), bytes);
+                .trace()
+                .record(TraceEventKind::StageCheckpointed {
+                    stage,
+                    wave,
+                    partitions: out.len(),
+                    bytes,
+                });
             // Boundary kill points fire only on checkpointed runs, and only
             // *after* the wave is durable — restored waves return above, so
             // a kill-free resume sails past every fired kill point.
@@ -606,12 +616,20 @@ fn exec_narrow_chain(ctx: &ExecContext<'_>, plan: &LogicalPlan) -> Result<Partit
         let (rows, busy) = *stat.lock();
         let rows = if i + 1 == steps.len() { out_rows } else { rows };
         ctx.metrics.record_node(desc.clone(), stage, rows, busy, 0);
-        ctx.metrics
-            .record_operator_batches(desc.clone(), stage, batches, fused);
+        ctx.metrics.trace().record(TraceEventKind::OperatorBatches {
+            operator: desc.clone(),
+            stage,
+            batches,
+            fused,
+        });
     }
     if fused {
         ctx.metrics
-            .record_fused_chain(stage, steps.iter().map(|(_, d)| d.clone()).collect());
+            .trace()
+            .record(TraceEventKind::NarrowChainFused {
+                stage,
+                operators: steps.iter().map(|(_, d)| d.clone()).collect(),
+            });
     }
     PartitionedTable::new(outputs, Partitioning::Arbitrary).map_err(FlowError::Data)
 }

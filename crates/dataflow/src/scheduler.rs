@@ -47,6 +47,7 @@ use crate::metrics::MetricsCollector;
 use crate::resilience::{
     classify, ErrorClass, ResilienceConfig, RetryPolicy, RunControl, SpeculationPolicy,
 };
+use crate::trace::TraceEventKind;
 
 /// How many worker threads to use and how the stage behaves under faults.
 #[derive(Debug, Clone)]
@@ -290,7 +291,12 @@ fn run_claimed<T>(
         return;
     }
     report(WorkerMsg::Started { task, attempt });
-    shared.metrics.task_started(shared.stage, task, attempt);
+    let stage = shared.stage;
+    shared.metrics.trace().record(TraceEventKind::TaskStarted {
+        stage,
+        partition: task,
+        attempt,
+    });
     let running = Attempt {
         worker,
         cancel: &spec.cancel,
@@ -299,9 +305,12 @@ fn run_claimed<T>(
     let outcome = execute_attempt(shared, task, attempt, &running);
     // Every started attempt finishes exactly once — timed-out,
     // panicked, and losing speculative attempts included.
-    shared
-        .metrics
-        .task_finished(shared.stage, task, attempt, outcome.is_ok());
+    shared.metrics.trace().record(TraceEventKind::TaskFinished {
+        stage,
+        partition: task,
+        attempt,
+        ok: outcome.is_ok(),
+    });
     report(WorkerMsg::Finished {
         task,
         attempt,
@@ -322,24 +331,23 @@ fn execute_attempt<T>(
 where
     T: Fn(&Attempt<'_>) -> Result<Table> + Sync,
 {
-    let (stage, metrics) = (shared.stage, shared.metrics);
+    let (stage, journal) = (shared.stage, shared.metrics.trace());
     let mut inject_panic = false;
-    match shared.chaos.fault_for(stage, task, attempt) {
-        Some(FaultKind::Crash) => {
-            metrics.fault_injected(stage, task, attempt);
-            return Err(Failure::Crashed);
+    let fault = shared.chaos.fault_for(stage, task, attempt);
+    if fault.is_some() {
+        journal.record(TraceEventKind::FaultInjected {
+            stage,
+            partition: task,
+            attempt,
+        });
+    }
+    match fault {
+        Some(FaultKind::Crash) => return Err(Failure::Crashed),
+        Some(FaultKind::Panic) => inject_panic = true,
+        Some(FaultKind::Delay { micros }) if !cancellable_sleep(micros, running) => {
+            return Err(Failure::Aborted);
         }
-        Some(FaultKind::Panic) => {
-            metrics.fault_injected(stage, task, attempt);
-            inject_panic = true;
-        }
-        Some(FaultKind::Delay { micros }) => {
-            metrics.fault_injected(stage, task, attempt);
-            if !cancellable_sleep(micros, running) {
-                return Err(Failure::Aborted);
-            }
-        }
-        None => {}
+        Some(FaultKind::Delay { .. }) | None => {}
     }
     if running.cancelled() {
         return Err(Failure::Aborted);
@@ -354,7 +362,12 @@ where
         Ok(Err(e)) => Err(Failure::Body(e)),
         Err(payload) => {
             let message = panic_message(payload);
-            metrics.task_panicked(stage, task, attempt, &message);
+            journal.record(TraceEventKind::TaskPanicked {
+                stage,
+                partition: task,
+                attempt,
+                message: message.clone(),
+            });
             Err(Failure::Panicked(message))
         }
     }
@@ -542,7 +555,11 @@ impl<'a> Coordinator<'a> {
         if self.error.is_some() || self.states[task].completed {
             return;
         }
-        self.metrics.task_retried(self.stage, task, attempt);
+        self.metrics.trace().record(TraceEventKind::TaskRetried {
+            stage: self.stage,
+            partition: task,
+            attempt,
+        });
         self.dispatch(queue, task, attempt, false);
     }
 
@@ -633,13 +650,22 @@ impl<'a> Coordinator<'a> {
         // Settle any speculation race and cancel the other attempts.
         let raced = entry.speculative || st.running.iter().any(|r| r.speculative);
         if raced {
-            self.metrics
-                .speculative_won(self.stage, task, entry.attempt);
+            self.metrics.trace().record(TraceEventKind::SpeculativeWon {
+                stage: self.stage,
+                partition: task,
+                attempt: entry.attempt,
+            });
         }
         for r in &mut st.running {
             r.cancel.store(true, Ordering::SeqCst);
             if raced && !r.dead {
-                self.metrics.speculative_lost(self.stage, task, r.attempt);
+                self.metrics
+                    .trace()
+                    .record(TraceEventKind::SpeculativeLost {
+                        stage: self.stage,
+                        partition: task,
+                        attempt: r.attempt,
+                    });
             }
             r.dead = true;
         }
@@ -690,7 +716,13 @@ impl<'a> Coordinator<'a> {
                     self.release_retry(queue, task, attempt);
                 } else {
                     self.metrics
-                        .backoff_scheduled(self.stage, task, attempt, delay);
+                        .trace()
+                        .record(TraceEventKind::BackoffScheduled {
+                            stage: self.stage,
+                            partition: task,
+                            attempt,
+                            delay_us: delay,
+                        });
                     self.backoff.push(Reverse((
                         Instant::now() + Duration::from_micros(delay),
                         task,
@@ -712,7 +744,10 @@ impl<'a> Coordinator<'a> {
         if self.error.is_some() {
             return;
         }
-        self.metrics.run_cancelled(self.stage, &err.to_string());
+        self.metrics.trace().record(TraceEventKind::RunCancelled {
+            stage: self.stage,
+            reason: err.to_string(),
+        });
         self.control.cancel(err.to_string());
         self.error = Some(err);
         self.backoff.clear();
@@ -764,7 +799,12 @@ impl<'a> Coordinator<'a> {
                 }
             }
             for (task, attempt) in expired {
-                self.metrics.task_timed_out(self.stage, task, attempt, dl);
+                self.metrics.trace().record(TraceEventKind::TaskTimedOut {
+                    stage: self.stage,
+                    partition: task,
+                    attempt,
+                    deadline_us: dl,
+                });
                 self.resolve_failure(task, Failure::TimedOut, queue);
                 if self.error.is_some() {
                     return;
@@ -801,7 +841,13 @@ impl<'a> Coordinator<'a> {
             }
         }
         for (task, attempt) in launches {
-            self.metrics.speculative_launched(self.stage, task, attempt);
+            self.metrics
+                .trace()
+                .record(TraceEventKind::SpeculativeLaunched {
+                    stage: self.stage,
+                    partition: task,
+                    attempt,
+                });
             self.dispatch(queue, task, attempt, true);
         }
     }
@@ -998,7 +1044,6 @@ mod tests {
 
     use crate::fault::TargetedFault;
     use crate::resilience::TaskDeadline;
-    use crate::trace::TraceEventKind;
 
     /// `(input_rows, morsel_rows)` no wave fits: always the pool.
     const POOL: (usize, usize) = (usize::MAX, 0);
@@ -1201,7 +1246,7 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e.kind, TraceEventKind::TaskPanicked { .. })));
-        assert_eq!(trace.resilience_totals().retries, 1);
+        assert_eq!(trace.counters().count("dataflow.retries"), 1);
     }
 
     #[test]
@@ -1234,7 +1279,7 @@ mod tests {
             })
             .collect();
         assert_eq!(scheduled, vec![30_000]);
-        assert_eq!(trace.resilience_totals().backoff_us, 30_000);
+        assert_eq!(trace.counters().count("dataflow.backoff_us"), 30_000);
     }
 
     #[test]
@@ -1311,9 +1356,13 @@ mod tests {
         let out = run_stage(&config, &metrics, 0, tasks).unwrap();
         assert_eq!(out.len(), 1);
         let trace = metrics.trace().snapshot();
-        let totals = trace.resilience_totals();
-        assert_eq!(totals.timeouts, 1, "the stalled attempt timed out");
-        assert!(totals.retries >= 1);
+        let counters = trace.counters();
+        assert_eq!(
+            counters.count("dataflow.timeouts"),
+            1,
+            "the stalled attempt timed out"
+        );
+        assert!(counters.count("dataflow.retries") >= 1);
         // The timed-out attempt still closed its span.
         let starts = trace
             .events
@@ -1418,7 +1467,7 @@ mod tests {
         let out = run_stage(&config, &metrics, 0, tasks).unwrap();
         assert_eq!(out.len(), 4);
         let trace = metrics.trace().snapshot();
-        assert_eq!(trace.resilience_totals().timeouts, 4);
+        assert_eq!(trace.counters().count("dataflow.timeouts"), 4);
         // Elapsed time cannot show the fix (the scope join still waits out
         // the hung sleeps), so assert on journal timestamps: every retry
         // attempt must have STARTED while the first attempts were still

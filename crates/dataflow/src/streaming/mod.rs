@@ -23,8 +23,9 @@
 //!   to the caller; neither leaves the other side blocked.
 //!
 //! The loop's own journal (ingestion depths, stalls, watermark motion,
-//! late-data counts, acks) rolls up into [`crate::trace::StreamTotals`],
-//! which `toreador trace` renders and `labs::compare` diffs.
+//! late-data counts, acks) folds into the `streaming.*` entries of
+//! [`crate::trace::Counters`], which `toreador trace` renders and
+//! `labs::compare` diffs; [`ContinuousRun::totals`] projects them.
 
 pub mod durable;
 pub mod source;

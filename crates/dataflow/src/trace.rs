@@ -8,12 +8,21 @@
 //! journal is the single source of truth — [`RunMetrics`] is *derived* from
 //! it (see [`RunTrace::derive_metrics`]) — and it serialises, so Labs run
 //! provenance can carry the full recording for post-hoc comparison.
+//!
+//! [`RunTrace::summarize`] folds the journal once into per-stage rows and
+//! one ordered map of named [`Counters`] (`dataflow.retries`,
+//! `dataflow.spill_runs`, `streaming.stalls`, …). `toreador trace` renders
+//! that map, `labs::compare` diffs it, and `RunRecord` merges it across a
+//! campaign's engine runs; [`SpillTotals`], [`PipelineTotals`] and
+//! [`StreamTotals`] are projections of it kept for the benchmark ledger.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use toreador_data::table::render_grid;
 
 use crate::metrics::{NodeMetrics, RunMetrics};
 
@@ -318,9 +327,11 @@ impl TraceJournal {
     }
 
     /// Append an event, assigning its sequence number and timestamp.
+    /// The clock is read under the lock, so `at_us` never decreases in
+    /// `seq` order.
     pub fn record(&self, kind: TraceEventKind) {
-        let at_us = self.epoch.elapsed().as_micros() as u64;
         let mut events = self.events.lock();
+        let at_us = self.epoch.elapsed().as_micros() as u64;
         let seq = events.len() as u64;
         events.push(TraceEvent { seq, at_us, kind });
     }
@@ -365,7 +376,7 @@ impl TaskSpan {
 }
 
 /// Per-stage roll-up of the journal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct StageSummary {
     pub stage: usize,
     /// Task attempts started in this stage.
@@ -415,64 +426,109 @@ pub struct TraceSummary {
     /// bound on wall clock, no matter how many workers are added.
     pub critical_path_us: u64,
     pub total_tasks: u64,
-    pub total_retries: u64,
-    pub total_faults: u64,
     pub shuffle_waves: u64,
-    /// Whole-run resilience cost (backoff, timeouts, panics, speculation).
-    #[serde(default)]
-    pub resilience: ResilienceTotals,
-    /// Whole-run morsel-pipeline activity (zero when every wave ran
-    /// whole-partition tasks).
-    #[serde(default)]
-    pub pipelines: PipelineTotals,
-    /// Whole-run continuous-streaming activity (zero for batch runs and
-    /// the pre-materialised oracle path).
-    #[serde(default)]
-    pub stream: StreamTotals,
-    /// Whole-run out-of-core activity (zero when everything fit in the
-    /// memory budget, or no budget was set).
-    #[serde(default)]
-    pub spill: SpillTotals,
+    /// The whole run's journal folded into named counters.
+    pub counters: Counters,
 }
 
-/// Aggregate resilience cost of a run, counted from the journal. What
-/// `labs::compare` diffs between runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct ResilienceTotals {
-    pub retries: u64,
-    pub faults: u64,
-    /// Total scheduled backoff delay, µs.
-    pub backoff_us: u64,
-    pub timeouts: u64,
-    pub panics: u64,
-    pub speculative_launched: u64,
-    pub speculative_won: u64,
-    pub cancellations: u64,
+/// How a counter folds a new observation into its value — across the
+/// events of one run and across the runs of a campaign alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum CounterKind {
+    /// Counts and sums: observations add up.
+    Sum,
+    /// Peaks, skews and the final watermark: the largest observation wins.
+    Max,
 }
 
-impl ResilienceTotals {
-    /// True when the run paid no resilience cost at all.
-    pub fn is_zero(&self) -> bool {
-        *self == ResilienceTotals::default()
-    }
+/// One named counter: its kind and its value.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Counter {
+    pub kind: CounterKind,
+    pub value: f64,
+}
 
-    /// Field-wise sum (for aggregating across a campaign's engine runs).
-    pub fn merge(&self, other: &ResilienceTotals) -> ResilienceTotals {
-        ResilienceTotals {
-            retries: self.retries + other.retries,
-            faults: self.faults + other.faults,
-            backoff_us: self.backoff_us + other.backoff_us,
-            timeouts: self.timeouts + other.timeouts,
-            panics: self.panics + other.panics,
-            speculative_launched: self.speculative_launched + other.speculative_launched,
-            speculative_won: self.speculative_won + other.speculative_won,
-            cancellations: self.cancellations + other.cancellations,
+impl Counter {
+    fn fold(&mut self, value: f64) {
+        match self.kind {
+            CounterKind::Sum => self.value += value,
+            CounterKind::Max => self.value = self.value.max(value),
         }
     }
 }
 
-/// Aggregate morsel-pipeline activity of a run, counted from the journal.
-/// What `labs::compare` diffs between two runs.
+/// Whole numbers print as integers, anything else (a skew) to two places.
+impl fmt::Display for Counter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.value.fract() == 0.0 {
+            write!(f, "{:.0}", self.value)
+        } else {
+            write!(f, "{:.2}", self.value)
+        }
+    }
+}
+
+/// A journal folded into one ordered map from counter name to value, keyed
+/// by the benchmark ledger's layer names (`dataflow.spill_runs`,
+/// `streaming.stalls`, …; DESIGN §6 has the table). A counter no event
+/// touched is absent: absent means unobserved, not zero.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+pub struct Counters(BTreeMap<String, Counter>);
+
+impl Counters {
+    fn observe(&mut self, name: &'static str, kind: CounterKind, value: f64) {
+        match self.0.get_mut(name) {
+            Some(counter) => counter.fold(value),
+            None => {
+                self.0.insert(name.to_owned(), Counter { kind, value });
+            }
+        }
+    }
+
+    fn sum(&mut self, name: &'static str, value: u64) {
+        self.observe(name, CounterKind::Sum, value as f64);
+    }
+
+    fn max(&mut self, name: &'static str, value: f64) {
+        self.observe(name, CounterKind::Max, value);
+    }
+
+    pub fn get(&self, name: &str) -> Option<Counter> {
+        self.0.get(name).copied()
+    }
+
+    /// A counter's value as a whole number; 0 when unobserved.
+    pub fn count(&self, name: &str) -> u64 {
+        self.get(name).map_or(0, |c| c.value as u64)
+    }
+
+    /// True when no event touched any counter.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Every observed counter, in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, Counter)> {
+        self.0.iter().map(|(name, c)| (name.as_ref(), *c))
+    }
+
+    /// Fold `other` in, counter by counter, each by its kind (for
+    /// aggregating across a campaign's engine runs).
+    pub fn merge(mut self, other: &Counters) -> Counters {
+        for (name, c) in &other.0 {
+            match self.0.get_mut(name) {
+                Some(mine) => mine.fold(c.value),
+                None => {
+                    self.0.insert(name.clone(), *c);
+                }
+            }
+        }
+        self
+    }
+}
+
+/// Aggregate morsel-pipeline activity of a run: a projection of
+/// [`Counters`] kept for the benchmark ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PipelineTotals {
     /// Pipeline waves completed.
@@ -482,42 +538,24 @@ pub struct PipelineTotals {
     /// Morsel-unit attempts run on a worker other than their home worker.
     pub stolen: u64,
     /// Worst per-wave worker-balance skew (slowest worker busy time over
-    /// mean worker busy time); 1.0 when no pipeline ran or load was even.
+    /// mean worker busy time); 1.0 when no pipeline ran.
     pub worker_skew: f64,
 }
 
-impl Default for PipelineTotals {
-    fn default() -> Self {
+impl From<&Counters> for PipelineTotals {
+    fn from(c: &Counters) -> Self {
         PipelineTotals {
-            pipelines: 0,
-            morsels: 0,
-            stolen: 0,
-            worker_skew: 1.0,
+            pipelines: c.count("dataflow.pipelines"),
+            morsels: c.count("dataflow.morsels"),
+            stolen: c.count("dataflow.morsels_stolen"),
+            worker_skew: c.get("dataflow.worker_skew").map_or(1.0, |s| s.value),
         }
     }
 }
 
-impl PipelineTotals {
-    /// True when the run never entered the morsel path.
-    pub fn is_zero(&self) -> bool {
-        self.pipelines == 0 && self.morsels == 0 && self.stolen == 0
-    }
-
-    /// Count-wise sum, keeping the worst worker skew (for aggregating
-    /// across a campaign's engine runs).
-    pub fn merge(&self, other: &PipelineTotals) -> PipelineTotals {
-        PipelineTotals {
-            pipelines: self.pipelines + other.pipelines,
-            morsels: self.morsels + other.morsels,
-            stolen: self.stolen + other.stolen,
-            worker_skew: self.worker_skew.max(other.worker_skew),
-        }
-    }
-}
-
-/// Aggregate continuous-streaming activity of a run, counted from the
-/// journal. What `labs::compare` diffs between streaming runs and what the
-/// backpressure / late-data acceptance proofs read.
+/// Aggregate continuous-streaming activity of a run: a projection of
+/// [`Counters`] kept for the benchmark ledger and the backpressure /
+/// late-data acceptance proofs.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct StreamTotals {
     /// Batches whose state delta and offset reached the WAL (end-to-end
@@ -546,37 +584,26 @@ pub struct StreamTotals {
     pub resumes: u64,
 }
 
-impl StreamTotals {
-    /// True when the run never entered the continuous streaming loop.
-    pub fn is_zero(&self) -> bool {
-        *self == StreamTotals::default()
-    }
-
-    /// Count-wise sum, keeping the deepest buffer and latest watermark
-    /// (for aggregating across a campaign's engine runs).
-    pub fn merge(&self, other: &StreamTotals) -> StreamTotals {
+impl From<&Counters> for StreamTotals {
+    fn from(c: &Counters) -> Self {
         StreamTotals {
-            batches_acked: self.batches_acked + other.batches_acked,
-            rows_acked: self.rows_acked + other.rows_acked,
-            stalls: self.stalls + other.stalls,
-            stall_us: self.stall_us + other.stall_us,
-            max_in_flight: self.max_in_flight.max(other.max_in_flight),
-            watermark_advances: self.watermark_advances + other.watermark_advances,
-            final_watermark_ms: match (self.final_watermark_ms, other.final_watermark_ms) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (a, b) => a.or(b),
-            },
-            late_absorbed: self.late_absorbed + other.late_absorbed,
-            late_side_channelled: self.late_side_channelled + other.late_side_channelled,
-            late_dropped: self.late_dropped + other.late_dropped,
-            resumes: self.resumes + other.resumes,
+            batches_acked: c.count("streaming.batches"),
+            rows_acked: c.count("streaming.rows"),
+            stalls: c.count("streaming.stalls"),
+            stall_us: c.count("streaming.stall_us"),
+            max_in_flight: c.count("streaming.max_in_flight"),
+            watermark_advances: c.count("streaming.watermark_advances"),
+            final_watermark_ms: c.get("streaming.watermark_ms").map(|w| w.value as i64),
+            late_absorbed: c.count("streaming.late_absorbed"),
+            late_side_channelled: c.count("streaming.late_side_channelled"),
+            late_dropped: c.count("streaming.late_dropped"),
+            resumes: c.count("streaming.resumes"),
         }
     }
 }
 
-/// Aggregate out-of-core activity of a run, counted from the journal. What
-/// `labs::compare` diffs between a budgeted run and an in-memory run, and
-/// what the bounded-memory acceptance proof reads.
+/// Aggregate out-of-core activity of a run: a projection of [`Counters`]
+/// kept for the benchmark ledger and the bounded-memory acceptance proof.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SpillTotals {
     /// Runs spilled to paged files when a budget was exceeded.
@@ -599,12 +626,22 @@ pub struct SpillTotals {
     pub peak_pool_bytes: u64,
 }
 
-impl SpillTotals {
-    /// True when the run never left memory.
-    pub fn is_zero(&self) -> bool {
-        *self == SpillTotals::default()
+impl From<&Counters> for SpillTotals {
+    fn from(c: &Counters) -> Self {
+        SpillTotals {
+            spills: c.count("dataflow.spill_runs"),
+            spilled_rows: c.count("dataflow.spilled_rows"),
+            spilled_bytes: c.count("dataflow.spilled_bytes"),
+            merges: c.count("dataflow.merges"),
+            merged_runs: c.count("dataflow.merged_runs"),
+            page_faults: c.count("dataflow.page_faults"),
+            page_evictions: c.count("dataflow.page_evictions"),
+            peak_pool_bytes: c.count("dataflow.peak_pool_bytes"),
+        }
     }
+}
 
+impl SpillTotals {
     /// Count-wise sum, keeping the deepest pool (for aggregating across a
     /// campaign's engine runs).
     pub fn merge(&self, other: &SpillTotals) -> SpillTotals {
@@ -747,56 +784,28 @@ impl RunTrace {
         totals
     }
 
-    /// The worst per-stage straggler factor, if any stage ran tasks.
-    pub fn max_skew_ratio(&self) -> Option<f64> {
-        self.summarize()
-            .stages
-            .iter()
-            .filter(|s| s.tasks > 0)
-            .map(|s| s.skew_ratio)
-            .fold(None, |acc, r| Some(acc.map_or(r, |a: f64| a.max(r))))
-    }
-
-    /// Roll the journal up per stage.
+    /// Roll the journal up per stage, and fold it into [`Counters`].
     pub fn summarize(&self) -> TraceSummary {
+        fn at(stages: &mut BTreeMap<usize, StageSummary>, stage: usize) -> &mut StageSummary {
+            stages.entry(stage).or_insert_with(|| StageSummary {
+                stage,
+                skew_ratio: 1.0,
+                ..StageSummary::default()
+            })
+        }
         let mut stages: BTreeMap<usize, StageSummary> = BTreeMap::new();
-        let blank = |stage| StageSummary {
-            stage,
-            tasks: 0,
-            retries: 0,
-            faults: 0,
-            slowest_task_us: 0,
-            mean_task_us: 0.0,
-            skew_ratio: 1.0,
-            operators: Vec::new(),
-            rows_out: 0,
-            shuffle_bytes: 0,
-            backoff_us: 0,
-            timeouts: 0,
-            panics: 0,
-            speculative_launched: 0,
-            speculative_won: 0,
-            morsels: 0,
-            stolen: 0,
-        };
         let mut shuffle_waves = 0u64;
-        let mut cancellations = 0u64;
-        let mut pipelines = PipelineTotals::default();
-        let mut stream = StreamTotals::default();
-        let mut spill = SpillTotals::default();
+        let mut c = Counters::default();
         for e in &self.events {
             match &e.kind {
-                TraceEventKind::TaskStarted { stage, .. } => {
-                    stages.entry(*stage).or_insert_with(|| blank(*stage)).tasks += 1;
-                }
+                TraceEventKind::TaskStarted { stage, .. } => at(&mut stages, *stage).tasks += 1,
                 TraceEventKind::TaskRetried { stage, .. } => {
-                    stages
-                        .entry(*stage)
-                        .or_insert_with(|| blank(*stage))
-                        .retries += 1;
+                    at(&mut stages, *stage).retries += 1;
+                    c.sum("dataflow.retries", 1);
                 }
                 TraceEventKind::FaultInjected { stage, .. } => {
-                    stages.entry(*stage).or_insert_with(|| blank(*stage)).faults += 1;
+                    at(&mut stages, *stage).faults += 1;
+                    c.sum("dataflow.faults", 1);
                 }
                 TraceEventKind::OperatorFinished {
                     operator,
@@ -805,7 +814,7 @@ impl RunTrace {
                     shuffle_bytes,
                     ..
                 } => {
-                    let s = stages.entry(*stage).or_insert_with(|| blank(*stage));
+                    let s = at(&mut stages, *stage);
                     s.operators.push(operator.clone());
                     s.rows_out += rows_out;
                     s.shuffle_bytes += shuffle_bytes;
@@ -814,42 +823,30 @@ impl RunTrace {
                 TraceEventKind::BackoffScheduled {
                     stage, delay_us, ..
                 } => {
-                    stages
-                        .entry(*stage)
-                        .or_insert_with(|| blank(*stage))
-                        .backoff_us += delay_us;
+                    at(&mut stages, *stage).backoff_us += delay_us;
+                    c.sum("dataflow.backoff_us", *delay_us);
                 }
                 TraceEventKind::TaskTimedOut { stage, .. } => {
-                    stages
-                        .entry(*stage)
-                        .or_insert_with(|| blank(*stage))
-                        .timeouts += 1;
+                    at(&mut stages, *stage).timeouts += 1;
+                    c.sum("dataflow.timeouts", 1);
                 }
                 TraceEventKind::TaskPanicked { stage, .. } => {
-                    stages.entry(*stage).or_insert_with(|| blank(*stage)).panics += 1;
+                    at(&mut stages, *stage).panics += 1;
+                    c.sum("dataflow.panics", 1);
                 }
                 TraceEventKind::SpeculativeLaunched { stage, .. } => {
-                    stages
-                        .entry(*stage)
-                        .or_insert_with(|| blank(*stage))
-                        .speculative_launched += 1;
+                    at(&mut stages, *stage).speculative_launched += 1;
+                    c.sum("dataflow.speculative_launched", 1);
                 }
                 TraceEventKind::SpeculativeWon { stage, .. } => {
-                    stages
-                        .entry(*stage)
-                        .or_insert_with(|| blank(*stage))
-                        .speculative_won += 1;
+                    at(&mut stages, *stage).speculative_won += 1;
+                    c.sum("dataflow.speculative_won", 1);
                 }
-                TraceEventKind::RunCancelled { .. } => cancellations += 1,
+                TraceEventKind::RunCancelled { .. } => c.sum("dataflow.cancellations", 1),
                 TraceEventKind::MorselDispatched { stage, .. } => {
-                    stages
-                        .entry(*stage)
-                        .or_insert_with(|| blank(*stage))
-                        .morsels += 1;
+                    at(&mut stages, *stage).morsels += 1;
                 }
-                TraceEventKind::MorselStolen { stage, .. } => {
-                    stages.entry(*stage).or_insert_with(|| blank(*stage)).stolen += 1;
-                }
+                TraceEventKind::MorselStolen { stage, .. } => at(&mut stages, *stage).stolen += 1,
                 TraceEventKind::PipelineCompleted {
                     morsels,
                     stolen,
@@ -857,61 +854,57 @@ impl RunTrace {
                     mean_worker_us,
                     ..
                 } => {
-                    pipelines.pipelines += 1;
-                    pipelines.morsels += morsels;
-                    pipelines.stolen += stolen;
+                    c.sum("dataflow.pipelines", 1);
+                    c.sum("dataflow.morsels", *morsels);
+                    c.sum("dataflow.morsels_stolen", *stolen);
                     let skew = if *mean_worker_us > 0.0 {
                         *slowest_worker_us as f64 / mean_worker_us
                     } else {
                         1.0
                     };
-                    pipelines.worker_skew = pipelines.worker_skew.max(skew);
+                    c.max("dataflow.worker_skew", skew);
                 }
                 TraceEventKind::BatchIngested { depth, .. } => {
-                    stream.max_in_flight = stream.max_in_flight.max(*depth);
+                    c.max("streaming.max_in_flight", *depth as f64);
                 }
                 TraceEventKind::BackpressureStall { waited_us, .. } => {
-                    stream.stalls += 1;
-                    stream.stall_us += waited_us;
+                    c.sum("streaming.stalls", 1);
+                    c.sum("streaming.stall_us", *waited_us);
                 }
                 TraceEventKind::WatermarkAdvanced { watermark_ms, .. } => {
-                    stream.watermark_advances += 1;
-                    stream.final_watermark_ms = Some(
-                        stream
-                            .final_watermark_ms
-                            .map_or(*watermark_ms, |w| w.max(*watermark_ms)),
-                    );
+                    c.sum("streaming.watermark_advances", 1);
+                    c.max("streaming.watermark_ms", *watermark_ms as f64);
                 }
-                TraceEventKind::LateDataAbsorbed { rows, .. } => stream.late_absorbed += rows,
+                TraceEventKind::LateDataAbsorbed { rows, .. } => {
+                    c.sum("streaming.late_absorbed", *rows);
+                }
                 TraceEventKind::LateDataSideChannelled { rows, .. } => {
-                    stream.late_side_channelled += rows;
+                    c.sum("streaming.late_side_channelled", *rows);
                 }
-                TraceEventKind::LateDataDropped { rows, .. } => stream.late_dropped += rows,
+                TraceEventKind::LateDataDropped { rows, .. } => {
+                    c.sum("streaming.late_dropped", *rows);
+                }
                 TraceEventKind::BatchAcked { rows, .. } => {
-                    stream.batches_acked += 1;
-                    stream.rows_acked += rows;
+                    c.sum("streaming.batches", 1);
+                    c.sum("streaming.rows", *rows);
                 }
-                TraceEventKind::StreamResumed { .. } => stream.resumes += 1,
-                TraceEventKind::PageFaulted {
-                    pool_bytes: pool, ..
-                } => {
-                    spill.page_faults += 1;
-                    spill.peak_pool_bytes = spill.peak_pool_bytes.max(*pool);
+                TraceEventKind::StreamResumed { .. } => c.sum("streaming.resumes", 1),
+                TraceEventKind::PageFaulted { pool_bytes, .. } => {
+                    c.sum("dataflow.page_faults", 1);
+                    c.max("dataflow.peak_pool_bytes", *pool_bytes as f64);
                 }
-                TraceEventKind::PageEvicted {
-                    pool_bytes: pool, ..
-                } => {
-                    spill.page_evictions += 1;
-                    spill.peak_pool_bytes = spill.peak_pool_bytes.max(*pool);
+                TraceEventKind::PageEvicted { pool_bytes, .. } => {
+                    c.sum("dataflow.page_evictions", 1);
+                    c.max("dataflow.peak_pool_bytes", *pool_bytes as f64);
                 }
                 TraceEventKind::SpillStarted { rows, bytes, .. } => {
-                    spill.spills += 1;
-                    spill.spilled_rows += rows;
-                    spill.spilled_bytes += bytes;
+                    c.sum("dataflow.spill_runs", 1);
+                    c.sum("dataflow.spilled_rows", *rows);
+                    c.sum("dataflow.spilled_bytes", *bytes);
                 }
                 TraceEventKind::SpillMerged { runs, .. } => {
-                    spill.merges += 1;
-                    spill.merged_runs += *runs as u64;
+                    c.sum("dataflow.merges", 1);
+                    c.sum("dataflow.merged_runs", *runs as u64);
                 }
                 _ => {}
             }
@@ -925,7 +918,7 @@ impl RunTrace {
                 .push(span.duration_us());
         }
         for (stage, ds) in durations {
-            let s = stages.entry(stage).or_insert_with(|| blank(stage));
+            let s = at(&mut stages, stage);
             s.slowest_task_us = ds.iter().copied().max().unwrap_or(0);
             s.mean_task_us = ds.iter().sum::<u64>() as f64 / ds.len() as f64;
             s.skew_ratio = if s.mean_task_us > 0.0 {
@@ -935,53 +928,36 @@ impl RunTrace {
             };
         }
         let stages: Vec<StageSummary> = stages.into_values().collect();
+        for s in stages.iter().filter(|s| s.tasks > 0) {
+            c.max("dataflow.task_skew", s.skew_ratio);
+        }
         TraceSummary {
             critical_path_us: stages.iter().map(|s| s.slowest_task_us).sum(),
             total_tasks: stages.iter().map(|s| s.tasks).sum(),
-            total_retries: stages.iter().map(|s| s.retries).sum(),
-            total_faults: stages.iter().map(|s| s.faults).sum(),
             shuffle_waves,
-            resilience: ResilienceTotals {
-                retries: stages.iter().map(|s| s.retries).sum(),
-                faults: stages.iter().map(|s| s.faults).sum(),
-                backoff_us: stages.iter().map(|s| s.backoff_us).sum(),
-                timeouts: stages.iter().map(|s| s.timeouts).sum(),
-                panics: stages.iter().map(|s| s.panics).sum(),
-                speculative_launched: stages.iter().map(|s| s.speculative_launched).sum(),
-                speculative_won: stages.iter().map(|s| s.speculative_won).sum(),
-                cancellations,
-            },
-            pipelines,
-            stream,
-            spill,
+            counters: c,
             stages,
         }
     }
 
-    /// The run's aggregate morsel-pipeline activity (waves, morsels, steals,
-    /// worst worker-balance skew), counted from the journal.
+    /// The journal folded into named counters.
+    pub fn counters(&self) -> Counters {
+        self.summarize().counters
+    }
+
+    /// The run's morsel-pipeline counters, projected.
     pub fn pipeline_totals(&self) -> PipelineTotals {
-        self.summarize().pipelines
+        PipelineTotals::from(&self.counters())
     }
 
-    /// The run's aggregate resilience cost (retries, backoff, timeouts,
-    /// panics, speculation, cancellations), counted from the journal.
-    pub fn resilience_totals(&self) -> ResilienceTotals {
-        self.summarize().resilience
-    }
-
-    /// The run's aggregate continuous-streaming activity (acked batches,
-    /// backpressure stalls, watermark motion, late-data accounting),
-    /// counted from the journal.
+    /// The run's continuous-streaming counters, projected.
     pub fn stream_totals(&self) -> StreamTotals {
-        self.summarize().stream
+        StreamTotals::from(&self.counters())
     }
 
-    /// The run's aggregate out-of-core activity (spilled runs, merges,
-    /// page faults/evictions, peak pool residency), counted from the
-    /// journal.
+    /// The run's out-of-core counters, projected.
     pub fn spill_totals(&self) -> SpillTotals {
-        self.summarize().spill
+        SpillTotals::from(&self.counters())
     }
 
     /// Summary plus the raw events, for JSON export.
@@ -994,20 +970,21 @@ impl RunTrace {
 }
 
 impl TraceSummary {
-    /// Render as an aligned text table with a critical-path footer.
+    /// Render as an aligned per-stage table, a critical-path footer, and a
+    /// table of every observed counter.
     pub fn render(&self) -> String {
-        let header = vec![
-            "stage".to_owned(),
-            "tasks".to_owned(),
-            "retries".to_owned(),
-            "faults".to_owned(),
-            "slowest(us)".to_owned(),
-            "skew".to_owned(),
-            "rows_out".to_owned(),
-            "shuffle(B)".to_owned(),
-            "operators".to_owned(),
+        let header = [
+            "stage",
+            "tasks",
+            "retries",
+            "faults",
+            "slowest(us)",
+            "skew",
+            "rows_out",
+            "shuffle(B)",
+            "operators",
         ];
-        let mut grid: Vec<Vec<String>> = vec![header];
+        let mut grid: Vec<Vec<String>> = vec![header.map(str::to_owned).to_vec()];
         for s in &self.stages {
             grid.push(vec![
                 s.stage.to_string(),
@@ -1021,81 +998,24 @@ impl TraceSummary {
                 s.operators.join(", "),
             ]);
         }
-        let widths: Vec<usize> = (0..grid[0].len())
-            .map(|c| grid.iter().map(|r| r[c].len()).max().unwrap_or(0))
-            .collect();
-        let mut out = String::new();
-        for row in &grid {
-            for (c, cell) in row.iter().enumerate() {
-                if c > 0 {
-                    out.push_str("  ");
-                }
-                out.push_str(cell);
-                out.extend(std::iter::repeat(' ').take(widths[c] - cell.len()));
-            }
-            out.push('\n');
-        }
+        let mut out = render_grid(&grid);
         out.push_str(&format!(
             "critical path: {} us over {} stage(s); {} task(s), {} retried, {} fault(s), {} shuffle wave(s)\n",
             self.critical_path_us,
             self.stages.len(),
             self.total_tasks,
-            self.total_retries,
-            self.total_faults,
+            self.counters.count("dataflow.retries"),
+            self.counters.count("dataflow.faults"),
             self.shuffle_waves,
         ));
-        let r = &self.resilience;
-        if !r.is_zero() {
-            out.push_str(&format!(
-                "resilience: {} retried, {} us backoff, {} timeout(s), {} panic(s), {} speculative ({} won), {} cancellation(s)\n",
-                r.retries,
-                r.backoff_us,
-                r.timeouts,
-                r.panics,
-                r.speculative_launched,
-                r.speculative_won,
-                r.cancellations,
-            ));
-        }
-        let p = &self.pipelines;
-        if !p.is_zero() {
-            out.push_str(&format!(
-                "pipelines: {} pipeline wave(s), {} morsel(s), {} stolen, worker skew {:.2}\n",
-                p.pipelines, p.morsels, p.stolen, p.worker_skew,
-            ));
-        }
-        let st = &self.stream;
-        if !st.is_zero() {
-            out.push_str(&format!(
-                "stream: {} batch(es) acked ({} rows), {} stall(s) ({} us), max in-flight {}, \
-                 watermark {} (advanced {}x), late {} absorbed / {} side-channelled / {} dropped\n",
-                st.batches_acked,
-                st.rows_acked,
-                st.stalls,
-                st.stall_us,
-                st.max_in_flight,
-                st.final_watermark_ms
-                    .map_or_else(|| "-".to_owned(), |w| format!("{w} ms")),
-                st.watermark_advances,
-                st.late_absorbed,
-                st.late_side_channelled,
-                st.late_dropped,
-            ));
-        }
-        let sp = &self.spill;
-        if !sp.is_zero() {
-            out.push_str(&format!(
-                "spill: {} run(s) spilled ({} rows, {} B), {} merge(s) over {} run(s), \
-                 {} page fault(s), {} eviction(s), peak pool {} B\n",
-                sp.spills,
-                sp.spilled_rows,
-                sp.spilled_bytes,
-                sp.merges,
-                sp.merged_runs,
-                sp.page_faults,
-                sp.page_evictions,
-                sp.peak_pool_bytes,
-            ));
+        if !self.counters.is_empty() {
+            let mut grid = vec![vec!["counter".to_owned(), "value".to_owned()]];
+            grid.extend(
+                self.counters
+                    .iter()
+                    .map(|(name, c)| vec![name.to_owned(), c.to_string()]),
+            );
+            out.push_str(&render_grid(&grid));
         }
         out
     }
@@ -1104,6 +1024,54 @@ impl TraceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const RESILIENCE: [&str; 8] = [
+        "dataflow.retries",
+        "dataflow.faults",
+        "dataflow.backoff_us",
+        "dataflow.timeouts",
+        "dataflow.panics",
+        "dataflow.speculative_launched",
+        "dataflow.speculative_won",
+        "dataflow.cancellations",
+    ];
+    const PIPELINE: [&str; 4] = [
+        "dataflow.pipelines",
+        "dataflow.morsels",
+        "dataflow.morsels_stolen",
+        "dataflow.worker_skew",
+    ];
+    const SPILL: [&str; 8] = [
+        "dataflow.spill_runs",
+        "dataflow.spilled_rows",
+        "dataflow.spilled_bytes",
+        "dataflow.merges",
+        "dataflow.merged_runs",
+        "dataflow.page_faults",
+        "dataflow.page_evictions",
+        "dataflow.peak_pool_bytes",
+    ];
+    const STREAM: [&str; 11] = [
+        "streaming.batches",
+        "streaming.rows",
+        "streaming.stalls",
+        "streaming.stall_us",
+        "streaming.max_in_flight",
+        "streaming.watermark_advances",
+        "streaming.watermark_ms",
+        "streaming.late_absorbed",
+        "streaming.late_side_channelled",
+        "streaming.late_dropped",
+        "streaming.resumes",
+    ];
+
+    /// The value `render` printed on the counter table row for `name`.
+    fn rendered_counter<'a>(rendered: &'a str, name: &str) -> Option<&'a str> {
+        rendered.lines().find_map(|line| {
+            let mut cells = line.split_whitespace();
+            (cells.next() == Some(name)).then(|| cells.next()).flatten()
+        })
+    }
 
     fn journal_with_two_stage_run() -> TraceJournal {
         let j = TraceJournal::new();
@@ -1242,7 +1210,7 @@ mod tests {
         let totals = trace.operator_elapsed_us();
         assert_eq!(totals.get("Scan t"), Some(&40));
         assert_eq!(totals.get("Aggregate"), Some(&120));
-        assert!(trace.max_skew_ratio().unwrap() >= 1.0);
+        assert!(trace.counters().get("dataflow.task_skew").unwrap().value >= 1.0);
     }
 
     #[test]
@@ -1358,30 +1326,31 @@ mod tests {
         assert_eq!(stage2.backoff_us, 400);
         assert_eq!(stage2.speculative_launched, 1);
         assert_eq!(stage2.speculative_won, 1);
-        let totals = trace.resilience_totals();
-        assert_eq!(totals.timeouts, 1);
-        assert_eq!(totals.panics, 1);
-        assert_eq!(totals.backoff_us, 400);
-        assert_eq!(totals.speculative_launched, 1);
-        assert_eq!(totals.speculative_won, 1);
-        assert_eq!(totals.cancellations, 1);
-        assert_eq!(totals.retries, s.total_retries);
-        assert!(!totals.is_zero());
-        let merged = totals.merge(&totals);
-        assert_eq!(merged.timeouts, 2);
-        assert_eq!(merged.backoff_us, 800);
+        let c = &s.counters;
+        assert_eq!(c.count("dataflow.timeouts"), 1);
+        assert_eq!(c.count("dataflow.panics"), 1);
+        assert_eq!(c.count("dataflow.backoff_us"), 400);
+        assert_eq!(c.count("dataflow.speculative_launched"), 1);
+        assert_eq!(c.count("dataflow.speculative_won"), 1);
+        assert_eq!(c.count("dataflow.cancellations"), 1);
+        let stage_retries: u64 = s.stages.iter().map(|x| x.retries).sum();
+        assert_eq!(c.count("dataflow.retries"), stage_retries);
+        assert!(!c.is_empty());
+        let merged = c.clone().merge(c);
+        assert_eq!(merged.count("dataflow.timeouts"), 2);
+        assert_eq!(merged.count("dataflow.backoff_us"), 800);
         let rendered = s.render();
-        assert!(rendered.contains("resilience:"), "{rendered}");
-        assert!(rendered.contains("1 timeout(s)"));
-        assert!(rendered.contains("1 panic(s)"));
+        assert_eq!(rendered_counter(&rendered, "dataflow.timeouts"), Some("1"));
+        assert_eq!(rendered_counter(&rendered, "dataflow.panics"), Some("1"));
     }
 
     #[test]
     fn resilience_footer_absent_for_calm_runs() {
         let trace = journal_with_two_stage_run().snapshot();
         let s = trace.summarize();
-        // This journal has a retry + fault, so the footer appears …
-        assert!(s.render().contains("resilience:"));
+        // This journal has a retry + fault, so their counters appear …
+        assert_eq!(rendered_counter(&s.render(), "dataflow.retries"), Some("1"));
+        assert_eq!(rendered_counter(&s.render(), "dataflow.faults"), Some("1"));
         // … but a genuinely calm run omits it.
         let calm = TraceJournal::new();
         calm.record(TraceEventKind::TaskStarted {
@@ -1396,8 +1365,11 @@ mod tests {
             ok: true,
         });
         let summary = calm.snapshot().summarize();
-        assert!(summary.resilience.is_zero());
-        assert!(!summary.render().contains("resilience:"));
+        let rendered = summary.render();
+        for name in RESILIENCE {
+            assert_eq!(summary.counters.get(name), None, "{name}");
+            assert_eq!(rendered_counter(&rendered, name), None, "{name}");
+        }
     }
 
     #[test]
@@ -1470,23 +1442,32 @@ mod tests {
         assert_eq!(p.morsels, 3);
         assert_eq!(p.stolen, 1);
         assert!((p.worker_skew - 1.2).abs() < 1e-9, "skew {}", p.worker_skew);
-        assert!(!p.is_zero());
-        let merged = p.merge(&PipelineTotals {
-            pipelines: 1,
-            morsels: 5,
-            stolen: 0,
-            worker_skew: 1.7,
-        });
+        assert!(s.counters.get("dataflow.pipelines").is_some());
+        let mut other = Counters::default();
+        other.sum("dataflow.pipelines", 1);
+        other.sum("dataflow.morsels", 5);
+        other.sum("dataflow.morsels_stolen", 0);
+        other.max("dataflow.worker_skew", 1.7);
+        let merged = PipelineTotals::from(&s.counters.clone().merge(&other));
         assert_eq!(merged.pipelines, 2);
         assert_eq!(merged.morsels, 8);
         assert_eq!(merged.worker_skew, 1.7, "merge keeps the worst skew");
         let rendered = s.render();
-        assert!(rendered.contains("pipelines:"), "{rendered}");
-        assert!(rendered.contains("1 stolen"));
-        // A run that never pipelined omits the footer.
+        assert_eq!(rendered_counter(&rendered, "dataflow.pipelines"), Some("1"));
+        assert_eq!(
+            rendered_counter(&rendered, "dataflow.morsels_stolen"),
+            Some("1")
+        );
+        assert_eq!(
+            rendered_counter(&rendered, "dataflow.worker_skew"),
+            Some("1.20")
+        );
+        // A run that never pipelined has no pipeline counters.
         let barrier = journal_with_two_stage_run().snapshot().summarize();
-        assert!(barrier.pipelines.is_zero());
-        assert!(!barrier.render().contains("pipelines:"));
+        for name in PIPELINE {
+            assert_eq!(barrier.counters.get(name), None, "{name}");
+            assert_eq!(rendered_counter(&barrier.render(), name), None, "{name}");
+        }
     }
 
     #[test]
@@ -1550,7 +1531,7 @@ mod tests {
         assert_eq!(totals.page_faults, 1);
         assert_eq!(totals.page_evictions, 1);
         assert_eq!(totals.peak_pool_bytes, 65_536);
-        assert!(!totals.is_zero());
+        assert_ne!(totals, SpillTotals::default());
         let merged = totals.merge(&SpillTotals {
             spills: 1,
             spilled_rows: 10,
@@ -1565,13 +1546,21 @@ mod tests {
         assert_eq!(merged.merged_runs, 3);
         assert_eq!(merged.peak_pool_bytes, 65_536, "merge keeps deepest pool");
         let rendered = trace.summarize().render();
-        assert!(rendered.contains("spill:"), "{rendered}");
-        assert!(rendered.contains("2 run(s) spilled"));
-        assert!(rendered.contains("peak pool 65536 B"));
-        // An in-memory run omits the footer.
+        assert_eq!(
+            rendered_counter(&rendered, "dataflow.spill_runs"),
+            Some("2")
+        );
+        assert_eq!(
+            rendered_counter(&rendered, "dataflow.peak_pool_bytes"),
+            Some("65536")
+        );
+        // An in-memory run has no spill counters.
         let calm = journal_with_two_stage_run().snapshot().summarize();
-        assert!(calm.spill.is_zero());
-        assert!(!calm.render().contains("spill:"));
+        assert_eq!(SpillTotals::from(&calm.counters), SpillTotals::default());
+        for name in SPILL {
+            assert_eq!(calm.counters.get(name), None, "{name}");
+            assert_eq!(rendered_counter(&calm.render(), name), None, "{name}");
+        }
     }
 
     #[test]
@@ -1586,17 +1575,161 @@ mod tests {
         assert_eq!(m.nodes.len(), 2);
     }
 
+    fn journal_with_stream_events() -> TraceJournal {
+        let j = TraceJournal::new();
+        j.record(TraceEventKind::StreamResumed {
+            next_offset: 3,
+            watermark_ms: Some(1_000),
+        });
+        for (offset, rows, depth) in [(3u64, 64u64, 1u64), (4, 32, 2)] {
+            j.record(TraceEventKind::BatchIngested {
+                offset,
+                rows,
+                depth,
+            });
+        }
+        j.record(TraceEventKind::BackpressureStall {
+            offset: 4,
+            waited_us: 150,
+        });
+        for (offset, watermark_ms) in [(3u64, 1_500i64), (4, 2_500)] {
+            j.record(TraceEventKind::WatermarkAdvanced {
+                offset,
+                watermark_ms,
+            });
+        }
+        j.record(TraceEventKind::LateDataAbsorbed { offset: 3, rows: 3 });
+        j.record(TraceEventKind::LateDataSideChannelled { offset: 4, rows: 2 });
+        j.record(TraceEventKind::LateDataDropped { offset: 4, rows: 1 });
+        for (offset, rows) in [(3u64, 64u64), (4, 32)] {
+            j.record(TraceEventKind::BatchAcked {
+                offset,
+                rows,
+                latency_us: 900,
+            });
+        }
+        j
+    }
+
+    #[test]
+    fn stream_events_roll_up_and_render() {
+        let s = journal_with_stream_events().snapshot().summarize();
+        let c = &s.counters;
+        let values: Vec<f64> = STREAM.iter().map(|n| c.get(n).unwrap().value).collect();
+        assert_eq!(
+            values,
+            [2.0, 96.0, 1.0, 150.0, 2.0, 2.0, 2_500.0, 3.0, 2.0, 1.0, 1.0]
+        );
+        assert_eq!(
+            c.get("streaming.max_in_flight").unwrap().kind,
+            CounterKind::Max
+        );
+        assert_eq!(
+            c.get("streaming.watermark_ms").unwrap().kind,
+            CounterKind::Max
+        );
+        // Merging two runs sums the counts and keeps the peaks.
+        let merged = StreamTotals::from(&c.clone().merge(c));
+        assert_eq!((merged.batches_acked, merged.late_dropped), (4, 2));
+        assert_eq!(
+            (merged.max_in_flight, merged.final_watermark_ms),
+            (2, Some(2_500))
+        );
+        let rendered = s.render();
+        assert_eq!(rendered_counter(&rendered, "streaming.batches"), Some("2"));
+        assert_eq!(
+            rendered_counter(&rendered, "streaming.watermark_ms"),
+            Some("2500")
+        );
+        // A batch run has no streaming counters.
+        let batch = journal_with_two_stage_run().snapshot().summarize();
+        for name in STREAM {
+            assert_eq!(batch.counters.get(name), None, "{name}");
+        }
+    }
+
+    #[test]
+    fn totals_project_every_field_from_its_counter() {
+        for trace in [
+            journal_with_spill_events().snapshot(),
+            journal_with_pipeline_events().snapshot(),
+            journal_with_stream_events().snapshot(),
+            journal_with_resilience_events().snapshot(),
+        ] {
+            let c = trace.counters();
+            let count = |name: &str| c.count(name);
+            let sp = trace.spill_totals();
+            let spill = [
+                sp.spills,
+                sp.spilled_rows,
+                sp.spilled_bytes,
+                sp.merges,
+                sp.merged_runs,
+                sp.page_faults,
+                sp.page_evictions,
+                sp.peak_pool_bytes,
+            ];
+            assert_eq!(spill, SPILL.map(count));
+            let p = trace.pipeline_totals();
+            assert_eq!(
+                [p.pipelines, p.morsels, p.stolen],
+                [PIPELINE[0], PIPELINE[1], PIPELINE[2]].map(count)
+            );
+            let skew = c.get("dataflow.worker_skew").map_or(1.0, |s| s.value);
+            assert_eq!(p.worker_skew, skew);
+            let st = trace.stream_totals();
+            let stream = [
+                st.batches_acked,
+                st.rows_acked,
+                st.stalls,
+                st.stall_us,
+                st.max_in_flight,
+                st.watermark_advances,
+                st.late_absorbed,
+                st.late_side_channelled,
+                st.late_dropped,
+                st.resumes,
+            ];
+            let names = STREAM.iter().filter(|n| **n != "streaming.watermark_ms");
+            assert_eq!(stream.to_vec(), names.map(|n| count(n)).collect::<Vec<_>>());
+            let watermark = c.get("streaming.watermark_ms").map(|w| w.value as i64);
+            assert_eq!(st.final_watermark_ms, watermark);
+        }
+        // Each fixture exercises its own domain, so the checks above are
+        // not all comparing zeros.
+        assert_eq!(
+            journal_with_spill_events().snapshot().spill_totals().spills,
+            2
+        );
+        assert_eq!(
+            journal_with_pipeline_events()
+                .snapshot()
+                .pipeline_totals()
+                .morsels,
+            3
+        );
+        assert_eq!(
+            journal_with_stream_events()
+                .snapshot()
+                .stream_totals()
+                .rows_acked,
+            96
+        );
+    }
+
     #[test]
     fn journal_is_usable_from_many_threads() {
+        const THREADS: usize = 8;
+        const PER_THREAD: usize = 2_000;
         let j = TraceJournal::new();
         std::thread::scope(|scope| {
-            for t in 0..8 {
+            for t in 0..THREADS {
                 let j = &j;
                 scope.spawn(move || {
-                    for i in 0..100 {
+                    for i in 0..PER_THREAD {
                         j.record(TraceEventKind::TaskStarted {
                             stage: 0,
-                            partition: t * 100 + i,
+                            partition: t * PER_THREAD + i,
                             attempt: 0,
                         });
                     }
@@ -1604,10 +1737,15 @@ mod tests {
             }
         });
         let trace = j.snapshot();
-        assert_eq!(trace.events.len(), 801); // RunStarted + 800
-                                             // No lost or duplicated sequence numbers.
+        // RunStarted, then every thread's records.
+        assert_eq!(trace.events.len(), 1 + THREADS * PER_THREAD);
+        // No lost or duplicated sequence numbers.
         for (i, e) in trace.events.iter().enumerate() {
             assert_eq!(e.seq, i as u64);
+        }
+        // Contended records still timestamp in sequence order.
+        for w in trace.events.windows(2) {
+            assert!(w[0].at_us <= w[1].at_us, "{:?} after {:?}", w[1], w[0]);
         }
     }
 }

@@ -398,7 +398,7 @@ fn one_row_either_side_of_a_morsel_gives_the_same_bytes_and_journal() {
                 "{case}"
             );
             assert!(
-                pool.trace.resilience_totals().retries > 0,
+                pool.trace.counters().count("dataflow.retries") > 0,
                 "{case}: the chaos plan must have bitten"
             );
             assert_morsels_paired(&caller.trace);

@@ -62,13 +62,21 @@ proptest! {
         // Value-identical, float sums included: spilled runs merge back in
         // their original partition order, so the fold order is unchanged.
         prop_assert_eq!(&a.table, &b.table);
-        prop_assert!(a.trace.spill_totals().is_zero(), "oracle never spills");
+        prop_assert_eq!(
+            a.trace.spill_totals(),
+            SpillTotals::default(),
+            "oracle never spills"
+        );
         let totals = b.trace.spill_totals();
         if budget == 0 {
             prop_assert!(totals.spills > 0, "zero budget must spill: {totals:?}");
         }
         if budget >= 1 << 30 {
-            prop_assert!(totals.is_zero(), "roomy budget must not spill: {totals:?}");
+            prop_assert_eq!(
+                totals,
+                SpillTotals::default(),
+                "roomy budget must not spill"
+            );
         }
         // The journalled pool residency never exceeded the pool's frame
         // arithmetic: max(1 frame, budget) rounded down to whole pages.
@@ -103,7 +111,7 @@ proptest! {
         let b = run(Some(budget));
         prop_assert_eq!(&a.table, &b.table);
         if budget >= 1 << 30 {
-            prop_assert!(b.trace.spill_totals().is_zero());
+            prop_assert_eq!(b.trace.spill_totals(), SpillTotals::default());
         }
     }
 }

@@ -720,23 +720,29 @@ mod tests {
         };
         let absorb = run(vec!["stream".into(), "absorb".into()]);
         let dropped = run(vec!["stream".into(), "drop".into()]);
-        let totals = |outcome: &toreador_core::compile::CampaignOutcome| {
-            outcome.engine_traces.iter().fold(
-                toreador_dataflow::trace::StreamTotals::default(),
-                |acc, t| acc.merge(&t.stream_totals()),
-            )
+        let counters = |outcome: &toreador_core::compile::CampaignOutcome| {
+            outcome
+                .engine_traces
+                .iter()
+                .fold(toreador_dataflow::trace::Counters::default(), |acc, t| {
+                    acc.merge(&t.counters())
+                })
         };
-        let ta = totals(&absorb);
-        let td = totals(&dropped);
-        assert!(ta.batches_acked > 0, "continuous loop journalled acks");
+        let ta = counters(&absorb);
+        let td = counters(&dropped);
+        assert!(
+            ta.count("streaming.batches") > 0,
+            "continuous loop journalled acks"
+        );
         // The generator plants ~5% of rows a minute behind their arrival
         // slot; with 500 ms allowed lateness every one of them is late.
-        assert!(ta.late_absorbed > 0, "absorb counts late rows: {ta:?}");
-        assert_eq!(ta.late_dropped, 0);
-        assert!(td.late_dropped > 0, "drop counts late rows: {td:?}");
-        assert_eq!(td.late_absorbed, 0);
+        let (absorbed, dropped) = ("streaming.late_absorbed", "streaming.late_dropped");
+        assert!(ta.count(absorbed) > 0, "absorb counts late rows: {ta:?}");
+        assert_eq!(ta.count(dropped), 0);
+        assert!(td.count(dropped) > 0, "drop counts late rows: {td:?}");
+        assert_eq!(td.count(absorbed), 0);
         // Same stream, same watermark policy: identical late populations.
-        assert_eq!(ta.late_absorbed, td.late_dropped);
+        assert_eq!(ta.count(absorbed), td.count(dropped));
     }
 
     #[test]

@@ -11,7 +11,8 @@
 use std::collections::BTreeSet;
 
 use toreador_core::declarative::Indicator;
-use toreador_dataflow::trace::{PipelineTotals, ResilienceTotals, SpillTotals, StreamTotals};
+use toreador_data::table::render_grid;
+use toreador_dataflow::trace::{Counter, CounterKind};
 
 use crate::error::{LabsError, Result};
 use crate::run::RunRecord;
@@ -40,23 +41,20 @@ pub struct RunComparison {
     /// operator ran in a fused chain — so a plan change that splits or joins
     /// a narrow chain shows up here even when timings are noisy.
     pub batch_deltas: Vec<BatchDelta>,
-    /// Worst task-skew ratio of each run, when both runs recorded task spans.
-    pub skew_change: Option<(f64, f64)>,
-    /// Resilience overhead of each run (retries, backoff, timeouts, panics,
-    /// speculation), when both runs recorded traces.
-    pub resilience_change: Option<(ResilienceTotals, ResilienceTotals)>,
-    /// Morsel-pipeline activity of each run (waves, morsels, units run off
-    /// their home worker, worker skew), when both runs recorded traces. A
-    /// morsel-size or thread-count ablation diffs cleanly here.
-    pub pipeline_change: Option<(PipelineTotals, PipelineTotals)>,
-    /// Continuous-streaming activity of each run (acked batches, stalls,
-    /// watermark motion, late-data accounting), when both runs recorded
-    /// traces. A late-policy or buffer-size ablation diffs cleanly here.
-    pub stream_change: Option<(StreamTotals, StreamTotals)>,
-    /// Out-of-core activity of each run (spilled runs, merges, page faults,
-    /// evictions, peak pool residency), when both runs recorded traces. A
-    /// memory-budget ablation diffs cleanly here.
-    pub spill_change: Option<(SpillTotals, SpillTotals)>,
+    /// Journal counters of each run (union of names, sorted), when both
+    /// runs recorded traces: resilience cost, task and worker skew, morsel
+    /// pipelines, streaming, spill. A retry-policy, morsel-size,
+    /// late-policy or memory-budget ablation diffs cleanly here.
+    pub counter_deltas: Vec<CounterDelta>,
+}
+
+/// One journal counter's movement between two runs. None = no event in
+/// that run touched the counter.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CounterDelta {
+    pub counter: String,
+    pub a: Option<Counter>,
+    pub b: Option<Counter>,
 }
 
 /// One indicator's movement between two runs.
@@ -180,30 +178,23 @@ impl RunComparison {
                 b: batches_b.get(name).copied(),
             })
             .collect();
-        let skew_change = match (a.max_skew_ratio(), b.max_skew_ratio()) {
-            (Some(x), Some(y)) => Some((x, y)),
-            _ => None,
-        };
-        let resilience_change = if a.traces.is_empty() || b.traces.is_empty() {
-            None
-        } else {
-            Some((a.resilience_totals(), b.resilience_totals()))
-        };
-        let pipeline_change = if a.traces.is_empty() || b.traces.is_empty() {
-            None
-        } else {
-            Some((a.pipeline_totals(), b.pipeline_totals()))
-        };
-        let stream_change = if a.traces.is_empty() || b.traces.is_empty() {
-            None
-        } else {
-            Some((a.stream_totals(), b.stream_totals()))
-        };
-        let spill_change = if a.traces.is_empty() || b.traces.is_empty() {
-            None
-        } else {
-            Some((a.spill_totals(), b.spill_totals()))
-        };
+        let mut counter_deltas = Vec::new();
+        if !a.traces.is_empty() && !b.traces.is_empty() {
+            let (counters_a, counters_b) = (a.counters(), b.counters());
+            let names: BTreeSet<&str> = counters_a
+                .iter()
+                .chain(counters_b.iter())
+                .map(|(name, _)| name)
+                .collect();
+            counter_deltas = names
+                .into_iter()
+                .map(|name| CounterDelta {
+                    counter: name.to_owned(),
+                    a: counters_a.get(name),
+                    b: counters_b.get(name),
+                })
+                .collect();
+        }
 
         Ok(RunComparison {
             run_a: a.run_id,
@@ -216,11 +207,7 @@ impl RunComparison {
             compliance_change,
             operator_deltas,
             batch_deltas,
-            skew_change,
-            resilience_change,
-            pipeline_change,
-            stream_change,
-            spill_change,
+            counter_deltas,
         })
     }
 
@@ -244,13 +231,14 @@ impl RunComparison {
         }
         for d in &self.indicator_deltas {
             if let (Some(a), Some(b), Some(delta)) = (d.a, d.b, d.delta) {
+                // A zero base has no percentage change.
                 let pct = if a.abs() > 1e-12 {
-                    100.0 * delta / a
+                    format!(", {:+.1}%", 100.0 * delta / a)
                 } else {
-                    f64::NAN
+                    String::new()
                 };
                 out.push_str(&format!(
-                    "{}: {a:.3} -> {b:.3} ({delta:+.3}, {pct:+.1}%)\n",
+                    "{}: {a:.3} -> {b:.3} ({delta:+.3}{pct})\n",
                     d.indicator
                 ));
             }
@@ -313,71 +301,15 @@ impl RunComparison {
                 _ => {}
             }
         }
-        if let Some((a, b)) = self.skew_change {
-            out.push_str(&format!("max task skew: {a:.2} -> {b:.2}\n"));
-        }
-        if let Some((a, b)) = &self.pipeline_change {
-            if !a.is_zero() || !b.is_zero() {
-                out.push_str(&format!(
-                    "pipelines: morsels {} -> {}, stolen {} -> {}, \
-                     worker skew {:.2} -> {:.2}\n",
-                    a.morsels, b.morsels, a.stolen, b.stolen, a.worker_skew, b.worker_skew,
-                ));
-            }
-        }
-        if let Some((a, b)) = &self.stream_change {
-            if !a.is_zero() || !b.is_zero() {
-                out.push_str(&format!(
-                    "stream: acked {} -> {}, stalls {} -> {}, \
-                     late dropped {} -> {}, side-channelled {} -> {}\n",
-                    a.batches_acked,
-                    b.batches_acked,
-                    a.stalls,
-                    b.stalls,
-                    a.late_dropped,
-                    b.late_dropped,
-                    a.late_side_channelled,
-                    b.late_side_channelled,
-                ));
-            }
-        }
-        if let Some((a, b)) = &self.spill_change {
-            if !a.is_zero() || !b.is_zero() {
-                out.push_str(&format!(
-                    "spill: runs spilled {} -> {}, rows {} -> {}, merges {} -> {}, \
-                     page faults {} -> {}, evictions {} -> {}, peak pool {} B -> {} B\n",
-                    a.spills,
-                    b.spills,
-                    a.spilled_rows,
-                    b.spilled_rows,
-                    a.merges,
-                    b.merges,
-                    a.page_faults,
-                    b.page_faults,
-                    a.page_evictions,
-                    b.page_evictions,
-                    a.peak_pool_bytes,
-                    b.peak_pool_bytes,
-                ));
-            }
-        }
-        if let Some((a, b)) = &self.resilience_change {
-            if !a.is_zero() || !b.is_zero() {
-                out.push_str(&format!(
-                    "resilience: retries {} -> {}, backoff {} us -> {} us, \
-                     timeouts {} -> {}, panics {} -> {}, speculative {} -> {}\n",
-                    a.retries,
-                    b.retries,
-                    a.backoff_us,
-                    b.backoff_us,
-                    a.timeouts,
-                    b.timeouts,
-                    a.panics,
-                    b.panics,
-                    a.speculative_launched,
-                    b.speculative_launched,
-                ));
-            }
+        for d in &self.counter_deltas {
+            // An unobserved sum is zero; an unobserved peak has no value.
+            let kind = d.a.or(d.b).map(|c| c.kind);
+            let side = |c: Option<Counter>| match c {
+                Some(c) => c.to_string(),
+                None if kind == Some(CounterKind::Sum) => "0".to_owned(),
+                None => "-".to_owned(),
+            };
+            out.push_str(&format!("{}: {} -> {}\n", d.counter, side(d.a), side(d.b)));
         }
         out
     }
@@ -483,21 +415,7 @@ impl ConsequenceMatrix {
             }));
             grid.push(row);
         }
-        let widths: Vec<usize> = (0..grid[0].len())
-            .map(|c| grid.iter().map(|r| r[c].len()).max().unwrap_or(0))
-            .collect();
-        let mut out = String::new();
-        for row in &grid {
-            for (c, cell) in row.iter().enumerate() {
-                if c > 0 {
-                    out.push_str("  ");
-                }
-                out.push_str(cell);
-                out.extend(std::iter::repeat(' ').take(widths[c] - cell.len()));
-            }
-            out.push('\n');
-        }
-        out
+        render_grid(&grid)
     }
 }
 
@@ -536,13 +454,13 @@ mod tests {
             1,
             "c",
             &["full", "batch"],
-            &[("cost", 10.0), ("accuracy", 0.8)],
+            &[("cost", 10.0), ("accuracy", 0.8), ("risk", 0.0)],
         );
         let mut b = record(
             2,
             "c",
             &["sample", "batch"],
-            &[("cost", 4.0), ("accuracy", 0.7)],
+            &[("cost", 4.0), ("accuracy", 0.7), ("risk", 3.0)],
         );
         b.plan_services = vec![
             "processing.sample".to_owned(),
@@ -567,7 +485,13 @@ mod tests {
         assert!(!d.is_identical());
         let rendered = d.render();
         assert!(rendered.contains("full -> sample"));
-        assert!(rendered.contains("cost"));
+        assert!(rendered.contains("cost: 10.000 -> 4.000 (-6.000, -60.0%)\n"));
+        // A zero base has no percentage change to show.
+        assert!(
+            rendered.contains("risk: 0.000 -> 3.000 (+3.000)\n"),
+            "{rendered}"
+        );
+        assert!(!rendered.contains("NaN"), "{rendered}");
     }
 
     #[test]
@@ -577,7 +501,17 @@ mod tests {
         let d = RunComparison::diff(&a, &b).unwrap();
         assert!(d.is_identical());
         assert!(d.operator_deltas.is_empty());
-        assert!(d.skew_change.is_none());
+        assert!(d.counter_deltas.is_empty());
+    }
+
+    /// Each run's value of counter `name` (None = unobserved).
+    fn values(d: &RunComparison, name: &str) -> (Option<f64>, Option<f64>) {
+        d.counter_deltas
+            .iter()
+            .find(|c| c.counter == name)
+            .map_or((None, None), |c| {
+                (c.a.map(|x| x.value), c.b.map(|x| x.value))
+            })
     }
 
     fn trace_with(ops: &[(&str, u64)], task_spans_us: &[(u64, u64)]) -> RunTrace {
@@ -651,19 +585,27 @@ mod tests {
             .unwrap();
         assert_eq!((agg.a_us, agg.b_us, agg.delta_us), (Some(50), None, None));
         // a's tasks are even (skew 1.0); b's slowest is 30 vs mean 20 (1.5).
-        let (sa, sb) = d.skew_change.unwrap();
-        assert!((sa - 1.0).abs() < 1e-9);
-        assert!((sb - 1.5).abs() < 1e-9);
+        let (sa, sb) = values(&d, "dataflow.task_skew");
+        assert!((sa.unwrap() - 1.0).abs() < 1e-9);
+        assert!((sb.unwrap() - 1.5).abs() < 1e-9);
         let rendered = d.render();
         assert!(rendered.contains("operator Scan: 100 us -> 70 us (-30 us)"));
         assert!(rendered.contains("operator Aggregate: only first run"));
         assert!(rendered.contains("operator Sort: only second run"));
-        assert!(rendered.contains("max task skew: 1.00 -> 1.50"));
-        // Neither trace recorded pipeline waves: present but all-zero, and
-        // silent in the report.
-        let (pa, pb) = d.pipeline_change.unwrap();
-        assert!(pa.is_zero() && pb.is_zero());
-        assert!(!rendered.contains("pipelines:"));
+        assert!(
+            rendered.contains("dataflow.task_skew: 1 -> 1.50"),
+            "{rendered}"
+        );
+        // Neither trace recorded pipeline waves: no pipeline counters, and
+        // silence in the report.
+        for name in [
+            "dataflow.pipelines",
+            "dataflow.morsels",
+            "dataflow.worker_skew",
+        ] {
+            assert_eq!(values(&d, name), (None, None), "{name}");
+        }
+        assert!(!rendered.contains("dataflow.pipelines"));
     }
 
     #[test]
@@ -689,13 +631,27 @@ mod tests {
         });
         b.traces = vec![t];
         let d = RunComparison::diff(&a, &b).unwrap();
-        let (pa, pb) = d.pipeline_change.unwrap();
-        assert!(pa.is_zero());
-        assert_eq!((pb.pipelines, pb.morsels, pb.stolen), (1, 32, 7));
-        assert!((pb.worker_skew - 1.5).abs() < 1e-9);
+        let pipeline = [
+            "dataflow.pipelines",
+            "dataflow.morsels",
+            "dataflow.morsels_stolen",
+        ];
+        assert_eq!(pipeline.map(|n| values(&d, n).0), [None; 3]);
+        assert_eq!(
+            pipeline.map(|n| values(&d, n).1),
+            [Some(1.0), Some(32.0), Some(7.0)]
+        );
+        let (wa, wb) = values(&d, "dataflow.worker_skew");
+        assert_eq!(wa, None);
+        assert!((wb.unwrap() - 1.5).abs() < 1e-9);
         let rendered = d.render();
-        assert!(rendered
-            .contains("pipelines: morsels 0 -> 32, stolen 0 -> 7, worker skew 1.00 -> 1.50"));
+        assert!(
+            rendered.contains("dataflow.pipelines: 0 -> 1\n"),
+            "{rendered}"
+        );
+        assert!(rendered.contains("dataflow.morsels: 0 -> 32\n"));
+        assert!(rendered.contains("dataflow.morsels_stolen: 0 -> 7\n"));
+        assert!(rendered.contains("dataflow.worker_skew: - -> 1.50\n"));
     }
 
     #[test]
@@ -783,20 +739,36 @@ mod tests {
         }
         b.traces = vec![chaotic];
         let d = RunComparison::diff(&a, &b).unwrap();
-        let (ra, rb) = d.resilience_change.unwrap();
-        assert!(ra.is_zero(), "calm run has zero resilience cost");
-        assert_eq!(rb.retries, 1);
-        assert_eq!(rb.backoff_us, 750);
-        assert_eq!(rb.panics, 1);
+        let resilience = [
+            "dataflow.retries",
+            "dataflow.faults",
+            "dataflow.backoff_us",
+            "dataflow.timeouts",
+            "dataflow.panics",
+            "dataflow.speculative_launched",
+            "dataflow.speculative_won",
+            "dataflow.cancellations",
+        ];
+        assert_eq!(
+            resilience.map(|n| values(&d, n).0),
+            [None; 8],
+            "calm run has no resilience cost"
+        );
+        assert_eq!(values(&d, "dataflow.retries").1, Some(1.0));
+        assert_eq!(values(&d, "dataflow.backoff_us").1, Some(750.0));
+        assert_eq!(values(&d, "dataflow.panics").1, Some(1.0));
         let rendered = d.render();
-        assert!(rendered.contains("resilience: retries 0 -> 1"));
-        assert!(rendered.contains("backoff 0 us -> 750 us"));
+        assert!(
+            rendered.contains("dataflow.retries: 0 -> 1\n"),
+            "{rendered}"
+        );
+        assert!(rendered.contains("dataflow.backoff_us: 0 -> 750\n"));
 
-        // No traces on either side: the field stays empty and render is calm.
+        // No traces on either side: no counters, and render is calm.
         let calm = RunComparison::diff(&record(3, "c", &["x"], &[]), &record(4, "c", &["x"], &[]))
             .unwrap();
-        assert!(calm.resilience_change.is_none());
-        assert!(!calm.render().contains("resilience:"));
+        assert!(calm.counter_deltas.is_empty());
+        assert!(!calm.render().contains("dataflow."));
     }
 
     #[test]
@@ -842,19 +814,22 @@ mod tests {
         a.traces = vec![ta];
         b.traces = vec![tb];
         let d = RunComparison::diff(&a, &b).unwrap();
-        let (sa, sb) = d.stream_change.unwrap();
-        assert_eq!((sa.late_absorbed, sa.late_dropped), (9, 0));
-        assert_eq!((sb.late_absorbed, sb.late_dropped), (0, 9));
-        assert_eq!((sa.stalls, sb.stalls), (0, 1));
+        assert_eq!(values(&d, "streaming.late_absorbed"), (Some(9.0), None));
+        assert_eq!(values(&d, "streaming.late_dropped"), (None, Some(9.0)));
+        assert_eq!(values(&d, "streaming.stalls"), (None, Some(1.0)));
         let rendered = d.render();
-        assert!(
-            rendered.contains("stream: acked 1 -> 1, stalls 0 -> 1, late dropped 0 -> 9"),
-            "got: {rendered}"
-        );
+        for line in [
+            "streaming.batches: 1 -> 1\n",
+            "streaming.stalls: 0 -> 1\n",
+            "streaming.late_dropped: 0 -> 9\n",
+            "streaming.late_absorbed: 9 -> 0\n",
+        ] {
+            assert!(rendered.contains(line), "{line} not in: {rendered}");
+        }
         // Batch-only runs keep the report calm.
         let d = RunComparison::diff(&record(3, "c", &["x"], &[]), &record(4, "c", &["x"], &[]))
             .unwrap();
-        assert!(d.stream_change.is_none());
+        assert!(d.counter_deltas.is_empty());
     }
 
     #[test]
@@ -913,22 +888,35 @@ mod tests {
         );
         b.traces = vec![tight];
         let d = RunComparison::diff(&a, &b).unwrap();
-        let (sa, sb) = d.spill_change.unwrap();
-        assert!(sa.is_zero(), "unbudgeted run never spilled");
-        assert_eq!((sb.spills, sb.merges), (1, 1));
-        assert_eq!(sb.spilled_rows, 512);
-        assert_eq!(sb.page_faults, 1);
-        assert_eq!(sb.page_evictions, 1);
-        assert_eq!(sb.peak_pool_bytes, 32 << 10);
+        let spill = [
+            "dataflow.spill_runs",
+            "dataflow.merges",
+            "dataflow.spilled_rows",
+            "dataflow.page_faults",
+            "dataflow.page_evictions",
+            "dataflow.peak_pool_bytes",
+        ];
+        assert_eq!(
+            spill.map(|n| values(&d, n).0),
+            [None; 6],
+            "unbudgeted run never spilled"
+        );
+        assert_eq!(
+            spill.map(|n| values(&d, n).1),
+            [1.0, 1.0, 512.0, 1.0, 1.0, 32_768.0].map(Some)
+        );
         let rendered = d.render();
         assert!(
-            rendered.contains("spill: runs spilled 0 -> 1"),
+            rendered.contains("dataflow.spill_runs: 0 -> 1\n"),
             "got: {rendered}"
         );
-        assert!(rendered.contains("peak pool 0 B -> 32768 B"), "{rendered}");
+        assert!(
+            rendered.contains("dataflow.peak_pool_bytes: - -> 32768\n"),
+            "{rendered}"
+        );
         // Two unbudgeted runs keep the report calm.
         let calm = RunComparison::diff(&a, &a).unwrap();
-        assert!(!calm.render().contains("spill:"));
+        assert!(!calm.render().contains("dataflow.spill"));
     }
 
     #[test]

@@ -13,9 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use toreador_core::compile::{Bdaas, CampaignOutcome, CompiledCampaign};
 use toreador_core::declarative::Indicator;
-use toreador_dataflow::trace::{
-    PipelineTotals, ResilienceTotals, RunTrace, SpillTotals, StreamTotals,
-};
+use toreador_dataflow::trace::{Counters, RunTrace};
 
 use crate::challenge::{Challenge, ChoiceVector};
 use crate::error::{LabsError, Result};
@@ -126,53 +124,12 @@ impl RunRecord {
         totals
     }
 
-    /// The worst per-stage straggler factor observed across the record's
-    /// engine runs, when any stage ran tasks.
-    pub fn max_skew_ratio(&self) -> Option<f64> {
+    /// The journal counters of every engine run the campaign made, merged
+    /// by kind. Empty when the record carries no traces.
+    pub fn counters(&self) -> Counters {
         self.traces
             .iter()
-            .filter_map(|t| t.max_skew_ratio())
-            .fold(None, |acc, r| Some(acc.map_or(r, |a: f64| a.max(r))))
-    }
-
-    /// Aggregate resilience cost (retries, backoff, timeouts, panics,
-    /// speculation, cancellations) across every engine run the campaign
-    /// made. All-zero when the run was calm or recorded no traces.
-    pub fn resilience_totals(&self) -> ResilienceTotals {
-        self.traces
-            .iter()
-            .fold(ResilienceTotals::default(), |acc, t| {
-                acc.merge(&t.resilience_totals())
-            })
-    }
-
-    /// Aggregate morsel-pipeline activity (pipeline waves, morsels, steals,
-    /// worker skew) across every engine run the campaign made. All-zero
-    /// when every wave ran whole-partition tasks.
-    pub fn pipeline_totals(&self) -> PipelineTotals {
-        self.traces
-            .iter()
-            .fold(PipelineTotals::default(), |acc, t| {
-                acc.merge(&t.pipeline_totals())
-            })
-    }
-
-    /// Aggregate continuous-streaming activity (acked batches, backpressure
-    /// stalls, watermark motion, late-data accounting) across every engine
-    /// run the campaign made. All-zero for batch campaigns.
-    pub fn stream_totals(&self) -> StreamTotals {
-        self.traces.iter().fold(StreamTotals::default(), |acc, t| {
-            acc.merge(&t.stream_totals())
-        })
-    }
-
-    /// Aggregate out-of-core activity (spilled runs, merges, page faults,
-    /// evictions, peak pool residency) across every engine run the campaign
-    /// made. All-zero when no memory budget was set or it never bit.
-    pub fn spill_totals(&self) -> SpillTotals {
-        self.traces.iter().fold(SpillTotals::default(), |acc, t| {
-            acc.merge(&t.spill_totals())
-        })
+            .fold(Counters::default(), |acc, t| acc.merge(&t.counters()))
     }
 }
 
@@ -309,8 +266,8 @@ mod tests {
         // Provenance carries the engine's flight recordings.
         assert!(!record.traces.is_empty());
         assert!(!record.operator_elapsed_us().is_empty());
-        if let Some(skew) = record.max_skew_ratio() {
-            assert!(skew >= 1.0);
+        if let Some(skew) = record.counters().get("dataflow.task_skew") {
+            assert!(skew.value >= 1.0);
         }
     }
 

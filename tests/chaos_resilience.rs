@@ -26,7 +26,7 @@ use toreador_dataflow::resilience::{
 use toreador_dataflow::scheduler::{run_stage, run_stage_controlled, SchedulerConfig};
 use toreador_dataflow::session::EngineConfig;
 use toreador_dataflow::streaming::{run_continuous, ArrivalSource, ContinuousRun, StreamConfig};
-use toreador_dataflow::trace::{RunTrace, TraceEventKind};
+use toreador_dataflow::trace::{RunTrace, SpillTotals, TraceEventKind};
 
 const THREADS: usize = 16;
 const TASKS: usize = 32;
@@ -237,7 +237,7 @@ fn targeted_faults_recover_exactly_once_each() {
                 FaultKind::Delay { .. } => 1,
                 _ => 2,
             };
-            assert_eq!(trace.resilience_totals().retries, expected_retries);
+            assert_eq!(trace.counters().count("dataflow.retries"), expected_retries);
         }
     }
 }
@@ -258,7 +258,7 @@ fn certain_panic_fails_cleanly_and_never_escapes_run_stage() {
         assert_eq!(classify(&err), ErrorClass::Transient);
         let trace = metrics.trace().snapshot();
         assert_journal_well_formed(&trace);
-        assert!(trace.resilience_totals().panics > 0);
+        assert!(trace.counters().count("dataflow.panics") > 0);
         // The doomed stage cancelled the run.
         assert!(trace
             .events
@@ -288,10 +288,10 @@ fn a_body_panic_on_the_calling_thread_is_caught_and_retried() {
     assert_eq!(calls.load(Ordering::SeqCst), 2);
     let trace = metrics.trace().snapshot();
     assert_journal_well_formed(&trace);
-    let totals = trace.resilience_totals();
+    let c = trace.counters();
     assert_eq!(
-        (totals.panics, totals.retries, totals.backoff_us),
-        (1, 1, 400)
+        ["dataflow.panics", "dataflow.retries", "dataflow.backoff_us"].map(|n| c.count(n)),
+        [1, 1, 400]
     );
 }
 
@@ -372,7 +372,7 @@ fn deadlines_bound_hung_stages_instead_of_hanging_the_caller() {
     assert_eq!(classify(&err), ErrorClass::Transient);
     let trace = metrics.trace().snapshot();
     assert_journal_well_formed(&trace);
-    assert!(trace.resilience_totals().timeouts > 0);
+    assert!(trace.counters().count("dataflow.timeouts") > 0);
 }
 
 #[test]
@@ -400,22 +400,23 @@ fn speculation_under_chaos_keeps_the_journal_paired() {
     );
     let trace = metrics.trace().snapshot();
     assert_journal_well_formed(&trace);
-    let totals = trace.resilience_totals();
+    let c = trace.counters();
+    let launched = c.count("dataflow.speculative_launched");
     assert!(
-        totals.speculative_launched > 0,
-        "the 60 ms straggler must trip speculation: {totals:?}"
+        launched > 0,
+        "the 60 ms straggler must trip speculation: {c:?}"
     );
     // Wins are races that settled; there are never more than launches, and
     // each won race records its losers (one Lost per live losing attempt).
-    assert!(totals.speculative_won <= totals.speculative_launched);
+    assert!(c.count("dataflow.speculative_won") <= launched);
     let lost: usize = trace
         .events
         .iter()
         .filter(|e| matches!(e.kind, TraceEventKind::SpeculativeLost { .. }))
         .count();
     assert!(
-        totals.speculative_won == 0 || lost > 0,
-        "a settled race must record its losing attempt(s): {totals:?}"
+        c.count("dataflow.speculative_won") == 0 || lost > 0,
+        "a settled race must record its losing attempt(s): {c:?}"
     );
 }
 
@@ -695,7 +696,7 @@ fn kill_mid_spill_resumes_clean_with_no_orphaned_page_files() {
     let mut calm = Engine::new(EngineConfig::default().with_threads(4).with_partitions(4));
     calm.register("t", table.clone()).unwrap();
     let baseline = calm.run(&flow_of(&calm)).unwrap();
-    assert!(baseline.trace.spill_totals().is_zero());
+    assert_eq!(baseline.trace.spill_totals(), SpillTotals::default());
 
     // Budget zero: every wide operator spills constantly. Die at the first
     // wave boundary, mid-campaign, after spill files have been written.

@@ -240,3 +240,42 @@ fn labs_provenance_carries_traces_and_compares_operators() {
     let back: toreador_labs::run::RunRecord = serde_json::from_str(&json).unwrap();
     assert_eq!(a, back);
 }
+
+#[test]
+fn campaign_counters_merge_to_the_spill_totals_fold() {
+    // A budgeted wide campaign (one group per row, then a full ranking):
+    // merging the engine runs' counters must project to exactly what
+    // folding each run's `SpillTotals` with `SpillTotals::merge` gives.
+    use std::collections::HashMap;
+    use toreador_core::compile::Bdaas;
+    use toreador_dataflow::trace::{Counters, SpillTotals};
+
+    let rows = 4_000;
+    let data = clickstream(rows, 5);
+    let bdaas = Bdaas::new();
+    let spec = bdaas
+        .parse(&format!(
+            "campaign wide on clicks\nseed 5\n\
+             goal aggregation group_by=event_id agg=count:user_id:events,sum:price:revenue\n\
+             goal ranking by=event_id n={rows} order=asc\n"
+        ))
+        .unwrap();
+    let mut compiled = bdaas.compile(&spec, data.schema(), rows).unwrap();
+    compiled.deployment.engine_config = compiled
+        .deployment
+        .engine_config
+        .clone()
+        .with_memory_budget(16 << 10);
+    let outcome = bdaas.run(&compiled, data, &HashMap::new()).unwrap();
+    let folded = outcome
+        .engine_traces
+        .iter()
+        .map(|t| t.spill_totals())
+        .fold(SpillTotals::default(), |a, b| a.merge(&b));
+    let merged = outcome
+        .engine_traces
+        .iter()
+        .fold(Counters::default(), |acc, t| acc.merge(&t.counters()));
+    assert!(folded.spills > 0, "the budget must bite: {folded:?}");
+    assert_eq!(SpillTotals::from(&merged), folded);
+}
