@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use toreador_data::column::Column;
+use toreador_data::column::{Column, ColumnBuilder};
 use toreador_data::schema::Field;
 use toreador_data::stats::summarize;
 use toreador_data::table::Table;
@@ -63,7 +63,7 @@ impl Scaler {
         let mut out = table.clone();
         for (name, offset, scale) in &self.params {
             let col = out.column(name)?;
-            let mut scaled = Column::with_capacity(DataType::Float, col.len());
+            let mut scaled = ColumnBuilder::with_capacity(DataType::Float, col.len());
             for v in col.iter_values() {
                 if v.is_null() {
                     scaled.push_null();
@@ -71,6 +71,7 @@ impl Scaler {
                     scaled.push(&Value::Float((v.as_float()? - offset) / scale))?;
                 }
             }
+            let scaled = scaled.finish();
             let nullable = out.schema().field(name)?.nullable;
             let tmp_name = format!("__scaled_{name}");
             let with_new = out.with_column(
@@ -173,7 +174,7 @@ impl Imputer {
                         Value::Float(_) => DataType::Float,
                         _ => field.data_type,
                     };
-                    let mut new_col = Column::with_capacity(target_ty, col.len());
+                    let mut new_col = ColumnBuilder::with_capacity(target_ty, col.len());
                     for v in col.iter_values() {
                         let v = if v.is_null() { fill.clone() } else { v };
                         new_col.push(&v.coerce(target_ty)?)?;
@@ -183,7 +184,7 @@ impl Imputer {
                         data_type: target_ty,
                         nullable: false,
                     });
-                    columns.push(new_col);
+                    columns.push(new_col.finish());
                 }
             }
         }
@@ -236,14 +237,14 @@ impl OneHot {
         let col = table.column(&self.column)?.clone();
         let mut out = table.without_column(&self.column)?;
         for cat in &self.categories {
-            let mut flags = Column::with_capacity(DataType::Bool, col.len());
+            let mut flags = ColumnBuilder::with_capacity(DataType::Bool, col.len());
             for v in col.iter_values() {
                 let hit = !v.is_null() && v.as_str()? == cat;
                 flags.push(&Value::Bool(hit))?;
             }
             out = out.with_column(
                 Field::required(format!("{}={}", self.column, cat), DataType::Bool),
-                flags,
+                flags.finish(),
             )?;
         }
         Ok(out)

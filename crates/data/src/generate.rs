@@ -396,6 +396,59 @@ pub fn random_table(rows: usize, cols: usize, seed: u64) -> Table {
     b.finish().expect("generator produces rectangular table")
 }
 
+/// A random five-type table for layout fuzzing: columns `i` (Int), `x`
+/// (Float), `s` (Str), `b` (Bool) and `t` (Timestamp), every one nullable
+/// with ~20% nulls. Floats come from NaNs with distinct payloads, ±0.0,
+/// ±∞ and ordinary values; strings from empty, ASCII and multi-byte UTF-8
+/// text — the cells where a layout can disagree with itself.
+pub fn edge_table(rows: usize, seed: u64) -> Table {
+    const FLOATS: [u64; 8] = [
+        0x0000_0000_0000_0000, // 0.0
+        0x8000_0000_0000_0000, // -0.0
+        0x7ff8_0000_0000_0000, // canonical NaN
+        0x7ff8_0000_0000_0001, // quiet NaN, payload 1
+        0xfff4_0000_0000_00ff, // negative signalling NaN
+        0x7ff0_0000_0000_0000, // +inf
+        0xfff0_0000_0000_0000, // -inf
+        0x3ff8_0000_0000_0000, // 1.5
+    ];
+    const STRS: [&str; 7] = ["", "a", "Zürich", "日本", "🦀x", "ab cd", "é"];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let schema = Schema::new(vec![
+        Field::new("i", DataType::Int),
+        Field::new("x", DataType::Float),
+        Field::new("s", DataType::Str),
+        Field::new("b", DataType::Bool),
+        Field::new("t", DataType::Timestamp),
+    ])
+    .expect("distinct names");
+    let mut b = TableBuilder::with_capacity(schema.clone(), rows);
+    for _ in 0..rows {
+        let row: Vec<Value> = schema
+            .fields()
+            .iter()
+            .map(|f| {
+                if rng.gen_bool(0.2) {
+                    return Value::Null;
+                }
+                match f.data_type {
+                    DataType::Int => Value::Int(rng.gen_range(-3..4)),
+                    DataType::Float => Value::Float(if rng.gen_bool(0.7) {
+                        f64::from_bits(FLOATS[rng.gen_range(0..FLOATS.len())])
+                    } else {
+                        rng.gen_range(-1e3..1e3)
+                    }),
+                    DataType::Str => Value::Str(STRS[rng.gen_range(0..STRS.len())].to_owned()),
+                    DataType::Bool => Value::Bool(rng.gen()),
+                    DataType::Timestamp => Value::Timestamp(rng.gen_range(0..5)),
+                }
+            })
+            .collect();
+        b.push_row(row).expect("generated row matches schema");
+    }
+    b.finish().expect("generator produces rectangular table")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,10 +4,12 @@
 //!
 //! This crate is the bottom of the workspace dependency DAG. It provides:
 //!
-//! * [`value::Value`] / [`value::DataType`] — dynamically typed scalars, the
-//!   row-oriented currency of expression evaluation and shuffles;
+//! * [`value::Value`] / [`value::DataType`] — dynamically typed scalars for
+//!   row-at-a-time construction, display and the test oracles;
 //! * [`schema::Schema`] / [`schema::Field`] — named, typed record schemas;
-//! * [`column::Column`] — typed columnar vectors with validity bitmaps;
+//! * [`column::Column`] — immutable typed lanes (shared `Arc` buffers seen
+//!   through offset windows; text as offsets plus bytes) with validity
+//!   bitmaps, grown only through [`column::ColumnBuilder`];
 //! * [`table::Table`] — immutable rectangular batches with relational
 //!   kernels (project / filter / take / sort / concat);
 //! * [`partition::PartitionedTable`] — horizontal partitioning, the unit of

@@ -6,7 +6,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::{DataError, Result};
-use crate::table::{Table, TableBuilder};
+use crate::table::Table;
 
 /// How rows are distributed across partitions.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -23,7 +23,7 @@ pub enum Partitioning {
 }
 
 /// A table split into horizontal chunks plus the guarantee describing them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionedTable {
     parts: Vec<Table>,
     partitioning: Partitioning,
@@ -47,7 +47,8 @@ impl PartitionedTable {
     /// Split a single table into `n` equal-size contiguous chunks.
     ///
     /// Produces exactly `n` partitions (trailing ones may be empty) so that
-    /// task counts are predictable.
+    /// task counts are predictable. Each chunk is a view sharing `table`'s
+    /// buffers, so a split costs O(n × columns), not O(rows).
     pub fn split(table: Table, n: usize) -> Result<Self> {
         if n == 0 {
             return Err(DataError::Invalid(
@@ -71,42 +72,6 @@ impl PartitionedTable {
             parts: vec![table],
             partitioning: Partitioning::Range,
         }
-    }
-
-    /// Redistribute rows by hash of the named key columns into `n` buckets.
-    pub fn hash_repartition(&self, columns: &[&str], n: usize) -> Result<Self> {
-        if n == 0 {
-            return Err(DataError::Invalid(
-                "cannot repartition into 0 buckets".to_owned(),
-            ));
-        }
-        let schema = self.schema().clone();
-        let key_idx: Vec<usize> = columns
-            .iter()
-            .map(|c| schema.index_of(c))
-            .collect::<Result<Vec<_>>>()?;
-        let mut builders: Vec<TableBuilder> =
-            (0..n).map(|_| TableBuilder::new(schema.clone())).collect();
-        for part in &self.parts {
-            for row in part.iter_rows() {
-                let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
-                for &k in &key_idx {
-                    h = h.rotate_left(5) ^ row[k].hash_code();
-                }
-                builders[(h % n as u64) as usize].push_row(row)?;
-            }
-        }
-        let parts = builders
-            .into_iter()
-            .map(TableBuilder::finish)
-            .collect::<Result<Vec<_>>>()?;
-        PartitionedTable::new(
-            parts,
-            Partitioning::Hash {
-                columns: columns.iter().map(|s| s.to_string()).collect(),
-                partitions: n,
-            },
-        )
     }
 
     pub fn schema(&self) -> &crate::schema::Schema {
@@ -177,41 +142,19 @@ mod tests {
     }
 
     #[test]
-    fn split_zero_is_error() {
-        assert!(PartitionedTable::split(numbers(2), 0).is_err());
-    }
-
-    #[test]
-    fn hash_repartition_groups_keys() {
-        let p = PartitionedTable::split(numbers(100), 3).unwrap();
-        let h = p.hash_repartition(&["k"], 4).unwrap();
-        assert_eq!(h.num_partitions(), 4);
-        assert_eq!(h.total_rows(), 100);
-        // Every key value must live in exactly one partition.
-        for key in 0..7 {
-            let holders = h
-                .parts()
-                .iter()
-                .filter(|t| t.iter_rows().any(|r| r[0] == Value::Int(key)))
-                .count();
-            assert!(holders <= 1, "key {key} appears in {holders} partitions");
+    fn split_parts_share_the_input_buffers() {
+        let t = numbers(10);
+        let p = PartitionedTable::split(t.clone(), 3).unwrap();
+        for part in p.parts() {
+            for (c, src) in part.columns().iter().zip(t.columns()) {
+                assert!(c.shares_storage(src));
+            }
         }
     }
 
     #[test]
-    fn repartition_preserves_multiset() {
-        let p = PartitionedTable::split(numbers(50), 2).unwrap();
-        let h = p.hash_repartition(&["v"], 8).unwrap();
-        let mut vs: Vec<i64> = h
-            .collect()
-            .unwrap()
-            .column("v")
-            .unwrap()
-            .iter_values()
-            .map(|v| v.as_int().unwrap())
-            .collect();
-        vs.sort_unstable();
-        assert_eq!(vs, (0..50).collect::<Vec<_>>());
+    fn split_zero_is_error() {
+        assert!(PartitionedTable::split(numbers(2), 0).is_err());
     }
 
     #[test]
@@ -220,18 +163,5 @@ mod tests {
         let b = a.project(&["k"]).unwrap();
         assert!(PartitionedTable::new(vec![a, b], Partitioning::Arbitrary).is_err());
         assert!(PartitionedTable::new(vec![], Partitioning::Arbitrary).is_err());
-    }
-
-    #[test]
-    fn partitioning_metadata_recorded() {
-        let p = PartitionedTable::split(numbers(10), 2).unwrap();
-        let h = p.hash_repartition(&["k"], 2).unwrap();
-        assert_eq!(
-            h.partitioning(),
-            &Partitioning::Hash {
-                columns: vec!["k".into()],
-                partitions: 2
-            }
-        );
     }
 }

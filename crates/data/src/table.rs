@@ -2,9 +2,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
-use crate::column::Column;
+use crate::column::{Column, ColumnBuilder};
 use crate::error::{DataError, Result};
 use crate::schema::{Field, Schema};
 use crate::value::{Row, Value};
@@ -13,8 +11,10 @@ use crate::value::{Row, Value};
 ///
 /// Tables are the unit of work the dataflow engine moves between operators.
 /// Construction goes through [`Table::new`] (validated) or [`TableBuilder`]
-/// (row-at-a-time with nullability enforcement).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// (row-at-a-time with nullability enforcement). Columns share their
+/// buffers, so `clone`, [`Table::slice`] and [`Table::project`] cost
+/// O(columns); `==` compares contents.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     schema: Schema,
     columns: Vec<Column>,
@@ -176,7 +176,7 @@ impl Table {
         Table::new(self.schema.clone(), columns)
     }
 
-    /// Copy of rows `start..end`.
+    /// A view of rows `start..end` sharing this table's buffers.
     pub fn slice(&self, start: usize, end: usize) -> Result<Table> {
         let columns = self
             .columns
@@ -186,19 +186,41 @@ impl Table {
         Table::new(self.schema.clone(), columns)
     }
 
-    /// Concatenate tables with identical schemas.
+    /// Concatenate tables with identical schemas. One part is returned as
+    /// a shared view; several are copied into fresh buffers, one bulk
+    /// copy per lane.
     pub fn concat(parts: &[Table]) -> Result<Table> {
         let first = parts
             .first()
             .ok_or_else(|| DataError::Invalid("concat requires at least one table".to_owned()))?;
-        let mut columns: Vec<Column> = first.columns.clone();
         for part in &parts[1..] {
             first.schema.ensure_same(&part.schema)?;
-            for (dst, src) in columns.iter_mut().zip(&part.columns) {
-                dst.extend_from(src)?;
-            }
         }
+        if parts.len() == 1 {
+            return Ok(first.clone());
+        }
+        let rows = parts.iter().map(Table::num_rows).sum();
+        let columns = (0..first.columns.len())
+            .map(|c| {
+                let mut b = ColumnBuilder::with_capacity(first.columns[c].data_type(), rows);
+                for part in parts {
+                    b.extend_from(&part.columns[c])?;
+                }
+                Ok(b.finish())
+            })
+            .collect::<Result<Vec<_>>>()?;
         Table::new(first.schema.clone(), columns)
+    }
+
+    /// A copy in fresh buffers of exactly this view's size (see
+    /// [`Column::compact`]): what an operator keeping a small subset of a
+    /// large input returns, so the result does not pin the input.
+    pub fn compact(&self) -> Table {
+        Table {
+            schema: self.schema.clone(),
+            columns: self.columns.iter().map(Column::compact).collect(),
+            rows: self.rows,
+        }
     }
 
     /// Stable sort by the named columns (all ascending unless `descending`).
@@ -255,26 +277,12 @@ impl Table {
         self.project(&names)
     }
 
-    /// Rough in-memory footprint in bytes (used by quota accounting).
-    pub fn approx_bytes(&self) -> usize {
-        self.columns
-            .iter()
-            .map(|c| match c {
-                Column::Bool { data, .. } => data.len(),
-                Column::Int { data, .. } | Column::Timestamp { data, .. } => data.len() * 8,
-                Column::Float { data, .. } => data.len() * 8,
-                Column::Str { data, .. } => data.iter().map(|s| s.len() + 24).sum(),
-            })
-            .sum()
-    }
-
-    /// Render the first `limit` rows as an aligned text grid (for examples
-    /// and the Labs CLI output).
+    /// Render the first `limit` rows as an aligned text grid under a rule
+    /// line (for examples and the Labs CLI output).
     pub fn show(&self, limit: usize) -> String {
-        let names = self.schema.names();
         let n = self.rows.min(limit);
         let mut cells: Vec<Vec<String>> = Vec::with_capacity(n + 1);
-        cells.push(names.iter().map(|s| s.to_string()).collect());
+        cells.push(self.schema.names().iter().map(|s| s.to_string()).collect());
         for i in 0..n {
             cells.push(
                 self.columns
@@ -283,25 +291,12 @@ impl Table {
                     .collect(),
             );
         }
-        let widths: Vec<usize> = (0..names.len())
-            .map(|c| cells.iter().map(|r| r[c].len()).max().unwrap_or(0))
-            .collect();
-        let mut out = String::new();
-        for (ri, row) in cells.iter().enumerate() {
-            for (ci, cell) in row.iter().enumerate() {
-                if ci > 0 {
-                    out.push_str("  ");
-                }
-                out.push_str(cell);
-                out.extend(std::iter::repeat(' ').take(widths[ci] - cell.len()));
-            }
-            out.push('\n');
-            if ri == 0 {
-                let total: usize = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
-                out.extend(std::iter::repeat('-').take(total));
-                out.push('\n');
-            }
-        }
+        let grid = render_grid(&cells);
+        let (header, body) = grid.split_at(grid.find('\n').map_or(0, |i| i + 1));
+        let mut out = String::from(header);
+        out.extend(std::iter::repeat('-').take(header.trim_end_matches('\n').chars().count()));
+        out.push('\n');
+        out.push_str(body);
         if self.rows > limit {
             out.push_str(&format!("... ({} more rows)\n", self.rows - limit));
         }
@@ -310,11 +305,12 @@ impl Table {
 }
 
 /// Render rows of cells as left-aligned columns two spaces apart, one line
-/// per row. Every row must have as many cells as the first.
+/// per row. Every row must have as many cells as the first. Widths count
+/// characters, not bytes, so multi-byte text stays aligned.
 pub fn render_grid(grid: &[Vec<String>]) -> String {
     let columns = grid.first().map_or(0, Vec::len);
     let widths: Vec<usize> = (0..columns)
-        .map(|c| grid.iter().map(|r| r[c].len()).max().unwrap_or(0))
+        .map(|c| grid.iter().map(|r| r[c].chars().count()).max().unwrap_or(0))
         .collect();
     let mut out = String::new();
     for row in grid {
@@ -323,7 +319,7 @@ pub fn render_grid(grid: &[Vec<String>]) -> String {
                 out.push_str("  ");
             }
             out.push_str(cell);
-            out.extend(std::iter::repeat(' ').take(widths[c] - cell.len()));
+            out.extend(std::iter::repeat(' ').take(widths[c] - cell.chars().count()));
         }
         out.push('\n');
     }
@@ -340,29 +336,20 @@ impl fmt::Display for Table {
 #[derive(Debug)]
 pub struct TableBuilder {
     schema: Schema,
-    columns: Vec<Column>,
+    columns: Vec<ColumnBuilder>,
     rows: usize,
 }
 
 impl TableBuilder {
     pub fn new(schema: Schema) -> Self {
-        let columns = schema
-            .fields()
-            .iter()
-            .map(|f| Column::empty(f.data_type))
-            .collect();
-        TableBuilder {
-            schema,
-            columns,
-            rows: 0,
-        }
+        Self::with_capacity(schema, 0)
     }
 
     pub fn with_capacity(schema: Schema, cap: usize) -> Self {
         let columns = schema
             .fields()
             .iter()
-            .map(|f| Column::with_capacity(f.data_type, cap))
+            .map(|f| ColumnBuilder::with_capacity(f.data_type, cap))
             .collect();
         TableBuilder {
             schema,
@@ -403,7 +390,12 @@ impl TableBuilder {
     }
 
     pub fn finish(self) -> Result<Table> {
-        Table::new(self.schema, self.columns)
+        let columns = self
+            .columns
+            .into_iter()
+            .map(ColumnBuilder::finish)
+            .collect();
+        Table::new(self.schema, columns)
     }
 }
 
@@ -607,7 +599,45 @@ mod tests {
     }
 
     #[test]
-    fn approx_bytes_is_positive() {
-        assert!(people().approx_bytes() > 0);
+    fn grids_pad_by_characters() {
+        let grid = [["city", "n"], ["Zürich", "1"], ["Berlin", "22"]]
+            .map(|row| row.map(str::to_owned).to_vec());
+        assert_eq!(render_grid(&grid), "city    n \nZürich  1 \nBerlin  22\n");
+        let schema = Schema::new(vec![Field::new("city", DataType::Str)]).unwrap();
+        let t = Table::new(schema, vec![Column::from_strs(vec!["Zürich", "Berlin"])]).unwrap();
+        assert_eq!(t.show(5), "city  \n------\nZürich\nBerlin\n");
+    }
+
+    #[test]
+    fn views_share_buffers_and_compact_copies() {
+        let t = people();
+        let shares = |a: &Table, b: &Table| {
+            a.columns()
+                .iter()
+                .zip(b.columns())
+                .all(|(x, y)| x.shares_storage(y))
+        };
+        assert!(shares(&t.clone(), &t));
+        assert!(shares(&t.slice(1, 3).unwrap(), &t));
+        let p = t.project(&["age", "name"]).unwrap();
+        assert!(p
+            .column("age")
+            .unwrap()
+            .shares_storage(t.column("age").unwrap()));
+        assert!(p
+            .column("name")
+            .unwrap()
+            .shares_storage(t.column("name").unwrap()));
+        let c = t.slice(1, 2).unwrap().compact();
+        assert_eq!(c, t.slice(1, 2).unwrap());
+        assert!(c
+            .columns()
+            .iter()
+            .zip(t.columns())
+            .all(|(x, y)| !x.shares_storage(y)));
+        assert!(!shares(
+            &Table::concat(&[t.clone(), t.clone()]).unwrap(),
+            &t
+        ));
     }
 }

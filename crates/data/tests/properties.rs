@@ -54,23 +54,6 @@ proptest! {
     }
 
     #[test]
-    fn hash_repartition_preserves_multiset(rows in 1usize..150, buckets in 1usize..8, seed in 0u64..50) {
-        let t = random_table(rows, 3, seed);
-        let p = PartitionedTable::single(t.clone());
-        let h = p.hash_repartition(&["c0"], buckets).unwrap();
-        prop_assert_eq!(h.total_rows(), rows);
-        let mut orig: Vec<String> = t.iter_rows().map(|r| format!("{r:?}")).collect();
-        let mut redis: Vec<String> = h
-            .parts()
-            .iter()
-            .flat_map(|p| p.iter_rows().map(|r| format!("{r:?}")))
-            .collect();
-        orig.sort();
-        redis.sort();
-        prop_assert_eq!(orig, redis);
-    }
-
-    #[test]
     fn csv_round_trip_is_identity_modulo_empty_strings(rows in 0usize..60, seed in 0u64..100) {
         // random_table's strings are non-empty, so inference round-trips.
         let t = random_table(rows, 5, seed);

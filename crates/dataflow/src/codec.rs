@@ -28,7 +28,7 @@ use std::path::Path;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use toreador_data::column::{Column, Validity};
+use toreador_data::column::{LaneRef, Validity};
 use toreador_data::schema::Schema;
 use toreador_data::table::{Table, TableBuilder};
 use toreador_data::value::{Row, Value};
@@ -142,27 +142,16 @@ pub fn decode_row(buf: &mut Bytes) -> Result<Row> {
     Ok(row)
 }
 
-/// A borrowed typed view of one column, for encoding rows (or whole lanes)
-/// straight out of the native columns without building `Value`s.
-pub enum Lane<'a> {
-    Bool(&'a [bool], &'a Validity),
-    Int(&'a [i64], &'a Validity),
-    Float(&'a [f64], &'a Validity),
-    Str(&'a [String], &'a Validity),
-    Ts(&'a [i64], &'a Validity),
-}
+/// One column borrowed as its lane plus validity, for encoding rows (or
+/// whole lanes) straight out of the native columns without building
+/// `Value`s.
+pub type Lane<'a> = (LaneRef<'a>, &'a Validity);
 
 /// Borrow every column of `t` as a [`Lane`].
 pub fn lanes(t: &Table) -> Vec<Lane<'_>> {
     t.columns()
         .iter()
-        .map(|c| match c {
-            Column::Bool { data, validity } => Lane::Bool(data, validity),
-            Column::Int { data, validity } => Lane::Int(data, validity),
-            Column::Float { data, validity } => Lane::Float(data, validity),
-            Column::Str { data, validity } => Lane::Str(data, validity),
-            Column::Timestamp { data, validity } => Lane::Ts(data, validity),
-        })
+        .map(|c| (c.lane(), c.validity()))
         .collect()
 }
 
@@ -171,47 +160,33 @@ pub fn lanes(t: &Table) -> Vec<Lane<'_>> {
 /// is the unit both the row codec and the pager's per-lane extents are
 /// built from, which is what keeps the two byte-identical by construction.
 pub fn encode_cell(lane: &Lane<'_>, i: usize, buf: &mut BytesMut) {
-    match lane {
-        Lane::Bool(data, validity) => {
-            if validity.get(i) {
-                buf.put_u8(TAG_BOOL);
-                buf.put_u8(data[i] as u8);
-            } else {
-                buf.put_u8(TAG_NULL);
-            }
+    let (data, validity) = lane;
+    if !validity.get(i) {
+        buf.put_u8(TAG_NULL);
+        return;
+    }
+    match data {
+        LaneRef::Bool(d) => {
+            buf.put_u8(TAG_BOOL);
+            buf.put_u8(d[i] as u8);
         }
-        Lane::Int(data, validity) => {
-            if validity.get(i) {
-                buf.put_u8(TAG_INT);
-                buf.put_i64_le(data[i]);
-            } else {
-                buf.put_u8(TAG_NULL);
-            }
+        LaneRef::Int(d) => {
+            buf.put_u8(TAG_INT);
+            buf.put_i64_le(d[i]);
         }
-        Lane::Float(data, validity) => {
-            if validity.get(i) {
-                buf.put_u8(TAG_FLOAT);
-                buf.put_f64_le(data[i]);
-            } else {
-                buf.put_u8(TAG_NULL);
-            }
+        LaneRef::Float(d) => {
+            buf.put_u8(TAG_FLOAT);
+            buf.put_f64_le(d[i]);
         }
-        Lane::Str(data, validity) => {
-            if validity.get(i) {
-                buf.put_u8(TAG_STR);
-                buf.put_u32_le(data[i].len() as u32);
-                buf.put_slice(data[i].as_bytes());
-            } else {
-                buf.put_u8(TAG_NULL);
-            }
+        LaneRef::Str(d) => {
+            let s = d.bytes(i);
+            buf.put_u8(TAG_STR);
+            buf.put_u32_le(s.len() as u32);
+            buf.put_slice(s);
         }
-        Lane::Ts(data, validity) => {
-            if validity.get(i) {
-                buf.put_u8(TAG_TS);
-                buf.put_i64_le(data[i]);
-            } else {
-                buf.put_u8(TAG_NULL);
-            }
+        LaneRef::Timestamp(d) => {
+            buf.put_u8(TAG_TS);
+            buf.put_i64_le(d[i]);
         }
     }
 }

@@ -14,7 +14,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use toreador_data::column::Column;
+use toreador_data::column::{Column, ColumnBuilder};
 use toreador_data::schema::Schema;
 use toreador_data::table::Table;
 use toreador_data::value::{DataType, Row, Value};
@@ -360,13 +360,13 @@ impl Expr {
     /// Evaluate over a whole table, producing a column of the inferred type.
     pub fn eval_table(&self, table: &Table) -> Result<Column> {
         let ty = self.infer_type(table.schema())?;
-        let mut out = Column::with_capacity(ty, table.num_rows());
+        let mut out = ColumnBuilder::with_capacity(ty, table.num_rows());
         for row in table.iter_rows() {
             let v = self.eval(table.schema(), &row)?;
             let v = v.coerce(ty).map_err(FlowError::Data)?;
             out.push(&v)?;
         }
-        Ok(out)
+        Ok(out.finish())
     }
 
     /// Evaluate a boolean predicate over a table into a selection mask.

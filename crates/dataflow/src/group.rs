@@ -29,7 +29,7 @@ mod oracle;
 use std::cmp::Ordering;
 use std::collections::HashSet;
 
-use toreador_data::column::{Column, Validity};
+use toreador_data::column::{Buffer, Column, LaneRef, Validity};
 use toreador_data::error::DataError;
 use toreador_data::schema::{Field, Schema};
 use toreador_data::table::Table;
@@ -236,62 +236,58 @@ fn cmp_rows(col: &Column, a: usize, b: usize) -> Ordering {
 /// Rows `idx` of `col` as a new column; [`NONE`] and null rows become
 /// nulls holding the type's default, whatever the source's null slot held.
 fn gather_or_null(col: &Column, idx: &[u32]) -> Column {
-    fn pick<T: Clone + Default>(
-        data: &[T],
-        validity: &Validity,
-        idx: &[u32],
-    ) -> (Vec<T>, Validity) {
-        let mut out = Vec::with_capacity(idx.len());
-        let mut valid = Validity::new();
-        for &i in idx {
-            if i != NONE && validity.get(i as usize) {
-                out.push(data[i as usize].clone());
-                valid.push(true);
-            } else {
-                out.push(T::default());
-                valid.push(false);
-            }
-        }
-        (out, valid)
+    let valid = |i: u32| i != NONE && col.validity().get(i as usize);
+    let validity: Validity = idx.iter().map(|&i| valid(i)).collect();
+    fn pick<T: Copy + Default>(data: &[T], idx: &[u32], valid: impl Fn(u32) -> bool) -> Buffer<T> {
+        idx.iter()
+            .map(|&i| {
+                if valid(i) {
+                    data[i as usize]
+                } else {
+                    T::default()
+                }
+            })
+            .collect()
     }
     match col {
-        Column::Bool { data, validity } => {
-            let (data, validity) = pick(data, validity, idx);
-            Column::Bool { data, validity }
-        }
-        Column::Int { data, validity } => {
-            let (data, validity) = pick(data, validity, idx);
-            Column::Int { data, validity }
-        }
-        Column::Float { data, validity } => {
-            let (data, validity) = pick(data, validity, idx);
-            Column::Float { data, validity }
-        }
-        Column::Str { data, validity } => {
-            let (data, validity) = pick(data, validity, idx);
-            Column::Str { data, validity }
-        }
-        Column::Timestamp { data, validity } => {
-            let (data, validity) = pick(data, validity, idx);
-            Column::Timestamp { data, validity }
-        }
+        Column::Bool { data, .. } => Column::Bool {
+            data: pick(data, idx, valid),
+            validity,
+        },
+        Column::Int { data, .. } => Column::Int {
+            data: pick(data, idx, valid),
+            validity,
+        },
+        Column::Float { data, .. } => Column::Float {
+            data: pick(data, idx, valid),
+            validity,
+        },
+        Column::Str { data, .. } => Column::Str {
+            data: idx
+                .iter()
+                .map(|&i| if valid(i) { &data[i as usize] } else { "" })
+                .collect(),
+            validity,
+        },
+        Column::Timestamp { data, .. } => Column::Timestamp {
+            data: pick(data, idx, valid),
+            validity,
+        },
+    }
+}
+
+/// Valid where `seen` (all valid without it), groups in `order`.
+fn order_validity(seen: Option<&[bool]>, order: &[u32]) -> Validity {
+    match seen {
+        None => Validity::all_valid(order.len()),
+        Some(seen) => order.iter().map(|&g| seen[g as usize]).collect(),
     }
 }
 
 /// `vals` in `order`, valid where `seen` (all valid without it).
-fn permute<T: Clone>(vals: &[T], seen: Option<&[bool]>, order: &[u32]) -> (Vec<T>, Validity) {
-    let data = order.iter().map(|&g| vals[g as usize].clone()).collect();
-    let validity = match seen {
-        None => Validity::all_valid(order.len()),
-        Some(seen) => {
-            let mut v = Validity::new();
-            for &g in order {
-                v.push(seen[g as usize]);
-            }
-            v
-        }
-    };
-    (data, validity)
+fn permute<T: Copy>(vals: &[T], seen: Option<&[bool]>, order: &[u32]) -> (Buffer<T>, Validity) {
+    let data = order.iter().map(|&g| vals[g as usize]).collect();
+    (data, order_validity(seen, order))
 }
 
 /// A finished table, refusing a null in a non-nullable field exactly as
@@ -470,7 +466,7 @@ impl AccLane {
                 }
             }
             AccLane::SumInt { sum, seen } => {
-                let Column::Int { data, .. } = input else {
+                let LaneRef::Int(data) = input.lane() else {
                     return Err(type_error("Int", input));
                 };
                 for (row, g) in rows {
@@ -481,7 +477,7 @@ impl AccLane {
                 }
             }
             AccLane::SumFloat { sum, seen } => {
-                let Column::Float { data, .. } = input else {
+                let LaneRef::Float(data) = input.lane() else {
                     return Err(type_error("Float", input));
                 };
                 for (row, g) in rows {
@@ -503,12 +499,13 @@ impl AccLane {
                 }
             }
             AccLane::Mean { sum, n } => {
+                let lane = input.lane();
                 for (row, g) in rows {
                     if valid.get(row) {
-                        sum[g] += match input {
-                            Column::Int { data, .. } => data[row] as f64,
-                            Column::Float { data, .. } => data[row],
-                            other => return Err(type_error("Float", other)),
+                        sum[g] += match lane {
+                            LaneRef::Int(data) => data[row] as f64,
+                            LaneRef::Float(data) => data[row],
+                            _ => return Err(type_error("Float", input)),
                         };
                         n[g] += 1;
                     }
@@ -516,21 +513,45 @@ impl AccLane {
             }
             AccLane::Best { best, seen, want } => {
                 let want = *want;
-                match (best, input) {
-                    (Best::Bool(v), Column::Bool { data, .. }) => {
-                        fold_best(v, seen, data, valid, rows, want, bool::cmp)
-                    }
-                    (Best::Int(v), Column::Int { data, .. })
-                    | (Best::Timestamp(v), Column::Timestamp { data, .. }) => {
-                        fold_best(v, seen, data, valid, rows, want, i64::cmp)
-                    }
-                    (Best::Float(v), Column::Float { data, .. }) => {
-                        fold_best(v, seen, data, valid, rows, want, f64::total_cmp)
-                    }
-                    (Best::Str(v), Column::Str { data, .. }) => {
-                        fold_best(v, seen, data, valid, rows, want, String::cmp)
-                    }
-                    (best, other) => {
+                match (best, input.lane()) {
+                    (Best::Bool(v), LaneRef::Bool(data)) => fold_best(
+                        v,
+                        seen,
+                        valid,
+                        rows,
+                        want,
+                        |r, m| data[r].cmp(m),
+                        |r| data[r],
+                    ),
+                    (Best::Int(v), LaneRef::Int(data))
+                    | (Best::Timestamp(v), LaneRef::Timestamp(data)) => fold_best(
+                        v,
+                        seen,
+                        valid,
+                        rows,
+                        want,
+                        |r, m| data[r].cmp(m),
+                        |r| data[r],
+                    ),
+                    (Best::Float(v), LaneRef::Float(data)) => fold_best(
+                        v,
+                        seen,
+                        valid,
+                        rows,
+                        want,
+                        |r, m| data[r].total_cmp(m),
+                        |r| data[r],
+                    ),
+                    (Best::Str(v), LaneRef::Str(data)) => fold_best(
+                        v,
+                        seen,
+                        valid,
+                        rows,
+                        want,
+                        |r, m: &String| data[r].cmp(m.as_str()),
+                        |r| data[r].to_owned(),
+                    ),
+                    (best, _) => {
                         let expected = match best {
                             Best::Bool(_) => "Bool",
                             Best::Int(_) => "Int",
@@ -538,7 +559,7 @@ impl AccLane {
                             Best::Str(_) => "Str",
                             Best::Timestamp(_) => "Timestamp",
                         };
-                        return Err(type_error(expected, other));
+                        return Err(type_error(expected, input));
                     }
                 }
             }
@@ -584,12 +605,11 @@ impl AccLane {
                 Column::Float { data, validity }
             }
             AccLane::Mean { sum, n } => {
-                let mut validity = Validity::new();
+                let validity = order.iter().map(|&g| n[g as usize] != 0).collect();
                 let data = order
                     .iter()
                     .map(|&g| {
                         let (s, n) = (sum[g as usize], n[g as usize]);
-                        validity.push(n != 0);
                         if n == 0 {
                             0.0
                         } else {
@@ -612,10 +632,10 @@ impl AccLane {
                     let (data, validity) = permute(v, Some(seen), order);
                     Column::Float { data, validity }
                 }
-                Best::Str(v) => {
-                    let (data, validity) = permute(v, Some(seen), order);
-                    Column::Str { data, validity }
-                }
+                Best::Str(v) => Column::Str {
+                    data: order.iter().map(|&g| &v[g as usize]).collect(),
+                    validity: order_validity(Some(seen), order),
+                },
                 Best::Timestamp(v) => {
                     let (data, validity) = permute(v, Some(seen), order);
                     Column::Timestamp { data, validity }
@@ -632,18 +652,20 @@ impl AccLane {
 
 /// Keep, per group, the first value no other beats by `want` (the row
 /// kernels' `if m is null || v.total_cmp(m) == want { m = v }`).
-fn fold_best<T: Clone>(
+/// `cmp(row, m)` orders input row `row` against the kept value `m`, and
+/// `take(row)` makes the row's value the kept one.
+fn fold_best<T>(
     vals: &mut [T],
     seen: &mut [bool],
-    data: &[T],
     valid: &Validity,
     rows: impl Iterator<Item = (usize, usize)>,
     want: Ordering,
-    cmp: impl Fn(&T, &T) -> Ordering,
+    cmp: impl Fn(usize, &T) -> Ordering,
+    take: impl Fn(usize) -> T,
 ) {
     for (row, g) in rows {
-        if valid.get(row) && (!seen[g] || cmp(&data[row], &vals[g]) == want) {
-            vals[g] = data[row].clone();
+        if valid.get(row) && (!seen[g] || cmp(row, &vals[g]) == want) {
+            vals[g] = take(row);
             seen[g] = true;
         }
     }
@@ -1077,18 +1099,15 @@ mod tests {
     #[test]
     fn gathered_nulls_hold_the_default_whatever_the_source_held() {
         // A null slot carrying 7 (as a vectorized kernel may leave it).
-        let mut validity = Validity::new();
-        validity.push(true);
-        validity.push(false);
         let c = Column::Int {
-            data: vec![3, 7],
-            validity,
+            data: vec![3, 7].into(),
+            validity: [true, false].into_iter().collect(),
         };
         let out = gather_or_null(&c, &[1, 0, NONE]);
         let Column::Int { data, validity } = &out else {
             unreachable!()
         };
-        assert_eq!(data, &vec![0, 3, 0]);
+        assert_eq!(**data, [0, 3, 0]);
         assert_eq!(validity.null_count(), 2);
     }
 }

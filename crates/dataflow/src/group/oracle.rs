@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use toreador_data::column::{Column, Validity};
+use toreador_data::column::{Column, ValidityBuilder};
 use toreador_data::partition::PartitionedTable;
 use toreador_data::schema::{Field, Schema};
 use toreador_data::table::{Table, TableBuilder};
@@ -443,7 +443,7 @@ const TYPES: [DataType; 5] = [
 
 fn column_of(ty: DataType, rows: usize, rng: &mut StdRng) -> Column {
     let null_rate = [0.0, 0.1, 0.4][rng.gen_range(0..3)];
-    let mut validity = Validity::new();
+    let mut validity = ValidityBuilder::new();
     let mut valid = |rng: &mut StdRng| {
         let v = !rng.gen_bool(null_rate);
         validity.push(v);
@@ -462,7 +462,10 @@ fn column_of(ty: DataType, rows: usize, rng: &mut StdRng) -> Column {
                     }
                 })
                 .collect();
-            Column::Int { data, validity }
+            Column::Int {
+                data,
+                validity: validity.finish(),
+            }
         }
         DataType::Float => {
             let data = (0..rows)
@@ -475,7 +478,10 @@ fn column_of(ty: DataType, rows: usize, rng: &mut StdRng) -> Column {
                     }
                 })
                 .collect();
-            Column::Float { data, validity }
+            Column::Float {
+                data,
+                validity: validity.finish(),
+            }
         }
         DataType::Str => {
             let data = (0..rows)
@@ -484,7 +490,10 @@ fn column_of(ty: DataType, rows: usize, rng: &mut StdRng) -> Column {
                     STRS[rng.gen_range(0..STRS.len())].to_owned()
                 })
                 .collect();
-            Column::Str { data, validity }
+            Column::Str {
+                data,
+                validity: validity.finish(),
+            }
         }
         DataType::Bool => {
             let data = (0..rows)
@@ -493,7 +502,10 @@ fn column_of(ty: DataType, rows: usize, rng: &mut StdRng) -> Column {
                     rng.gen_bool(0.5)
                 })
                 .collect();
-            Column::Bool { data, validity }
+            Column::Bool {
+                data,
+                validity: validity.finish(),
+            }
         }
         DataType::Timestamp => {
             let data = (0..rows)
@@ -502,7 +514,10 @@ fn column_of(ty: DataType, rows: usize, rng: &mut StdRng) -> Column {
                     rng.gen_range(0..4)
                 })
                 .collect();
-            Column::Timestamp { data, validity }
+            Column::Timestamp {
+                data,
+                validity: validity.finish(),
+            }
         }
     }
 }

@@ -483,11 +483,14 @@ fn exec_scan(ctx: &ExecContext<'_>, dataset: &str, schema: &Schema) -> Result<Pa
         .schema()
         .ensure_same(schema)
         .map_err(FlowError::Data)?;
-    // Re-split single-partition datasets to the configured parallelism.
-    let out = if found.num_partitions() == 1 && ctx.config.partitions > 1 {
-        PartitionedTable::split(found.collect()?, ctx.config.partitions)?
-    } else {
-        found.clone()
+    // Partitions are views sharing the registered buffers, so both arms
+    // cost O(columns): a single-partition dataset is re-split to the
+    // configured parallelism, anything else is handed over as registered.
+    let out = match found.parts() {
+        [only] if ctx.config.partitions > 1 => {
+            PartitionedTable::split(only.clone(), ctx.config.partitions)?
+        }
+        _ => found.clone(),
     };
     ctx.metrics.record_node(
         format!("Scan {dataset}"),
@@ -987,14 +990,14 @@ fn exec_top_k(
             move || {
                 let sorted = t.sort_by(key_refs_ref, descending)?;
                 let take = sorted.num_rows().min(n);
-                sorted.slice(0, take).map_err(FlowError::Data)
+                Ok(sorted.slice(0, take)?.compact())
             }
         })
         .collect();
     let locals = ctx.run_stage(stage, total_rows(&parts), tasks)?;
     let merged = Table::concat(&locals)?.sort_by(&key_refs, descending)?;
     let take = merged.num_rows().min(n);
-    let out = merged.slice(0, take)?;
+    let out = merged.slice(0, take)?.compact();
     ctx.metrics
         .record_node(desc, stage, out.num_rows() as u64, started.elapsed(), 0);
     Ok(PartitionedTable::single(out))
@@ -1014,7 +1017,8 @@ fn exec_limit(
             break;
         }
         let take = part.num_rows().min(remaining);
-        kept.push(part.slice(0, take)?);
+        // A copy, not a view: a small result must not pin the input.
+        kept.push(part.slice(0, take)?.compact());
         remaining -= take;
     }
     if kept.is_empty() {

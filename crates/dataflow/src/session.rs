@@ -339,6 +339,8 @@ mod tests {
     use crate::trace::SpillTotals;
     use toreador_data::column::Column;
     use toreador_data::generate::{clickstream, clickstream_schema, random_table};
+    use toreador_data::schema::{Field, Schema};
+    use toreador_data::value::DataType;
 
     fn engine() -> Engine {
         let mut e = Engine::new(EngineConfig::default().with_threads(2));
@@ -629,5 +631,58 @@ mod tests {
         let a = e.run(&flow).unwrap();
         let b = e.run(&flow).unwrap();
         assert_eq!(a.table, b.table);
+    }
+
+    #[test]
+    fn register_and_scan_share_the_input_buffers() {
+        let input = clickstream(10_000, 3);
+        let mut e = Engine::new(EngineConfig::default().with_threads(2).with_partitions(4));
+        e.register("clicks", input.clone()).unwrap();
+        let metrics = MetricsCollector::new();
+        let ctx = ExecContext::new(&e.datasets, e.config.exec_config(), &metrics);
+        let scanned = execute(&ctx, e.flow("clicks").unwrap().plan()).unwrap();
+        assert_eq!(scanned.num_partitions(), 4);
+        assert_eq!(scanned.total_rows(), input.num_rows());
+        for part in scanned.parts() {
+            for (c, src) in part.columns().iter().zip(input.columns()) {
+                assert!(c.shares_storage(src));
+            }
+        }
+    }
+
+    #[test]
+    fn limit_and_top_k_results_do_not_pin_their_input() {
+        let n = 1_000_000;
+        let input = Table::new(
+            Schema::new(vec![
+                Field::new("k", DataType::Int),
+                Field::new("s", DataType::Str),
+            ])
+            .unwrap(),
+            vec![
+                Column::from_ints((0..n as i64).map(|i| (i * 7919) % 1_000_003).collect()),
+                Column::from_strs(
+                    (0..n)
+                        .map(|i| if i % 2 == 0 { "even" } else { "odd" })
+                        .collect(),
+                ),
+            ],
+        )
+        .unwrap();
+        let mut e = Engine::new(EngineConfig::default().with_threads(2).with_partitions(4));
+        e.register("t", input.clone()).unwrap();
+        let limited = e.run(&e.flow("t").unwrap().limit(10)).unwrap().table;
+        let top = e
+            .run(&e.flow("t").unwrap().sort(&["k"], true).unwrap().limit(10))
+            .unwrap()
+            .table;
+        for out in [&limited, &top] {
+            assert_eq!(out.num_rows(), 10);
+            for (c, src) in out.columns().iter().zip(input.columns()) {
+                assert!(!c.shares_storage(src));
+            }
+        }
+        assert_eq!(limited.value(0, "k").unwrap(), input.value(0, "k").unwrap());
+        assert_eq!(top.value(0, "k").unwrap().as_int().unwrap(), 1_000_002);
     }
 }

@@ -108,7 +108,16 @@ pub fn column_hash_codes_range(col: &Column, lo: usize, hi: usize) -> Vec<u64> {
             }
         }),
         Column::Str { data, validity } => {
-            lane(data, validity, lo, hi, |s| fnv_tagged(4, s.as_bytes()))
+            let null = fnv_tagged(0, &[]);
+            (lo..hi)
+                .map(|i| {
+                    if validity.get(i) {
+                        fnv_tagged(4, data.bytes(i))
+                    } else {
+                        null
+                    }
+                })
+                .collect()
         }
         Column::Timestamp { data, validity } => {
             lane(data, validity, lo, hi, |t| fnv_tagged(5, &t.to_le_bytes()))
@@ -584,7 +593,7 @@ mod tests {
         }
         // The integral-float rule survives the lane path.
         let col = Column::Float {
-            data: vec![7.0, 2.5, f64::NAN, -0.0],
+            data: vec![7.0, 2.5, f64::NAN, -0.0].into(),
             validity: toreador_data::column::Validity::all_valid(4),
         };
         let codes = column_hash_codes(&col);

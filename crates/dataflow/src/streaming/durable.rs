@@ -166,7 +166,7 @@ fn for_each_state_row(
     let sums = sum_col.map(|c| batch_result.column(c)).transpose()?;
     for row in 0..batch_result.num_rows() {
         let key = match keys {
-            Column::Str { data, validity } if validity.get(row) => data[row].clone(),
+            Column::Str { data, validity } if validity.get(row) => data[row].to_owned(),
             _ => match keys.value(row)? {
                 Value::Null => {
                     return Err(FlowError::Stream(format!(

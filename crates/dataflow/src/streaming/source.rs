@@ -290,6 +290,15 @@ mod tests {
     }
 
     #[test]
+    fn arrival_batches_are_views_of_the_source_table() {
+        let t = ts_table(&[100, 900, 1_100, 150, 3_200]);
+        let mut s = ArrivalSource::windows(&t, "ts", 1000).unwrap();
+        while let Some(batch) = s.next_batch().unwrap() {
+            assert!(batch.rows.columns()[0].shares_storage(&t.columns()[0]));
+        }
+    }
+
+    #[test]
     fn arrival_windows_match_tumbling_on_ordered_input() {
         // Non-decreasing timestamps: the cuts of event-time tumbling
         // windows 0, 1 and 5, with the empty windows 2-4 left out.

@@ -36,7 +36,9 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
-use toreador_data::column::{Column, Validity};
+use toreador_data::column::{
+    Buffer, Column, ColumnBuilder, LaneRef, StrLane, Validity, ValidityBuilder,
+};
 use toreador_data::schema::Schema;
 use toreador_data::table::Table;
 use toreador_data::value::{DataType, Value};
@@ -153,7 +155,7 @@ fn coerce_column(c: Column, ty: DataType) -> Result<Column> {
     }
     match (c, ty) {
         (Column::Int { data, validity }, DataType::Float) => Ok(Column::Float {
-            data: data.into_iter().map(|i| i as f64).collect(),
+            data: data.iter().map(|&i| i as f64).collect(),
             validity,
         }),
         (c, ty) => Err(internal(&format!(
@@ -166,32 +168,32 @@ fn coerce_column(c: Column, ty: DataType) -> Result<Column> {
 /// A constant value repeated `m` times.
 fn broadcast(v: &Value, ty: DataType, m: usize) -> Column {
     if v.is_null() {
-        let mut c = Column::with_capacity(ty, m);
+        let mut c = ColumnBuilder::with_capacity(ty, m);
         for _ in 0..m {
             c.push_null();
         }
-        return c;
+        return c.finish();
     }
     let validity = Validity::all_valid(m);
     match v {
         Value::Bool(b) => Column::Bool {
-            data: vec![*b; m],
+            data: vec![*b; m].into(),
             validity,
         },
         Value::Int(i) => Column::Int {
-            data: vec![*i; m],
+            data: vec![*i; m].into(),
             validity,
         },
         Value::Float(x) => Column::Float {
-            data: vec![*x; m],
+            data: vec![*x; m].into(),
             validity,
         },
         Value::Str(s) => Column::Str {
-            data: vec![s.clone(); m],
+            data: std::iter::repeat(s).take(m).collect(),
             validity,
         },
         Value::Timestamp(t) => Column::Timestamp {
-            data: vec![*t; m],
+            data: vec![*t; m].into(),
             validity,
         },
         Value::Null => unreachable!(),
@@ -633,7 +635,7 @@ impl BoundExpr {
                 Some(rb.into_column(DataType::Bool, keep.len())?)
             };
             let mut data = Vec::with_capacity(m);
-            let mut validity = Validity::new();
+            let mut validity = ValidityBuilder::new();
             let mut j = 0usize;
             for (i, &l) in ld.iter().enumerate().take(m) {
                 let lval = lv.get(i).then_some(l);
@@ -648,11 +650,14 @@ impl BoundExpr {
                 };
                 push_logic(op, lval, rval, &mut data, &mut validity);
             }
-            return Ok(Batch::Owned(Column::Bool { data, validity }));
+            return Ok(Batch::Owned(Column::Bool {
+                data: data.into(),
+                validity: validity.finish(),
+            }));
         }
         let rb = right.eval_cols(cols, n, sel)?.force();
         let mut data = Vec::with_capacity(m);
-        let mut validity = Validity::new();
+        let mut validity = ValidityBuilder::new();
         match rb.as_scalar() {
             Some(r) => {
                 let rval = match r {
@@ -677,7 +682,10 @@ impl BoundExpr {
                 }
             }
         }
-        Ok(Batch::Owned(Column::Bool { data, validity }))
+        Ok(Batch::Owned(Column::Bool {
+            data: data.into(),
+            validity: validity.finish(),
+        }))
     }
 
     /// COALESCE, evaluated lazily arg-by-arg over the shrinking selection
@@ -780,7 +788,7 @@ impl BoundExpr {
                     .into_column(self.ty, else_abs.len())?,
             )
         };
-        let mut out = Column::with_capacity(self.ty, m);
+        let mut out = ColumnBuilder::with_capacity(self.ty, m);
         let (mut tj, mut ej) = (0usize, 0usize);
         for (i, &cond) in cd.iter().enumerate().take(m) {
             let (c, j) = if cv.get(i) && cond {
@@ -798,7 +806,7 @@ impl BoundExpr {
                 .map_err(FlowError::Data)?;
             out.push(&v).map_err(FlowError::Data)?;
         }
-        Ok(Batch::Owned(out))
+        Ok(Batch::Owned(out.finish()))
     }
 }
 
@@ -809,7 +817,7 @@ fn push_logic(
     l: Option<bool>,
     r: Option<bool>,
     data: &mut Vec<bool>,
-    validity: &mut Validity,
+    validity: &mut ValidityBuilder,
 ) {
     let out = match (op, l) {
         (BinOp::And, Some(false)) => Some(false),
@@ -834,7 +842,7 @@ fn push_logic(
 
 fn cmp_by(op: BinOp, validity: Validity, m: usize, ord: impl Fn(usize) -> Ordering) -> Column {
     let d = op.comparison();
-    let data: Vec<bool> = (0..m).map(|i| d(ord(i))).collect();
+    let data = (0..m).map(|i| d(ord(i))).collect();
     Column::Bool { data, validity }
 }
 
@@ -853,23 +861,15 @@ fn cmp_dispatch(op: BinOp, lb: &Batch<'_>, rb: &Batch<'_>) -> Result<Column> {
 fn cmp_col_col(op: BinOp, l: &Column, r: &Column) -> Result<Column> {
     let m = l.len();
     let v = l.validity().and(r.validity());
-    use Column::*;
-    Ok(match (l, r) {
-        (Int { data: a, .. }, Int { data: b, .. }) => cmp_by(op, v, m, |i| a[i].cmp(&b[i])),
-        (Int { data: a, .. }, Float { data: b, .. }) => {
-            cmp_by(op, v, m, |i| (a[i] as f64).total_cmp(&b[i]))
-        }
-        (Float { data: a, .. }, Int { data: b, .. }) => {
-            cmp_by(op, v, m, |i| a[i].total_cmp(&(b[i] as f64)))
-        }
-        (Float { data: a, .. }, Float { data: b, .. }) => {
-            cmp_by(op, v, m, |i| a[i].total_cmp(&b[i]))
-        }
-        (Str { data: a, .. }, Str { data: b, .. }) => cmp_by(op, v, m, |i| a[i].cmp(&b[i])),
-        (Bool { data: a, .. }, Bool { data: b, .. }) => cmp_by(op, v, m, |i| a[i].cmp(&b[i])),
-        (Timestamp { data: a, .. }, Timestamp { data: b, .. }) => {
-            cmp_by(op, v, m, |i| a[i].cmp(&b[i]))
-        }
+    use LaneRef::*;
+    Ok(match (l.lane(), r.lane()) {
+        (Int(a), Int(b)) => cmp_by(op, v, m, |i| a[i].cmp(&b[i])),
+        (Int(a), Float(b)) => cmp_by(op, v, m, |i| (a[i] as f64).total_cmp(&b[i])),
+        (Float(a), Int(b)) => cmp_by(op, v, m, |i| a[i].total_cmp(&(b[i] as f64))),
+        (Float(a), Float(b)) => cmp_by(op, v, m, |i| a[i].total_cmp(&b[i])),
+        (Str(a), Str(b)) => cmp_by(op, v, m, |i| a[i].cmp(&b[i])),
+        (Bool(a), Bool(b)) => cmp_by(op, v, m, |i| a[i].cmp(&b[i])),
+        (Timestamp(a), Timestamp(b)) => cmp_by(op, v, m, |i| a[i].cmp(&b[i])),
         _ => return Err(internal("comparison lanes disagree with bound types")),
     })
 }
@@ -880,30 +880,32 @@ fn cmp_col_scalar(op: BinOp, c: &Column, s: &Value, col_on_left: bool) -> Result
     let m = c.len();
     let v = c.validity().clone();
     let orient = move |o: Ordering| if col_on_left { o } else { o.reverse() };
-    use Column::*;
-    Ok(match (c, s) {
-        (Int { data, .. }, Value::Int(s)) => {
+    use LaneRef::*;
+    Ok(match (c.lane(), s) {
+        (Int(data), Value::Int(s)) => {
             let s = *s;
             cmp_by(op, v, m, move |i| orient(data[i].cmp(&s)))
         }
-        (Int { data, .. }, Value::Float(s)) => {
+        (Int(data), Value::Float(s)) => {
             let s = *s;
             cmp_by(op, v, m, move |i| orient((data[i] as f64).total_cmp(&s)))
         }
-        (Float { data, .. }, Value::Int(s)) => {
+        (Float(data), Value::Int(s)) => {
             let s = *s as f64;
             cmp_by(op, v, m, move |i| orient(data[i].total_cmp(&s)))
         }
-        (Float { data, .. }, Value::Float(s)) => {
+        (Float(data), Value::Float(s)) => {
             let s = *s;
             cmp_by(op, v, m, move |i| orient(data[i].total_cmp(&s)))
         }
-        (Str { data, .. }, Value::Str(s)) => cmp_by(op, v, m, move |i| orient(data[i].cmp(s))),
-        (Bool { data, .. }, Value::Bool(s)) => {
+        (Str(data), Value::Str(s)) => {
+            cmp_by(op, v, m, move |i| orient(data.bytes(i).cmp(s.as_bytes())))
+        }
+        (Bool(data), Value::Bool(s)) => {
             let s = *s;
             cmp_by(op, v, m, move |i| orient(data[i].cmp(&s)))
         }
-        (Timestamp { data, .. }, Value::Timestamp(s)) => {
+        (Timestamp(data), Value::Timestamp(s)) => {
             let s = *s;
             cmp_by(op, v, m, move |i| orient(data[i].cmp(&s)))
         }
@@ -917,11 +919,7 @@ fn gather_validity(v: &Validity, sel: &[u32]) -> Validity {
     if v.null_count() == 0 {
         return Validity::all_valid(sel.len());
     }
-    let mut out = Validity::new();
-    for &i in sel {
-        out.push(v.get(i as usize));
-    }
-    out
+    sel.iter().map(|&i| v.get(i as usize)).collect()
 }
 
 /// Compare a deferred gather against a non-null scalar in place: the lane
@@ -938,32 +936,34 @@ fn cmp_gather_scalar(
     let v = gather_validity(c.validity(), sel);
     let orient = move |o: Ordering| if col_on_left { o } else { o.reverse() };
     let at = |i: usize| sel[i] as usize;
-    use Column::*;
-    Ok(match (c, s) {
-        (Int { data, .. }, Value::Int(s)) => {
+    use LaneRef::*;
+    Ok(match (c.lane(), s) {
+        (Int(data), Value::Int(s)) => {
             let s = *s;
             cmp_by(op, v, m, move |i| orient(data[at(i)].cmp(&s)))
         }
-        (Int { data, .. }, Value::Float(s)) => {
+        (Int(data), Value::Float(s)) => {
             let s = *s;
             cmp_by(op, v, m, move |i| {
                 orient((data[at(i)] as f64).total_cmp(&s))
             })
         }
-        (Float { data, .. }, Value::Int(s)) => {
+        (Float(data), Value::Int(s)) => {
             let s = *s as f64;
             cmp_by(op, v, m, move |i| orient(data[at(i)].total_cmp(&s)))
         }
-        (Float { data, .. }, Value::Float(s)) => {
+        (Float(data), Value::Float(s)) => {
             let s = *s;
             cmp_by(op, v, m, move |i| orient(data[at(i)].total_cmp(&s)))
         }
-        (Str { data, .. }, Value::Str(s)) => cmp_by(op, v, m, move |i| orient(data[at(i)].cmp(s))),
-        (Bool { data, .. }, Value::Bool(s)) => {
+        (Str(data), Value::Str(s)) => cmp_by(op, v, m, move |i| {
+            orient(data.bytes(at(i)).cmp(s.as_bytes()))
+        }),
+        (Bool(data), Value::Bool(s)) => {
             let s = *s;
             cmp_by(op, v, m, move |i| orient(data[at(i)].cmp(&s)))
         }
-        (Timestamp { data, .. }, Value::Timestamp(s)) => {
+        (Timestamp(data), Value::Timestamp(s)) => {
             let s = *s;
             cmp_by(op, v, m, move |i| orient(data[at(i)].cmp(&s)))
         }
@@ -982,29 +982,15 @@ fn cmp_gather_gather(op: BinOp, l: &Column, ls: &[u32], r: &Column, rs: &[u32]) 
     let v = gather_validity(l.validity(), ls).and(&gather_validity(r.validity(), rs));
     let la = |i: usize| ls[i] as usize;
     let ra = |i: usize| rs[i] as usize;
-    use Column::*;
-    Ok(match (l, r) {
-        (Int { data: a, .. }, Int { data: b, .. }) => {
-            cmp_by(op, v, m, move |i| a[la(i)].cmp(&b[ra(i)]))
-        }
-        (Int { data: a, .. }, Float { data: b, .. }) => {
-            cmp_by(op, v, m, move |i| (a[la(i)] as f64).total_cmp(&b[ra(i)]))
-        }
-        (Float { data: a, .. }, Int { data: b, .. }) => {
-            cmp_by(op, v, m, move |i| a[la(i)].total_cmp(&(b[ra(i)] as f64)))
-        }
-        (Float { data: a, .. }, Float { data: b, .. }) => {
-            cmp_by(op, v, m, move |i| a[la(i)].total_cmp(&b[ra(i)]))
-        }
-        (Str { data: a, .. }, Str { data: b, .. }) => {
-            cmp_by(op, v, m, move |i| a[la(i)].cmp(&b[ra(i)]))
-        }
-        (Bool { data: a, .. }, Bool { data: b, .. }) => {
-            cmp_by(op, v, m, move |i| a[la(i)].cmp(&b[ra(i)]))
-        }
-        (Timestamp { data: a, .. }, Timestamp { data: b, .. }) => {
-            cmp_by(op, v, m, move |i| a[la(i)].cmp(&b[ra(i)]))
-        }
+    use LaneRef::*;
+    Ok(match (l.lane(), r.lane()) {
+        (Int(a), Int(b)) => cmp_by(op, v, m, move |i| a[la(i)].cmp(&b[ra(i)])),
+        (Int(a), Float(b)) => cmp_by(op, v, m, move |i| (a[la(i)] as f64).total_cmp(&b[ra(i)])),
+        (Float(a), Int(b)) => cmp_by(op, v, m, move |i| a[la(i)].total_cmp(&(b[ra(i)] as f64))),
+        (Float(a), Float(b)) => cmp_by(op, v, m, move |i| a[la(i)].total_cmp(&b[ra(i)])),
+        (Str(a), Str(b)) => cmp_by(op, v, m, move |i| a[la(i)].cmp(&b[ra(i)])),
+        (Bool(a), Bool(b)) => cmp_by(op, v, m, move |i| a[la(i)].cmp(&b[ra(i)])),
+        (Timestamp(a), Timestamp(b)) => cmp_by(op, v, m, move |i| a[la(i)].cmp(&b[ra(i)])),
         _ => return Err(internal("comparison lanes disagree with bound types")),
     })
 }
@@ -1066,7 +1052,7 @@ fn arith_dispatch(
                 BinOp::Mul => |a, b| a * b,
                 _ => unreachable!(),
             };
-            let data: Vec<f64> = (0..m).map(|i| f(get(&l, i), get(&r, i))).collect();
+            let data = (0..m).map(|i| f(get(&l, i), get(&r, i))).collect();
             Ok(Column::Float {
                 data,
                 validity: both_valid,
@@ -1075,7 +1061,7 @@ fn arith_dispatch(
         BinOp::Div | BinOp::Mod => {
             // Data-dependent nulls: a zero divisor nulls the row.
             let mut data = Vec::with_capacity(m);
-            let mut validity = Validity::new();
+            let mut validity = ValidityBuilder::new();
             for i in 0..m {
                 let b = get(&r, i);
                 if !both_valid.get(i) || b == 0.0 {
@@ -1087,7 +1073,10 @@ fn arith_dispatch(
                     validity.push(true);
                 }
             }
-            Ok(Column::Float { data, validity })
+            Ok(Column::Float {
+                data: data.into(),
+                validity: validity.finish(),
+            })
         }
         _ => Err(internal("arith kernel got a non-arithmetic op")),
     }
@@ -1134,7 +1123,7 @@ fn arith_int(op: BinOp, lb: &Batch<'_>, rb: &Batch<'_>, m: usize) -> Result<Colu
                 BinOp::Mul => i64::wrapping_mul,
                 _ => unreachable!(),
             };
-            let data: Vec<i64> = (0..m).map(|i| f(get(&l, i), get(&r, i))).collect();
+            let data = (0..m).map(|i| f(get(&l, i), get(&r, i))).collect();
             Ok(Column::Int {
                 data,
                 validity: both_valid,
@@ -1142,7 +1131,7 @@ fn arith_int(op: BinOp, lb: &Batch<'_>, rb: &Batch<'_>, m: usize) -> Result<Colu
         }
         BinOp::Mod => {
             let mut data = Vec::with_capacity(m);
-            let mut validity = Validity::new();
+            let mut validity = ValidityBuilder::new();
             for i in 0..m {
                 let b = get(&r, i);
                 if !both_valid.get(i) || b == 0 {
@@ -1153,7 +1142,10 @@ fn arith_int(op: BinOp, lb: &Batch<'_>, rb: &Batch<'_>, m: usize) -> Result<Colu
                     validity.push(true);
                 }
             }
-            Ok(Column::Int { data, validity })
+            Ok(Column::Int {
+                data: data.into(),
+                validity: validity.finish(),
+            })
         }
         _ => Err(internal("int lane got a non-int op")),
     }
@@ -1249,7 +1241,7 @@ fn func_kernel(func: Func, c: &Column) -> Result<Column> {
             _ => return Err(internal("Floor/Ceil on a non-numeric column")),
         },
         Func::Sqrt => {
-            let (data, validity): (Vec<f64>, &Validity) = match c {
+            let (data, validity): (Buffer<f64>, &Validity) = match c {
                 Column::Float { data, validity } => {
                     (data.iter().map(|x| x.sqrt()).collect(), validity)
                 }
@@ -1267,14 +1259,14 @@ fn func_kernel(func: Func, c: &Column) -> Result<Column> {
             // Ln of a non-positive value is null (data-dependent validity);
             // NaN is not non-positive, so it stays a NaN, as in the row
             // interpreter.
-            let get: Box<dyn Fn(usize) -> f64> = match c {
-                Column::Float { data, .. } => Box::new(move |i| data[i]),
-                Column::Int { data, .. } => Box::new(move |i| data[i] as f64),
+            let get: Box<dyn Fn(usize) -> f64> = match c.lane() {
+                LaneRef::Float(data) => Box::new(move |i| data[i]),
+                LaneRef::Int(data) => Box::new(move |i| data[i] as f64),
                 _ => return Err(internal("Ln on a non-numeric column")),
             };
             let src_valid = c.validity();
             let mut data = Vec::with_capacity(m);
-            let mut validity = Validity::new();
+            let mut validity = ValidityBuilder::new();
             for i in 0..m {
                 let x = get(i);
                 if src_valid.get(i) && (x > 0.0 || x.is_nan()) {
@@ -1285,7 +1277,10 @@ fn func_kernel(func: Func, c: &Column) -> Result<Column> {
                     validity.push(false);
                 }
             }
-            Column::Float { data, validity }
+            Column::Float {
+                data: data.into(),
+                validity: validity.finish(),
+            }
         }
         Func::Lower | Func::Upper => {
             let (d, v) = c.as_strs().map_err(FlowError::Data)?;
@@ -1346,7 +1341,7 @@ fn cast_kernel(c: &Column, to: DataType) -> Result<Column> {
     Ok(match to {
         DataType::Str => {
             let validity = c.validity().clone();
-            let data: Vec<String> = match c {
+            let data: StrLane = match c {
                 Column::Str { data, .. } => data.clone(),
                 Column::Bool { data, validity } => (0..m)
                     .map(|i| {
@@ -1399,14 +1394,14 @@ fn cast_kernel(c: &Column, to: DataType) -> Result<Column> {
                         out.push(
                             s.trim()
                                 .parse::<i64>()
-                                .map_err(|_| cast_err(Value::Str(s.clone())))?,
+                                .map_err(|_| cast_err(Value::Str(s.to_owned())))?,
                         );
                     } else {
                         out.push(0);
                     }
                 }
                 Column::Int {
-                    data: out,
+                    data: out.into(),
                     validity: validity.clone(),
                 }
             }
@@ -1424,14 +1419,14 @@ fn cast_kernel(c: &Column, to: DataType) -> Result<Column> {
                         out.push(
                             s.trim()
                                 .parse::<f64>()
-                                .map_err(|_| cast_err(Value::Str(s.clone())))?,
+                                .map_err(|_| cast_err(Value::Str(s.to_owned())))?,
                         );
                     } else {
                         out.push(0.0);
                     }
                 }
                 Column::Float {
-                    data: out,
+                    data: out.into(),
                     validity: validity.clone(),
                 }
             }

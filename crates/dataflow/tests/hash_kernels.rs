@@ -38,10 +38,7 @@ const STRS: [&str; 4] = ["", "a", "b", "é"];
 /// kernels must not copy into their own output.
 fn column_of(ty: DataType, rows: usize, rng: &mut StdRng) -> Column {
     let null_rate = [0.0, 0.1, 0.4][rng.gen_range(0..3)];
-    let mut validity = Validity::new();
-    for _ in 0..rows {
-        validity.push(!rng.gen_bool(null_rate));
-    }
+    let validity: Validity = (0..rows).map(|_| !rng.gen_bool(null_rate)).collect();
     match ty {
         DataType::Int => Column::Int {
             data: (0..rows)

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use toreador_data::column::Column;
+use toreador_data::column::ColumnBuilder;
 use toreador_data::schema::Field;
 use toreador_data::table::Table;
 use toreador_data::value::{DataType, Value};
@@ -252,7 +252,7 @@ fn generalize(
                 columns.push(col.clone());
             }
             Some((ladder, level)) => {
-                let mut out = Column::with_capacity(DataType::Str, col.len());
+                let mut out = ColumnBuilder::with_capacity(DataType::Str, col.len());
                 for v in col.iter_values() {
                     let g = ladder.apply(&v, level)?;
                     let g = match g {
@@ -266,7 +266,7 @@ fn generalize(
                     data_type: DataType::Str,
                     nullable: field.nullable,
                 });
-                columns.push(out);
+                columns.push(out.finish());
             }
         }
     }
