@@ -5,8 +5,7 @@
 //! `(offset, len)` window, so cloning or slicing a column shares its bytes
 //! instead of copying them: a table handed across a boundary (register,
 //! split, scan, a stream window) costs O(columns), not O(rows). A `Str`
-//! lane is one `u64` offsets lane plus one byte buffer, not a heap `String`
-//! per cell.
+//! lane is one `u64` offsets lane plus one byte buffer.
 //!
 //! Columns are built once through a [`ColumnBuilder`] (plain `Vec`s,
 //! appended to in place) and then frozen; nothing ever mutates a shared
@@ -115,9 +114,10 @@ impl<T: fmt::Debug> fmt::Debug for Buffer<T> {
 }
 
 /// An immutable, shared text lane: `len + 1` byte offsets into one UTF-8
-/// buffer. Slot `i` is `bytes[offsets[i]..offsets[i + 1]]`; a null slot
-/// is an empty range. Slicing narrows the offsets window and shares both
-/// buffers. `lane[i]` and [`StrLane::get`] borrow a slot as `&str`.
+/// buffer. Slot `i` is `bytes[offsets[i]..offsets[i + 1]]`; a builder
+/// writes a null slot as an empty range. Slicing narrows the offsets
+/// window and shares both buffers. `lane[i]` and [`StrLane::get`] borrow
+/// a slot as `&str`.
 #[derive(Clone)]
 pub struct StrLane {
     offsets: Buffer<u64>,
@@ -514,8 +514,9 @@ pub enum LaneRef<'a> {
 
 /// A typed column of values with a validity bitmap.
 ///
-/// The null slots of a fixed-width lane hold an arbitrary default and a
-/// null text slot is an empty range; consumers must consult the bitmap
+/// The null slots of a fixed-width lane hold an arbitrary default (a
+/// builder writes zeros, and a null text slot it writes is an empty
+/// range); consumers must consult the bitmap
 /// (or use [`Column::value`], which does). `==` compares lanes and
 /// validity by content, with IEEE float equality.
 #[derive(Debug, Clone, PartialEq)]
