@@ -14,7 +14,7 @@
 //! callers such as display, statistics and the test oracles.
 
 use std::fmt;
-use std::ops::{Deref, Index};
+use std::ops::{Deref, Index, Range};
 use std::sync::Arc;
 
 use crate::error::{DataError, Result};
@@ -687,6 +687,78 @@ impl Column {
         self.gather(sel.iter().map(|&i| i as usize))
     }
 
+    /// Scatter rows `rows` of this column into per-target builders: row
+    /// `rows.start + k` is appended to `out[routes[k]]`, or every row to
+    /// `out[0]` when `routes` is `None`. A null slot lands as the builder's
+    /// default (`false`, `0`, `0.0`, empty text) whatever payload sits
+    /// under it here, exactly as [`ColumnBuilder::push_null`] writes it; a
+    /// range with no nulls pays nothing for that. Errors when a builder's
+    /// type differs from this column's or the range is out of bounds.
+    pub fn scatter(
+        &self,
+        rows: Range<usize>,
+        routes: Option<&[u32]>,
+        out: &mut [ColumnBuilder],
+    ) -> Result<()> {
+        if let Some(b) = out.iter().find(|b| b.data_type() != self.data_type()) {
+            return Err(DataError::TypeMismatch {
+                expected: b.data_type().name().to_owned(),
+                found: self.data_type().name().to_owned(),
+            });
+        }
+        debug_assert!(routes.map_or(true, |r| r.len() == rows.len()));
+        let view = self.slice(rows.start, rows.end)?;
+        let validity = view.validity();
+        let dense = validity.null_count() == 0;
+        if dense && routes.is_none() {
+            return out[0].extend_from(&view);
+        }
+        let route = |k: usize| routes.map_or(0, |r| r[k] as usize);
+        match &view {
+            Column::Bool { data, .. } => scatter_lane(data, validity, route, out, |l| match l {
+                LaneBuilder::Bool(v) => v,
+                _ => unreachable!("type checked"),
+            }),
+            Column::Int { data, .. } | Column::Timestamp { data, .. } => {
+                scatter_lane(data, validity, route, out, |l| match l {
+                    LaneBuilder::Int(v) | LaneBuilder::Timestamp(v) => v,
+                    _ => unreachable!("type checked"),
+                })
+            }
+            Column::Float { data, .. } => scatter_lane(data, validity, route, out, |l| match l {
+                LaneBuilder::Float(v) => v,
+                _ => unreachable!("type checked"),
+            }),
+            Column::Str { data, .. } => {
+                let mut dst: Vec<_> = out
+                    .iter_mut()
+                    .map(|b| match &mut b.lane {
+                        LaneBuilder::Str { offsets, bytes } => (offsets, bytes, &mut b.validity),
+                        _ => unreachable!("type checked"),
+                    })
+                    .collect();
+                for k in 0..data.len() {
+                    let (offsets, bytes, valid) = &mut dst[route(k)];
+                    let ok = dense || validity.get(k);
+                    if ok {
+                        bytes.push_str(data.get(k));
+                    }
+                    offsets.push(bytes.len() as u64);
+                    if !dense {
+                        valid.push(ok);
+                    }
+                }
+            }
+        }
+        if dense {
+            for b in out {
+                let n = b.lane.len() - b.validity.len();
+                b.validity.push_n(true, n);
+            }
+        }
+        Ok(())
+    }
+
     /// Copy the rows at `indices` into fresh buffers: fixed-width lanes
     /// copy values, a text lane copies bytes into one new buffer.
     fn gather(&self, indices: impl ExactSizeIterator<Item = usize> + Clone) -> Column {
@@ -906,6 +978,17 @@ enum LaneBuilder {
     Timestamp(Vec<i64>),
 }
 
+impl LaneBuilder {
+    fn len(&self) -> usize {
+        match self {
+            LaneBuilder::Bool(v) => v.len(),
+            LaneBuilder::Int(v) | LaneBuilder::Timestamp(v) => v.len(),
+            LaneBuilder::Float(v) => v.len(),
+            LaneBuilder::Str { offsets, .. } => offsets.len() - 1,
+        }
+    }
+}
+
 /// Builds one column in plain `Vec`s, then freezes it with
 /// [`ColumnBuilder::finish`]. The only way to grow a column.
 #[derive(Debug)]
@@ -1047,6 +1130,34 @@ impl ColumnBuilder {
                 validity,
             },
         }
+    }
+}
+
+/// The fixed-width half of [`Column::scatter`]: push each row to its
+/// route's lane, the default under a null. With no nulls the validity is
+/// left for the caller to extend in bulk.
+fn scatter_lane<T: Copy + Default>(
+    data: &[T],
+    validity: &Validity,
+    route: impl Fn(usize) -> usize,
+    out: &mut [ColumnBuilder],
+    lane: fn(&mut LaneBuilder) -> &mut Vec<T>,
+) {
+    let mut dst: Vec<_> = out
+        .iter_mut()
+        .map(|b| (lane(&mut b.lane), &mut b.validity))
+        .collect();
+    if validity.null_count() == 0 {
+        for (k, &x) in data.iter().enumerate() {
+            dst[route(k)].0.push(x);
+        }
+        return;
+    }
+    for (k, &x) in data.iter().enumerate() {
+        let ok = validity.get(k);
+        let (lane, valid) = &mut dst[route(k)];
+        lane.push(if ok { x } else { T::default() });
+        valid.push(ok);
     }
 }
 

@@ -1,17 +1,19 @@
 //! The shared partition codec: tagged values, lane-based rows, CRC framing.
 //!
-//! Three subsystems persist or move partitioned rows as bytes — the shuffle
-//! ([`crate::shuffle`]), stage-boundary checkpointing ([`crate::checkpoint`])
-//! and the out-of-core pager ([`crate::pager`]). They must stay
-//! byte-identical: a checkpointed wave and a spilled run are the same rows
-//! through the same encoder, and the regression tests below pin that down.
-//! This module is the single definition of
+//! Two subsystems persist partitioned rows as bytes — stage-boundary
+//! checkpointing ([`crate::checkpoint`]) and the out-of-core pager
+//! ([`crate::pager`]) — and the shuffle ([`crate::shuffle`]) reports its
+//! cost in the same bytes. They must stay byte-identical: a checkpointed
+//! wave and a spilled run are the same rows through the same encoder, and
+//! the regression tests below pin that down. This module is the single
+//! definition of
 //!
 //! - the **tagged value codec** (`[tag u8][payload]`, one tag per
 //!   [`Value`] variant, null as a bare tag),
-//! - the **row codec** (`[width u16 LE][cell]*`), with a lane-based fast
-//!   path ([`encode_row_at`]/[`encode_cell`]) that writes straight out of
-//!   the native columns without materialising `Value`s,
+//! - the **row codec** (`[width u16 LE][cell]*`), encoded straight out of
+//!   the native columns ([`encode_row_at`]/[`encode_cell`]) without
+//!   materialising `Value`s, and measured without encoding
+//!   ([`row_widths`]),
 //! - the **table codec** ([`encode_table`]/[`decode_table`]) — the
 //!   checkpoint wire format for one partition,
 //! - **CRC32 (IEEE)** and the `[len u32 LE][crc32 u32 LE][payload]` frame
@@ -24,6 +26,7 @@
 //! checkpointing maps them to [`FlowError::Checkpoint`], the pager to its
 //! spill errors — without this module depending on either.
 
+use std::ops::Range;
 use std::path::Path;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -41,34 +44,6 @@ pub(crate) const TAG_INT: u8 = 2;
 pub(crate) const TAG_FLOAT: u8 = 3;
 pub(crate) const TAG_STR: u8 = 4;
 pub(crate) const TAG_TS: u8 = 5;
-
-/// Append one value to the buffer.
-pub fn encode_value(v: &Value, buf: &mut BytesMut) {
-    match v {
-        Value::Null => buf.put_u8(TAG_NULL),
-        Value::Bool(b) => {
-            buf.put_u8(TAG_BOOL);
-            buf.put_u8(*b as u8);
-        }
-        Value::Int(i) => {
-            buf.put_u8(TAG_INT);
-            buf.put_i64_le(*i);
-        }
-        Value::Float(x) => {
-            buf.put_u8(TAG_FLOAT);
-            buf.put_f64_le(*x);
-        }
-        Value::Str(s) => {
-            buf.put_u8(TAG_STR);
-            buf.put_u32_le(s.len() as u32);
-            buf.put_slice(s.as_bytes());
-        }
-        Value::Timestamp(t) => {
-            buf.put_u8(TAG_TS);
-            buf.put_i64_le(*t);
-        }
-    }
-}
 
 /// Decode one tagged value off the front of `buf`.
 pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
@@ -121,14 +96,6 @@ pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
     })
 }
 
-/// Encode a row (width-prefixed).
-pub fn encode_row(row: &Row, buf: &mut BytesMut) {
-    buf.put_u16_le(row.len() as u16);
-    for v in row {
-        encode_value(v, buf);
-    }
-}
-
 /// Decode one row.
 pub fn decode_row(buf: &mut Bytes) -> Result<Row> {
     if buf.remaining() < 2 {
@@ -155,8 +122,8 @@ pub fn lanes(t: &Table) -> Vec<Lane<'_>> {
         .collect()
 }
 
-/// Encode cell `i` of one lane — exactly the bytes [`encode_value`] writes
-/// for the materialised value (null validity encodes as the null tag). This
+/// Encode cell `i` of one lane as a tagged value — the bytes
+/// [`decode_value`] reads back (null validity encodes as the null tag). This
 /// is the unit both the row codec and the pager's per-lane extents are
 /// built from, which is what keeps the two byte-identical by construction.
 pub fn encode_cell(lane: &Lane<'_>, i: usize, buf: &mut BytesMut) {
@@ -191,8 +158,8 @@ pub fn encode_cell(lane: &Lane<'_>, i: usize, buf: &mut BytesMut) {
     }
 }
 
-/// Encode row `i` of a table (width-prefixed), producing exactly the same
-/// bytes as [`encode_row`] on the materialised row.
+/// Encode row `i` of a table: its width as `u16` LE, then one tagged cell
+/// per column — the bytes [`decode_row`] reads back.
 pub fn encode_row_at(lanes: &[Lane<'_>], i: usize, buf: &mut BytesMut) {
     buf.put_u16_le(lanes.len() as u16);
     for lane in lanes {
@@ -200,8 +167,44 @@ pub fn encode_row_at(lanes: &[Lane<'_>], i: usize, buf: &mut BytesMut) {
     }
 }
 
-/// Encode every row of a table through the lane codec, producing exactly
-/// the bytes [`encode_row`] would for the materialised rows. This is the
+/// The encoded width of each row in `rows` of `t` — exactly the length
+/// [`encode_row_at`] writes for it — by arithmetic instead of encoding: 2
+/// for the width prefix, then per cell 1 for a null, 2 for a bool, 9 for an
+/// int, float or timestamp, and 5 plus the byte length for a string.
+pub fn row_widths(t: &Table, rows: Range<usize>) -> Vec<usize> {
+    let mut fixed = 2;
+    let mut widths = vec![0; rows.len()];
+    for col in t.columns() {
+        let validity = col.validity();
+        let cell = match col.lane() {
+            LaneRef::Str(d) => {
+                for (w, i) in widths.iter_mut().zip(rows.clone()) {
+                    *w += if validity.get(i) {
+                        5 + d.bytes(i).len()
+                    } else {
+                        1
+                    };
+                }
+                continue;
+            }
+            LaneRef::Bool(_) => 2,
+            LaneRef::Int(_) | LaneRef::Float(_) | LaneRef::Timestamp(_) => 9,
+        };
+        if validity.null_count() == 0 {
+            fixed += cell;
+        } else {
+            for (w, i) in widths.iter_mut().zip(rows.clone()) {
+                *w += if validity.get(i) { cell } else { 1 };
+            }
+        }
+    }
+    for w in &mut widths {
+        *w += fixed;
+    }
+    widths
+}
+
+/// Encode every row of a table through the lane codec. This is the
 /// checkpoint wire format: a wave partition persists as its row count plus
 /// this byte stream.
 pub fn encode_table(t: &Table, buf: &mut BytesMut) {
@@ -381,6 +384,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::result::Result<(), String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shuffle::oracle::{encode_row, encode_value};
     use std::fs;
     use toreador_data::generate::random_table;
 

@@ -24,7 +24,7 @@
 //!   default, as [`toreador_data::table::TableBuilder`] would write them.
 
 #[cfg(test)]
-mod oracle;
+pub(crate) mod oracle;
 
 use std::cmp::Ordering;
 use std::collections::HashSet;

@@ -523,7 +523,7 @@ fn column_of(ty: DataType, rows: usize, rng: &mut StdRng) -> Column {
 }
 
 /// A random table over `types`, columns named `{prefix}0..`.
-fn table_of(types: &[DataType], rows: usize, prefix: &str, rng: &mut StdRng) -> Table {
+pub(crate) fn table_of(types: &[DataType], rows: usize, prefix: &str, rng: &mut StdRng) -> Table {
     let schema = Schema::new(
         types
             .iter()
@@ -536,7 +536,7 @@ fn table_of(types: &[DataType], rows: usize, prefix: &str, rng: &mut StdRng) -> 
     Table::new(schema, columns).unwrap()
 }
 
-fn random_types(rng: &mut StdRng, min: usize, max: usize) -> Vec<DataType> {
+pub(crate) fn random_types(rng: &mut StdRng, min: usize, max: usize) -> Vec<DataType> {
     (0..rng.gen_range(min..=max))
         .map(|_| TYPES[rng.gen_range(0..TYPES.len())])
         .collect()
@@ -620,7 +620,7 @@ fn sum_lanes(aggs: &[AggExpr]) -> Vec<String> {
 
 /// Equal schemas, and lane by lane equal validity and data: floats by bit
 /// pattern (NaNs in `sums` by NaN-ness), null slots included.
-fn identical(a: &Table, b: &Table, sums: &[String]) -> Result<(), String> {
+pub(crate) fn identical(a: &Table, b: &Table, sums: &[String]) -> Result<(), String> {
     if a.schema() != b.schema() {
         return Err(format!("schemas differ: {} vs {}", a.schema(), b.schema()));
     }

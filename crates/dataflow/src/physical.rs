@@ -42,7 +42,7 @@ use crate::morsel::{self, PipelineBody, WaveOrder};
 use crate::pager::{SpillHandle, SpillManager, SPILL_OP_AGGREGATE};
 use crate::resilience::RunControl;
 use crate::scheduler::{run_stage_controlled, SchedulerConfig};
-use crate::shuffle::{estimate_row_bytes, shuffle_traced, shuffle_traced_spillable, ShuffleOutput};
+use crate::shuffle::{estimate_row_bytes, shuffle_traced_spillable, ShuffleOutput};
 use crate::trace::TraceEventKind;
 use crate::vexpr::BoundExpr;
 
@@ -142,10 +142,8 @@ impl<'a> ExecContext<'a> {
         self.spill.as_ref()
     }
 
-    /// Shuffle owned partitions, spilling over-budget staging when a
-    /// memory budget is set; the borrowed in-memory fast path otherwise
-    /// (no clones, no budget checks — untouched relative to the
-    /// unbudgeted engine).
+    /// Shuffle owned partitions, each dropped once it is scattered;
+    /// over-budget staging spills when a memory budget is set.
     fn shuffle(
         &self,
         inputs: Vec<Table>,
@@ -153,21 +151,16 @@ impl<'a> ExecContext<'a> {
         keys: &[String],
         targets: usize,
     ) -> Result<ShuffleOutput> {
-        match self.spill.as_ref() {
-            Some(manager) => {
-                let sources = inputs.len();
-                shuffle_traced_spillable(
-                    inputs.into_iter().map(Ok),
-                    sources,
-                    schema,
-                    keys,
-                    targets,
-                    self.metrics.trace(),
-                    Some(manager),
-                )
-            }
-            None => shuffle_traced(&inputs, schema, keys, targets, self.metrics.trace()),
-        }
+        let sources = inputs.len();
+        shuffle_traced_spillable(
+            inputs.into_iter().map(Ok),
+            sources,
+            schema,
+            keys,
+            targets,
+            self.metrics.trace(),
+            self.spill.as_ref(),
+        )
     }
 
     /// Shuffle the partial-aggregation map output. Under a memory budget
@@ -186,7 +179,7 @@ impl<'a> ExecContext<'a> {
         targets: usize,
     ) -> Result<ShuffleOutput> {
         let Some(manager) = self.spill.as_ref() else {
-            return shuffle_traced(&partials, schema, keys, targets, self.metrics.trace());
+            return self.shuffle(partials, schema, keys, targets);
         };
         let journal = self.metrics.trace();
         let budget = manager.budget_bytes() as usize;

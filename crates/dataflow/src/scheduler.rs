@@ -2,10 +2,10 @@
 //!
 //! The executor turns each wave into tasks — one per partition, or one per
 //! row-range unit of a morsel wave ([`crate::morsel`]); the scheduler fans
-//! them out over numbered crossbeam scoped workers and a coordinator thread
-//! drives the stage's resilience policy (see [`crate::resilience`]). This
-//! is the only code that dispatches, retries, backs off, times out,
-//! speculates on or cancels an attempt:
+//! them out over numbered `std::thread::scope` workers and a coordinator
+//! thread drives the stage's resilience policy (see
+//! [`crate::resilience`]). This is the only code that dispatches, retries,
+//! backs off, times out, speculates on or cancels an attempt:
 //!
 //! - every attempt runs under `catch_unwind`, so a panicking task becomes a
 //!   classified [`FlowError::TaskPanicked`] instead of collapsing the pool;
@@ -141,7 +141,7 @@ enum WorkerMsg {
 }
 
 /// Blocking MPMC work queue: std Mutex + Condvar (the vendored parking_lot
-/// has no Condvar, and the vendored crossbeam Receiver is single-consumer).
+/// has no Condvar, and `std::sync::mpsc` receivers are single-consumer).
 struct WorkQueue {
     inner: Mutex<QueueInner>,
     ready: Condvar,
@@ -999,11 +999,13 @@ where
 {
     let queue = shared.queue;
     let (done_tx, done_rx) = mpsc::channel::<WorkerMsg>();
-    crossbeam::thread::scope(|scope| {
-        for worker in 0..workers {
-            let tx = done_tx.clone();
-            scope.spawn(move |_| run_worker(shared, worker, tx));
-        }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|worker| {
+                let tx = done_tx.clone();
+                scope.spawn(move || run_worker(shared, worker, tx))
+            })
+            .collect();
         drop(done_tx);
         loop {
             let now = Instant::now();
@@ -1024,16 +1026,36 @@ where
             match received {
                 Ok(msg) => co.handle(msg, queue),
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => co.fail_stage(
-                    FlowError::Cancelled("worker pool disconnected".to_owned()),
-                    queue,
-                ),
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    // Every worker is gone, so no attempt in flight can
+                    // report again: waiting for one would never end.
+                    co.fail_stage(
+                        FlowError::Cancelled("worker pool disconnected".to_owned()),
+                        queue,
+                    );
+                    break;
+                }
             }
             co.on_tick(queue);
         }
         queue.close();
+        join_workers(handles)
     })
-    .map_err(|_| FlowError::Cancelled("worker thread panicked".to_owned()))
+}
+
+/// Join every pool worker. A worker that panicked outside an attempt's
+/// `catch_unwind` is a classified cancellation: joining it here takes the
+/// panic, so it never unwinds through the caller.
+fn join_workers(handles: Vec<std::thread::ScopedJoinHandle<'_, ()>>) -> Result<()> {
+    let mut panicked = false;
+    for handle in handles {
+        panicked |= handle.join().is_err();
+    }
+    if panicked {
+        Err(FlowError::Cancelled("worker thread panicked".to_owned()))
+    } else {
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -1370,6 +1392,35 @@ mod tests {
             .filter(|e| matches!(e.kind, TraceEventKind::TaskStarted { .. }))
             .count();
         assert_eq!(trace.task_spans().len(), starts);
+    }
+
+    /// Worker threads that die outside the body's `catch_unwind` — here
+    /// on a panic payload whose own drop panics — fail the stage as the
+    /// classified `Cancelled("worker thread panicked")` once the pool is
+    /// joined: the panic never unwinds into the caller, and the
+    /// coordinator stops waiting for attempts no worker is left to report.
+    #[test]
+    fn dead_worker_threads_are_a_classified_cancellation() {
+        struct PanicOnDrop;
+        impl Drop for PanicOnDrop {
+            fn drop(&mut self) {
+                panic!("payload dropped");
+            }
+        }
+        let config = SchedulerConfig::new(2);
+        let metrics = MetricsCollector::new();
+        let tasks: Vec<Box<dyn Fn() -> Result<Table> + Send + Sync>> = (0..2)
+            .map(|_| -> Box<dyn Fn() -> Result<Table> + Send + Sync> {
+                Box::new(|| std::panic::panic_any(PanicOnDrop))
+            })
+            .collect();
+        let outcome =
+            std::panic::catch_unwind(AssertUnwindSafe(|| run_stage(&config, &metrics, 0, tasks)));
+        match outcome {
+            Ok(Err(FlowError::Cancelled(reason))) => assert_eq!(reason, "worker thread panicked"),
+            Ok(other) => panic!("expected a classified cancellation, got {other:?}"),
+            Err(_) => panic!("a worker panic unwound through the caller"),
+        }
     }
 
     #[test]

@@ -1,50 +1,43 @@
-//! Hash shuffle over the shared binary row codec.
+//! Hash shuffle: route rows by key, then scatter typed lanes.
 //!
 //! A shuffle redistributes rows so that all rows sharing a key land in the
-//! same partition — the data-movement step behind aggregates, joins and
-//! `distinct`. In Spark this crosses the network; here it crosses a byte
-//! buffer: rows are *encoded* into per-target [`bytes::Bytes`] buffers and
-//! *decoded* on the other side. Round-tripping through bytes keeps the code
-//! path honest (costs scale with row width, exactly like a real shuffle)
-//! and gives the metrics layer true shuffle-byte counts. The byte format
-//! itself lives in [`crate::codec`], shared with checkpointing and the
-//! out-of-core pager.
+//! same partition — the data-movement step behind aggregates, joins,
+//! `distinct` and the sort's gather. In Spark this crosses the network;
+//! here it never leaves the process, so nothing is serialised: each input
+//! is routed once ([`route_rows`]) and each column's lane is scattered
+//! straight into per-target column builders ([`Column::scatter`]), one
+//! copy per cell. Null slots land as the builders' defaults (`false`, `0`,
+//! `0.0`, empty text), so a spilled and an in-memory partition agree lane
+//! for lane.
+//!
+//! What a shuffle *costs* is still reported in bytes: the row codec's
+//! width ([`crate::codec::row_widths`]: 2 per row, then per cell 1 for a
+//! null, 2 for a bool, 9 for an int, float or timestamp, 5 plus the byte
+//! length for a string). The byte count is exact and computed, not paid
+//! for; it is what `dataflow.shuffle_bytes` and the memory budget see.
 //!
 //! When an [`ExecConfig::memory_budget_bytes`](crate::physical::ExecConfig)
-//! is set, [`shuffle_spillable`] bounds the staging memory: whenever the
-//! per-target encode buffers exceed the budget, the largest buffers are
-//! decoded and spilled to paged runs through the buffer pool
-//! ([`crate::pager`]), and each target's output is re-assembled in original
-//! row order from its spilled runs plus the in-memory tail — byte-identical
-//! to the in-memory path, which stays untouched when everything fits.
+//! is set, [`shuffle_spillable`] bounds the staged bytes: every 1 024 rows
+//! of an input, and at its end, the target with the most staged bytes is
+//! finished into a table and spilled as a paged run ([`crate::pager`])
+//! until the rest fits. Each target's output is its spilled runs, then its
+//! staged rows, in arrival order — identical to the in-memory result.
 
-use bytes::BytesMut;
-
-use toreador_data::column::{Column, Validity};
+use toreador_data::column::{Column, ColumnBuilder, Validity};
 use toreador_data::schema::Schema;
-use toreador_data::table::{Table, TableBuilder};
-use toreador_data::value::Row;
+use toreador_data::table::Table;
 
-pub use crate::codec::{decode_row, decode_table, encode_row, encode_table};
-use crate::codec::{encode_row_at, lanes};
+use crate::codec::row_widths;
+pub use crate::codec::{decode_row, decode_table, encode_table};
 use crate::error::{FlowError, Result};
-use crate::pager::{SpillManager, SPILL_OP_SHUFFLE};
+use crate::pager::{SpillHandle, SpillManager, SPILL_OP_SHUFFLE};
 use crate::trace::{TraceEventKind, TraceJournal};
-
-/// The hash used to route rows; combines the key columns' stable hashes.
-pub fn route(row: &Row, key_idx: &[usize], targets: usize) -> usize {
-    let mut h: u64 = ROUTE_SEED;
-    for &k in key_idx {
-        h = h.rotate_left(5) ^ row[k].hash_code();
-    }
-    (h % targets as u64) as usize
-}
 
 const ROUTE_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 
 // FNV-1a over a tagged byte stream. Must stay byte-for-byte identical to
 // `Value::hash_code` so columnar routing agrees with the row-at-a-time
-// `route` above (the differential property tests pin this).
+// `oracle::route` (the differential property tests pin this).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
@@ -126,8 +119,8 @@ pub fn column_hash_codes_range(col: &Column, lo: usize, hi: usize) -> Vec<u64> {
 }
 
 /// Per-row shuffle targets for a whole table, computed column-at-a-time over
-/// the bound key columns. Equal to calling [`route`] on every materialised
-/// row, but touches only the key columns' native lanes.
+/// the bound key columns: a seeded rotate-xor of the keys' hash codes,
+/// modulo `targets`. Touches only the key columns' native lanes.
 pub fn route_rows(t: &Table, key_idx: &[usize], targets: usize) -> Result<Vec<u32>> {
     let mut acc = vec![ROUTE_SEED; t.num_rows()];
     for &k in key_idx {
@@ -142,18 +135,16 @@ pub fn route_rows(t: &Table, key_idx: &[usize], targets: usize) -> Result<Vec<u3
         .collect())
 }
 
-/// Mean encoded row width over a small prefix sample, used to pre-size the
-/// per-target encode buffers instead of growing them from empty.
+/// Mean encoded row width over a small prefix sample — what the budgeted
+/// aggregate map side uses to size its partials before they shuffle.
 pub(crate) fn estimate_row_bytes(inputs: &[Table]) -> usize {
     const SAMPLE: usize = 16;
-    let mut scratch = BytesMut::new();
+    let mut bytes = 0usize;
     let mut sampled = 0usize;
     for t in inputs {
-        let lanes = lanes(t);
-        for i in 0..t.num_rows().min(SAMPLE - sampled) {
-            encode_row_at(&lanes, i, &mut scratch);
-            sampled += 1;
-        }
+        let n = t.num_rows().min(SAMPLE - sampled);
+        bytes += row_widths(t, 0..n).iter().sum::<usize>();
+        sampled += n;
         if sampled >= SAMPLE {
             break;
         }
@@ -161,11 +152,11 @@ pub(crate) fn estimate_row_bytes(inputs: &[Table]) -> usize {
     if sampled == 0 {
         0
     } else {
-        scratch.len().div_ceil(sampled)
+        bytes.div_ceil(sampled)
     }
 }
 
-/// Result of a shuffle write+read cycle.
+/// Result of a shuffle.
 pub struct ShuffleOutput {
     pub partitions: Vec<Table>,
     /// Total encoded bytes that crossed the shuffle.
@@ -179,24 +170,8 @@ impl ShuffleOutput {
     }
 }
 
-/// Decode one target's complete buffer back into a table.
-fn decode_buffer(schema: &Schema, buf: BytesMut, count: usize) -> Result<Table> {
-    let mut bytes = buf.freeze();
-    let mut builder = TableBuilder::with_capacity(schema.clone(), count);
-    for _ in 0..count {
-        builder.push_row(decode_row(&mut bytes)?)?;
-    }
-    if !bytes.is_empty() {
-        return Err(FlowError::Codec(
-            "trailing bytes after decoding shuffle".to_owned(),
-        ));
-    }
-    Ok(builder.finish()?)
-}
-
 /// Redistribute all `inputs` rows into `targets` partitions keyed by the
-/// named columns. Rows are serialised into per-target buffers and decoded
-/// back out, exactly once each.
+/// named columns; with no keys every row gathers into partition 0.
 pub fn shuffle(
     inputs: &[Table],
     schema: &Schema,
@@ -205,7 +180,6 @@ pub fn shuffle(
 ) -> Result<ShuffleOutput> {
     shuffle_spillable(
         inputs.iter().map(|t| Ok(t.clone())),
-        inputs.len(),
         schema,
         keys,
         targets,
@@ -213,25 +187,88 @@ pub fn shuffle(
     )
 }
 
-/// How many buffered rows between budget checks on the spill path. Checking
+/// How many staged rows between budget checks on the spill path. Checking
 /// at row granularity would put a branch in the hot loop for nothing; a
 /// whole input table at a time could overshoot the budget by that table's
 /// encoded size. 1024 rows keeps the overshoot to a few row-widths.
 const SPILL_CHECK_ROWS: usize = 1024;
 
-/// The spillable core every shuffle runs through. Inputs arrive as an
-/// iterator of owned tables so spilled upstream runs can be fed back one at
-/// a time without materialising them all (`sources` is the input count for
-/// the trace event). With `spill: None` — or a budget nothing exceeds —
-/// this is exactly the historical in-memory shuffle. With a
-/// [`SpillManager`], whenever the per-target encode buffers exceed the
-/// budget the largest buffers are decoded and written out as paged runs,
-/// and each target's output is the concatenation of its runs plus the
-/// in-memory tail, in original arrival order — byte-identical to the
-/// in-memory result.
+/// Each target's staged rows: one builder per column and target, plus the
+/// rows and encoded bytes staged per target.
+struct Staging<'a> {
+    schema: &'a Schema,
+    /// `columns[c][target]`: column-major, so one column scatters into one
+    /// slice of builders.
+    columns: Vec<Vec<ColumnBuilder>>,
+    rows: Vec<usize>,
+    bytes: Vec<usize>,
+}
+
+impl<'a> Staging<'a> {
+    fn new(schema: &'a Schema, targets: usize) -> Self {
+        Staging {
+            schema,
+            columns: schema
+                .fields()
+                .iter()
+                .map(|f| {
+                    (0..targets)
+                        .map(|_| ColumnBuilder::new(f.data_type))
+                        .collect()
+                })
+                .collect(),
+            rows: vec![0; targets],
+            bytes: vec![0; targets],
+        }
+    }
+
+    /// Stage rows `lo..hi` of `t`, row `lo + k` to target `routes[k]`
+    /// (all to target 0 without routes).
+    fn scatter(&mut self, t: &Table, lo: usize, hi: usize, routes: Option<&[u32]>) -> Result<()> {
+        if t.num_columns() != self.columns.len() {
+            return Err(FlowError::Plan(format!(
+                "shuffle input has {} columns, schema {}",
+                t.num_columns(),
+                self.columns.len()
+            )));
+        }
+        for (col, out) in t.columns().iter().zip(&mut self.columns) {
+            col.scatter(lo..hi, routes, out).map_err(FlowError::Data)?;
+        }
+        let route = |k: usize| routes.map_or(0, |r| r[k] as usize);
+        for (k, w) in row_widths(t, lo..hi).into_iter().enumerate() {
+            self.rows[route(k)] += 1;
+            self.bytes[route(k)] += w;
+        }
+        Ok(())
+    }
+
+    /// Freeze `target`'s staged rows into a table and reset them.
+    fn take(&mut self, target: usize) -> Result<Table> {
+        let columns = self
+            .columns
+            .iter_mut()
+            .map(|c| {
+                let ty = c[target].data_type();
+                std::mem::replace(&mut c[target], ColumnBuilder::new(ty)).finish()
+            })
+            .collect();
+        self.rows[target] = 0;
+        self.bytes[target] = 0;
+        Table::new(self.schema.clone(), columns).map_err(FlowError::Data)
+    }
+}
+
+/// The core every shuffle runs through. Inputs arrive as an iterator of
+/// owned tables, dropped as they are staged, so spilled upstream runs can
+/// be fed back one at a time without materialising them all. With
+/// `spill: None` — or a budget nothing exceeds — everything stays staged
+/// in memory. With a [`SpillManager`], whenever the staged bytes exceed the
+/// budget the target with the most is spilled as a paged run, and each
+/// target's output is its runs plus its staged tail, in arrival order —
+/// identical to the in-memory result.
 pub fn shuffle_spillable(
     inputs: impl IntoIterator<Item = Result<Table>>,
-    sources: usize,
     schema: &Schema,
     keys: &[String],
     targets: usize,
@@ -246,201 +283,87 @@ pub fn shuffle_spillable(
         .iter()
         .map(|k| schema.index_of(k).map_err(FlowError::Data))
         .collect::<Result<Vec<_>>>()?;
-    let mut buffers: Vec<BytesMut> = (0..targets).map(|_| BytesMut::new()).collect();
-    let mut counts = vec![0usize; targets];
-    let mut spilled: Vec<Vec<crate::pager::SpillHandle>> =
-        (0..targets).map(|_| Vec::new()).collect();
+    let mut staging = Staging::new(schema, targets);
+    let mut spilled: Vec<Vec<SpillHandle>> = (0..targets).map(|_| Vec::new()).collect();
     let mut spilled_bytes = 0u64;
-    let mut buffered = 0usize;
-    let mut presized = false;
-    let budget = spill.map(|(m, _)| m.budget_bytes() as usize);
     for t in inputs {
         let t = t?;
-        if !presized && t.num_rows() > 0 {
-            // Pre-size each target buffer for its expected share of the
-            // encoded bytes (plus skew slack) so the hot loop never
-            // reallocates. Inputs arrive as an iterator, so the total row
-            // count is estimated from the first non-empty table times the
-            // source count (inputs are near-evenly split partitions).
-            // Under a budget, never pre-size beyond it.
-            let total_rows: usize = t.num_rows().saturating_mul(sources.max(1));
-            let row_bytes = estimate_row_bytes(std::slice::from_ref(&t));
-            for (i, buf) in buffers.iter_mut().enumerate() {
-                let share = if key_idx.is_empty() {
-                    // Keyless shuffle gathers everything into partition 0.
-                    if i == 0 {
-                        total_rows
-                    } else {
-                        0
-                    }
-                } else {
-                    total_rows / targets + total_rows / (targets * 8) + 1
-                };
-                let mut cap = share * row_bytes;
-                if let Some(b) = budget {
-                    cap = cap.min(b / targets + 1);
-                }
-                // The buffers are still empty here (this is the first
-                // non-empty input), so swapping in a pre-sized buffer is
-                // the no-realloc reserve.
-                *buf = BytesMut::with_capacity(cap);
-            }
-            presized = true;
-        }
-        let lanes = lanes(&t);
-        let routes = if key_idx.is_empty() {
+        let routes = if key_idx.is_empty() || targets == 1 {
             None
         } else {
             Some(route_rows(&t, &key_idx, targets)?)
         };
-        let mut since_check = 0usize;
-        for i in 0..t.num_rows() {
-            let target = routes.as_ref().map_or(0, |r| r[i] as usize);
-            let before = buffers[target].len();
-            encode_row_at(&lanes, i, &mut buffers[target]);
-            buffered += buffers[target].len() - before;
-            counts[target] += 1;
-            since_check += 1;
-            if since_check >= SPILL_CHECK_ROWS {
-                since_check = 0;
-                if let (Some(b), Some((manager, journal))) = (budget, spill) {
-                    while buffered > b {
-                        if !spill_largest(
-                            manager,
-                            journal,
-                            schema,
-                            &mut buffers,
-                            &mut counts,
-                            &mut spilled,
-                            &mut buffered,
-                            &mut spilled_bytes,
-                        )? {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        // End-of-input check too, so a final sub-1024-row tail still
-        // respects the budget before the next (possibly large) input.
-        if let (Some(b), Some((manager, journal))) = (budget, spill) {
-            while buffered > b {
-                if !spill_largest(
-                    manager,
-                    journal,
-                    schema,
-                    &mut buffers,
-                    &mut counts,
-                    &mut spilled,
-                    &mut buffered,
-                    &mut spilled_bytes,
-                )? {
+        let mut lo = 0;
+        while lo < t.num_rows() {
+            let hi = (lo + SPILL_CHECK_ROWS).min(t.num_rows());
+            staging.scatter(&t, lo, hi, routes.as_ref().map(|r| &r[lo..hi]))?;
+            lo = hi;
+            let Some((manager, journal)) = spill else {
+                continue;
+            };
+            while staging.bytes.iter().sum::<usize>() > manager.budget_bytes() as usize {
+                // The target with the most staged bytes; ties go to the
+                // last index.
+                let Some((target, &bytes)) = staging
+                    .bytes
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &b)| b > 0)
+                    .max_by_key(|(_, &b)| b)
+                else {
                     break;
-                }
+                };
+                let rows = staging.rows[target] as u64;
+                let run = staging.take(target)?;
+                let handle = manager.spill_table(&run, journal)?;
+                journal.record(TraceEventKind::SpillStarted {
+                    op: SPILL_OP_SHUFFLE.to_owned(),
+                    target,
+                    rows,
+                    bytes: bytes as u64,
+                });
+                spilled_bytes += bytes as u64;
+                spilled[target].push(handle);
             }
         }
     }
-    let tail_bytes: u64 = buffers.iter().map(|b| b.len() as u64).sum();
-    let bytes_moved = tail_bytes + spilled_bytes;
+    let staged_bytes: u64 = staging.bytes.iter().map(|&b| b as u64).sum();
     let mut partitions = Vec::with_capacity(targets);
-    for (target, (buf, count)) in buffers.into_iter().zip(counts).enumerate() {
-        let tail = decode_buffer(schema, buf, count)?;
-        let runs = std::mem::take(&mut spilled[target]);
+    for (target, runs) in spilled.into_iter().enumerate() {
+        let tail = staging.take(target)?;
         if runs.is_empty() {
             partitions.push(tail);
             continue;
         }
         let (manager, journal) = spill.expect("spilled runs imply a spill manager");
         let mut chunks = Vec::with_capacity(runs.len() + 1);
-        let mut merged_rows = 0u64;
         let mut merged_bytes = 0u64;
         let n_runs = runs.len();
         for handle in runs {
             merged_bytes += handle.bytes();
-            let chunk = manager.read_back(&handle, journal)?;
-            merged_rows += chunk.num_rows() as u64;
-            chunks.push(chunk);
+            chunks.push(manager.read_back(&handle, journal)?);
             manager.release(handle);
         }
-        merged_rows += tail.num_rows() as u64;
         chunks.push(tail);
         journal.record(TraceEventKind::SpillMerged {
             op: SPILL_OP_SHUFFLE.to_owned(),
             target,
             runs: n_runs,
-            rows: merged_rows,
+            rows: chunks.iter().map(|c| c.num_rows() as u64).sum(),
             bytes: merged_bytes,
         });
         partitions.push(Table::concat(&chunks).map_err(FlowError::Data)?);
     }
     Ok(ShuffleOutput {
         partitions,
-        bytes_moved,
+        bytes_moved: staged_bytes + spilled_bytes,
     })
 }
 
-/// Spill the single largest target buffer as one paged run. Returns false
-/// when nothing is left to spill (every buffer empty).
-#[allow(clippy::too_many_arguments)]
-fn spill_largest(
-    manager: &SpillManager,
-    journal: &TraceJournal,
-    schema: &Schema,
-    buffers: &mut [BytesMut],
-    counts: &mut [usize],
-    spilled: &mut [Vec<crate::pager::SpillHandle>],
-    buffered: &mut usize,
-    spilled_bytes: &mut u64,
-) -> Result<bool> {
-    let Some((target, _)) = buffers
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| !b.is_empty())
-        .max_by_key(|(_, b)| b.len())
-    else {
-        return Ok(false);
-    };
-    let bytes = buffers[target].len() as u64;
-    let count = counts[target];
-    let buf = std::mem::take(&mut buffers[target]);
-    counts[target] = 0;
-    *buffered -= bytes as usize;
-    *spilled_bytes += bytes;
-    let chunk = decode_buffer(schema, buf, count)?;
-    let handle = manager.spill_table(&chunk, journal)?;
-    journal.record(TraceEventKind::SpillStarted {
-        op: SPILL_OP_SHUFFLE.to_owned(),
-        target,
-        rows: count as u64,
-        bytes,
-    });
-    spilled[target].push(handle);
-    Ok(true)
-}
-
-/// [`shuffle`], plus a [`TraceEventKind::ShuffleWave`] event in `journal`.
-/// The shuffle itself stays pure; tracing is layered on at the call sites
-/// that have a journal in scope (the physical operators).
-pub fn shuffle_traced(
-    inputs: &[Table],
-    schema: &Schema,
-    keys: &[String],
-    targets: usize,
-    journal: &TraceJournal,
-) -> Result<ShuffleOutput> {
-    shuffle_traced_spillable(
-        inputs.iter().map(|t| Ok(t.clone())),
-        inputs.len(),
-        schema,
-        keys,
-        targets,
-        journal,
-        None,
-    )
-}
-
-/// The traced spillable shuffle: [`shuffle_spillable`] plus the
-/// [`TraceEventKind::ShuffleWave`] event.
+/// [`shuffle_spillable`] plus a [`TraceEventKind::ShuffleWave`] event in
+/// `journal` (`sources` is the input count it reports): the shuffle itself
+/// stays pure, and the physical operators, which have a journal in scope,
+/// call this.
 pub fn shuffle_traced_spillable(
     inputs: impl IntoIterator<Item = Result<Table>>,
     sources: usize,
@@ -450,14 +373,7 @@ pub fn shuffle_traced_spillable(
     journal: &TraceJournal,
     spill: Option<&SpillManager>,
 ) -> Result<ShuffleOutput> {
-    let out = shuffle_spillable(
-        inputs,
-        sources,
-        schema,
-        keys,
-        targets,
-        spill.map(|m| (m, journal)),
-    )?;
+    let out = shuffle_spillable(inputs, schema, keys, targets, spill.map(|m| (m, journal)))?;
     journal.record(TraceEventKind::ShuffleWave {
         keys: keys.len(),
         rows: out.rows_moved(),
@@ -469,11 +385,17 @@ pub fn shuffle_traced_spillable(
 }
 
 #[cfg(test)]
+pub(crate) mod oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::oracle::{encode_row, route};
     use super::*;
-    use bytes::{Buf, BufMut};
+    use crate::codec::{encode_row_at, lanes};
+    use bytes::{Buf, BufMut, BytesMut};
     use toreador_data::generate::random_table;
     use toreador_data::partition::PartitionedTable;
+    use toreador_data::value::Row;
     use toreador_data::value::Value;
 
     #[test]
@@ -558,8 +480,16 @@ mod tests {
         let t = random_table(200, 3, 5);
         let parts = PartitionedTable::split(t.clone(), 2).unwrap();
         let journal = TraceJournal::new();
-        let out =
-            shuffle_traced(parts.parts(), t.schema(), &["c0".to_owned()], 4, &journal).unwrap();
+        let out = shuffle_traced_spillable(
+            parts.parts().iter().map(|p| Ok(p.clone())),
+            2,
+            t.schema(),
+            &["c0".to_owned()],
+            4,
+            &journal,
+            None,
+        )
+        .unwrap();
         let trace = journal.snapshot();
         let wave = trace
             .events
@@ -670,7 +600,6 @@ mod tests {
             let journal = TraceJournal::new();
             let out = shuffle_spillable(
                 parts.parts().iter().map(|p| Ok(p.clone())),
-                parts.parts().len(),
                 t.schema(),
                 &keys,
                 6,

@@ -30,8 +30,17 @@ fn engine_with(table: Table, budget: Option<u64>) -> Engine {
     e
 }
 
+/// The suite's case count; the vendored proptest does not read
+/// `PROPTEST_CASES`, so this suite honours it by hand — CI widens it.
+fn proptest_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(24)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(proptest_cases()))]
 
     #[test]
     fn spilling_aggregation_is_value_identical_to_in_memory(

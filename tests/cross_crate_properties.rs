@@ -381,24 +381,6 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn columnar_shuffle_routing_matches_row_routing(
-        rows in 1usize..200,
-        cols in 1usize..6,
-        seed in 0u64..500,
-        targets in 1usize..9,
-    ) {
-        use toreador_data::generate::random_table;
-        use toreador_dataflow::shuffle::{route, route_rows};
-
-        let t = random_table(rows, cols, seed);
-        let key_idx: Vec<usize> = (0..cols).step_by(2).collect();
-        let routes = route_rows(&t, &key_idx, targets).unwrap();
-        for (i, row) in t.iter_rows().enumerate() {
-            prop_assert_eq!(routes[i] as usize, route(&row, &key_idx, targets), "row {}", i);
-        }
-    }
 }
 
 proptest! {
