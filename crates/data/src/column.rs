@@ -692,8 +692,9 @@ impl Column {
     /// `out[0]` when `routes` is `None`. A null slot lands as the builder's
     /// default (`false`, `0`, `0.0`, empty text) whatever payload sits
     /// under it here, exactly as [`ColumnBuilder::push_null`] writes it; a
-    /// range with no nulls pays nothing for that. Errors when a builder's
-    /// type differs from this column's or the range is out of bounds.
+    /// range with no nulls pays nothing for that. `out` holds one builder
+    /// per target. Errors when a builder's type differs from this column's
+    /// or the range is out of bounds.
     pub fn scatter(
         &self,
         rows: Range<usize>,
@@ -1441,6 +1442,44 @@ mod tests {
         let g = c.take_sel(&[2, 2]);
         assert_eq!(g.value(0).unwrap(), Value::Str("c".into()));
         assert_eq!(g.null_count(), 0);
+    }
+
+    #[test]
+    fn scatter_routes_rows_and_writes_defaults_under_nulls() {
+        // Payloads sit under the null slots, as vectorized kernels leave them.
+        let validity: Validity = [true, false, true, false].into_iter().collect();
+        let ints = Column::Int {
+            data: vec![1, 99, 3, 98].into(),
+            validity: validity.clone(),
+        };
+        let strs = Column::Str {
+            data: ["a", "é", "c", "zz"].into_iter().collect(),
+            validity,
+        };
+        for col in [&ints, &strs] {
+            let mut out: Vec<_> = (0..2)
+                .map(|_| ColumnBuilder::new(col.data_type()))
+                .collect();
+            col.scatter(1..4, Some(&[1, 0, 1]), &mut out).unwrap();
+            col.scatter(0..1, Some(&[1]), &mut out).unwrap();
+            let [zero, one] = [0, 1].map(|t| {
+                std::mem::replace(&mut out[t], ColumnBuilder::new(col.data_type())).finish()
+            });
+            let rebuilt = |rows: &[usize]| {
+                let values: Vec<Value> = rows.iter().map(|&i| col.value(i).unwrap()).collect();
+                Column::from_values(col.data_type(), &values).unwrap()
+            };
+            assert_eq!(zero, rebuilt(&[2]));
+            assert_eq!(one, rebuilt(&[1, 3, 0]));
+            // Without routes every row goes to the first builder.
+            let mut gathered = [ColumnBuilder::new(col.data_type())];
+            col.scatter(0..4, None, &mut gathered).unwrap();
+            let [gathered] = gathered;
+            assert_eq!(gathered.finish(), rebuilt(&[0, 1, 2, 3]));
+        }
+        let mut wrong = [ColumnBuilder::new(DataType::Float)];
+        assert!(ints.scatter(0..1, None, &mut wrong).is_err());
+        assert!(ints.scatter(3..5, None, &mut wrong[..0]).is_err());
     }
 
     #[test]

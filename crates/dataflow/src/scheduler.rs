@@ -1039,23 +1039,19 @@ where
             co.on_tick(queue);
         }
         queue.close();
-        join_workers(handles)
+        // Joining takes a worker's panic (one outside an attempt's
+        // `catch_unwind`), so it fails the stage classified instead of
+        // unwinding through the caller.
+        let mut panicked = false;
+        for handle in handles {
+            panicked |= handle.join().is_err();
+        }
+        if panicked {
+            Err(FlowError::Cancelled("worker thread panicked".to_owned()))
+        } else {
+            Ok(())
+        }
     })
-}
-
-/// Join every pool worker. A worker that panicked outside an attempt's
-/// `catch_unwind` is a classified cancellation: joining it here takes the
-/// panic, so it never unwinds through the caller.
-fn join_workers(handles: Vec<std::thread::ScopedJoinHandle<'_, ()>>) -> Result<()> {
-    let mut panicked = false;
-    for handle in handles {
-        panicked |= handle.join().is_err();
-    }
-    if panicked {
-        Err(FlowError::Cancelled("worker thread panicked".to_owned()))
-    } else {
-        Ok(())
-    }
 }
 
 #[cfg(test)]
