@@ -159,7 +159,8 @@ pub(crate) fn estimate_row_bytes(inputs: &[Table]) -> usize {
 /// Result of a shuffle.
 pub struct ShuffleOutput {
     pub partitions: Vec<Table>,
-    /// Total encoded bytes that crossed the shuffle.
+    /// The row-codec bytes of every row that crossed the shuffle: what
+    /// it would have put on a wire, computed rather than encoded.
     pub bytes_moved: u64,
 }
 
