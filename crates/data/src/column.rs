@@ -1063,6 +1063,20 @@ impl ColumnBuilder {
         Ok(())
     }
 
+    /// Append a text cell to a `Str` column without an owned `String`.
+    pub fn push_str(&mut self, s: &str) -> Result<()> {
+        let LaneBuilder::Str { offsets, bytes } = &mut self.lane else {
+            return Err(DataError::TypeMismatch {
+                expected: self.data_type().name().to_owned(),
+                found: DataType::Str.name().to_owned(),
+            });
+        };
+        bytes.push_str(s);
+        offsets.push(bytes.len() as u64);
+        self.validity.push(true);
+        Ok(())
+    }
+
     /// Append a null slot.
     pub fn push_null(&mut self) {
         match &mut self.lane {
@@ -1208,7 +1222,28 @@ mod tests {
     fn push_rejects_wrong_type() {
         let mut b = ColumnBuilder::new(DataType::Int);
         assert!(b.push(&Value::Str("x".into())).is_err());
+        assert!(b.push_str("x").is_err());
         assert!(b.is_empty());
+    }
+
+    #[test]
+    fn push_str_appends_text_like_push() {
+        let mut b = ColumnBuilder::new(DataType::Str);
+        b.push_str("Zürich").unwrap();
+        b.push_null();
+        b.push_str("").unwrap();
+        assert_eq!(
+            b.finish(),
+            Column::from_values(
+                DataType::Str,
+                &[
+                    Value::Str("Zürich".into()),
+                    Value::Null,
+                    Value::Str(String::new())
+                ]
+            )
+            .unwrap()
+        );
     }
 
     #[test]

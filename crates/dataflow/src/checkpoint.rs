@@ -1,8 +1,8 @@
 //! Stage-boundary checkpointing with crash-resume.
 //!
 //! After each shuffle wave completes, the executor atomically materialises
-//! the wave's partitioned output (through the lane-based row codec in
-//! [`crate::codec`]) plus a manifest into a per-run checkpoint directory,
+//! the wave's partitioned output (in the row layout of [`crate::codec`])
+//! plus a manifest into a per-run checkpoint directory,
 //! following the `toreador-store` WAL conventions: temp-write + rename +
 //! directory fsync on the write side, CRC-checked frames on the read side.
 //! A process killed at any stage boundary can then [`RunCheckpoint::resume`]:
@@ -25,14 +25,15 @@
 //! A wave file is `TORCKPT1` magic followed by CRC-framed records
 //! (`[len: u32 LE][crc32: u32 LE][payload]`): frame 0 is a JSON header
 //! (stage id, wave index, per-partition row counts and CRCs, schema), then
-//! one frame per partition holding its lane-encoded rows. Torn or corrupt
-//! frames fail the load with [`FlowError::Checkpoint`] — a checkpoint is
-//! either provably intact or not used.
+//! one frame per partition holding its rows in that layout, which load
+//! decodes straight into columns. Torn or corrupt frames, and payloads
+//! that do not decode as the header claims, fail the load with
+//! [`FlowError::Checkpoint`] naming the file — a checkpoint is either
+//! provably intact or not used.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -40,8 +41,8 @@ use toreador_data::partition::PartitionedTable;
 use toreador_data::schema::Schema;
 use toreador_data::table::Table;
 
-/// Re-exported from [`crate::codec`], where the shared implementation lives.
-pub use crate::codec::crc32;
+use toreador_store::crc::crc32;
+
 use crate::codec::{decode_table, encode_table, push_frame, sync_dir, take_frame, write_atomic};
 use crate::error::{FlowError, Result};
 
@@ -358,9 +359,8 @@ impl RunCheckpoint {
         let mut partition_crcs = Vec::with_capacity(out.len());
         let mut payload_bytes = 0u64;
         for t in out {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             encode_table(t, &mut buf);
-            let buf = buf.freeze();
             payload_bytes += buf.len() as u64;
             row_counts.push(t.num_rows());
             partition_crcs.push(crc32(&buf));
@@ -407,7 +407,7 @@ pub(crate) fn load_wave(path: &Path, wave: usize) -> Result<RestoredWave> {
         std::str::from_utf8(take_frame(&mut rest).map_err(|e| corrupt(e.describe()))?)
             .map_err(|_| corrupt("wave header is not utf-8"))?;
     let header: WaveHeader = serde_json::from_str(header_text)
-        .map_err(|e| FlowError::Checkpoint(format!("decode wave header: {e}")))?;
+        .map_err(|e| corrupt(&format!("decode wave header: {e}")))?;
     if header.wave != wave {
         return Err(corrupt("wave index does not match file name"));
     }
@@ -423,11 +423,8 @@ pub(crate) fn load_wave(path: &Path, wave: usize) -> Result<RestoredWave> {
         if crc32(payload) != header.partition_crcs[i] {
             return Err(corrupt("partition crc does not match header"));
         }
-        let table = decode_table(
-            &header.schema,
-            header.row_counts[i],
-            Bytes::copy_from_slice(payload),
-        )?;
+        let table = decode_table(&header.schema, header.row_counts[i], payload)
+            .map_err(|e| corrupt(&e.to_string()))?;
         rows += table.num_rows() as u64;
         tables.push(table);
     }
@@ -463,13 +460,6 @@ mod tests {
             chaos_seed: 7,
             partitions: 4,
         }
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE 802.3 check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]
@@ -580,6 +570,57 @@ mod tests {
         // Restore the pristine bytes: loads again.
         fs::write(&path, &pristine).unwrap();
         assert!(RunCheckpoint::resume(&rspec, &manifest("run-3")).is_ok());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Publish wave 0 of `dir` with a CRC-valid header claiming `claimed`
+    /// rows for a partition that holds one.
+    fn craft_wave(dir: &Path, claimed: usize) {
+        use toreador_data::schema::Field;
+        use toreador_data::value::{DataType, Value};
+        let schema = Schema::new(vec![Field::new("i", DataType::Int)]).unwrap();
+        let one = Table::from_rows(schema.clone(), vec![vec![Value::Int(7)]]).unwrap();
+        let mut payload = Vec::new();
+        encode_table(&one, &mut payload);
+        let header = WaveHeader {
+            stage: 0,
+            wave: 0,
+            partitions: 1,
+            row_counts: vec![claimed],
+            partition_crcs: vec![crc32(&payload)],
+            schema,
+        };
+        let mut file = WAVE_MAGIC.to_vec();
+        push_frame(
+            &mut file,
+            serde_json::to_string(&header).unwrap().as_bytes(),
+        );
+        push_frame(&mut file, &payload);
+        fs::write(wave_path(dir, 0), file).unwrap();
+    }
+
+    #[test]
+    fn untrusted_row_counts_are_corruption_not_aborts() {
+        let root = temp_root("claims");
+        let spec = CheckpointSpec::new(&root, "run-5");
+        RunCheckpoint::create(&spec, &manifest("run-5")).unwrap();
+        let rspec = CheckpointSpec::resume(&root, "run-5");
+        let path = wave_path(&spec.dir(), 0);
+        for claimed in [3, 1 << 40, (1 << 62) - 1] {
+            craft_wave(&spec.dir(), claimed);
+            match RunCheckpoint::resume(&rspec, &manifest("run-5")) {
+                Err(FlowError::Checkpoint(msg)) => {
+                    assert!(msg.contains(&path.display().to_string()), "{msg}")
+                }
+                other => panic!("a claim of {claimed} rows must fail the load, got {other:?}"),
+            }
+            let artifacts = crate::fsck::scan_tree(&root).unwrap();
+            let wave = artifacts.iter().find(|a| a.path == path).unwrap();
+            assert!(wave.verdict.is_corrupt(), "{:?}", wave.verdict);
+        }
+        craft_wave(&spec.dir(), 1);
+        let resumed = RunCheckpoint::resume(&rspec, &manifest("run-5")).unwrap();
+        assert_eq!(resumed.take_restored(0).unwrap().rows, 1);
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -1,23 +1,32 @@
-//! The shared partition codec: tagged values, lane-based rows, CRC framing.
+//! The shared partition codec: tagged cells, row and lane layouts, CRC
+//! framing.
 //!
 //! Two subsystems persist partitioned rows as bytes — stage-boundary
 //! checkpointing ([`crate::checkpoint`]) and the out-of-core pager
 //! ([`crate::pager`]) — and the shuffle ([`crate::shuffle`]) reports its
 //! cost in the same bytes. They must stay byte-identical: a checkpointed
-//! wave and a spilled run are the same rows through the same encoder, and
+//! wave and a spilled run are the same cells through the same encoder, and
 //! the regression tests below pin that down. This module is the single
 //! definition of
 //!
-//! - the **tagged value codec** (`[tag u8][payload]`, one tag per
-//!   [`Value`] variant, null as a bare tag),
-//! - the **row codec** (`[width u16 LE][cell]*`), encoded straight out of
-//!   the native columns ([`encode_row_at`]/[`encode_cell`]) without
-//!   materialising `Value`s, and measured without encoding
-//!   ([`row_widths`]),
-//! - the **table codec** ([`encode_table`]/[`decode_table`]) — the
-//!   checkpoint wire format for one partition,
-//! - **CRC32 (IEEE)** and the `[len u32 LE][crc32 u32 LE][payload]` frame
-//!   used by wave files and page files alike, and
+//! - the **tagged cell** (`[tag u8][payload]`, one tag per type, null as a
+//!   bare tag), encoded straight out of the native columns
+//!   ([`encode_cell`]) and measured without encoding ([`row_widths`]);
+//! - the two layouts built from it: the **row** layout
+//!   (`[width u16 LE][cell]*` per row, [`encode_table`]/[`decode_table`]),
+//!   which is a checkpoint wave's partition body, and the **lane** layout
+//!   (one column's cells in row order, [`encode_lane`]/[`decode_lane`]),
+//!   which is a spilled run's page extent;
+//! - the **one cell decoder** both read paths share. It appends each cell
+//!   straight into its column's [`ColumnBuilder`]: no `Value` row is
+//!   built, and a text cell costs no `String`. Truncation, trailing bytes,
+//!   an unknown tag, a tag of the wrong type, a bool byte other than 0 or
+//!   1, invalid UTF-8, a row width that differs from the schema's and a
+//!   null in a required field are all a classified [`FlowError::Codec`].
+//!   Counts come from headers the decoder cannot trust, so builders are
+//!   sized by what the payload can hold, never by a count alone;
+//! - the `[len u32 LE][crc32 u32 LE][payload]` frame used by wave files
+//!   and page files alike (CRC-32 from [`toreador_store::crc`]), and
 //! - the **atomic publish discipline** ([`write_atomic`]/[`sync_dir`]):
 //!   temp-write + fsync + rename + directory fsync, as in `toreador-store`.
 //!
@@ -29,12 +38,11 @@
 use std::ops::Range;
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
-use toreador_data::column::{LaneRef, Validity};
-use toreador_data::schema::Schema;
-use toreador_data::table::{Table, TableBuilder};
-use toreador_data::value::{Row, Value};
+use toreador_data::column::{Column, ColumnBuilder, LaneRef, Validity};
+use toreador_data::schema::{Field, Schema};
+use toreador_data::table::Table;
+use toreador_data::value::{DataType, Value};
+use toreador_store::crc::crc32;
 
 use crate::error::{FlowError, Result};
 
@@ -44,70 +52,6 @@ pub(crate) const TAG_INT: u8 = 2;
 pub(crate) const TAG_FLOAT: u8 = 3;
 pub(crate) const TAG_STR: u8 = 4;
 pub(crate) const TAG_TS: u8 = 5;
-
-/// Decode one tagged value off the front of `buf`.
-pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
-    let short = || FlowError::Codec("truncated shuffle payload".to_owned());
-    if buf.remaining() < 1 {
-        return Err(short());
-    }
-    let tag = buf.get_u8();
-    Ok(match tag {
-        TAG_NULL => Value::Null,
-        TAG_BOOL => {
-            if buf.remaining() < 1 {
-                return Err(short());
-            }
-            Value::Bool(buf.get_u8() != 0)
-        }
-        TAG_INT => {
-            if buf.remaining() < 8 {
-                return Err(short());
-            }
-            Value::Int(buf.get_i64_le())
-        }
-        TAG_FLOAT => {
-            if buf.remaining() < 8 {
-                return Err(short());
-            }
-            Value::Float(buf.get_f64_le())
-        }
-        TAG_STR => {
-            if buf.remaining() < 4 {
-                return Err(short());
-            }
-            let len = buf.get_u32_le() as usize;
-            if buf.remaining() < len {
-                return Err(short());
-            }
-            let bytes = buf.copy_to_bytes(len);
-            Value::Str(
-                String::from_utf8(bytes.to_vec())
-                    .map_err(|_| FlowError::Codec("invalid utf8 in shuffle payload".to_owned()))?,
-            )
-        }
-        TAG_TS => {
-            if buf.remaining() < 8 {
-                return Err(short());
-            }
-            Value::Timestamp(buf.get_i64_le())
-        }
-        other => return Err(FlowError::Codec(format!("unknown value tag {other}"))),
-    })
-}
-
-/// Decode one row.
-pub fn decode_row(buf: &mut Bytes) -> Result<Row> {
-    if buf.remaining() < 2 {
-        return Err(FlowError::Codec("truncated shuffle payload".to_owned()));
-    }
-    let width = buf.get_u16_le() as usize;
-    let mut row = Vec::with_capacity(width);
-    for _ in 0..width {
-        row.push(decode_value(buf)?);
-    }
-    Ok(row)
-}
 
 /// One column borrowed as its lane plus validity, for encoding rows (or
 /// whole lanes) straight out of the native columns without building
@@ -122,46 +66,43 @@ pub fn lanes(t: &Table) -> Vec<Lane<'_>> {
         .collect()
 }
 
-/// Encode cell `i` of one lane as a tagged value — the bytes
-/// [`decode_value`] reads back (null validity encodes as the null tag). This
-/// is the unit both the row codec and the pager's per-lane extents are
-/// built from, which is what keeps the two byte-identical by construction.
-pub fn encode_cell(lane: &Lane<'_>, i: usize, buf: &mut BytesMut) {
+/// Encode cell `i` of one lane as a tagged cell (null validity encodes as
+/// the null tag). This is the unit both the row layout and the pager's
+/// lane extents are built from, which is what keeps the two byte-identical
+/// by construction.
+pub fn encode_cell(lane: &Lane<'_>, i: usize, buf: &mut Vec<u8>) {
     let (data, validity) = lane;
     if !validity.get(i) {
-        buf.put_u8(TAG_NULL);
+        buf.push(TAG_NULL);
         return;
     }
     match data {
-        LaneRef::Bool(d) => {
-            buf.put_u8(TAG_BOOL);
-            buf.put_u8(d[i] as u8);
-        }
+        LaneRef::Bool(d) => buf.extend_from_slice(&[TAG_BOOL, d[i] as u8]),
         LaneRef::Int(d) => {
-            buf.put_u8(TAG_INT);
-            buf.put_i64_le(d[i]);
+            buf.push(TAG_INT);
+            buf.extend_from_slice(&d[i].to_le_bytes());
         }
         LaneRef::Float(d) => {
-            buf.put_u8(TAG_FLOAT);
-            buf.put_f64_le(d[i]);
+            buf.push(TAG_FLOAT);
+            buf.extend_from_slice(&d[i].to_le_bytes());
         }
         LaneRef::Str(d) => {
             let s = d.bytes(i);
-            buf.put_u8(TAG_STR);
-            buf.put_u32_le(s.len() as u32);
-            buf.put_slice(s);
+            buf.push(TAG_STR);
+            buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            buf.extend_from_slice(s);
         }
         LaneRef::Timestamp(d) => {
-            buf.put_u8(TAG_TS);
-            buf.put_i64_le(d[i]);
+            buf.push(TAG_TS);
+            buf.extend_from_slice(&d[i].to_le_bytes());
         }
     }
 }
 
 /// Encode row `i` of a table: its width as `u16` LE, then one tagged cell
-/// per column — the bytes [`decode_row`] reads back.
-pub fn encode_row_at(lanes: &[Lane<'_>], i: usize, buf: &mut BytesMut) {
-    buf.put_u16_le(lanes.len() as u16);
+/// per column.
+pub fn encode_row_at(lanes: &[Lane<'_>], i: usize, buf: &mut Vec<u8>) {
+    buf.extend_from_slice(&(lanes.len() as u16).to_le_bytes());
     for lane in lanes {
         encode_cell(lane, i, buf);
     }
@@ -204,92 +145,138 @@ pub fn row_widths(t: &Table, rows: Range<usize>) -> Vec<usize> {
     widths
 }
 
-/// Encode every row of a table through the lane codec. This is the
-/// checkpoint wire format: a wave partition persists as its row count plus
-/// this byte stream.
-pub fn encode_table(t: &Table, buf: &mut BytesMut) {
+/// Encode every row of a table in the row layout. This is the checkpoint
+/// wire format: a wave partition persists as its row count plus this byte
+/// stream.
+pub fn encode_table(t: &Table, buf: &mut Vec<u8>) {
     let lanes = lanes(t);
     for i in 0..t.num_rows() {
         encode_row_at(&lanes, i, buf);
     }
 }
 
-/// Decode `count` rows of `schema` back into a table, rejecting trailing
-/// bytes — the inverse of [`encode_table`].
-pub fn decode_table(schema: &Schema, count: usize, mut bytes: Bytes) -> Result<Table> {
-    let mut builder = TableBuilder::with_capacity(schema.clone(), count);
+/// Decode `count` rows of `schema` out of the row layout, rejecting
+/// trailing bytes — the inverse of [`encode_table`].
+pub fn decode_table(schema: &Schema, count: usize, bytes: &[u8]) -> Result<Table> {
+    let fields = schema.fields();
+    // A row takes at least its width prefix plus a tag per cell.
+    let cap = count.min(bytes.len() / (2 + fields.len()));
+    let mut columns: Vec<ColumnBuilder> = fields
+        .iter()
+        .map(|f| ColumnBuilder::with_capacity(f.data_type, cap))
+        .collect();
+    let mut buf = bytes;
     for _ in 0..count {
-        builder.push_row(decode_row(&mut bytes)?)?;
+        let width = u16::from_le_bytes(take(&mut buf, 2, "row")?.try_into().expect("2 bytes"));
+        if usize::from(width) != fields.len() {
+            return Err(FlowError::Codec(format!(
+                "row of width {width} in a {}-field schema",
+                fields.len()
+            )));
+        }
+        for (field, col) in fields.iter().zip(&mut columns) {
+            decode_cell(&mut buf, field, col)?;
+        }
     }
-    if bytes.has_remaining() {
-        return Err(FlowError::Codec(
-            "trailing bytes after decoding table".to_owned(),
-        ));
-    }
-    Ok(builder.finish()?)
+    no_trailing(buf, "table")?;
+    let columns = columns.into_iter().map(ColumnBuilder::finish).collect();
+    Ok(Table::new(schema.clone(), columns)?)
 }
 
 /// Encode one whole lane (`rows` cells, in row order) — the pager's
 /// per-lane extent payload. Cell `i` is byte-identical to what
 /// [`encode_row_at`] writes for that column in row `i`.
-pub fn encode_lane(lane: &Lane<'_>, rows: usize, buf: &mut BytesMut) {
+pub fn encode_lane(lane: &Lane<'_>, rows: usize, buf: &mut Vec<u8>) {
     for i in 0..rows {
         encode_cell(lane, i, buf);
     }
 }
 
-/// Decode `rows` tagged cells back out of one lane extent — the inverse of
+/// Decode `rows` cells of `field` out of one lane extent — the inverse of
 /// [`encode_lane`]. Rejects trailing bytes for the same reason
 /// [`decode_table`] does: an extent is either exactly its lane or corrupt.
-pub fn decode_lane(rows: usize, mut bytes: Bytes) -> Result<Vec<Value>> {
-    let mut out = Vec::with_capacity(rows);
+pub fn decode_lane(field: &Field, rows: usize, bytes: &[u8]) -> Result<Column> {
+    // A cell takes at least its tag.
+    let mut col = ColumnBuilder::with_capacity(field.data_type, rows.min(bytes.len()));
+    let mut buf = bytes;
     for _ in 0..rows {
-        out.push(decode_value(&mut bytes)?);
+        decode_cell(&mut buf, field, &mut col)?;
     }
-    if bytes.has_remaining() {
-        return Err(FlowError::Codec(
-            "trailing bytes after decoding lane".to_owned(),
-        ));
-    }
-    Ok(out)
+    no_trailing(buf, "lane")?;
+    Ok(col.finish())
 }
 
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE), table-driven. The store crate has its own copy: this codec
-// predates the dataflow→store dependency (added for the streaming ack log)
-// and keeps its own framing rather than round-tripping payloads through the
-// store WAL.
-// ---------------------------------------------------------------------------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
+/// The one cell decoder: read a tagged cell of `field` off the front of
+/// `buf` and append it to `out`. A null appends the builder's default.
+fn decode_cell(buf: &mut &[u8], field: &Field, out: &mut ColumnBuilder) -> Result<()> {
+    let tag = take(buf, 1, "cell")?[0];
+    if tag == TAG_NULL {
+        if !field.nullable {
+            return Err(FlowError::Codec(format!(
+                "null in required field {:?}",
+                field.name
+            )));
         }
-        table[i] = c;
-        i += 1;
+        out.push_null();
+        return Ok(());
     }
-    table
+    let want = match field.data_type {
+        DataType::Bool => TAG_BOOL,
+        DataType::Int => TAG_INT,
+        DataType::Float => TAG_FLOAT,
+        DataType::Str => TAG_STR,
+        DataType::Timestamp => TAG_TS,
+    };
+    if tag != want {
+        return Err(FlowError::Codec(if tag > TAG_TS {
+            format!("unknown value tag {tag}")
+        } else {
+            format!(
+                "value tag {tag} in {} field {:?}",
+                field.data_type.name(),
+                field.name
+            )
+        }));
+    }
+    let word = |buf: &mut &[u8]| -> Result<[u8; 8]> {
+        Ok(take(buf, 8, "cell")?.try_into().expect("8 bytes"))
+    };
+    match field.data_type {
+        DataType::Bool => match take(buf, 1, "cell")?[0] {
+            b @ (0 | 1) => out.push(&Value::Bool(b == 1)),
+            b => return Err(FlowError::Codec(format!("bool cell holds byte {b}"))),
+        },
+        DataType::Int => out.push(&Value::Int(i64::from_le_bytes(word(buf)?))),
+        DataType::Float => out.push(&Value::Float(f64::from_le_bytes(word(buf)?))),
+        DataType::Timestamp => out.push(&Value::Timestamp(i64::from_le_bytes(word(buf)?))),
+        DataType::Str => {
+            let len = u32::from_le_bytes(take(buf, 4, "cell")?.try_into().expect("4 bytes"));
+            let text = std::str::from_utf8(take(buf, len as usize, "cell")?)
+                .map_err(|_| FlowError::Codec("invalid utf8 in text cell".to_owned()))?;
+            out.push_str(text)
+        }
+    }?;
+    Ok(())
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
-
-/// CRC32 (IEEE 802.3) of a byte slice.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+/// Split `n` bytes off the front of `buf`, or fail as a truncated `what`.
+fn take<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8]> {
+    if buf.len() < n {
+        return Err(FlowError::Codec(format!("truncated {what}")));
     }
-    c ^ 0xFFFF_FFFF
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
+}
+
+fn no_trailing(rest: &[u8], what: &str) -> Result<()> {
+    if rest.is_empty() {
+        Ok(())
+    } else {
+        Err(FlowError::Codec(format!(
+            "trailing bytes after decoding {what}"
+        )))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -384,16 +371,13 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::result::Result<(), String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shuffle::oracle::{encode_row, encode_value};
+    use crate::group::oracle::{identical, proptest_cases, random_types, table_of};
+    use crate::shuffle::oracle::encode_row;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::fs;
     use toreador_data::generate::random_table;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE 802.3 check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn frames_round_trip_and_detect_damage() {
@@ -421,62 +405,226 @@ mod tests {
         );
     }
 
-    /// The regression the factoring exists for: the cell codec used by the
-    /// pager's per-lane extents produces exactly the bytes the row codec —
-    /// and therefore the checkpoint wire format — produces for the same
-    /// cells. Row `i` of `encode_table` is the 2-byte width prefix followed
-    /// by the lanes' cell encodings in column order.
+    /// The regression the factoring exists for: the cells of the pager's
+    /// lane extents are exactly the cells of the row layout — and
+    /// therefore of the checkpoint wire format. Row `i` of `encode_table`
+    /// is the 2-byte width prefix followed by the lanes' cells in column
+    /// order, and the decoded lane extents, re-interleaved by row, are the
+    /// checkpoint stream.
     #[test]
     fn lane_cells_are_byte_identical_to_the_row_codec() {
         let t = random_table(120, 5, 31);
         let lanes = lanes(&t);
         for (i, row) in t.iter_rows().enumerate() {
-            let mut by_row = BytesMut::new();
+            let mut by_row = Vec::new();
             encode_row(&row, &mut by_row);
-            let mut by_cells = BytesMut::new();
-            by_cells.put_u16_le(lanes.len() as u16);
+            let mut by_cells = (lanes.len() as u16).to_le_bytes().to_vec();
             for lane in &lanes {
                 encode_cell(lane, i, &mut by_cells);
             }
-            assert_eq!(by_row.freeze(), by_cells.freeze(), "row {i}");
+            assert_eq!(by_row, by_cells, "row {i}");
         }
-        // And the whole-table form: lane extents re-interleaved by row are
-        // the checkpoint stream.
-        let mut by_table = BytesMut::new();
+        let mut by_table = Vec::new();
         encode_table(&t, &mut by_table);
-        let extents: Vec<Bytes> = lanes
+        let decoded: Vec<Column> = lanes
             .iter()
-            .map(|l| {
-                let mut b = BytesMut::new();
-                encode_lane(l, t.num_rows(), &mut b);
-                b.freeze()
+            .zip(t.schema().fields())
+            .map(|(lane, field)| {
+                let mut extent = Vec::new();
+                encode_lane(lane, t.num_rows(), &mut extent);
+                decode_lane(field, t.num_rows(), &extent).unwrap()
             })
             .collect();
-        let mut interleaved = BytesMut::new();
-        let mut cursors: Vec<Bytes> = extents.clone();
-        for _ in 0..t.num_rows() {
-            interleaved.put_u16_le(lanes.len() as u16);
-            for c in cursors.iter_mut() {
-                let v = decode_value(c).unwrap();
-                encode_value(&v, &mut interleaved);
+        let mut interleaved = Vec::new();
+        for i in 0..t.num_rows() {
+            interleaved.extend_from_slice(&(decoded.len() as u16).to_le_bytes());
+            for col in &decoded {
+                encode_cell(&(col.lane(), col.validity()), i, &mut interleaved);
             }
         }
-        assert_eq!(by_table.freeze(), interleaved.freeze());
+        assert_eq!(by_table, interleaved);
     }
 
     #[test]
     fn lane_extents_round_trip_and_reject_trailing_bytes() {
         let t = random_table(90, 4, 13);
-        for (lane, col) in lanes(&t).iter().zip(t.columns()) {
-            let mut buf = BytesMut::new();
-            encode_lane(lane, t.num_rows(), &mut buf);
-            let bytes = buf.freeze();
-            let vals = decode_lane(t.num_rows(), bytes.clone()).unwrap();
-            for (i, v) in vals.iter().enumerate() {
-                assert_eq!(format!("{v:?}"), format!("{:?}", col.value(i).unwrap()));
+        let fields = t.schema().fields();
+        for ((lane, col), field) in lanes(&t).iter().zip(t.columns()).zip(fields) {
+            let mut bytes = Vec::new();
+            encode_lane(lane, t.num_rows(), &mut bytes);
+            let back = decode_lane(field, t.num_rows(), &bytes).unwrap();
+            assert_eq!(
+                format!("{:?}", back.iter_values().collect::<Vec<_>>()),
+                format!("{:?}", col.iter_values().collect::<Vec<_>>())
+            );
+            assert!(decode_lane(field, t.num_rows() - 1, &bytes).is_err());
+            assert!(decode_lane(field, t.num_rows() + 1, &bytes).is_err());
+        }
+    }
+
+    #[test]
+    fn cells_that_do_not_fit_their_field_are_codec_errors() {
+        let required = Field::required("id", DataType::Int);
+        let nullable = Field::new("x", DataType::Float);
+        let schema = Schema::new(vec![required.clone()]).unwrap();
+        let int_cell = [&[TAG_INT][..], &7i64.to_le_bytes()].concat();
+        let cases: [(&Field, Vec<u8>, &str); 5] = [
+            (&required, vec![TAG_NULL], "null in required field \"id\""),
+            (
+                &nullable,
+                int_cell.clone(),
+                "value tag 2 in Float field \"x\"",
+            ),
+            (&nullable, vec![99], "unknown value tag 99"),
+            (
+                &Field::new("b", DataType::Bool),
+                vec![TAG_BOOL, 2],
+                "bool cell holds byte 2",
+            ),
+            (
+                &Field::new("s", DataType::Str),
+                [&[TAG_STR][..], &2u32.to_le_bytes(), &[0xC3, 0x28]].concat(),
+                "invalid utf8",
+            ),
+        ];
+        for (field, cell, want) in cases {
+            match decode_lane(field, 1, &cell) {
+                Err(FlowError::Codec(msg)) => assert!(msg.contains(want), "{msg} vs {want}"),
+                other => panic!("{want}: got {other:?}"),
             }
-            assert!(decode_lane(t.num_rows() - 1, bytes.clone()).is_err());
-            assert!(decode_lane(t.num_rows() + 1, bytes).is_err());
+        }
+        // The row layout checks its width prefix against the schema.
+        let row = |width: u16| [&width.to_le_bytes()[..], &int_cell].concat();
+        assert!(decode_table(&schema, 1, &row(1)).is_ok());
+        match decode_table(&schema, 1, &row(2)) {
+            Err(FlowError::Codec(msg)) => assert!(msg.contains("width 2"), "{msg}"),
+            other => panic!("width mismatch: got {other:?}"),
+        }
+    }
+
+    /// A count comes from a header the decoder cannot trust: a claim far
+    /// beyond what the payload holds is a truncation, not an allocation.
+    #[test]
+    fn counts_beyond_the_payload_are_truncation_not_allocation() {
+        let field = Field::new("s", DataType::Str);
+        let schema = Schema::new(vec![field.clone()]).unwrap();
+        for count in [3, 1 << 40, (1 << 62) - 1, usize::MAX] {
+            let lane = decode_lane(&field, count, &[TAG_NULL; 2]);
+            assert!(matches!(lane, Err(FlowError::Codec(ref m)) if m == "truncated cell"));
+            let table = decode_table(&schema, count, &[1, 0, TAG_NULL, 1, 0, TAG_NULL]);
+            assert!(matches!(table, Err(FlowError::Codec(ref m)) if m == "truncated row"));
+        }
+    }
+
+    /// `t` with every null slot holding its builder's default, built a row
+    /// at a time through `Value`s: what a decoder must hand back.
+    fn defaults_under_nulls(t: &Table) -> Table {
+        let columns = t
+            .columns()
+            .iter()
+            .map(|c| Column::from_values(c.data_type(), &c.iter_values().collect::<Vec<_>>()))
+            .collect::<toreador_data::error::Result<Vec<_>>>()
+            .unwrap();
+        Table::new(t.schema().clone(), columns).unwrap()
+    }
+
+    fn extents(t: &Table) -> Vec<Vec<u8>> {
+        lanes(t)
+            .iter()
+            .map(|lane| {
+                let mut extent = Vec::new();
+                encode_lane(lane, t.num_rows(), &mut extent);
+                extent
+            })
+            .collect()
+    }
+
+    /// Decoding `bytes` fails, or yields a table whose encoding is `bytes`.
+    fn canonical_table(schema: &Schema, rows: usize, bytes: &[u8]) -> bool {
+        decode_table(schema, rows, bytes).map_or(true, |t| {
+            let mut again = Vec::new();
+            encode_table(&t, &mut again);
+            again == bytes
+        })
+    }
+
+    /// Decoding `bytes` fails, or yields a lane whose encoding is `bytes`.
+    fn canonical_lane(field: &Field, rows: usize, bytes: &[u8]) -> bool {
+        decode_lane(field, rows, bytes).map_or(true, |c| {
+            let mut again = Vec::new();
+            encode_lane(&(c.lane(), c.validity()), rows, &mut again);
+            again == bytes
+        })
+    }
+
+    // Inputs come from the hash-kernel generators: all five types, nulls
+    // with garbage under them, NaN payloads, ±0.0, "" and multi-byte
+    // UTF-8. Scale the sweep with `PROPTEST_CASES` (default 32).
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(proptest_cases()))]
+
+        #[test]
+        fn tables_and_lanes_round_trip_bit_for_bit(seed in 0u64..u64::MAX, rows in 0usize..80) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let t = table_of(&random_types(&mut rng, 1, 5), rows, "c", &mut rng);
+            let want = defaults_under_nulls(&t);
+            let mut body = Vec::new();
+            encode_table(&t, &mut body);
+            let back = decode_table(t.schema(), rows, &body).unwrap();
+            prop_assert_eq!(identical(&back, &want, &[]), Ok(()));
+            let columns = extents(&t)
+                .iter()
+                .zip(t.schema().fields())
+                .map(|(extent, field)| decode_lane(field, rows, extent).unwrap())
+                .collect();
+            let back = Table::new(t.schema().clone(), columns).unwrap();
+            prop_assert_eq!(identical(&back, &want, &[]), Ok(()));
+        }
+
+        #[test]
+        fn damaged_bodies_fail_or_decode_canonically(seed in 0u64..u64::MAX, rows in 0usize..16) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let t = table_of(&random_types(&mut rng, 1, 5), rows, "c", &mut rng);
+            let schema = t.schema();
+            let mut body = Vec::new();
+            encode_table(&t, &mut body);
+            for cut in 0..body.len() {
+                prop_assert!(decode_table(schema, rows, &body[..cut]).is_err(), "cut {}", cut);
+            }
+            for k in 0..body.len() {
+                let mut flipped = body.clone();
+                flipped[k] ^= rng.gen_range(1..=255u8);
+                prop_assert!(canonical_table(schema, rows, &flipped), "flip at {}", k);
+            }
+            for (extent, field) in extents(&t).iter().zip(schema.fields()) {
+                for cut in 0..extent.len() {
+                    prop_assert!(decode_lane(field, rows, &extent[..cut]).is_err(), "cut {}", cut);
+                }
+                for k in 0..extent.len() {
+                    let mut flipped = extent.clone();
+                    flipped[k] ^= rng.gen_range(1..=255u8);
+                    prop_assert!(canonical_lane(field, rows, &flipped), "flip at {}", k);
+                }
+            }
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic(seed in 0u64..u64::MAX, len in 0usize..256) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let fields: Vec<Field> = random_types(&mut rng, 1, 5)
+                .into_iter()
+                .enumerate()
+                .map(|(i, ty)| Field { nullable: rng.gen_bool(0.5), ..Field::new(format!("c{i}"), ty) })
+                .collect();
+            let schema = Schema::new(fields).unwrap();
+            // Bias towards tags and small lengths so decoding gets past the
+            // first cell.
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| if rng.gen_bool(0.5) { rng.gen_range(0..7) } else { rng.gen() })
+                .collect();
+            let count = [0, 1, 2, rng.gen_range(0..64), 1 << 40, usize::MAX][rng.gen_range(0..6)];
+            let _ = decode_table(&schema, count, &bytes);
+            let _ = decode_lane(&schema.fields()[0], count, &bytes);
         }
     }
 

@@ -42,7 +42,7 @@ pub enum FlowError {
     /// Execution was cancelled (quota exhausted, user abort, or a
     /// permanent failure dooming the stage).
     Cancelled(String),
-    /// A shuffle payload could not be decoded.
+    /// A row or lane payload could not be decoded.
     Codec(String),
     /// A checkpoint could not be written or read back (I/O failure,
     /// truncation, CRC mismatch, malformed manifest).
@@ -89,7 +89,7 @@ impl fmt::Display for FlowError {
                 "task panicked (stage {stage}, partition {partition}) after {attempts} attempts: {message}"
             ),
             FlowError::Cancelled(msg) => write!(f, "execution cancelled: {msg}"),
-            FlowError::Codec(msg) => write!(f, "shuffle codec error: {msg}"),
+            FlowError::Codec(msg) => write!(f, "codec error: {msg}"),
             FlowError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
             FlowError::StaleCheckpoint { run_id, mismatch } => write!(
                 f,

@@ -657,7 +657,7 @@ pub(crate) fn identical(a: &Table, b: &Table, sums: &[String]) -> Result<(), Str
 
 /// The suite's case count; the vendored proptest does not read
 /// `PROPTEST_CASES`, so this suite honours it by hand — CI pins it.
-fn proptest_cases() -> u32 {
+pub(crate) fn proptest_cases() -> u32 {
     std::env::var("PROPTEST_CASES")
         .ok()
         .and_then(|v| v.parse().ok())

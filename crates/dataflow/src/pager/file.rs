@@ -2,8 +2,9 @@
 //!
 //! A page file is a sequence of fixed-size [`PAGE_SIZE`] slots. Each slot
 //! holds one CRC32 frame — `[payload_len u32 LE][crc32 u32 LE][payload]`,
-//! the same layout as a checkpoint wave frame ([`crate::codec`]) — zero-
-//! padded to the slot boundary so page `n` always starts at byte
+//! written and checked by the same [`crate::codec::push_frame`] and
+//! [`crate::codec::take_frame`] as a checkpoint wave frame — zero-padded
+//! to the slot boundary so page `n` always starts at byte
 //! `n * PAGE_SIZE`. Page 0 is the directory: a magic tag plus a JSON
 //! [`PageDirectory`] naming the row count, schema and per-lane extents.
 //! Pages 1.. hold the lane extents: each column's cells encoded
@@ -26,7 +27,7 @@ use toreador_data::schema::Schema;
 
 use toreador_store::io::{io_for, StorageFile, StorageIo};
 
-use crate::codec::crc32;
+use crate::codec::{push_frame, take_frame};
 use crate::error::{FlowError, Result};
 
 /// Fixed page-slot size. 32 KiB holds a few thousand encoded cells per
@@ -152,23 +153,19 @@ impl PageFile {
         self.file
             .read_exact_at(page as u64 * PAGE_SIZE as u64, &mut slot)
             .map_err(|e| spill_err(format!("read page {page} of {}: {e}", self.path.display())))?;
-        let corrupt = |what: &str| {
-            spill_err(format!(
-                "corrupt page file {}: page {page} {what}",
-                self.path.display()
-            ))
-        };
-        let len = u32::from_le_bytes(slot[0..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(slot[4..8].try_into().unwrap());
-        if len > PAGE_PAYLOAD {
-            return Err(corrupt("oversized payload"));
-        }
-        let payload = &slot[8..8 + len];
-        if crc32(payload) != crc {
-            return Err(corrupt("crc mismatch"));
-        }
+        // The slot bounds the frame, so its length cannot exceed
+        // `PAGE_PAYLOAD`.
+        let len = take_frame(&mut slot.as_slice())
+            .map_err(|e| {
+                spill_err(format!(
+                    "corrupt page file {}: page {page} {}",
+                    self.path.display(),
+                    e.describe()
+                ))
+            })?
+            .len();
+        slot.truncate(8 + len);
         slot.drain(..8);
-        slot.truncate(len);
         Ok(slot)
     }
 
@@ -188,9 +185,7 @@ impl PageFile {
             )));
         }
         let mut slot = Vec::with_capacity(PAGE_SIZE);
-        slot.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        slot.extend_from_slice(&crc32(payload).to_le_bytes());
-        slot.extend_from_slice(payload);
+        push_frame(&mut slot, payload);
         slot.resize(PAGE_SIZE, 0);
         self.file
             .write_all_at(page as u64 * PAGE_SIZE as u64, &slot)

@@ -12,20 +12,19 @@
 //! any instant leaves either a complete published run (swept on the next
 //! start) or a `.tmp` orphan (also swept) — never a readable half-file.
 //!
-//! Spilled rows round-trip through the lane codec ([`crate::codec`]) that
-//! checkpointing uses, so a spilled run is byte-identical to a
-//! checkpointed partition of the same rows by construction.
+//! A run is stored lane by lane: each column's cells, encoded with the
+//! cell codec checkpointing uses ([`crate::codec`]), fill an extent of
+//! consecutive pages. Reading it back decodes each extent straight into a
+//! column, so a spilled run's cells are byte-identical to a checkpointed
+//! partition's by construction and no row is ever rebuilt.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::{BufMut, BytesMut};
-
 use toreador_store::io::io_for;
 
-use toreador_data::table::{Table, TableBuilder};
-use toreador_data::value::{Row, Value};
+use toreador_data::table::Table;
 
 use crate::codec::{decode_lane, encode_lane, lanes};
 use crate::error::{FlowError, Result};
@@ -146,12 +145,12 @@ impl SpillManager {
         let mut next_page: u32 = 1; // page 0 is the directory
         let mut payload_bytes = 0u64;
         for lane in &table_lanes {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             encode_lane(lane, rows, &mut buf);
             let bytes = buf.len() as u64;
             let first_page = next_page;
             let mut pages = 0u32;
-            for chunk in buf.as_slice().chunks(PAGE_PAYLOAD) {
+            for chunk in buf.chunks(PAGE_PAYLOAD) {
                 self.pool.write(id, next_page, chunk.to_vec(), journal)?;
                 next_page += 1;
                 pages += 1;
@@ -174,39 +173,47 @@ impl SpillManager {
     }
 
     /// Read a spilled run back: pin the directory, reassemble each lane
-    /// from its extent pages, decode, and rebuild the table row by row —
-    /// in the exact row order it was spilled with.
+    /// from its extent pages and decode it straight into a column — in the
+    /// exact row order it was spilled with.
     pub fn read_back(&self, handle: &SpillHandle, journal: &TraceJournal) -> Result<Table> {
         let directory = {
             let page = self.pool.pin(handle.file, 0, journal)?;
             PageDirectory::from_payload(&page)?
         };
-        let mut columns: Vec<std::vec::IntoIter<Value>> = Vec::with_capacity(directory.lanes.len());
-        for extent in &directory.lanes {
-            let mut buf = BytesMut::with_capacity(extent.bytes as usize);
+        let corrupt = |what: String| {
+            FlowError::Spill(format!(
+                "corrupt page file {}: {what}",
+                handle.path.display()
+            ))
+        };
+        let fields = directory.schema.fields();
+        if directory.lanes.len() != fields.len() {
+            return Err(corrupt(format!(
+                "directory lists {} lanes for {} fields",
+                directory.lanes.len(),
+                fields.len()
+            )));
+        }
+        let mut columns = Vec::with_capacity(fields.len());
+        for (extent, field) in directory.lanes.iter().zip(fields) {
+            // The directory is untrusted: size the buffer by the pages
+            // actually read, not by the byte count it claims.
+            let cap = extent.bytes.min(extent.pages as u64 * PAGE_PAYLOAD as u64);
+            let mut buf = Vec::with_capacity(cap as usize);
             for p in 0..extent.pages {
                 let page = self.pool.pin(handle.file, extent.first_page + p, journal)?;
-                buf.put_slice(&page);
+                buf.extend_from_slice(&page);
             }
             if buf.len() as u64 != extent.bytes {
-                return Err(FlowError::Spill(format!(
-                    "corrupt page file {}: lane extent carries {} bytes, directory says {}",
-                    handle.path.display(),
+                return Err(corrupt(format!(
+                    "lane extent carries {} bytes, directory says {}",
                     buf.len(),
                     extent.bytes
                 )));
             }
-            columns.push(decode_lane(directory.rows, buf.freeze())?.into_iter());
+            columns.push(decode_lane(field, directory.rows, &buf)?);
         }
-        let mut builder = TableBuilder::with_capacity(directory.schema.clone(), directory.rows);
-        for _ in 0..directory.rows {
-            let row: Row = columns
-                .iter_mut()
-                .map(|c| c.next().expect("extent length matches row count"))
-                .collect();
-            builder.push_row(row)?;
-        }
-        Ok(builder.finish()?)
+        Ok(Table::new(directory.schema, columns)?)
     }
 
     /// A spilled run was merged into its partition's output: drop its

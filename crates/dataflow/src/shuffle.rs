@@ -28,7 +28,6 @@ use toreador_data::schema::Schema;
 use toreador_data::table::Table;
 
 use crate::codec::row_widths;
-pub use crate::codec::{decode_row, decode_table, encode_table};
 use crate::error::{FlowError, Result};
 use crate::pager::{SpillHandle, SpillManager, SPILL_OP_SHUFFLE};
 use crate::trace::{TraceEventKind, TraceJournal};
@@ -392,15 +391,29 @@ pub(crate) mod oracle;
 mod tests {
     use super::oracle::{encode_row, route};
     use super::*;
-    use crate::codec::{encode_row_at, lanes};
-    use bytes::{Buf, BufMut, BytesMut};
+    use crate::codec::{decode_table, encode_row_at, encode_table, lanes};
     use toreador_data::generate::random_table;
     use toreador_data::partition::PartitionedTable;
-    use toreador_data::value::Row;
-    use toreador_data::value::Value;
+    use toreador_data::schema::Field;
+    use toreador_data::value::{DataType, Row, Value};
 
     #[test]
     fn row_codec_round_trips_every_type() {
+        let schema = Schema::new(
+            [
+                DataType::Int,
+                DataType::Bool,
+                DataType::Int,
+                DataType::Float,
+                DataType::Str,
+                DataType::Timestamp,
+            ]
+            .iter()
+            .enumerate()
+            .map(|(i, &ty)| Field::new(format!("c{i}"), ty))
+            .collect(),
+        )
+        .unwrap();
         let row: Row = vec![
             Value::Null,
             Value::Bool(true),
@@ -409,35 +422,30 @@ mod tests {
             Value::Str("héllo, wörld".into()),
             Value::Timestamp(1_488_000_000_000),
         ];
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_row(&row, &mut buf);
-        let mut bytes = buf.freeze();
-        let back = decode_row(&mut bytes).unwrap();
-        assert_eq!(back.len(), row.len());
-        for (a, b) in row.iter().zip(&back) {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        }
-        assert!(!bytes.has_remaining());
+        let back = decode_table(&schema, 1, &buf).unwrap();
+        assert_eq!(back.row(0).unwrap(), row);
     }
 
     #[test]
     fn decode_detects_truncation() {
+        let schema = Schema::new(vec![Field::new("s", DataType::Str)]).unwrap();
         let row: Row = vec![Value::Str("abcdef".into())];
-        let mut buf = BytesMut::new();
-        encode_row(&row, &mut buf);
-        let full = buf.freeze();
+        let mut full = Vec::new();
+        encode_row(&row, &mut full);
         for cut in 0..full.len() {
-            let mut partial = full.slice(..cut);
-            assert!(decode_row(&mut partial).is_err(), "cut at {cut} must fail");
+            assert!(
+                decode_table(&schema, 1, &full[..cut]).is_err(),
+                "cut at {cut} must fail"
+            );
         }
     }
 
     #[test]
     fn decode_rejects_bad_tag() {
-        let mut buf = BytesMut::new();
-        buf.put_u16_le(1);
-        buf.put_u8(99);
-        assert!(decode_row(&mut buf.freeze()).is_err());
+        let schema = Schema::new(vec![Field::new("i", DataType::Int)]).unwrap();
+        assert!(decode_table(&schema, 1, &[1, 0, 99]).is_err());
     }
 
     #[test]
@@ -549,26 +557,25 @@ mod tests {
         let t = random_table(120, 5, 31);
         let lanes = lanes(&t);
         for (i, row) in t.iter_rows().enumerate() {
-            let mut by_row = BytesMut::new();
+            let mut by_row = Vec::new();
             encode_row(&row, &mut by_row);
-            let mut by_lane = BytesMut::new();
+            let mut by_lane = Vec::new();
             encode_row_at(&lanes, i, &mut by_lane);
-            assert_eq!(by_row.freeze(), by_lane.freeze(), "row {i}");
+            assert_eq!(by_row, by_lane, "row {i}");
         }
     }
 
     #[test]
     fn table_codec_round_trips_and_rejects_trailing_bytes() {
         let t = random_table(150, 5, 17);
-        let mut buf = BytesMut::new();
-        encode_table(&t, &mut buf);
-        let bytes = buf.freeze();
-        let back = decode_table(t.schema(), t.num_rows(), bytes.clone()).unwrap();
+        let mut bytes = Vec::new();
+        encode_table(&t, &mut bytes);
+        let back = decode_table(t.schema(), t.num_rows(), &bytes).unwrap();
         assert_eq!(back, t);
         // Undercounting rows leaves trailing bytes: must be rejected.
-        assert!(decode_table(t.schema(), t.num_rows() - 1, bytes.clone()).is_err());
+        assert!(decode_table(t.schema(), t.num_rows() - 1, &bytes).is_err());
         // Overcounting runs off the end: must be rejected.
-        assert!(decode_table(t.schema(), t.num_rows() + 1, bytes).is_err());
+        assert!(decode_table(t.schema(), t.num_rows() + 1, &bytes).is_err());
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! The oracle below is that shuffle, kept as test code: every row is
 //! materialised as a `Vec<Value>`, routed by [`route`], written through
 //! the row codec ([`encode_row`]) into a per-target buffer, and decoded
-//! back with [`decode_row`] — so a null slot comes out holding the
-//! builder's default, whatever payload it held going in. Under a budget it
+//! back with [`decode_table`] — so a null slot comes out holding the
+//! builder's default, whatever payload it held going in. The shuffle under
+//! test decodes nothing, so sharing the decoder leaves the oracle
+//! independent of it. Under a budget it
 //! spills the largest buffer at the same points the production shuffle
 //! checks, so the two must journal the same spill sequence.
 //!
@@ -18,60 +20,56 @@
 //! equal `SpillStarted`/`SpillMerged` sequence. Scale the sweep with
 //! `PROPTEST_CASES` (default 32).
 
-use bytes::{Buf, BufMut, BytesMut};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use toreador_data::schema::Schema;
-use toreador_data::table::{Table, TableBuilder};
+use toreador_data::table::Table;
 use toreador_data::value::{Row, Value};
 
 use super::{
     estimate_row_bytes, route_rows, shuffle_spillable, ShuffleOutput, ROUTE_SEED, SPILL_CHECK_ROWS,
 };
 use crate::codec::{
-    decode_row, encode_row_at, lanes, row_widths, TAG_BOOL, TAG_FLOAT, TAG_INT, TAG_NULL, TAG_STR,
-    TAG_TS,
+    decode_table, encode_row_at, lanes, row_widths, TAG_BOOL, TAG_FLOAT, TAG_INT, TAG_NULL,
+    TAG_STR, TAG_TS,
 };
 use crate::error::{FlowError, Result};
-use crate::group::oracle::{identical, random_types, table_of};
+use crate::group::oracle::{identical, proptest_cases, random_types, table_of};
 use crate::pager::{SpillHandle, SpillManager, SPILL_OP_SHUFFLE};
 use crate::trace::{TraceEventKind, TraceJournal};
 
 // ------------------------------------------------------------- the oracle
 
 /// Append one value as a tagged cell.
-pub(crate) fn encode_value(v: &Value, buf: &mut BytesMut) {
+pub(crate) fn encode_value(v: &Value, buf: &mut Vec<u8>) {
     match v {
-        Value::Null => buf.put_u8(TAG_NULL),
-        Value::Bool(b) => {
-            buf.put_u8(TAG_BOOL);
-            buf.put_u8(*b as u8);
-        }
+        Value::Null => buf.push(TAG_NULL),
+        Value::Bool(b) => buf.extend_from_slice(&[TAG_BOOL, *b as u8]),
         Value::Int(i) => {
-            buf.put_u8(TAG_INT);
-            buf.put_i64_le(*i);
+            buf.push(TAG_INT);
+            buf.extend_from_slice(&i.to_le_bytes());
         }
         Value::Float(x) => {
-            buf.put_u8(TAG_FLOAT);
-            buf.put_f64_le(*x);
+            buf.push(TAG_FLOAT);
+            buf.extend_from_slice(&x.to_le_bytes());
         }
         Value::Str(s) => {
-            buf.put_u8(TAG_STR);
-            buf.put_u32_le(s.len() as u32);
-            buf.put_slice(s.as_bytes());
+            buf.push(TAG_STR);
+            buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            buf.extend_from_slice(s.as_bytes());
         }
         Value::Timestamp(t) => {
-            buf.put_u8(TAG_TS);
-            buf.put_i64_le(*t);
+            buf.push(TAG_TS);
+            buf.extend_from_slice(&t.to_le_bytes());
         }
     }
 }
 
 /// Encode a materialised row (width-prefixed).
-pub(crate) fn encode_row(row: &Row, buf: &mut BytesMut) {
-    buf.put_u16_le(row.len() as u16);
+pub(crate) fn encode_row(row: &Row, buf: &mut Vec<u8>) {
+    buf.extend_from_slice(&(row.len() as u16).to_le_bytes());
     for v in row {
         encode_value(v, buf);
     }
@@ -85,17 +83,6 @@ pub(crate) fn route(row: &Row, key_idx: &[usize], targets: usize) -> usize {
         h = h.rotate_left(5) ^ row[k].hash_code();
     }
     (h % targets as u64) as usize
-}
-
-/// Decode one target's complete buffer back into a table.
-fn decode_buffer(schema: &Schema, buf: BytesMut, count: usize) -> Result<Table> {
-    let mut bytes = buf.freeze();
-    let mut builder = TableBuilder::with_capacity(schema.clone(), count);
-    for _ in 0..count {
-        builder.push_row(decode_row(&mut bytes)?)?;
-    }
-    assert!(!bytes.has_remaining(), "trailing bytes after decoding");
-    Ok(builder.finish()?)
 }
 
 /// The byte-codec shuffle: rows encoded into per-target buffers, the
@@ -112,11 +99,11 @@ pub(crate) fn oracle_shuffle(
         .iter()
         .map(|k| schema.index_of(k).map_err(FlowError::Data))
         .collect::<Result<Vec<_>>>()?;
-    let mut buffers: Vec<BytesMut> = (0..targets).map(|_| BytesMut::new()).collect();
+    let mut buffers: Vec<Vec<u8>> = vec![Vec::new(); targets];
     let mut counts = vec![0usize; targets];
     let mut spilled: Vec<Vec<SpillHandle>> = (0..targets).map(|_| Vec::new()).collect();
     let mut spilled_bytes = 0u64;
-    let check = |buffers: &mut Vec<BytesMut>,
+    let check = |buffers: &mut Vec<Vec<u8>>,
                  counts: &mut Vec<usize>,
                  spilled: &mut Vec<Vec<SpillHandle>>,
                  spilled_bytes: &mut u64|
@@ -124,7 +111,7 @@ pub(crate) fn oracle_shuffle(
         let Some((manager, journal)) = spill else {
             return Ok(());
         };
-        while buffers.iter().map(BytesMut::len).sum::<usize>() > manager.budget_bytes() as usize {
+        while buffers.iter().map(Vec::len).sum::<usize>() > manager.budget_bytes() as usize {
             let Some((target, _)) = buffers
                 .iter()
                 .enumerate()
@@ -137,7 +124,7 @@ pub(crate) fn oracle_shuffle(
             let bytes = buf.len() as u64;
             let rows = std::mem::take(&mut counts[target]);
             *spilled_bytes += bytes;
-            let run = decode_buffer(schema, buf, rows)?;
+            let run = decode_table(schema, rows, &buf)?;
             let handle = manager.spill_table(&run, journal)?;
             journal.record(TraceEventKind::SpillStarted {
                 op: SPILL_OP_SHUFFLE.to_owned(),
@@ -167,7 +154,7 @@ pub(crate) fn oracle_shuffle(
     let bytes_moved = buffers.iter().map(|b| b.len() as u64).sum::<u64>() + spilled_bytes;
     let mut partitions = Vec::with_capacity(targets);
     for (target, (buf, count)) in buffers.into_iter().zip(counts).enumerate() {
-        let tail = decode_buffer(schema, buf, count)?;
+        let tail = decode_table(schema, count, &buf)?;
         let runs = std::mem::take(&mut spilled[target]);
         if runs.is_empty() {
             partitions.push(tail);
@@ -199,15 +186,6 @@ pub(crate) fn oracle_shuffle(
 }
 
 // ------------------------------------------------------------- the proofs
-
-/// The suite's case count; the vendored proptest does not read
-/// `PROPTEST_CASES`, so this suite honours it by hand — CI pins it.
-fn proptest_cases() -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32)
-}
 
 /// One to four inputs over one random schema, sized so that some cross a
 /// spill check (`SPILL_CHECK_ROWS`) and some are empty.
@@ -286,7 +264,7 @@ proptest! {
         let widths = row_widths(&t, 0..rows);
         let mut sample = 0;
         for (i, &w) in widths.iter().enumerate() {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             encode_row_at(&lanes, i, &mut buf);
             prop_assert_eq!(w, buf.len(), "row {}", i);
             if i < 16 {

@@ -15,15 +15,13 @@
 
 use std::path::{Path, PathBuf};
 
-use bytes::BytesMut;
-
 use toreador_data::generate::clickstream;
+use toreador_dataflow::codec::encode_table;
 use toreador_dataflow::error::FlowError;
 use toreador_dataflow::fault::KillMode;
 use toreador_dataflow::logical::{AggExpr, AggFunc, Dataflow};
 use toreador_dataflow::prelude::*;
 use toreador_dataflow::resilience::{classify, ErrorClass, ResilienceConfig};
-use toreador_dataflow::shuffle::encode_table;
 use toreador_dataflow::trace::{RunTrace, TraceEventKind};
 
 const THREADS: usize = 16;
@@ -118,7 +116,7 @@ fn kill_at_every_boundary_then_resume_is_byte_identical() {
         waves.iter().sum::<usize>(),
         "fault-free: one attempt per task per wave"
     );
-    let mut baseline_bytes = BytesMut::new();
+    let mut baseline_bytes = Vec::new();
     encode_table(&baseline.table, &mut baseline_bytes);
 
     for kill_wave in 0..waves.len() {
@@ -146,7 +144,7 @@ fn kill_at_every_boundary_then_resume_is_byte_identical() {
 
         // Byte-identical output.
         assert_eq!(resumed.table, baseline.table, "boundary {kill_wave}");
-        let mut resumed_bytes = BytesMut::new();
+        let mut resumed_bytes = Vec::new();
         encode_table(&resumed.table, &mut resumed_bytes);
         assert_eq!(
             resumed_bytes, baseline_bytes,
@@ -226,8 +224,8 @@ fn chain_flow(e: &Engine) -> Dataflow {
         .unwrap()
 }
 
-fn bytes_of(t: &toreador_data::table::Table) -> BytesMut {
-    let mut buf = BytesMut::new();
+fn bytes_of(t: &toreador_data::table::Table) -> Vec<u8> {
+    let mut buf = Vec::new();
     encode_table(t, &mut buf);
     buf
 }
@@ -254,7 +252,7 @@ fn pipelined_fused_chain_kill_resume_is_byte_identical() {
     );
     let waves = wave_partitions(&baseline.trace);
     assert!(waves.len() >= 3, "got {} waves", waves.len());
-    let mut baseline_bytes = BytesMut::new();
+    let mut baseline_bytes = Vec::new();
     encode_table(&baseline.table, &mut baseline_bytes);
 
     for kill_wave in 0..waves.len() {
@@ -273,7 +271,7 @@ fn pipelined_fused_chain_kill_resume_is_byte_identical() {
 
         let revived = engine_m(ResilienceConfig::none());
         let resumed = revived.resume(&chain_flow(&revived), &run_id).unwrap();
-        let mut resumed_bytes = BytesMut::new();
+        let mut resumed_bytes = Vec::new();
         encode_table(&resumed.table, &mut resumed_bytes);
         assert_eq!(
             resumed_bytes, baseline_bytes,

@@ -3,35 +3,36 @@
 //! holds — routes and encodes for the shuffle, a checkpoint wave and a
 //! pager page exactly as its compacted copy does. One fixed table's wave
 //! file and page file also match golden bytes committed before columns
-//! became shared views, so old checkpoints and the spill format still read.
+//! became shared views, and both golden files read back into that table,
+//! so old checkpoints and the spill format still read.
 
 use std::path::PathBuf;
 
-use bytes::BytesMut;
 use proptest::prelude::*;
 
+use toreador_data::column::LaneRef;
 use toreador_data::generate::edge_table;
 use toreador_data::prelude::*;
 use toreador_dataflow::checkpoint::RunCheckpoint;
-use toreador_dataflow::codec::{encode_lane, encode_table, lanes};
-use toreador_dataflow::pager::{SpillManager, PAGE_SIZE};
+use toreador_dataflow::codec::{decode_lane, encode_lane, encode_table, lanes, take_frame};
+use toreador_dataflow::pager::{PageDirectory, SpillManager, PAGE_SIZE};
 use toreador_dataflow::prelude::*;
 use toreador_dataflow::shuffle::{route_rows, shuffle};
 use toreador_dataflow::trace::TraceJournal;
 
 fn wave_body(t: &Table) -> Vec<u8> {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     encode_table(t, &mut buf);
-    buf.as_slice().to_vec()
+    buf
 }
 
 fn page_payloads(t: &Table) -> Vec<Vec<u8>> {
     lanes(t)
         .iter()
         .map(|lane| {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             encode_lane(lane, t.num_rows(), &mut buf);
-            buf.as_slice().to_vec()
+            buf
         })
         .collect()
 }
@@ -148,6 +149,40 @@ fn golden_table() -> Table {
         .unwrap()
 }
 
+/// Equal schemas and, lane by lane, equal validity and data — floats by
+/// bit pattern, null slots included.
+fn assert_identical(got: &Table, want: &Table) {
+    assert_eq!(got.schema(), want.schema());
+    assert_eq!(got.num_rows(), want.num_rows());
+    for (g, w) in got.columns().iter().zip(want.columns()) {
+        assert_eq!(g.validity(), w.validity());
+        match (g.lane(), w.lane()) {
+            (LaneRef::Float(a), LaneRef::Float(b)) => {
+                let bits = |x: &[f64]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b));
+            }
+            _ => assert_eq!(g, w),
+        }
+    }
+}
+
+fn golden_manifest() -> CheckpointManifest {
+    CheckpointManifest {
+        format_version: 1,
+        run_id: "golden".to_owned(),
+        plan_fingerprint: "0".to_owned(),
+        config_fingerprint: "0".to_owned(),
+        input_fingerprint: "0".to_owned(),
+        chaos_seed: 0,
+        partitions: 2,
+    }
+}
+
+fn golden_parts() -> [Table; 2] {
+    let t = golden_table();
+    [t.slice(0, 3).unwrap(), t.slice(3, t.num_rows()).unwrap()]
+}
+
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("toreador-golden-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -156,21 +191,10 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn checkpoint_wave_file_matches_golden_bytes() {
-    let t = golden_table();
     let root = scratch_dir("wave");
     let spec = CheckpointSpec::new(&root, "golden");
-    let manifest = CheckpointManifest {
-        format_version: 1,
-        run_id: "golden".to_owned(),
-        plan_fingerprint: "0".to_owned(),
-        config_fingerprint: "0".to_owned(),
-        input_fingerprint: "0".to_owned(),
-        chaos_seed: 0,
-        partitions: 2,
-    };
-    let ckpt = RunCheckpoint::create(&spec, &manifest).unwrap();
-    let parts = [t.slice(0, 3).unwrap(), t.slice(3, t.num_rows()).unwrap()];
-    ckpt.persist_wave(1, 0, &parts).unwrap();
+    let ckpt = RunCheckpoint::create(&spec, &golden_manifest()).unwrap();
+    ckpt.persist_wave(1, 0, &golden_parts()).unwrap();
     let wave = std::fs::read(spec.dir().join("wave-0000.ckpt")).unwrap();
     let _ = std::fs::remove_dir_all(&root);
     assert_eq!(wave, include_bytes!("golden/checkpoint_wave.bin"));
@@ -196,4 +220,48 @@ fn pager_page_file_matches_golden_bytes() {
         frames.extend_from_slice(&slot[..len]);
     }
     assert_eq!(frames, include_bytes!("golden/pager_frames.bin"));
+}
+
+#[test]
+fn golden_checkpoint_wave_resumes_into_the_golden_table() {
+    let root = scratch_dir("wave-read");
+    let spec = CheckpointSpec::new(&root, "golden");
+    RunCheckpoint::create(&spec, &golden_manifest()).unwrap();
+    std::fs::write(
+        spec.dir().join("wave-0000.ckpt"),
+        include_bytes!("golden/checkpoint_wave.bin"),
+    )
+    .unwrap();
+    let resumed =
+        RunCheckpoint::resume(&CheckpointSpec::resume(&root, "golden"), &golden_manifest());
+    let _ = std::fs::remove_dir_all(&root);
+    let wave = resumed.unwrap().take_restored(0).unwrap();
+    assert_eq!(wave.stage, 1);
+    assert_eq!(wave.tables.len(), 2);
+    for (got, want) in wave.tables.iter().zip(&golden_parts()) {
+        assert_identical(got, want);
+    }
+}
+
+#[test]
+fn golden_page_frames_decode_into_the_golden_table() {
+    let mut rest: &[u8] = include_bytes!("golden/pager_frames.bin");
+    let mut pages = Vec::new();
+    while !rest.is_empty() {
+        pages.push(take_frame(&mut rest).unwrap());
+    }
+    let directory = PageDirectory::from_payload(pages[0]).unwrap();
+    let columns = directory
+        .lanes
+        .iter()
+        .zip(directory.schema.fields())
+        .map(|(extent, field)| {
+            let first = extent.first_page as usize;
+            let extent_bytes = pages[first..first + extent.pages as usize].concat();
+            assert_eq!(extent_bytes.len() as u64, extent.bytes);
+            decode_lane(field, directory.rows, &extent_bytes).unwrap()
+        })
+        .collect();
+    let table = Table::new(directory.schema.clone(), columns).unwrap();
+    assert_identical(&table, &golden_table());
 }

@@ -2,7 +2,7 @@
 //! same plan run on row-range morsel units and on whole-partition units
 //! (`morsel_rows` above every partition, one thread — exactly what a
 //! stage-barrier task computed) must agree value-for-value — byte-identical
-//! output through the shuffle codec, and identical error messages when
+//! output through the row codec, and identical error messages when
 //! chaos makes a wave fail — and, for chains without a sample step, agree
 //! with the row reference computed here from `Expr::eval_mask` +
 //! `Table::filter` + `Expr::eval_table`, across generated plans, morsel
@@ -24,14 +24,13 @@
 
 use std::collections::HashMap;
 
-use bytes::BytesMut;
 use proptest::prelude::*;
 
 use toreador_data::generate::random_table;
 use toreador_data::partition::{PartitionedTable, Partitioning};
 use toreador_data::table::Table;
+use toreador_dataflow::codec::encode_table;
 use toreador_dataflow::prelude::*;
-use toreador_dataflow::shuffle::encode_table;
 use toreador_dataflow::trace::{RunTrace, TraceEventKind};
 
 /// A random always-valid chain of narrow operators over random_table's
@@ -179,10 +178,10 @@ fn row_expected(table: &Table, steps: &[Step], agg: bool) -> Option<Table> {
     Some(e.run(&build_flow(&e, &[], true)).unwrap().table)
 }
 
-/// Byte-exact serialization through the shuffle codec: the comparison is
+/// Byte-exact serialization through the row codec: the comparison is
 /// value-for-value including float bit patterns and row order.
-fn bytes_of(t: &Table) -> BytesMut {
-    let mut buf = BytesMut::new();
+fn bytes_of(t: &Table) -> Vec<u8> {
+    let mut buf = Vec::new();
     encode_table(t, &mut buf);
     buf
 }
@@ -483,7 +482,7 @@ fn injected_failure_messages_match_across_both_drivers() {
 fn stealing_is_invisible_across_32_chaotic_runs() {
     let table = random_table(3_000, 3, 7);
     let steps = [Step::FilterStrNotNull, Step::ProjectArith];
-    let mut reference: Option<BytesMut> = None;
+    let mut reference: Option<Vec<u8>> = None;
     let mut total_steals = 0u64;
     let mut total_morsels = 0u64;
     for run_seed in 0..32u64 {
