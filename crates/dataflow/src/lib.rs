@@ -19,8 +19,8 @@
 //!    distinct, join) runs on one columnar group table over key lanes;
 //! 5. [`shuffle`] — hash shuffles through a binary row codec ([`codec`],
 //!    shared with checkpointing and the pager), so shuffle byte counts are
-//!    real; [`pager`] — paged on-disk columnar files and a pinning buffer
-//!    pool that shuffle and aggregation spill to under a memory budget;
+//!    real; [`pager`] — paged on-disk columnar files that shuffle and
+//!    aggregation spill to under a memory budget;
 //! 6. [`scheduler`] — a resilient scoped thread pool, the one place an
 //!    attempt is dispatched and the only retry loop: deterministic chaos
 //!    injection ([`fault`]), retry backoff, task deadlines, speculative

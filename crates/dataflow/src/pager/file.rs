@@ -31,7 +31,7 @@ use crate::codec::{push_frame, take_frame};
 use crate::error::{FlowError, Result};
 
 /// Fixed page-slot size. 32 KiB holds a few thousand encoded cells per
-/// page while keeping the minimum pool (one frame) small.
+/// page.
 pub const PAGE_SIZE: usize = 32 << 10;
 
 /// Bytes of payload a page slot can carry after its 8-byte frame header.
@@ -91,15 +91,15 @@ impl PageDirectory {
 }
 
 /// One paged file: random-access page reads and writes plus the atomic
-/// finalize. Writable files live at `<path>.tmp` until finalized; the file
-/// descriptor stays valid across the rename, so a pool can keep faulting
-/// pages back in without reopening the published file.
+/// finalize. The file lives at `<path>.tmp` until finalized; the file
+/// descriptor stays valid across the rename, so the published run is read
+/// back without reopening it.
 #[derive(Debug)]
 pub struct PageFile {
     io: Arc<dyn StorageIo>,
     file: Box<dyn StorageFile>,
     path: PathBuf,
-    tmp: Option<PathBuf>,
+    tmp: PathBuf,
     finalized: AtomicBool,
 }
 
@@ -122,23 +122,8 @@ impl PageFile {
             io,
             file,
             path: path.to_owned(),
-            tmp: Some(tmp),
+            tmp,
             finalized: AtomicBool::new(false),
-        })
-    }
-
-    /// Open an existing finalized page file read-only.
-    pub fn open(path: &Path) -> Result<PageFile> {
-        let io = io_for(path);
-        let file = io
-            .open_read(path)
-            .map_err(|e| spill_err(format!("open {}: {e}", path.display())))?;
-        Ok(PageFile {
-            io,
-            file,
-            path: path.to_owned(),
-            tmp: None,
-            finalized: AtomicBool::new(true),
         })
     }
 
@@ -193,15 +178,15 @@ impl PageFile {
     }
 
     /// Publish: fsync the temp file, rename it to the final path, fsync
-    /// the directory. The open descriptor stays valid, so resident pages
-    /// can still be re-read after the rename.
+    /// the directory. The open descriptor stays valid, so pages can still
+    /// be read after the rename. The file counts as finalized only once
+    /// the rename succeeded: a failed fsync or rename leaves the `.tmp`
+    /// for [`PageFile::discard`] to remove.
     pub fn finalize(&self) -> Result<()> {
-        let Some(tmp) = &self.tmp else {
-            return Ok(()); // opened read-only: already published
-        };
-        if self.finalized.swap(true, Ordering::AcqRel) {
+        if self.finalized.load(Ordering::Acquire) {
             return Ok(());
         }
+        let tmp = &self.tmp;
         self.file
             .sync_all()
             .map_err(|e| spill_err(format!("sync {}: {e}", tmp.display())))?;
@@ -212,20 +197,18 @@ impl PageFile {
                 self.path.display()
             ))
         })?;
+        self.finalized.store(true, Ordering::Release);
         if let Some(parent) = self.path.parent() {
             let _ = self.io.sync_dir(parent);
         }
         Ok(())
     }
 
-    /// Abandon an unfinalized writable file: remove the `.tmp` so a failed
-    /// spill leaves no residue. A no-op for finalized or read-only files.
+    /// Abandon an unfinalized file: remove the `.tmp` so a failed spill
+    /// leaves no residue. A no-op once finalized.
     pub fn discard(&self) {
-        if self.finalized.load(Ordering::Acquire) {
-            return;
-        }
-        if let Some(tmp) = &self.tmp {
-            let _ = self.io.remove_file(tmp);
+        if !self.finalized.load(Ordering::Acquire) {
+            let _ = self.io.remove_file(&self.tmp);
         }
     }
 }
@@ -267,14 +250,9 @@ mod tests {
         f.finalize().unwrap();
         assert!(path.exists());
         assert!(!tmp_path(&path).exists(), "finalize consumes the temp file");
-        // Reads through the original (still-open) descriptor and a fresh
-        // open both see the same pages.
+        // Reads through the still-open descriptor see the pages.
         for (i, p) in payloads.iter().enumerate() {
             assert_eq!(&f.read_page(i as u32).unwrap(), p);
-        }
-        let reopened = PageFile::open(&path).unwrap();
-        for (i, p) in payloads.iter().enumerate() {
-            assert_eq!(&reopened.read_page(i as u32).unwrap(), p);
         }
         cleanup(&path);
     }
@@ -300,15 +278,16 @@ mod tests {
         let f = PageFile::create(&path).unwrap();
         f.write_page(0, b"precious bytes").unwrap();
         f.finalize().unwrap();
-        // Flip one payload byte on disk.
+        // Flip one payload byte on disk. `fs::write` truncates and rewrites
+        // the same inode, so the open descriptor sees the damage.
         let mut raw = std::fs::read(&path).unwrap();
         raw[10] ^= 0xFF;
         std::fs::write(&path, &raw).unwrap();
-        let err = PageFile::open(&path).unwrap().read_page(0).unwrap_err();
+        let err = f.read_page(0).unwrap_err();
         assert!(err.to_string().contains("crc mismatch"), "{err}");
         // Truncate mid-slot: the read itself fails.
         std::fs::write(&path, &raw[..100]).unwrap();
-        assert!(PageFile::open(&path).unwrap().read_page(0).is_err());
+        assert!(f.read_page(0).is_err());
         cleanup(&path);
     }
 

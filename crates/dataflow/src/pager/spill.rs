@@ -7,7 +7,7 @@
 //! **sweeps** any stale `*.pages` / `*.tmp` files left by a killed
 //! predecessor, and dropping it removes the directory outright — spill
 //! files are scratch, never a durability surface. Each spilled run is
-//! written through the shared [`BufferPool`], flushed, and published with
+//! written page by page straight into its [`PageFile`] and published with
 //! the temp-write + fsync + rename + dir-fsync discipline, so a kill at
 //! any instant leaves either a complete published run (swept on the next
 //! start) or a `.tmp` orphan (also swept) — never a readable half-file.
@@ -17,10 +17,13 @@
 //! consecutive pages. Reading it back decodes each extent straight into a
 //! column, so a spilled run's cells are byte-identical to a checkpointed
 //! partition's by construction and no row is ever rebuilt.
+//!
+//! A run is written and read whole: one lane's encoded bytes, and the
+//! whole run's table, are resident while it moves. What the budget bounds
+//! is what the operators stage before they spill, not the spill I/O.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use toreador_store::io::io_for;
 
@@ -28,30 +31,23 @@ use toreador_data::table::Table;
 
 use crate::codec::{decode_lane, encode_lane, lanes};
 use crate::error::{FlowError, Result};
-use crate::trace::TraceJournal;
 
 use super::file::{LaneExtent, PageDirectory, PageFile, PAGE_PAYLOAD};
-use super::pool::{BufferPool, FileId, PoolStats};
 
 /// Operator family tags carried by `SpillStarted` / `SpillMerged` events.
 pub const SPILL_OP_SHUFFLE: &str = "shuffle";
 pub const SPILL_OP_AGGREGATE: &str = "aggregate";
 
-/// A spilled run: the ticket [`SpillManager::read_back`] redeems.
+/// A spilled run: the ticket [`SpillManager::read_back`] redeems. It holds
+/// the run's open page file, whose descriptor stays valid across the
+/// publish rename.
 #[derive(Debug)]
 pub struct SpillHandle {
-    file: FileId,
-    path: PathBuf,
-    rows: usize,
+    file: PageFile,
     bytes: u64,
 }
 
 impl SpillHandle {
-    /// Rows in the spilled run.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
     /// Encoded payload bytes of the spilled run (excluding page framing
     /// and padding) — the number the shuffle's `bytes_moved` accounting
     /// and the merge trace events report.
@@ -60,12 +56,11 @@ impl SpillHandle {
     }
 }
 
-/// Owns one run's spill directory, page files and buffer pool.
+/// Owns one run's spill directory and page files.
 #[derive(Debug)]
 pub struct SpillManager {
     budget: u64,
     dir: PathBuf,
-    pool: BufferPool,
     seq: AtomicU64,
 }
 
@@ -78,7 +73,6 @@ impl SpillManager {
         SpillManager {
             budget,
             dir,
-            pool: BufferPool::new(budget),
             seq: AtomicU64::new(0),
         }
     }
@@ -88,102 +82,36 @@ impl SpillManager {
         self.budget
     }
 
-    /// The spill directory (created lazily on first spill).
-    pub fn dir(&self) -> &PathBuf {
-        &self.dir
-    }
-
-    /// The shared buffer pool (for residency and hit/fault statistics).
-    pub fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
-    /// Pool counters: hits, faults, evictions, peak residency.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-
-    /// Spill one run: encode `t` lane by lane into a fresh page file
-    /// through the pool, then flush and publish it. The caller records the
-    /// `SpillStarted` event — it knows which operator and partition the
-    /// run belongs to.
-    pub fn spill_table(&self, t: &Table, journal: &TraceJournal) -> Result<SpillHandle> {
+    /// Spill one run: encode `t` lane by lane into a fresh page file, then
+    /// publish it. The caller records the `SpillStarted` event — it knows
+    /// which operator and partition the run belongs to.
+    pub fn spill_table(&self, t: &Table) -> Result<SpillHandle> {
         io_for(&self.dir).create_dir_all(&self.dir).map_err(|e| {
             FlowError::Spill(format!("create spill dir {}: {e}", self.dir.display()))
         })?;
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let path = self.dir.join(format!("run-{seq:06}.pages"));
-        let file = Arc::new(PageFile::create(&path)?);
-        let id = self.pool.register(file.clone());
-        // Any failure past this point must unregister the file from the
-        // pool and remove its `.tmp` — a failed spill (ENOSPC, EIO) leaves
-        // no orphan for the next sweep and no dangling pool entry.
-        let payload_bytes = self
-            .write_run(t, id, journal)
+        let file = PageFile::create(&self.dir.join(format!("run-{seq:06}.pages")))?;
+        // Any failure past this point must remove the `.tmp` — a failed
+        // spill (ENOSPC, EIO) leaves no orphan for the next sweep.
+        let bytes = write_run(&file, t)
             .and_then(|bytes| file.finalize().map(|_| bytes))
             .map_err(|e| {
-                self.pool.drop_file(id);
                 file.discard();
                 e
             })?;
-        Ok(SpillHandle {
-            file: id,
-            path,
-            rows: t.num_rows(),
-            bytes: payload_bytes,
-        })
+        Ok(SpillHandle { file, bytes })
     }
 
-    /// Encode `t` lane by lane into pages of file `id`, flush, and return
-    /// the total encoded payload bytes. Split out of
-    /// [`SpillManager::spill_table`] so its caller can clean up the pool
-    /// registration and temp file on any error.
-    fn write_run(&self, t: &Table, id: FileId, journal: &TraceJournal) -> Result<u64> {
-        let rows = t.num_rows();
-        let table_lanes = lanes(t);
-        let mut extents = Vec::with_capacity(table_lanes.len());
-        let mut next_page: u32 = 1; // page 0 is the directory
-        let mut payload_bytes = 0u64;
-        for lane in &table_lanes {
-            let mut buf = Vec::new();
-            encode_lane(lane, rows, &mut buf);
-            let bytes = buf.len() as u64;
-            let first_page = next_page;
-            let mut pages = 0u32;
-            for chunk in buf.chunks(PAGE_PAYLOAD) {
-                self.pool.write(id, next_page, chunk.to_vec(), journal)?;
-                next_page += 1;
-                pages += 1;
-            }
-            payload_bytes += bytes;
-            extents.push(LaneExtent {
-                first_page,
-                pages,
-                bytes,
-            });
-        }
-        let directory = PageDirectory {
-            rows,
-            schema: t.schema().clone(),
-            lanes: extents,
-        };
-        self.pool.write(id, 0, directory.to_payload()?, journal)?;
-        self.pool.flush_file(id)?;
-        Ok(payload_bytes)
-    }
-
-    /// Read a spilled run back: pin the directory, reassemble each lane
-    /// from its extent pages and decode it straight into a column — in the
-    /// exact row order it was spilled with.
-    pub fn read_back(&self, handle: &SpillHandle, journal: &TraceJournal) -> Result<Table> {
-        let directory = {
-            let page = self.pool.pin(handle.file, 0, journal)?;
-            PageDirectory::from_payload(&page)?
-        };
+    /// Read a spilled run back: read the directory page, reassemble each
+    /// lane from its extent pages and decode it straight into a column —
+    /// in the exact row order it was spilled with.
+    pub fn read_back(&self, handle: &SpillHandle) -> Result<Table> {
+        let file = &handle.file;
+        let directory = PageDirectory::from_payload(&file.read_page(0)?)?;
         let corrupt = |what: String| {
             FlowError::Spill(format!(
                 "corrupt page file {}: {what}",
-                handle.path.display()
+                file.path().display()
             ))
         };
         let fields = directory.schema.fields();
@@ -201,8 +129,7 @@ impl SpillManager {
             let cap = extent.bytes.min(extent.pages as u64 * PAGE_PAYLOAD as u64);
             let mut buf = Vec::with_capacity(cap as usize);
             for p in 0..extent.pages {
-                let page = self.pool.pin(handle.file, extent.first_page + p, journal)?;
-                buf.extend_from_slice(&page);
+                buf.extend_from_slice(&file.read_page(extent.first_page + p)?);
             }
             if buf.len() as u64 != extent.bytes {
                 return Err(corrupt(format!(
@@ -216,12 +143,47 @@ impl SpillManager {
         Ok(Table::new(directory.schema, columns)?)
     }
 
-    /// A spilled run was merged into its partition's output: drop its
-    /// frames and delete its file — spill files never outlive their merge.
+    /// A spilled run was merged into its partition's output: close and
+    /// delete its file — spill files never outlive their merge.
     pub fn release(&self, handle: SpillHandle) {
-        self.pool.drop_file(handle.file);
-        let _ = io_for(&handle.path).remove_file(&handle.path);
+        let path = handle.file.path().to_owned();
+        drop(handle);
+        let _ = io_for(&path).remove_file(&path);
     }
+}
+
+/// Encode `t` lane by lane into the data pages of `file`, then write the
+/// directory page, and return the total encoded payload bytes.
+fn write_run(file: &PageFile, t: &Table) -> Result<u64> {
+    let rows = t.num_rows();
+    let table_lanes = lanes(t);
+    let mut extents = Vec::with_capacity(table_lanes.len());
+    let mut next_page: u32 = 1; // page 0 is the directory
+    let mut payload_bytes = 0u64;
+    let mut buf = Vec::new();
+    for lane in &table_lanes {
+        buf.clear();
+        encode_lane(lane, rows, &mut buf);
+        let first_page = next_page;
+        for chunk in buf.chunks(PAGE_PAYLOAD) {
+            file.write_page(next_page, chunk)?;
+            next_page += 1;
+        }
+        let bytes = buf.len() as u64;
+        payload_bytes += bytes;
+        extents.push(LaneExtent {
+            first_page,
+            pages: next_page - first_page,
+            bytes,
+        });
+    }
+    let directory = PageDirectory {
+        rows,
+        schema: t.schema().clone(),
+        lanes: extents,
+    };
+    file.write_page(0, &directory.to_payload()?)?;
+    Ok(payload_bytes)
 }
 
 impl Drop for SpillManager {
@@ -253,6 +215,7 @@ mod tests {
     use super::*;
 
     use std::fs;
+    use std::path::Path;
 
     use toreador_data::generate;
 
@@ -260,20 +223,26 @@ mod tests {
         std::env::temp_dir().join(format!("toreador-pager-spill-{}-{tag}", std::process::id()))
     }
 
+    fn has_tmp(dir: &Path) -> bool {
+        fs::read_dir(dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .any(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
+    }
+
     #[test]
     fn spill_and_read_back_round_trips_exactly() {
         let dir = temp_dir("roundtrip");
         let t = generate::clickstream(700, 13);
         let manager = SpillManager::new(1 << 20, dir.clone());
-        let journal = TraceJournal::new();
-        let handle = manager.spill_table(&t, &journal).unwrap();
+        let handle = manager.spill_table(&t).unwrap();
         assert!(handle.bytes() > 0);
-        assert_eq!(handle.rows(), 700);
-        let back = manager.read_back(&handle, &journal).unwrap();
+        let back = manager.read_back(&handle).unwrap();
         assert_eq!(back, t, "round trip must be value- and order-identical");
         // The published file exists, with no temp residue.
-        assert!(handle.path.exists());
-        assert!(!handle.path.with_extension("pages.tmp").exists());
+        assert!(handle.file.path().exists());
+        assert!(!has_tmp(&dir));
         manager.release(handle);
         drop(manager);
         assert!(!dir.exists(), "drop removes the spill dir");
@@ -284,37 +253,25 @@ mod tests {
         let dir = temp_dir("release");
         let t = generate::clickstream(50, 5);
         let manager = SpillManager::new(1 << 20, dir.clone());
-        let journal = TraceJournal::new();
-        let handle = manager.spill_table(&t, &journal).unwrap();
-        let path = handle.path.clone();
+        let handle = manager.spill_table(&t).unwrap();
+        let path = handle.file.path().to_owned();
         assert!(path.exists());
         manager.release(handle);
         assert!(!path.exists(), "release must delete the spill file");
     }
 
     #[test]
-    fn tiny_pool_still_round_trips_with_bounded_residency() {
-        let dir = temp_dir("tiny");
-        // Budget zero: the pool floors at one 32 KiB frame, so a
-        // multi-page run must churn through evictions and faults.
-        let t = generate::clickstream(2_000, 21);
+    fn multi_page_run_round_trips_under_a_zero_budget() {
+        let dir = temp_dir("multipage");
+        let t = generate::clickstream(5_000, 21);
         let manager = SpillManager::new(0, dir.clone());
-        let journal = TraceJournal::new();
-        let handle = manager.spill_table(&t, &journal).unwrap();
-        let back = manager.read_back(&handle, &journal).unwrap();
-        assert_eq!(back, t);
-        let stats = manager.pool_stats();
-        assert!(stats.evictions > 0, "{stats:?}");
-        assert!(stats.faults > 0, "{stats:?}");
-        assert_eq!(
-            stats.peak_bytes,
-            manager.pool().capacity_bytes(),
-            "one-frame pool peaks at exactly one frame"
-        );
-        // The journalled invariant the acceptance criteria read: resident
-        // pool never exceeded its capacity at any fault or eviction.
-        let trace = journal.snapshot();
-        assert!(trace.spill_totals().peak_pool_bytes <= manager.pool().capacity_bytes());
+        let handle = manager.spill_table(&t).unwrap();
+        // 5 000 Int cells are 45 000 bytes: lanes span several pages, so
+        // extents and page order matter.
+        let directory = PageDirectory::from_payload(&handle.file.read_page(0).unwrap()).unwrap();
+        assert!(directory.lanes.iter().any(|l| l.pages > 1), "{directory:?}");
+        assert_eq!(manager.read_back(&handle).unwrap(), t);
+        assert!(!has_tmp(&dir));
         drop(manager);
         assert!(!dir.exists());
     }

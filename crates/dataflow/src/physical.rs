@@ -100,7 +100,7 @@ pub struct ExecContext<'a> {
     checkpoint: Option<RunCheckpoint>,
     control: RunControl,
     /// Present iff `config.memory_budget_bytes` is set: the run's spill
-    /// directory, page files and buffer pool. Dropped with the context,
+    /// directory and page files. Dropped with the context,
     /// which removes the spill directory.
     spill: Option<SpillManager>,
 }
@@ -212,7 +212,7 @@ impl<'a> ExecContext<'a> {
             let MapRun::Mem(t) = std::mem::replace(&mut slots[i], MapRun::Draining) else {
                 unreachable!("selected slot is resident");
             };
-            let handle = manager.spill_table(&t, journal)?;
+            let handle = manager.spill_table(&t)?;
             journal.record(TraceEventKind::SpillStarted {
                 op: SPILL_OP_AGGREGATE.to_owned(),
                 target: i,
@@ -227,7 +227,7 @@ impl<'a> ExecContext<'a> {
             slots.into_iter().enumerate().map(|(i, slot)| match slot {
                 MapRun::Mem(t) => Ok(t),
                 MapRun::Spilled(handle) => {
-                    let t = manager.read_back(&handle, journal)?;
+                    let t = manager.read_back(&handle)?;
                     journal.record(TraceEventKind::SpillMerged {
                         op: SPILL_OP_AGGREGATE.to_owned(),
                         target: i,

@@ -596,10 +596,6 @@ mod tests {
         let totals = spilled.trace.spill_totals();
         assert!(totals.spills > 0, "budget must have bitten: {totals:?}");
         assert!(totals.merges > 0, "{totals:?}");
-        assert!(
-            totals.peak_pool_bytes <= 32 << 10,
-            "pool residency floors at one page frame: {totals:?}"
-        );
         // A huge budget never spills and takes the identical path.
         let mut roomy = Engine::new(
             EngineConfig::default()

@@ -315,7 +315,7 @@ pub fn shuffle_spillable(
                 };
                 let rows = staging.rows[target] as u64;
                 let run = staging.take(target)?;
-                let handle = manager.spill_table(&run, journal)?;
+                let handle = manager.spill_table(&run)?;
                 journal.record(TraceEventKind::SpillStarted {
                     op: SPILL_OP_SHUFFLE.to_owned(),
                     target,
@@ -341,7 +341,7 @@ pub fn shuffle_spillable(
         let n_runs = runs.len();
         for handle in runs {
             merged_bytes += handle.bytes();
-            chunks.push(manager.read_back(&handle, journal)?);
+            chunks.push(manager.read_back(&handle)?);
             manager.release(handle);
         }
         chunks.push(tail);

@@ -125,7 +125,7 @@ pub(crate) fn oracle_shuffle(
             let rows = std::mem::take(&mut counts[target]);
             *spilled_bytes += bytes;
             let run = decode_table(schema, rows, &buf)?;
-            let handle = manager.spill_table(&run, journal)?;
+            let handle = manager.spill_table(&run)?;
             journal.record(TraceEventKind::SpillStarted {
                 op: SPILL_OP_SHUFFLE.to_owned(),
                 target,
@@ -166,7 +166,7 @@ pub(crate) fn oracle_shuffle(
         let n_runs = runs.len();
         for handle in runs {
             merged_bytes += handle.bytes();
-            chunks.push(manager.read_back(&handle, journal)?);
+            chunks.push(manager.read_back(&handle)?);
             manager.release(handle);
         }
         chunks.push(tail);

@@ -253,19 +253,18 @@ pub enum TraceEventKind {
         watermark_ms: Option<i64>,
     },
     /// A buffer-pool read missed the pool and loaded the page from its
-    /// backing file. `pool_bytes` is the resident pool size *after* the
-    /// fault — the bounded-memory proof reads these and asserts
-    /// `pool_bytes <= budget` at every event. Journal-only — derived
-    /// [`RunMetrics`] ignore it, so budgeted and unbudgeted runs stay
-    /// metrics-compatible.
+    /// backing file; `pool_bytes` was the resident pool size after the
+    /// fault. No longer recorded (the pool is gone); read from stored
+    /// runs, whose journals still carry it. Journal-only.
     PageFaulted {
         file: u64,
         page: u32,
         bytes: u64,
         pool_bytes: u64,
     },
-    /// The clock hand reclaimed a page frame to make room; `dirty` pages
-    /// were written back to their backing file first. Journal-only.
+    /// The pool's clock hand reclaimed a page frame; `dirty` pages were
+    /// written back first. No longer recorded; read from stored runs.
+    /// Journal-only.
     PageEvicted {
         file: u64,
         page: u32,
@@ -603,7 +602,7 @@ impl From<&Counters> for StreamTotals {
 }
 
 /// Aggregate out-of-core activity of a run: a projection of [`Counters`]
-/// kept for the benchmark ledger and the bounded-memory acceptance proof.
+/// kept for the benchmark ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SpillTotals {
     /// Runs spilled to paged files when a budget was exceeded.
@@ -616,13 +615,14 @@ pub struct SpillTotals {
     pub merges: u64,
     /// Spilled runs consumed across all merge passes.
     pub merged_runs: u64,
-    /// Buffer-pool misses that loaded a page from disk.
+    /// Buffer-pool misses that loaded a page from disk. The three page
+    /// fields fold [`TraceEventKind::PageFaulted`] and
+    /// [`TraceEventKind::PageEvicted`], which only stored runs carry: they
+    /// read 0 for new runs and stay for the frozen benchmark ledger.
     pub page_faults: u64,
-    /// Page frames reclaimed by the clock hand.
+    /// Page frames the pool's clock hand reclaimed (0 for new runs).
     pub page_evictions: u64,
-    /// Deepest journalled resident pool size, bytes. The bounded-memory
-    /// invariant: never exceeds the configured budget (rounded up to one
-    /// page).
+    /// Deepest journalled resident pool size, bytes (0 for new runs).
     pub peak_pool_bytes: u64,
 }
 
@@ -1561,6 +1561,20 @@ mod tests {
             assert_eq!(calm.counters.get(name), None, "{name}");
             assert_eq!(rendered_counter(&calm.render(), name), None, "{name}");
         }
+    }
+
+    #[test]
+    fn stored_page_events_still_load_and_fold() {
+        // A budgeted run recorded while the engine had a buffer pool, in
+        // the exact shape its journal serialised to; stored run records
+        // carry such traces, so both events must keep loading.
+        let json = r#"{"events":[{"seq":0,"at_us":0,"kind":"RunStarted"},{"seq":1,"at_us":1,"kind":{"PageFaulted":{"file":3,"page":1,"bytes":32768,"pool_bytes":32768}}},{"seq":2,"at_us":1,"kind":{"PageEvicted":{"file":3,"page":1,"bytes":32768,"dirty":true,"pool_bytes":65536}}}]}"#;
+        let trace: RunTrace = serde_json::from_str(json).unwrap();
+        let totals = trace.spill_totals();
+        assert_eq!(totals.page_faults, 1);
+        assert_eq!(totals.page_evictions, 1);
+        assert_eq!(totals.peak_pool_bytes, 65_536);
+        assert_eq!(serde_json::to_string(&trace).unwrap(), json);
     }
 
     #[test]

@@ -214,22 +214,19 @@ fn checkpoint_publish_faults_are_classified_and_leave_a_scannable_dir() {
 #[test]
 fn interior_bit_flip_in_a_page_file_is_classified_corruption() {
     use toreador_dataflow::pager::{SpillManager, PAGE_SIZE};
-    use toreador_dataflow::trace::TraceJournal;
 
     let dir = tmp_dir("page-flip");
-    // Budget zero floors the pool at one frame, so read_back must fault
-    // every page back in from disk and see the damage.
+    // read_back reads every page from disk, so it sees the damage.
     let manager = SpillManager::new(0, dir.clone());
-    let journal = TraceJournal::new();
     let t = clickstream(700, 13);
-    let handle = manager.spill_table(&t, &journal).unwrap();
+    let handle = manager.spill_table(&t).unwrap();
     // Flip one payload byte inside a data page (slot 1, past its header).
     let path = dir.join("run-000000.pages");
     let mut raw = std::fs::read(&path).unwrap();
     raw[PAGE_SIZE + 100] ^= 0xFF;
     std::fs::write(&path, &raw).unwrap();
     let err = manager
-        .read_back(&handle, &journal)
+        .read_back(&handle)
         .expect_err("a flipped page must not decode");
     assert!(
         matches!(err, FlowError::Spill(_)),
@@ -237,6 +234,37 @@ fn interior_bit_flip_in_a_page_file_is_classified_corruption() {
     );
     assert!(err.to_string().contains("crc mismatch"), "{err}");
     drop(manager);
+}
+
+#[test]
+fn failed_publish_removes_its_temp_file_while_the_manager_lives() {
+    use toreador_dataflow::pager::SpillManager;
+
+    // The fsync and the rename are the publish steps after every page is
+    // written; a fault in either must take the `.tmp` with it at once,
+    // not leave it for the manager's directory removal.
+    for spec in ["tmp:sync:0:eio", "pages:rename:0:eio"] {
+        let dir = tmp_dir(&format!("publish-{}", spec.replace(':', "-")));
+        let target = DiskTarget::parse(spec).unwrap();
+        let (chaos, _guard) = DiskChaos::register(&dir, DiskChaosPlan::targeted(vec![target]));
+        let manager = SpillManager::new(0, dir.clone());
+        let err = manager
+            .spill_table(&clickstream(700, 13))
+            .expect_err("the injected publish fault must fail the spill");
+        assert_classified(&err);
+        chaos.disarm();
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            names.iter().all(|n| !n.ends_with(".tmp")),
+            "{spec} left {names:?} in the live spill dir"
+        );
+        drop(manager);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

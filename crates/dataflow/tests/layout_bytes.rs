@@ -18,7 +18,6 @@ use toreador_dataflow::codec::{decode_lane, encode_lane, encode_table, lanes, ta
 use toreador_dataflow::pager::{PageDirectory, SpillManager, PAGE_SIZE};
 use toreador_dataflow::prelude::*;
 use toreador_dataflow::shuffle::{route_rows, shuffle};
-use toreador_dataflow::trace::TraceJournal;
 
 fn wave_body(t: &Table) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -205,8 +204,7 @@ fn pager_page_file_matches_golden_bytes() {
     let t = golden_table();
     let dir = scratch_dir("pages");
     let manager = SpillManager::new(0, dir.clone());
-    let journal = TraceJournal::new();
-    let handle = manager.spill_table(&t, &journal).unwrap();
+    let handle = manager.spill_table(&t).unwrap();
     let file = std::fs::read(dir.join("run-000000.pages")).unwrap();
     manager.release(handle);
     let _ = std::fs::remove_dir_all(&dir);

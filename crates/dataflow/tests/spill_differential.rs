@@ -2,8 +2,8 @@
 //! changes *where* wide-operator state lives, never *what* comes out.
 //!
 //! The oracle is the unbudgeted engine. For every random pipeline and
-//! every budget — including zero (everything spills through a one-frame
-//! pool) and larger-than-data (nothing spills) — the budgeted run must
+//! every budget — including zero (everything spills) and larger-than-data
+//! (nothing spills) — the budgeted run must
 //! produce a value-identical table, not merely an approximately equal one:
 //! spilled runs are read back in their original partition order, so even
 //! float fold order is preserved.
@@ -87,10 +87,6 @@ proptest! {
                 "roomy budget must not spill"
             );
         }
-        // The journalled pool residency never exceeded the pool's frame
-        // arithmetic: max(1 frame, budget) rounded down to whole pages.
-        let capacity = (budget / (32 << 10)).max(1) * (32 << 10);
-        prop_assert!(totals.peak_pool_bytes <= capacity, "{totals:?}");
     }
 
     #[test]

@@ -836,8 +836,9 @@ mod tests {
     fn memory_budget_ablation_diffs_in_spill_totals() {
         let mut a = record(1, "c", &["x"], &[]);
         let mut b = record(2, "c", &["x"], &[]);
-        // a ran unbudgeted (no spill events); b spilled one shuffle run
-        // through a one-frame pool and merged it back.
+        // a ran unbudgeted (no spill events); b, a stored run recorded
+        // while the engine still had a buffer pool, spilled one shuffle
+        // run through a one-frame pool and merged it back.
         a.traces = vec![trace_with(&[("Aggregate", 50)], &[(0, 10)])];
         let mut tight = trace_with(&[("Aggregate", 90)], &[(0, 30)]);
         let push = |t: &mut RunTrace, kind: TraceEventKind| {

@@ -661,7 +661,7 @@ fn cancellation_mid_morsel_wave_stops_cleanly_without_leaking_threads() {
 
 /// The out-of-core kill/resume invariant: a budgeted, checkpointed run
 /// killed at a wave boundary — while its shuffles are actively spilling
-/// through a one-frame pool — resumes to the byte-identical unbudgeted
+/// under a zero budget — resumes to the byte-identical unbudgeted
 /// answer, and no page file survives the run. Spill files are published
 /// with temp-write + fsync + rename + dir-fsync, so a death at any instant
 /// leaves either a complete `.pages` run or a `.tmp` orphan; a fresh
@@ -742,7 +742,6 @@ fn kill_mid_spill_resumes_clean_with_no_orphaned_page_files() {
         totals.spills > 0,
         "the resumed waves must still spill under budget zero: {totals:?}"
     );
-    assert!(totals.peak_pool_bytes <= 32 << 10, "{totals:?}");
 
     // No spill artifact outlives the run: the stale plants were swept at
     // manager construction and the whole scratch dir is gone at drop.
