@@ -303,11 +303,6 @@ impl CampaignSpec {
         self
     }
 
-    pub fn with_stream_options(mut self, stream: StreamOptions) -> Self {
-        self.stream = stream;
-        self
-    }
-
     pub fn with_policy(mut self, policy: Policy) -> Self {
         self.policy = Some(policy);
         self

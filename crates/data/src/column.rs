@@ -591,14 +591,6 @@ impl Column {
         }
     }
 
-    pub fn from_timestamps(data: Vec<i64>) -> Self {
-        let validity = Validity::all_valid(data.len());
-        Column::Timestamp {
-            data: data.into(),
-            validity,
-        }
-    }
-
     pub fn data_type(&self) -> DataType {
         match self {
             Column::Bool { .. } => DataType::Bool,

@@ -53,7 +53,7 @@ pub mod value;
 pub mod prelude {
     pub use crate::column::Column;
     pub use crate::error::{DataError, Result as DataResult};
-    pub use crate::partition::{PartitionedTable, Partitioning};
+    pub use crate::partition::PartitionedTable;
     pub use crate::schema::{Field, Schema};
     pub use crate::table::{Table, TableBuilder};
     pub use crate::value::{DataType, Row, Value};

@@ -3,45 +3,25 @@
 //! The dataflow engine schedules one task per partition, so partitioning is
 //! where data-parallelism comes from (mirroring Spark's RDD partitions).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{DataError, Result};
 use crate::table::Table;
 
-/// How rows are distributed across partitions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Partitioning {
-    /// No guarantee (the default after a scan or a union).
-    Arbitrary,
-    /// Rows with equal hash of the named columns share a partition.
-    Hash {
-        columns: Vec<String>,
-        partitions: usize,
-    },
-    /// Contiguous row ranges from a single ordered source.
-    Range,
-}
-
-/// A table split into horizontal chunks plus the guarantee describing them.
+/// A table split into horizontal chunks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionedTable {
     parts: Vec<Table>,
-    partitioning: Partitioning,
 }
 
 impl PartitionedTable {
     /// Wrap pre-split parts; all schemas must match.
-    pub fn new(parts: Vec<Table>, partitioning: Partitioning) -> Result<Self> {
+    pub fn new(parts: Vec<Table>) -> Result<Self> {
         let first = parts
             .first()
             .ok_or_else(|| DataError::Invalid("need at least one partition".to_owned()))?;
         for p in &parts[1..] {
             first.schema().ensure_same(p.schema())?;
         }
-        Ok(PartitionedTable {
-            parts,
-            partitioning,
-        })
+        Ok(PartitionedTable { parts })
     }
 
     /// Split a single table into `n` equal-size contiguous chunks.
@@ -63,23 +43,16 @@ impl PartitionedTable {
             let end = ((i + 1) * per).min(rows);
             parts.push(table.slice(start, end)?);
         }
-        PartitionedTable::new(parts, Partitioning::Range)
+        PartitionedTable::new(parts)
     }
 
     /// A single-partition wrapper.
     pub fn single(table: Table) -> Self {
-        PartitionedTable {
-            parts: vec![table],
-            partitioning: Partitioning::Range,
-        }
+        PartitionedTable { parts: vec![table] }
     }
 
     pub fn schema(&self) -> &crate::schema::Schema {
         self.parts[0].schema()
-    }
-
-    pub fn partitioning(&self) -> &Partitioning {
-        &self.partitioning
     }
 
     pub fn parts(&self) -> &[Table] {
@@ -161,7 +134,7 @@ mod tests {
     fn new_rejects_mismatched_schemas() {
         let a = numbers(3);
         let b = a.project(&["k"]).unwrap();
-        assert!(PartitionedTable::new(vec![a, b], Partitioning::Arbitrary).is_err());
-        assert!(PartitionedTable::new(vec![], Partitioning::Arbitrary).is_err());
+        assert!(PartitionedTable::new(vec![a, b]).is_err());
+        assert!(PartitionedTable::new(vec![]).is_err());
     }
 }

@@ -2,8 +2,8 @@
 //! framing.
 //!
 //! Two subsystems persist partitioned rows as bytes — stage-boundary
-//! checkpointing ([`crate::checkpoint`]) and the out-of-core pager
-//! ([`crate::pager`]) — and the shuffle ([`crate::shuffle`]) reports its
+//! checkpointing ([`crate::checkpoint`]) and out-of-core spilling
+//! ([`crate::spill`]) — and the shuffle ([`crate::shuffle`]) reports its
 //! cost in the same bytes. They must stay byte-identical: a checkpointed
 //! wave and a spilled run are the same cells through the same encoder, and
 //! the regression tests below pin that down. This module is the single
@@ -16,7 +16,7 @@
 //!   (`[width u16 LE][cell]*` per row, [`encode_table`]/[`decode_table`]),
 //!   which is a checkpoint wave's partition body, and the **lane** layout
 //!   (one column's cells in row order, [`encode_lane`]/[`decode_lane`]),
-//!   which is a spilled run's page extent;
+//!   which is one frame of a spill file;
 //! - the **one cell decoder** both read paths share. It appends each cell
 //!   straight into its column's [`ColumnBuilder`]: no `Value` row is
 //!   built, and a text cell costs no `String`. Truncation, trailing bytes,
@@ -26,14 +26,14 @@
 //!   Counts come from headers the decoder cannot trust, so builders are
 //!   sized by what the payload can hold, never by a count alone;
 //! - the `[len u32 LE][crc32 u32 LE][payload]` frame used by wave files
-//!   and page files alike (CRC-32 from [`toreador_store::crc`]), and
+//!   and spill files alike (CRC-32 from [`toreador_store::crc`]), and
 //! - the **atomic publish discipline** ([`write_atomic`]/[`sync_dir`]):
 //!   temp-write + fsync + rename + directory fsync, as in `toreador-store`.
 //!
 //! Framing and I/O helpers return plain error payloads (`FrameError`,
 //! message strings) so each caller can keep its own error vocabulary —
-//! checkpointing maps them to [`FlowError::Checkpoint`], the pager to its
-//! spill errors — without this module depending on either.
+//! checkpointing maps them to [`FlowError::Checkpoint`], spilling to
+//! [`FlowError::Spill`] — without this module depending on either.
 
 use std::ops::Range;
 use std::path::Path;
@@ -67,8 +67,8 @@ pub fn lanes(t: &Table) -> Vec<Lane<'_>> {
 }
 
 /// Encode cell `i` of one lane as a tagged cell (null validity encodes as
-/// the null tag). This is the unit both the row layout and the pager's
-/// lane extents are built from, which is what keeps the two byte-identical
+/// the null tag). This is the unit both the row layout and a spill file's
+/// lane frames are built from, which is what keeps the two byte-identical
 /// by construction.
 pub fn encode_cell(lane: &Lane<'_>, i: usize, buf: &mut Vec<u8>) {
     let (data, validity) = lane;
@@ -183,8 +183,8 @@ pub fn decode_table(schema: &Schema, count: usize, bytes: &[u8]) -> Result<Table
     Ok(Table::new(schema.clone(), columns)?)
 }
 
-/// Encode one whole lane (`rows` cells, in row order) — the pager's
-/// per-lane extent payload. Cell `i` is byte-identical to what
+/// Encode one whole lane (`rows` cells, in row order) — the payload of
+/// one lane frame in a spill file. Cell `i` is byte-identical to what
 /// [`encode_row_at`] writes for that column in row `i`.
 pub fn encode_lane(lane: &Lane<'_>, rows: usize, buf: &mut Vec<u8>) {
     for i in 0..rows {
@@ -192,9 +192,10 @@ pub fn encode_lane(lane: &Lane<'_>, rows: usize, buf: &mut Vec<u8>) {
     }
 }
 
-/// Decode `rows` cells of `field` out of one lane extent — the inverse of
+/// Decode `rows` cells of `field` out of one lane payload — the inverse of
 /// [`encode_lane`]. Rejects trailing bytes for the same reason
-/// [`decode_table`] does: an extent is either exactly its lane or corrupt.
+/// [`decode_table`] does: a lane payload is either exactly its lane or
+/// corrupt.
 pub fn decode_lane(field: &Field, rows: usize, bytes: &[u8]) -> Result<Column> {
     // A cell takes at least its tag.
     let mut col = ColumnBuilder::with_capacity(field.data_type, rows.min(bytes.len()));
@@ -285,7 +286,7 @@ fn no_trailing(rest: &[u8], what: &str) -> Result<()> {
 
 /// Why a frame failed to parse. Callers map this into their own error
 /// vocabulary; [`FrameError::describe`] is the wording both the wave-file
-/// and page-file diagnostics embed.
+/// and spill-file diagnostics embed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameError {
     TruncatedHeader,
@@ -405,8 +406,8 @@ mod tests {
         );
     }
 
-    /// The regression the factoring exists for: the cells of the pager's
-    /// lane extents are exactly the cells of the row layout — and
+    /// The regression the factoring exists for: the cells of a spill file's
+    /// lane frames are exactly the cells of the row layout — and
     /// therefore of the checkpoint wire format. Row `i` of `encode_table`
     /// is the 2-byte width prefix followed by the lanes' cells in column
     /// order, and the decoded lane extents, re-interleaved by row, are the

@@ -149,11 +149,6 @@ impl ChaosPlan {
         }
     }
 
-    pub fn with_crash_rate(mut self, rate: f64) -> Self {
-        self.crash_rate = normalise_rate(rate);
-        self
-    }
-
     pub fn with_panic_rate(mut self, rate: f64) -> Self {
         self.panic_rate = normalise_rate(rate);
         self

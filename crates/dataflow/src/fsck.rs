@@ -18,7 +18,7 @@
 //! * **spill artifacts** (`*.pages`) and unpublished atomic writes
 //!   (`*.tmp`) are **orphans** by construction: spill files are scratch
 //!   that never outlives its run, and a `.tmp` was never published. Both
-//!   are exactly what [`crate::pager::SpillManager`]'s sweep removes.
+//!   are exactly what [`crate::spill::SpillManager`]'s sweep removes.
 //!
 //! Repair goes through [`toreador_store::fsck::repair`], which acts on
 //! the verdict alone: orphans are removed, corruption is reported but

@@ -18,8 +18,8 @@
 //!    units on the same coordinator; every hash operator (aggregate,
 //!    distinct, join) runs on one columnar group table over key lanes;
 //! 5. [`shuffle`] — hash shuffles through a binary row codec ([`codec`],
-//!    shared with checkpointing and the pager), so shuffle byte counts are
-//!    real; [`pager`] — paged on-disk columnar files that shuffle and
+//!    shared with checkpointing and spilling), so shuffle byte counts are
+//!    real; [`spill`] — one framed columnar file per run that shuffle and
 //!    aggregation spill to under a memory budget;
 //! 6. [`scheduler`] — a resilient scoped thread pool, the one place an
 //!    attempt is dispatched and the only retry loop: deterministic chaos
@@ -68,12 +68,12 @@ pub mod logical;
 pub mod metrics;
 pub mod morsel;
 pub mod optimizer;
-pub mod pager;
 pub mod physical;
 pub mod resilience;
 pub mod scheduler;
 pub mod session;
 pub mod shuffle;
+pub mod spill;
 pub mod streaming;
 pub mod trace;
 pub mod vexpr;

@@ -295,17 +295,8 @@ impl Dataflow {
         }
     }
 
-    /// Wrap an existing plan.
-    pub fn from_plan(plan: Arc<LogicalPlan>) -> Self {
-        Dataflow { plan }
-    }
-
     pub fn plan(&self) -> &Arc<LogicalPlan> {
         &self.plan
-    }
-
-    pub fn into_plan(self) -> Arc<LogicalPlan> {
-        self.plan
     }
 
     pub fn schema(&self) -> &Schema {

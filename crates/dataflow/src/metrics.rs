@@ -266,9 +266,8 @@ mod tests {
 
     #[test]
     fn spill_events_are_journal_only_and_keep_parity() {
-        // The pager writes spill events straight to the journal (pinning a
-        // resident page is memory-speed work; it must not take the metrics
-        // lock). They carry no metric weight.
+        // Spill events go straight to the journal, without the metrics
+        // lock. They carry no metric weight.
         let c = MetricsCollector::new();
         attempt(&c, 0, 0, 0, true);
         c.trace().record(SpillStarted {

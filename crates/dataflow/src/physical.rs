@@ -28,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use toreador_data::column::Column;
-use toreador_data::partition::{PartitionedTable, Partitioning};
+use toreador_data::partition::PartitionedTable;
 use toreador_data::schema::{Field, Schema};
 use toreador_data::table::Table;
 
@@ -39,10 +39,10 @@ use crate::group::{self, partial_schema, PartialAgg};
 use crate::logical::{AggExpr, AggFunc, JoinType, LogicalPlan};
 use crate::metrics::MetricsCollector;
 use crate::morsel::{self, PipelineBody, WaveOrder};
-use crate::pager::{SpillHandle, SpillManager, SPILL_OP_AGGREGATE};
 use crate::resilience::RunControl;
 use crate::scheduler::{run_stage_controlled, SchedulerConfig};
 use crate::shuffle::{estimate_row_bytes, shuffle_traced_spillable, ShuffleOutput};
+use crate::spill::{SpillHandle, SpillManager, SPILL_OP_AGGREGATE};
 use crate::trace::TraceEventKind;
 use crate::vexpr::BoundExpr;
 
@@ -61,8 +61,8 @@ pub struct ExecConfig {
     pub control: Option<RunControl>,
     /// Out-of-core memory budget, bytes. When set, the columnar shuffle
     /// bounds its staging buffers and the partial-aggregation map output is
-    /// bounded before its shuffle: over-budget runs spill to paged files
-    /// ([`crate::pager`]) and merge back on read, output-identical to the
+    /// bounded before its shuffle: over-budget runs spill to run files
+    /// ([`crate::spill`]) and merge back on read, output-identical to the
     /// in-memory path. `None` (the default) leaves every operator fully
     /// in-memory — that path is untouched by the budget machinery.
     pub memory_budget_bytes: Option<u64>,
@@ -455,7 +455,7 @@ pub fn execute(ctx: &ExecContext<'_>, plan: &LogicalPlan) -> Result<PartitionedT
                 started.elapsed(),
                 0,
             );
-            return PartitionedTable::new(parts, Partitioning::Arbitrary).map_err(FlowError::Data);
+            return PartitionedTable::new(parts).map_err(FlowError::Data);
         }
         LogicalPlan::Distinct { input } => {
             let child = execute(ctx, input)?;
@@ -627,7 +627,7 @@ fn exec_narrow_chain(ctx: &ExecContext<'_>, plan: &LogicalPlan) -> Result<Partit
                 operators: steps.iter().map(|(_, d)| d.clone()).collect(),
             });
     }
-    PartitionedTable::new(outputs, Partitioning::Arbitrary).map_err(FlowError::Data)
+    PartitionedTable::new(outputs).map_err(FlowError::Data)
 }
 
 /// One freshly-seeded RNG per sampling step of the chain, in step order.
@@ -882,14 +882,7 @@ fn exec_aggregate(
     let rows: u64 = outputs.iter().map(|t| t.num_rows() as u64).sum();
     ctx.metrics
         .record_node(desc, reduce_stage, rows, started.elapsed(), bytes);
-    PartitionedTable::new(
-        outputs,
-        Partitioning::Hash {
-            columns: group_by.to_vec(),
-            partitions: targets,
-        },
-    )
-    .map_err(FlowError::Data)
+    PartitionedTable::new(outputs).map_err(FlowError::Data)
 }
 
 // ------------------------------------------------------------------- join
@@ -926,7 +919,7 @@ fn exec_join(
     let rows: u64 = outputs.iter().map(|t| t.num_rows() as u64).sum();
     ctx.metrics
         .record_node(desc, stage, rows, started.elapsed(), bytes);
-    PartitionedTable::new(outputs, Partitioning::Arbitrary).map_err(FlowError::Data)
+    PartitionedTable::new(outputs).map_err(FlowError::Data)
 }
 
 // ------------------------------------------------------- sort / limit / distinct
@@ -959,7 +952,7 @@ fn exec_sort(
     let rows: u64 = outputs.iter().map(|t| t.num_rows() as u64).sum();
     ctx.metrics
         .record_node(desc, stage, rows, started.elapsed(), gathered.bytes_moved);
-    PartitionedTable::new(outputs, Partitioning::Range).map_err(FlowError::Data)
+    PartitionedTable::new(outputs).map_err(FlowError::Data)
 }
 
 /// Fused Limit(Sort): per-partition sort + truncate in parallel, then a
@@ -1048,7 +1041,7 @@ fn exec_distinct(
     let rows: u64 = outputs.iter().map(|t| t.num_rows() as u64).sum();
     ctx.metrics
         .record_node(desc, stage, rows, started.elapsed(), out.bytes_moved);
-    PartitionedTable::new(outputs, Partitioning::Arbitrary).map_err(FlowError::Data)
+    PartitionedTable::new(outputs).map_err(FlowError::Data)
 }
 
 #[cfg(test)]

@@ -49,9 +49,9 @@ pub struct EngineConfig {
     /// control private to the run.
     pub control: Option<RunControl>,
     /// When set, wide operators (shuffle staging and partial-aggregation
-    /// map output) spill runs to paged files once their working set
+    /// map output) spill runs to disk once their working set
     /// exceeds this many bytes, and merge them back on read
-    /// (see [`crate::pager`]). `None` — the default — keeps everything in
+    /// (see [`crate::spill`]). `None` — the default — keeps everything in
     /// memory. Spilling never changes results: output is byte-identical to
     /// the in-memory path.
     pub memory_budget_bytes: Option<u64>,

@@ -19,7 +19,7 @@
 //! When an [`ExecConfig::memory_budget_bytes`](crate::physical::ExecConfig)
 //! is set, [`shuffle_spillable`] bounds the staged bytes: every 1 024 rows
 //! of an input, and at its end, the target with the most staged bytes is
-//! finished into a table and spilled as a paged run ([`crate::pager`])
+//! finished into a table and spilled as one run file ([`crate::spill`])
 //! until the rest fits. Each target's output is its spilled runs, then its
 //! staged rows, in arrival order — identical to the in-memory result.
 
@@ -29,7 +29,7 @@ use toreador_data::table::Table;
 
 use crate::codec::row_widths;
 use crate::error::{FlowError, Result};
-use crate::pager::{SpillHandle, SpillManager, SPILL_OP_SHUFFLE};
+use crate::spill::{SpillHandle, SpillManager, SPILL_OP_SHUFFLE};
 use crate::trace::{TraceEventKind, TraceJournal};
 
 const ROUTE_SEED: u64 = 0x9e37_79b9_7f4a_7c15;

@@ -37,7 +37,7 @@ use crate::codec::{
 };
 use crate::error::{FlowError, Result};
 use crate::group::oracle::{identical, proptest_cases, random_types, table_of};
-use crate::pager::{SpillHandle, SpillManager, SPILL_OP_SHUFFLE};
+use crate::spill::{SpillHandle, SpillManager, SPILL_OP_SHUFFLE};
 use crate::trace::{TraceEventKind, TraceJournal};
 
 // ------------------------------------------------------------- the oracle

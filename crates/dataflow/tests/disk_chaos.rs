@@ -1,4 +1,4 @@
-//! Disk-fault matrix for the dataflow durability layers: spill page
+//! Disk-fault matrix for the dataflow durability layers: spill run
 //! files and checkpoint waves under a seeded `DiskChaos` injector.
 //!
 //! The property mirrors the task-fault chaos oracle: a run under storage
@@ -100,9 +100,10 @@ fn assert_classified(e: &FlowError) {
 #[test]
 fn spill_fault_matrix_identical_or_classified_never_leaky() {
     let reference = baseline();
-    // Spill writes land in `<run>.pages.tmp` until the publish rename, so
-    // the write-side faults target class `tmp`; the rename is classified
-    // by its destination, class `pages`.
+    // Spill writes land in `run-N.tmp` until the publish rename, so the
+    // write-side faults target class `tmp`; the rename is classified by its
+    // destination, and a read-back reads the published file, so both are
+    // class `pages`.
     let specs: &[&str] = &[
         "tmp:create:0:eio",
         "tmp:create:2:eio",
@@ -111,7 +112,8 @@ fn spill_fault_matrix_identical_or_classified_never_leaky() {
         "tmp:write:1:torn@100",
         "tmp:write:5:enospc",
         "tmp:sync:0:eio",
-        "tmp:read:2:eio",
+        "pages:read:0:eio",
+        "pages:read:2:eio",
         "pages:rename:0:eio",
         "dir:create:0:eio",
         "any:write:9:eio",
@@ -149,6 +151,7 @@ fn spill_enospc_fails_classified_and_cleans_its_temp_files() {
 #[test]
 fn background_disk_chaos_over_many_seeds_never_diverges() {
     let reference = baseline();
+    let mut injected = 0;
     for case in 0..cases() {
         let dir = tmp_dir(&format!("flaky-{case}"));
         let (chaos, _guard) = DiskChaos::register(&dir, DiskChaosPlan::flaky(0xCAFE + case, 0.03));
@@ -157,9 +160,28 @@ fn background_disk_chaos_over_many_seeds_never_diverges() {
             Err(e) => assert_classified(&e),
         }
         chaos.disarm();
+        injected += chaos.faults_injected();
         assert_no_residue(&dir);
         let _ = std::fs::remove_dir_all(&dir);
     }
+    // A sweep in which no fault fired would pass vacuously.
+    assert!(injected > 0, "no fault fired in {} cases", cases());
+}
+
+#[test]
+fn spill_read_faults_name_the_published_run() {
+    // A run is read back from its published path, so a read fault on
+    // class `pages` reaches it and the failure names that file.
+    let dir = tmp_dir("pages-read");
+    let target = DiskTarget::parse("pages:read:0:eio").unwrap();
+    let (chaos, _guard) = DiskChaos::register(&dir, DiskChaosPlan::targeted(vec![target]));
+    let err = spilling_run(&dir).expect_err("the first read-back must fail");
+    chaos.disarm();
+    assert_classified(&err);
+    assert!(matches!(err, FlowError::Spill(_)), "{err:?}");
+    assert!(err.to_string().contains("run-000000.pages"), "{err}");
+    assert_no_residue(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -213,21 +235,23 @@ fn checkpoint_publish_faults_are_classified_and_leave_a_scannable_dir() {
 
 #[test]
 fn interior_bit_flip_in_a_page_file_is_classified_corruption() {
-    use toreador_dataflow::pager::{SpillManager, PAGE_SIZE};
+    use toreador_dataflow::spill::SpillManager;
 
     let dir = tmp_dir("page-flip");
-    // read_back reads every page from disk, so it sees the damage.
+    // read_back reads the whole file from disk, so it sees the damage.
     let manager = SpillManager::new(0, dir.clone());
     let t = clickstream(700, 13);
     let handle = manager.spill_table(&t).unwrap();
-    // Flip one payload byte inside a data page (slot 1, past its header).
+    // Flip one payload byte inside the first lane frame: past the 8-byte
+    // magic, the header frame and the lane frame's own 8-byte header.
     let path = dir.join("run-000000.pages");
     let mut raw = std::fs::read(&path).unwrap();
-    raw[PAGE_SIZE + 100] ^= 0xFF;
+    let header_len = u32::from_le_bytes(raw[8..12].try_into().unwrap()) as usize;
+    raw[8 + 8 + header_len + 8 + 100] ^= 0xFF;
     std::fs::write(&path, &raw).unwrap();
     let err = manager
         .read_back(&handle)
-        .expect_err("a flipped page must not decode");
+        .expect_err("a flipped lane frame must not decode");
     assert!(
         matches!(err, FlowError::Spill(_)),
         "classified as a spill error: {err:?}"
@@ -238,9 +262,9 @@ fn interior_bit_flip_in_a_page_file_is_classified_corruption() {
 
 #[test]
 fn failed_publish_removes_its_temp_file_while_the_manager_lives() {
-    use toreador_dataflow::pager::SpillManager;
+    use toreador_dataflow::spill::SpillManager;
 
-    // The fsync and the rename are the publish steps after every page is
+    // The fsync and the rename are the publish steps after the run is
     // written; a fault in either must take the `.tmp` with it at once,
     // not leave it for the manager's directory removal.
     for spec in ["tmp:sync:0:eio", "pages:rename:0:eio"] {

@@ -1,10 +1,11 @@
 //! A table's bytes on the wire and on disk do not depend on its in-memory
 //! layout. A view — a window at an offset into buffers a parent table also
 //! holds — routes and encodes for the shuffle, a checkpoint wave and a
-//! pager page exactly as its compacted copy does. One fixed table's wave
-//! file and page file also match golden bytes committed before columns
-//! became shared views, and both golden files read back into that table,
-//! so old checkpoints and the spill format still read.
+//! spill file exactly as its compacted copy does. One fixed table's wave
+//! file also matches golden bytes committed before columns became shared
+//! views, and the golden file reads back into that table, so old
+//! checkpoints still resume. Spill files never outlive the run that wrote
+//! them, so their layout is pinned by structure, not by golden bytes.
 
 use std::path::PathBuf;
 
@@ -14,10 +15,10 @@ use toreador_data::column::LaneRef;
 use toreador_data::generate::edge_table;
 use toreador_data::prelude::*;
 use toreador_dataflow::checkpoint::RunCheckpoint;
-use toreador_dataflow::codec::{decode_lane, encode_lane, encode_table, lanes, take_frame};
-use toreador_dataflow::pager::{PageDirectory, SpillManager, PAGE_SIZE};
+use toreador_dataflow::codec::{encode_lane, encode_table, lanes, take_frame};
 use toreador_dataflow::prelude::*;
 use toreador_dataflow::shuffle::{route_rows, shuffle};
+use toreador_dataflow::spill::SpillManager;
 
 fn wave_body(t: &Table) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -25,7 +26,7 @@ fn wave_body(t: &Table) -> Vec<u8> {
     buf
 }
 
-fn page_payloads(t: &Table) -> Vec<Vec<u8>> {
+fn lane_payloads(t: &Table) -> Vec<Vec<u8>> {
     lanes(t)
         .iter()
         .map(|lane| {
@@ -59,7 +60,7 @@ proptest! {
         prop_assert!(view.columns()[0].shares_storage(&base.columns()[0]));
         prop_assert!(!copy.columns()[0].shares_storage(&base.columns()[0]));
         prop_assert_eq!(wave_body(&view), wave_body(&copy));
-        prop_assert_eq!(page_payloads(&view), page_payloads(&copy));
+        prop_assert_eq!(lane_payloads(&view), lane_payloads(&copy));
         let keys = [1usize, 2];
         prop_assert_eq!(
             route_rows(&view, &keys, targets).unwrap(),
@@ -199,25 +200,35 @@ fn checkpoint_wave_file_matches_golden_bytes() {
     assert_eq!(wave, include_bytes!("golden/checkpoint_wave.bin"));
 }
 
-#[test]
-fn pager_page_file_matches_golden_bytes() {
-    let t = golden_table();
-    let dir = scratch_dir("pages");
+/// Spill `t` as the first run of a fresh manager and return the file's
+/// bytes and the table read back from it.
+fn spill_file(t: &Table, tag: &str) -> (Vec<u8>, Table) {
+    let dir = scratch_dir(tag);
     let manager = SpillManager::new(0, dir.clone());
-    let handle = manager.spill_table(&t).unwrap();
+    let handle = manager.spill_table(t).unwrap();
     let file = std::fs::read(dir.join("run-000000.pages")).unwrap();
-    manager.release(handle);
-    let _ = std::fs::remove_dir_all(&dir);
-    // Each slot is a `[len][crc][payload]` frame zero-padded to PAGE_SIZE;
-    // the golden file holds the frames with the padding cut off.
-    assert_eq!(file.len() % PAGE_SIZE, 0);
-    let mut frames = Vec::new();
-    for slot in file.chunks(PAGE_SIZE) {
-        let len = 8 + u32::from_le_bytes(slot[..4].try_into().unwrap()) as usize;
-        assert!(slot[len..].iter().all(|&b| b == 0), "slot padding is zero");
-        frames.extend_from_slice(&slot[..len]);
+    let back = manager.read_back(&handle).unwrap();
+    drop(manager);
+    (file, back)
+}
+
+#[test]
+fn spill_file_is_a_header_then_one_lane_frame_per_column() {
+    let t = golden_table();
+    let (file, back) = spill_file(&t, "spill-view");
+    assert_identical(&back, &t);
+    assert_eq!(file, spill_file(&t.compact(), "spill-copy").0);
+    let mut rest = file.strip_prefix(b"TORSPIL1").expect("spill magic");
+    let header = format!(
+        r#"{{"rows":{},"schema":{}}}"#,
+        t.num_rows(),
+        serde_json::to_string(t.schema()).unwrap()
+    );
+    assert_eq!(take_frame(&mut rest).unwrap(), header.as_bytes());
+    for lane in lane_payloads(&t) {
+        assert_eq!(take_frame(&mut rest).unwrap(), lane);
     }
-    assert_eq!(frames, include_bytes!("golden/pager_frames.bin"));
+    assert!(rest.is_empty(), "nothing follows the last lane frame");
 }
 
 #[test]
@@ -239,27 +250,4 @@ fn golden_checkpoint_wave_resumes_into_the_golden_table() {
     for (got, want) in wave.tables.iter().zip(&golden_parts()) {
         assert_identical(got, want);
     }
-}
-
-#[test]
-fn golden_page_frames_decode_into_the_golden_table() {
-    let mut rest: &[u8] = include_bytes!("golden/pager_frames.bin");
-    let mut pages = Vec::new();
-    while !rest.is_empty() {
-        pages.push(take_frame(&mut rest).unwrap());
-    }
-    let directory = PageDirectory::from_payload(pages[0]).unwrap();
-    let columns = directory
-        .lanes
-        .iter()
-        .zip(directory.schema.fields())
-        .map(|(extent, field)| {
-            let first = extent.first_page as usize;
-            let extent_bytes = pages[first..first + extent.pages as usize].concat();
-            assert_eq!(extent_bytes.len() as u64, extent.bytes);
-            decode_lane(field, directory.rows, &extent_bytes).unwrap()
-        })
-        .collect();
-    let table = Table::new(directory.schema.clone(), columns).unwrap();
-    assert_identical(&table, &golden_table());
 }

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use toreador_data::generate::random_table;
-use toreador_data::partition::{PartitionedTable, Partitioning};
+use toreador_data::partition::PartitionedTable;
 use toreador_data::table::Table;
 use toreador_dataflow::codec::encode_table;
 use toreador_dataflow::prelude::*;
@@ -171,10 +171,7 @@ fn row_expected(table: &Table, steps: &[Step], agg: bool) -> Option<Table> {
         .iter()
         .map(|p| row_reference(chain.plan(), p))
         .collect::<Option<Vec<_>>>()?;
-    e.register_partitioned(
-        "t",
-        PartitionedTable::new(chained, Partitioning::Arbitrary).unwrap(),
-    );
+    e.register_partitioned("t", PartitionedTable::new(chained).unwrap());
     Some(e.run(&build_flow(&e, &[], true)).unwrap().table)
 }
 

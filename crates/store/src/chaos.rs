@@ -393,11 +393,6 @@ impl DiskChaos {
         self.state.lock().unwrap().armed = false;
     }
 
-    /// Resume injecting.
-    pub fn arm(&self) {
-        self.state.lock().unwrap().armed = true;
-    }
-
     /// Faults injected so far.
     pub fn faults_injected(&self) -> u64 {
         self.state.lock().unwrap().faults

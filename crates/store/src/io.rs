@@ -1,6 +1,6 @@
 //! The virtual-filesystem seam every durability layer writes through.
 //!
-//! The store WAL, the dataflow checkpoint/pager layers and the streaming
+//! The store WAL, the dataflow checkpoint and spill layers and the streaming
 //! ack log all talk to disk via [`StorageIo`] (directory-level operations:
 //! create/open/read/rename/remove/dir-fsync) and [`StorageFile`]
 //! (positional reads and writes plus fsync on one open file). The default
@@ -30,9 +30,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// One open file: positional I/O plus durability control. Positional
-/// (offset-addressed) reads and writes cover both the WAL's append
-/// pattern — the log tracks its own tail offset — and the pager's
-/// random page access, without per-file seek state.
+/// (offset-addressed) writes cover the WAL's append pattern — the log
+/// tracks its own tail offset — without per-file seek state; whole-file
+/// writers (checkpoint waves, spill runs) write once at offset 0.
 // `len` here is a fallible size query, not a collection length — an
 // `is_empty` twin would be noise.
 #[allow(clippy::len_without_is_empty)]
