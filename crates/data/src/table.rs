@@ -1,8 +1,9 @@
 //! In-memory tables: a schema plus one [`Column`] per field.
 
+use std::cmp::Ordering;
 use std::fmt;
 
-use crate::column::{Column, ColumnBuilder};
+use crate::column::{Column, ColumnBuilder, LaneRef, Validity};
 use crate::error::{DataError, Result};
 use crate::schema::{Field, Schema};
 use crate::value::{Row, Value};
@@ -225,28 +226,22 @@ impl Table {
 
     /// Stable sort by the named columns (all ascending unless `descending`).
     pub fn sort_by(&self, keys: &[&str], descending: bool) -> Result<Table> {
-        let key_cols: Vec<&Column> = keys
-            .iter()
-            .map(|k| self.column(k))
-            .collect::<Result<Vec<_>>>()?;
-        let mut indices: Vec<usize> = (0..self.rows).collect();
-        indices.sort_by(|&a, &b| {
-            let mut ord = std::cmp::Ordering::Equal;
-            for col in &key_cols {
-                let va = col.value(a).expect("in range");
-                let vb = col.value(b).expect("in range");
-                ord = va.total_cmp(&vb);
-                if ord != std::cmp::Ordering::Equal {
-                    break;
-                }
-            }
-            if descending {
-                ord.reverse()
-            } else {
-                ord
-            }
-        });
-        self.take(&indices)
+        self.sort_limit(keys, descending, None)
+    }
+
+    /// The first `n` rows (all when `None`) of [`Table::sort_by`], gathered
+    /// once through a `u32` permutation. A table already in order and not
+    /// cut is returned as a view, for one pass over the permutation: an
+    /// aggregate's reduce partitions, ranked ascending by their group key,
+    /// are already in order.
+    pub fn sort_limit(&self, keys: &[&str], descending: bool, n: Option<usize>) -> Result<Table> {
+        let columns: Vec<&Column> = keys.iter().map(|k| self.column(k)).collect::<Result<_>>()?;
+        let mut order = SortKeys::bind(columns).order(self.rows, descending);
+        order.truncate(n.unwrap_or(usize::MAX));
+        if order.len() == self.rows && order.iter().enumerate().all(|(i, &r)| r as usize == i) {
+            return Ok(self.clone());
+        }
+        self.take_sel(&order)
     }
 
     /// Append a computed column.
@@ -301,6 +296,58 @@ impl Table {
             out.push_str(&format!("... ({} more rows)\n", self.rows - limit));
         }
         out
+    }
+}
+
+/// Sort keys bound once to typed lanes: the comparator behind
+/// [`Table::sort_by`] and the engine's sorted group output. The order is
+/// `Value::total_cmp`'s: a null sorts below every value, floats compare by
+/// `f64::total_cmp` (-0.0 < +0.0, NaNs by sign and payload), text
+/// bytewise. Each key is a lane plus its validity, `None` when the lane
+/// holds no null, so a comparison never reads a null slot's payload and
+/// builds no `Value`.
+pub struct SortKeys<'a>(Vec<(LaneRef<'a>, Option<&'a Validity>)>);
+
+impl<'a> SortKeys<'a> {
+    pub fn bind(columns: impl IntoIterator<Item = &'a Column>) -> Self {
+        let bound = columns
+            .into_iter()
+            .map(|c| (c.lane(), (c.null_count() > 0).then(|| c.validity())));
+        SortKeys(bound.collect())
+    }
+
+    /// Rows `a` and `b` in ascending order.
+    #[inline]
+    pub fn cmp(&self, a: usize, b: usize) -> Ordering {
+        self.0.iter().fold(Ordering::Equal, |ord, &(lane, valid)| {
+            ord.then_with(|| match valid.map(|v| (v.get(a), v.get(b))) {
+                Some((va, vb)) if !(va && vb) => va.cmp(&vb),
+                _ => match lane {
+                    LaneRef::Bool(d) => d[a].cmp(&d[b]),
+                    LaneRef::Int(d) | LaneRef::Timestamp(d) => d[a].cmp(&d[b]),
+                    LaneRef::Float(d) => d[a].total_cmp(&d[b]),
+                    LaneRef::Str(d) => d.bytes(a).cmp(d.bytes(b)),
+                },
+            })
+        })
+    }
+
+    /// Rows `0..rows` in stable sort order, `descending` reversing the
+    /// whole order: ties keep their input order either way. One integer or
+    /// timestamp key with no nulls, the shape of every ranking the
+    /// benchmark runs, sorts by its lane value directly, bitwise negated
+    /// when descending; every other key set takes [`SortKeys::cmp`].
+    pub fn order(&self, rows: usize, descending: bool) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..rows as u32).collect();
+        match self.0.as_slice() {
+            [(LaneRef::Int(d) | LaneRef::Timestamp(d), None)] => {
+                let flip = -(descending as i64);
+                order.sort_by_key(|&i| d[i as usize] ^ flip)
+            }
+            _ if descending => order.sort_by(|&a, &b| self.cmp(b as usize, a as usize)),
+            _ => order.sort_by(|&a, &b| self.cmp(a as usize, b as usize)),
+        }
+        order
     }
 }
 
@@ -402,6 +449,7 @@ impl TableBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::StrLane;
     use crate::value::DataType;
 
     fn people() -> Table {
@@ -519,6 +567,123 @@ mod tests {
         let other = t.project(&["id"]).unwrap();
         assert!(Table::concat(&[t, other]).is_err());
         assert!(Table::concat(&[]).is_err());
+    }
+
+    /// Stable order of `col`'s rows under the comparator `SortKeys`
+    /// replaced: `Value::total_cmp`, reversed whole when descending.
+    fn value_order(col: &Column, descending: bool) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..col.len() as u32).collect();
+        order.sort_by(|&a, &b| {
+            let ord = col
+                .value(a as usize)
+                .unwrap()
+                .total_cmp(&col.value(b as usize).unwrap());
+            if descending {
+                ord.reverse()
+            } else {
+                ord
+            }
+        });
+        order
+    }
+
+    /// Every pair of `col`'s slots compares as `Value::total_cmp` does, and
+    /// `order` equals the stable `Value` sort in both directions: with
+    /// the nulls (whose slots hold payloads), and without them, where one
+    /// integer or timestamp key sorts by its lane directly.
+    fn agrees_with_value_order(col: Column) {
+        let valid: Vec<bool> = (0..col.len()).map(|i| col.validity().get(i)).collect();
+        assert!(valid.contains(&false), "the set must hold nulls");
+        for c in [col.clone(), col.filter(&valid).unwrap()] {
+            for descending in [false, true] {
+                let keys = SortKeys::bind([&c]);
+                assert_eq!(keys.order(c.len(), descending), value_order(&c, descending));
+            }
+            let keys = SortKeys::bind([&c]);
+            for a in 0..c.len() {
+                for b in 0..c.len() {
+                    let (va, vb) = (c.value(a).unwrap(), c.value(b).unwrap());
+                    assert_eq!(keys.cmp(a, b), va.total_cmp(&vb), "{va:?} vs {vb:?}");
+                }
+            }
+        }
+    }
+
+    /// A validity of `n` valid slots followed by `nulls` null ones.
+    fn trailing_nulls(n: usize, nulls: usize) -> Validity {
+        (0..n + nulls).map(|i| i < n).collect()
+    }
+
+    #[test]
+    fn int_keys_order_as_values_do() {
+        let data = vec![i64::MAX, -1, 0, i64::MIN, 1, 0, -1, 7, -9];
+        agrees_with_value_order(Column::Int {
+            data: data.into(),
+            validity: trailing_nulls(7, 2),
+        });
+    }
+
+    #[test]
+    fn float_keys_order_as_values_do() {
+        let nan = |bits: u64| f64::from_bits(bits);
+        let data = vec![
+            f64::INFINITY,
+            0.0,
+            -0.0,
+            nan(0x7ff8_0000_0000_0001),
+            -1.5,
+            f64::NEG_INFINITY,
+            nan(0xfff8_0000_0000_0000),
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            0.0,
+            1.0,
+            2.5,
+            f64::NAN,
+        ];
+        agrees_with_value_order(Column::Float {
+            data: data.into(),
+            validity: trailing_nulls(11, 2),
+        });
+    }
+
+    #[test]
+    fn str_keys_order_bytewise_as_values_do() {
+        let data: StrLane = ["b", "", "é", "ab", "a", "z", "a", "Z", "x", "é"]
+            .into_iter()
+            .collect();
+        agrees_with_value_order(Column::Str {
+            data,
+            validity: trailing_nulls(8, 2),
+        });
+    }
+
+    #[test]
+    fn bool_keys_order_as_values_do() {
+        agrees_with_value_order(Column::Bool {
+            data: vec![true, false, true, false, true, false].into(),
+            validity: trailing_nulls(4, 2),
+        });
+    }
+
+    #[test]
+    fn timestamp_keys_order_as_values_do() {
+        agrees_with_value_order(Column::Timestamp {
+            data: vec![5, -5, 0, 5, i64::MIN, 3, 9].into(),
+            validity: trailing_nulls(5, 2),
+        });
+    }
+
+    #[test]
+    fn sort_limit_keeps_the_prefix_and_shares_an_ordered_input() {
+        let t = people();
+        let top = t.sort_limit(&["age"], true, Some(2)).unwrap();
+        assert_eq!(top, t.sort_by(&["age"], true).unwrap().slice(0, 2).unwrap());
+        assert!(!top.columns()[0].shares_storage(&t.columns()[0]));
+        let by_id = t.sort_limit(&["id"], false, Some(3)).unwrap();
+        assert_eq!(by_id, t);
+        assert!(by_id.columns()[1].shares_storage(&t.columns()[1]));
+        assert_eq!(t.sort_limit(&["id"], false, Some(0)).unwrap().num_rows(), 0);
     }
 
     #[test]

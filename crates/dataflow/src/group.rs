@@ -32,7 +32,7 @@ use std::collections::HashSet;
 use toreador_data::column::{Buffer, Column, LaneRef, Validity};
 use toreador_data::error::DataError;
 use toreador_data::schema::{Field, Schema};
-use toreador_data::table::Table;
+use toreador_data::table::{SortKeys, Table};
 use toreador_data::value::DataType;
 
 use crate::error::{FlowError, Result};
@@ -152,20 +152,13 @@ impl GroupTable {
         }
     }
 
-    /// Group ids in ascending key order, lane by lane under
+    /// Group ids in ascending key order under [`SortKeys`], the order of
     /// `Value::total_cmp`. Distinct groups never tie.
     fn sorted(&self, home: &[&Column]) -> Vec<u32> {
+        let keys = SortKeys::bind(home.iter().copied());
+        let rep = |g: u32| self.reps[g as usize] as usize;
         let mut order: Vec<u32> = (0..self.reps.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            let (ra, rb) = (
-                self.reps[a as usize] as usize,
-                self.reps[b as usize] as usize,
-            );
-            home.iter()
-                .map(|c| cmp_rows(c, ra, rb))
-                .find(|o| *o != Ordering::Equal)
-                .unwrap_or(Ordering::Equal)
-        });
+        order.sort_unstable_by(|&a, &b| keys.cmp(rep(a), rep(b)));
         order
     }
 }
@@ -213,22 +206,6 @@ fn lane_eq(a: &Column, i: usize, b: &Column, j: usize) -> bool {
         _ => match (a.value(i), b.value(j)) {
             (Ok(x), Ok(y)) => x.group_eq(&y),
             _ => false,
-        },
-    }
-}
-
-/// `Value::total_cmp` of rows `a` and `b` of one column.
-fn cmp_rows(col: &Column, a: usize, b: usize) -> Ordering {
-    let v = col.validity();
-    match (v.get(a), v.get(b)) {
-        (false, false) => Ordering::Equal,
-        (false, true) => Ordering::Less,
-        (true, false) => Ordering::Greater,
-        (true, true) => match col {
-            Column::Bool { data, .. } => data[a].cmp(&data[b]),
-            Column::Int { data, .. } | Column::Timestamp { data, .. } => data[a].cmp(&data[b]),
-            Column::Float { data, .. } => data[a].total_cmp(&data[b]),
-            Column::Str { data, .. } => data[a].cmp(&data[b]),
         },
     }
 }

@@ -3,9 +3,9 @@
 //! The execution model mirrors Spark's: a plan is cut into **stages** at
 //! shuffle boundaries; within a stage, a chain of narrow operators (filter,
 //! project, sample) compiles once into a list of bound steps and runs as one
-//! per-partition pass; wide operators (aggregate, join, sort, distinct)
-//! first move rows through [`crate::shuffle`] and then run per-partition
-//! tasks on the redistributed data.
+//! per-partition pass; wide operators (aggregate, join, distinct) first
+//! move rows through [`crate::shuffle`] and then run per-partition tasks on
+//! the redistributed data; a sort moves nothing, it merges sorted partitions.
 //!
 //! Every wave runs on the stage coordinator ([`crate::scheduler`]). What
 //! a task is derives from the plan, not from a setting: a narrow chain of
@@ -423,25 +423,20 @@ pub fn execute(ctx: &ExecContext<'_>, plan: &LogicalPlan) -> Result<PartitionedT
             descending,
         } => {
             let child = execute(ctx, input)?;
-            exec_sort(ctx, child, keys, *descending, &plan.describe())
+            exec_sort(ctx, child, keys, *descending, None, &plan.describe())
         }
-        LogicalPlan::Limit { input, n } => {
-            // Limit-over-Sort fuses into a top-k: each partition sorts and
-            // truncates locally, then only n rows per partition cross the
-            // merge — instead of gathering the whole dataset to one
-            // partition first. Same results, far less data movement.
-            if let LogicalPlan::Sort {
-                input: sort_in,
+        LogicalPlan::Limit { input, n } => match input.as_ref() {
+            // Limit-over-Sort is a top-k: the sort keeps n rows per run.
+            LogicalPlan::Sort {
+                input,
                 keys,
                 descending,
-            } = input.as_ref()
-            {
-                let child = execute(ctx, sort_in)?;
-                return exec_top_k(ctx, child, keys, *descending, *n, &plan.describe());
+            } => {
+                let child = execute(ctx, input)?;
+                exec_sort(ctx, child, keys, *descending, Some(*n), &plan.describe())
             }
-            let child = execute(ctx, input)?;
-            exec_limit(ctx, child, *n, &plan.describe())
-        }
+            _ => exec_limit(ctx, execute(ctx, input)?, *n, &plan.describe()),
+        },
         LogicalPlan::Union { inputs } => {
             let mut parts = Vec::new();
             for i in inputs {
@@ -924,71 +919,39 @@ fn exec_join(
 
 // ------------------------------------------------------- sort / limit / distinct
 
+/// Sort, or top-k when `limit` is set: one wave sorts each partition
+/// stably and keeps `limit` rows, then a stable sort of the runs in
+/// partition order merges them, ties by (partition, position) as in a
+/// gathered sort, and keeps `limit` rows. Inputs drop after the wave and
+/// runs after the concatenation: at most two copies of the rows are live.
 fn exec_sort(
     ctx: &ExecContext<'_>,
     input: PartitionedTable,
     keys: &[String],
     descending: bool,
+    limit: Option<usize>,
     desc: &str,
 ) -> Result<PartitionedTable> {
     let started = Instant::now();
-    // Gather everything into one partition (keyless shuffle), then sort.
-    let schema = input.schema().clone();
-    let gathered = ctx.shuffle(input.into_parts(), &schema, &[], 1)?;
     let stage = ctx.next_stage();
-    let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-    let table = gathered
-        .partitions
-        .into_iter()
-        .next()
-        .expect("one partition requested");
-    let input_rows = table.num_rows();
-    let tasks = vec![move || {
-        table
-            .sort_by(&key_refs, descending)
-            .map_err(FlowError::Data)
-    }];
-    let outputs = ctx.run_stage(stage, input_rows, tasks)?;
-    let rows: u64 = outputs.iter().map(|t| t.num_rows() as u64).sum();
-    ctx.metrics
-        .record_node(desc, stage, rows, started.elapsed(), gathered.bytes_moved);
-    PartitionedTable::new(outputs).map_err(FlowError::Data)
-}
-
-/// Fused Limit(Sort): per-partition sort + truncate in parallel, then a
-/// single merge of at most `n * partitions` rows.
-fn exec_top_k(
-    ctx: &ExecContext<'_>,
-    input: PartitionedTable,
-    keys: &[String],
-    descending: bool,
-    n: usize,
-    desc: &str,
-) -> Result<PartitionedTable> {
-    let started = Instant::now();
-    let stage = ctx.current_stage();
-    let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
+    let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
     let parts = input.into_parts();
-    let key_refs_ref = &key_refs;
     let tasks: Vec<_> = parts
         .iter()
-        .map(|t| {
-            move || {
-                let sorted = t.sort_by(key_refs_ref, descending)?;
-                let take = sorted.num_rows().min(n);
-                Ok(sorted.slice(0, take)?.compact())
-            }
-        })
+        .map(|t| || Ok(t.sort_limit(&keys, descending, limit)?))
         .collect();
-    let locals = ctx.run_stage(stage, total_rows(&parts), tasks)?;
-    let merged = Table::concat(&locals)?.sort_by(&key_refs, descending)?;
-    let take = merged.num_rows().min(n);
-    let out = merged.slice(0, take)?.compact();
+    let runs = ctx.run_stage(stage, total_rows(&parts), tasks)?;
+    drop(parts);
+    let merged = Table::concat(&runs)?;
+    drop(runs);
+    let out = merged.sort_limit(&keys, descending, limit)?;
     ctx.metrics
         .record_node(desc, stage, out.num_rows() as u64, started.elapsed(), 0);
     Ok(PartitionedTable::single(out))
 }
 
+/// The first `n` rows in partition order, copied once: one kept part is
+/// compacted so a small result does not pin its input, several concatenated.
 fn exec_limit(
     ctx: &ExecContext<'_>,
     input: PartitionedTable,
@@ -999,25 +962,20 @@ fn exec_limit(
     let mut remaining = n;
     let mut kept = Vec::new();
     for part in input.parts() {
-        if remaining == 0 {
-            break;
-        }
         let take = part.num_rows().min(remaining);
-        // A copy, not a view: a small result must not pin the input.
-        kept.push(part.slice(0, take)?.compact());
+        if take > 0 {
+            kept.push(part.slice(0, take)?);
+        }
         remaining -= take;
     }
-    if kept.is_empty() {
-        kept.push(Table::empty(input.schema().clone()));
-    }
-    let out = Table::concat(&kept)?;
-    ctx.metrics.record_node(
-        desc,
-        ctx.current_stage(),
-        out.num_rows() as u64,
-        started.elapsed(),
-        0,
-    );
+    let out = match kept.as_slice() {
+        [] => Table::empty(input.schema().clone()),
+        [only] => only.compact(),
+        _ => Table::concat(&kept)?,
+    };
+    let (stage, rows) = (ctx.current_stage(), out.num_rows() as u64);
+    ctx.metrics
+        .record_node(desc, stage, rows, started.elapsed(), 0);
     Ok(PartitionedTable::single(out))
 }
 
@@ -1239,12 +1197,32 @@ mod tests {
             .map(|v| v.as_int().unwrap())
             .collect();
         assert_eq!(vals, vec![99, 98, 97, 96, 95, 94, 93]);
-        // Fusion avoids the gather shuffle entirely.
-        let metrics2 = MetricsCollector::new();
-        let ctx = ExecContext::new(&datasets, ExecConfig::default(), &metrics2);
-        execute(&ctx, fused.plan()).unwrap();
-        let m = metrics2.finish(std::time::Duration::from_millis(1), 7, 1);
-        assert_eq!(m.total_shuffle_bytes(), 0, "top-k must not shuffle");
+        // Neither top-k nor a whole sort gathers its input through a shuffle.
+        let sorted = Dataflow::scan("t", schema_t()).sort(&["v"], true).unwrap();
+        for flow in [&fused, &sorted] {
+            let metrics2 = MetricsCollector::new();
+            let ctx = ExecContext::new(&datasets, ExecConfig::default(), &metrics2);
+            execute(&ctx, flow.plan()).unwrap();
+            let m = metrics2.finish(std::time::Duration::from_millis(1), 7, 1);
+            assert_eq!(m.total_shuffle_bytes(), 0, "sort must not shuffle");
+        }
+    }
+
+    #[test]
+    fn limit_across_three_partitions_copies_into_fresh_buffers() {
+        // 100 rows re-split into four partitions of 25: the first 60 rows
+        // take two partitions whole and ten rows of the third.
+        let (datasets, metrics) = ctx_fixture();
+        let out = run(
+            &datasets,
+            &metrics,
+            &Dataflow::scan("t", schema_t()).limit(60),
+        );
+        let input = &datasets["t"].parts()[0];
+        assert_eq!(out, input.slice(0, 60).unwrap());
+        for (c, src) in out.columns().iter().zip(input.columns()) {
+            assert!(!c.shares_storage(src));
+        }
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Hash shuffle: route rows by key, then scatter typed lanes.
 //!
 //! A shuffle redistributes rows so that all rows sharing a key land in the
-//! same partition — the data-movement step behind aggregates, joins,
-//! `distinct` and the sort's gather. In Spark this crosses the network;
-//! here it never leaves the process, so nothing is serialised: each input
-//! is routed once ([`route_rows`]) and each column's lane is scattered
-//! straight into per-target column builders ([`Column::scatter`]), one
-//! copy per cell. Null slots land as the builders' defaults (`false`, `0`,
-//! `0.0`, empty text), so a spilled and an in-memory partition agree lane
-//! for lane.
+//! same partition — the data-movement step behind aggregates, joins and
+//! `distinct`. In Spark this crosses the network; here it never leaves the
+//! process, so nothing is serialised: each input is routed once
+//! ([`route_rows`]) and each column's lane is scattered straight into
+//! per-target column builders ([`Column::scatter`]), one copy per cell.
+//! Null slots land as the builders' defaults (`false`, `0`, `0.0`, empty
+//! text), so a spilled and an in-memory partition agree lane for lane.
 //!
 //! What a shuffle *costs* is still reported in bytes: the row codec's
 //! width ([`crate::codec::row_widths`]: 2 per row, then per cell 1 for a

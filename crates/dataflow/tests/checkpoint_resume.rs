@@ -16,6 +16,7 @@
 use std::path::{Path, PathBuf};
 
 use toreador_data::generate::clickstream;
+use toreador_dataflow::checkpoint::RunCheckpoint;
 use toreador_dataflow::codec::encode_table;
 use toreador_dataflow::error::FlowError;
 use toreador_dataflow::fault::KillMode;
@@ -407,6 +408,105 @@ fn resume_refuses_stale_checkpoints_with_named_mismatch() {
     }
 
     let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_sort_wave_in_the_old_layouts_resumes_identically_or_is_refused() {
+    // Sort used to gather its input into one partition and sort it there:
+    // its checkpointed wave was the whole sorted output as one partition,
+    // one stage past the aggregate. Top-k sorted each partition but ran
+    // its wave in the aggregate's stage. Now both sort each partition in
+    // a stage of their own. A checkpoint holding an old layout must resume
+    // to the same rows, or be refused as a checkpoint error naming the
+    // wave; it must never yield different rows. A gathered wave over one
+    // partition coincides with the new layout and is served; with four
+    // partitions it is refused. A top-k wave is always refused: it was
+    // stored one stage early.
+    for (partitions, top_k) in [(1, false), (4, false), (1, true), (4, true)] {
+        let root = temp_root(&format!("old-sort-{partitions}-{top_k}"));
+        let engine = |resilience: ResilienceConfig| {
+            let mut e = Engine::new(
+                EngineConfig::default()
+                    .with_threads(THREADS)
+                    .with_partitions(partitions)
+                    .with_checkpoint(CheckpointSpec::new(root.clone(), "unused"))
+                    .with_resilience(resilience),
+            );
+            e.register("clicks", clickstream(ROWS, SEED)).unwrap();
+            e
+        };
+        let flow = |e: &Engine| match top_k {
+            true => flow_of(e).limit(3),
+            false => flow_of(e),
+        };
+        let manifest_of = |run: &str| -> (CheckpointSpec, CheckpointManifest) {
+            let spec = CheckpointSpec::resume(root.clone(), run);
+            let text = std::fs::read_to_string(spec.dir().join("manifest.json")).unwrap();
+            (spec, serde_json::from_str(&text).unwrap())
+        };
+        let calm = engine(ResilienceConfig::none());
+        let baseline = calm.run_checkpointed(&flow(&calm), "baseline").unwrap();
+        let mut waves: Vec<(usize, usize)> = baseline
+            .trace
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::StageCheckpointed { wave, stage, .. } => Some((wave, stage)),
+                _ => None,
+            })
+            .collect();
+        waves.sort_unstable();
+        let (sort_wave, sort_stage) = *waves.last().unwrap();
+        let (_, aggregate_stage) = waves[waves.len() - 2];
+        assert_eq!(
+            sort_stage,
+            aggregate_stage + 1,
+            "the sort opens its own stage"
+        );
+        let (stage, tables) = if top_k {
+            // The runs are the ones the new wave writes; only the stage moved.
+            let (spec, manifest) = manifest_of("baseline");
+            let runs = RunCheckpoint::resume(&spec, &manifest)
+                .unwrap()
+                .take_restored(sort_wave)
+                .unwrap();
+            assert_eq!(runs.tables.len(), partitions);
+            (aggregate_stage, runs.tables)
+        } else {
+            (sort_stage, vec![baseline.table.clone()])
+        };
+
+        // Die after the aggregate's wave, then write the sort's wave as the
+        // old operator did.
+        let doomed = engine(
+            ResilienceConfig::none()
+                .with_chaos(ChaosPlan::none().with_boundary_kill(sort_wave - 1, KillMode::Halt)),
+        );
+        doomed.run_checkpointed(&flow(&doomed), "old").unwrap_err();
+        let (spec, manifest) = manifest_of("old");
+        RunCheckpoint::resume(&spec, &manifest)
+            .unwrap()
+            .persist_wave(stage, sort_wave, &tables)
+            .unwrap();
+
+        let revived = engine(ResilienceConfig::none());
+        match revived.resume(&flow(&revived), "old") {
+            Ok(resumed) => {
+                assert_eq!((partitions, top_k), (1, false), "a moved wave was served");
+                assert_eq!(bytes_of(&resumed.table), bytes_of(&baseline.table));
+            }
+            Err(FlowError::Checkpoint(msg)) => {
+                assert_ne!(
+                    (partitions, top_k),
+                    (1, false),
+                    "same layout refused: {msg}"
+                );
+                assert!(msg.contains(&format!("wave {sort_wave}")), "{msg}");
+            }
+            Err(other) => panic!("expected the same rows or a checkpoint error, got {other}"),
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
 
 #[test]

@@ -698,7 +698,8 @@ fn kill_mid_spill_resumes_clean_with_no_orphaned_page_files() {
     let baseline = calm.run(&flow_of(&calm)).unwrap();
     assert_eq!(baseline.trace.spill_totals(), SpillTotals::default());
 
-    // Budget zero: every wide operator spills constantly. Die at the first
+    // Budget zero: the aggregation spills constantly (the sort stages
+    // nothing, so it has nothing to spill). Die at the first
     // wave boundary, mid-campaign, after spill files have been written.
     let budgeted_config = || {
         EngineConfig::default()
