@@ -7,6 +7,7 @@
 use std::collections::HashMap;
 
 use toreador_core::prelude::*;
+use toreador_data::column::LaneRef;
 use toreador_data::table::Table;
 use toreador_dataflow::fault::{ChaosPlan, FaultKind, KillMode, TargetedFault};
 use toreador_dataflow::resilience::{
@@ -369,14 +370,49 @@ fn render_outcome(outcome: &CampaignOutcome) -> String {
         ));
     }
     out.push_str(&format!(
-        "\noutput ({} rows):\n{}",
+        "\noutput ({} rows):\n{}output digest: {:016x}\n",
         outcome.output.num_rows(),
-        outcome.output.show(15)
+        outcome.output.show(15),
+        output_digest(&outcome.output)
     ));
     for (service, text) in &outcome.reports {
         out.push_str(&format!("\n[{service}]\n{text}\n"));
     }
     out
+}
+
+/// FNV-1a over every cell of `t`, column by column: a type tag per
+/// column, then per row its validity and, when valid, its value — a
+/// float's bit pattern, a text's length and bytes. Two outputs with the
+/// same digest agree beyond the rows `show` prints.
+fn output_digest(t: &Table) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(&(t.num_rows() as u64).to_le_bytes());
+    for col in t.columns() {
+        eat(col.data_type().name().as_bytes());
+        for row in 0..col.len() {
+            let valid = col.validity().get(row);
+            eat(&[valid as u8]);
+            if !valid {
+                continue;
+            }
+            match col.lane() {
+                LaneRef::Bool(d) => eat(&[d[row] as u8]),
+                LaneRef::Int(d) | LaneRef::Timestamp(d) => eat(&d[row].to_le_bytes()),
+                LaneRef::Float(d) => eat(&d[row].to_bits().to_le_bytes()),
+                LaneRef::Str(d) => {
+                    eat(&(d.get(row).len() as u64).to_le_bytes());
+                    eat(d.get(row).as_bytes());
+                }
+            }
+        }
+    }
+    h
 }
 
 /// Parse `--memory-budget <bytes>` — plain bytes or with a k/m/g suffix
@@ -1490,6 +1526,7 @@ mod tests {
         .unwrap();
         assert!(out.contains("indicators:"));
         assert!(out.contains("revenue"));
+        assert!(out.contains("\noutput digest: "), "{out}");
         // Explain on the same file.
         let out = run_cli(&[
             "explain",
@@ -2176,6 +2213,65 @@ mod tests {
         let out = run_profile("targeted:0:1:0:delay:500").unwrap();
         assert!(out.contains("1 targeted fault(s)"), "{out}");
         assert!(out.contains("IDENTICAL"), "{out}");
+    }
+
+    #[test]
+    fn the_output_digest_sees_every_cell() {
+        use toreador_data::column::Column;
+        use toreador_data::schema::{Field, Schema};
+        use toreador_data::value::DataType;
+        let table = |ints: Vec<i64>, valid: Vec<bool>, floats: Vec<f64>, strs: Vec<&str>| {
+            let schema = Schema::new(vec![
+                Field::new("i", DataType::Int),
+                Field::new("f", DataType::Float),
+                Field::new("s", DataType::Str),
+            ])
+            .unwrap();
+            let columns = vec![
+                Column::Int {
+                    data: ints.into(),
+                    validity: valid.into_iter().collect(),
+                },
+                Column::from_floats(floats),
+                Column::from_strs(strs),
+            ];
+            output_digest(&Table::new(schema, columns).unwrap())
+        };
+        let ints: Vec<i64> = (0..20).collect();
+        let valid = vec![true; 20];
+        let floats = vec![0.0; 20];
+        let strs = vec!["a"; 20];
+        let base = table(ints.clone(), valid.clone(), floats.clone(), strs.clone());
+        assert_eq!(
+            base,
+            table(ints.clone(), valid.clone(), floats.clone(), strs.clone())
+        );
+        // A change past the rows `show(15)` prints.
+        let mut late = ints.clone();
+        late[19] = 0;
+        assert_ne!(
+            base,
+            table(late, valid.clone(), floats.clone(), strs.clone())
+        );
+        // A null over the same payload.
+        let mut nulled = valid.clone();
+        nulled[17] = false;
+        assert_ne!(
+            base,
+            table(ints.clone(), nulled, floats.clone(), strs.clone())
+        );
+        // -0.0 against 0.0.
+        let mut signed = floats.clone();
+        signed[18] = -0.0;
+        assert_ne!(
+            base,
+            table(ints.clone(), valid.clone(), signed, strs.clone())
+        );
+        // Text bytes split differently across two cells.
+        let mut split = strs.clone();
+        split[15] = "";
+        split[16] = "aa";
+        assert_ne!(base, table(ints, valid, floats, split));
     }
 
     /// Everything from `output (` down — the deterministic section a

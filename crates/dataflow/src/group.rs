@@ -21,7 +21,18 @@
 //! * final tables are sorted by key under `Value::total_cmp`;
 //! * nulls form one group; equi-join keys with a null never match;
 //! * null slots of every column these kernels build hold the type's
-//!   default, as [`toreador_data::table::TableBuilder`] would write them.
+//!   default, as [`toreador_data::table::TableBuilder`] would write them —
+//!   except a passed-through partial ([`PartialAgg`]), which shares its
+//!   input's lanes, null slots and all; every reader of a partial checks
+//!   validity first, and the merge's output is built fresh.
+//!
+//! A map partition that passes through hands the merge one partial per
+//! row, so the merge folds that partition's rows one at a time in row
+//! order, as the raw path would. Counts, integer sums, `min` and `max`
+//! come out the same either way; a float sum or mean of a group with two
+//! or more rows in a later, passed-through partition adds them to the
+//! running total one by one instead of as one subtotal, and may differ in
+//! its last bits from a combined run.
 
 #[cfg(test)]
 pub(crate) mod oracle;
@@ -315,6 +326,18 @@ enum Best {
     Timestamp(Vec<i64>),
 }
 
+impl Best {
+    fn data_type(&self) -> DataType {
+        match self {
+            Best::Bool(_) => DataType::Bool,
+            Best::Int(_) => DataType::Int,
+            Best::Float(_) => DataType::Float,
+            Best::Str(_) => DataType::Str,
+            Best::Timestamp(_) => DataType::Timestamp,
+        }
+    }
+}
+
 /// One aggregate's per-group state, a typed vector per quantity.
 #[derive(Debug)]
 enum AccLane {
@@ -528,16 +551,7 @@ impl AccLane {
                         |r, m: &String| data[r].cmp(m.as_str()),
                         |r| data[r].to_owned(),
                     ),
-                    (best, _) => {
-                        let expected = match best {
-                            Best::Bool(_) => "Bool",
-                            Best::Int(_) => "Int",
-                            Best::Float(_) => "Float",
-                            Best::Str(_) => "Str",
-                            Best::Timestamp(_) => "Timestamp",
-                        };
-                        return Err(type_error(expected, input));
-                    }
+                    (best, _) => return Err(type_error(best.data_type().name(), input)),
                 }
             }
             AccLane::Distinct(sets) => {
@@ -564,6 +578,51 @@ impl AccLane {
             }
             other => vec![other.final_column(order)],
         }
+    }
+
+    /// The partial-state column(s) of a partition that passes through: one
+    /// partial per input row, as [`AccLane::state_columns`] would write it
+    /// for a group of that row alone. A sum, min or max state is `input`
+    /// itself, shared, its validity the state's `seen`; a count is 1 under
+    /// a valid row and 0 under a null; a mean is the value as `f64` (0.0
+    /// under a null) beside that count. A type the fold refuses is refused
+    /// with the fold's error.
+    fn pass_through(&self, input: &Column) -> Result<Vec<Column>> {
+        let valid = input.validity();
+        let n = input.len();
+        let counts = || Column::Int {
+            data: (0..n).map(|row| valid.get(row) as i64).collect(),
+            validity: Validity::all_valid(n),
+        };
+        Ok(match (self, input.lane()) {
+            (AccLane::Count(_), _) => vec![counts()],
+            (AccLane::SumInt { .. }, LaneRef::Int(_))
+            | (AccLane::SumFloat { .. }, LaneRef::Float(_)) => vec![input.clone()],
+            (AccLane::SumInt { .. }, _) => return Err(type_error("Int", input)),
+            (AccLane::SumFloat { .. }, _) => return Err(type_error("Float", input)),
+            (AccLane::Best { best, .. }, _) if best.data_type() == input.data_type() => {
+                vec![input.clone()]
+            }
+            (AccLane::Best { best, .. }, _) => {
+                return Err(type_error(best.data_type().name(), input))
+            }
+            (AccLane::Mean { .. }, lane) => {
+                let value = |row: usize| match lane {
+                    LaneRef::Int(data) => Ok(data[row] as f64),
+                    LaneRef::Float(data) => Ok(data[row]),
+                    _ => Err(type_error("Float", input)),
+                };
+                let sums = (0..n)
+                    .map(|row| if valid.get(row) { value(row) } else { Ok(0.0) })
+                    .collect::<Result<Buffer<f64>>>()?;
+                let sums = Column::Float {
+                    data: sums,
+                    validity: Validity::all_valid(n),
+                };
+                vec![sums, counts()]
+            }
+            (AccLane::Distinct(_), _) => unreachable!("a partial lane is never count_distinct"),
+        })
     }
 
     /// The aggregate's value column, groups in `order`.
@@ -844,36 +903,113 @@ pub(crate) fn partial_schema(
     Schema::new(fields).map_err(FlowError::Data)
 }
 
-/// Map-side combine state for one partition, fed row ranges of that one
-/// partition in ascending order — a whole partition at once, or one morsel
-/// at a time with the same result.
+/// Rows of a partition the map side combines before it decides whether
+/// combining pays: the first `PROBE_ROWS`, or all of a smaller partition.
+const PROBE_ROWS: usize = 4096;
+
+/// A partition keeps combining only if its probe averaged at least this
+/// many rows per group; below it, it passes its rows through.
+const MIN_ROWS_PER_GROUP: usize = 2;
+
+/// What a partition's map side does with its rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MapMode {
+    /// Combining the probe's rows; the decision falls at its last row.
+    Probing,
+    Combine,
+    /// One partial per input row, built at finish from the input's lanes.
+    PassThrough,
+}
+
+/// Map-side state for one partition, fed row ranges of that one partition
+/// in ascending order from row 0 — a whole partition at once, or one
+/// morsel at a time with the same result.
+///
+/// A keyed aggregation folds the partition's first [`PROBE_ROWS`] rows
+/// into the combine state, cutting a range at that row, and then decides
+/// once: it passes the whole partition through iff the probe opened more
+/// than one group per [`MIN_ROWS_PER_GROUP`] rows. The decision reads only
+/// the partition's rows, so every morsel size, driver, retry and budget
+/// makes the same one. A global aggregate always combines.
 #[derive(Debug)]
-pub(crate) struct PartialAgg(Grouped);
+pub(crate) struct PartialAgg {
+    state: Grouped,
+    mode: MapMode,
+    /// Rows folded so far.
+    folded: usize,
+}
 
 impl PartialAgg {
     /// State for partitions of `schema`.
     pub(crate) fn new(schema: &Schema, group_by: &[String], aggs: &[AggExpr]) -> Result<Self> {
-        Grouped::over_rows(schema, group_by, aggs, true).map(PartialAgg)
+        let state = Grouped::over_rows(schema, group_by, aggs, true)?;
+        let mode = if group_by.is_empty() {
+            MapMode::Combine
+        } else {
+            MapMode::Probing
+        };
+        Ok(PartialAgg {
+            state,
+            mode,
+            folded: 0,
+        })
     }
 
     /// Fold rows `lo..hi` of `part`, in place. Every call must pass the
     /// same partition.
     pub(crate) fn fold(&mut self, part: &Table, lo: usize, hi: usize) -> Result<()> {
-        self.0.fold(part, lo, hi)
+        match self.mode {
+            MapMode::Combine => self.state.fold(part, lo, hi),
+            MapMode::PassThrough => Ok(()),
+            MapMode::Probing => {
+                let cut = hi.min(lo + (PROBE_ROWS - self.folded));
+                self.state.fold(part, lo, cut)?;
+                self.folded += cut - lo;
+                if self.folded < PROBE_ROWS {
+                    return Ok(());
+                }
+                self.decide();
+                self.fold(part, cut, hi)
+            }
+        }
     }
 
-    /// The partial table (`p_schema` from [`partial_schema`]): one row per
-    /// group, groups in first-seen order.
-    pub(crate) fn finish(self, part: &Table, p_schema: &Schema) -> Result<Table> {
-        let g = &self.0;
+    /// Leave the probe: pass through, dropping the probe's group index,
+    /// or keep combining.
+    fn decide(&mut self) {
+        if self.state.groups.len() * MIN_ROWS_PER_GROUP > self.folded {
+            self.mode = MapMode::PassThrough;
+            self.state.groups = GroupTable::new();
+        } else {
+            self.mode = MapMode::Combine;
+        }
+    }
+
+    /// The partial table (`p_schema` from [`partial_schema`]): combined,
+    /// one row per group in first-seen order; passed through, one row per
+    /// input row in row order, its key columns `part`'s own.
+    pub(crate) fn finish(mut self, part: &Table, p_schema: &Schema) -> Result<Table> {
+        if self.mode == MapMode::Probing {
+            self.decide();
+        }
+        let g = &self.state;
         let keys = g.keys(part);
-        let order: Vec<u32> = (0..g.groups.len() as u32).collect();
-        let mut columns: Vec<Column> = keys
-            .iter()
-            .map(|k| gather_or_null(k, g.groups.reps()))
-            .collect();
-        for lane in &g.lanes {
-            columns.extend(lane.state_columns(&order));
+        let mut columns: Vec<Column>;
+        if self.mode == MapMode::PassThrough {
+            columns = keys.into_iter().cloned().collect();
+            let cols = part.columns();
+            for (lane, &(input, _)) in g.lanes.iter().zip(&g.inputs) {
+                columns.extend(lane.pass_through(&cols[input])?);
+            }
+        } else {
+            let order: Vec<u32> = (0..g.groups.len() as u32).collect();
+            columns = keys
+                .iter()
+                .map(|k| gather_or_null(k, g.groups.reps()))
+                .collect();
+            for lane in &g.lanes {
+                columns.extend(lane.state_columns(&order));
+            }
         }
         finish_table(p_schema, columns)
     }
@@ -1071,6 +1207,52 @@ mod tests {
         let ph = key_hashes(&[&probe], 0, 2);
         assert_eq!(g.find(&[&build], &[&probe], ph[0], 0), Some(0));
         assert_eq!(g.find(&[&build], &[&probe], ph[1], 1), None);
+    }
+
+    #[test]
+    fn a_partition_that_does_not_reduce_passes_its_lanes_through() {
+        let rows = PROBE_ROWS + 10;
+        let key = Column::from_ints((0..rows as i64).collect());
+        let price = Column::Float {
+            data: (0..rows).map(|r| r as f64).collect(),
+            validity: (0..rows).map(|r| r % 3 != 0).collect(),
+        };
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("p", DataType::Float),
+        ])
+        .unwrap();
+        let part = Table::new(schema.clone(), vec![key, price]).unwrap();
+        let aggs = [
+            AggExpr::new(AggFunc::Count, "p", "n"),
+            AggExpr::new(AggFunc::Sum, "p", "s"),
+        ];
+        let group_by = ["k".to_owned()];
+        let p_schema = partial_schema(vec![schema.fields()[0].clone()], &aggs, &schema).unwrap();
+        let mut state = PartialAgg::new(&schema, &group_by, &aggs).unwrap();
+        state.fold(&part, 0, rows).unwrap();
+        assert_eq!(state.mode, MapMode::PassThrough);
+        let partial = state.finish(&part, &p_schema).unwrap();
+        let cols = partial.columns();
+        assert!(cols[0].shares_storage(&part.columns()[0]), "keys shared");
+        assert!(
+            cols[2].shares_storage(&part.columns()[1]),
+            "sum is the input"
+        );
+        let (counts, valid) = cols[1].as_ints().unwrap();
+        assert_eq!(valid.null_count(), 0);
+        assert!(counts
+            .iter()
+            .enumerate()
+            .all(|(r, &c)| c == (r % 3 != 0) as i64));
+
+        // Eight keys reduce: the probe keeps combining.
+        let key = Column::from_ints((0..rows as i64).map(|r| r % 8).collect());
+        let part = Table::new(schema.clone(), vec![key, part.columns()[1].clone()]).unwrap();
+        let mut state = PartialAgg::new(&schema, &group_by, &aggs).unwrap();
+        state.fold(&part, 0, rows).unwrap();
+        assert_eq!(state.mode, MapMode::Combine);
+        assert_eq!(state.finish(&part, &p_schema).unwrap().num_rows(), 8);
     }
 
     #[test]

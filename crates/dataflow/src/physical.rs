@@ -14,9 +14,11 @@
 //! operator's reduce side run one task per partition.
 //!
 //! An aggregation combines per partition, shuffles the small partial
-//! states and merges them (Spark's map-side combine). One with a
-//! `CountDistinct` cannot be combined early, so it shuffles its raw rows
-//! and aggregates once.
+//! states and merges them (Spark's map-side combine). A map partition
+//! whose first rows show that combining does not reduce passes its rows
+//! through as one-row partials instead (adaptive partial aggregation, see
+//! `group::PartialAgg`). One with a `CountDistinct` cannot be combined
+//! early, so it shuffles its raw rows and aggregates once.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -135,11 +137,6 @@ impl<'a> ExecContext<'a> {
             control,
             spill,
         }
-    }
-
-    /// The run's spill manager, present when a memory budget is set.
-    pub fn spill(&self) -> Option<&SpillManager> {
-        self.spill.as_ref()
     }
 
     /// Shuffle owned partitions, each dropped once it is scattered;
@@ -781,10 +778,12 @@ impl PipelineBody for FusedChainBody<'_> {
 
 // ------------------------------------------------------------- aggregation
 
-/// [`PipelineBody`] of the partial-aggregation map side: one accumulator
-/// state per partition, folded in place one morsel's row range at a time
-/// in ascending row order (serial waves), which preserves the float
-/// accumulation order of whole-partition combine.
+/// [`PipelineBody`] of the partial-aggregation map side: one
+/// [`PartialAgg`] per partition, fed one morsel's row range at a time in
+/// ascending row order (serial waves). The state decides once, at a fixed
+/// row of the partition and never at a morsel boundary, whether the
+/// partition combines or passes through, so the partial table — and the
+/// float accumulation order behind it — is the same at every morsel size.
 struct PartialAggBody<'a> {
     group_by: &'a [String],
     aggs: &'a [AggExpr],
@@ -840,7 +839,7 @@ fn exec_aggregate(
         let parts = input.into_parts();
         // The map side is non-breaking per-partition work: a serial morsel
         // wave folds each partition in row order, which preserves the
-        // accumulation order of a whole-partition combine.
+        // accumulation order of a whole-partition unit.
         let body = PartialAggBody {
             group_by,
             aggs,

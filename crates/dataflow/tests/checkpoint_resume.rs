@@ -15,7 +15,14 @@
 
 use std::path::{Path, PathBuf};
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use toreador_data::column::Column;
 use toreador_data::generate::clickstream;
+use toreador_data::partition::PartitionedTable;
+use toreador_data::schema::{Field, Schema};
+use toreador_data::table::Table;
+use toreador_data::value::DataType;
 use toreador_dataflow::checkpoint::RunCheckpoint;
 use toreador_dataflow::codec::encode_table;
 use toreador_dataflow::error::FlowError;
@@ -97,9 +104,38 @@ fn wave_partitions(trace: &RunTrace) -> Vec<usize> {
     waves.into_iter().map(|(_, p)| p).collect()
 }
 
+/// A campaign whose map side passes through: `event_id` is unique per
+/// row, so no partition's probe reduces, and every partial is a row.
+fn pass_through_flow_of(e: &Engine) -> Dataflow {
+    e.flow("clicks")
+        .unwrap()
+        .aggregate(
+            &["event_id"],
+            vec![
+                AggExpr::new(AggFunc::Count, "user_id", "n"),
+                AggExpr::new(AggFunc::Sum, "price", "revenue"),
+            ],
+        )
+        .unwrap()
+        .sort(&["revenue"], true)
+        .unwrap()
+}
+
 #[test]
 fn kill_at_every_boundary_then_resume_is_byte_identical() {
-    let root = temp_root("exhaustive");
+    kill_at_every_boundary("exhaustive", flow_of);
+}
+
+#[test]
+fn a_pass_through_campaign_killed_at_every_boundary_resumes_byte_identical() {
+    kill_at_every_boundary("pass-through", pass_through_flow_of);
+}
+
+/// Kill `flow` at every wave boundary in turn and resume each with a fresh
+/// engine: the output must equal the unkilled run's byte for byte, with
+/// every checkpointed wave restored and none recomputed.
+fn kill_at_every_boundary(tag: &str, flow_of: fn(&Engine) -> Dataflow) {
+    let root = temp_root(tag);
 
     // Unkilled checkpointed baseline: fixes the output bytes and the wave
     // layout (how many waves, how many tasks each).
@@ -507,6 +543,146 @@ fn a_sort_wave_in_the_old_layouts_resumes_identically_or_is_refused() {
         }
         let _ = std::fs::remove_dir_all(&root);
     }
+}
+
+#[test]
+fn a_combined_map_wave_written_before_pass_through_resumes_to_the_combined_rows() {
+    // Before the map side could pass rows through, every map wave held
+    // combined partials: one row per group per partition. Here 600 users
+    // over four 500-row partitions open more than 250 groups in each, so
+    // every partition now passes through, yet users repeat inside a
+    // partition, and `1e16`/`1.0` prices make a sum's fold order show. A
+    // checkpoint holding the combined wave must resume to the rows the
+    // combined partials merge to, not to a fresh run's.
+    const PARTS: usize = 4;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let schema = Schema::new(vec![
+        Field::required("user_id", DataType::Int),
+        Field::new("price", DataType::Float),
+    ])
+    .unwrap();
+    let prices = [1e16, 1.0, 1.0, -1e16, 0.5];
+    let input = Table::new(
+        schema.clone(),
+        vec![
+            Column::from_ints((0..ROWS).map(|_| rng.gen_range(0..600)).collect()),
+            Column::from_floats((0..ROWS).map(|_| prices[rng.gen_range(0..5)]).collect()),
+        ],
+    )
+    .unwrap();
+    let root = temp_root("combined-map-wave");
+    let engine = |resilience: ResilienceConfig| {
+        let mut e = Engine::new(
+            EngineConfig::default()
+                .with_threads(THREADS)
+                .with_partitions(PARTS)
+                .with_checkpoint(CheckpointSpec::new(root.clone(), "unused"))
+                .with_resilience(resilience),
+        );
+        e.register("t", input.clone()).unwrap();
+        e
+    };
+    let aggs = |count: &str, sum: &str| {
+        vec![
+            AggExpr::new(AggFunc::Count, "price", count),
+            AggExpr::new(AggFunc::Sum, "price", sum),
+        ]
+    };
+    let flow = |e: &Engine| {
+        e.flow("t")
+            .unwrap()
+            .aggregate(&["user_id"], aggs("n", "revenue"))
+            .unwrap()
+    };
+    let in_memory = |parts: Vec<Table>, build: &dyn Fn(&Engine) -> Dataflow| {
+        let mut e = Engine::new(EngineConfig::default().with_partitions(parts.len()));
+        e.register_partitioned("t", PartitionedTable::new(parts).unwrap());
+        e.run(&build(&e)).unwrap().table
+    };
+
+    // The combined partial of each scanned partition: its groups' count
+    // and its sum from 0.0 in row order, which is what a one-partition
+    // aggregate computes. Each group has one row per partial, so the order
+    // of groups inside a partial changes nothing the merge computes.
+    let p_schema = Schema::new(vec![
+        schema.fields()[0].clone(),
+        Field::new("__p0_count", DataType::Int),
+        Field::new("__p1_sum", DataType::Float),
+    ])
+    .unwrap();
+    let combined: Vec<Table> = PartitionedTable::split(input.clone(), PARTS)
+        .unwrap()
+        .parts()
+        .iter()
+        .map(|part| {
+            let t = in_memory(vec![part.clone()], &|e| {
+                e.flow("t")
+                    .unwrap()
+                    .aggregate(&["user_id"], aggs("c", "s"))
+                    .unwrap()
+            });
+            Table::new(p_schema.clone(), t.columns().to_vec()).unwrap()
+        })
+        .collect();
+    // What those partials merge to: counts add, sums add to 0.0 in
+    // partition order.
+    let want = in_memory(combined.clone(), &|e| {
+        e.flow("t")
+            .unwrap()
+            .aggregate(
+                &["user_id"],
+                vec![
+                    AggExpr::new(AggFunc::Sum, "__p0_count", "n"),
+                    AggExpr::new(AggFunc::Sum, "__p1_sum", "revenue"),
+                ],
+            )
+            .unwrap()
+    })
+    .sort_by(&["user_id"], false)
+    .unwrap();
+
+    let calm = engine(ResilienceConfig::none());
+    let baseline = calm.run_checkpointed(&flow(&calm), "baseline").unwrap();
+    let map_stage = baseline
+        .trace
+        .events
+        .iter()
+        .find_map(|e| match e.kind {
+            TraceEventKind::StageCheckpointed { wave: 0, stage, .. } => Some(stage),
+            _ => None,
+        })
+        .unwrap();
+    let baseline = baseline.table.sort_by(&["user_id"], false).unwrap();
+    assert_eq!(baseline.column("n"), want.column("n"), "counts never move");
+    assert_ne!(
+        baseline.column("revenue"),
+        want.column("revenue"),
+        "the input must make the two fold orders differ"
+    );
+
+    // Die after the map wave, then write the combined wave in its place.
+    let doomed = engine(
+        ResilienceConfig::none()
+            .with_chaos(ChaosPlan::none().with_boundary_kill(0, KillMode::Halt)),
+    );
+    doomed.run_checkpointed(&flow(&doomed), "old").unwrap_err();
+    let spec = CheckpointSpec::resume(root.clone(), "old");
+    let text = std::fs::read_to_string(spec.dir().join("manifest.json")).unwrap();
+    let manifest: CheckpointManifest = serde_json::from_str(&text).unwrap();
+    RunCheckpoint::resume(&spec, &manifest)
+        .unwrap()
+        .persist_wave(map_stage, 0, &combined)
+        .unwrap();
+
+    let revived = engine(ResilienceConfig::none());
+    let resumed = revived.resume(&flow(&revived), "old").unwrap();
+    let restored = count_kind(&resumed.trace, |k| {
+        matches!(k, TraceEventKind::StageRestored { wave: 0, .. })
+    });
+    assert_eq!(restored, 1, "the combined wave was served");
+    let resumed = resumed.table.sort_by(&["user_id"], false).unwrap();
+    assert_eq!(resumed.columns(), want.columns());
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
