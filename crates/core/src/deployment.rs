@@ -29,8 +29,8 @@ pub struct PlatformDescriptor {
     /// Abstract cost units per worker per campaign run (platform rent).
     pub rent: f64,
     /// Per-run memory budget for wide operators. When set, the derived
-    /// engine configuration spills shuffle and aggregation runs to paged
-    /// files beyond this many bytes instead of holding them resident —
+    /// engine configuration spills the shuffle's staged runs to files
+    /// beyond this many bytes instead of holding them resident —
     /// how a small rented tier runs campaigns bigger than its RAM.
     /// Absent (`None`) in older descriptors: unbounded, never spills.
     #[serde(default)]

@@ -26,14 +26,6 @@
 //! resilience policy a partition wave gets, unchanged. A unit checks its
 //! [`Attempt`] between morsels, so one that timed out, lost a speculation
 //! race or was cancelled stops at the next morsel boundary.
-//!
-//! Under a memory budget ([`ExecConfig::memory_budget_bytes`]
-//! (crate::physical::ExecConfig)), partial-aggregation map output produced
-//! by a serial wave may be spilled to paged files — but never from inside
-//! this module: spilling happens on the orchestration thread *after* the
-//! wave completes (see [`crate::physical`]), because a unit can be retried
-//! or run speculatively, and a spill inside the task would leak one page
-//! file per duplicate attempt.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

@@ -43,8 +43,8 @@ use crate::metrics::MetricsCollector;
 use crate::morsel::{self, PipelineBody, WaveOrder};
 use crate::resilience::RunControl;
 use crate::scheduler::{run_stage_controlled, SchedulerConfig};
-use crate::shuffle::{estimate_row_bytes, shuffle_traced_spillable, ShuffleOutput};
-use crate::spill::{SpillHandle, SpillManager, SPILL_OP_AGGREGATE};
+use crate::shuffle::{shuffle_traced_spillable, ShuffleOutput};
+use crate::spill::SpillManager;
 use crate::trace::TraceEventKind;
 use crate::vexpr::BoundExpr;
 
@@ -62,11 +62,11 @@ pub struct ExecConfig {
     /// [`crate::session::EngineConfig::with_control`].
     pub control: Option<RunControl>,
     /// Out-of-core memory budget, bytes. When set, the columnar shuffle
-    /// bounds its staging buffers and the partial-aggregation map output is
-    /// bounded before its shuffle: over-budget runs spill to run files
-    /// ([`crate::spill`]) and merge back on read, output-identical to the
-    /// in-memory path. `None` (the default) leaves every operator fully
-    /// in-memory — that path is untouched by the budget machinery.
+    /// bounds its staging buffers — the engine's one spill point:
+    /// over-budget staging spills to run files ([`crate::spill`]) and
+    /// merges back on read, output-identical to the in-memory path.
+    /// `None` (the default) leaves every operator fully in-memory — that
+    /// path is untouched by the budget machinery.
     pub memory_budget_bytes: Option<u64>,
     /// Where spill runs page to. `None` = a process-unique directory under
     /// the system temp dir; sessions with checkpointing set
@@ -101,9 +101,9 @@ pub struct ExecContext<'a> {
     wave: AtomicUsize,
     checkpoint: Option<RunCheckpoint>,
     control: RunControl,
-    /// Present iff `config.memory_budget_bytes` is set: the run's spill
-    /// directory and page files. Dropped with the context,
-    /// which removes the spill directory.
+    /// Present iff `config.memory_budget_bytes` is set: the spill
+    /// directory and run files of the shuffle's staging, the one operator
+    /// that spills. Dropped with the context, which removes the directory.
     spill: Option<SpillManager>,
 }
 
@@ -148,101 +148,13 @@ impl<'a> ExecContext<'a> {
         keys: &[String],
         targets: usize,
     ) -> Result<ShuffleOutput> {
-        let sources = inputs.len();
         shuffle_traced_spillable(
-            inputs.into_iter().map(Ok),
-            sources,
+            inputs,
             schema,
             keys,
             targets,
             self.metrics.trace(),
             self.spill.as_ref(),
-        )
-    }
-
-    /// Shuffle the partial-aggregation map output. Under a memory budget
-    /// the map output itself is bounded first: the largest partial tables
-    /// spill to paged runs (`SpillStarted`, op `aggregate`) until what
-    /// stays resident fits the budget, and the shuffle then consumes
-    /// in-memory partials and read-back runs (`SpillMerged`) in the
-    /// original partition order — so the row stream entering the shuffle,
-    /// and therefore every downstream fold, is identical to the in-memory
-    /// run's.
-    fn shuffle_partials(
-        &self,
-        partials: Vec<Table>,
-        schema: &Schema,
-        keys: &[String],
-        targets: usize,
-    ) -> Result<ShuffleOutput> {
-        let Some(manager) = self.spill.as_ref() else {
-            return self.shuffle(partials, schema, keys, targets);
-        };
-        let journal = self.metrics.trace();
-        let budget = manager.budget_bytes() as usize;
-        let row_bytes = estimate_row_bytes(&partials);
-        let sizes: Vec<usize> = partials
-            .iter()
-            .map(|t| t.num_rows().saturating_mul(row_bytes))
-            .collect();
-        let mut resident: usize = sizes.iter().sum();
-        enum MapRun {
-            Mem(Table),
-            Spilled(SpillHandle),
-            Draining,
-        }
-        let mut slots: Vec<MapRun> = partials.into_iter().map(MapRun::Mem).collect();
-        while resident > budget {
-            // Largest resident partial first; ties break on the lowest
-            // partition index, so the spill set is deterministic.
-            let Some((i, sz)) = slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| match s {
-                    MapRun::Mem(t) if t.num_rows() > 0 => Some((i, sizes[i])),
-                    _ => None,
-                })
-                .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            else {
-                break;
-            };
-            let MapRun::Mem(t) = std::mem::replace(&mut slots[i], MapRun::Draining) else {
-                unreachable!("selected slot is resident");
-            };
-            let handle = manager.spill_table(&t)?;
-            journal.record(TraceEventKind::SpillStarted {
-                op: SPILL_OP_AGGREGATE.to_owned(),
-                target: i,
-                rows: t.num_rows() as u64,
-                bytes: handle.bytes(),
-            });
-            slots[i] = MapRun::Spilled(handle);
-            resident -= sz;
-        }
-        let sources = slots.len();
-        shuffle_traced_spillable(
-            slots.into_iter().enumerate().map(|(i, slot)| match slot {
-                MapRun::Mem(t) => Ok(t),
-                MapRun::Spilled(handle) => {
-                    let t = manager.read_back(&handle)?;
-                    journal.record(TraceEventKind::SpillMerged {
-                        op: SPILL_OP_AGGREGATE.to_owned(),
-                        target: i,
-                        runs: 1,
-                        rows: t.num_rows() as u64,
-                        bytes: handle.bytes(),
-                    });
-                    manager.release(handle);
-                    Ok(t)
-                }
-                MapRun::Draining => unreachable!("transient state never escapes the spill loop"),
-            }),
-            sources,
-            schema,
-            keys,
-            targets,
-            journal,
-            Some(manager),
         )
     }
 
@@ -846,7 +758,7 @@ fn exec_aggregate(
             p_schema: &p_schema,
         };
         let partials = ctx.run_morsels(map_stage, &parts, WaveOrder::Serial, &body)?;
-        let out = ctx.shuffle_partials(partials, &p_schema, group_by, targets)?;
+        let out = ctx.shuffle(partials, &p_schema, group_by, targets)?;
         (out.partitions, out.bytes_moved)
     } else {
         let schema = input.schema().clone();

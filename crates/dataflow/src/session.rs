@@ -48,9 +48,9 @@ pub struct EngineConfig {
     /// SIGTERM, a session being closed). `None` — the default — keeps the
     /// control private to the run.
     pub control: Option<RunControl>,
-    /// When set, wide operators (shuffle staging and partial-aggregation
-    /// map output) spill runs to disk once their working set
-    /// exceeds this many bytes, and merge them back on read
+    /// When set, the shuffle's staging — the one spill point, through
+    /// which every wide operator's input passes — spills runs to disk once
+    /// it exceeds this many bytes, and merges them back on read
     /// (see [`crate::spill`]). `None` — the default — keeps everything in
     /// memory. Spilling never changes results: output is byte-identical to
     /// the in-memory path.
@@ -336,7 +336,8 @@ mod tests {
     use super::*;
     use crate::expr::{col, lit, Expr};
     use crate::logical::{AggExpr, AggFunc};
-    use crate::trace::SpillTotals;
+    use crate::spill::SPILL_OP_SHUFFLE;
+    use crate::trace::{SpillTotals, TraceEventKind};
     use toreador_data::column::Column;
     use toreador_data::generate::{clickstream, clickstream_schema, random_table};
     use toreador_data::schema::{Field, Schema};
@@ -574,9 +575,9 @@ mod tests {
                 .sort(&["event_id"], false)
                 .unwrap()
         };
-        // High-cardinality group key: the map output is ~as big as the
-        // input, so a small budget forces both aggregation-side and
-        // shuffle-side spills.
+        // High-cardinality group key: the aggregation shuffles one partial
+        // per input row, so a small budget makes the shuffle's staging
+        // spill.
         let mut calm = Engine::new(EngineConfig::default().with_threads(2));
         calm.register("clicks", clickstream(4_000, 7)).unwrap();
         let baseline = calm.run(&flow_of(&calm)).unwrap();
@@ -596,6 +597,14 @@ mod tests {
         let totals = spilled.trace.spill_totals();
         assert!(totals.spills > 0, "budget must have bitten: {totals:?}");
         assert!(totals.merges > 0, "{totals:?}");
+        // The shuffle is the one spill point, and it stages each row once,
+        // so no row is written to disk twice.
+        assert!(totals.spilled_rows <= 4_000, "{totals:?}");
+        for e in &spilled.trace.events {
+            if let TraceEventKind::SpillStarted { op, .. } = &e.kind {
+                assert_eq!(op, SPILL_OP_SHUFFLE, "{:?}", e.kind);
+            }
+        }
         // A huge budget never spills and takes the identical path.
         let mut roomy = Engine::new(
             EngineConfig::default()

@@ -133,27 +133,6 @@ pub fn route_rows(t: &Table, key_idx: &[usize], targets: usize) -> Result<Vec<u3
         .collect())
 }
 
-/// Mean encoded row width over a small prefix sample — what the budgeted
-/// aggregate map side uses to size its partials before they shuffle.
-pub(crate) fn estimate_row_bytes(inputs: &[Table]) -> usize {
-    const SAMPLE: usize = 16;
-    let mut bytes = 0usize;
-    let mut sampled = 0usize;
-    for t in inputs {
-        let n = t.num_rows().min(SAMPLE - sampled);
-        bytes += row_widths(t, 0..n).iter().sum::<usize>();
-        sampled += n;
-        if sampled >= SAMPLE {
-            break;
-        }
-    }
-    if sampled == 0 {
-        0
-    } else {
-        bytes.div_ceil(sampled)
-    }
-}
-
 /// Result of a shuffle.
 pub struct ShuffleOutput {
     pub partitions: Vec<Table>,
@@ -177,13 +156,7 @@ pub fn shuffle(
     keys: &[String],
     targets: usize,
 ) -> Result<ShuffleOutput> {
-    shuffle_spillable(
-        inputs.iter().map(|t| Ok(t.clone())),
-        schema,
-        keys,
-        targets,
-        None,
-    )
+    shuffle_spillable(inputs.to_vec(), schema, keys, targets, None)
 }
 
 /// How many staged rows between budget checks on the spill path. Checking
@@ -258,16 +231,15 @@ impl<'a> Staging<'a> {
     }
 }
 
-/// The core every shuffle runs through. Inputs arrive as an iterator of
-/// owned tables, dropped as they are staged, so spilled upstream runs can
-/// be fed back one at a time without materialising them all. With
-/// `spill: None` — or a budget nothing exceeds — everything stays staged
-/// in memory. With a [`SpillManager`], whenever the staged bytes exceed the
-/// budget the target with the most is spilled as a paged run, and each
-/// target's output is its runs plus its staged tail, in arrival order —
-/// identical to the in-memory result.
+/// The core every shuffle runs through. Inputs arrive as owned tables,
+/// each dropped once it is staged. With `spill: None` — or a budget
+/// nothing exceeds — everything stays staged in memory. With a
+/// [`SpillManager`], whenever the staged bytes exceed the budget the
+/// target with the most is spilled as a run file, and each target's
+/// output is its runs plus its staged tail, in arrival order — identical
+/// to the in-memory result.
 pub fn shuffle_spillable(
-    inputs: impl IntoIterator<Item = Result<Table>>,
+    inputs: Vec<Table>,
     schema: &Schema,
     keys: &[String],
     targets: usize,
@@ -286,7 +258,6 @@ pub fn shuffle_spillable(
     let mut spilled: Vec<Vec<SpillHandle>> = (0..targets).map(|_| Vec::new()).collect();
     let mut spilled_bytes = 0u64;
     for t in inputs {
-        let t = t?;
         let routes = if key_idx.is_empty() || targets == 1 {
             None
         } else {
@@ -340,8 +311,7 @@ pub fn shuffle_spillable(
         let n_runs = runs.len();
         for handle in runs {
             merged_bytes += handle.bytes();
-            chunks.push(manager.read_back(&handle)?);
-            manager.release(handle);
+            chunks.push(manager.read_back(handle)?);
         }
         chunks.push(tail);
         journal.record(TraceEventKind::SpillMerged {
@@ -360,18 +330,17 @@ pub fn shuffle_spillable(
 }
 
 /// [`shuffle_spillable`] plus a [`TraceEventKind::ShuffleWave`] event in
-/// `journal` (`sources` is the input count it reports): the shuffle itself
-/// stays pure, and the physical operators, which have a journal in scope,
-/// call this.
+/// `journal`: the shuffle itself stays pure, and the physical operators,
+/// which have a journal in scope, call this.
 pub fn shuffle_traced_spillable(
-    inputs: impl IntoIterator<Item = Result<Table>>,
-    sources: usize,
+    inputs: Vec<Table>,
     schema: &Schema,
     keys: &[String],
     targets: usize,
     journal: &TraceJournal,
     spill: Option<&SpillManager>,
 ) -> Result<ShuffleOutput> {
+    let sources = inputs.len();
     let out = shuffle_spillable(inputs, schema, keys, targets, spill.map(|m| (m, journal)))?;
     journal.record(TraceEventKind::ShuffleWave {
         keys: keys.len(),
@@ -489,8 +458,7 @@ mod tests {
         let parts = PartitionedTable::split(t.clone(), 2).unwrap();
         let journal = TraceJournal::new();
         let out = shuffle_traced_spillable(
-            parts.parts().iter().map(|p| Ok(p.clone())),
-            2,
+            parts.parts().to_vec(),
             t.schema(),
             &["c0".to_owned()],
             4,
@@ -606,7 +574,7 @@ mod tests {
             let manager = SpillManager::new(budget, dir.clone());
             let journal = TraceJournal::new();
             let out = shuffle_spillable(
-                parts.parts().iter().map(|p| Ok(p.clone())),
+                parts.parts().to_vec(),
                 t.schema(),
                 &keys,
                 6,

@@ -28,9 +28,7 @@ use toreador_data::schema::Schema;
 use toreador_data::table::Table;
 use toreador_data::value::{Row, Value};
 
-use super::{
-    estimate_row_bytes, route_rows, shuffle_spillable, ShuffleOutput, ROUTE_SEED, SPILL_CHECK_ROWS,
-};
+use super::{route_rows, shuffle_spillable, ShuffleOutput, ROUTE_SEED, SPILL_CHECK_ROWS};
 use crate::codec::{
     decode_table, encode_row_at, lanes, row_widths, TAG_BOOL, TAG_FLOAT, TAG_INT, TAG_NULL,
     TAG_STR, TAG_TS,
@@ -166,8 +164,7 @@ pub(crate) fn oracle_shuffle(
         let n_runs = runs.len();
         for handle in runs {
             merged_bytes += handle.bytes();
-            chunks.push(manager.read_back(&handle)?);
-            manager.release(handle);
+            chunks.push(manager.read_back(handle)?);
         }
         chunks.push(tail);
         journal.record(TraceEventKind::SpillMerged {
@@ -262,20 +259,14 @@ proptest! {
         let t = table_of(&random_types(&mut rng, 1, 6), rows, "c", &mut rng);
         let lanes = lanes(&t);
         let widths = row_widths(&t, 0..rows);
-        let mut sample = 0;
         for (i, &w) in widths.iter().enumerate() {
             let mut buf = Vec::new();
             encode_row_at(&lanes, i, &mut buf);
             prop_assert_eq!(w, buf.len(), "row {}", i);
-            if i < 16 {
-                sample += buf.len();
-            }
         }
         let lo = rng.gen_range(0..=rows);
         let hi = rng.gen_range(lo..=rows);
         prop_assert_eq!(row_widths(&t, lo..hi), widths[lo..hi].to_vec());
-        let want = if rows == 0 { 0 } else { sample.div_ceil(rows.min(16)) };
-        prop_assert_eq!(estimate_row_bytes(std::slice::from_ref(&t)), want);
     }
 
     #[test]
@@ -284,8 +275,7 @@ proptest! {
         let inputs = random_inputs(&mut rng);
         let keys = random_keys(&inputs[0], &mut rng);
         let schema = inputs[0].schema().clone();
-        let got = shuffle_spillable(inputs.iter().cloned().map(Ok), &schema, &keys, targets, None)
-            .unwrap();
+        let got = shuffle_spillable(inputs.clone(), &schema, &keys, targets, None).unwrap();
         let want = oracle_shuffle(&inputs, &schema, &keys, targets, None).unwrap();
         prop_assert_eq!(same_output(&got, &want), Ok(()), "keys {:?}, {} targets", keys, targets);
     }
@@ -308,8 +298,7 @@ proptest! {
                 (out, spill_events(&journal))
             };
             let (got, got_events) = run("scatter", &|m, j| {
-                shuffle_spillable(inputs.iter().cloned().map(Ok), &schema, &keys, targets, Some((m, j)))
-                    .unwrap()
+                shuffle_spillable(inputs.clone(), &schema, &keys, targets, Some((m, j))).unwrap()
             });
             let (want, want_events) = run("codec", &|m, j| {
                 oracle_shuffle(&inputs, &schema, &keys, targets, Some((m, j))).unwrap()

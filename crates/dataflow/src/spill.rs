@@ -3,12 +3,12 @@
 //!
 //! The TOREADOR paper scouts campaigns over datasets that do not fit in
 //! RAM; this module is the engine's answer. The memory budget threads in
-//! from `ExecConfig::memory_budget_bytes`: operators compare their staged
-//! bytes (the shuffle's per-target staging, the aggregation's resident map
-//! output) against [`SpillManager::budget_bytes`] and spill whole runs.
-//! The budget bounds that staging and nothing else: a spilled run is
-//! written and read back whole, so the run itself is resident on both
-//! sides of the disk.
+//! from `ExecConfig::memory_budget_bytes`: the shuffle compares its
+//! per-target staged bytes against [`SpillManager::budget_bytes`] and
+//! spills whole runs. That staging is the engine's one spill point, and
+//! the budget bounds it and nothing else: a spilled run is written and
+//! read back whole, so the run itself is resident on both sides of the
+//! disk.
 //!
 //! A spill file (`run-NNNNNN.pages`) is the magic `TORSPIL1`, then a CRC
 //! frame holding a JSON header (`rows`, `schema`), then one CRC frame per
@@ -41,9 +41,9 @@ use toreador_store::io::io_for;
 use crate::codec::{decode_lane, encode_lane, lanes, push_frame, take_frame, write_atomic};
 use crate::error::{FlowError, Result};
 
-/// Operator family tags carried by `SpillStarted` / `SpillMerged` events.
+/// The operator family tag carried by `SpillStarted` / `SpillMerged`
+/// events: the shuffle's staging is the one operator that spills.
 pub const SPILL_OP_SHUFFLE: &str = "shuffle";
-pub const SPILL_OP_AGGREGATE: &str = "aggregate";
 
 /// Leading bytes of every spill file.
 const SPILL_MAGIC: &[u8; 8] = b"TORSPIL1";
@@ -114,19 +114,18 @@ impl SpillManager {
 
     /// Read a spilled run back from its published file, decoding each
     /// lane frame straight into a column — in the exact row order it was
-    /// spilled with.
-    pub fn read_back(&self, handle: &SpillHandle) -> Result<Table> {
+    /// spilled with. A run is read once: a successful read deletes its
+    /// file, so spill files never outlive their merge; a failed one leaves
+    /// it for the manager's drop.
+    pub fn read_back(&self, handle: SpillHandle) -> Result<Table> {
         let path = &handle.path;
-        let raw = io_for(path)
+        let io = io_for(path);
+        let raw = io
             .read(path)
             .map_err(|e| FlowError::Spill(format!("read {}: {e}", path.display())))?;
-        decode_run(path, &raw)
-    }
-
-    /// A spilled run was merged into its partition's output: delete its
-    /// file — spill files never outlive their merge.
-    pub fn release(&self, handle: SpillHandle) {
-        let _ = io_for(&handle.path).remove_file(&handle.path);
+        let t = decode_run(path, &raw)?;
+        let _ = io.remove_file(path);
+        Ok(t)
     }
 }
 
@@ -230,26 +229,25 @@ mod tests {
         let manager = SpillManager::new(1 << 20, dir.clone());
         let handle = manager.spill_table(&t).unwrap();
         assert!(handle.bytes() > 0);
-        let back = manager.read_back(&handle).unwrap();
-        assert_eq!(back, t, "round trip must be value- and order-identical");
         // The published file exists, with no temp residue.
         assert!(handle.path.exists());
         assert!(!has_tmp(&dir));
-        manager.release(handle);
+        let back = manager.read_back(handle).unwrap();
+        assert_eq!(back, t, "round trip must be value- and order-identical");
         drop(manager);
         assert!(!dir.exists(), "drop removes the spill dir");
     }
 
     #[test]
-    fn release_deletes_the_run_file() {
-        let dir = temp_dir("release");
+    fn read_back_deletes_the_run_file() {
+        let dir = temp_dir("read-once");
         let t = generate::clickstream(50, 5);
         let manager = SpillManager::new(1 << 20, dir.clone());
         let handle = manager.spill_table(&t).unwrap();
-        let path = handle.path.to_owned();
+        let path = handle.path.clone();
         assert!(path.exists());
-        manager.release(handle);
-        assert!(!path.exists(), "release must delete the spill file");
+        manager.read_back(handle).unwrap();
+        assert!(!path.exists(), "a read run's file is deleted");
     }
 
     #[test]
@@ -258,7 +256,7 @@ mod tests {
         let t = generate::clickstream(5_000, 21);
         let manager = SpillManager::new(0, dir.clone());
         let handle = manager.spill_table(&t).unwrap();
-        assert_eq!(manager.read_back(&handle).unwrap(), t);
+        assert_eq!(manager.read_back(handle).unwrap(), t);
         assert!(!has_tmp(&dir));
         drop(manager);
         assert!(!dir.exists());
@@ -295,14 +293,20 @@ mod tests {
         ];
         for (bytes, want) in cases {
             fs::write(&handle.path, bytes).unwrap();
-            match manager.read_back(&handle) {
+            let again = SpillHandle {
+                path: handle.path.clone(),
+                bytes: handle.bytes,
+            };
+            match manager.read_back(again) {
                 Err(FlowError::Spill(msg)) => {
                     assert!(msg.contains("corrupt spill file"), "{msg}");
                     assert!(msg.contains(want), "{msg} vs {want}");
                 }
                 other => panic!("{want}: got {other:?}"),
             }
+            assert!(handle.path.exists(), "a failed read leaves the file");
         }
         drop(manager);
+        assert!(!dir.exists(), "drop removes what a failed read left");
     }
 }

@@ -273,9 +273,10 @@ pub enum TraceEventKind {
         pool_bytes: u64,
     },
     /// An operator exceeded its memory budget and spilled a run of rows to
-    /// a paged file. `op` names the spilling operator family (`shuffle`,
-    /// `aggregate`); `target` is the partition the run belongs to.
-    /// Journal-only.
+    /// a paged file. `op` names the spilling operator family: `shuffle`,
+    /// the one that spills; traces stored when the aggregation's map
+    /// output spilled too also carry `aggregate`, and fold the same way.
+    /// `target` is the partition the run belongs to. Journal-only.
     SpillStarted {
         op: String,
         target: usize,

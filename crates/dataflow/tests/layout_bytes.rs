@@ -207,7 +207,7 @@ fn spill_file(t: &Table, tag: &str) -> (Vec<u8>, Table) {
     let manager = SpillManager::new(0, dir.clone());
     let handle = manager.spill_table(t).unwrap();
     let file = std::fs::read(dir.join("run-000000.pages")).unwrap();
-    let back = manager.read_back(&handle).unwrap();
+    let back = manager.read_back(handle).unwrap();
     drop(manager);
     (file, back)
 }

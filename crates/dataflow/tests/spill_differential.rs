@@ -5,8 +5,8 @@
 //! every budget — including zero (everything spills) and larger-than-data
 //! (nothing spills) — the budgeted run must
 //! produce a value-identical table, not merely an approximately equal one:
-//! spilled runs are read back in their original partition order, so even
-//! float fold order is preserved.
+//! each shuffle target's spilled runs are read back in the order they were
+//! staged, so even float fold order is preserved.
 
 use proptest::prelude::*;
 
@@ -69,7 +69,7 @@ proptest! {
         let a = oracle.run(&make(&oracle)).unwrap();
         let b = budgeted.run(&make(&budgeted)).unwrap();
         // Value-identical, float sums included: spilled runs merge back in
-        // their original partition order, so the fold order is unchanged.
+        // the order they were staged, so the fold order is unchanged.
         prop_assert_eq!(&a.table, &b.table);
         prop_assert_eq!(
             a.trace.spill_totals(),
