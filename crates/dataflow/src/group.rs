@@ -1,23 +1,26 @@
-//! Hash kernels over key lanes.
+//! Grouping kernels over key lanes.
 //!
-//! One grouping structure, [`GroupTable`], serves every hash operator of
-//! the physical layer: the map-side partial aggregation, the reduce-side
-//! merge of partial states, raw aggregation (count_distinct included),
-//! `distinct`, and the build side of the equi-join. It reads key
-//! *columns*: hashes come from [`column_hash_codes_range`], keys compare
-//! lane by lane in their native types, and a group is remembered by the
-//! first row that opened it — so no operator materialises a row or copies
-//! a key. Aggregate state lives in typed lanes, one vector per quantity,
-//! indexed by group id.
+//! One hash index, [`GroupTable`], serves the map-side partial
+//! aggregation, raw aggregation (count_distinct included), `distinct`,
+//! and the build side of the equi-join. It reads key *columns*: hashes
+//! come from [`column_hash_codes_range`], keys compare lane by lane in
+//! their native types, and a group is remembered by the first row that
+//! opened it — so no operator materialises a row or copies a key. The
+//! reduce-side merge of partial states ([`merge_partials`]) builds no
+//! index: it groups by one stable sort of its key lanes under
+//! [`SortKeys`], which is the order its output must have anyway.
+//! Aggregate state lives in typed lanes, one vector per quantity, indexed
+//! by group id, whoever hands the ids out.
 //!
 //! The output is pinned, bit for bit, to the row-at-a-time kernels these
 //! replaced (the test-only `oracle` submodule keeps them as its oracle):
 //!
 //! * every group folds its rows in row order, and a merge folds partial
 //!   rows in the order they arrive — partitions in source order — so float
-//!   sums see the same additions in the same order;
-//! * group ids are handed out in first-seen order, which is the order a
-//!   partial table lists its groups in;
+//!   sums see the same additions in the same order (the sorted merge
+//!   assigns ids in key order but folds in arrival order);
+//! * the hash index hands group ids out in first-seen order, which is the
+//!   order a partial table lists its groups in;
 //! * final tables are sorted by key under `Value::total_cmp`;
 //! * nulls form one group; equi-join keys with a null never match;
 //! * null slots of every column these kernels build hold the type's
@@ -709,8 +712,9 @@ fn fold_best<T>(
 
 // ------------------------------------------------------------ aggregation
 
-/// Grouped aggregate state over one home table: the group index plus one
-/// lane per aggregate.
+/// One lane per aggregate over one home table, folded over group ids
+/// that the caller assigns: the hash index's ([`Hashed`]) or the sorted
+/// merge's.
 #[derive(Debug)]
 struct Grouped {
     key_idx: Vec<usize>,
@@ -718,9 +722,6 @@ struct Grouped {
     inputs: Vec<(usize, Option<usize>)>,
     lanes: Vec<AccLane>,
     merging: bool,
-    groups: GroupTable,
-    /// Scratch: the group of each row of the current range.
-    gids: Vec<u32>,
 }
 
 impl Grouped {
@@ -743,7 +744,12 @@ impl Grouped {
             inputs.push((i, None));
             lanes.push(AccLane::new(a.func, schema.fields()[i].data_type, partial)?);
         }
-        Ok(Grouped::with(key_idx, inputs, lanes, false))
+        Ok(Grouped {
+            key_idx,
+            inputs,
+            lanes,
+            merging: false,
+        })
     }
 
     /// State that merges the partial rows [`partial_schema`] lays out:
@@ -775,32 +781,71 @@ impl Grouped {
                 pos += 1;
             }
         }
-        Ok(Grouped::with(
-            (0..group_by.len()).collect(),
+        Ok(Grouped {
+            key_idx: (0..group_by.len()).collect(),
             inputs,
             lanes,
-            true,
-        ))
-    }
-
-    fn with(
-        key_idx: Vec<usize>,
-        inputs: Vec<(usize, Option<usize>)>,
-        lanes: Vec<AccLane>,
-        merging: bool,
-    ) -> Grouped {
-        Grouped {
-            key_idx,
-            inputs,
-            lanes,
-            merging,
-            groups: GroupTable::new(),
-            gids: Vec::new(),
-        }
+            merging: true,
+        })
     }
 
     fn keys<'t>(&self, t: &'t Table) -> Vec<&'t Column> {
         self.key_idx.iter().map(|&i| &t.columns()[i]).collect()
+    }
+
+    /// Fold rows `lo..lo + gids.len()` of `t` into the groups `gids` names,
+    /// in row order, growing every lane to `groups` groups first.
+    fn fold(&mut self, t: &Table, gids: &[u32], lo: usize, groups: usize) -> Result<()> {
+        let cols = t.columns();
+        for (lane, &(first, second)) in self.lanes.iter_mut().zip(&self.inputs) {
+            lane.grow(groups);
+            lane.fold(
+                &cols[first],
+                second.map(|i| &cols[i]),
+                gids,
+                lo,
+                self.merging,
+            )?;
+        }
+        Ok(())
+    }
+
+    /// The final table: groups `order`, whose key columns gather the home
+    /// rows `homes`, one per entry of `order` (unread without keys).
+    fn finish(
+        &self,
+        t: &Table,
+        homes: &[u32],
+        order: &[u32],
+        out_schema: &Schema,
+    ) -> Result<Table> {
+        let mut columns: Vec<Column> = self
+            .keys(t)
+            .iter()
+            .map(|k| gather_or_null(k, homes))
+            .collect();
+        columns.extend(self.lanes.iter().map(|lane| lane.final_column(order)));
+        finish_table(out_schema, columns)
+    }
+}
+
+/// [`Grouped`] state whose group ids come from a [`GroupTable`] over its
+/// key columns, handed out in first-seen order.
+#[derive(Debug)]
+struct Hashed {
+    state: Grouped,
+    groups: GroupTable,
+    /// Scratch: the group of each row of the current range.
+    gids: Vec<u32>,
+}
+
+impl Hashed {
+    fn new(state: Grouped) -> Hashed {
+        Hashed {
+            state,
+            groups: GroupTable::new(),
+            gids: Vec::new(),
+        }
     }
 
     /// Fold rows `lo..hi` of `t` — the home table of every call.
@@ -811,15 +856,12 @@ impl Grouped {
                 len: t.num_rows(),
             }));
         }
-        let keys = self.keys(t);
+        let keys = self.state.keys(t);
         let hashes = key_hashes(&keys, lo, hi);
-        let Grouped {
-            inputs,
-            lanes,
-            merging,
+        let Hashed {
+            state,
             groups,
             gids,
-            ..
         } = self;
         gids.clear();
         gids.extend(
@@ -827,37 +869,25 @@ impl Grouped {
                 .zip(hashes)
                 .map(|(row, hash)| groups.intern(&keys, hash, row).0),
         );
-        let cols = t.columns();
-        for (lane, &(first, second)) in lanes.iter_mut().zip(inputs.iter()) {
-            lane.grow(groups.len());
-            lane.fold(&cols[first], second.map(|i| &cols[i]), gids, lo, *merging)?;
-        }
-        Ok(())
+        state.fold(t, gids, lo, groups.len())
     }
 
     /// The final table: one row per group sorted by key, or the one
     /// identity row of a global aggregate over no rows.
     fn finish_sorted(mut self, t: &Table, out_schema: &Schema) -> Result<Table> {
-        let keys = self.keys(t);
-        let order: Vec<u32> = if keys.is_empty() {
+        let keys = self.state.keys(t);
+        let (homes, order) = if keys.is_empty() {
             let n = self.groups.len().max(1);
-            for lane in &mut self.lanes {
+            for lane in &mut self.state.lanes {
                 lane.grow(n);
             }
-            (0..n as u32).collect()
+            (Vec::new(), (0..n as u32).collect())
         } else {
-            self.groups.sorted(&keys)
+            let order = self.groups.sorted(&keys);
+            let homes = order.iter().map(|&g| self.groups.reps()[g as usize]);
+            (homes.collect(), order)
         };
-        let mut columns: Vec<Column> = Vec::with_capacity(keys.len() + self.lanes.len());
-        if !keys.is_empty() {
-            let rows: Vec<u32> = order
-                .iter()
-                .map(|&g| self.groups.reps()[g as usize])
-                .collect();
-            columns.extend(keys.iter().map(|k| gather_or_null(k, &rows)));
-        }
-        columns.extend(self.lanes.iter().map(|lane| lane.final_column(&order)));
-        finish_table(out_schema, columns)
+        self.state.finish(t, &homes, &order, out_schema)
     }
 }
 
@@ -933,7 +963,7 @@ enum MapMode {
 /// makes the same one. A global aggregate always combines.
 #[derive(Debug)]
 pub(crate) struct PartialAgg {
-    state: Grouped,
+    state: Hashed,
     mode: MapMode,
     /// Rows folded so far.
     folded: usize,
@@ -942,7 +972,7 @@ pub(crate) struct PartialAgg {
 impl PartialAgg {
     /// State for partitions of `schema`.
     pub(crate) fn new(schema: &Schema, group_by: &[String], aggs: &[AggExpr]) -> Result<Self> {
-        let state = Grouped::over_rows(schema, group_by, aggs, true)?;
+        let state = Hashed::new(Grouped::over_rows(schema, group_by, aggs, true)?);
         let mode = if group_by.is_empty() {
             MapMode::Combine
         } else {
@@ -992,7 +1022,9 @@ impl PartialAgg {
         if self.mode == MapMode::Probing {
             self.decide();
         }
-        let g = &self.state;
+        let Hashed {
+            state: g, groups, ..
+        } = &self.state;
         let keys = g.keys(part);
         let mut columns: Vec<Column>;
         if self.mode == MapMode::PassThrough {
@@ -1002,10 +1034,10 @@ impl PartialAgg {
                 columns.extend(lane.pass_through(&cols[input])?);
             }
         } else {
-            let order: Vec<u32> = (0..g.groups.len() as u32).collect();
+            let order: Vec<u32> = (0..groups.len() as u32).collect();
             columns = keys
                 .iter()
-                .map(|k| gather_or_null(k, g.groups.reps()))
+                .map(|k| gather_or_null(k, groups.reps()))
                 .collect();
             for lane in &g.lanes {
                 columns.extend(lane.state_columns(&order));
@@ -1017,6 +1049,16 @@ impl PartialAgg {
 
 /// Reduce-side merge of partial rows (in arrival order) into final
 /// aggregate rows, sorted by key.
+///
+/// One stable sort of the key lanes groups the rows: a group is a run of
+/// neighbours that [`SortKeys::cmp`] calls `Equal` — `total_cmp`
+/// equality, so nulls form one group and ±0.0 and NaN payloads stay
+/// apart, as in [`lane_eq`]. Each row's group id is its run's rank, so
+/// ids are already in key order, and a group's home row is its run's
+/// first, which the stable sort keeps the first-seen. The lanes then fold
+/// every row in arrival order, so float sums see the additions a hash
+/// merge would. A global aggregate is one group, its identity row when no
+/// rows arrive.
 pub(crate) fn merge_partials(
     t: &Table,
     group_by: &[String],
@@ -1024,8 +1066,26 @@ pub(crate) fn merge_partials(
     out_schema: &Schema,
 ) -> Result<Table> {
     let mut state = Grouped::over_partials(t.schema(), group_by, aggs)?;
-    state.fold(t, 0, t.num_rows())?;
-    state.finish_sorted(t, out_schema)
+    let keys = state.keys(t);
+    let sort = SortKeys::bind(keys.iter().copied());
+    let mut gids = vec![0u32; t.num_rows()];
+    let mut homes: Vec<u32> = Vec::new();
+    let mut prev = None;
+    for row in sort.order(t.num_rows(), false) {
+        if prev.map_or(true, |p| sort.cmp(p, row as usize) != Ordering::Equal) {
+            homes.push(row);
+        }
+        gids[row as usize] = homes.len() as u32 - 1;
+        prev = Some(row as usize);
+    }
+    let groups = if keys.is_empty() {
+        homes.len().max(1)
+    } else {
+        homes.len()
+    };
+    state.fold(t, &gids, 0, groups)?;
+    let order: Vec<u32> = (0..groups as u32).collect();
+    state.finish(t, &homes, &order, out_schema)
 }
 
 /// Aggregate raw rows in one pass (post-shuffle, or the raw path's only
@@ -1036,7 +1096,7 @@ pub(crate) fn aggregate(
     aggs: &[AggExpr],
     out_schema: &Schema,
 ) -> Result<Table> {
-    let mut state = Grouped::over_rows(t.schema(), group_by, aggs, false)?;
+    let mut state = Hashed::new(Grouped::over_rows(t.schema(), group_by, aggs, false)?);
     state.fold(t, 0, t.num_rows())?;
     state.finish_sorted(t, out_schema)
 }
@@ -1268,5 +1328,227 @@ mod tests {
         };
         assert_eq!(**data, [0, 3, 0]);
         assert_eq!(validity.null_count(), 2);
+    }
+
+    // ---------------------------------------------- the merge at scale
+
+    /// Rows in each partition of the large-merge tests: four partitions
+    /// make ≈ 20 000 partial rows when every partition passes through.
+    const PART_ROWS: usize = 5_000;
+
+    /// Float values whose sum depends on the order of the additions:
+    /// `1e16` absorbs a later `1.0`, and `-1e16` cancels it back out.
+    const ORDERED: [f64; 8] = [1e16, 1.0, 1.0, -1e16, 0.5, -0.0, 3.0, -1.5];
+
+    /// A value lane beside `key`: `p` is Float, drawn from [`ORDERED`] by
+    /// a hash of the global row, null on every eleventh row over a garbage
+    /// payload; `q` is Int.
+    fn with_values(key_field: Field, key: Column, first_row: usize) -> Table {
+        let n = key.len();
+        let row = |r: usize| first_row + r;
+        let pick = |r: usize| (row(r) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 61;
+        let p = Column::Float {
+            data: (0..n).map(|r| ORDERED[pick(r) as usize]).collect(),
+            validity: (0..n).map(|r| row(r) % 11 != 0).collect(),
+        };
+        let q = Column::from_ints((0..n).map(|r| (row(r) as i64 * 37) % 101 - 50).collect());
+        let schema = Schema::new(vec![
+            key_field,
+            Field::new("p", DataType::Float),
+            Field::new("q", DataType::Int),
+        ])
+        .unwrap();
+        Table::new(schema, vec![key, p, q]).unwrap()
+    }
+
+    fn value_aggs() -> Vec<AggExpr> {
+        vec![
+            AggExpr::new(AggFunc::Count, "p", "n"),
+            AggExpr::new(AggFunc::Sum, "p", "s"),
+            AggExpr::new(AggFunc::Mean, "p", "m"),
+            AggExpr::new(AggFunc::Min, "p", "lo"),
+            AggExpr::new(AggFunc::Max, "q", "hi"),
+            AggExpr::new(AggFunc::Sum, "q", "sq"),
+        ]
+    }
+
+    /// Map every partition through [`PartialAgg`], merge the partials in
+    /// partition order, and require the row oracle's answer bit for bit.
+    /// Returns the number of partial rows the merge saw.
+    fn merge_matches_the_oracle(parts: &[Table], group_by: &[&str], aggs: &[AggExpr]) -> usize {
+        let group_by: Vec<String> = group_by.iter().map(|g| g.to_string()).collect();
+        let p_schema = oracle::p_schema_of(&parts[0], &group_by, aggs);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for part in parts {
+            let mut state = PartialAgg::new(part.schema(), &group_by, aggs).unwrap();
+            state.fold(part, 0, part.num_rows()).unwrap();
+            got.push(state.finish(part, &p_schema).unwrap());
+            want.push(oracle::oracle_map_side(part, &group_by, aggs, &p_schema));
+        }
+        let (got, want) = (Table::concat(&got).unwrap(), Table::concat(&want).unwrap());
+        let out = oracle::out_schema(&parts[0], &group_by, aggs);
+        let merged = merge_partials(&got, &group_by, aggs, &out).unwrap();
+        let oracle = oracle::oracle_merge(&want, &group_by, aggs, &out);
+        assert_eq!(
+            oracle::identical(&merged, &oracle, &oracle::sum_lanes(aggs)),
+            Ok(()),
+            "by {group_by:?}"
+        );
+        got.num_rows()
+    }
+
+    /// Four partitions of one Int key, `key(row)` over the global row.
+    fn int_parts(key: impl Fn(usize) -> i64) -> Vec<Table> {
+        (0..4)
+            .map(|p| {
+                let first = p * PART_ROWS;
+                let keys = (first..first + PART_ROWS).map(&key).collect();
+                with_values(
+                    Field::new("k", DataType::Int),
+                    Column::from_ints(keys),
+                    first,
+                )
+            })
+            .collect()
+    }
+
+    /// `0..n` in a fixed pseudo-random order.
+    fn shuffled(n: usize) -> Vec<usize> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let mut rows: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            rows.swap(i, rng.gen_range(0..=i));
+        }
+        rows
+    }
+
+    #[test]
+    fn the_merge_matches_the_oracle_on_unique_int_keys_in_any_arrival_order() {
+        let n = 4 * PART_ROWS;
+        let perm = shuffled(n);
+        for key in [
+            Box::new(|r: usize| r as i64) as Box<dyn Fn(usize) -> i64>,
+            Box::new(move |r: usize| (n - r) as i64),
+            Box::new(move |r: usize| perm[r] as i64),
+        ] {
+            let rows = merge_matches_the_oracle(&int_parts(key), &["k"], &value_aggs());
+            assert_eq!(rows, n, "every partition passes through");
+        }
+    }
+
+    #[test]
+    fn the_merge_matches_the_oracle_on_unique_str_keys() {
+        let perm = shuffled(4 * PART_ROWS);
+        let parts: Vec<Table> = (0..4)
+            .map(|p| {
+                let first = p * PART_ROWS;
+                let keys: Vec<String> = perm[first..first + PART_ROWS]
+                    .iter()
+                    .map(|k| format!("user-{k:05}"))
+                    .collect();
+                with_values(
+                    Field::new("k", DataType::Str),
+                    Column::from_strs(keys),
+                    first,
+                )
+            })
+            .collect();
+        assert_eq!(
+            merge_matches_the_oracle(&parts, &["k"], &value_aggs()),
+            4 * PART_ROWS
+        );
+    }
+
+    /// A partition whose first `PROBE_ROWS` keys are unique passes through,
+    /// however few keys its other rows hold: the merge then meets long runs
+    /// of equal keys from one source, each row a partial of its own.
+    #[test]
+    fn the_merge_matches_the_oracle_when_the_probe_mispredicts() {
+        let key = |r: usize| {
+            let at = r % PART_ROWS;
+            if at < PROBE_ROWS {
+                (r + 100) as i64
+            } else {
+                (r % 8) as i64
+            }
+        };
+        assert_eq!(
+            merge_matches_the_oracle(&int_parts(key), &["k"], &value_aggs()),
+            4 * PART_ROWS
+        );
+        let parts: Vec<Table> = int_parts(key)
+            .into_iter()
+            .map(|t| {
+                let (ints, _) = t.columns()[0].as_ints().unwrap();
+                let keys: Vec<String> = ints.iter().map(|k| format!("k{k}")).collect();
+                let rest = t.columns()[1..].to_vec();
+                let schema = Schema::new(
+                    std::iter::once(Field::new("k", DataType::Str))
+                        .chain(t.schema().fields()[1..].iter().cloned())
+                        .collect(),
+                )
+                .unwrap();
+                let columns = std::iter::once(Column::from_strs(keys)).chain(rest);
+                Table::new(schema, columns.collect()).unwrap()
+            })
+            .collect();
+        assert_eq!(
+            merge_matches_the_oracle(&parts, &["k"], &value_aggs()),
+            4 * PART_ROWS
+        );
+    }
+
+    /// Every third key is null over a nonzero payload; the first two
+    /// partitions pass through (sharing the garbage), the other two
+    /// combine eight keys.
+    #[test]
+    fn the_merge_matches_the_oracle_on_null_keys_over_garbage() {
+        let parts: Vec<Table> = (0..4)
+            .map(|p| {
+                let first = p * PART_ROWS;
+                let rows = first..first + PART_ROWS;
+                let key = Column::Int {
+                    data: rows
+                        .clone()
+                        .map(|r| if p < 2 { r as i64 } else { (r % 8) as i64 })
+                        .collect(),
+                    validity: rows.map(|r| r % 3 != 0).collect(),
+                };
+                with_values(Field::new("k", DataType::Int), key, first)
+            })
+            .collect();
+        let rows = merge_matches_the_oracle(&parts, &["k"], &value_aggs());
+        assert!(rows > 2 * PART_ROWS, "two partitions pass through: {rows}");
+    }
+
+    /// Two keys, a Float one among ±0.0, two NaN payloads and 1.0, and an
+    /// Int one; every group has two rows, two partitions apart.
+    #[test]
+    fn the_merge_matches_the_oracle_on_signed_zeros_and_nan_payloads() {
+        let floats = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            1.0,
+        ];
+        let parts: Vec<Table> = (0..4)
+            .map(|p| {
+                let first = p * PART_ROWS;
+                let rows = first..first + PART_ROWS;
+                let f = Column::from_floats(rows.clone().map(|r| floats[r % 5]).collect());
+                let t = with_values(
+                    Field::new("j", DataType::Int),
+                    Column::from_ints(rows.map(|r| ((r / 5) % 2_000) as i64).collect()),
+                    first,
+                );
+                t.with_column(Field::new("f", DataType::Float), f).unwrap()
+            })
+            .collect();
+        assert_eq!(
+            merge_matches_the_oracle(&parts, &["f", "j"], &value_aggs()),
+            4 * PART_ROWS
+        );
     }
 }

@@ -318,7 +318,12 @@ fn oracle_pass_through(
 }
 
 /// The map side's partial of one partition, by the rule it follows.
-fn oracle_map_side(t: &Table, group_by: &[String], aggs: &[AggExpr], p_schema: &Schema) -> Table {
+pub(super) fn oracle_map_side(
+    t: &Table,
+    group_by: &[String],
+    aggs: &[AggExpr],
+    p_schema: &Schema,
+) -> Table {
     if passes_through(t, group_by) {
         oracle_pass_through(t, group_by, aggs, p_schema)
     } else {
@@ -326,7 +331,12 @@ fn oracle_map_side(t: &Table, group_by: &[String], aggs: &[AggExpr], p_schema: &
     }
 }
 
-fn oracle_merge(t: &Table, group_by: &[String], aggs: &[AggExpr], out: &Schema) -> Table {
+pub(super) fn oracle_merge(
+    t: &Table,
+    group_by: &[String],
+    aggs: &[AggExpr],
+    out: &Schema,
+) -> Table {
     let key_idx: Vec<usize> = (0..group_by.len()).collect();
     let mut state_pos = group_by.len();
     let mut state_cols: Vec<Vec<usize>> = Vec::new();
@@ -647,7 +657,7 @@ fn random_aggregation(t: &Table, rng: &mut StdRng, partial: bool) -> (Vec<String
     (group_by, aggs)
 }
 
-fn out_schema(t: &Table, group_by: &[String], aggs: &[AggExpr]) -> Schema {
+pub(super) fn out_schema(t: &Table, group_by: &[String], aggs: &[AggExpr]) -> Schema {
     let keys: Vec<&str> = group_by.iter().map(String::as_str).collect();
     Dataflow::scan("t", t.schema().clone())
         .aggregate(&keys, aggs.to_vec())
@@ -656,7 +666,7 @@ fn out_schema(t: &Table, group_by: &[String], aggs: &[AggExpr]) -> Schema {
         .clone()
 }
 
-fn p_schema_of(t: &Table, group_by: &[String], aggs: &[AggExpr]) -> Schema {
+pub(super) fn p_schema_of(t: &Table, group_by: &[String], aggs: &[AggExpr]) -> Schema {
     let fields = group_by
         .iter()
         .map(|g| t.schema().field(g).unwrap().clone())
@@ -669,7 +679,7 @@ fn p_schema_of(t: &Table, group_by: &[String], aggs: &[AggExpr]) -> Schema {
 /// arithmetic produces unspecified (the compiler may commute an addition),
 /// so there any two NaNs match; everywhere else a float matches only its
 /// own bit pattern.
-fn sum_lanes(aggs: &[AggExpr]) -> Vec<String> {
+pub(super) fn sum_lanes(aggs: &[AggExpr]) -> Vec<String> {
     aggs.iter()
         .enumerate()
         .filter(|(_, a)| matches!(a.func, AggFunc::Sum | AggFunc::Mean))

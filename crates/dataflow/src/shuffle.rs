@@ -255,7 +255,9 @@ pub fn shuffle_spillable(
         .map(|k| schema.index_of(k).map_err(FlowError::Data))
         .collect::<Result<Vec<_>>>()?;
     let mut staging = Staging::new(schema, targets);
-    let mut spilled: Vec<Vec<SpillHandle>> = (0..targets).map(|_| Vec::new()).collect();
+    // Each target's runs, each with its staged bytes: what `SpillStarted`
+    // reported and `SpillMerged` sums.
+    let mut spilled: Vec<Vec<(SpillHandle, u64)>> = (0..targets).map(|_| Vec::new()).collect();
     let mut spilled_bytes = 0u64;
     for t in inputs {
         let routes = if key_idx.is_empty() || targets == 1 {
@@ -293,7 +295,7 @@ pub fn shuffle_spillable(
                     bytes: bytes as u64,
                 });
                 spilled_bytes += bytes as u64;
-                spilled[target].push(handle);
+                spilled[target].push((handle, bytes as u64));
             }
         }
     }
@@ -309,8 +311,8 @@ pub fn shuffle_spillable(
         let mut chunks = Vec::with_capacity(runs.len() + 1);
         let mut merged_bytes = 0u64;
         let n_runs = runs.len();
-        for handle in runs {
-            merged_bytes += handle.bytes();
+        for (handle, bytes) in runs {
+            merged_bytes += bytes;
             chunks.push(manager.read_back(handle)?);
         }
         chunks.push(tail);
@@ -596,6 +598,35 @@ mod tests {
             }
             drop(manager);
             assert!(!dir.exists(), "spill dir must be cleaned up on drop");
+        }
+    }
+
+    /// A spilled run is counted in one unit, its staged row-codec bytes:
+    /// per target, the `SpillStarted` bytes sum to the `SpillMerged` bytes.
+    #[test]
+    fn merged_spill_bytes_are_the_started_bytes() {
+        let t = random_table(800, 4, 7);
+        let parts = PartitionedTable::split(t.clone(), 4).unwrap();
+        for budget in [0u64, 512, 4 << 10] {
+            let dir = std::env::temp_dir().join(format!(
+                "toreador-shuffle-units-{}-{budget}",
+                std::process::id()
+            ));
+            let manager = SpillManager::new(budget, dir);
+            let journal = TraceJournal::new();
+            let keys = ["c0".to_owned()];
+            let spill = Some((&manager, &journal));
+            shuffle_spillable(parts.parts().to_vec(), t.schema(), &keys, 6, spill).unwrap();
+            let (mut started, mut merged) = (vec![0u64; 6], vec![0u64; 6]);
+            for e in &journal.snapshot().events {
+                match e.kind {
+                    TraceEventKind::SpillStarted { target, bytes, .. } => started[target] += bytes,
+                    TraceEventKind::SpillMerged { target, bytes, .. } => merged[target] += bytes,
+                    _ => {}
+                }
+            }
+            assert!(started.iter().sum::<u64>() > 0, "budget {budget} spilled");
+            assert_eq!(started, merged, "budget {budget}");
         }
     }
 }

@@ -99,11 +99,11 @@ pub(crate) fn oracle_shuffle(
         .collect::<Result<Vec<_>>>()?;
     let mut buffers: Vec<Vec<u8>> = vec![Vec::new(); targets];
     let mut counts = vec![0usize; targets];
-    let mut spilled: Vec<Vec<SpillHandle>> = (0..targets).map(|_| Vec::new()).collect();
+    let mut spilled: Vec<Vec<(SpillHandle, u64)>> = (0..targets).map(|_| Vec::new()).collect();
     let mut spilled_bytes = 0u64;
     let check = |buffers: &mut Vec<Vec<u8>>,
                  counts: &mut Vec<usize>,
-                 spilled: &mut Vec<Vec<SpillHandle>>,
+                 spilled: &mut Vec<Vec<(SpillHandle, u64)>>,
                  spilled_bytes: &mut u64|
      -> Result<()> {
         let Some((manager, journal)) = spill else {
@@ -130,7 +130,7 @@ pub(crate) fn oracle_shuffle(
                 rows: rows as u64,
                 bytes,
             });
-            spilled[target].push(handle);
+            spilled[target].push((handle, bytes));
         }
         Ok(())
     };
@@ -162,8 +162,8 @@ pub(crate) fn oracle_shuffle(
         let mut chunks = Vec::new();
         let mut merged_bytes = 0u64;
         let n_runs = runs.len();
-        for handle in runs {
-            merged_bytes += handle.bytes();
+        for (handle, bytes) in runs {
+            merged_bytes += bytes;
             chunks.push(manager.read_back(handle)?);
         }
         chunks.push(tail);

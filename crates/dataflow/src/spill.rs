@@ -60,16 +60,6 @@ struct SpillHeader {
 #[derive(Debug)]
 pub struct SpillHandle {
     path: PathBuf,
-    bytes: u64,
-}
-
-impl SpillHandle {
-    /// Encoded lane bytes of the spilled run (excluding the magic, header
-    /// and framing) — the number the shuffle's `bytes_moved` accounting
-    /// and the merge trace events report.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
 }
 
 /// Owns one run's spill directory and spill files.
@@ -107,9 +97,8 @@ impl SpillManager {
         })?;
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let path = self.dir.join(format!("run-{seq:06}.pages"));
-        let (file, bytes) = encode_run(t)?;
-        write_atomic(&path, &file).map_err(FlowError::Spill)?;
-        Ok(SpillHandle { path, bytes })
+        write_atomic(&path, &encode_run(t)?).map_err(FlowError::Spill)?;
+        Ok(SpillHandle { path })
     }
 
     /// Read a spilled run back from its published file, decoding each
@@ -129,8 +118,8 @@ impl SpillManager {
     }
 }
 
-/// Encode `t` as a spill file's bytes, and count its encoded lane bytes.
-fn encode_run(t: &Table) -> Result<(Vec<u8>, u64)> {
+/// Encode `t` as a spill file's bytes.
+fn encode_run(t: &Table) -> Result<Vec<u8>> {
     let header = SpillHeader {
         rows: t.num_rows(),
         schema: t.schema().clone(),
@@ -139,15 +128,13 @@ fn encode_run(t: &Table) -> Result<(Vec<u8>, u64)> {
         .map_err(|e| FlowError::Spill(format!("encode spill header: {e}")))?;
     let mut file = SPILL_MAGIC.to_vec();
     push_frame(&mut file, json.as_bytes());
-    let mut lane_bytes = 0;
     let mut buf = Vec::new();
     for lane in &lanes(t) {
         buf.clear();
         encode_lane(lane, header.rows, &mut buf);
-        lane_bytes += buf.len() as u64;
         push_frame(&mut file, &buf);
     }
-    Ok((file, lane_bytes))
+    Ok(file)
 }
 
 /// Decode the bytes of the spill file at `path` — the inverse of
@@ -228,7 +215,6 @@ mod tests {
         let t = generate::clickstream(700, 13);
         let manager = SpillManager::new(1 << 20, dir.clone());
         let handle = manager.spill_table(&t).unwrap();
-        assert!(handle.bytes() > 0);
         // The published file exists, with no temp residue.
         assert!(handle.path.exists());
         assert!(!has_tmp(&dir));
@@ -295,7 +281,6 @@ mod tests {
             fs::write(&handle.path, bytes).unwrap();
             let again = SpillHandle {
                 path: handle.path.clone(),
-                bytes: handle.bytes,
             };
             match manager.read_back(again) {
                 Err(FlowError::Spill(msg)) => {

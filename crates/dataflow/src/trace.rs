@@ -276,7 +276,8 @@ pub enum TraceEventKind {
     /// a paged file. `op` names the spilling operator family: `shuffle`,
     /// the one that spills; traces stored when the aggregation's map
     /// output spilled too also carry `aggregate`, and fold the same way.
-    /// `target` is the partition the run belongs to. Journal-only.
+    /// `target` is the partition the run belongs to, `bytes` its staged
+    /// row-codec bytes. Journal-only.
     SpillStarted {
         op: String,
         target: usize,
@@ -284,7 +285,8 @@ pub enum TraceEventKind {
         bytes: u64,
     },
     /// Spilled runs were read back and merged with the in-memory tail to
-    /// produce the partition's final output. Journal-only.
+    /// produce the partition's final output. `rows` counts the tail too;
+    /// `bytes` sums the runs' `SpillStarted` bytes. Journal-only.
     SpillMerged {
         op: String,
         target: usize,
