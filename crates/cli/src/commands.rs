@@ -1406,22 +1406,7 @@ fn history_cmd(args: &Args) -> Result<String, String> {
     if args.flag_set("json") {
         // The wire-protocol history shape, so scripts parse one format
         // whether they ask the store or a live daemon.
-        let reply = toreador_serve::proto::HistoryReply {
-            trainee: trainee.to_owned(),
-            runs: state
-                .runs
-                .values()
-                .map(|r| toreador_serve::proto::HistoryEntry {
-                    run_id: r.run_id,
-                    challenge: r.challenge_id.clone(),
-                    choices: r.choices.clone(),
-                    score: state.scores.get(&r.run_id).copied(),
-                    rows_in: r.rows_in,
-                    rows_out: r.rows_out,
-                    cost: r.indicator(Indicator::Cost),
-                })
-                .collect(),
-        };
+        let reply = toreador_serve::proto::HistoryReply::from_state(trainee, state);
         return serde_json::to_string_pretty(&reply)
             .map(|s| s + "\n")
             .map_err(|e| e.to_string());
@@ -1894,6 +1879,12 @@ mod tests {
             .runs
             .iter()
             .any(|r| r.choices == vec!["sample", "batch"]));
+        // Byte for byte what the daemon answers for the same store.
+        let store = SessionStore::open(&dir).unwrap();
+        let hub = toreador_serve::hub::SessionHub::with_store(store, Default::default());
+        let daemon = serde_json::to_string_pretty(&hub.history("cli").unwrap()).unwrap();
+        assert_eq!(out, daemon + "\n");
+        drop(hub);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -884,17 +884,25 @@ objective cost <= 100
 
     #[test]
     fn parsed_expressions_type_check_and_evaluate() {
-        use toreador_data::value::Value;
-        let e = parse_expr("price * 2 >= qty and country != 'DE'").unwrap();
+        use toreador_data::table::Table;
+        use toreador_dataflow::vexpr::BoundExpr;
         let row = vec![
             Value::Float(3.0),
             Value::Str("IT".into()),
             Value::Int(5),
             Value::Bool(true),
         ];
-        assert_eq!(e.eval(&schema(), &row).unwrap(), Value::Bool(true));
-        let e = parse_expr("-price").unwrap();
-        assert_eq!(e.eval(&schema(), &row).unwrap(), Value::Float(-3.0));
+        let t = Table::from_rows(schema(), [row]).unwrap();
+        let eval = |src: &str| {
+            let e = parse_expr(src).unwrap();
+            let c = BoundExpr::bind(&e, t.schema()).unwrap().eval_column(&t);
+            c.unwrap().value(0).unwrap()
+        };
+        assert_eq!(
+            eval("price * 2 >= qty and country != 'DE'"),
+            Value::Bool(true)
+        );
+        assert_eq!(eval("-price"), Value::Float(-3.0));
     }
 
     #[test]

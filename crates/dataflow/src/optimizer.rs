@@ -4,8 +4,10 @@
 //! ablation benchmarks (DESIGN.md E2/E5) can toggle them:
 //!
 //! 1. **Constant folding** — evaluate literal-only sub-expressions through
-//!    the engine's bound kernels, so a folded literal is what execution
-//!    would have computed, type included.
+//!    the engine's bound column kernels, which compute an operator over
+//!    constants on a one-row column (there is no second, scalar
+//!    evaluator), so a folded literal is what execution would have
+//!    computed, type included.
 //! 2. **Filter merging** — adjacent filters become one conjunction.
 //! 3. **Predicate pushdown** — filters move below projections (when the
 //!    projection is a pure rename/pass-through of the referenced columns)
@@ -14,7 +16,9 @@
 //!    columns insert a narrowing projection right above the scan.
 //!
 //! Rules run to a fixpoint (bounded) and preserve plan semantics; the
-//! equivalence is property-tested in `tests/engine.rs`.
+//! equivalence is property-tested in
+//! `crates/dataflow/tests/engine_properties.rs`, and folding against the
+//! row oracle in `tests/cross_crate_properties.rs`.
 
 use std::sync::Arc;
 

@@ -334,7 +334,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{col, lit, Expr};
+    use crate::expr::{col, lit};
     use crate::logical::{AggExpr, AggFunc};
     use crate::spill::SPILL_OP_SHUFFLE;
     use crate::trace::{SpillTotals, TraceEventKind};
@@ -425,38 +425,6 @@ mod tests {
         let mut e = Engine::new(EngineConfig::default().with_optimizer(optimizer));
         e.register("t", t.clone()).unwrap();
         (e, t)
-    }
-
-    /// Projecting `e` through the optimizer and the kernels gives the row
-    /// reference's column: same type, same values.
-    fn projects_like_row_reference(e: Expr) {
-        let (engine, t) = fuzz_engine(OptimizerConfig::default());
-        let flow = engine.flow("t").unwrap().project(vec![("v", e.clone())]);
-        let got = engine.run(&flow.unwrap()).unwrap().table.columns()[0].clone();
-        let want = e.eval_table(&t).unwrap();
-        assert_eq!(got.data_type(), want.data_type(), "{e}");
-        let values = |c: &Column| format!("{:?}", c.iter_values().collect::<Vec<_>>());
-        assert_eq!(values(&got), values(&want), "{e}");
-    }
-
-    #[test]
-    fn mixed_coalesce_constant_runs() {
-        projects_like_row_reference(Expr::coalesce(vec![lit(1i64), lit(2.5)]));
-    }
-
-    #[test]
-    fn mixed_if_constant_runs() {
-        projects_like_row_reference(Expr::if_then(lit(true), lit(1i64), lit(2.5)));
-    }
-
-    #[test]
-    fn null_float_constant_runs() {
-        projects_like_row_reference(lit(1.0).div(lit(0i64)));
-    }
-
-    #[test]
-    fn null_int_constant_feeds_arithmetic() {
-        projects_like_row_reference(lit(1i64).modulo(lit(0i64)).add(col("c0")));
     }
 
     #[test]

@@ -70,35 +70,6 @@ impl StreamState {
         Self::default()
     }
 
-    /// Merge the result of the batch at stream `offset` into the state:
-    /// `key_col` identifies the group, `count_col`/`sum_col` are merged
-    /// additively when present. A NULL key is refused as a
-    /// [`FlowError::Stream`] naming the column and `offset`.
-    pub fn absorb(
-        &mut self,
-        batch_result: &Table,
-        offset: u64,
-        key_col: &str,
-        count_col: Option<&str>,
-        sum_col: Option<&str>,
-    ) -> Result<()> {
-        for_each_state_row(
-            batch_result,
-            offset,
-            key_col,
-            count_col,
-            sum_col,
-            |key, count, sum| {
-                if let Some(n) = count {
-                    *self.counts.entry(key.clone()).or_insert(0) += n;
-                }
-                if let Some(s) = sum {
-                    *self.sums.entry(key).or_insert(0.0) += s;
-                }
-            },
-        )
-    }
-
     pub fn count(&self, key: &str) -> i64 {
         self.counts.get(key).copied().unwrap_or(0)
     }
@@ -143,61 +114,6 @@ impl StreamState {
     }
 }
 
-/// Visit each row of a batch result's state columns, in row order, as
-/// `(key, count, sum)`: the key's text, and the count/sum cells that are
-/// present and non-null. Each column is looked up once per batch.
-///
-/// State is keyed by text, and a NULL renders as `""`, so a NULL key would
-/// silently merge with an empty-string key: it is refused as a
-/// [`FlowError::Stream`] naming the column and the batch's stream offset.
-fn for_each_state_row(
-    batch_result: &Table,
-    offset: u64,
-    key_col: &str,
-    count_col: Option<&str>,
-    sum_col: Option<&str>,
-    mut visit: impl FnMut(String, Option<i64>, Option<f64>),
-) -> Result<()> {
-    if batch_result.num_rows() == 0 {
-        return Ok(());
-    }
-    let keys = batch_result.column(key_col)?;
-    let counts = count_col.map(|c| batch_result.column(c)).transpose()?;
-    let sums = sum_col.map(|c| batch_result.column(c)).transpose()?;
-    for row in 0..batch_result.num_rows() {
-        let key = match keys {
-            Column::Str { data, validity } if validity.get(row) => data[row].to_owned(),
-            _ => match keys.value(row)? {
-                Value::Null => {
-                    return Err(FlowError::Stream(format!(
-                        "batch at offset {offset}: state key column {key_col:?} is NULL in \
-                         row {row}; a NULL key would merge with the empty-string key"
-                    )))
-                }
-                v => v.to_string(),
-            },
-        };
-        let count = match counts {
-            Some(Column::Int { data, validity }) => validity.get(row).then(|| data[row]),
-            Some(col) => match col.value(row)? {
-                Value::Null => None,
-                v => Some(v.as_int()?),
-            },
-            None => None,
-        };
-        let sum = match sums {
-            Some(Column::Float { data, validity }) => validity.get(row).then(|| data[row]),
-            Some(col) => match col.value(row)? {
-                Value::Null => None,
-                v => Some(v.as_float()?),
-            },
-            None => None,
-        };
-        visit(key, count, sum);
-    }
-    Ok(())
-}
-
 /// One batch's additive contribution to the carried [`StreamState`],
 /// key-sorted so serialisation (and therefore replay) is deterministic.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -208,9 +124,13 @@ pub struct StateDelta {
 
 impl StateDelta {
     /// Aggregate the result of the batch at stream `offset` into a delta:
-    /// `key_col` identifies the group, `count_col`/`sum_col` accumulate
-    /// additively when present — the delta-shaped mirror of
-    /// [`StreamState::absorb`], refusing a NULL key the same way.
+    /// `key_col` identifies the group, and the present, non-null cells of
+    /// `count_col`/`sum_col` accumulate additively, in row order. Each
+    /// column is looked up once per batch.
+    ///
+    /// State is keyed by text, and a NULL renders as `""`, so a NULL key
+    /// would silently merge with an empty-string key: it is refused as a
+    /// [`FlowError::Stream`] naming the column and the batch's offset.
     pub fn from_batch(
         batch_result: &Table,
         offset: u64,
@@ -219,21 +139,48 @@ impl StateDelta {
         sum_col: Option<&str>,
     ) -> Result<Self> {
         let mut delta = StateDelta::default();
-        for_each_state_row(
-            batch_result,
-            offset,
-            key_col,
-            count_col,
-            sum_col,
-            |key, count, sum| {
-                if let Some(n) = count {
-                    *delta.counts.entry(key.clone()).or_insert(0) += n;
-                }
-                if let Some(s) = sum {
-                    *delta.sums.entry(key).or_insert(0.0) += s;
-                }
-            },
-        )?;
+        if batch_result.num_rows() == 0 {
+            return Ok(delta);
+        }
+        let keys = batch_result.column(key_col)?;
+        let counts = count_col.map(|c| batch_result.column(c)).transpose()?;
+        let sums = sum_col.map(|c| batch_result.column(c)).transpose()?;
+        for row in 0..batch_result.num_rows() {
+            let key = match keys {
+                Column::Str { data, validity } if validity.get(row) => data[row].to_owned(),
+                _ => match keys.value(row)? {
+                    Value::Null => {
+                        return Err(FlowError::Stream(format!(
+                            "batch at offset {offset}: state key column {key_col:?} is NULL in \
+                             row {row}; a NULL key would merge with the empty-string key"
+                        )))
+                    }
+                    v => v.to_string(),
+                },
+            };
+            let count = match counts {
+                Some(Column::Int { data, validity }) => validity.get(row).then(|| data[row]),
+                Some(col) => match col.value(row)? {
+                    Value::Null => None,
+                    v => Some(v.as_int()?),
+                },
+                None => None,
+            };
+            let sum = match sums {
+                Some(Column::Float { data, validity }) => validity.get(row).then(|| data[row]),
+                Some(col) => match col.value(row)? {
+                    Value::Null => None,
+                    v => Some(v.as_float()?),
+                },
+                None => None,
+            };
+            if let Some(n) = count {
+                *delta.counts.entry(key.clone()).or_insert(0) += n;
+            }
+            if let Some(s) = sum {
+                *delta.sums.entry(key).or_insert(0.0) += s;
+            }
+        }
         Ok(delta)
     }
 
@@ -476,8 +423,6 @@ impl AckLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use toreador_data::schema::{Field, Schema};
-    use toreador_data::value::{DataType, Value};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -593,64 +538,5 @@ mod tests {
         let counts = a.counts_sorted();
         assert_eq!(counts.get("x"), Some(&5));
         assert!(a.sums_sorted().contains_key("x"));
-    }
-
-    #[test]
-    fn stream_state_accumulates() {
-        let schema = Schema::new(vec![
-            Field::new("k", DataType::Str),
-            Field::new("n", DataType::Int),
-            Field::new("s", DataType::Float),
-        ])
-        .unwrap();
-        let t1 = Table::from_rows(
-            schema.clone(),
-            vec![vec!["a".into(), Value::Int(2), Value::Float(1.5)]],
-        )
-        .unwrap();
-        let t2 = Table::from_rows(
-            schema,
-            vec![
-                vec!["a".into(), Value::Int(3), Value::Float(0.5)],
-                vec!["b".into(), Value::Int(1), Value::Float(9.0)],
-            ],
-        )
-        .unwrap();
-        let mut st = StreamState::new();
-        st.absorb(&t1, 0, "k", Some("n"), Some("s")).unwrap();
-        st.absorb(&t2, 1, "k", Some("n"), Some("s")).unwrap();
-        assert_eq!(st.count("a"), 5);
-        assert_eq!(st.sum("a"), 2.0);
-        assert_eq!(st.count("b"), 1);
-        assert_eq!(st.keys(), vec!["a", "b"]);
-        assert_eq!(st.count("missing"), 0);
-    }
-
-    #[test]
-    fn delta_from_batch_mirrors_absorb() {
-        let schema = Schema::new(vec![
-            Field::new("k", DataType::Str),
-            Field::new("n", DataType::Int),
-            Field::new("s", DataType::Float),
-        ])
-        .unwrap();
-        let t = Table::from_rows(
-            schema,
-            vec![
-                vec!["a".into(), Value::Int(2), Value::Float(1.5)],
-                vec!["b".into(), Value::Int(1), Value::Float(9.0)],
-                vec!["a".into(), Value::Int(3), Value::Float(0.5)],
-            ],
-        )
-        .unwrap();
-        let d = StateDelta::from_batch(&t, 0, "k", Some("n"), Some("s")).unwrap();
-        let mut via_delta = StreamState::new();
-        d.apply_to(&mut via_delta);
-        let mut via_absorb = StreamState::new();
-        via_absorb.absorb(&t, 0, "k", Some("n"), Some("s")).unwrap();
-        assert_eq!(via_delta.count("a"), via_absorb.count("a"));
-        assert_eq!(via_delta.sum("b"), via_absorb.sum("b"));
-        assert!(!d.is_empty());
-        assert!(StateDelta::default().is_empty());
     }
 }

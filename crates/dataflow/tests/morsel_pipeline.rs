@@ -4,8 +4,8 @@
 //! stage-barrier task computed) must agree value-for-value — byte-identical
 //! output through the row codec, and identical error messages when
 //! chaos makes a wave fail — and, for chains without a sample step, agree
-//! with the row reference computed here from `Expr::eval_mask` +
-//! `Table::filter` + `Expr::eval_table`, across generated plans, morsel
+//! with the row reference computed here from the row oracle's
+//! `eval_mask`, `Table::filter` and `eval_table`, across generated plans, morsel
 //! sizes from one row to the whole partition, and thread counts 1, 2 and
 //! 16.
 //!
@@ -21,6 +21,9 @@
 //! the calling thread, and the same plan with `morsel_rows` just below and
 //! just above its input — or anywhere — gives the same bytes and the same
 //! task journal as the pooled run.
+
+#[path = "support/row_oracle.rs"]
+mod row_oracle;
 
 use std::collections::HashMap;
 
@@ -126,8 +129,8 @@ fn assert_whole_partition_units(trace: &RunTrace) {
 }
 
 /// The row reference of a narrow chain: walk `plan` down to its scan and
-/// apply `Expr::eval_mask` + `Table::filter` per filter and
-/// `Expr::eval_table` per projection to `input`. `None` when the chain
+/// apply the row oracle's `eval_mask` + `Table::filter` per filter and
+/// `eval_table` per projection to `input`. `None` when the chain
 /// samples — sampling has no row reference, the two drivers check each
 /// other there.
 fn row_reference(plan: &LogicalPlan, input: &Table) -> Option<Table> {
@@ -138,7 +141,10 @@ fn row_reference(plan: &LogicalPlan, input: &Table) -> Option<Table> {
             predicate,
         } => {
             let t = row_reference(below, input)?;
-            Some(t.filter(&predicate.eval_mask(&t).unwrap()).unwrap())
+            Some(
+                t.filter(&row_oracle::eval_mask(predicate, &t).unwrap())
+                    .unwrap(),
+            )
         }
         LogicalPlan::Project {
             input: below,
@@ -146,7 +152,9 @@ fn row_reference(plan: &LogicalPlan, input: &Table) -> Option<Table> {
             schema,
         } => {
             let t = row_reference(below, input)?;
-            let cols = exprs.iter().map(|(_, e)| e.eval_table(&t).unwrap());
+            let cols = exprs
+                .iter()
+                .map(|(_, e)| row_oracle::eval_table(e, &t).unwrap());
             Some(Table::new(schema.clone(), cols.collect()).unwrap())
         }
         _ => None,

@@ -11,8 +11,9 @@
 //!    many rows — none lost, none double-counted, across a kill.
 //! 4. **Differential oracle**: on in-order input, the continuous loop's
 //!    carried state matches [`run_stream`] (the event-time micro-batch
-//!    oracle defined here) bit-for-bit on counts and to float tolerance on
-//!    sums.
+//!    oracle defined here, which folds each window's result with its own
+//!    [`absorb`], not the engine's `StateDelta::from_batch`) bit-for-bit
+//!    on counts and to float tolerance on sums.
 //! 5. **No hang on a panic**: a panicking source fails the run with a
 //!    classified error, and a panicking per-batch processor propagates to
 //!    the caller; both run under a watchdog so a regression fails instead
@@ -22,6 +23,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::time::Duration;
 
+use toreador_data::column::LaneRef;
 use toreador_data::generate::{fraud_stream, telemetry};
 use toreador_data::schema::{Field, Schema};
 use toreador_data::table::Table;
@@ -93,9 +95,64 @@ fn run_stream(
         engine.register("__batch", window.clone())?;
         let flow = make_flow(&engine, "__batch")?;
         let result = engine.run(&flow)?;
-        state.absorb(&result.table, offset as u64, key_col, count_col, sum_col)?;
+        absorb(
+            &mut state,
+            &result.table,
+            offset as u64,
+            key_col,
+            count_col,
+            sum_col,
+        )?;
     }
     Ok(state)
+}
+
+/// The oracle's fold of the result of the window at `offset` into the
+/// carried state, through typed lane reads: each row adds its non-null
+/// `count_col` and `sum_col` cells to its key's totals, in row order. A
+/// NULL key is refused, as the engine's stream refuses it: state is keyed
+/// by text, where a NULL would merge with `""`.
+fn absorb(
+    state: &mut StreamState,
+    result: &Table,
+    offset: u64,
+    key_col: &str,
+    count_col: Option<&str>,
+    sum_col: Option<&str>,
+) -> FlowResult<()> {
+    let keys = result.column(key_col)?;
+    let counts = count_col.map(|c| result.column(c)).transpose()?;
+    let sums = sum_col.map(|c| result.column(c)).transpose()?;
+    for row in 0..result.num_rows() {
+        if !keys.validity().get(row) {
+            return Err(FlowError::Stream(format!(
+                "batch at offset {offset}: state key column {key_col:?} is NULL in row {row}"
+            )));
+        }
+        let key = match keys.lane() {
+            LaneRef::Str(data) => data.get(row).to_owned(),
+            LaneRef::Int(data) | LaneRef::Timestamp(data) => data[row].to_string(),
+            LaneRef::Float(data) => data[row].to_string(),
+            LaneRef::Bool(data) => data[row].to_string(),
+        };
+        if let Some(c) = counts.filter(|c| c.validity().get(row)) {
+            state.add_count(&key, c.as_ints()?.0[row]);
+        }
+        if let Some(c) = sums.filter(|c| c.validity().get(row)) {
+            let sum = match c.lane() {
+                LaneRef::Float(data) => data[row],
+                LaneRef::Int(data) => data[row] as f64,
+                _ => {
+                    let ty = c.data_type();
+                    return Err(FlowError::TypeCheck(format!(
+                        "sum column {sum_col:?} is {ty}"
+                    )));
+                }
+            };
+            state.add_sum(&key, sum);
+        }
+    }
+    Ok(())
 }
 
 /// Run `f` on its own thread and wait at most ten seconds for it: a hang
@@ -617,4 +674,73 @@ fn streaming_equals_batch_for_additive_aggregates() {
 fn ts_table(stamps: &[i64]) -> Table {
     let schema = Schema::new(vec![Field::new("ts", DataType::Timestamp)]).unwrap();
     Table::from_rows(schema, stamps.iter().map(|&t| vec![Value::Timestamp(t)])).unwrap()
+}
+
+#[test]
+fn stream_state_accumulates() {
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::Str),
+        Field::new("n", DataType::Int),
+        Field::new("s", DataType::Float),
+    ])
+    .unwrap();
+    let t1 = Table::from_rows(
+        schema.clone(),
+        vec![vec!["a".into(), Value::Int(2), Value::Float(1.5)]],
+    )
+    .unwrap();
+    let t2 = Table::from_rows(
+        schema,
+        vec![
+            vec!["a".into(), Value::Int(3), Value::Float(0.5)],
+            vec!["b".into(), Value::Int(1), Value::Float(9.0)],
+        ],
+    )
+    .unwrap();
+    let mut st = StreamState::new();
+    absorb(&mut st, &t1, 0, "k", Some("n"), Some("s")).unwrap();
+    absorb(&mut st, &t2, 1, "k", Some("n"), Some("s")).unwrap();
+    assert_eq!(st.count("a"), 5);
+    assert_eq!(st.sum("a"), 2.0);
+    assert_eq!(st.count("b"), 1);
+    assert_eq!(st.keys(), vec!["a", "b"]);
+    assert_eq!(st.count("missing"), 0);
+}
+
+#[test]
+fn delta_from_batch_mirrors_absorb() {
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::Str),
+        Field::new("n", DataType::Int),
+        Field::new("s", DataType::Float),
+    ])
+    .unwrap();
+    let t = Table::from_rows(
+        schema,
+        vec![
+            vec!["a".into(), Value::Int(2), Value::Float(1.5)],
+            vec!["b".into(), Value::Int(1), Value::Float(9.0)],
+            vec!["a".into(), Value::Int(3), Value::Float(0.5)],
+        ],
+    )
+    .unwrap();
+    let d = StateDelta::from_batch(&t, 0, "k", Some("n"), Some("s")).unwrap();
+    let mut via_delta = StreamState::new();
+    d.apply_to(&mut via_delta);
+    let mut via_absorb = StreamState::new();
+    absorb(&mut via_absorb, &t, 0, "k", Some("n"), Some("s")).unwrap();
+    assert_eq!(via_delta, via_absorb);
+    assert!(!d.is_empty());
+    assert!(StateDelta::default().is_empty());
+    // Both refuse a NULL key, naming the column and the offset.
+    let null_row = vec![Value::Null, Value::Int(1), Value::Float(1.0)];
+    let with_null = Table::from_rows(t.schema().clone(), [null_row]).unwrap();
+    let live = StateDelta::from_batch(&with_null, 4, "k", Some("n"), Some("s")).unwrap_err();
+    let oracle = absorb(&mut via_absorb, &with_null, 4, "k", Some("n"), Some("s")).unwrap_err();
+    for err in [live, oracle] {
+        assert!(
+            matches!(err, FlowError::Stream(ref m) if m.contains("\"k\"") && m.contains("offset 4")),
+            "{err:?}"
+        );
+    }
 }

@@ -43,7 +43,7 @@ use toreador_store::StoreConfig;
 
 use crate::coalesce::{plan_key, PlanCache, PlanSource};
 use crate::proto::{
-    AttemptReply, AttemptRequest, CompareReply, ErrorBody, ErrorClass, HistoryEntry, HistoryReply,
+    AttemptReply, AttemptRequest, CompareReply, ErrorBody, ErrorClass, HistoryReply,
     OpenSessionRequest, SessionInfo,
 };
 
@@ -429,23 +429,7 @@ impl SessionHub {
         let state = store.trainee(trainee).ok_or_else(|| {
             ServeError::new(ErrorClass::Unknown, format!("unknown trainee {trainee:?}"))
         })?;
-        let runs = state
-            .runs
-            .values()
-            .map(|r| HistoryEntry {
-                run_id: r.run_id,
-                challenge: r.challenge_id.clone(),
-                choices: r.choices.clone(),
-                score: state.scores.get(&r.run_id).copied(),
-                rows_in: r.rows_in,
-                rows_out: r.rows_out,
-                cost: r.indicator(Indicator::Cost),
-            })
-            .collect();
-        Ok(HistoryReply {
-            trainee: trainee.to_owned(),
-            runs,
-        })
+        Ok(HistoryReply::from_state(trainee, state))
     }
 
     /// One full run record as JSON (traces included).

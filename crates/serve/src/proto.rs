@@ -7,7 +7,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use toreador_labs::prelude::Quota;
+use toreador_core::declarative::Indicator;
+use toreador_labs::prelude::{Quota, RunRecord, SessionMeta};
+use toreador_store::TraineeState;
 
 /// Machine-readable failure classes. The HTTP status follows the class
 /// (see [`ErrorClass::http_status`]), but clients should switch on the
@@ -171,6 +173,31 @@ pub struct HistoryEntry {
 pub struct HistoryReply {
     pub trainee: String,
     pub runs: Vec<HistoryEntry>,
+}
+
+impl HistoryReply {
+    /// The history of `trainee` from its state in a session store, one
+    /// entry per persisted run in run-id order: what the daemon answers
+    /// and what `toreador history --json` prints.
+    pub fn from_state(trainee: &str, state: &TraineeState<SessionMeta, RunRecord>) -> Self {
+        let runs = state
+            .runs
+            .values()
+            .map(|r| HistoryEntry {
+                run_id: r.run_id,
+                challenge: r.challenge_id.clone(),
+                choices: r.choices.clone(),
+                score: state.scores.get(&r.run_id).copied(),
+                rows_in: r.rows_in,
+                rows_out: r.rows_out,
+                cost: r.indicator(Indicator::Cost),
+            })
+            .collect();
+        HistoryReply {
+            trainee: trainee.to_owned(),
+            runs,
+        }
+    }
 }
 
 /// Response to `GET /v1/compare?trainee=<t>&a=<id>&b=<id>` — the choice

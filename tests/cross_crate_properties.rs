@@ -1,6 +1,9 @@
 //! Property-based tests spanning the whole stack: random campaigns through
 //! the real compiler and engine.
 
+#[path = "../crates/dataflow/tests/support/row_oracle.rs"]
+mod row_oracle;
+
 use proptest::prelude::*;
 
 use toreador_core::prelude::*;
@@ -39,48 +42,58 @@ fn arb_campaign() -> impl Strategy<Value = String> {
 /// vectorized engine against the row-at-a-time oracle.
 mod arb_exprs {
     use proptest::prelude::*;
+    use proptest::strategy::Union;
     use toreador_data::value::{DataType, Value};
     use toreador_dataflow::expr::{col, lit, Expr, Func};
 
-    fn leaf(ty: DataType) -> BoxedStrategy<Expr> {
-        match ty {
-            DataType::Int => prop_oneof![
-                Just(col("c0")),
-                (-5i64..5).prop_map(|i| lit(Value::Int(i))),
-                Just(lit(Value::Int(i64::MAX))),
-                Just(lit(Value::Int(i64::MIN))),
-            ]
-            .boxed(),
-            DataType::Float => prop_oneof![
-                Just(col("c1")),
-                (-4i32..4).prop_map(|i| lit(Value::Float(f64::from(i) / 2.0))),
-                Just(lit(Value::Float(f64::NAN))),
-                Just(lit(Value::Float(-0.0))),
-                Just(lit(Value::Float(f64::INFINITY))),
-            ]
-            .boxed(),
-            DataType::Str => prop_oneof![
-                Just(col("c2")),
-                Just(lit("")),
-                Just(lit("42")),
-                Just(lit("-7.5")),
-                Just(lit("true")),
-                Just(lit("héllo")),
-            ]
-            .boxed(),
-            DataType::Bool => prop_oneof![
-                Just(col("c3")),
-                Just(lit(Value::Bool(true))),
-                Just(lit(Value::Bool(false))),
-            ]
-            .boxed(),
-            DataType::Timestamp => prop_oneof![
-                Just(col("c4")),
-                Just(lit(Value::Timestamp(0))),
-                (-2i64..100).prop_map(|h| lit(Value::Timestamp(h * 3_600_000))),
-            ]
-            .boxed(),
-        }
+    /// A leaf of type `ty`: its column of the table, or a literal. Without
+    /// `columns`, literals only.
+    fn leaf(ty: DataType, columns: bool) -> BoxedStrategy<Expr> {
+        let (column, literals) = match ty {
+            DataType::Int => (
+                "c0",
+                vec![
+                    (-5i64..5).prop_map(|i| lit(Value::Int(i))).boxed(),
+                    Just(lit(Value::Int(i64::MAX))).boxed(),
+                    Just(lit(Value::Int(i64::MIN))).boxed(),
+                ],
+            ),
+            DataType::Float => (
+                "c1",
+                vec![
+                    (-4i32..4)
+                        .prop_map(|i| lit(Value::Float(f64::from(i) / 2.0)))
+                        .boxed(),
+                    Just(lit(Value::Float(f64::NAN))).boxed(),
+                    Just(lit(Value::Float(-0.0))).boxed(),
+                    Just(lit(Value::Float(f64::INFINITY))).boxed(),
+                ],
+            ),
+            DataType::Str => (
+                "c2",
+                ["", "42", "-7.5", "true", "héllo"]
+                    .map(|s| Just(lit(s)).boxed())
+                    .into(),
+            ),
+            DataType::Bool => (
+                "c3",
+                vec![
+                    Just(lit(Value::Bool(true))).boxed(),
+                    Just(lit(Value::Bool(false))).boxed(),
+                ],
+            ),
+            DataType::Timestamp => (
+                "c4",
+                vec![
+                    Just(lit(Value::Timestamp(0))).boxed(),
+                    (-2i64..100)
+                        .prop_map(|h| lit(Value::Timestamp(h * 3_600_000)))
+                        .boxed(),
+                ],
+            ),
+        };
+        let column = columns.then(|| Just(col(column)).boxed());
+        Union::new(column.into_iter().chain(literals).collect()).boxed()
     }
 
     fn cmp(a: Expr, b: Expr, op: usize) -> Expr {
@@ -97,96 +110,138 @@ mod arb_exprs {
     /// A random expression whose static type is `ty` (modulo inference
     /// rejecting some mixed conditionals — the caller checks both engines
     /// reject identically in that case).
-    fn typed(ty: DataType, depth: u32) -> BoxedStrategy<Expr> {
+    fn typed(ty: DataType, depth: u32, columns: bool) -> BoxedStrategy<Expr> {
         if depth == 0 {
-            return leaf(ty);
+            return leaf(ty, columns);
         }
         let d = depth - 1;
         use DataType::*;
         match ty {
             Int => prop_oneof![
-                leaf(Int),
-                (typed(Int, d), typed(Int, d), 0..4usize).prop_map(|(a, b, op)| match op {
-                    0 => a.add(b),
-                    1 => a.sub(b),
-                    2 => a.mul(b),
-                    _ => a.modulo(b),
-                }),
-                typed(Int, d).prop_map(Expr::neg),
-                typed(Int, d).prop_map(|a| Expr::call(Func::Abs, vec![a])),
-                typed(Str, d).prop_map(|a| Expr::call(Func::Length, vec![a])),
-                typed(Timestamp, d).prop_map(|a| Expr::call(Func::HourOfDay, vec![a])),
-                typed(Timestamp, d).prop_map(|a| Expr::call(Func::DayIndex, vec![a])),
-                typed(Float, d).prop_map(|a| a.cast(Int)),
-                typed(Str, d).prop_map(|a| a.cast(Int)), // usually fails to parse
-                (typed(Bool, d), typed(Int, d), typed(Int, d))
+                leaf(Int, columns),
+                (typed(Int, d, columns), typed(Int, d, columns), 0..4usize).prop_map(
+                    |(a, b, op)| match op {
+                        0 => a.add(b),
+                        1 => a.sub(b),
+                        2 => a.mul(b),
+                        _ => a.modulo(b),
+                    }
+                ),
+                typed(Int, d, columns).prop_map(Expr::neg),
+                typed(Int, d, columns).prop_map(|a| Expr::call(Func::Abs, vec![a])),
+                typed(Str, d, columns).prop_map(|a| Expr::call(Func::Length, vec![a])),
+                typed(Timestamp, d, columns).prop_map(|a| Expr::call(Func::HourOfDay, vec![a])),
+                typed(Timestamp, d, columns).prop_map(|a| Expr::call(Func::DayIndex, vec![a])),
+                typed(Float, d, columns).prop_map(|a| a.cast(Int)),
+                typed(Str, d, columns).prop_map(|a| a.cast(Int)), // usually fails to parse
+                (
+                    typed(Bool, d, columns),
+                    typed(Int, d, columns),
+                    typed(Int, d, columns)
+                )
                     .prop_map(|(c, t, e)| Expr::if_then(c, t, e)),
-                (typed(Int, d), typed(Int, d)).prop_map(|(a, b)| Expr::coalesce(vec![a, b])),
+                (typed(Int, d, columns), typed(Int, d, columns))
+                    .prop_map(|(a, b)| Expr::coalesce(vec![a, b])),
             ]
             .boxed(),
             Float => prop_oneof![
-                leaf(Float),
-                (typed(Float, d), typed(Float, d), 0..5usize).prop_map(|(a, b, op)| match op {
-                    0 => a.add(b),
-                    1 => a.sub(b),
-                    2 => a.mul(b),
-                    3 => a.div(b),
-                    _ => a.modulo(b),
-                }),
-                (typed(Int, d), typed(Float, d)).prop_map(|(a, b)| a.add(b)),
-                (typed(Int, d), typed(Int, d)).prop_map(|(a, b)| a.div(b)),
-                typed(Float, d).prop_map(|a| Expr::call(Func::Sqrt, vec![a])),
-                typed(Float, d).prop_map(|a| Expr::call(Func::Ln, vec![a])),
-                typed(Float, d).prop_map(|a| Expr::call(Func::Floor, vec![a])),
-                typed(Float, d).prop_map(|a| Expr::call(Func::Ceil, vec![a])),
-                typed(Int, d).prop_map(|a| a.cast(Float)),
-                typed(Str, d).prop_map(|a| a.cast(Float)), // usually fails to parse
+                leaf(Float, columns),
+                (
+                    typed(Float, d, columns),
+                    typed(Float, d, columns),
+                    0..5usize
+                )
+                    .prop_map(|(a, b, op)| match op {
+                        0 => a.add(b),
+                        1 => a.sub(b),
+                        2 => a.mul(b),
+                        3 => a.div(b),
+                        _ => a.modulo(b),
+                    }),
+                (typed(Int, d, columns), typed(Float, d, columns)).prop_map(|(a, b)| a.add(b)),
+                (typed(Int, d, columns), typed(Int, d, columns)).prop_map(|(a, b)| a.div(b)),
+                typed(Float, d, columns).prop_map(|a| Expr::call(Func::Sqrt, vec![a])),
+                typed(Float, d, columns).prop_map(|a| Expr::call(Func::Ln, vec![a])),
+                typed(Float, d, columns).prop_map(|a| Expr::call(Func::Floor, vec![a])),
+                typed(Float, d, columns).prop_map(|a| Expr::call(Func::Ceil, vec![a])),
+                typed(Int, d, columns).prop_map(|a| a.cast(Float)),
+                typed(Str, d, columns).prop_map(|a| a.cast(Float)), // usually fails to parse
                 // Mixed-type branches: the Int side widens to the node's
                 // frozen Float type before anything above computes on it.
-                (typed(Bool, d), typed(Int, d), typed(Float, d))
+                (
+                    typed(Bool, d, columns),
+                    typed(Int, d, columns),
+                    typed(Float, d, columns)
+                )
                     .prop_map(|(c, t, e)| Expr::if_then(c, t, e)),
-                (typed(Float, d), typed(Int, d)).prop_map(|(a, b)| Expr::coalesce(vec![a, b])),
+                (typed(Float, d, columns), typed(Int, d, columns))
+                    .prop_map(|(a, b)| Expr::coalesce(vec![a, b])),
             ]
             .boxed(),
             Bool => prop_oneof![
-                leaf(Bool),
-                (typed(Int, d), typed(Int, d), 0..6usize).prop_map(|(a, b, o)| cmp(a, b, o)),
-                (typed(Float, d), typed(Float, d), 0..6usize).prop_map(|(a, b, o)| cmp(a, b, o)),
-                (typed(Int, d), typed(Float, d), 0..6usize).prop_map(|(a, b, o)| cmp(a, b, o)),
-                (typed(Str, d), typed(Str, d), 0..6usize).prop_map(|(a, b, o)| cmp(a, b, o)),
-                (typed(Timestamp, d), typed(Timestamp, d), 0..6usize)
+                leaf(Bool, columns),
+                (typed(Int, d, columns), typed(Int, d, columns), 0..6usize)
                     .prop_map(|(a, b, o)| cmp(a, b, o)),
-                (typed(Bool, d), typed(Bool, d)).prop_map(|(a, b)| a.and(b)),
-                (typed(Bool, d), typed(Bool, d)).prop_map(|(a, b)| a.or(b)),
-                typed(Bool, d).prop_map(Expr::not),
-                typed(Float, d).prop_map(Expr::is_null),
-                typed(Str, d).prop_map(Expr::is_null),
-                typed(Int, d).prop_map(Expr::is_not_null),
-                typed(Timestamp, d).prop_map(Expr::is_not_null),
-                typed(Int, d).prop_map(|a| a.cast(Bool)),
-                (typed(Bool, d), typed(Bool, d), typed(Bool, d))
+                (
+                    typed(Float, d, columns),
+                    typed(Float, d, columns),
+                    0..6usize
+                )
+                    .prop_map(|(a, b, o)| cmp(a, b, o)),
+                (typed(Int, d, columns), typed(Float, d, columns), 0..6usize)
+                    .prop_map(|(a, b, o)| cmp(a, b, o)),
+                (typed(Str, d, columns), typed(Str, d, columns), 0..6usize)
+                    .prop_map(|(a, b, o)| cmp(a, b, o)),
+                (
+                    typed(Timestamp, d, columns),
+                    typed(Timestamp, d, columns),
+                    0..6usize
+                )
+                    .prop_map(|(a, b, o)| cmp(a, b, o)),
+                (typed(Bool, d, columns), typed(Bool, d, columns)).prop_map(|(a, b)| a.and(b)),
+                (typed(Bool, d, columns), typed(Bool, d, columns)).prop_map(|(a, b)| a.or(b)),
+                typed(Bool, d, columns).prop_map(Expr::not),
+                typed(Float, d, columns).prop_map(Expr::is_null),
+                typed(Str, d, columns).prop_map(Expr::is_null),
+                typed(Int, d, columns).prop_map(Expr::is_not_null),
+                typed(Timestamp, d, columns).prop_map(Expr::is_not_null),
+                typed(Int, d, columns).prop_map(|a| a.cast(Bool)),
+                (
+                    typed(Bool, d, columns),
+                    typed(Bool, d, columns),
+                    typed(Bool, d, columns)
+                )
                     .prop_map(|(c, t, e)| Expr::if_then(c, t, e)),
             ]
             .boxed(),
             Str => prop_oneof![
-                leaf(Str),
-                typed(Str, d).prop_map(|a| Expr::call(Func::Lower, vec![a])),
-                typed(Str, d).prop_map(|a| Expr::call(Func::Upper, vec![a])),
-                typed(Int, d).prop_map(|a| a.cast(Str)),
-                typed(Float, d).prop_map(|a| a.cast(Str)),
-                typed(Bool, d).prop_map(|a| a.cast(Str)),
-                typed(Timestamp, d).prop_map(|a| a.cast(Str)),
-                (typed(Str, d), typed(Str, d)).prop_map(|(a, b)| Expr::coalesce(vec![a, b])),
-                (typed(Bool, d), typed(Str, d), typed(Str, d))
+                leaf(Str, columns),
+                typed(Str, d, columns).prop_map(|a| Expr::call(Func::Lower, vec![a])),
+                typed(Str, d, columns).prop_map(|a| Expr::call(Func::Upper, vec![a])),
+                typed(Int, d, columns).prop_map(|a| a.cast(Str)),
+                typed(Float, d, columns).prop_map(|a| a.cast(Str)),
+                typed(Bool, d, columns).prop_map(|a| a.cast(Str)),
+                typed(Timestamp, d, columns).prop_map(|a| a.cast(Str)),
+                (typed(Str, d, columns), typed(Str, d, columns))
+                    .prop_map(|(a, b)| Expr::coalesce(vec![a, b])),
+                (
+                    typed(Bool, d, columns),
+                    typed(Str, d, columns),
+                    typed(Str, d, columns)
+                )
                     .prop_map(|(c, t, e)| Expr::if_then(c, t, e)),
             ]
             .boxed(),
             Timestamp => prop_oneof![
-                leaf(Timestamp),
-                typed(Int, d).prop_map(|a| a.cast(Timestamp)),
-                (typed(Timestamp, d), typed(Timestamp, d))
+                leaf(Timestamp, columns),
+                typed(Int, d, columns).prop_map(|a| a.cast(Timestamp)),
+                (typed(Timestamp, d, columns), typed(Timestamp, d, columns))
                     .prop_map(|(a, b)| Expr::coalesce(vec![a, b])),
-                (typed(Bool, d), typed(Timestamp, d), typed(Timestamp, d))
+                (
+                    typed(Bool, d, columns),
+                    typed(Timestamp, d, columns),
+                    typed(Timestamp, d, columns)
+                )
                     .prop_map(|(c, t, e)| Expr::if_then(c, t, e)),
             ]
             .boxed(),
@@ -199,12 +254,26 @@ mod arb_exprs {
     pub fn any_expr() -> BoxedStrategy<Expr> {
         use DataType::*;
         prop_oneof![
-            typed(Int, 3),
-            typed(Float, 3),
-            typed(Bool, 3),
-            typed(Str, 3),
-            typed(Timestamp, 3),
+            typed(Int, 3, true),
+            typed(Float, 3, true),
+            typed(Bool, 3, true),
+            typed(Str, 3, true),
+            typed(Timestamp, 3, true),
             Just(col("c1").gt(lit(50.0)).and(col("c2").not_eq(lit("view")))),
+        ]
+        .boxed()
+    }
+
+    /// A random column-free expression of any result type, depth ≤ 3:
+    /// every leaf is a literal, so constant folding takes the whole tree.
+    pub fn any_constant_expr() -> BoxedStrategy<Expr> {
+        use DataType::*;
+        prop_oneof![
+            typed(Int, 3, false),
+            typed(Float, 3, false),
+            typed(Bool, 3, false),
+            typed(Str, 3, false),
+            typed(Timestamp, 3, false),
         ]
         .boxed()
     }
@@ -229,6 +298,46 @@ fn tables_identical(a: &toreador_data::table::Table, b: &toreador_data::table::T
             .all(|(x, y)| columns_identical(x, y))
 }
 
+/// Project `expr` over `random_table(rows, 5, seed)` through `Engine::run`,
+/// optimizer on, and hold the column to the row reference's: identical, or
+/// both sides fail. Returns the executed plan of a run that succeeded.
+fn engine_projection_agrees(
+    expr: &toreador_dataflow::expr::Expr,
+    rows: usize,
+    seed: u64,
+) -> Result<Option<std::sync::Arc<toreador_dataflow::logical::LogicalPlan>>, TestCaseError> {
+    use toreador_data::generate::random_table;
+    use toreador_dataflow::prelude::*;
+
+    let t = random_table(rows, 5, seed);
+    let by_row = row_oracle::eval_table(expr, &t);
+    let mut engine = Engine::new(EngineConfig::default().with_threads(1));
+    engine.register("t", t).unwrap();
+    match engine.flow("t").unwrap().project(vec![("v", expr.clone())]) {
+        Err(_) => prop_assert!(
+            by_row.is_err(),
+            "project refused {expr}, the row reference ran"
+        ),
+        Ok(flow) => match (by_row, engine.run(&flow)) {
+            (Ok(want), Ok(got)) => {
+                prop_assert!(
+                    columns_identical(&want, got.table.column("v").unwrap()),
+                    "engine disagrees on {expr}:\n row: {want:?}\n got: {:?}",
+                    got.table
+                );
+                return Ok(Some(got.executed_plan));
+            }
+            (Err(_), Err(_)) => {}
+            (want, got) => prop_assert!(
+                false,
+                "only one side failed on {expr}: row={want:?} engine={:?}",
+                got.map(|r| r.table)
+            ),
+        },
+    }
+    Ok(None)
+}
+
 // Differential properties of the vectorized expression engine: 256 cases
 // by default (the acceptance bar), `PROPTEST_CASES` overrides.
 proptest! {
@@ -250,7 +359,7 @@ proptest! {
         use toreador_dataflow::prelude::BoundExpr;
 
         let t = random_table(rows, 5, seed);
-        let by_row = expr.eval_table(&t);
+        let by_row = row_oracle::eval_table(&expr, &t);
         match BoundExpr::bind(&expr, t.schema()) {
             // Binding is the only type checker: what it rejects, the row
             // reference cannot evaluate either.
@@ -269,7 +378,7 @@ proptest! {
                     ),
                 }
                 if bound.output_type() == DataType::Bool {
-                    if let (Ok(mask), Ok(sel)) = (expr.eval_mask(&t), bound.eval_selection(&t)) {
+                    if let (Ok(mask), Ok(sel)) = (row_oracle::eval_mask(&expr, &t), bound.eval_selection(&t)) {
                         let from_mask: Vec<u32> = mask
                             .iter()
                             .enumerate()
@@ -291,28 +400,31 @@ proptest! {
         rows in 1usize..60,
         seed in 0u64..1000,
     ) {
-        use toreador_data::generate::random_table;
+        engine_projection_agrees(&expr, rows, seed)?;
+    }
+
+    /// The same for column-free trees: constant folding computes each one
+    /// on the kernels before execution, so here the row reference holds
+    /// every operator's constant path to account, and a tree that runs
+    /// must have been folded to one literal.
+    #[test]
+    fn constant_folding_matches_row_oracle(
+        expr in arb_exprs::any_constant_expr(),
+        rows in 1usize..4,
+        seed in 0u64..1000,
+    ) {
+        use toreador_data::value::Value;
         use toreador_dataflow::prelude::*;
 
-        let t = random_table(rows, 5, seed);
-        let by_row = expr.eval_table(&t);
-        let mut engine = Engine::new(EngineConfig::default().with_threads(1));
-        engine.register("t", t).unwrap();
-        match engine.flow("t").unwrap().project(vec![("v", expr.clone())]) {
-            Err(_) => prop_assert!(by_row.is_err(), "project refused {expr}, the row reference ran"),
-            Ok(flow) => match (by_row, engine.run(&flow)) {
-                (Ok(want), Ok(got)) => prop_assert!(
-                    columns_identical(&want, got.table.column("v").unwrap()),
-                    "engine disagrees on {expr}:\n row: {want:?}\n got: {:?}",
-                    got.table
-                ),
-                (Err(_), Err(_)) => {}
-                (want, got) => prop_assert!(
-                    false,
-                    "only one side failed on {expr}: row={want:?} engine={:?}",
-                    got.map(|r| r.table)
-                ),
-            },
+        if let Some(plan) = engine_projection_agrees(&expr, rows, seed)? {
+            let folded = match plan.as_ref() {
+                LogicalPlan::Project { exprs, .. } => match &exprs[0].1 {
+                    Expr::Cast { expr, .. } => matches!(**expr, Expr::Literal(Value::Null)),
+                    e => matches!(e, Expr::Literal(_)),
+                },
+                _ => false,
+            };
+            prop_assert!(folded, "{expr} ran unfolded: {plan:?}");
         }
     }
 
@@ -373,10 +485,12 @@ proptest! {
         );
         prop_assert!(tables_identical(&morsels, &watched), "a task deadline changed the output");
         if sample_at == "nowhere" {
-            let kept = table.filter(&predicate.eval_mask(&table).unwrap()).unwrap();
+            let kept = table
+                .filter(&row_oracle::eval_mask(&predicate, &table).unwrap())
+                .unwrap();
             prop_assert_eq!(morsels.num_columns(), projections.len());
             for ((_, e), got) in projections.iter().zip(morsels.columns()) {
-                let want = e.eval_table(&kept).unwrap();
+                let want = row_oracle::eval_table(e, &kept).unwrap();
                 prop_assert!(columns_identical(got, &want), "morsel units != row reference for {e}");
             }
         }
